@@ -30,23 +30,38 @@ def check_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
+def _transform_frames(transform, stack: np.ndarray) -> np.ndarray:
+    # Given ``out``, both axis passes write one buffer instead of each
+    # allocating a stack. Its dtype is the one numpy's FFT returns.
+    stack = _check_stack_3d(stack)
+    out = np.empty(stack.shape, dtype=np.result_type(stack.dtype, 1j))
+    return transform(stack, axes=(-2, -1), norm="ortho", out=out)
+
+
 def frame_dft(frames: np.ndarray) -> np.ndarray:
     """Unitary 2D DFT of each frame in a stack."""
-    return np.fft.fft2(_check_stack_3d(frames), axes=(-2, -1), norm="ortho")
+    return _transform_frames(np.fft.fftn, frames)
 
 
 def frame_idft(spectra: np.ndarray) -> np.ndarray:
     """Inverse of :func:`frame_dft`."""
-    return np.fft.ifft2(_check_stack_3d(spectra), axes=(-2, -1), norm="ortho")
+    # ifftn rather than ifft2: numpy's ifft2 ignores ``out``.
+    return _transform_frames(np.fft.ifftn, spectra)
+
+
+def _unit_phase(spectra: np.ndarray, mag: np.ndarray, out=None) -> np.ndarray:
+    """Phase of ``spectra`` given its magnitudes ``mag``, which are
+    overwritten; ``out=spectra`` phases the stack in place."""
+    zero = mag == 0.0
+    mag[zero] = 1.0
+    phase = np.divide(spectra, mag, out=out)
+    phase[zero] = 1.0
+    return phase
 
 
 def spectrum_phase(spectra: np.ndarray) -> np.ndarray:
     """Unit-modulus phase of a spectrum stack, with phase(0) = 1."""
-    mag = np.abs(spectra)
-    zero = mag == 0.0
-    phase = np.divide(spectra, np.where(zero, 1.0, mag))
-    phase[zero] = 1.0
-    return phase
+    return _unit_phase(spectra, np.abs(spectra))
 
 
 def magnitude_project(frames: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:

@@ -72,6 +72,14 @@ class ScanGeometry:
         return rows[:, :, None] * self.n + cols[:, None, :]
 
     @cached_property
+    def _interleaved_indices(self) -> np.ndarray:
+        """(2*K*m*m,) indices into the float64 view of a complex object
+        canvas: the real then the imaginary slot of every frame pixel,
+        in the order of the float64 view of a complex stack."""
+        slots = 2 * self.frame_indices.reshape(-1, 1)
+        return (slots + np.arange(2)).reshape(-1)
+
+    @cached_property
     def covered_mask(self) -> np.ndarray:
         """(n, n) bool mask of object pixels hit by at least one frame."""
         hit = np.zeros(self.n * self.n, dtype=bool)
@@ -128,14 +136,16 @@ def embed_add_frames(frames: np.ndarray, geom: ScanGeometry) -> np.ndarray:
     Adjoint of :func:`extract_frames`; overlapping frame pixels sum.
     """
     frames = _check_stack(frames, geom)
-    idx = geom.frame_indices.reshape(-1)
-    vals = frames.reshape(-1)
     size = geom.n * geom.n
-    if np.iscomplexobj(vals):
-        acc = np.bincount(idx, weights=vals.real, minlength=size).astype(np.complex128)
-        acc += 1j * np.bincount(idx, weights=vals.imag, minlength=size)
+    if np.iscomplexobj(frames):
+        # One bincount over the float64 view: real and imaginary parts
+        # accumulate in adjacent bins, each in frame order.
+        parts = np.ascontiguousarray(frames, dtype=np.complex128).reshape(-1).view(np.float64)
+        acc = np.bincount(geom._interleaved_indices, weights=parts, minlength=2 * size)
+        acc = acc.view(np.complex128)
     else:
-        acc = np.bincount(idx, weights=vals, minlength=size)
+        idx = geom.frame_indices.reshape(-1)
+        acc = np.bincount(idx, weights=frames.reshape(-1), minlength=size)
     return acc.reshape(geom.n, geom.n)
 
 

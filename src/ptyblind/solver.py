@@ -32,6 +32,18 @@ new probe before the frames are rebuilt, so the jump is absorbed
 instead of being undone by the next consolidation steps. Both
 branches leave an exact solution fixed.
 
+Each iteration is a single pass over the frame stack. Two products
+of the current (frames, probe) pair are computed once and read by
+every consumer: the illumination coverage, and the adjoint
+accumulation ``illuminate_adjoint(frames, probe)``, which is the
+pairwise term of the metrics row, the numerator of the next object
+update and the power step's accumulation. The rank-1 estimators and
+the gate run only on iterations the cadence allows. The global gate
+score reduces to ``||A_s||^2 / <|s|^2, frame coverage>`` for the
+shifted stack ``s`` and its accumulation ``A_s``, one scatter-add. The
+model spectra are transformed once: their magnitudes give the data
+residual and then phase the spectra in place for the frame update.
+
 Denominators are floored at ``epsilon_rel`` times their maximum, so
 division is scale-free and uncovered pixels map to zero.
 """
@@ -44,7 +56,14 @@ from typing import Optional
 
 import numpy as np
 
-from .fourier import check_amplitudes, frame_dft, frame_idft, spectrum_phase, magnitude_project
+from .fourier import (
+    _unit_phase,
+    check_amplitudes,
+    frame_dft,
+    frame_idft,
+    magnitude_project,
+    spectrum_phase,
+)
 from .metrics import MetricsRow, nrmse_probe
 from .operators import (
     CoverageMaps,
@@ -151,18 +170,22 @@ def update_object(
     geom: ScanGeometry,
     cfg: SolverConfig,
     cov: Optional[CoverageMaps] = None,
+    *,
+    adjoint: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Least-squares object estimate from a frame stack and probe.
 
     Conjugate-probe weighted scatter-add divided by the illumination
-    coverage; pixels no frame covers come out zero.
+    coverage; pixels no frame covers come out zero. ``adjoint`` is
+    ``illuminate_adjoint(frames, probe, geom)`` when already at hand.
     """
     if cov is None:
         cov = coverage_maps(probe, geom)
     if not cov.object_coverage.max() > 0:
         raise ValueError("probe is identically zero: object coverage vanishes")
-    num = illuminate_adjoint(frames, probe, geom)
-    return num / _floored(cov.object_coverage, cfg.epsilon_rel)
+    if adjoint is None:
+        adjoint = illuminate_adjoint(frames, probe, geom)
+    return adjoint / _floored(cov.object_coverage, cfg.epsilon_rel)
 
 
 def update_probe_standard(
@@ -212,6 +235,8 @@ def pairwise_discrepancy(
     probe: np.ndarray,
     geom: ScanGeometry,
     cov: Optional[CoverageMaps] = None,
+    *,
+    adjoint: Optional[np.ndarray] = None,
 ) -> float:
     """Mutual inconsistency of overlapping frames under the probe.
 
@@ -219,14 +244,16 @@ def pairwise_discrepancy(
     re-illuminated at the other's position; zero exactly when the
     stack comes from a single object. Evaluated matrix-free as the
     coverage-weighted stack energy minus the energy of the adjoint
-    accumulation, clamped at zero against rounding.
+    accumulation (``adjoint``, computed when not given), clamped at
+    zero against rounding.
     """
     if cov is None:
         cov = coverage_maps(probe, geom)
     frames = np.asarray(frames)
     weighted = float(np.vdot(frames, cov.frame_coverage * frames).real)
-    acc = illuminate_adjoint(frames, probe, geom)
-    return max(weighted - float(np.vdot(acc, acc).real), 0.0)
+    if adjoint is None:
+        adjoint = illuminate_adjoint(frames, probe, geom)
+    return max(weighted - float(np.vdot(adjoint, adjoint).real), 0.0)
 
 
 def update_probe_power(
@@ -234,6 +261,8 @@ def update_probe_power(
     probe: np.ndarray,
     geom: ScanGeometry,
     cfg: SolverConfig,
+    *,
+    adjoint: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One power step on the pairwise-discrepancy quadratic form.
 
@@ -241,15 +270,16 @@ def update_probe_power(
     probe whose kernel (for consistent frames) is the true probe
     direction; the preconditioned power step drives the iterate toward
     it. Numerator: frames times the re-extracted conjugate adjoint
-    accumulation, summed over frames. Denominator: frame-overlap
-    coverage of the stack intensity.
+    accumulation (``adjoint``, computed when not given), summed over
+    frames. Denominator: frame-overlap coverage of the stack intensity.
     """
     frames = np.asarray(frames)
     den = sum_frames(extract_frames(embed_add_frames(np.abs(frames) ** 2, geom), geom))
     if not den.max() > 0:
         raise DegenerateInputError("frame stack is identically zero: power update undefined")
-    acc = illuminate_adjoint(frames, probe, geom)
-    num = sum_frames(frames * extract_frames(np.conj(acc), geom))
+    if adjoint is None:
+        adjoint = illuminate_adjoint(frames, probe, geom)
+    num = sum_frames(frames * extract_frames(np.conj(adjoint), geom))
     return num / _floored(den, cfg.epsilon_rel)
 
 
@@ -318,18 +348,27 @@ def _rank1_terms(
     probe: np.ndarray,
     geom: ScanGeometry,
     factors: np.ndarray,
+    cov: Optional[CoverageMaps],
+    adjoint: Optional[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the transparency-shifted power
     step: each frame is handled by the uniform-shift formula at its own
-    factor, assembled from three shared scatter-adds. Each frame's
-    denominator term is a nonnegative coverage of a shifted stack;
-    tiny negative rounding is clamped.
+    factor, assembled from the unshifted stack's coverage and adjoint
+    accumulation (computed when not given) and one more scatter-add.
+    Each frame's denominator term is a nonnegative coverage of a
+    shifted stack; tiny negative rounding is clamped.
     """
+    if cov is None:
+        cov = coverage_maps(probe, geom)
+    if adjoint is None:
+        adjoint = illuminate_adjoint(frames, probe, geom)
     fcol = factors[:, None, None]
-    adjoint_view = extract_frames(illuminate_adjoint(frames, probe, geom), geom)
-    stack_cov = extract_frames(embed_add_frames(np.abs(frames) ** 2, geom), geom)
-    frame_cov = coverage_maps(probe, geom).frame_coverage
+    frame_cov = cov.frame_coverage
+    adjoint_view = extract_frames(adjoint, geom)
     num = sum_frames(shifted * (np.conj(adjoint_view) - np.conj(fcol) * frame_cov))
+    # Gathered only now, so that it is not alive beside the numerator's
+    # temporaries (the peak memory of a framewise gate).
+    stack_cov = extract_frames(embed_add_frames(np.abs(frames) ** 2, geom), geom)
     den = sum_frames(
         stack_cov
         - 2.0 * np.real(np.conj(fcol) * adjoint_view)
@@ -345,8 +384,10 @@ def _rank1_distributed(
     geom: ScanGeometry,
     factors: np.ndarray,
     cfg: SolverConfig,
+    cov: Optional[CoverageMaps] = None,
+    adjoint: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    num, den = _rank1_terms(frames, shifted, probe, geom, factors)
+    num, den = _rank1_terms(frames, shifted, probe, geom, factors, cov, adjoint)
     if not den.max() > 0:
         raise DegenerateInputError("shifted frame stack is identically zero")
     return num / _floored(den, cfg.epsilon_rel)
@@ -357,6 +398,9 @@ def shift_consistency(
     probe: np.ndarray,
     geom: ScanGeometry,
     estimate: TransparencyEstimate,
+    *,
+    cov: Optional[CoverageMaps] = None,
+    adjoint: Optional[np.ndarray] = None,
 ) -> float:
     """Consistency score of the transparency-shifted stack along the
     current probe.
@@ -372,26 +416,35 @@ def shift_consistency(
     shifted stack. The solver uses it to decide when the shifted step
     can be trusted; whether the shift left enough signal to act on is
     the update's own degeneracy check, not this score.
+
+    ``cov`` (the probe's coverage) and ``adjoint``
+    (``illuminate_adjoint(frames, probe, geom)``) are computed when not
+    given.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
+    if cov is None:
+        cov = coverage_maps(probe, geom)
     factors = _shift_factors(geom, estimate)
     shifted = frames - factors[:, None, None] * probe[None, :, :]
     if estimate.framewise_factors is None:
-        # Evaluate the pencil on the shifted stack itself: the
-        # distributed three-term form cancels catastrophically when
-        # the shift residue sits many orders below the stack, scoring
-        # a perfectly transparent region as junk instead of as
-        # consistent.
-        den = sum_frames(extract_frames(embed_add_frames(np.abs(shifted) ** 2, geom), geom))
+        # With one factor the shifted stack is plain data, so the
+        # form at the probe is the energy of its adjoint accumulation
+        # and the norm its coverage-weighted energy. Both are evaluated
+        # on the shifted stack itself: the distributed three-term form
+        # cancels catastrophically when the shift residue sits many
+        # orders below the stack, scoring a perfectly transparent
+        # region as junk instead of as consistent.
         acc = illuminate_adjoint(shifted, probe, geom)
-        num = sum_frames(shifted * extract_frames(np.conj(acc), geom))
+        form = float(np.vdot(acc, acc).real)
+        weight = float(np.vdot(shifted, cov.frame_coverage * shifted).real)
     else:
-        num, den = _rank1_terms(frames, shifted, probe, geom, factors)
-    weight = float((den * np.abs(probe) ** 2).sum())
+        num, den = _rank1_terms(frames, shifted, probe, geom, factors, cov, adjoint)
+        form = np.vdot(probe, num).real
+        weight = float((den * np.abs(probe) ** 2).sum())
     if not weight > 0.0:
         return 0.0
-    return float(np.vdot(probe, num).real / weight)
+    return float(form / weight)
 
 
 def update_probe_rank1(
@@ -400,6 +453,9 @@ def update_probe_rank1(
     geom: ScanGeometry,
     estimate: TransparencyEstimate,
     cfg: SolverConfig,
+    *,
+    cov: Optional[CoverageMaps] = None,
+    adjoint: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Transparency-accelerated probe update.
 
@@ -417,6 +473,10 @@ def update_probe_rank1(
     numerically zero (a purely constant object region carries no
     probe information), in which case callers may fall back to the
     plain power update.
+
+    The per-frame form reads the probe's coverage ``cov`` and the
+    unshifted stack's ``illuminate_adjoint(frames, probe, geom)`` as
+    ``adjoint``; both are computed when not given.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
@@ -425,7 +485,7 @@ def update_probe_rank1(
     _check_rank1_degeneracy(frames, shifted)
     if estimate.framewise_factors is None:
         return update_probe_power(shifted, probe, geom, cfg)
-    return _rank1_distributed(frames, shifted, probe, geom, factors, cfg)
+    return _rank1_distributed(frames, shifted, probe, geom, factors, cfg, cov, adjoint)
 
 
 def update_probe_rank1_expanded(
@@ -509,48 +569,70 @@ def _transparent_frames(
     return frame_idft(spectrum_phase(spectra) * amplitudes)
 
 
+@dataclass
+class _Iterate:
+    """State the loop carries from one iteration to the next.
+
+    ``cov`` is the coverage of ``probe`` and ``adjoint`` is
+    ``illuminate_adjoint(frames, probe)``. Each is computed once per
+    iteration and read by the metrics row, the next object update,
+    the power step and the rank-1 gate. ``since_shift`` counts the
+    iterations since the last transparency-shifted step.
+    """
+
+    frames: np.ndarray
+    probe: np.ndarray
+    cov: CoverageMaps
+    adjoint: np.ndarray
+    since_shift: int
+    shift_seen: bool = False
+
+
 def _probe_step(
-    frames: np.ndarray,
-    probe: np.ndarray,
+    state: _Iterate,
     obj: np.ndarray,
     geom: ScanGeometry,
     cfg: SolverConfig,
     overlap: Optional[np.ndarray],
     iteration: int,
     events: list[str],
-    since_shift: int,
-    shift_seen: bool,
-) -> tuple[np.ndarray, int, bool]:
+) -> tuple[np.ndarray, bool]:
     """One probe update per ``cfg.probe_mode``.
 
-    Returns the new probe, the updated count of iterations since the
-    last transparency-shifted step, and whether this step was shifted.
+    Returns the new probe and whether this step was transparency-
+    shifted, and advances the shift schedule in ``state``.
     """
+    frames, probe = state.frames, state.probe
     if cfg.probe_mode == "standard":
-        return update_probe_standard(frames, obj, geom, cfg), since_shift, False
-    if cfg.probe_mode == "power":
-        return update_probe_power(frames, probe, geom, cfg), since_shift, False
-    estimate = TransparencyEstimate(global_factor=transparency_global(frames, probe))
-    if cfg.probe_mode == "rank1_framewise":
-        estimate.framewise_factors = transparency_framewise(frames, probe, overlap)
-    if since_shift >= cfg.rank1_cadence:
-        score = shift_consistency(frames, probe, geom, estimate)
+        return update_probe_standard(frames, obj, geom, cfg), False
+    if cfg.probe_mode != "power" and state.since_shift >= cfg.rank1_cadence:
+        estimate = TransparencyEstimate(global_factor=transparency_global(frames, probe))
+        if cfg.probe_mode == "rank1_framewise":
+            estimate.framewise_factors = transparency_framewise(frames, probe, overlap)
+        score = shift_consistency(
+            frames, probe, geom, estimate, cov=state.cov, adjoint=state.adjoint
+        )
         if score >= cfg.rank1_gate:
             try:
-                shifted = update_probe_rank1(frames, probe, geom, estimate, cfg)
+                shifted = update_probe_rank1(
+                    frames, probe, geom, estimate, cfg, cov=state.cov, adjoint=state.adjoint
+                )
             except DegenerateInputError:
                 events.append(
                     f"iteration {iteration}: degenerate transparency shift, "
                     "fell back to power update"
                 )
-                return update_probe_power(frames, probe, geom, cfg), since_shift + 1, False
-            if not shift_seen:
-                events.append(
-                    f"iteration {iteration}: transparency shift engaged "
-                    f"(consistency {score:.3f})"
-                )
-            return shifted, 0, True
-    return update_probe_power(frames, probe, geom, cfg), since_shift + 1, False
+            else:
+                if not state.shift_seen:
+                    events.append(
+                        f"iteration {iteration}: transparency shift engaged "
+                        f"(consistency {score:.3f})"
+                    )
+                state.since_shift = 0
+                state.shift_seen = True
+                return shifted, True
+    state.since_shift += 1
+    return update_probe_power(frames, probe, geom, cfg, adjoint=state.adjoint), False
 
 
 def run_reconstruction(
@@ -592,6 +674,8 @@ def run_reconstruction(
     probe = np.array(probe_init, dtype=np.complex128)
     if probe.shape != (geom.m, geom.m):
         raise ValueError(f"probe shape {probe.shape} does not match geometry m={geom.m}")
+    if not np.all(np.isfinite(probe)):
+        raise ValueError("probe_init contains non-finite entries")
     norm_lock_target = np.linalg.norm(probe)
     if norm_lock_target == 0.0:
         raise ValueError("initial probe is identically zero")
@@ -607,49 +691,56 @@ def run_reconstruction(
         frames = np.array(frames_init, dtype=np.complex128)
         if frames.shape != amplitudes.shape:
             raise ValueError(f"frames_init shape {frames.shape} does not match data")
+        if not np.all(np.isfinite(frames)):
+            raise ValueError("frames_init contains non-finite entries")
 
     overlap = build_overlap_matrix(geom) if cfg.probe_mode == "rank1_framewise" else None
     history = History()
     t_start = time.perf_counter()
     cov = coverage_maps(probe, geom)
+    state = _Iterate(
+        frames, probe, cov, illuminate_adjoint(frames, probe, geom), since_shift=cfg.rank1_cadence
+    )
+    # From here the state holds these; the old names would keep the
+    # first frame stack and coverage alive for the whole run.
+    del frames, probe, cov
 
-    def record(iteration: int, resid: float, t0: float) -> Optional[float]:
-        err = nrmse_probe(probe, probe_true) if probe_true is not None else None
+    def record(iteration: int, resid: float, t0: float) -> bool:
+        """Append a metrics row; returns whether the stop rule fires."""
+        err = nrmse_probe(state.probe, probe_true) if probe_true is not None else None
+        pairwise = pairwise_discrepancy(
+            state.frames, state.probe, geom, cov=state.cov, adjoint=state.adjoint
+        )
         history.rows.append(
             MetricsRow(
                 iter=iteration,
                 nrmse_probe=err,
                 data_residual=resid,
-                pairwise=pairwise_discrepancy(frames, probe, geom, cov=cov),
+                pairwise=pairwise,
                 wall_ms=(time.perf_counter() - t0) * 1000.0,
             )
         )
-        return err
+        return cfg.stop_nrmse is not None and err is not None and err <= cfg.stop_nrmse
 
     amp_norm = np.linalg.norm(amplitudes)
 
-    def model_gap(spectra: np.ndarray) -> float:
-        gap = np.linalg.norm(np.abs(spectra) - amplitudes)
+    def model_gap(magnitudes: np.ndarray) -> float:
+        gap = np.linalg.norm(magnitudes - amplitudes)
         if amp_norm > 0:
             return float(gap / amp_norm)
         return 0.0 if gap == 0.0 else float("inf")
 
-    obj = update_object(frames, probe, geom, cfg, cov=cov)
-    err = record(0, model_gap(frame_dft(illuminate(obj, probe, geom))), t_start)
-    stop = cfg.stop_nrmse is not None and err is not None and err <= cfg.stop_nrmse
-    since_shift = cfg.rank1_cadence
-    shift_seen = False
+    obj = update_object(state.frames, state.probe, geom, cfg, cov=state.cov, adjoint=state.adjoint)
+    stop = record(0, model_gap(np.abs(frame_dft(illuminate(obj, state.probe, geom)))), t_start)
     for iteration in range(1, cfg.max_iters + 1):
         if stop:
             break
         t0 = time.perf_counter()
         try:
-            obj = update_object(frames, probe, geom, cfg, cov=cov)
-            probe, since_shift, engaged = _probe_step(
-                frames, probe, obj, geom, cfg, overlap, iteration,
-                history.events, since_shift, shift_seen,
+            obj = update_object(
+                state.frames, state.probe, geom, cfg, cov=state.cov, adjoint=state.adjoint
             )
-            shift_seen = shift_seen or engaged
+            probe, engaged = _probe_step(state, obj, geom, cfg, overlap, iteration, history.events)
             if cfg.center_probe_each_iter:
                 probe, shift = center_probe(probe)
                 if shift.any():
@@ -659,23 +750,30 @@ def run_reconstruction(
                 if norm == 0.0:
                     raise ValueError("probe update collapsed to zero")
                 probe *= norm_lock_target / norm
-            cov = coverage_maps(probe, geom)
+            state.probe = probe
+            state.cov = coverage_maps(probe, geom)
             if engaged:
                 # A shifted step can move the probe far; re-fit the
                 # object before rebuilding the frames so the jump is
                 # kept instead of being averaged away.
-                obj = update_object(frames, probe, geom, cfg, cov=cov)
-            # Fused frame update: reuse the model spectra for the data
-            # residual instead of transforming twice.
+                obj = update_object(state.frames, probe, geom, cfg, cov=state.cov)
+            # One transform of the model: its magnitudes give the data
+            # residual, then phase the spectra in place, which are
+            # scaled to the measured magnitudes and transformed back.
             spectra = frame_dft(illuminate(obj, probe, geom))
-            resid = model_gap(spectra)
-            frames = frame_idft(spectrum_phase(spectra) * amplitudes)
+            magnitudes = np.abs(spectra)
+            resid = model_gap(magnitudes)
+            _unit_phase(spectra, magnitudes, out=spectra)
+            del magnitudes
+            spectra *= amplitudes
+            state.frames = frame_idft(spectra)
+            del spectra
+            state.adjoint = illuminate_adjoint(state.frames, probe, geom)
         except ValueError as exc:
             raise type(exc)(f"iteration {iteration}: {exc}") from exc
-        err = record(iteration, resid, t0)
-        stop = cfg.stop_nrmse is not None and err is not None and err <= cfg.stop_nrmse
+        stop = record(iteration, resid, t0)
 
-    history.probe = probe
+    history.probe = state.probe
     history.object_image = obj
-    history.frames = frames
+    history.frames = state.frames
     return history

@@ -37,6 +37,17 @@ def test_round_trip_and_parseval(rng):
     assert np.linalg.norm(spectra) == pytest.approx(np.linalg.norm(stack), rel=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64])
+def test_frame_transforms_match_numpy_bytes_and_dtype(rng, dtype):
+    stack = rand_complex(rng, 5, 8, 8)
+    stack = (stack if np.issubdtype(dtype, np.complexfloating) else stack.real).astype(dtype)
+    for ours, numpys in ((frame_dft, np.fft.fft2), (frame_idft, np.fft.ifft2)):
+        want = numpys(stack, axes=(-2, -1), norm="ortho")
+        got = ours(stack)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_spectrum_phase_unit_modulus_and_zero_convention(rng):
     stack = rand_complex(rng, 2, 3, 3)
     stack[0, 0, 0] = 0.0

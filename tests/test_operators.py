@@ -72,6 +72,23 @@ def test_embed_identity_and_overlap_doubling():
     np.testing.assert_array_equal(out, want)
 
 
+def test_complex_embed_sums_each_part_in_frame_order(rng):
+    # Reference: one bincount per part, each summing in frame order.
+    for n, m, K in [(7, 3, 9), (16, 16, 3), (12, 5, 40)]:
+        geom = random_geometry(rng, n, m, K)
+        idx = geom.frame_indices.reshape(-1)
+        for dtype in (np.complex128, np.complex64):
+            frames = rand_complex(rng, K, m, m).astype(dtype)
+            parts = [
+                np.bincount(idx, weights=part.reshape(-1), minlength=n * n)
+                for part in (frames.real, frames.imag)
+            ]
+            got = embed_add_frames(frames, geom)
+            assert got.dtype == np.complex128
+            assert got.real.tobytes() == parts[0].reshape(n, n).tobytes()
+            assert got.imag.tobytes() == parts[1].reshape(n, n).tobytes()
+
+
 def test_embed_matches_dense_adjoint(rng):
     geom = random_geometry(rng, n=4, m=2, K=3)
     stack = rand_complex(rng, 3, 2, 2)

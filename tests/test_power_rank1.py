@@ -17,11 +17,14 @@ from ptyblind import (
     SolverConfig,
     TransparencyEstimate,
     build_overlap_matrix,
+    embed_add_frames,
     extract_frames,
     illuminate,
+    illuminate_adjoint,
     pairwise_discrepancy,
     replicate_probe,
     shift_consistency,
+    sum_frames,
     transparency_framewise,
     transparency_global,
     update_probe_power,
@@ -289,7 +292,35 @@ class TestRank1Update:
             )
 
 
+def pencil_global_consistency(frames, probe, geom, c):
+    """Global gate score in its pencil form: the shifted power step's
+    numerator and denominator assembled in full, then <p, num> over
+    sum(den |p|^2)."""
+    shifted = frames - c * probe[None, :, :]
+    den = sum_frames(extract_frames(embed_add_frames(np.abs(shifted) ** 2, geom), geom))
+    acc = illuminate_adjoint(shifted, probe, geom)
+    num = sum_frames(shifted * extract_frames(np.conj(acc), geom))
+    weight = float((den * np.abs(probe) ** 2).sum())
+    return float(np.vdot(probe, num).real / weight) if weight > 0.0 else 0.0
+
+
 class TestShiftConsistency:
+    def test_global_score_matches_pencil_form(self, rng):
+        for trial in range(40):
+            n = int(rng.integers(4, 12))
+            m = int(rng.integers(1, n + 1))
+            geom = random_geometry(rng, n, m, int(rng.integers(1, 9)))
+            probe = rand_complex(rng, m, m)
+            if trial % 2:
+                frames = rand_complex(rng, geom.K, m, m)
+                c = complex(rand_complex(rng, 1)[0])
+            else:
+                frames = illuminate(rand_complex(rng, n, n), probe, geom)
+                c = transparency_global(frames, probe)
+            score = shift_consistency(frames, probe, geom, TransparencyEstimate(c))
+            want = pencil_global_consistency(frames, probe, geom, c)
+            assert score == pytest.approx(want, abs=1e-12)
+
     def test_equals_one_on_consistent_stack(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
         score = shift_consistency(frames, probe, geom, TransparencyEstimate(0.7 - 0.2j))

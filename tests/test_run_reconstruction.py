@@ -169,6 +169,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             run_reconstruction(-amps, geom, probe, cfg)
 
+    def test_rejects_non_finite_probe_init(self):
+        geom, obj, probe, amps = disjoint_instance()
+        bad = probe.astype(complex)
+        bad[2, 3] = np.nan
+        with pytest.raises(ValueError, match="^probe_init contains non-finite entries$"):
+            run_reconstruction(amps, geom, bad, SolverConfig(max_iters=1))
+
+    def test_rejects_non_finite_frames_init(self):
+        geom, obj, probe, amps = disjoint_instance()
+        frames = illuminate(obj, probe, geom)
+        frames[1, 2, 3] = np.inf
+        with pytest.raises(ValueError, match="^frames_init contains non-finite entries$"):
+            run_reconstruction(amps, geom, probe, SolverConfig(max_iters=1), frames_init=frames)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolverConfig(probe_mode="momentum")
