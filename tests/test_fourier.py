@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ptyblind import frame_dft, frame_idft, magnitude_project, spectrum_phase
+from ptyblind import fourier, frame_dft, frame_idft, magnitude_project, spectrum_phase
 from ptyblind.fourier import check_amplitudes
 
 from conftest import rand_complex
@@ -38,14 +38,17 @@ def test_round_trip_and_parseval(rng):
 
 
 @pytest.mark.parametrize("dtype", [np.complex128, np.float64, np.complex64])
-def test_frame_transforms_match_numpy_bytes_and_dtype(rng, dtype):
+def test_frame_transforms_match_numpy_bytes_and_dtype(rng, monkeypatch, dtype):
     stack = rand_complex(rng, 5, 8, 8)
     stack = (stack if np.issubdtype(dtype, np.complexfloating) else stack.real).astype(dtype)
-    for ours, numpys in ((frame_dft, np.fft.fft2), (frame_idft, np.fft.ifft2)):
-        want = numpys(stack, axes=(-2, -1), norm="ortho")
-        got = ours(stack)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    # One chunk, then chunks of two and three frames on the thread pool.
+    for chunk_bytes in (fourier._CHUNK_BYTES, 1):
+        monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
+        for ours, numpys in ((frame_dft, np.fft.fft2), (frame_idft, np.fft.ifft2)):
+            want = numpys(stack, axes=(-2, -1), norm="ortho")
+            got = ours(stack)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_spectrum_phase_unit_modulus_and_zero_convention(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import rand_complex
 
-from ptyblind import SolverConfig, illuminate, run_reconstruction
+from ptyblind import SolverConfig, illuminate, run_reconstruction, solver
 from ptyblind.metrics import nrmse_probe
 from ptyblind.synth import (
     PhantomSpec,
@@ -134,7 +134,67 @@ class TestEventsAndErrors:
             run_reconstruction(amps, geom, probe, cfg, frames_init=zeros)
 
 
+def acceptance_instance():
+    """The 64 px weak-contrast instance of the acceptance criteria."""
+    geom = make_raster_geometry(n=64, m=16, step=4, grid=(13, 13))
+    obj = make_test_object(PhantomSpec(n=64, dc_fraction=0.99, texture_seed=0))
+    probe = make_probe(ProbeSpec(m=16, aperture_radius_px=7.5, defocus_phase_strength=0.5))
+    init = perturb_probe(probe, blur_sigma_px=2.0, noise_level=0.05, seed=1)
+    return geom, init, simulate_data(obj, probe, geom)
+
+
+class TestNonFiniteIterate:
+    @pytest.mark.parametrize("centre", [True, False])
+    @pytest.mark.parametrize("mode", ["standard", "power"])
+    def test_overflowing_data_fails_before_a_row_is_recorded(self, mode, centre):
+        # The squared amplitudes overflow float64, so the norms of row 0
+        # are infinite and its data residual would be NaN.
+        geom, init, amps = acceptance_instance()
+        cfg = SolverConfig(probe_mode=mode, max_iters=3, center_probe_each_iter=centre)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="^iteration 0: data misfit norm is not finite$"):
+                run_reconstruction(amps * 1e160, geom, init, cfg)
+
+    def test_zero_data_with_non_zero_model_records_infinite_residual(self):
+        # The convention of metrics.data_residual: a finite model against
+        # all-zero data is infinitely far from it, which is not an error.
+        geom, probe, init, amps = overlapping_instance()
+        frames = illuminate(np.ones((geom.n, geom.n), dtype=complex), probe, geom)
+        cfg = SolverConfig(probe_mode="power", max_iters=0)
+        hist = run_reconstruction(np.zeros_like(amps), geom, init, cfg, frames_init=frames)
+        assert hist.rows[0].data_residual == float("inf")
+
+    @pytest.mark.parametrize("centre", [True, False])
+    def test_non_finite_probe_update_is_named(self, monkeypatch, centre):
+        geom, probe, init, amps = overlapping_instance()
+        monkeypatch.setattr(
+            solver, "update_probe_power", lambda *args, **kwargs: np.full((8, 8), np.nan + 0j)
+        )
+        cfg = SolverConfig(probe_mode="power", max_iters=3, center_probe_each_iter=centre)
+        with pytest.raises(ValueError, match="^iteration 1: power probe update is not finite$"):
+            run_reconstruction(amps, geom, init, cfg)
+
+
 class TestDeterminism:
+    def test_inputs_are_not_overwritten(self):
+        # The loop writes each iteration's frames over the last ones; the
+        # caller's arrays must never be those frames.
+        geom, probe, init, amps = overlapping_instance()
+        frames = illuminate(np.ones((geom.n, geom.n), dtype=complex), probe, geom)
+        inputs = [amps, init, frames]
+        before = [a.tobytes() for a in inputs]
+        run_reconstruction(amps, geom, init, SolverConfig(max_iters=3), frames_init=frames)
+        assert [a.tobytes() for a in inputs] == before
+
+    def test_frames_init_memory_order_does_not_matter(self):
+        geom, probe, init, amps = overlapping_instance()
+        frames = illuminate(np.ones((geom.n, geom.n), dtype=complex), probe, geom)
+        cfg = SolverConfig(probe_mode="rank1_framewise", max_iters=5)
+        a = run_reconstruction(amps, geom, init, cfg, frames_init=frames)
+        b = run_reconstruction(amps, geom, init, cfg, frames_init=np.asfortranarray(frames))
+        assert a.probe.tobytes() == b.probe.tobytes()
+        assert a.frames.tobytes() == b.frames.tobytes()
+
     def test_transparent_init_is_deterministic(self):
         geom, probe, init, amps = overlapping_instance()
         cfg = SolverConfig(probe_mode="rank1_global", max_iters=5)
