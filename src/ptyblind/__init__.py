@@ -40,7 +40,6 @@ from .solver import (
     update_object,
     update_probe_power,
     update_probe_rank1,
-    update_probe_rank1_expanded,
     update_probe_standard,
 )
 from .synth import (
@@ -96,7 +95,6 @@ __all__ = [
     "update_object",
     "update_probe_power",
     "update_probe_rank1",
-    "update_probe_rank1_expanded",
     "update_probe_standard",
     "__version__",
 ]

@@ -19,14 +19,16 @@ Conventions
   ascending, row-major within each frame) so overlapping sums are
   bit-reproducible.
 
-All functions are pure and safe to call concurrently.
+All functions are pure and safe to call concurrently, except that a
+call given a ``workspace`` writes that workspace's stacks (see
+:class:`_Workspace`); calls sharing one must not overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -87,6 +89,81 @@ class ScanGeometry:
         return hit.reshape(self.n, self.n)
 
 
+class _Workspace:
+    """Frame-sized scratch stacks of one geometry, reused by every call
+    that is given the workspace.
+
+    A reconstruction run keeps one, so that after its first iteration
+    no step allocates a frame-sized array. ``stack``, ``spare`` and
+    ``pair`` are complex (K, m, m) stacks; the float64 memory of
+    ``pair`` also serves as the two real stacks ``real`` and ``real2``,
+    and no step uses it both ways at once. ``frame_coverage`` holds the
+    frame coverage of the last :func:`coverage_maps` call given the
+    workspace. A call reads nothing a previous call left in the scratch
+    stacks, and a stack passed into a call must not be one the call
+    writes.
+
+    Each stack is allocated on its first use, or by :meth:`allocate`,
+    on its own: glibc serves blocks of one stack's size from its heap
+    once one has been freed, where a larger block would raise its
+    thresholds for the whole process.
+    """
+
+    def __init__(self, geom: ScanGeometry) -> None:
+        self.shape = (geom.K, geom.m, geom.m)
+
+    def allocate(self) -> _Workspace:
+        """Allocate every stack now. A run does so before it allocates
+        its frames, which outlive it in its ``History``: its stacks then
+        lie below memory still in use when they are freed, and glibc
+        keeps them for the next run instead of returning them to the
+        system, to fault them in again page by page."""
+        for name in ("stack", "spare", "pair", "frame_coverage"):
+            getattr(self, name)
+        return self
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        return np.empty(self.shape, dtype=np.complex128)
+
+    @cached_property
+    def spare(self) -> np.ndarray:
+        return np.empty(self.shape, dtype=np.complex128)
+
+    @cached_property
+    def pair(self) -> np.ndarray:
+        return np.empty(self.shape, dtype=np.complex128)
+
+    @cached_property
+    def real(self) -> np.ndarray:
+        return self.pair.reshape(-1).view(np.float64).reshape(2, *self.shape)[0]
+
+    @cached_property
+    def real2(self) -> np.ndarray:
+        return self.pair.reshape(-1).view(np.float64).reshape(2, *self.shape)[1]
+
+    @cached_property
+    def frame_coverage(self) -> np.ndarray:
+        return np.empty(self.shape, dtype=np.float64)
+
+
+def _work(workspace: Optional[_Workspace], geom: ScanGeometry) -> _Workspace:
+    """The given workspace, or a new one for a call made without."""
+    return workspace if workspace is not None else _Workspace(geom)
+
+
+def _fill(out: np.ndarray, value) -> np.ndarray:
+    """``out`` with ``value`` broadcast (and cast) into it.
+
+    A ufunc that broadcasts a probe or a per-frame factor over a stack of
+    small frames, or casts an operand, copies it into a buffer of up to
+    8192 elements per call; a stack filled once instead is the same
+    operand, element for element, so the arithmetic does not change.
+    """
+    np.copyto(out, value)
+    return out
+
+
 @dataclass
 class CoverageMaps:
     """Illumination coverage diagonals for a (probe, geometry) pair.
@@ -124,10 +201,15 @@ def _check_stack(frames: np.ndarray, geom: ScanGeometry) -> np.ndarray:
     return frames
 
 
-def extract_frames(obj: np.ndarray, geom: ScanGeometry) -> np.ndarray:
-    """Cut the K circular m x m windows out of an object, as a stack."""
-    obj = _check_object(obj, geom)
-    return obj.reshape(-1)[geom.frame_indices]
+def extract_frames(
+    obj: np.ndarray, geom: ScanGeometry, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Cut the K circular m x m windows out of an object, as a stack,
+    written into ``out`` when given."""
+    # take() writes only an ``out`` of the object's dtype; ``clip``
+    # spares it a buffer, and the indices are in range.
+    obj = np.asarray(_check_object(obj, geom), dtype=None if out is None else out.dtype)
+    return obj.reshape(-1).take(geom.frame_indices, out=out, mode="clip")
 
 
 def embed_add_frames(frames: np.ndarray, geom: ScanGeometry) -> np.ndarray:
@@ -149,10 +231,14 @@ def embed_add_frames(frames: np.ndarray, geom: ScanGeometry) -> np.ndarray:
     return acc.reshape(geom.n, geom.n)
 
 
-def replicate_probe(probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:
-    """Stack K copies of the probe."""
+def replicate_probe(
+    probe: np.ndarray, geom: ScanGeometry, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Stack K copies of the probe, written into ``out`` when given."""
     probe = _check_probe(probe, geom)
-    return np.broadcast_to(probe, (geom.K, geom.m, geom.m)).copy()
+    if out is None:
+        out = np.empty((geom.K, geom.m, geom.m), dtype=probe.dtype)
+    return _fill(out, probe)
 
 
 def sum_frames(frames: np.ndarray) -> np.ndarray:
@@ -169,23 +255,47 @@ def illuminate(obj: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> np.nda
     return probe[None, :, :] * extract_frames(obj, geom)
 
 
-def illuminate_adjoint(frames: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:
-    """Adjoint illumination: conjugate-probe weighting then scatter-add."""
+def illuminate_adjoint(
+    frames: np.ndarray,
+    probe: np.ndarray,
+    geom: ScanGeometry,
+    *,
+    workspace: Optional[_Workspace] = None,
+) -> np.ndarray:
+    """Adjoint illumination: conjugate-probe weighting then scatter-add.
+
+    The weighted stack is formed in ``workspace.stack`` when a
+    workspace is given.
+    """
     frames = _check_stack(frames, geom)
     probe = _check_probe(probe, geom)
-    return embed_add_frames(np.conj(probe)[None, :, :] * frames, geom)
+    work = _work(workspace, geom)
+    weighted = np.multiply(_fill(work.stack, np.conj(probe)), frames, out=work.stack)
+    return embed_add_frames(weighted, geom)
 
 
-def coverage_maps(probe: np.ndarray, geom: ScanGeometry) -> CoverageMaps:
+def coverage_maps(
+    probe: np.ndarray,
+    geom: ScanGeometry,
+    *,
+    workspace: Optional[_Workspace] = None,
+) -> CoverageMaps:
     """Object- and frame-domain illumination coverage for a probe.
 
     Both maps depend only on (probe, geometry); solvers compute them
     once per probe value and pass them into the update operations.
+    Given a ``workspace``, the frame coverage is written into its
+    ``frame_coverage`` stack, over the one the previous such call
+    returned.
     """
     probe = _check_probe(probe, geom)
+    work = _work(workspace, geom)
     intensity = np.abs(probe) ** 2
-    obj_cov = embed_add_frames(replicate_probe(intensity, geom), geom)
-    return CoverageMaps(object_coverage=obj_cov, frame_coverage=extract_frames(obj_cov, geom))
+    obj_cov = embed_add_frames(replicate_probe(intensity, geom, out=work.real), geom)
+    return CoverageMaps(
+        object_coverage=obj_cov,
+        frame_coverage=extract_frames(obj_cov, geom, out=work.frame_coverage),
+    )
 
 
 class DenseOperators(NamedTuple):

@@ -52,15 +52,19 @@ in these loops. Only the sums over frames, the misfit norm and the
 scatter-add, read the whole stack, so every result is bit-identical to
 the unchunked pass. A stack shorter than two chunks (every 64 px
 instance) is one chunk, run on the calling thread by the same code.
-The new frames overwrite the old ones, which nothing reads by then;
-each chunk's model is transformed in place in the weighted stack, and
-its magnitudes sit in the frames' memory until the inverse transform
-writes them. An iteration thus allocates only the weighted and misfit
-stacks. With a fresh frame stack and fresh temporaries each iteration,
-glibc grew and trimmed its heap every iteration on the 64 px
-instances (up to 640 page faults and 30% more time per iteration, in
-some modes and not others). Workers call numpy and private helpers
-only, so every public function runs on the calling thread.
+The new frames overwrite the old ones, which nothing reads by then.
+Every other frame-sized stack of a run lives in one workspace, made
+when the run starts: the pass's spectra, magnitudes and weighted
+stack, the steps' scratch stacks and the frame coverage. The steps
+write into it with ``out=`` ufuncs and ``take`` gathers. A probe, a
+per-frame factor or a real operand that a ufunc would broadcast or
+cast over a stack is first copied into a whole stack, since numpy
+buffers such operands on every call. After the first iteration no
+step allocates a frame-sized array. With fresh stacks and
+temporaries, glibc grew and trimmed its heap on every gate or
+shifted iteration of the 64 px instances (up to 650 page faults and
+30% more time per framewise iteration). Workers call numpy and private
+helpers only, so every public function runs on the calling thread.
 
 Denominators are floored at ``epsilon_rel`` times their maximum, so
 division is scale-free and uncovered pixels map to zero.
@@ -87,12 +91,14 @@ from .metrics import MetricsRow, nrmse_probe
 from .operators import (
     CoverageMaps,
     ScanGeometry,
+    _fill,
+    _work,
+    _Workspace,
     coverage_maps,
     embed_add_frames,
     extract_frames,
     illuminate,
     illuminate_adjoint,
-    replicate_probe,
     sum_frames,
 )
 
@@ -191,19 +197,21 @@ def update_object(
     cov: Optional[CoverageMaps] = None,
     *,
     adjoint: Optional[np.ndarray] = None,
+    workspace: Optional[_Workspace] = None,
 ) -> np.ndarray:
     """Least-squares object estimate from a frame stack and probe.
 
     Conjugate-probe weighted scatter-add divided by the illumination
     coverage; pixels no frame covers come out zero. ``adjoint`` is
-    ``illuminate_adjoint(frames, probe, geom)`` when already at hand.
+    ``illuminate_adjoint(frames, probe, geom)`` when already at hand;
+    otherwise it is formed in ``workspace`` when one is given.
     """
     if cov is None:
         cov = coverage_maps(probe, geom)
     if not cov.object_coverage.max() > 0:
         raise ValueError("probe is identically zero: object coverage vanishes")
     if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom)
+        adjoint = illuminate_adjoint(frames, probe, geom, workspace=workspace)
     return adjoint / _floored(cov.object_coverage, cfg.epsilon_rel)
 
 
@@ -212,14 +220,19 @@ def update_probe_standard(
     obj: np.ndarray,
     geom: ScanGeometry,
     cfg: SolverConfig,
+    *,
+    workspace: Optional[_Workspace] = None,
 ) -> np.ndarray:
     """Per-pixel least-squares probe given the object: frame-averaged
-    conjugate-view weighting over the summed view intensities."""
-    views = extract_frames(obj, geom)
-    # In place: each frame-sized temporary makes the heap grow and trim.
-    intensity = np.abs(views)
+    conjugate-view weighting over the summed view intensities.
+
+    The views and their intensities are formed in ``workspace`` when
+    one is given.
+    """
+    work = _work(workspace, geom)
+    views = extract_frames(obj, geom, out=work.stack)
+    intensity = np.abs(views, out=work.real)
     den = sum_frames(np.square(intensity, out=intensity))
-    del intensity
     if not den.max() > 0:
         raise ValueError("object is identically zero: probe update undefined")
     products = np.multiply(np.conj(views, out=views), np.asarray(frames), out=views)
@@ -253,6 +266,20 @@ def frame_consistency_project(
     return illuminate(update_object(frames, probe, geom, cfg, cov=cov), probe, geom)
 
 
+def _coverage_weighted(
+    frame_coverage: np.ndarray, frames: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """``frame_coverage * frames`` in ``out``."""
+    return np.multiply(_fill(out, frame_coverage), frames, out=out)
+
+
+def _stack_coverage(frames: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
+    """Frame-overlap coverage of the stack intensity in ``out``: each
+    frame's window of the scatter-added ``|frames|**2``."""
+    intensity = np.square(np.abs(frames, out=out), out=out)
+    return extract_frames(embed_add_frames(intensity, geom), geom, out=out)
+
+
 def pairwise_discrepancy(
     frames: np.ndarray,
     probe: np.ndarray,
@@ -260,6 +287,7 @@ def pairwise_discrepancy(
     cov: Optional[CoverageMaps] = None,
     *,
     adjoint: Optional[np.ndarray] = None,
+    workspace: Optional[_Workspace] = None,
 ) -> float:
     """Mutual inconsistency of overlapping frames under the probe.
 
@@ -268,15 +296,18 @@ def pairwise_discrepancy(
     stack comes from a single object. Evaluated matrix-free as the
     coverage-weighted stack energy minus the energy of the adjoint
     accumulation (``adjoint``, computed when not given), clamped at
-    zero against rounding.
+    zero against rounding. The weighted stack is formed in
+    ``workspace`` when one is given.
     """
     if cov is None:
         cov = coverage_maps(probe, geom)
     frames = np.asarray(frames)
-    weighted = float(np.vdot(frames, cov.frame_coverage * frames).real)
+    work = _work(workspace, geom)
+    weighted = _coverage_weighted(cov.frame_coverage, frames, work.stack)
+    energy = float(np.vdot(frames, weighted).real)
     if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom)
-    return max(weighted - float(np.vdot(adjoint, adjoint).real), 0.0)
+        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
+    return max(energy - float(np.vdot(adjoint, adjoint).real), 0.0)
 
 
 def update_probe_power(
@@ -286,6 +317,7 @@ def update_probe_power(
     cfg: SolverConfig,
     *,
     adjoint: Optional[np.ndarray] = None,
+    workspace: Optional[_Workspace] = None,
 ) -> np.ndarray:
     """One power step on the pairwise-discrepancy quadratic form.
 
@@ -295,14 +327,18 @@ def update_probe_power(
     it. Numerator: frames times the re-extracted conjugate adjoint
     accumulation (``adjoint``, computed when not given), summed over
     frames. Denominator: frame-overlap coverage of the stack intensity.
+    Both are formed in ``workspace`` when one is given.
     """
     frames = np.asarray(frames)
-    den = sum_frames(extract_frames(embed_add_frames(np.abs(frames) ** 2, geom), geom))
+    work = _work(workspace, geom)
+    den = sum_frames(_stack_coverage(frames, geom, work.real))
     if not den.max() > 0:
         raise DegenerateInputError("frame stack is identically zero: power update undefined")
     if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom)
-    num = sum_frames(frames * extract_frames(np.conj(adjoint), geom))
+        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
+    view = extract_frames(np.conj(adjoint), geom, out=work.stack)
+    # view * frames, not frames * view: see the note in _rank1_terms.
+    num = sum_frames(np.multiply(view, frames, out=view))
     return num / _floored(den, cfg.epsilon_rel)
 
 
@@ -324,16 +360,19 @@ def transparency_framewise(
     """Per-frame transparency averaged over each overlap neighborhood.
 
     ``overlap`` is the K x K binary symmetric matrix marking frame
-    pairs that share object pixels (diagonal included).
+    pairs that share object pixels (diagonal included). Its product
+    with the complex per-frame sums is taken in complex128, so a
+    complex128 matrix is used as it is and any other is converted on
+    every call.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
     probe_sq = np.vdot(probe, probe).real
     if probe_sq == 0.0:
         raise ValueError("probe is identically zero")
-    overlap = np.asarray(overlap, dtype=np.float64)
+    overlap = np.asarray(overlap, dtype=np.complex128)
     per_frame = np.tensordot(np.conj(probe), frames, axes=([0, 1], [1, 2]))
-    return (overlap @ per_frame) / (probe_sq * overlap.sum(axis=1))
+    return (overlap @ per_frame) / (probe_sq * overlap.real.sum(axis=1))
 
 
 def build_overlap_matrix(geom: ScanGeometry) -> np.ndarray:
@@ -365,55 +404,65 @@ def _check_rank1_degeneracy(frames: np.ndarray, shifted: np.ndarray) -> None:
         )
 
 
+def _shifted(
+    frames: np.ndarray,
+    probe: np.ndarray,
+    factors: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """The transparency-shifted stack ``frames - factors * probe`` in
+    ``out``; ``scratch`` holds the replicated probe."""
+    product = np.multiply(_fill(out, factors[:, None, None]), _fill(scratch, probe), out=out)
+    return np.subtract(frames, product, out=out)
+
+
 def _rank1_terms(
     frames: np.ndarray,
-    shifted: np.ndarray,
     probe: np.ndarray,
     geom: ScanGeometry,
     factors: np.ndarray,
     cov: Optional[CoverageMaps],
     adjoint: Optional[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
+    work: _Workspace,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator and denominator of the transparency-shifted power
-    step: each frame is handled by the uniform-shift formula at its own
-    factor, assembled from the unshifted stack's coverage and adjoint
-    accumulation (computed when not given) and one more scatter-add.
-    Each frame's denominator term is a nonnegative coverage of a
-    shifted stack; tiny negative rounding is clamped.
+    step, and the shifted stack: each frame is handled by the
+    uniform-shift formula at its own factor, assembled from the
+    unshifted stack's coverage and adjoint accumulation (computed when
+    not given) and one more scatter-add. Each frame's denominator term
+    is a nonnegative coverage of a shifted stack; tiny negative
+    rounding is clamped.
+
+    The denominator runs in ``work.stack``, ``work.spare`` and the two
+    real halves of ``work.pair``; the numerator in ``work.stack``,
+    ``work.spare`` and ``work.pair``, and the shifted stack is left in
+    ``work.spare``.
     """
     if cov is None:
         cov = coverage_maps(probe, geom)
     if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom)
+        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
     fcol = factors[:, None, None]
-    frame_cov = cov.frame_coverage
-    adjoint_view = extract_frames(adjoint, geom)
-    num = sum_frames(shifted * (np.conj(adjoint_view) - np.conj(fcol) * frame_cov))
-    # Gathered only now, so that it is not alive beside the numerator's
-    # temporaries (the peak memory of a framewise gate).
-    stack_cov = extract_frames(embed_add_frames(np.abs(frames) ** 2, geom), geom)
-    den = sum_frames(
-        stack_cov
-        - 2.0 * np.real(np.conj(fcol) * adjoint_view)
-        + np.abs(fcol) ** 2 * frame_cov
-    )
-    return num, np.maximum(den, 0.0)
+    conj_fcol = np.conj(fcol)
+    view = extract_frames(adjoint, geom, out=work.stack)
+    cross = np.multiply(_fill(work.spare, conj_fcol), view, out=work.spare)
+    twice = np.multiply(2.0, cross.real, out=work.real)
+    den = np.subtract(_stack_coverage(frames, geom, work.real2), twice, out=work.real2)
+    scaled = np.multiply(_fill(work.real, np.abs(fcol) ** 2), cov.frame_coverage, out=work.real)
+    den = sum_frames(np.add(den, scaled, out=den))
 
-
-def _rank1_distributed(
-    frames: np.ndarray,
-    shifted: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    factors: np.ndarray,
-    cfg: SolverConfig,
-    cov: Optional[CoverageMaps] = None,
-    adjoint: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    num, den = _rank1_terms(frames, shifted, probe, geom, factors, cov, adjoint)
-    if not den.max() > 0:
-        raise DegenerateInputError("shifted frame stack is identically zero")
-    return num / _floored(den, cfg.epsilon_rel)
+    diff = np.conj(view, out=view)
+    coverage = _fill(work.pair, cov.frame_coverage)
+    np.subtract(diff, np.multiply(_fill(work.spare, conj_fcol), coverage, out=work.spare), out=diff)
+    shifted = _shifted(frames, probe, factors, work.spare, work.pair)
+    # Operand order fixes the rounding: numpy fuses a multiply and an
+    # add in complex products, so a * b and b * a can differ in the last
+    # bit. This order reproduces earlier results bit for bit; on stacks
+    # of 256 KiB and more numpy evaluated ``shifted * (...)`` in place
+    # in its temporary, as ``(...) * shifted``.
+    num = sum_frames(np.multiply(diff, shifted, out=diff))
+    return num, np.maximum(den, 0.0), shifted
 
 
 def shift_consistency(
@@ -424,6 +473,7 @@ def shift_consistency(
     *,
     cov: Optional[CoverageMaps] = None,
     adjoint: Optional[np.ndarray] = None,
+    workspace: Optional[_Workspace] = None,
 ) -> float:
     """Consistency score of the transparency-shifted stack along the
     current probe.
@@ -442,14 +492,15 @@ def shift_consistency(
 
     ``cov`` (the probe's coverage) and ``adjoint``
     (``illuminate_adjoint(frames, probe, geom)``) are computed when not
-    given.
+    given. The shifted stack and the terms are formed in ``workspace``
+    when one is given.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
+    work = _work(workspace, geom)
     if cov is None:
         cov = coverage_maps(probe, geom)
     factors = _shift_factors(geom, estimate)
-    shifted = frames - factors[:, None, None] * probe[None, :, :]
     if estimate.framewise_factors is None:
         # With one factor the shifted stack is plain data, so the
         # form at the probe is the energy of its adjoint accumulation
@@ -458,11 +509,13 @@ def shift_consistency(
         # cancels catastrophically when the shift residue sits many
         # orders below the stack, scoring a perfectly transparent
         # region as junk instead of as consistent.
-        acc = illuminate_adjoint(shifted, probe, geom)
+        shifted = _shifted(frames, probe, factors, work.spare, work.stack)
+        acc = illuminate_adjoint(shifted, probe, geom, workspace=work)
         form = float(np.vdot(acc, acc).real)
-        weight = float(np.vdot(shifted, cov.frame_coverage * shifted).real)
+        weighted = _coverage_weighted(cov.frame_coverage, shifted, work.stack)
+        weight = float(np.vdot(shifted, weighted).real)
     else:
-        num, den = _rank1_terms(frames, shifted, probe, geom, factors, cov, adjoint)
+        num, den, _ = _rank1_terms(frames, probe, geom, factors, cov, adjoint, work)
         form = np.vdot(probe, num).real
         weight = float((den * np.abs(probe) ** 2).sum())
     if not weight > 0.0:
@@ -479,6 +532,7 @@ def update_probe_rank1(
     *,
     cov: Optional[CoverageMaps] = None,
     adjoint: Optional[np.ndarray] = None,
+    workspace: Optional[_Workspace] = None,
 ) -> np.ndarray:
     """Transparency-accelerated probe update.
 
@@ -499,50 +553,19 @@ def update_probe_rank1(
 
     The per-frame form reads the probe's coverage ``cov`` and the
     unshifted stack's ``illuminate_adjoint(frames, probe, geom)`` as
-    ``adjoint``; both are computed when not given.
+    ``adjoint``; both are computed when not given. The shifted stack
+    and the step's terms are formed in ``workspace`` when one is given.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
+    work = _work(workspace, geom)
     factors = _shift_factors(geom, estimate)
-    shifted = frames - factors[:, None, None] * probe[None, :, :]
-    _check_rank1_degeneracy(frames, shifted)
     if estimate.framewise_factors is None:
-        return update_probe_power(shifted, probe, geom, cfg)
-    return _rank1_distributed(frames, shifted, probe, geom, factors, cfg, cov, adjoint)
-
-
-def update_probe_rank1_expanded(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    estimate: TransparencyEstimate,
-    cfg: SolverConfig,
-) -> np.ndarray:
-    """Cross-check evaluation of :func:`update_probe_rank1` by the
-    complementary arithmetic route.
-
-    Global factor: the transparency terms are distributed through the
-    numerator and denominator instead of shifting the stack first.
-    Per-frame factors: each frame's contribution is recomputed from an
-    explicitly shifted stack (one uniform shift per frame), the
-    un-distributed form of the same update. Either way the result must
-    match the production path to rounding; tests assert it.
-    """
-    frames = np.asarray(frames)
-    probe = np.asarray(probe)
-    factors = _shift_factors(geom, estimate)
-    shifted = frames - factors[:, None, None] * probe[None, :, :]
+        shifted = _shifted(frames, probe, factors, work.spare, work.stack)
+        _check_rank1_degeneracy(frames, shifted)
+        return update_probe_power(shifted, probe, geom, cfg, workspace=work)
+    num, den, shifted = _rank1_terms(frames, probe, geom, factors, cov, adjoint, work)
     _check_rank1_degeneracy(frames, shifted)
-    if estimate.framewise_factors is None:
-        return _rank1_distributed(frames, shifted, probe, geom, factors, cfg)
-
-    num = np.zeros((geom.m, geom.m), dtype=np.complex128)
-    den = np.zeros((geom.m, geom.m), dtype=np.float64)
-    for i in range(geom.K):
-        uniform = frames - factors[i] * probe[None, :, :]
-        acc = illuminate_adjoint(uniform, probe, geom)
-        num += uniform[i] * extract_frames(np.conj(acc), geom)[i]
-        den += extract_frames(embed_add_frames(np.abs(uniform) ** 2, geom), geom)[i]
     if not den.max() > 0:
         raise DegenerateInputError("shifted frame stack is identically zero")
     return num / _floored(den, cfg.epsilon_rel)
@@ -588,60 +611,51 @@ def _magnitude_pass(
     amplitudes: np.ndarray,
     geom: ScanGeometry,
     edges: list[int],
+    work: _Workspace,
+    frames: np.ndarray,
     *,
     gap: bool = True,
     project: bool = True,
-    out: Optional[np.ndarray] = None,
-) -> tuple[Optional[float], Optional[np.ndarray], np.ndarray]:
+) -> Optional[float]:
     """Per-frame part of the frame update, fused over the frame chunks
     between ``edges``.
 
-    Each chunk illuminates its windows of ``obj`` and transforms them.
-    With ``gap`` it takes the misfit of the spectrum magnitudes to
-    ``amplitudes``. With ``project`` it imposes the amplitudes on the
-    spectra and transforms back, giving the new frames, and weights the
-    frames by the conjugate probe, the stack whose scatter-add is their
-    adjoint accumulation. Returns the misfit norm (``None`` without
-    ``gap``), the frames (``None`` without ``project`` or ``out``) and
-    the weighted stack, which holds the spectra without ``project``.
-    The norm is taken over the whole stack, so no bit depends on the
-    chunking. The frames overwrite ``out`` when it is given, a stack
-    nothing reads any more, so an iteration allocates no frame stack.
+    Each chunk illuminates its windows of ``obj`` and transforms them
+    in ``work.stack``, and puts the spectrum magnitudes in ``work.real``.
+    With ``gap`` it turns those into the misfit to ``amplitudes``. With
+    ``project`` it imposes the amplitudes on the spectra, transforms
+    back into ``frames`` and weights the frames by the conjugate probe
+    in ``work.stack``, the stack whose scatter-add is their adjoint
+    accumulation. Until the inverse transform writes them, a chunk's
+    ``frames`` hold in turn the replicated probe, the magnitudes and the
+    amplitudes, as complex numbers, so no ufunc broadcasts or casts a
+    frame-sized operand. Returns the misfit norm, or ``None`` without
+    ``gap``; it is taken over the whole stack, so no bit depends on the
+    chunking.
     """
     flat = obj.reshape(-1)
     index = geom.frame_indices
     conj_probe = np.conj(probe)
-    shape = (geom.K, geom.m, geom.m)
-    misfit = np.empty(shape, dtype=np.result_type(np.float64, amplitudes.dtype)) if gap else None
-    weighted = np.empty(shape, dtype=np.complex128)
-    frames = out
-    if frames is None and project:
-        frames = np.empty(shape, dtype=np.complex128)
+    weighted, misfit = work.stack, work.real
 
-    def work(lo, hi):
-        # The model is built and transformed in place in the weighted
-        # stack (``clip`` spares ``take`` a buffer; the indices are in
-        # range). Until the inverse transform writes the frames, the
-        # first half of their memory holds the magnitudes.
-        spectra = weighted[lo:hi]
+    def chunk(lo, hi):
+        spectra, spare, magnitudes = weighted[lo:hi], frames[lo:hi], misfit[lo:hi]
         flat.take(index[lo:hi], out=spectra, mode="clip")
-        np.multiply(probe, spectra, out=spectra)
+        np.multiply(_fill(spare, probe), spectra, out=spectra)
         np.fft.fftn(spectra, axes=(-2, -1), norm="ortho", out=spectra)
-        spare = None
-        if frames is not None:
-            spare = frames[lo:hi].reshape(-1).view(np.float64)[: spectra.size]
-            spare = spare.reshape(spectra.shape)
-        magnitudes = np.abs(spectra, out=spare)
-        if gap:
-            np.subtract(magnitudes, amplitudes[lo:hi], out=misfit[lo:hi])
+        np.abs(spectra, out=magnitudes)
         if project:
-            _unit_phase(spectra, magnitudes, out=spectra)
-            spectra *= amplitudes[lo:hi]
-            np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=frames[lo:hi])
-            np.multiply(conj_probe, frames[lo:hi], out=spectra)
+            _fill(spare, magnitudes)
+        if gap:
+            np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
+        if project:
+            _unit_phase(spectra, spare, out=spectra)
+            np.multiply(spectra, _fill(spare, amplitudes[lo:hi]), out=spectra)
+            np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=spare)
+            np.multiply(_fill(spectra, conj_probe), spare, out=spectra)
 
-    _over_frames(work, edges)
-    return (np.linalg.norm(misfit) if gap else None), frames, weighted
+    _over_frames(chunk, edges)
+    return np.linalg.norm(misfit) if gap else None
 
 
 def _check_finite(value, name: str) -> None:
@@ -657,14 +671,17 @@ class _Iterate:
     ``cov`` is the coverage of ``probe`` and ``adjoint`` is
     ``illuminate_adjoint(frames, probe)``. Each is computed once per
     iteration and read by the metrics row, the next object update,
-    the power step and the rank-1 gate. ``since_shift`` counts the
-    iterations since the last transparency-shifted step.
+    the power step and the rank-1 gate. ``work`` holds every other
+    frame-sized stack the steps use, and ``cov.frame_coverage`` lives
+    in it. ``since_shift`` counts the iterations since the last
+    transparency-shifted step.
     """
 
     frames: np.ndarray
     probe: np.ndarray
     cov: CoverageMaps
     adjoint: np.ndarray
+    work: _Workspace
     since_shift: int
     shift_seen: bool = False
 
@@ -683,20 +700,27 @@ def _probe_step(
     Returns the new probe and whether this step was transparency-
     shifted, and advances the shift schedule in ``state``.
     """
-    frames, probe = state.frames, state.probe
+    frames, probe, work = state.frames, state.probe, state.work
     if cfg.probe_mode == "standard":
-        return update_probe_standard(frames, obj, geom, cfg), False
+        return update_probe_standard(frames, obj, geom, cfg, workspace=work), False
     if cfg.probe_mode != "power" and state.since_shift >= cfg.rank1_cadence:
         estimate = TransparencyEstimate(global_factor=transparency_global(frames, probe))
         if cfg.probe_mode == "rank1_framewise":
             estimate.framewise_factors = transparency_framewise(frames, probe, overlap)
         score = shift_consistency(
-            frames, probe, geom, estimate, cov=state.cov, adjoint=state.adjoint
+            frames, probe, geom, estimate, cov=state.cov, adjoint=state.adjoint, workspace=work
         )
         if score >= cfg.rank1_gate:
             try:
                 shifted = update_probe_rank1(
-                    frames, probe, geom, estimate, cfg, cov=state.cov, adjoint=state.adjoint
+                    frames,
+                    probe,
+                    geom,
+                    estimate,
+                    cfg,
+                    cov=state.cov,
+                    adjoint=state.adjoint,
+                    workspace=work,
                 )
             except DegenerateInputError:
                 events.append(
@@ -713,7 +737,8 @@ def _probe_step(
                 state.shift_seen = True
                 return shifted, True
     state.since_shift += 1
-    return update_probe_power(frames, probe, geom, cfg, adjoint=state.adjoint), False
+    power = update_probe_power(frames, probe, geom, cfg, adjoint=state.adjoint, workspace=work)
+    return power, False
 
 
 def run_reconstruction(
@@ -765,13 +790,21 @@ def run_reconstruction(
 
     # Frames are chunked by their complex128 bytes; K and m are fixed.
     edges = _frame_edges(geom.K, np.dtype(np.complex128).itemsize * geom.m**2)
-    weighted = None
+    work = _Workspace(geom).allocate()
+    overlap = None
+    if cfg.probe_mode == "rank1_framewise":
+        # Built once per run, before the frames like the workspace, in
+        # the dtype its product is taken in.
+        overlap = build_overlap_matrix(geom).astype(np.complex128)
+    adjoint = None
     if frames_init is None:
         if cfg.frame_init == "transparent":
             # Frames of a unit object under the initial probe, with the
             # measured magnitudes imposed.
             ones = np.ones((geom.n, geom.n), dtype=np.complex128)
-            _, frames, weighted = _magnitude_pass(ones, probe, amplitudes, geom, edges, gap=False)
+            frames = np.empty(amplitudes.shape, dtype=np.complex128)
+            _magnitude_pass(ones, probe, amplitudes, geom, edges, work, frames, gap=False)
+            adjoint = embed_add_frames(work.stack, geom)
             del ones
         else:
             frames = _random_phase_frames(amplitudes, cfg.init_seed)
@@ -784,24 +817,21 @@ def run_reconstruction(
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
 
-    overlap = build_overlap_matrix(geom) if cfg.probe_mode == "rank1_framewise" else None
     history = History()
     t_start = time.perf_counter()
-    cov = coverage_maps(probe, geom)
-    if weighted is None:
-        adjoint = illuminate_adjoint(frames, probe, geom)
-    else:
-        adjoint = embed_add_frames(weighted, geom)
-    state = _Iterate(frames, probe, cov, adjoint, since_shift=cfg.rank1_cadence)
+    cov = coverage_maps(probe, geom, workspace=work)
+    if adjoint is None:
+        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
+    state = _Iterate(frames, probe, cov, adjoint, work, since_shift=cfg.rank1_cadence)
     # From here the state holds these; the old names would keep the
-    # first frame stacks and coverage alive for the whole run.
-    del frames, probe, cov, adjoint, weighted
+    # first probe, coverage and adjoint alive for the whole run.
+    del frames, probe, cov, adjoint
 
     def record(iteration: int, resid: float, t0: float) -> bool:
         """Append a metrics row; returns whether the stop rule fires."""
         err = nrmse_probe(state.probe, probe_true) if probe_true is not None else None
         pairwise = pairwise_discrepancy(
-            state.frames, state.probe, geom, cov=state.cov, adjoint=state.adjoint
+            state.frames, state.probe, geom, cov=state.cov, adjoint=state.adjoint, workspace=work
         )
         _check_finite(pairwise, "pairwise discrepancy")
         history.rows.append(
@@ -830,7 +860,11 @@ def run_reconstruction(
         obj = update_object(
             state.frames, state.probe, geom, cfg, cov=state.cov, adjoint=state.adjoint
         )
-        misfit_norm = _magnitude_pass(obj, state.probe, amplitudes, geom, edges, project=False)[0]
+        # Row 0 keeps the initial frames: its pass writes no frames, and
+        # the frame memory it needs as scratch is the spare stack.
+        misfit_norm = _magnitude_pass(
+            obj, state.probe, amplitudes, geom, edges, work, work.spare, project=False
+        )
         stop = record(0, model_gap(misfit_norm), t_start)
         for iteration in range(1, cfg.max_iters + 1):
             if stop:
@@ -851,19 +885,18 @@ def run_reconstruction(
                     raise ValueError("probe update collapsed to zero")
                 probe *= norm_lock_target / norm
             state.probe = probe
-            state.cov = coverage_maps(probe, geom)
+            state.cov = coverage_maps(probe, geom, workspace=work)
             if engaged:
                 # A shifted step can move the probe far; re-fit the
                 # object before rebuilding the frames so the jump is
-                # kept instead of being averaged away.
-                obj = update_object(state.frames, probe, geom, cfg, cov=state.cov)
+                # kept instead of being averaged away. The old object
+                # is dropped first, out of the re-fit's peak memory.
+                del obj
+                obj = update_object(state.frames, probe, geom, cfg, cov=state.cov, workspace=work)
             # Nothing reads the old frames any more: the new ones
             # overwrite them.
-            misfit_norm, state.frames, weighted = _magnitude_pass(
-                obj, probe, amplitudes, geom, edges, out=state.frames
-            )
-            state.adjoint = embed_add_frames(weighted, geom)
-            del weighted
+            misfit_norm = _magnitude_pass(obj, probe, amplitudes, geom, edges, work, state.frames)
+            state.adjoint = embed_add_frames(work.stack, geom)
             stop = record(iteration, model_gap(misfit_norm), t0)
     except ValueError as exc:
         raise type(exc)(f"iteration {iteration}: {exc}") from exc

@@ -8,7 +8,16 @@ so agreement with the matrix-free operators is meaningful evidence.
 import numpy as np
 import pytest
 
-from ptyblind import ScanGeometry
+from ptyblind import (
+    DegenerateInputError,
+    ScanGeometry,
+    coverage_maps,
+    embed_add_frames,
+    extract_frames,
+    illuminate_adjoint,
+    sum_frames,
+)
+from ptyblind.solver import RANK1_DEGENERACY_RTOL
 
 
 def rand_complex(rng, *shape):
@@ -92,6 +101,52 @@ def dense_power_matrices(frames, geom):
         np.add.at(count, cols, 1.0)
         D += count * float((np.abs(vals) ** 2).sum())
     return D, A
+
+
+def update_probe_rank1_expanded(frames, probe, geom, estimate, cfg):
+    """Cross-check of ``update_probe_rank1`` by the complementary
+    arithmetic route, built from the public operators only.
+
+    Global factor c: the transparency terms are distributed through the
+    power step's numerator and denominator instead of shifting the
+    stack first. The shifted stack's adjoint accumulation is the
+    unshifted one minus c times the object coverage, and its intensity
+    expands to |z|^2 - 2 Re(conj(c) conj(p) z) + |c|^2 |p|^2.
+    Per-frame factors: each frame's contribution is recomputed from an
+    explicitly shifted stack (one uniform shift per frame), the
+    un-distributed form of the same update.
+    """
+    frames = np.asarray(frames)
+    probe = np.asarray(probe)
+    if estimate.framewise_factors is None:
+        factors = np.full(geom.K, complex(estimate.global_factor))
+    else:
+        factors = np.asarray(estimate.framewise_factors, dtype=complex)
+    shifted = frames - factors[:, None, None] * probe[None, :, :]
+    if np.linalg.norm(shifted) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
+        raise DegenerateInputError("transparency shift removed the whole stack")
+
+    if estimate.framewise_factors is None:
+        c = factors[0]
+        frame_cov = coverage_maps(probe, geom).frame_coverage
+        adjoint_view = extract_frames(illuminate_adjoint(frames, probe, geom), geom)
+        num = sum_frames(shifted * (np.conj(adjoint_view) - np.conj(c) * frame_cov))
+        stack_cov = extract_frames(embed_add_frames(np.abs(frames) ** 2, geom), geom)
+        den = sum_frames(
+            stack_cov - 2.0 * np.real(np.conj(c) * adjoint_view) + abs(c) ** 2 * frame_cov
+        )
+    else:
+        num = np.zeros((geom.m, geom.m), dtype=complex)
+        den = np.zeros((geom.m, geom.m))
+        for i in range(geom.K):
+            uniform = frames - factors[i] * probe[None, :, :]
+            acc = illuminate_adjoint(uniform, probe, geom)
+            num += uniform[i] * extract_frames(np.conj(acc), geom)[i]
+            den += extract_frames(embed_add_frames(np.abs(uniform) ** 2, geom), geom)[i]
+    den = np.maximum(den, 0.0)
+    if not den.max() > 0:
+        raise DegenerateInputError("shifted frame stack is identically zero")
+    return num / np.maximum(den, cfg.epsilon_rel * den.max())
 
 
 def grid_search_nrmse(estimate, truth, points=201):

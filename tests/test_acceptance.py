@@ -18,6 +18,7 @@ from conftest import (
     grid_search_nrmse,
     rand_complex,
     stack_to_vec,
+    update_probe_rank1_expanded,
     vec_to_stack,
 )
 
@@ -37,7 +38,6 @@ from ptyblind import (
     update_object,
     update_probe_power,
     update_probe_rank1,
-    update_probe_rank1_expanded,
     update_probe_standard,
 )
 from ptyblind.metrics import nrmse_probe

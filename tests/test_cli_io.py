@@ -105,7 +105,8 @@ class TestMetricsCsv:
     def test_read_validates_header_and_monotone_iterations(self, tmp_path):
         good = str(tmp_path / "good.csv")
         write_metrics_csv(good, make_rows([0.5, 0.4]))
-        text = open(good).read()
+        with open(good) as fh:
+            text = fh.read()
 
         bad_header = str(tmp_path / "h.csv")
         with open(bad_header, "w") as fh:

@@ -9,7 +9,12 @@ route plus hand-computed averages.
 
 import numpy as np
 import pytest
-from conftest import dense_power_matrices, rand_complex, random_geometry
+from conftest import (
+    dense_power_matrices,
+    rand_complex,
+    random_geometry,
+    update_probe_rank1_expanded,
+)
 
 from ptyblind import (
     DegenerateInputError,
@@ -29,7 +34,6 @@ from ptyblind import (
     transparency_global,
     update_probe_power,
     update_probe_rank1,
-    update_probe_rank1_expanded,
 )
 from ptyblind.metrics import nrmse_probe
 

@@ -1,0 +1,88 @@
+"""Frame-sized allocations of the reconstruction loop.
+
+A run allocates its frame-sized stacks once; after the first iteration
+no step allocates a frame-sized array. Every transient allocation and
+free of that size made glibc grow and trim its heap, which made a
+64 px framewise iteration up to 30% slower. The traced memory is
+sampled at every metrics row: the peak between two rows, less the
+larger of the memory in use at either row, must stay below one float64
+frame stack.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from test_loop_oracle import MODES, wrapping_instance
+
+from ptyblind import ScanGeometry, SolverConfig, run_reconstruction, solver
+from ptyblind.fourier import _frame_edges
+from ptyblind.synth import (
+    PhantomSpec,
+    ProbeSpec,
+    make_probe,
+    make_raster_geometry,
+    make_test_object,
+    perturb_probe,
+    simulate_data,
+)
+
+
+def traced_run(monkeypatch, amps, geom, init, cfg, probe_true):
+    """Run with tracemalloc on; returns the transient peak between each
+    pair of consecutive rows and the number of shifted-step calls."""
+    samples = []
+    nrmse = solver.nrmse_probe
+    rank1 = solver.update_probe_rank1
+    calls = [0]
+
+    def sampled_nrmse(estimate, truth):
+        samples.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return nrmse(estimate, truth)
+
+    def counted_rank1(*args, **kwargs):
+        calls[0] += 1
+        return rank1(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "nrmse_probe", sampled_nrmse)
+    monkeypatch.setattr(solver, "update_probe_rank1", counted_rank1)
+    tracemalloc.start()
+    try:
+        history = run_reconstruction(amps, geom, init, cfg, probe_true=probe_true)
+    finally:
+        tracemalloc.stop()
+    transient = [
+        peak - max(before, after) for (before, _), (after, peak) in zip(samples, samples[1:])
+    ]
+    assert len(transient) == len(history.rows) - 1
+    return transient, calls[0]
+
+
+def frame_stack_bytes(geom):
+    return geom.K * geom.m**2 * np.dtype(np.float64).itemsize
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_frame_sized_transient_after_first_iteration(monkeypatch, mode):
+    geom, probe, init, amps = wrapping_instance()
+    cfg = SolverConfig(probe_mode=mode, max_iters=30)
+    transient, shifts = traced_run(monkeypatch, amps, geom, init, cfg, probe)
+    if mode.startswith("rank1"):
+        assert shifts >= 2
+    # From row 2 on: the first iteration allocates the run's stacks.
+    assert max(transient[1:]) < frame_stack_bytes(geom), transient
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode):
+    geom = make_raster_geometry(n=128, m=64, step=6, grid=(12, 12))
+    geom = ScanGeometry(n=128, m=64, positions=geom.positions + 3)
+    assert len(_frame_edges(geom.K, np.dtype(np.complex128).itemsize * geom.m**2)) > 2
+    obj = make_test_object(PhantomSpec(n=128, dc_fraction=0.98, texture_seed=2))
+    probe = make_probe(ProbeSpec(m=64, aperture_radius_px=24.0, defocus_phase_strength=0.5))
+    init = perturb_probe(probe, blur_sigma_px=2.0, noise_level=0.05, seed=3)
+    cfg = SolverConfig(probe_mode=mode, max_iters=5, rank1_cadence=1)
+    amps = simulate_data(obj, probe, geom)
+    transient, _ = traced_run(monkeypatch, amps, geom, init, cfg, probe)
+    assert max(transient[1:]) < frame_stack_bytes(geom), transient
