@@ -15,7 +15,6 @@ from .operators import (
     CoverageMaps,
     ScanGeometry,
     coverage_maps,
-    dense_operators,
     embed_add_frames,
     extract_frames,
     illuminate,
@@ -30,13 +29,11 @@ from .solver import (
     TransparencyEstimate,
     build_overlap_matrix,
     center_probe,
-    frame_consistency_project,
     pairwise_discrepancy,
     run_reconstruction,
     shift_consistency,
     transparency_framewise,
     transparency_global,
-    update_frames,
     update_object,
     update_probe_power,
     update_probe_rank1,
@@ -68,10 +65,8 @@ __all__ = [
     "center_probe",
     "coverage_maps",
     "data_residual",
-    "dense_operators",
     "embed_add_frames",
     "extract_frames",
-    "frame_consistency_project",
     "frame_dft",
     "frame_idft",
     "illuminate",
@@ -91,7 +86,6 @@ __all__ = [
     "sum_frames",
     "transparency_framewise",
     "transparency_global",
-    "update_frames",
     "update_object",
     "update_probe_power",
     "update_probe_rank1",

@@ -2,8 +2,12 @@
 
 Configuration is a single strict JSON document; unknown keys anywhere
 are an error, so typos in experiment sweeps fail loudly instead of
-silently falling back to defaults. ``--seed`` overrides every RNG seed
-the invoked command consumes, which is handy for sweep scripts.
+silently falling back to defaults. The ``phantom``, ``probe``,
+``perturbation`` and ``solver`` sections are read from the fields of
+their dataclasses: each field is a key, its annotation is the type its
+value must have, and a field without a default is a required key.
+``--seed`` overrides every RNG seed the invoked command consumes, which
+is handy for sweep scripts.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Optional, get_args, get_type_hints
 
 import numpy as np
 
@@ -84,46 +88,33 @@ def _section(doc: dict, name: str) -> Optional[dict]:
     return value
 
 
-def _get_int(section: dict, key: str, path: str, required: bool = False, default=None):
+# How error messages name each value type a config field can have.
+_EXPECTED = {str: "a string", bool: "true/false", int: "an integer", float: "a number"}
+
+
+def _get(section: dict, key: str, kind: type, path: str, required: bool = False):
+    """The value of ``key`` checked against ``kind`` (``str``, ``bool``,
+    ``int`` or ``float``), or ``None`` when the key is absent.
+
+    Booleans are not integers or numbers here, although Python counts
+    them as such, and a number may be written as an integer.
+    """
     if key not in section:
         if required:
             raise ValueError(f"config {path}: missing required key '{key}'")
-        return default
+        return None
     value = section[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config {path}.{key}: expected an integer, got {value!r}")
-    return value
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+        raise ValueError(f"config {path}.{key}: expected {_EXPECTED[kind]}, got {value!r}")
+    return float(value) if kind is float else value
 
 
-def _get_number(section: dict, key: str, path: str, required: bool = False, default=None):
-    if key not in section:
-        if required:
-            raise ValueError(f"config {path}: missing required key '{key}'")
-        return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config {path}.{key}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _get_str(section: dict, key: str, path: str, required: bool = False, default=None):
-    if key not in section:
-        if required:
-            raise ValueError(f"config {path}: missing required key '{key}'")
-        return default
-    value = section[key]
-    if not isinstance(value, str):
-        raise ValueError(f"config {path}.{key}: expected a string, got {value!r}")
-    return value
-
-
-def _get_bool(section: dict, key: str, path: str, default=None):
-    if key not in section:
-        return default
-    value = section[key]
-    if not isinstance(value, bool):
-        raise ValueError(f"config {path}.{key}: expected true/false, got {value!r}")
-    return value
+def _is_int_pair(value) -> bool:
+    """Whether ``value`` is a JSON list of two integers (not booleans)."""
+    return isinstance(value, list) and len(value) == 2 and all(
+        isinstance(v, int) and not isinstance(v, bool) for v in value
+    )
 
 
 def _parse_geometry(doc: dict) -> dict:
@@ -132,8 +123,8 @@ def _parse_geometry(doc: dict) -> dict:
         raise ValueError("config: missing required section 'geometry'")
     _check_keys(section, ("n", "m", "step", "grid", "positions"), "geometry")
     out = {
-        "n": _get_int(section, "n", "geometry", required=True),
-        "m": _get_int(section, "m", "geometry", required=True),
+        "n": _get(section, "n", int, "geometry", required=True),
+        "m": _get(section, "m", int, "geometry", required=True),
     }
     has_raster = "step" in section or "grid" in section
     has_explicit = "positions" in section
@@ -142,13 +133,9 @@ def _parse_geometry(doc: dict) -> dict:
             "config geometry: give either ('step' and 'grid') or 'positions', not both/neither"
         )
     if has_raster:
-        out["step"] = _get_int(section, "step", "geometry", required=True)
+        out["step"] = _get(section, "step", int, "geometry", required=True)
         grid = section.get("grid")
-        if (
-            not isinstance(grid, list)
-            or len(grid) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in grid)
-        ):
+        if not _is_int_pair(grid):
             raise ValueError("config geometry.grid: expected a pair of integers, e.g. [13, 13]")
         out["grid"] = (grid[0], grid[1])
     else:
@@ -157,11 +144,7 @@ def _parse_geometry(doc: dict) -> dict:
             raise ValueError("config geometry.positions: expected a non-empty list of [row, col]")
         parsed = []
         for i, pos in enumerate(positions):
-            if (
-                not isinstance(pos, list)
-                or len(pos) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in pos)
-            ):
+            if not _is_int_pair(pos):
                 raise ValueError(
                     f"config geometry.positions[{i}]: expected [row, col] integers, got {pos!r}"
                 )
@@ -170,81 +153,52 @@ def _parse_geometry(doc: dict) -> dict:
     return out
 
 
+# Config sections built from a dataclass: its class, and the fields the
+# geometry supplies rather than the section.
+_SECTIONS = {
+    "phantom": (PhantomSpec, ("n",)),
+    "probe": (ProbeSpec, ("m",)),
+    "perturbation": (PerturbationSpec, ()),
+    "solver": (SolverConfig, ()),
+}
+
+
+def _parse_section(section: dict, path: str, cls: type, supplied: dict):
+    """Build ``cls`` from a config section, one key per field.
+
+    Each field's type annotation gives the type its value must have
+    (``Optional[X]`` reads as ``X``: null is no value), and a field
+    without a default is a required key.
+    """
+    hints = get_type_hints(cls)
+    keys = [f for f in fields(cls) if f.name not in supplied]
+    _check_keys(section, tuple(f.name for f in keys), path)
+    kwargs = dict(supplied)
+    for f in keys:
+        kind = next((a for a in get_args(hints[f.name]) if a is not type(None)), hints[f.name])
+        required = f.default is MISSING and f.default_factory is MISSING
+        value = _get(section, f.name, kind, path, required)
+        if value is not None:
+            kwargs[f.name] = value
+    return cls(**kwargs)
+
+
 def parse_run_config(doc: dict) -> RunConfig:
     """Validate a configuration document strictly and build a RunConfig."""
     if not isinstance(doc, dict):
         raise ValueError("config: expected a JSON object at top level")
-    _check_keys(
-        doc,
-        ("geometry", "phantom", "probe", "perturbation", "solver", "output_dir", "record_every"),
-        "(top level)",
-    )
+    _check_keys(doc, ("geometry", *_SECTIONS, "output_dir", "record_every"), "(top level)")
     geometry = _parse_geometry(doc)
     cfg = RunConfig(**geometry)
+    for name, (cls, from_geometry) in _SECTIONS.items():
+        section = _section(doc, name)
+        if section is not None:
+            supplied = {key: geometry[key] for key in from_geometry}
+            setattr(cfg, name, _parse_section(section, name, cls, supplied))
 
-    section = _section(doc, "phantom")
-    if section is not None:
-        _check_keys(section, ("dc_fraction", "texture_seed", "texture_kind"), "phantom")
-        cfg.phantom = PhantomSpec(
-            n=cfg.n,
-            dc_fraction=_get_number(section, "dc_fraction", "phantom", required=True),
-            texture_seed=_get_int(section, "texture_seed", "phantom", default=0),
-            texture_kind=_get_str(section, "texture_kind", "phantom", default="smooth"),
-        )
-
-    section = _section(doc, "probe")
-    if section is not None:
-        _check_keys(
-            section, ("kind", "aperture_radius_px", "defocus_phase_strength", "seed"), "probe"
-        )
-        cfg.probe = ProbeSpec(
-            m=cfg.m,
-            kind=_get_str(section, "kind", "probe", default="aperture_gauss"),
-            aperture_radius_px=_get_number(
-                section, "aperture_radius_px", "probe", required=True
-            ),
-            defocus_phase_strength=_get_number(
-                section, "defocus_phase_strength", "probe", default=0.0
-            ),
-            seed=_get_int(section, "seed", "probe", default=0),
-        )
-
-    section = _section(doc, "perturbation")
-    if section is not None:
-        _check_keys(section, ("blur_sigma_px", "noise_level", "seed"), "perturbation")
-        cfg.perturbation = PerturbationSpec(
-            blur_sigma_px=_get_number(section, "blur_sigma_px", "perturbation", default=0.0),
-            noise_level=_get_number(section, "noise_level", "perturbation", default=0.0),
-            seed=_get_int(section, "seed", "perturbation", default=0),
-        )
-
-    section = _section(doc, "solver")
-    if section is not None:
-        allowed = tuple(f.name for f in fields(SolverConfig))
-        _check_keys(section, allowed, "solver")
-        kwargs = {}
-        for name in ("max_iters", "init_seed", "rank1_cadence"):
-            value = _get_int(section, name, "solver")
-            if value is not None:
-                kwargs[name] = value
-        for name in ("epsilon_rel", "stop_nrmse", "rank1_gate"):
-            value = _get_number(section, name, "solver")
-            if value is not None:
-                kwargs[name] = value
-        for name in ("probe_mode", "frame_init"):
-            value = _get_str(section, name, "solver")
-            if value is not None:
-                kwargs[name] = value
-        for name in ("center_probe_each_iter", "probe_norm_lock"):
-            value = _get_bool(section, name, "solver")
-            if value is not None:
-                kwargs[name] = value
-        cfg.solver = SolverConfig(**kwargs)
-
-    if "output_dir" in doc:
-        cfg.output_dir = _get_str(doc, "output_dir", "(top level)")
+    cfg.output_dir = _get(doc, "output_dir", str, "(top level)")
     if "record_every" in doc:
-        cfg.record_every = _get_int(doc, "record_every", "(top level)")
+        cfg.record_every = _get(doc, "record_every", int, "(top level)")
         if cfg.record_every < 1:
             raise ValueError(f"config record_every: must be >= 1, got {cfg.record_every}")
     return cfg

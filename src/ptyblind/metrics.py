@@ -40,11 +40,16 @@ def nrmse_probe(probe_est: np.ndarray, probe_true: np.ndarray) -> float:
     return float(np.linalg.norm(c * est - true) / norm_true)
 
 
+def _relative_gap(misfit_norm, amplitude_norm) -> float:
+    """``misfit_norm / amplitude_norm``; against all-zero data a zero
+    misfit reads 0 and any other inf."""
+    if amplitude_norm == 0.0:
+        return 0.0 if misfit_norm == 0.0 else float("inf")
+    return float(misfit_norm / amplitude_norm)
+
+
 def data_residual(frames: np.ndarray, amplitudes: np.ndarray) -> float:
     """Relative gap between frame spectra magnitudes and measured data."""
     amplitudes = np.asarray(amplitudes)
     gap = np.linalg.norm(np.abs(frame_dft(frames)) - amplitudes)
-    norm_a = np.linalg.norm(amplitudes)
-    if norm_a == 0.0:
-        return 0.0 if gap == 0.0 else float("inf")
-    return float(gap / norm_a)
+    return _relative_gap(gap, np.linalg.norm(amplitudes))

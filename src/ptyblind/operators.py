@@ -4,9 +4,7 @@ A scan experiment views an n x n object through K overlapping m x m
 windows (circular boundary), each multiplied by a common m x m probe.
 This module implements the window extraction / scatter-add pair, the
 probe replication / frame summation pair, the combined illumination
-operator and its adjoint, the illumination coverage diagonals, and a
-dense-matrix construction of the same operators for small instances
-(used as a test oracle).
+operator and its adjoint, and the illumination coverage diagonals.
 
 Conventions
 -----------
@@ -28,11 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
-
-DENSE_SIZE_LIMIT = 10**7
 
 
 @dataclass(eq=False)
@@ -80,13 +76,6 @@ class ScanGeometry:
         in the order of the float64 view of a complex stack."""
         slots = 2 * self.frame_indices.reshape(-1, 1)
         return (slots + np.arange(2)).reshape(-1)
-
-    @cached_property
-    def covered_mask(self) -> np.ndarray:
-        """(n, n) bool mask of object pixels hit by at least one frame."""
-        hit = np.zeros(self.n * self.n, dtype=bool)
-        hit[self.frame_indices.ravel()] = True
-        return hit.reshape(self.n, self.n)
 
 
 class _Workspace:
@@ -297,30 +286,3 @@ def coverage_maps(
         frame_coverage=extract_frames(obj_cov, geom, out=work.frame_coverage),
     )
 
-
-class DenseOperators(NamedTuple):
-    """Explicit matrices acting on row-major flattened vectors."""
-
-    extraction: np.ndarray  # (K*m*m, n*n), frame extraction
-    replication: np.ndarray  # (K*m*m, m*m), probe replication
-    illumination: np.ndarray  # (K*m*m, n*n), probe-weighted extraction
-
-
-def dense_operators(probe: np.ndarray, geom: ScanGeometry) -> DenseOperators:
-    """Dense oracle for the matrix-free operators, small instances only.
-
-    Guarded at K*m^2*n^2 <= 1e7 entries for the extraction matrix.
-    """
-    probe = _check_probe(probe, geom)
-    n, m, K = geom.n, geom.m, geom.K
-    if K * m * m * n * n > DENSE_SIZE_LIMIT:
-        raise ValueError(
-            f"instance too large for dense operators: K*m^2*n^2 = {K * m * m * n * n} "
-            f"> {DENSE_SIZE_LIMIT}"
-        )
-    extraction = np.zeros((K * m * m, n * n))
-    rows = np.arange(K * m * m)
-    extraction[rows, geom.frame_indices.reshape(-1)] = 1.0
-    replication = np.tile(np.eye(m * m), (K, 1))
-    illumination = (replication @ probe.reshape(-1))[:, None] * extraction
-    return DenseOperators(extraction=extraction, replication=replication, illumination=illumination)

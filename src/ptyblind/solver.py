@@ -85,9 +85,8 @@ from .fourier import (
     _unit_phase,
     check_amplitudes,
     frame_idft,
-    magnitude_project,
 )
-from .metrics import MetricsRow, nrmse_probe
+from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
     CoverageMaps,
     ScanGeometry,
@@ -97,7 +96,6 @@ from .operators import (
     coverage_maps,
     embed_add_frames,
     extract_frames,
-    illuminate,
     illuminate_adjoint,
     sum_frames,
 )
@@ -240,37 +238,22 @@ def update_probe_standard(
     return num / _floored(den, cfg.epsilon_rel)
 
 
-def update_frames(
-    amplitudes: np.ndarray,
-    probe: np.ndarray,
-    obj: np.ndarray,
-    geom: ScanGeometry,
-) -> np.ndarray:
-    """Model frames from (object, probe) with measured magnitudes imposed."""
-    return magnitude_project(illuminate(obj, probe, geom), amplitudes)
-
-
-def frame_consistency_project(
+def _energies(
     frames: np.ndarray,
     probe: np.ndarray,
     geom: ScanGeometry,
-    cfg: SolverConfig,
-    cov: Optional[CoverageMaps] = None,
-) -> np.ndarray:
-    """Project a frame stack onto the set consistent with one object.
-
-    Averages the frames into the object domain (coverage-weighted) and
-    re-illuminates; fixed points are exactly the stacks a single
-    object can produce under the current probe.
-    """
-    return illuminate(update_object(frames, probe, geom, cfg, cov=cov), probe, geom)
-
-
-def _coverage_weighted(
-    frame_coverage: np.ndarray, frames: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """``frame_coverage * frames`` in ``out``."""
-    return np.multiply(_fill(out, frame_coverage), frames, out=out)
+    cov: CoverageMaps,
+    adjoint: Optional[np.ndarray],
+    work: _Workspace,
+) -> tuple[float, float]:
+    """The stack's coverage-weighted energy ``<frames, frame_coverage *
+    frames>`` and the energy of its adjoint accumulation (``adjoint``,
+    computed when not given), both formed in ``work.stack``."""
+    weighted = np.multiply(_fill(work.stack, cov.frame_coverage), frames, out=work.stack)
+    energy = float(np.vdot(frames, weighted).real)
+    if adjoint is None:
+        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
+    return energy, float(np.vdot(adjoint, adjoint).real)
 
 
 def _stack_coverage(frames: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
@@ -302,12 +285,8 @@ def pairwise_discrepancy(
     if cov is None:
         cov = coverage_maps(probe, geom)
     frames = np.asarray(frames)
-    work = _work(workspace, geom)
-    weighted = _coverage_weighted(cov.frame_coverage, frames, work.stack)
-    energy = float(np.vdot(frames, weighted).real)
-    if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
-    return max(energy - float(np.vdot(adjoint, adjoint).real), 0.0)
+    energy, form = _energies(frames, probe, geom, cov, adjoint, _work(workspace, geom))
+    return max(energy - form, 0.0)
 
 
 def update_probe_power(
@@ -510,10 +489,7 @@ def shift_consistency(
         # orders below the stack, scoring a perfectly transparent
         # region as junk instead of as consistent.
         shifted = _shifted(frames, probe, factors, work.spare, work.stack)
-        acc = illuminate_adjoint(shifted, probe, geom, workspace=work)
-        form = float(np.vdot(acc, acc).real)
-        weighted = _coverage_weighted(cov.frame_coverage, shifted, work.stack)
-        weight = float(np.vdot(shifted, weighted).real)
+        weight, form = _energies(shifted, probe, geom, cov, None, work)
     else:
         num, den, _ = _rank1_terms(frames, probe, geom, factors, cov, adjoint, work)
         form = np.vdot(probe, num).real
@@ -851,9 +827,7 @@ def run_reconstruction(
         # An overflowing norm would make the ratio NaN or a false 0.
         _check_finite(misfit_norm, "data misfit norm")
         _check_finite(amp_norm, "amplitude norm")
-        if amp_norm > 0:
-            return float(misfit_norm / amp_norm)
-        return 0.0 if misfit_norm == 0.0 else float("inf")
+        return _relative_gap(misfit_norm, amp_norm)
 
     iteration = 0
     try:

@@ -64,8 +64,8 @@ class ProbeSpec:
     """
 
     m: int
+    aperture_radius_px: float
     kind: str = "aperture_gauss"
-    aperture_radius_px: float = 0.0
     defocus_phase_strength: float = 0.0
     seed: int = 0
 

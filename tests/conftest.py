@@ -14,8 +14,10 @@ from ptyblind import (
     coverage_maps,
     embed_add_frames,
     extract_frames,
+    illuminate,
     illuminate_adjoint,
     sum_frames,
+    update_object,
 )
 from ptyblind.solver import RANK1_DEGENERACY_RTOL
 
@@ -101,6 +103,16 @@ def dense_power_matrices(frames, geom):
         np.add.at(count, cols, 1.0)
         D += count * float((np.abs(vals) ** 2).sum())
     return D, A
+
+
+def frame_consistency_project(frames, probe, geom, cfg):
+    """Project a frame stack onto the set consistent with one object.
+
+    Averages the frames into the object domain (coverage-weighted) and
+    re-illuminates; fixed points are exactly the stacks a single object
+    can produce under the probe.
+    """
+    return illuminate(update_object(frames, probe, geom, cfg), probe, geom)
 
 
 def update_probe_rank1_expanded(frames, probe, geom, estimate, cfg):

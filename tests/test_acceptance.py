@@ -15,6 +15,7 @@ from conftest import (
     dense_extract_matrix,
     dense_illuminate_matrix,
     dense_power_matrices,
+    frame_consistency_project,
     grid_search_nrmse,
     rand_complex,
     stack_to_vec,
@@ -28,7 +29,6 @@ from ptyblind import (
     SolverConfig,
     TransparencyEstimate,
     coverage_maps,
-    frame_consistency_project,
     illuminate,
     illuminate_adjoint,
     pairwise_discrepancy,

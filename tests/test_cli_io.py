@@ -3,12 +3,14 @@ strict config parsing, and the simulate/reconstruct/compare pipeline."""
 
 import json
 import os
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 from conftest import rand_complex
 
-from ptyblind.cli import main, parse_run_config
+from ptyblind import synth
+from ptyblind.cli import PerturbationSpec, main, parse_run_config
 from ptyblind.metrics import MetricsRow
 from ptyblind.npyio import (
     load_array,
@@ -18,6 +20,7 @@ from ptyblind.npyio import (
     save_json,
     write_metrics_csv,
 )
+from ptyblind.solver import SolverConfig
 
 
 def make_rows(nrmse_values):
@@ -197,6 +200,92 @@ class TestConfigParsing:
         doc = {"geometry": BASE_CONFIG["geometry"], "phantom": {"texture_seed": 1}}
         with pytest.raises(ValueError, match="missing required key 'dc_fraction'"):
             parse_run_config(doc)
+
+    def test_null_is_not_a_number(self):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["solver"]["stop_nrmse"] = None
+        with pytest.raises(ValueError, match=r"solver\.stop_nrmse: expected a number, got None"):
+            parse_run_config(doc)
+
+    def test_integers_are_numbers(self):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["solver"]["rank1_gate"] = 1
+        gate = parse_run_config(doc).solver.rank1_gate
+        assert gate == 1.0 and type(gate) is float
+
+    def test_probe_requires_aperture_radius(self):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        del doc["probe"]["aperture_radius_px"]
+        missing = "config probe: missing required key 'aperture_radius_px'"
+        with pytest.raises(ValueError, match=missing):
+            parse_run_config(doc)
+
+
+SECTION_CLASSES = {
+    "phantom": synth.PhantomSpec,
+    "probe": synth.ProbeSpec,
+    "perturbation": PerturbationSpec,
+    "solver": SolverConfig,
+}
+
+# For every field of a config section: a valid value other than the
+# field's default, and a value of the wrong type.
+FIELD_VALUES = {
+    "phantom": {
+        "dc_fraction": (0.5, "high"),
+        "texture_seed": (7, 7.0),
+        "texture_kind": ("piecewise", 1),
+    },
+    "probe": {
+        "aperture_radius_px": (2.5, "wide"),
+        "kind": ("other", 1),
+        "defocus_phase_strength": (0.25, False),
+        "seed": (9, 1.5),
+    },
+    "perturbation": {
+        "blur_sigma_px": (0.5, [1]),
+        "noise_level": (0.1, {}),
+        "seed": (4, "4"),
+    },
+    "solver": {
+        "epsilon_rel": (1e-6, "small"),
+        "max_iters": (7, 7.5),
+        "probe_mode": ("rank1_framewise", 1),
+        "center_probe_each_iter": (False, 0),
+        "stop_nrmse": (0.2, "0.2"),
+        "probe_norm_lock": (False, "no"),
+        "init_seed": (5, True),
+        "frame_init": ("random_phase", None),
+        "rank1_gate": (0.5, True),
+        "rank1_cadence": (2, 2.0),
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "section, field",
+    [
+        (section, f)
+        for section, cls in SECTION_CLASSES.items()
+        for f in fields(cls)
+        # The geometry supplies these.
+        if f.name not in ("n", "m")
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+def test_every_section_field_is_parsed_strictly(section, field, monkeypatch):
+    # aperture_gauss is the only probe kind; admit another so that a
+    # non-default kind can be set.
+    monkeypatch.setattr(synth, "PROBE_KINDS", synth.PROBE_KINDS + ("other",))
+    good, bad = FIELD_VALUES[section][field.name]
+    assert field.default is MISSING or good != field.default
+    doc = json.loads(json.dumps(BASE_CONFIG))
+    doc[section][field.name] = good
+    value = getattr(getattr(parse_run_config(doc), section), field.name)
+    assert value == good and type(value) is type(good)
+    doc[section][field.name] = bad
+    with pytest.raises(ValueError, match=rf"config {section}\.{field.name}: expected "):
+        parse_run_config(doc)
 
 
 def write_config(tmp_path, doc, name="config.json"):

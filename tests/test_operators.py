@@ -7,7 +7,6 @@ import pytest
 from ptyblind import (
     ScanGeometry,
     coverage_maps,
-    dense_operators,
     embed_add_frames,
     extract_frames,
     illuminate,
@@ -165,29 +164,6 @@ def test_coverage_maps_match_dense(rng):
         dense_extract_matrix(geom) @ object_want.reshape(-1), geom
     )
     np.testing.assert_allclose(cov.frame_coverage, frame_want, rtol=1e-12)
-
-
-def test_covered_mask_marks_reachable_pixels():
-    geom = ScanGeometry(n=4, m=2, positions=[(0, 0)])
-    mask = geom.covered_mask
-    want = np.zeros((4, 4), dtype=bool)
-    want[:2, :2] = True
-    np.testing.assert_array_equal(mask, want)
-
-
-def test_dense_operators_match_loop_construction(rng):
-    geom = random_geometry(rng, n=4, m=2, K=3)
-    w = rand_complex(rng, 2, 2)
-    dense = dense_operators(w, geom)
-    np.testing.assert_allclose(dense.extraction, dense_extract_matrix(geom), atol=0)
-    np.testing.assert_allclose(dense.replication, dense_replicate_matrix(geom), atol=0)
-    np.testing.assert_allclose(dense.illumination, dense_illuminate_matrix(w, geom), rtol=1e-14)
-
-
-def test_dense_operators_guard_rejects_huge_instances():
-    geom = ScanGeometry(n=4096, m=64, positions=[(0, 0)])
-    with pytest.raises(ValueError, match="dense"):
-        dense_operators(np.ones((64, 64), dtype=complex), geom)
 
 
 def test_geometry_validation():

@@ -8,18 +8,15 @@ from ptyblind import (
     SolverConfig,
     center_probe,
     extract_frames,
-    frame_consistency_project,
-    frame_dft,
-    frame_idft,
     illuminate,
     pairwise_discrepancy,
-    update_frames,
     update_object,
     update_probe_standard,
 )
 
 from conftest import (
     dense_illuminate_matrix,
+    frame_consistency_project,
     rand_complex,
     random_geometry,
     stack_to_vec,
@@ -111,32 +108,6 @@ def test_update_probe_standard_zero_object_raises(rng):
     geom = random_geometry(rng, n=4, m=2, K=2)
     with pytest.raises(ValueError, match="zero"):
         update_probe_standard(np.ones((2, 2, 2), dtype=complex), np.zeros((4, 4)), geom, CFG)
-
-
-def test_update_frames_feasible_point_unchanged(rng):
-    geom = random_geometry(rng, n=6, m=3, K=4)
-    w = rand_complex(rng, 3, 3)
-    psi = rand_complex(rng, 6, 6)
-    model = illuminate(psi, w, geom)
-    amplitudes = np.abs(frame_dft(model))
-    np.testing.assert_allclose(update_frames(amplitudes, w, psi, geom), model, atol=1e-12)
-
-
-def test_update_frames_zero_object_gives_zero_phase_transform(rng):
-    geom = random_geometry(rng, n=6, m=3, K=2)
-    w = rand_complex(rng, 3, 3)
-    amplitudes = np.abs(rand_complex(rng, 2, 3, 3))
-    got = update_frames(amplitudes, w, np.zeros((6, 6), dtype=complex), geom)
-    np.testing.assert_allclose(got, frame_idft(amplitudes + 0j), atol=1e-12)
-
-
-def test_update_frames_imposes_magnitudes(rng):
-    geom = random_geometry(rng, n=6, m=3, K=3)
-    w = rand_complex(rng, 3, 3)
-    psi = rand_complex(rng, 6, 6)
-    amplitudes = np.abs(rand_complex(rng, 3, 3, 3))
-    got = update_frames(amplitudes, w, psi, geom)
-    np.testing.assert_allclose(np.abs(frame_dft(got)), amplitudes, atol=1e-12)
 
 
 def test_projector_leaves_consistent_stacks(rng):
