@@ -2,32 +2,26 @@
 probe retrieval.
 
 Submodules: ``operators`` (matrix-free structured operators),
-``fourier`` (batched unitary frame DFT and the magnitude projection),
-``solver`` (reconstruction updates and the outer loop), ``metrics``
-(probe NRMSE, data residual), ``synth`` (phantoms, probes, scan
-geometries, forward simulation), ``npyio`` (bit-exact file IO), and
-``cli`` (the ``ptyblind`` command).
+``fourier`` (batched unitary frame DFT), ``solver`` (reconstruction
+updates and the outer loop), ``metrics`` (probe NRMSE, data residual),
+``synth`` (phantoms, probes, scan geometries, forward simulation),
+``npyio`` (bit-exact file IO), and ``cli`` (the ``ptyblind`` command).
 """
 
-from .fourier import frame_dft, frame_idft, magnitude_project, spectrum_phase
+from .fourier import frame_dft, frame_idft
 from .metrics import MetricsRow, data_residual, nrmse_probe
 from .operators import (
-    CoverageMaps,
     ScanGeometry,
     coverage_maps,
     embed_add_frames,
     extract_frames,
     illuminate,
     illuminate_adjoint,
-    replicate_probe,
-    sum_frames,
 )
 from .solver import (
     DegenerateInputError,
     History,
     SolverConfig,
-    TransparencyEstimate,
-    build_overlap_matrix,
     center_probe,
     pairwise_discrepancy,
     run_reconstruction,
@@ -52,7 +46,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoverageMaps",
     "DegenerateInputError",
     "History",
     "MetricsRow",
@@ -60,8 +53,6 @@ __all__ = [
     "ProbeSpec",
     "ScanGeometry",
     "SolverConfig",
-    "TransparencyEstimate",
-    "build_overlap_matrix",
     "center_probe",
     "coverage_maps",
     "data_residual",
@@ -71,19 +62,15 @@ __all__ = [
     "frame_idft",
     "illuminate",
     "illuminate_adjoint",
-    "magnitude_project",
     "make_probe",
     "make_raster_geometry",
     "make_test_object",
     "nrmse_probe",
     "pairwise_discrepancy",
     "perturb_probe",
-    "replicate_probe",
     "run_reconstruction",
     "shift_consistency",
     "simulate_data",
-    "spectrum_phase",
-    "sum_frames",
     "transparency_framewise",
     "transparency_global",
     "update_object",

@@ -324,8 +324,6 @@ def _apply_seed_override(cfg: RunConfig, seed: Optional[int]) -> RunConfig:
         return cfg
     if cfg.phantom is not None:
         cfg.phantom = replace(cfg.phantom, texture_seed=seed)
-    if cfg.probe is not None:
-        cfg.probe = replace(cfg.probe, seed=seed)
     if cfg.perturbation is not None:
         cfg.perturbation = replace(cfg.perturbation, seed=seed)
     cfg.solver = replace(cfg.solver, init_seed=seed)

@@ -1,9 +1,9 @@
-"""Batched per-frame 2D DFT and the measured-magnitude projection.
+"""Batched per-frame 2D DFT and the phase helper of the magnitude projection.
 
 Each frame of a (K, m, m) stack is transformed independently with the
 unitary 2D DFT (overall scaling 1/m for an m x m frame), so the
-transform pair preserves the Euclidean norm and the magnitude
-projection below is a true projection in that norm.
+transform pair preserves the Euclidean norm and the solver's
+magnitude projection is a true projection in that norm.
 
 Frames are independent until something sums over them, so per-frame
 work on a stack larger than one chunk of ``_CHUNK_BYTES`` runs in frame
@@ -136,30 +136,10 @@ def frame_idft(spectra: np.ndarray) -> np.ndarray:
 
 def _unit_phase(spectra: np.ndarray, mag: np.ndarray, out=None) -> np.ndarray:
     """Phase of ``spectra`` given its magnitudes ``mag``, which are
-    overwritten; ``out=spectra`` phases the stack in place."""
+    overwritten; zero-magnitude bins take phase 1. ``out=spectra``
+    phases the stack in place."""
     zero = mag == 0.0
     mag[zero] = 1.0
     phase = np.divide(spectra, mag, out=out)
     phase[zero] = 1.0
     return phase
-
-
-def spectrum_phase(spectra: np.ndarray) -> np.ndarray:
-    """Unit-modulus phase of a spectrum stack, with phase(0) = 1."""
-    return _unit_phase(spectra, np.abs(spectra))
-
-
-def magnitude_project(frames: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
-    """Replace each frame's Fourier magnitudes with measured amplitudes.
-
-    Keeps the Fourier phases of ``frames`` (zero-magnitude bins take
-    phase 1) and returns the inverse transform, i.e. the nearest stack
-    whose per-frame spectra have the prescribed magnitudes.
-    """
-    frames = _check_stack_3d(frames)
-    amplitudes = np.asarray(amplitudes)
-    if amplitudes.shape != frames.shape:
-        raise ValueError(
-            f"amplitudes shape {amplitudes.shape} does not match frames {frames.shape}"
-        )
-    return frame_idft(spectrum_phase(frame_dft(frames)) * amplitudes)

@@ -30,6 +30,8 @@ from typing import Optional
 
 import numpy as np
 
+from .fourier import _check_stack_3d
+
 
 @dataclass(eq=False)
 class ScanGeometry:
@@ -232,10 +234,7 @@ def replicate_probe(
 
 def sum_frames(frames: np.ndarray) -> np.ndarray:
     """Sum a stack over its frame axis (adjoint of probe replication)."""
-    frames = np.asarray(frames)
-    if frames.ndim != 3 or frames.shape[1] != frames.shape[2]:
-        raise ValueError(f"expected a (K, m, m) stack, got shape {frames.shape}")
-    return frames.sum(axis=0)
+    return _check_stack_3d(frames).sum(axis=0)
 
 
 def illuminate(obj: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:

@@ -157,19 +157,6 @@ class SolverConfig:
 
 
 @dataclass
-class TransparencyEstimate:
-    """Estimated average transmitted component of the object.
-
-    ``global_factor`` is the single complex transparency; when
-    ``framewise_factors`` (length K) is present the rank-1 update uses
-    one factor per frame instead.
-    """
-
-    global_factor: complex
-    framewise_factors: Optional[np.ndarray] = None
-
-
-@dataclass
 class History:
     """Outcome of a reconstruction run: metric rows plus final state."""
 
@@ -365,17 +352,6 @@ def build_overlap_matrix(geom: ScanGeometry) -> np.ndarray:
     return (rows & cols).astype(np.uint8)
 
 
-def _shift_factors(geom: ScanGeometry, estimate: TransparencyEstimate) -> np.ndarray:
-    if estimate.framewise_factors is not None:
-        factors = np.asarray(estimate.framewise_factors, dtype=np.complex128)
-        if factors.shape != (geom.K,):
-            raise ValueError(
-                f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
-            )
-        return factors
-    return np.full(geom.K, complex(estimate.global_factor), dtype=np.complex128)
-
-
 def _check_rank1_degeneracy(frames: np.ndarray, shifted: np.ndarray) -> None:
     if np.linalg.norm(shifted) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
         raise DegenerateInputError(
@@ -386,13 +362,14 @@ def _check_rank1_degeneracy(frames: np.ndarray, shifted: np.ndarray) -> None:
 def _shifted(
     frames: np.ndarray,
     probe: np.ndarray,
-    factors: np.ndarray,
+    factor: complex | np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """The transparency-shifted stack ``frames - factors * probe`` in
-    ``out``; ``scratch`` holds the replicated probe."""
-    product = np.multiply(_fill(out, factors[:, None, None]), _fill(scratch, probe), out=out)
+    """The transparency-shifted stack ``frames - factor * probe`` in
+    ``out``, for a ``factor`` that broadcasts over the stack (a scalar
+    or one factor per frame); ``scratch`` holds the replicated probe."""
+    product = np.multiply(_fill(out, factor), _fill(scratch, probe), out=out)
     return np.subtract(frames, product, out=out)
 
 
@@ -400,24 +377,29 @@ def _rank1_terms(
     frames: np.ndarray,
     probe: np.ndarray,
     geom: ScanGeometry,
-    factors: np.ndarray,
+    transparency: np.ndarray,
     cov: Optional[CoverageMaps],
     adjoint: Optional[np.ndarray],
     work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator and denominator of the transparency-shifted power
-    step, and the shifted stack: each frame is handled by the
-    uniform-shift formula at its own factor, assembled from the
-    unshifted stack's coverage and adjoint accumulation (computed when
-    not given) and one more scatter-add. Each frame's denominator term
-    is a nonnegative coverage of a shifted stack; tiny negative
-    rounding is clamped.
+    step with one factor per frame (``transparency``, length K), and
+    the shifted stack: each frame is handled by the uniform-shift
+    formula at its own factor, assembled from the unshifted stack's
+    coverage and adjoint accumulation (computed when not given) and one
+    more scatter-add. Each frame's denominator term is a nonnegative
+    coverage of a shifted stack; tiny negative rounding is clamped.
 
     The denominator runs in ``work.stack``, ``work.spare`` and the two
     real halves of ``work.pair``; the numerator in ``work.stack``,
     ``work.spare`` and ``work.pair``, and the shifted stack is left in
     ``work.spare``.
     """
+    factors = np.asarray(transparency, dtype=np.complex128)
+    if factors.shape != (geom.K,):
+        raise ValueError(
+            f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
+        )
     if cov is None:
         cov = coverage_maps(probe, geom)
     if adjoint is None:
@@ -434,7 +416,7 @@ def _rank1_terms(
     diff = np.conj(view, out=view)
     coverage = _fill(work.pair, cov.frame_coverage)
     np.subtract(diff, np.multiply(_fill(work.spare, conj_fcol), coverage, out=work.spare), out=diff)
-    shifted = _shifted(frames, probe, factors, work.spare, work.pair)
+    shifted = _shifted(frames, probe, fcol, work.spare, work.pair)
     # Operand order fixes the rounding: numpy fuses a multiply and an
     # add in complex products, so a * b and b * a can differ in the last
     # bit. This order reproduces earlier results bit for bit; on stacks
@@ -448,7 +430,7 @@ def shift_consistency(
     frames: np.ndarray,
     probe: np.ndarray,
     geom: ScanGeometry,
-    estimate: TransparencyEstimate,
+    transparency: complex | np.ndarray,
     *,
     cov: Optional[CoverageMaps] = None,
     adjoint: Optional[np.ndarray] = None,
@@ -469,18 +451,18 @@ def shift_consistency(
     can be trusted; whether the shift left enough signal to act on is
     the update's own degeneracy check, not this score.
 
-    ``cov`` (the probe's coverage) and ``adjoint``
-    (``illuminate_adjoint(frames, probe, geom)``) are computed when not
-    given. The shifted stack and the terms are formed in ``workspace``
-    when one is given.
+    ``transparency`` is one complex factor for the whole stack or a
+    length-K array of per-frame factors. ``cov`` (the probe's coverage)
+    and ``adjoint`` (``illuminate_adjoint(frames, probe, geom)``) are
+    computed when not given. The shifted stack and the terms are formed
+    in ``workspace`` when one is given.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
     work = _work(workspace, geom)
     if cov is None:
         cov = coverage_maps(probe, geom)
-    factors = _shift_factors(geom, estimate)
-    if estimate.framewise_factors is None:
+    if np.ndim(transparency) == 0:
         # With one factor the shifted stack is plain data, so the
         # form at the probe is the energy of its adjoint accumulation
         # and the norm its coverage-weighted energy. Both are evaluated
@@ -488,10 +470,10 @@ def shift_consistency(
         # cancels catastrophically when the shift residue sits many
         # orders below the stack, scoring a perfectly transparent
         # region as junk instead of as consistent.
-        shifted = _shifted(frames, probe, factors, work.spare, work.stack)
+        shifted = _shifted(frames, probe, transparency, work.spare, work.stack)
         weight, form = _energies(shifted, probe, geom, cov, None, work)
     else:
-        num, den, _ = _rank1_terms(frames, probe, geom, factors, cov, adjoint, work)
+        num, den, _ = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
         form = np.vdot(probe, num).real
         weight = float((den * np.abs(probe) ** 2).sum())
     if not weight > 0.0:
@@ -503,7 +485,7 @@ def update_probe_rank1(
     frames: np.ndarray,
     probe: np.ndarray,
     geom: ScanGeometry,
-    estimate: TransparencyEstimate,
+    transparency: complex | np.ndarray,
     cfg: SolverConfig,
     *,
     cov: Optional[CoverageMaps] = None,
@@ -513,14 +495,16 @@ def update_probe_rank1(
     """Transparency-accelerated probe update.
 
     Subtracts the estimated transmitted component from the stack and
-    applies the power step to the remainder. With a single global
-    factor the shifted stack is still consistent data, so this is
-    literally the power update of the shifted stack. With per-frame
-    factors each frame is treated by the uniform-shift formula at its
-    own factor (the frame's factor multiplies the full coverage map);
-    shifting frames by different constants and taking the plain power
-    step instead would break the true-probe fixed point, because such
-    a stack no longer comes from any single object.
+    applies the power step to the remainder. ``transparency`` is one
+    complex factor for the whole stack or a length-K array of per-frame
+    factors. With a single global factor the shifted stack is still
+    consistent data, so this is literally the power update of the
+    shifted stack. With per-frame factors each frame is treated by the
+    uniform-shift formula at its own factor (the frame's factor
+    multiplies the full coverage map); shifting frames by different
+    constants and taking the plain power step instead would break the
+    true-probe fixed point, because such a stack no longer comes from
+    any single object.
 
     Raises :class:`DegenerateInputError` when the shifted stack is
     numerically zero (a purely constant object region carries no
@@ -535,15 +519,12 @@ def update_probe_rank1(
     frames = np.asarray(frames)
     probe = np.asarray(probe)
     work = _work(workspace, geom)
-    factors = _shift_factors(geom, estimate)
-    if estimate.framewise_factors is None:
-        shifted = _shifted(frames, probe, factors, work.spare, work.stack)
+    if np.ndim(transparency) == 0:
+        shifted = _shifted(frames, probe, transparency, work.spare, work.stack)
         _check_rank1_degeneracy(frames, shifted)
         return update_probe_power(shifted, probe, geom, cfg, workspace=work)
-    num, den, shifted = _rank1_terms(frames, probe, geom, factors, cov, adjoint, work)
+    num, den, shifted = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
     _check_rank1_degeneracy(frames, shifted)
-    if not den.max() > 0:
-        raise DegenerateInputError("shifted frame stack is identically zero")
     return num / _floored(den, cfg.epsilon_rel)
 
 
@@ -680,11 +661,12 @@ def _probe_step(
     if cfg.probe_mode == "standard":
         return update_probe_standard(frames, obj, geom, cfg, workspace=work), False
     if cfg.probe_mode != "power" and state.since_shift >= cfg.rank1_cadence:
-        estimate = TransparencyEstimate(global_factor=transparency_global(frames, probe))
         if cfg.probe_mode == "rank1_framewise":
-            estimate.framewise_factors = transparency_framewise(frames, probe, overlap)
+            transparency = transparency_framewise(frames, probe, overlap)
+        else:
+            transparency = transparency_global(frames, probe)
         score = shift_consistency(
-            frames, probe, geom, estimate, cov=state.cov, adjoint=state.adjoint, workspace=work
+            frames, probe, geom, transparency, cov=state.cov, adjoint=state.adjoint, workspace=work
         )
         if score >= cfg.rank1_gate:
             try:
@@ -692,7 +674,7 @@ def _probe_step(
                     frames,
                     probe,
                     geom,
-                    estimate,
+                    transparency,
                     cfg,
                     cov=state.cov,
                     adjoint=state.adjoint,

@@ -17,7 +17,6 @@ from .fourier import frame_dft
 from .operators import ScanGeometry, illuminate
 
 TEXTURE_KINDS = ("smooth", "piecewise")
-PROBE_KINDS = ("aperture_gauss",)
 
 # Frequency-domain width (cycles/pixel) of the Gaussian envelope that
 # smooths phantom textures; sets a feature scale of a few pixels
@@ -59,21 +58,16 @@ class ProbeSpec:
 
     ``aperture_radius_px`` is the disk radius in pixels;
     ``defocus_phase_strength`` is the quadratic phase in radians at the
-    aperture edge. ``seed`` is reserved for randomized probe kinds and
-    unused by ``aperture_gauss``.
+    aperture edge.
     """
 
     m: int
     aperture_radius_px: float
-    kind: str = "aperture_gauss"
     defocus_phase_strength: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"frame size must be >= 1, got {self.m}")
-        if self.kind not in PROBE_KINDS:
-            raise ValueError(f"probe kind must be one of {PROBE_KINDS}, got {self.kind!r}")
         if not 0.0 < self.aperture_radius_px <= self.m / 2.0:
             raise ValueError(
                 f"aperture_radius_px must lie in (0, m/2] = (0, {self.m / 2}], "

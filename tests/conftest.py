@@ -5,6 +5,9 @@ dense matrices come from explicit Python loops over scan positions,
 so agreement with the matrix-free operators is meaningful evidence.
 """
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -14,11 +17,13 @@ from ptyblind import (
     coverage_maps,
     embed_add_frames,
     extract_frames,
+    frame_dft,
+    frame_idft,
     illuminate,
     illuminate_adjoint,
-    sum_frames,
     update_object,
 )
+from ptyblind.operators import sum_frames
 from ptyblind.solver import RANK1_DEGENERACY_RTOL
 
 
@@ -115,7 +120,26 @@ def frame_consistency_project(frames, probe, geom, cfg):
     return illuminate(update_object(frames, probe, geom, cfg), probe, geom)
 
 
-def update_probe_rank1_expanded(frames, probe, geom, estimate, cfg):
+def spectrum_phase(spectra):
+    """Unit-modulus phase of a spectrum stack, with phase(0) = 1."""
+    magnitudes = np.abs(spectra)
+    zero = magnitudes == 0.0
+    phase = spectra / np.where(zero, 1.0, magnitudes)
+    phase[zero] = 1.0
+    return phase
+
+
+def magnitude_project(frames, amplitudes):
+    """Replace each frame's Fourier magnitudes with measured amplitudes.
+
+    Keeps the Fourier phases of ``frames`` (zero-magnitude bins take
+    phase 1) and returns the inverse transform, i.e. the nearest stack
+    whose per-frame spectra have the prescribed magnitudes.
+    """
+    return frame_idft(spectrum_phase(frame_dft(frames)) * amplitudes)
+
+
+def update_probe_rank1_expanded(frames, probe, geom, transparency, cfg):
     """Cross-check of ``update_probe_rank1`` by the complementary
     arithmetic route, built from the public operators only.
 
@@ -130,15 +154,16 @@ def update_probe_rank1_expanded(frames, probe, geom, estimate, cfg):
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
-    if estimate.framewise_factors is None:
-        factors = np.full(geom.K, complex(estimate.global_factor))
+    one_factor = np.ndim(transparency) == 0
+    if one_factor:
+        factors = np.full(geom.K, complex(transparency))
     else:
-        factors = np.asarray(estimate.framewise_factors, dtype=complex)
+        factors = np.asarray(transparency, dtype=complex)
     shifted = frames - factors[:, None, None] * probe[None, :, :]
     if np.linalg.norm(shifted) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
         raise DegenerateInputError("transparency shift removed the whole stack")
 
-    if estimate.framewise_factors is None:
+    if one_factor:
         c = factors[0]
         frame_cov = coverage_maps(probe, geom).frame_coverage
         adjoint_view = extract_frames(illuminate_adjoint(frames, probe, geom), geom)
@@ -178,6 +203,17 @@ def grid_search_nrmse(estimate, truth, points=201):
         scaled = np.abs((re + 1j * axis)[:, None] * est[None, :] - tru[None, :])
         best = min(best, np.sqrt((scaled**2).sum(axis=1)).min())
     return best / np.linalg.norm(tru), axis[1] - axis[0]
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it finds in local source files in
+    # its storage directory, ./.hypothesis unless set, while the session
+    # collects: give it a directory that is removed when the session ends.
+    from hypothesis.configuration import set_hypothesis_home_dir
+
+    storage = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(storage)
+    config.add_cleanup(lambda: shutil.rmtree(storage, ignore_errors=True))
 
 
 @pytest.fixture

@@ -220,6 +220,14 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=missing):
             parse_run_config(doc)
 
+    @pytest.mark.parametrize("key, value", [("kind", "aperture_gauss"), ("seed", 0)])
+    def test_probe_rejects_kind_and_seed(self, key, value):
+        # There is one probe model and it draws no random numbers.
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["probe"][key] = value
+        with pytest.raises(ValueError, match=rf"config probe: unknown key\(s\) \['{key}'\]"):
+            parse_run_config(doc)
+
 
 SECTION_CLASSES = {
     "phantom": synth.PhantomSpec,
@@ -238,9 +246,7 @@ FIELD_VALUES = {
     },
     "probe": {
         "aperture_radius_px": (2.5, "wide"),
-        "kind": ("other", 1),
         "defocus_phase_strength": (0.25, False),
-        "seed": (9, 1.5),
     },
     "perturbation": {
         "blur_sigma_px": (0.5, [1]),
@@ -273,10 +279,7 @@ FIELD_VALUES = {
     ],
     ids=lambda value: getattr(value, "name", value),
 )
-def test_every_section_field_is_parsed_strictly(section, field, monkeypatch):
-    # aperture_gauss is the only probe kind; admit another so that a
-    # non-default kind can be set.
-    monkeypatch.setattr(synth, "PROBE_KINDS", synth.PROBE_KINDS + ("other",))
+def test_every_section_field_is_parsed_strictly(section, field):
     good, bad = FIELD_VALUES[section][field.name]
     assert field.default is MISSING or good != field.default
     doc = json.loads(json.dumps(BASE_CONFIG))

@@ -1,12 +1,13 @@
-"""Frame-DFT and magnitude-projection tests against a naive transform."""
+"""Frame-DFT tests against a naive transform, and checks of the
+magnitude-projection oracle the reference loop is built on."""
 
 import numpy as np
 import pytest
 
-from ptyblind import fourier, frame_dft, frame_idft, magnitude_project, spectrum_phase
+from ptyblind import fourier, frame_dft, frame_idft
 from ptyblind.fourier import check_amplitudes
 
-from conftest import rand_complex
+from conftest import magnitude_project, rand_complex, spectrum_phase
 
 
 def naive_unitary_dft(frame):

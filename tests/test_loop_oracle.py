@@ -11,18 +11,15 @@ every History value except the wall time, and the events.
 
 import numpy as np
 import pytest
-from conftest import rand_complex
+from conftest import magnitude_project, rand_complex
 
 from ptyblind import (
     DegenerateInputError,
     ScanGeometry,
     SolverConfig,
-    TransparencyEstimate,
-    build_overlap_matrix,
     center_probe,
     data_residual,
     illuminate,
-    magnitude_project,
     nrmse_probe,
     pairwise_discrepancy,
     run_reconstruction,
@@ -34,6 +31,7 @@ from ptyblind import (
     update_probe_rank1,
     update_probe_standard,
 )
+from ptyblind.solver import build_overlap_matrix
 from ptyblind.synth import (
     PhantomSpec,
     ProbeSpec,
@@ -78,13 +76,14 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
         if cfg.probe_mode == "standard":
             new = update_probe_standard(frames, obj, geom, cfg)
         elif cfg.probe_mode != "power" and since_shift >= cfg.rank1_cadence:
-            estimate = TransparencyEstimate(global_factor=transparency_global(frames, probe))
             if cfg.probe_mode == "rank1_framewise":
-                estimate.framewise_factors = transparency_framewise(frames, probe, overlap)
-            score = shift_consistency(frames, probe, geom, estimate)
+                transparency = transparency_framewise(frames, probe, overlap)
+            else:
+                transparency = transparency_global(frames, probe)
+            score = shift_consistency(frames, probe, geom, transparency)
             if score >= cfg.rank1_gate:
                 try:
-                    new = update_probe_rank1(frames, probe, geom, estimate, cfg)
+                    new = update_probe_rank1(frames, probe, geom, transparency, cfg)
                 except DegenerateInputError:
                     events.append(
                         f"iteration {iteration}: degenerate transparency shift, "

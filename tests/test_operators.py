@@ -11,9 +11,8 @@ from ptyblind import (
     extract_frames,
     illuminate,
     illuminate_adjoint,
-    replicate_probe,
-    sum_frames,
 )
+from ptyblind.operators import replicate_probe, sum_frames
 
 from conftest import (
     dense_extract_matrix,

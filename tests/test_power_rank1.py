@@ -20,22 +20,21 @@ from ptyblind import (
     DegenerateInputError,
     ScanGeometry,
     SolverConfig,
-    TransparencyEstimate,
-    build_overlap_matrix,
     embed_add_frames,
     extract_frames,
     illuminate,
     illuminate_adjoint,
     pairwise_discrepancy,
-    replicate_probe,
     shift_consistency,
-    sum_frames,
+    solver,
     transparency_framewise,
     transparency_global,
     update_probe_power,
     update_probe_rank1,
 )
 from ptyblind.metrics import nrmse_probe
+from ptyblind.operators import replicate_probe, sum_frames
+from ptyblind.solver import build_overlap_matrix
 
 CFG = SolverConfig()
 
@@ -238,15 +237,14 @@ class TestRank1Update:
         geom = random_geometry(rng, 8, 4, 6)
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
-        got = update_probe_rank1(frames, probe, geom, TransparencyEstimate(0.0), CFG)
+        got = update_probe_rank1(frames, probe, geom, 0.0, CFG)
         assert np.array_equal(got, update_probe_power(frames, probe, geom, CFG))
 
     def test_zero_factor_reduces_to_power_framewise(self, rng):
         geom = random_geometry(rng, 8, 4, 6)
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
-        estimate = TransparencyEstimate(0.0, framewise_factors=np.zeros(geom.K, dtype=complex))
-        got = update_probe_rank1(frames, probe, geom, estimate, CFG)
+        got = update_probe_rank1(frames, probe, geom, np.zeros(geom.K, dtype=complex), CFG)
         want = update_probe_power(frames, probe, geom, CFG)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -256,18 +254,18 @@ class TestRank1Update:
             frames = rand_complex(rng, geom.K, 3, 3)
             probe = rand_complex(rng, 3, 3)
             if trial % 2:
-                estimate = TransparencyEstimate(complex(rand_complex(rng, 1)[0]))
+                transparency = complex(rand_complex(rng, 1)[0])
             else:
-                estimate = TransparencyEstimate(0.0, framewise_factors=rand_complex(rng, geom.K))
-            fast = update_probe_rank1(frames, probe, geom, estimate, CFG)
-            slow = update_probe_rank1_expanded(frames, probe, geom, estimate, CFG)
+                transparency = rand_complex(rng, geom.K)
+            fast = update_probe_rank1(frames, probe, geom, transparency, CFG)
+            slow = update_probe_rank1_expanded(frames, probe, geom, transparency, CFG)
             assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(fast)
 
     def test_fixed_point_at_true_pair_global(self, rng):
         for _ in range(3):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-            estimate = TransparencyEstimate(transparency_global(frames, probe))
-            stepped = update_probe_rank1(frames, probe, geom, estimate, CFG)
+            transparency = transparency_global(frames, probe)
+            stepped = update_probe_rank1(frames, probe, geom, transparency, CFG)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_fixed_point_at_true_pair_framewise(self, rng):
@@ -276,10 +274,9 @@ class TestRank1Update:
         for _ in range(3):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
-            estimate = TransparencyEstimate(0.0, framewise_factors=factors)
-            stepped = update_probe_rank1(frames, probe, geom, estimate, CFG)
+            stepped = update_probe_rank1(frames, probe, geom, factors, CFG)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
-            expanded = update_probe_rank1_expanded(frames, probe, geom, estimate, CFG)
+            expanded = update_probe_rank1_expanded(frames, probe, geom, factors, CFG)
             assert np.linalg.norm(expanded - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_constant_object_raises_documented_error(self, rng):
@@ -288,12 +285,40 @@ class TestRank1Update:
         c = complex(rand_complex(rng, 1)[0])
         frames = c * replicate_probe(probe, geom)
         with pytest.raises(DegenerateInputError):
-            update_probe_rank1(frames, probe, geom, TransparencyEstimate(c), CFG)
+            update_probe_rank1(frames, probe, geom, c, CFG)
         factors = np.full(geom.K, c)
         with pytest.raises(DegenerateInputError):
-            update_probe_rank1(
-                frames, probe, geom, TransparencyEstimate(0.0, framewise_factors=factors), CFG
-            )
+            update_probe_rank1(frames, probe, geom, factors, CFG)
+
+
+class TestTransparencyForms:
+    def test_scalar_forms_take_the_global_route_with_equal_bytes(self, rng, monkeypatch):
+        geom = random_geometry(rng, 8, 4, 6)
+        frames = rand_complex(rng, geom.K, 4, 4)
+        probe = rand_complex(rng, 4, 4)
+        c = 0.6 - 0.3j
+
+        def framewise_route(*args):
+            raise AssertionError("a single factor took the per-frame route")
+
+        monkeypatch.setattr(solver, "_rank1_terms", framewise_route)
+        steps, scores = set(), set()
+        for transparency in (c, np.complex128(c), np.array(c)):
+            steps.add(update_probe_rank1(frames, probe, geom, transparency, CFG).tobytes())
+            scores.add(shift_consistency(frames, probe, geom, transparency))
+        assert len(steps) == 1 and len(scores) == 1
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)])
+    def test_per_frame_factors_must_have_length_k(self, rng, shape):
+        geom = random_geometry(rng, 8, 4, 6)
+        frames = rand_complex(rng, geom.K, 4, 4)
+        probe = rand_complex(rng, 4, 4)
+        factors = np.ones(shape, dtype=complex)
+        message = r"framewise transparency must have length K=6, got shape"
+        with pytest.raises(ValueError, match=message):
+            update_probe_rank1(frames, probe, geom, factors, CFG)
+        with pytest.raises(ValueError, match=message):
+            shift_consistency(frames, probe, geom, factors)
 
 
 def pencil_global_consistency(frames, probe, geom, c):
@@ -321,18 +346,16 @@ class TestShiftConsistency:
             else:
                 frames = illuminate(rand_complex(rng, n, n), probe, geom)
                 c = transparency_global(frames, probe)
-            score = shift_consistency(frames, probe, geom, TransparencyEstimate(c))
+            score = shift_consistency(frames, probe, geom, c)
             want = pencil_global_consistency(frames, probe, geom, c)
             assert score == pytest.approx(want, abs=1e-12)
 
     def test_equals_one_on_consistent_stack(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-        score = shift_consistency(frames, probe, geom, TransparencyEstimate(0.7 - 0.2j))
+        score = shift_consistency(frames, probe, geom, 0.7 - 0.2j)
         assert score == pytest.approx(1.0, abs=1e-12)
         factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
-        score = shift_consistency(
-            frames, probe, geom, TransparencyEstimate(0.0, framewise_factors=factors)
-        )
+        score = shift_consistency(frames, probe, geom, factors)
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_global_score_stays_in_unit_interval(self, rng):
@@ -340,8 +363,8 @@ class TestShiftConsistency:
             geom = random_geometry(rng, 8, 3, 5)
             frames = rand_complex(rng, geom.K, 3, 3)
             probe = rand_complex(rng, 3, 3)
-            estimate = TransparencyEstimate(complex(rand_complex(rng, 1)[0]))
-            score = shift_consistency(frames, probe, geom, estimate)
+            transparency = complex(rand_complex(rng, 1)[0])
+            score = shift_consistency(frames, probe, geom, transparency)
             assert -1e-12 <= score <= 1.0 + 1e-12
 
     def test_degenerate_shift_scores_zero(self, rng):
@@ -349,12 +372,12 @@ class TestShiftConsistency:
         probe = rand_complex(rng, 4, 4)
         c = 1.5 - 0.5j
         frames = c * replicate_probe(probe, geom)
-        assert shift_consistency(frames, probe, geom, TransparencyEstimate(c)) == 0.0
+        assert shift_consistency(frames, probe, geom, c) == 0.0
 
     def test_noise_scores_below_consistent_data(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-        estimate = TransparencyEstimate(transparency_global(frames, probe))
+        transparency = transparency_global(frames, probe)
         noise = rand_complex(rng, geom.K, 4, 4)
-        noisy = shift_consistency(noise, probe, geom, estimate)
-        clean = shift_consistency(frames, probe, geom, estimate)
+        noisy = shift_consistency(noise, probe, geom, transparency)
+        clean = shift_consistency(frames, probe, geom, transparency)
         assert noisy < 0.9 < clean

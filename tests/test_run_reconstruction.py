@@ -126,6 +126,23 @@ class TestEventsAndErrors:
         hist = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
         assert any("transparency shift engaged" in event for event in hist.events)
 
+    @pytest.mark.parametrize(
+        "mode, estimator",
+        [("rank1_global", "transparency_global"), ("rank1_framewise", "transparency_framewise")],
+    )
+    def test_gate_computes_only_the_estimator_its_mode_reads(self, monkeypatch, mode, estimator):
+        calls = dict.fromkeys(("transparency_global", "transparency_framewise"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        geom, probe, init, amps = overlapping_instance()
+        run_reconstruction(amps, geom, init, SolverConfig(probe_mode=mode, max_iters=10))
+        assert calls[estimator] >= 1
+        assert sum(calls.values()) == calls[estimator]
+
     def test_errors_carry_iteration_context(self):
         geom, obj, probe, amps = disjoint_instance()
         cfg = SolverConfig(probe_mode="power", max_iters=3)

@@ -84,8 +84,6 @@ class TestMakeProbe:
             ProbeSpec(m=16, aperture_radius_px=8.5)
         with pytest.raises(ValueError):
             ProbeSpec(m=16, aperture_radius_px=-2.0)
-        with pytest.raises(ValueError):
-            ProbeSpec(m=16, aperture_radius_px=5.0, kind="bessel")
 
 
 class TestRasterGeometry:
