@@ -8,7 +8,7 @@ updates and the outer loop), ``metrics`` (probe NRMSE, data residual),
 ``npyio`` (bit-exact file IO), and ``cli`` (the ``ptyblind`` command).
 """
 
-from .fourier import frame_dft, frame_idft
+from .fourier import frame_dft
 from .metrics import MetricsRow, data_residual, nrmse_probe
 from .operators import (
     ScanGeometry,
@@ -59,7 +59,6 @@ __all__ = [
     "embed_add_frames",
     "extract_frames",
     "frame_dft",
-    "frame_idft",
     "illuminate",
     "illuminate_adjoint",
     "make_probe",

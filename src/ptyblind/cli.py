@@ -89,12 +89,12 @@ def _section(doc: dict, name: str) -> Optional[dict]:
 
 
 # How error messages name each value type a config field can have.
-_EXPECTED = {str: "a string", bool: "true/false", int: "an integer", float: "a number"}
+_EXPECTED = {str: "a string", int: "an integer", float: "a number"}
 
 
 def _get(section: dict, key: str, kind: type, path: str, required: bool = False):
-    """The value of ``key`` checked against ``kind`` (``str``, ``bool``,
-    ``int`` or ``float``), or ``None`` when the key is absent.
+    """The value of ``key`` checked against ``kind`` (``str``, ``int`` or
+    ``float``), or ``None`` when the key is absent.
 
     Booleans are not integers or numbers here, although Python counts
     them as such, and a number may be written as an integer.
@@ -105,7 +105,7 @@ def _get(section: dict, key: str, kind: type, path: str, required: bool = False)
         return None
     value = section[key]
     accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or (isinstance(value, bool) and kind is not bool):
+    if not isinstance(value, accepted) or isinstance(value, bool):
         raise ValueError(f"config {path}.{key}: expected {_EXPECTED[kind]}, got {value!r}")
     return float(value) if kind is float else value
 
@@ -326,7 +326,6 @@ def _apply_seed_override(cfg: RunConfig, seed: Optional[int]) -> RunConfig:
         cfg.phantom = replace(cfg.phantom, texture_seed=seed)
     if cfg.perturbation is not None:
         cfg.perturbation = replace(cfg.perturbation, seed=seed)
-    cfg.solver = replace(cfg.solver, init_seed=seed)
     return cfg
 
 
@@ -365,3 +364,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -110,28 +110,18 @@ def check_amplitudes(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def _transform_frames(transform, stack: np.ndarray) -> np.ndarray:
-    # Given ``out``, both axis passes write one buffer instead of each
-    # allocating a stack. Its dtype is the one numpy's FFT returns.
-    stack = _check_stack_3d(stack)
-    out = np.empty(stack.shape, dtype=np.result_type(stack.dtype, 1j))
-
-    def work(lo, hi):
-        transform(stack[lo:hi], axes=(-2, -1), norm="ortho", out=out[lo:hi])
-
-    _over_frames(work, _frame_edges(stack.shape[0], out.itemsize * stack.shape[1] ** 2))
-    return out
-
-
 def frame_dft(frames: np.ndarray) -> np.ndarray:
     """Unitary 2D DFT of each frame in a stack."""
-    return _transform_frames(np.fft.fftn, frames)
+    frames = _check_stack_3d(frames)
+    # Given ``out``, both axis passes write one buffer instead of each
+    # allocating a stack. Its dtype is the one numpy's FFT returns.
+    out = np.empty(frames.shape, dtype=np.result_type(frames.dtype, 1j))
 
+    def work(lo, hi):
+        np.fft.fftn(frames[lo:hi], axes=(-2, -1), norm="ortho", out=out[lo:hi])
 
-def frame_idft(spectra: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`frame_dft`."""
-    # ifftn rather than ifft2: numpy's ifft2 ignores ``out``.
-    return _transform_frames(np.fft.ifftn, spectra)
+    _over_frames(work, _frame_edges(frames.shape[0], out.itemsize * frames.shape[1] ** 2))
+    return out
 
 
 def _unit_phase(spectra: np.ndarray, mag: np.ndarray, out=None) -> np.ndarray:

@@ -44,7 +44,8 @@ class ScanGeometry:
     m : int
         Frame pixels per side, 1 <= m <= n.
     positions : array-like of shape (K, 2)
-        Integer (row, col) offsets of each frame; reduced mod n.
+        Integer (row, col) offsets of each frame; reduced mod n. Floats
+        are accepted when they are finite whole numbers.
     """
 
     n: int
@@ -54,10 +55,22 @@ class ScanGeometry:
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < self.m:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
-        pos = np.asarray(self.positions, dtype=np.int64)
+        pos = np.asarray(self.positions)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must have shape (K, 2) with K >= 1, got {pos.shape}")
-        self.positions = np.mod(pos, self.n)
+        if pos.dtype.kind not in "biuf":
+            raise ValueError(f"positions must be integers, got dtype {pos.dtype}")
+        if pos.dtype.kind == "f":
+            # Casting would truncate a fraction and turn a NaN or an
+            # infinity into an arbitrary offset.
+            integral = (np.abs(pos) < 2.0**63) & (pos == np.round(pos))
+            bad = np.flatnonzero(~integral.all(axis=1))
+            if bad.size:
+                i = int(bad[0])
+                raise ValueError(
+                    f"positions[{i}] = {pos[i].tolist()} is not a pair of finite integer offsets"
+                )
+        self.positions = np.mod(pos.astype(np.int64), self.n)
 
     @property
     def K(self) -> int:

@@ -66,7 +66,7 @@ shifted iteration of the 64 px instances (up to 650 page faults and
 30% more time per framewise iteration). Workers call numpy and private
 helpers only, so every public function runs on the calling thread.
 
-Denominators are floored at ``epsilon_rel`` times their maximum, so
+Denominators are floored at ``EPSILON_REL`` times their maximum, so
 division is scale-free and uncovered pixels map to zero.
 """
 
@@ -84,7 +84,6 @@ from .fourier import (
     _over_frames,
     _unit_phase,
     check_amplitudes,
-    frame_idft,
 )
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
@@ -107,49 +106,36 @@ PROBE_MODES = ("standard", "power", "rank1_global", "rank1_framewise")
 # information).
 RANK1_DEGENERACY_RTOL = 1e-12
 
+# Every update's denominator is floored at this fraction of its maximum.
+EPSILON_REL = 1e-8
+
 
 class DegenerateInputError(ValueError):
     """The input carries no usable signal for the requested update."""
 
 
-FRAME_INITS = ("transparent", "random_phase")
-
-
 @dataclass
 class SolverConfig:
-    """Knobs for :func:`run_reconstruction` and the update operations.
+    """Knobs for :func:`run_reconstruction`.
 
     ``rank1_gate`` and ``rank1_cadence`` schedule the transparency-
     shifted probe step in the rank-1 modes: the shift engages only
     when the consistency score of the shifted stack reaches the gate,
     and at most once per cadence iterations; plain power steps run in
-    between. ``frame_init`` picks the starting frames when none are
-    supplied: ``"transparent"`` illuminates a unit object and imposes
-    the measured magnitudes (deterministic, suited to weak-contrast
-    objects), ``"random_phase"`` pairs the magnitudes with seeded
-    random phases.
+    between.
     """
 
-    epsilon_rel: float = 1e-8
-    max_iters: int = 100
     probe_mode: str = "standard"
-    center_probe_each_iter: bool = True
+    max_iters: int = 100
     stop_nrmse: Optional[float] = None
-    probe_norm_lock: bool = True
-    init_seed: int = 0
-    frame_init: str = "transparent"
     rank1_gate: float = 0.95
     rank1_cadence: int = 3
 
     def __post_init__(self) -> None:
-        if self.epsilon_rel <= 0:
-            raise ValueError(f"epsilon_rel must be > 0, got {self.epsilon_rel}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.probe_mode not in PROBE_MODES:
             raise ValueError(f"probe_mode must be one of {PROBE_MODES}, got {self.probe_mode!r}")
-        if self.frame_init not in FRAME_INITS:
-            raise ValueError(f"frame_init must be one of {FRAME_INITS}, got {self.frame_init!r}")
         if not 0.0 <= self.rank1_gate <= 1.0:
             raise ValueError(f"rank1_gate must be in [0, 1], got {self.rank1_gate}")
         if self.rank1_cadence < 1:
@@ -167,18 +153,20 @@ class History:
     frames: Optional[np.ndarray] = None
 
 
-def _floored(denominator: np.ndarray, epsilon_rel: float) -> np.ndarray:
+def _floored(denominator: np.ndarray, vanished: str) -> np.ndarray:
+    """``denominator`` floored at ``EPSILON_REL`` times its maximum.
+    Raises :class:`DegenerateInputError` with the message ``vanished``
+    when it is identically zero."""
     peak = denominator.max()
     if not peak > 0:
-        raise DegenerateInputError("denominator is identically zero")
-    return np.maximum(denominator, epsilon_rel * peak)
+        raise DegenerateInputError(vanished)
+    return np.maximum(denominator, EPSILON_REL * peak)
 
 
 def update_object(
     frames: np.ndarray,
     probe: np.ndarray,
     geom: ScanGeometry,
-    cfg: SolverConfig,
     cov: Optional[CoverageMaps] = None,
     *,
     adjoint: Optional[np.ndarray] = None,
@@ -193,18 +181,17 @@ def update_object(
     """
     if cov is None:
         cov = coverage_maps(probe, geom)
-    if not cov.object_coverage.max() > 0:
-        raise ValueError("probe is identically zero: object coverage vanishes")
     if adjoint is None:
         adjoint = illuminate_adjoint(frames, probe, geom, workspace=workspace)
-    return adjoint / _floored(cov.object_coverage, cfg.epsilon_rel)
+    return adjoint / _floored(
+        cov.object_coverage, "probe is identically zero: object coverage vanishes"
+    )
 
 
 def update_probe_standard(
     frames: np.ndarray,
     obj: np.ndarray,
     geom: ScanGeometry,
-    cfg: SolverConfig,
     *,
     workspace: Optional[_Workspace] = None,
 ) -> np.ndarray:
@@ -218,11 +205,9 @@ def update_probe_standard(
     views = extract_frames(obj, geom, out=work.stack)
     intensity = np.abs(views, out=work.real)
     den = sum_frames(np.square(intensity, out=intensity))
-    if not den.max() > 0:
-        raise ValueError("object is identically zero: probe update undefined")
     products = np.multiply(np.conj(views, out=views), np.asarray(frames), out=views)
     num = sum_frames(products)
-    return num / _floored(den, cfg.epsilon_rel)
+    return num / _floored(den, "object is identically zero: probe update undefined")
 
 
 def _energies(
@@ -280,7 +265,6 @@ def update_probe_power(
     frames: np.ndarray,
     probe: np.ndarray,
     geom: ScanGeometry,
-    cfg: SolverConfig,
     *,
     adjoint: Optional[np.ndarray] = None,
     workspace: Optional[_Workspace] = None,
@@ -298,14 +282,12 @@ def update_probe_power(
     frames = np.asarray(frames)
     work = _work(workspace, geom)
     den = sum_frames(_stack_coverage(frames, geom, work.real))
-    if not den.max() > 0:
-        raise DegenerateInputError("frame stack is identically zero: power update undefined")
     if adjoint is None:
         adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
     view = extract_frames(np.conj(adjoint), geom, out=work.stack)
     # view * frames, not frames * view: see the note in _rank1_terms.
     num = sum_frames(np.multiply(view, frames, out=view))
-    return num / _floored(den, cfg.epsilon_rel)
+    return num / _floored(den, "frame stack is identically zero: power update undefined")
 
 
 def transparency_global(frames: np.ndarray, probe: np.ndarray) -> complex:
@@ -486,7 +468,6 @@ def update_probe_rank1(
     probe: np.ndarray,
     geom: ScanGeometry,
     transparency: complex | np.ndarray,
-    cfg: SolverConfig,
     *,
     cov: Optional[CoverageMaps] = None,
     adjoint: Optional[np.ndarray] = None,
@@ -522,10 +503,10 @@ def update_probe_rank1(
     if np.ndim(transparency) == 0:
         shifted = _shifted(frames, probe, transparency, work.spare, work.stack)
         _check_rank1_degeneracy(frames, shifted)
-        return update_probe_power(shifted, probe, geom, cfg, workspace=work)
+        return update_probe_power(shifted, probe, geom, workspace=work)
     num, den, shifted = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
     _check_rank1_degeneracy(frames, shifted)
-    return num / _floored(den, cfg.epsilon_rel)
+    return num / _floored(den, "shifted frame stack is identically zero: rank-1 update undefined")
 
 
 def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -554,12 +535,6 @@ def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         delta = (target - com + m / 2.0) % m - m / 2.0
         shift[axis] = int(np.round(delta))
     return np.roll(probe, tuple(shift), axis=(0, 1)), shift
-
-
-def _random_phase_frames(amplitudes: np.ndarray, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    phases = np.exp(2j * np.pi * rng.random(amplitudes.shape))
-    return frame_idft(amplitudes * phases)
 
 
 def _magnitude_pass(
@@ -659,7 +634,7 @@ def _probe_step(
     """
     frames, probe, work = state.frames, state.probe, state.work
     if cfg.probe_mode == "standard":
-        return update_probe_standard(frames, obj, geom, cfg, workspace=work), False
+        return update_probe_standard(frames, obj, geom, workspace=work), False
     if cfg.probe_mode != "power" and state.since_shift >= cfg.rank1_cadence:
         if cfg.probe_mode == "rank1_framewise":
             transparency = transparency_framewise(frames, probe, overlap)
@@ -675,7 +650,6 @@ def _probe_step(
                     probe,
                     geom,
                     transparency,
-                    cfg,
                     cov=state.cov,
                     adjoint=state.adjoint,
                     workspace=work,
@@ -695,7 +669,7 @@ def _probe_step(
                 state.shift_seen = True
                 return shifted, True
     state.since_shift += 1
-    power = update_probe_power(frames, probe, geom, cfg, adjoint=state.adjoint, workspace=work)
+    power = update_probe_power(frames, probe, geom, adjoint=state.adjoint, workspace=work)
     return power, False
 
 
@@ -710,10 +684,10 @@ def run_reconstruction(
     """Alternating blind reconstruction from diffraction amplitudes.
 
     Each outer iteration updates the object, then the probe (per
-    ``cfg.probe_mode``), optionally recenters the probe (jointly
-    rolling the object, which preserves the data fit) and locks its
-    norm, and finally rebuilds the frames from the model with measured
-    magnitudes imposed. In the rank-1 modes the transparency-shifted
+    ``cfg.probe_mode``), recenters the probe (jointly rolling the
+    object, which preserves the data fit) and locks its norm to the
+    initial probe's, and finally rebuilds the frames from the model
+    with measured magnitudes imposed. In the rank-1 modes the transparency-shifted
     step runs on the gate-and-cadence schedule described in the module
     docstring, and after a shifted step the object is recomputed with
     the new probe before the frames are rebuilt. Metrics are recorded
@@ -725,7 +699,9 @@ def run_reconstruction(
     magnitude constraint after the frame update, so their own gap
     would be vacuous.
 
-    ``frames_init`` overrides the ``cfg.frame_init`` start.
+    Without ``frames_init`` the run starts from the frames of a unit
+    object under the initial probe, with the measured magnitudes
+    imposed.
     ``stop_nrmse`` halts the run at the first iteration whose probe
     error reaches the threshold and requires ``probe_true``.
     """
@@ -756,16 +732,11 @@ def run_reconstruction(
         overlap = build_overlap_matrix(geom).astype(np.complex128)
     adjoint = None
     if frames_init is None:
-        if cfg.frame_init == "transparent":
-            # Frames of a unit object under the initial probe, with the
-            # measured magnitudes imposed.
-            ones = np.ones((geom.n, geom.n), dtype=np.complex128)
-            frames = np.empty(amplitudes.shape, dtype=np.complex128)
-            _magnitude_pass(ones, probe, amplitudes, geom, edges, work, frames, gap=False)
-            adjoint = embed_add_frames(work.stack, geom)
-            del ones
-        else:
-            frames = _random_phase_frames(amplitudes, cfg.init_seed)
+        ones = np.ones((geom.n, geom.n), dtype=np.complex128)
+        frames = np.empty(amplitudes.shape, dtype=np.complex128)
+        _magnitude_pass(ones, probe, amplitudes, geom, edges, work, frames, gap=False)
+        adjoint = embed_add_frames(work.stack, geom)
+        del ones
     else:
         # A C-ordered copy: the loop overwrites these frames in place,
         # and the frames' memory order decides how reductions round.
@@ -813,9 +784,7 @@ def run_reconstruction(
 
     iteration = 0
     try:
-        obj = update_object(
-            state.frames, state.probe, geom, cfg, cov=state.cov, adjoint=state.adjoint
-        )
+        obj = update_object(state.frames, state.probe, geom, cov=state.cov, adjoint=state.adjoint)
         # Row 0 keeps the initial frames: its pass writes no frames, and
         # the frame memory it needs as scratch is the spare stack.
         misfit_norm = _magnitude_pass(
@@ -827,19 +796,17 @@ def run_reconstruction(
                 break
             t0 = time.perf_counter()
             obj = update_object(
-                state.frames, state.probe, geom, cfg, cov=state.cov, adjoint=state.adjoint
+                state.frames, state.probe, geom, cov=state.cov, adjoint=state.adjoint
             )
             probe, engaged = _probe_step(state, obj, geom, cfg, overlap, iteration, history.events)
             _check_finite(probe, f"{cfg.probe_mode} probe update")
-            if cfg.center_probe_each_iter:
-                probe, shift = center_probe(probe)
-                if shift.any():
-                    obj = np.roll(obj, tuple(shift), axis=(0, 1))
-            if cfg.probe_norm_lock:
-                norm = np.linalg.norm(probe)
-                if norm == 0.0:
-                    raise ValueError("probe update collapsed to zero")
-                probe *= norm_lock_target / norm
+            probe, shift = center_probe(probe)
+            if shift.any():
+                obj = np.roll(obj, tuple(shift), axis=(0, 1))
+            norm = np.linalg.norm(probe)
+            if norm == 0.0:
+                raise ValueError("probe update collapsed to zero")
+            probe *= norm_lock_target / norm
             state.probe = probe
             state.cov = coverage_maps(probe, geom, workspace=work)
             if engaged:
@@ -848,7 +815,7 @@ def run_reconstruction(
                 # kept instead of being averaged away. The old object
                 # is dropped first, out of the re-fit's peak memory.
                 del obj
-                obj = update_object(state.frames, probe, geom, cfg, cov=state.cov, workspace=work)
+                obj = update_object(state.frames, probe, geom, cov=state.cov, workspace=work)
             # Nothing reads the old frames any more: the new ones
             # overwrite them.
             misfit_norm = _magnitude_pass(obj, probe, amplitudes, geom, edges, work, state.frames)

@@ -18,13 +18,12 @@ from ptyblind import (
     embed_add_frames,
     extract_frames,
     frame_dft,
-    frame_idft,
     illuminate,
     illuminate_adjoint,
     update_object,
 )
 from ptyblind.operators import sum_frames
-from ptyblind.solver import RANK1_DEGENERACY_RTOL
+from ptyblind.solver import EPSILON_REL, RANK1_DEGENERACY_RTOL
 
 
 def rand_complex(rng, *shape):
@@ -110,14 +109,19 @@ def dense_power_matrices(frames, geom):
     return D, A
 
 
-def frame_consistency_project(frames, probe, geom, cfg):
+def frame_consistency_project(frames, probe, geom):
     """Project a frame stack onto the set consistent with one object.
 
     Averages the frames into the object domain (coverage-weighted) and
     re-illuminates; fixed points are exactly the stacks a single object
     can produce under the probe.
     """
-    return illuminate(update_object(frames, probe, geom, cfg), probe, geom)
+    return illuminate(update_object(frames, probe, geom), probe, geom)
+
+
+def frame_idft(spectra):
+    """Inverse of ``frame_dft``: the unitary inverse 2D DFT of each frame."""
+    return np.fft.ifft2(spectra, axes=(-2, -1), norm="ortho")
 
 
 def spectrum_phase(spectra):
@@ -139,7 +143,7 @@ def magnitude_project(frames, amplitudes):
     return frame_idft(spectrum_phase(frame_dft(frames)) * amplitudes)
 
 
-def update_probe_rank1_expanded(frames, probe, geom, transparency, cfg):
+def update_probe_rank1_expanded(frames, probe, geom, transparency):
     """Cross-check of ``update_probe_rank1`` by the complementary
     arithmetic route, built from the public operators only.
 
@@ -183,7 +187,7 @@ def update_probe_rank1_expanded(frames, probe, geom, transparency, cfg):
     den = np.maximum(den, 0.0)
     if not den.max() > 0:
         raise DegenerateInputError("shifted frame stack is identically zero")
-    return num / np.maximum(den, cfg.epsilon_rel * den.max())
+    return num / np.maximum(den, EPSILON_REL * den.max())
 
 
 def grid_search_nrmse(estimate, truth, points=201):

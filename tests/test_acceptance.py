@@ -90,18 +90,18 @@ def test_criterion_1_dense_oracle_equivalence():
     # diagonal least squares in the object domain, then re-illumination
     pinv = np.where(obj_cov > 1e-12 * obj_cov.max(), 1.0 / np.where(obj_cov > 0, obj_cov, 1.0), 0.0)
     obj_lsq = pinv * (Q.conj().T @ stack_to_vec(frames))
-    errs["update_object"] = _rel(update_object(frames, probe, geom, CFG), obj_lsq.reshape(n, n))
+    errs["update_object"] = _rel(update_object(frames, probe, geom), obj_lsq.reshape(n, n))
     errs["consistency_projection"] = _rel(
-        frame_consistency_project(frames, probe, geom, CFG), vec_to_stack(Q @ obj_lsq, geom)
+        frame_consistency_project(frames, probe, geom), vec_to_stack(Q @ obj_lsq, geom)
     )
 
     views = vec_to_stack(T.astype(complex) @ obj.reshape(-1), geom)
     per_pixel = (np.conj(views) * frames).sum(axis=0) / (np.abs(views) ** 2).sum(axis=0)
-    errs["probe_standard"] = _rel(update_probe_standard(frames, obj, geom, CFG), per_pixel)
+    errs["probe_standard"] = _rel(update_probe_standard(frames, obj, geom), per_pixel)
 
     D, A = dense_power_matrices(frames, geom)
     errs["probe_power"] = _rel(
-        update_probe_power(frames, probe, geom, CFG), ((A @ probe.reshape(-1)) / D).reshape(m, m)
+        update_probe_power(frames, probe, geom), ((A @ probe.reshape(-1)) / D).reshape(m, m)
     )
 
     elapsed = time.perf_counter() - t0
@@ -167,8 +167,8 @@ def test_criterion_3_projector_properties():
         geom = ScanGeometry(n=n, m=m, positions=rng.integers(0, n, size=(K, 2)))
         probe = rand_complex(rng, m, m)
         frames = rand_complex(rng, K, m, m)
-        once = frame_consistency_project(frames, probe, geom, CFG)
-        twice = frame_consistency_project(once, probe, geom, CFG)
+        once = frame_consistency_project(frames, probe, geom)
+        twice = frame_consistency_project(once, probe, geom)
         worst_idem = max(worst_idem, _rel(twice, once))
         before = pairwise_discrepancy(frames, probe, geom)
         after = pairwise_discrepancy(once, probe, geom)
@@ -216,8 +216,8 @@ def test_criterion_5_rank1_algebra():
             transparency = complex(rand_complex(rng, 1)[0])
         else:
             transparency = rand_complex(rng, K)
-        fast = update_probe_rank1(frames, probe, geom, transparency, CFG)
-        slow = update_probe_rank1_expanded(frames, probe, geom, transparency, CFG)
+        fast = update_probe_rank1(frames, probe, geom, transparency)
+        slow = update_probe_rank1_expanded(frames, probe, geom, transparency)
         worst_paths = max(worst_paths, _rel(slow, fast))
 
     worst_nu = 0.0
@@ -231,7 +231,7 @@ def test_criterion_5_rank1_algebra():
     probe = rand_complex(rng, 3, 3)
     constant_frames = (0.8 + 0.3j) * replicate_probe(probe, geom)
     with pytest.raises(DegenerateInputError):
-        update_probe_rank1(constant_frames, probe, geom, 0.8 + 0.3j, CFG)
+        update_probe_rank1(constant_frames, probe, geom, 0.8 + 0.3j)
 
     ok = worst_paths <= 1e-11 and worst_nu <= 1e-14
     _report(5, ok, f"two evaluation paths agree to {worst_paths:.2e} (30 instances), "
@@ -267,6 +267,34 @@ def test_criterion_6_transparency_speedup():
                    f"rank1_framewise={iters['rank1_framewise']} (recorded), "
                    f"{elapsed:.1f} s total")
     assert ok, (iters, reached, elapsed)
+
+
+def test_criterion_6_holds_on_piecewise_specimens():
+    # The abstract's second specimen class ("piecewise smooth"), on
+    # criterion 6's scan, probe and start. The counts are pinned: the
+    # shifted step's lead is large at dc 0.99 and small at dc 0.9.
+    geom = make_raster_geometry(n=64, m=16, step=4, grid=(13, 13))
+    probe = make_probe(ProbeSpec(m=16, aperture_radius_px=7.5, defocus_phase_strength=0.5))
+    init = perturb_probe(probe, blur_sigma_px=2.0, noise_level=0.05, seed=1)
+    pinned = {
+        (0.99, "standard"): 47,
+        (0.99, "rank1_global"): 18,
+        (0.9, "standard"): 14,
+        (0.9, "rank1_global"): 12,
+    }
+    iters = {}
+    for dc in (0.99, 0.9):
+        spec = PhantomSpec(n=64, dc_fraction=dc, texture_seed=0, texture_kind="piecewise")
+        amps = simulate_data(make_test_object(spec), probe, geom)
+        for mode in ("standard", "rank1_global"):
+            cfg = SolverConfig(probe_mode=mode, max_iters=500, stop_nrmse=0.1)
+            final = run_reconstruction(amps, geom, init, cfg, probe_true=probe).rows[-1]
+            iters[dc, mode] = final.iter if final.nrmse_probe <= 0.1 else None
+    ok = iters == pinned
+    _report(6, ok, "piecewise texture 0, iterations to NRMSE 0.1: " + ", ".join(
+        f"dc {dc} {mode}={count}" for (dc, mode), count in iters.items()
+    ))
+    assert ok, iters
 
 
 def test_criterion_7_large_instance_smoke_run():

@@ -3,12 +3,16 @@ strict config parsing, and the simulate/reconstruct/compare pipeline."""
 
 import json
 import os
+import subprocess
+import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import rand_complex
 
+import ptyblind
 from ptyblind import synth
 from ptyblind.cli import PerturbationSpec, main, parse_run_config
 from ptyblind.metrics import MetricsRow
@@ -143,9 +147,7 @@ BASE_CONFIG = {
 class TestConfigParsing:
     def test_reads_all_sections(self):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc["solver"].update(
-            {"rank1_gate": 0.9, "rank1_cadence": 2, "frame_init": "random_phase"}
-        )
+        doc["solver"].update({"rank1_gate": 0.9, "rank1_cadence": 2})
         doc["record_every"] = 3
         cfg = parse_run_config(doc)
         assert (cfg.n, cfg.m, cfg.step, cfg.grid) == (16, 8, 4, (3, 3))
@@ -155,7 +157,6 @@ class TestConfigParsing:
         assert cfg.solver.probe_mode == "power"
         assert cfg.solver.rank1_gate == 0.9
         assert cfg.solver.rank1_cadence == 2
-        assert cfg.solver.frame_init == "random_phase"
         assert cfg.record_every == 3
         geom = cfg.build_geometry()
         assert geom.K == 9
@@ -228,6 +229,24 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=rf"config probe: unknown key\(s\) \['{key}'\]"):
             parse_run_config(doc)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("epsilon_rel", 1e-8),
+            ("center_probe_each_iter", True),
+            ("probe_norm_lock", True),
+            ("init_seed", 0),
+            ("frame_init", "transparent"),
+        ],
+    )
+    def test_solver_rejects_removed_keys(self, key, value):
+        # Every run starts from the transparent object, centers the probe
+        # and locks its norm; the denominator floor is a constant.
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["solver"][key] = value
+        with pytest.raises(ValueError, match=rf"config solver: unknown key\(s\) \['{key}'\]"):
+            parse_run_config(doc)
+
 
 SECTION_CLASSES = {
     "phantom": synth.PhantomSpec,
@@ -254,14 +273,9 @@ FIELD_VALUES = {
         "seed": (4, "4"),
     },
     "solver": {
-        "epsilon_rel": (1e-6, "small"),
         "max_iters": (7, 7.5),
         "probe_mode": ("rank1_framewise", 1),
-        "center_probe_each_iter": (False, 0),
         "stop_nrmse": (0.2, "0.2"),
-        "probe_norm_lock": (False, "no"),
-        "init_seed": (5, True),
-        "frame_init": ("random_phase", None),
         "rank1_gate": (0.5, True),
         "rank1_cadence": (2, 2.0),
     },
@@ -360,6 +374,25 @@ class TestCommandLine:
         assert main(["compare", never, reaches_20] + threshold) == 1
         assert main(["compare", reaches_10, never] + threshold) == 0
         assert main(["compare", never, never] + threshold) == 2
+
+    def test_module_entry_point_runs_compare(self, tmp_path, capsys):
+        reaches_10 = str(tmp_path / "a.csv")
+        reaches_20 = str(tmp_path / "b.csv")
+        write_metrics_csv(reaches_10, make_rows([0.5] * 10 + [0.09]))
+        write_metrics_csv(reaches_20, make_rows([0.5] * 20 + [0.09]))
+        src = str(Path(ptyblind.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        for pair, status in (([reaches_10, reaches_20], 0), ([reaches_20, reaches_10], 1)):
+            args = ["compare", *pair, "--threshold", "0.1"]
+            assert main(args) == status
+            printed = capsys.readouterr().out
+            run = subprocess.run(
+                [sys.executable, "-m", "ptyblind.cli", *args],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (run.returncode, run.stdout) == (status, printed)
+            assert len(printed.splitlines()) == 3
 
     def test_dataset_geometry_mismatch_fails(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)

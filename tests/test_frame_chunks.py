@@ -112,7 +112,7 @@ def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
     geom, probe, init, amps = wrapping_instance()
     for mode in MODES:
         solver.run_reconstruction(amps, geom, init, SolverConfig(probe_mode=mode, max_iters=6))
-    fourier.frame_idft(fourier.frame_dft(amps))
+    fourier.frame_dft(amps)
     assert chunks and not any(on_main for _, _, on_main in chunks)
     names = {name for name, _ in threads}
     assert {"run_reconstruction", "update_object", "embed_add_frames", "frame_dft"} <= names

@@ -65,16 +65,16 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
         rows.append((iteration, err, resid, pairwise_discrepancy(frames, probe, geom)))
         return cfg.stop_nrmse is not None and err <= cfg.stop_nrmse
 
-    obj = update_object(frames, probe, geom, cfg)
+    obj = update_object(frames, probe, geom)
     stop = record(0, illuminate(obj, probe, geom))
     since_shift, shifts = cfg.rank1_cadence, 0
     for iteration in range(1, cfg.max_iters + 1):
         if stop:
             break
-        obj = update_object(frames, probe, geom, cfg)
+        obj = update_object(frames, probe, geom)
         new, engaged = None, False
         if cfg.probe_mode == "standard":
-            new = update_probe_standard(frames, obj, geom, cfg)
+            new = update_probe_standard(frames, obj, geom)
         elif cfg.probe_mode != "power" and since_shift >= cfg.rank1_cadence:
             if cfg.probe_mode == "rank1_framewise":
                 transparency = transparency_framewise(frames, probe, overlap)
@@ -83,7 +83,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
             score = shift_consistency(frames, probe, geom, transparency)
             if score >= cfg.rank1_gate:
                 try:
-                    new = update_probe_rank1(frames, probe, geom, transparency, cfg)
+                    new = update_probe_rank1(frames, probe, geom, transparency)
                 except DegenerateInputError:
                     events.append(
                         f"iteration {iteration}: degenerate transparency shift, "
@@ -97,16 +97,13 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
                         )
                     engaged, shifts, since_shift = True, shifts + 1, 0
         if new is None:
-            new = update_probe_power(frames, probe, geom, cfg)
+            new = update_probe_power(frames, probe, geom)
             since_shift += 1
-        probe = new
-        if cfg.center_probe_each_iter:
-            probe, shift = center_probe(probe)
-            obj = np.roll(obj, tuple(shift), axis=(0, 1))
-        if cfg.probe_norm_lock:
-            probe *= norm_lock_target / np.linalg.norm(probe)
+        probe, shift = center_probe(new)
+        obj = np.roll(obj, tuple(shift), axis=(0, 1))
+        probe *= norm_lock_target / np.linalg.norm(probe)
         if engaged:
-            obj = update_object(frames, probe, geom, cfg)
+            obj = update_object(frames, probe, geom)
         model = illuminate(obj, probe, geom)
         frames = magnitude_project(model, amplitudes)
         stop = record(iteration, model)

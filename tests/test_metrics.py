@@ -3,9 +3,9 @@ data-feasibility residual's exact cases."""
 
 import numpy as np
 import pytest
-from conftest import grid_search_nrmse, rand_complex
+from conftest import frame_idft, grid_search_nrmse, rand_complex
 
-from ptyblind.fourier import frame_dft, frame_idft
+from ptyblind.fourier import frame_dft
 from ptyblind.metrics import data_residual, nrmse_probe
 
 

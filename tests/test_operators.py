@@ -174,6 +174,37 @@ def test_geometry_validation():
         ScanGeometry(n=0, m=0, positions=[(0, 0)])
 
 
+@pytest.mark.parametrize("bad", [(2.7, 1.0), (2.0, 1.5), (-0.5, 3.0)])
+def test_fractional_positions_are_rejected(bad):
+    with pytest.raises(ValueError, match=r"^positions\[1\] = .* is not a pair of finite integer"):
+        ScanGeometry(n=8, m=4, positions=[(0.0, 4.0), bad])
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 0.0), (0.0, np.inf), (-np.inf, 1.0), (1e300, 0.0)])
+def test_non_finite_positions_are_rejected(bad):
+    with pytest.raises(ValueError, match=r"^positions\[2\] = .* is not a pair of finite integer"):
+        ScanGeometry(n=8, m=4, positions=[(0, 0), (4, 4), bad])
+
+
+@pytest.mark.parametrize("positions", [[(1 + 0j, 2)], [("1", "2")], [(1, None)]])
+def test_non_numeric_positions_are_rejected(positions):
+    with pytest.raises(ValueError, match="^positions must be integers, got dtype"):
+        ScanGeometry(n=8, m=4, positions=positions)
+
+
+def test_integral_positions_give_the_int64_offsets():
+    offsets = [(-9, 3), (7, 21), (0, 8)]
+    want = np.mod(np.array(offsets, dtype=np.int64), 8).tobytes()
+    for positions in (
+        offsets,
+        np.array(offsets, dtype=np.int64),
+        np.array(offsets, dtype=np.int32),
+        np.array(offsets, dtype=np.float64),
+    ):
+        got = ScanGeometry(n=8, m=4, positions=positions).positions
+        assert got.dtype == np.int64 and got.tobytes() == want
+
+
 def test_shape_mismatches_raise(rng):
     geom = ScanGeometry(n=4, m=2, positions=[(0, 0)])
     with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from conftest import (
 from ptyblind import (
     DegenerateInputError,
     ScanGeometry,
-    SolverConfig,
     embed_add_frames,
     extract_frames,
     illuminate,
@@ -35,9 +34,6 @@ from ptyblind import (
 from ptyblind.metrics import nrmse_probe
 from ptyblind.operators import replicate_probe, sum_frames
 from ptyblind.solver import build_overlap_matrix
-
-CFG = SolverConfig()
-
 
 def consistent_instance(rng, n, m, K):
     geom = random_geometry(rng, n, m, K)
@@ -96,7 +92,7 @@ class TestPowerStep:
             probe = rand_complex(rng, 4, 4)
             D, A = dense_power_matrices(frames, geom)
             expected = ((A @ probe.reshape(-1)) / D).reshape(4, 4)
-            got = update_probe_power(frames, probe, geom, CFG)
+            got = update_probe_power(frames, probe, geom)
             assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
 
     def test_pencil_difference_is_positive_semidefinite(self, rng):
@@ -110,7 +106,7 @@ class TestPowerStep:
     def test_fixed_point_on_consistent_frames(self, rng):
         for _ in range(5):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-            stepped = update_probe_power(frames, probe, geom, CFG)
+            stepped = update_probe_power(frames, probe, geom)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_scale_equivariance(self, rng):
@@ -118,8 +114,8 @@ class TestPowerStep:
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
         c = complex(rand_complex(rng, 1)[0])
-        direct = update_probe_power(frames, c * probe, geom, CFG)
-        scaled = c * update_probe_power(frames, probe, geom, CFG)
+        direct = update_probe_power(frames, c * probe, geom)
+        scaled = c * update_probe_power(frames, probe, geom)
         assert np.linalg.norm(direct - scaled) <= 1e-12 * np.linalg.norm(scaled)
 
     def test_iteration_recovers_probe_from_consistent_frames(self, rng):
@@ -136,15 +132,15 @@ class TestPowerStep:
         probe = rand_complex(rng, 4, 4)
         lock = np.linalg.norm(probe_true)
         for _ in range(100):
-            probe = update_probe_power(frames, probe, geom, CFG)
+            probe = update_probe_power(frames, probe, geom)
             probe *= lock / np.linalg.norm(probe)
         assert nrmse_probe(probe, probe_true) <= 1e-6
 
     def test_zero_stack_raises(self, rng):
         geom = random_geometry(rng, 8, 4, 6)
         probe = rand_complex(rng, 4, 4)
-        with pytest.raises(DegenerateInputError):
-            update_probe_power(np.zeros((geom.K, 4, 4), dtype=complex), probe, geom, CFG)
+        with pytest.raises(DegenerateInputError, match="^frame stack is identically zero: power"):
+            update_probe_power(np.zeros((geom.K, 4, 4), dtype=complex), probe, geom)
 
 
 class TestTransparencyGlobal:
@@ -237,15 +233,15 @@ class TestRank1Update:
         geom = random_geometry(rng, 8, 4, 6)
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
-        got = update_probe_rank1(frames, probe, geom, 0.0, CFG)
-        assert np.array_equal(got, update_probe_power(frames, probe, geom, CFG))
+        got = update_probe_rank1(frames, probe, geom, 0.0)
+        assert np.array_equal(got, update_probe_power(frames, probe, geom))
 
     def test_zero_factor_reduces_to_power_framewise(self, rng):
         geom = random_geometry(rng, 8, 4, 6)
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
-        got = update_probe_rank1(frames, probe, geom, np.zeros(geom.K, dtype=complex), CFG)
-        want = update_probe_power(frames, probe, geom, CFG)
+        got = update_probe_rank1(frames, probe, geom, np.zeros(geom.K, dtype=complex))
+        want = update_probe_power(frames, probe, geom)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_production_and_expanded_paths_agree(self, rng):
@@ -257,15 +253,15 @@ class TestRank1Update:
                 transparency = complex(rand_complex(rng, 1)[0])
             else:
                 transparency = rand_complex(rng, geom.K)
-            fast = update_probe_rank1(frames, probe, geom, transparency, CFG)
-            slow = update_probe_rank1_expanded(frames, probe, geom, transparency, CFG)
+            fast = update_probe_rank1(frames, probe, geom, transparency)
+            slow = update_probe_rank1_expanded(frames, probe, geom, transparency)
             assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(fast)
 
     def test_fixed_point_at_true_pair_global(self, rng):
         for _ in range(3):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             transparency = transparency_global(frames, probe)
-            stepped = update_probe_rank1(frames, probe, geom, transparency, CFG)
+            stepped = update_probe_rank1(frames, probe, geom, transparency)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_fixed_point_at_true_pair_framewise(self, rng):
@@ -274,9 +270,9 @@ class TestRank1Update:
         for _ in range(3):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
-            stepped = update_probe_rank1(frames, probe, geom, factors, CFG)
+            stepped = update_probe_rank1(frames, probe, geom, factors)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
-            expanded = update_probe_rank1_expanded(frames, probe, geom, factors, CFG)
+            expanded = update_probe_rank1_expanded(frames, probe, geom, factors)
             assert np.linalg.norm(expanded - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_constant_object_raises_documented_error(self, rng):
@@ -285,10 +281,10 @@ class TestRank1Update:
         c = complex(rand_complex(rng, 1)[0])
         frames = c * replicate_probe(probe, geom)
         with pytest.raises(DegenerateInputError):
-            update_probe_rank1(frames, probe, geom, c, CFG)
+            update_probe_rank1(frames, probe, geom, c)
         factors = np.full(geom.K, c)
         with pytest.raises(DegenerateInputError):
-            update_probe_rank1(frames, probe, geom, factors, CFG)
+            update_probe_rank1(frames, probe, geom, factors)
 
 
 class TestTransparencyForms:
@@ -304,7 +300,7 @@ class TestTransparencyForms:
         monkeypatch.setattr(solver, "_rank1_terms", framewise_route)
         steps, scores = set(), set()
         for transparency in (c, np.complex128(c), np.array(c)):
-            steps.add(update_probe_rank1(frames, probe, geom, transparency, CFG).tobytes())
+            steps.add(update_probe_rank1(frames, probe, geom, transparency).tobytes())
             scores.add(shift_consistency(frames, probe, geom, transparency))
         assert len(steps) == 1 and len(scores) == 1
 
@@ -316,7 +312,7 @@ class TestTransparencyForms:
         factors = np.ones(shape, dtype=complex)
         message = r"framewise transparency must have length K=6, got shape"
         with pytest.raises(ValueError, match=message):
-            update_probe_rank1(frames, probe, geom, factors, CFG)
+            update_probe_rank1(frames, probe, geom, factors)
         with pytest.raises(ValueError, match=message):
             shift_consistency(frames, probe, geom, factors)
 

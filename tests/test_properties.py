@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from ptyblind import (
     ScanGeometry,
-    SolverConfig,
     embed_add_frames,
     extract_frames,
     frame_dft,
@@ -29,7 +28,6 @@ from ptyblind import (
 )
 from ptyblind.solver import build_overlap_matrix
 
-CFG = SolverConfig()
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -126,7 +124,7 @@ def assert_fixed(stepped, probe):
 @with_edge_cases()
 def test_true_probe_is_a_fixed_point_of_the_power_step(geom, seed):
     probe, frames, _ = consistent_pair(geom, seed)
-    assert_fixed(update_probe_power(frames, probe, geom, CFG), probe)
+    assert_fixed(update_probe_power(frames, probe, geom), probe)
 
 
 @PROPERTY
@@ -147,4 +145,4 @@ def test_true_probe_is_a_fixed_point_of_the_shifted_step(geom, seed, per_frame, 
         transparency = rand_complex(rng, geom.K)
     else:
         transparency = complex(rand_complex(rng, 1)[0])
-    assert_fixed(update_probe_rank1(frames, probe, geom, transparency, CFG), probe)
+    assert_fixed(update_probe_rank1(frames, probe, geom, transparency), probe)

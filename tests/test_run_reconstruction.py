@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import rand_complex
 
-from ptyblind import SolverConfig, illuminate, run_reconstruction, solver
+from ptyblind import SolverConfig, center_probe, illuminate, run_reconstruction, solver
 from ptyblind.metrics import nrmse_probe
 from ptyblind.synth import (
     PhantomSpec,
@@ -63,16 +63,13 @@ class TestFeasibilityAndHistory:
         hist = run_reconstruction(amps, geom, init, cfg)
         assert np.linalg.norm(hist.probe) == pytest.approx(np.linalg.norm(init), rel=1e-12)
 
-    def test_runs_without_centering_or_norm_lock(self):
+    def test_every_iteration_recenters_the_probe(self):
         geom, probe, init, amps = overlapping_instance()
-        cfg = SolverConfig(
-            probe_mode="power",
-            max_iters=3,
-            center_probe_each_iter=False,
-            probe_norm_lock=False,
-        )
-        hist = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
-        assert len(hist.rows) == 4
+        off_center = np.roll(init, (3, -2), axis=(0, 1))
+        assert center_probe(off_center)[1].tolist() == [-3, 2]
+        cfg = SolverConfig(probe_mode="power", max_iters=1)
+        hist = run_reconstruction(amps, geom, off_center, cfg)
+        assert not center_probe(hist.probe)[1].any()
 
     def test_max_iters_zero_records_initial_state_only(self):
         geom, obj, probe, amps = disjoint_instance()
@@ -161,13 +158,12 @@ def acceptance_instance():
 
 
 class TestNonFiniteIterate:
-    @pytest.mark.parametrize("centre", [True, False])
     @pytest.mark.parametrize("mode", ["standard", "power"])
-    def test_overflowing_data_fails_before_a_row_is_recorded(self, mode, centre):
+    def test_overflowing_data_fails_before_a_row_is_recorded(self, mode):
         # The squared amplitudes overflow float64, so the norms of row 0
         # are infinite and its data residual would be NaN.
         geom, init, amps = acceptance_instance()
-        cfg = SolverConfig(probe_mode=mode, max_iters=3, center_probe_each_iter=centre)
+        cfg = SolverConfig(probe_mode=mode, max_iters=3)
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match="^iteration 0: data misfit norm is not finite$"):
                 run_reconstruction(amps * 1e160, geom, init, cfg)
@@ -181,13 +177,12 @@ class TestNonFiniteIterate:
         hist = run_reconstruction(np.zeros_like(amps), geom, init, cfg, frames_init=frames)
         assert hist.rows[0].data_residual == float("inf")
 
-    @pytest.mark.parametrize("centre", [True, False])
-    def test_non_finite_probe_update_is_named(self, monkeypatch, centre):
+    def test_non_finite_probe_update_is_named(self, monkeypatch):
         geom, probe, init, amps = overlapping_instance()
         monkeypatch.setattr(
             solver, "update_probe_power", lambda *args, **kwargs: np.full((8, 8), np.nan + 0j)
         )
-        cfg = SolverConfig(probe_mode="power", max_iters=3, center_probe_each_iter=centre)
+        cfg = SolverConfig(probe_mode="power", max_iters=3)
         with pytest.raises(ValueError, match="^iteration 1: power probe update is not finite$"):
             run_reconstruction(amps, geom, init, cfg)
 
@@ -219,16 +214,6 @@ class TestDeterminism:
         b = run_reconstruction(amps, geom, init, cfg)
         assert np.array_equal(a.probe, b.probe)
         assert [r.data_residual for r in a.rows] == [r.data_residual for r in b.rows]
-
-    def test_random_phase_seed_changes_run(self):
-        geom, probe, init, amps = overlapping_instance()
-        base = SolverConfig(probe_mode="power", max_iters=2, frame_init="random_phase")
-        other = SolverConfig(
-            probe_mode="power", max_iters=2, frame_init="random_phase", init_seed=1
-        )
-        a = run_reconstruction(amps, geom, init, base)
-        b = run_reconstruction(amps, geom, init, other)
-        assert not np.array_equal(a.probe, b.probe)
 
 
 class TestValidation:
@@ -265,10 +250,6 @@ class TestValidation:
             SolverConfig(probe_mode="momentum")
         with pytest.raises(ValueError):
             SolverConfig(max_iters=-1)
-        with pytest.raises(ValueError):
-            SolverConfig(epsilon_rel=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(frame_init="zeros")
         with pytest.raises(ValueError):
             SolverConfig(rank1_gate=1.5)
         with pytest.raises(ValueError):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ptyblind import (
+    DegenerateInputError,
     ScanGeometry,
-    SolverConfig,
     center_probe,
     extract_frames,
     illuminate,
@@ -23,8 +23,6 @@ from conftest import (
     vec_to_stack,
 )
 
-CFG = SolverConfig()
-
 
 def full_coverage_geometry(rng, n, m, K):
     """Random geometry guaranteed to cover every object pixel, so dense
@@ -40,14 +38,14 @@ def test_update_object_recovers_exact_object(rng):
     w = rand_complex(rng, 3, 3) + 2.0
     psi = rand_complex(rng, 6, 6)
     frames = illuminate(psi, w, geom)
-    got = update_object(frames, w, geom, CFG)
+    got = update_object(frames, w, geom)
     np.testing.assert_allclose(got, psi, rtol=1e-10)
 
 
 def test_update_object_single_full_frame_unit_probe(rng):
     geom = ScanGeometry(n=4, m=4, positions=[(0, 0)])
     frames = rand_complex(rng, 1, 4, 4)
-    got = update_object(frames, np.ones((4, 4), dtype=complex), geom, CFG)
+    got = update_object(frames, np.ones((4, 4), dtype=complex), geom)
     np.testing.assert_allclose(got, frames[0], atol=1e-13)
 
 
@@ -58,27 +56,27 @@ def test_update_object_matches_dense_normal_equations(rng):
     Q = dense_illuminate_matrix(w, geom)
     gram = Q.conj().T @ Q
     want = np.linalg.solve(gram, Q.conj().T @ stack_to_vec(frames)).reshape(5, 5)
-    got = update_object(frames, w, geom, CFG)
+    got = update_object(frames, w, geom)
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 def test_update_object_zero_probe_raises(rng):
     geom = random_geometry(rng, n=4, m=2, K=2)
-    with pytest.raises(ValueError, match="zero"):
-        update_object(np.ones((2, 2, 2), dtype=complex), np.zeros((2, 2)), geom, CFG)
+    with pytest.raises(DegenerateInputError, match="^probe is identically zero: object coverage"):
+        update_object(np.ones((2, 2, 2), dtype=complex), np.zeros((2, 2)), geom)
 
 
 def test_update_object_uncovered_pixels_are_zero(rng):
     geom = ScanGeometry(n=4, m=2, positions=[(0, 0)])
     frames = rand_complex(rng, 1, 2, 2)
-    got = update_object(frames, np.ones((2, 2), dtype=complex), geom, CFG)
+    got = update_object(frames, np.ones((2, 2), dtype=complex), geom)
     assert np.all(got[2:, :] == 0) and np.all(got[:, 2:] == 0)
 
 
 def test_update_probe_standard_pure_average(rng):
     geom = random_geometry(rng, n=6, m=3, K=4)
     frames = rand_complex(rng, 4, 3, 3)
-    got = update_probe_standard(frames, np.ones((6, 6), dtype=complex), geom, CFG)
+    got = update_probe_standard(frames, np.ones((6, 6), dtype=complex), geom)
     np.testing.assert_allclose(got, frames.sum(axis=0) / 4.0, rtol=1e-12)
 
 
@@ -86,7 +84,7 @@ def test_update_probe_standard_fixed_point(rng):
     geom = random_geometry(rng, n=6, m=3, K=5)
     w = rand_complex(rng, 3, 3)
     psi = rand_complex(rng, 6, 6) + 2.0
-    got = update_probe_standard(illuminate(psi, w, geom), psi, geom, CFG)
+    got = update_probe_standard(illuminate(psi, w, geom), psi, geom)
     np.testing.assert_allclose(got, w, rtol=1e-12)
 
 
@@ -100,14 +98,14 @@ def test_update_probe_standard_matches_dense_per_pixel_lsq(rng):
         for c in range(3):
             column = views[:, r, c]
             want[r, c] = np.vdot(column, frames[:, r, c]) / np.vdot(column, column)
-    got = update_probe_standard(frames, psi, geom, CFG)
+    got = update_probe_standard(frames, psi, geom)
     np.testing.assert_allclose(got, want, rtol=1e-11)
 
 
 def test_update_probe_standard_zero_object_raises(rng):
     geom = random_geometry(rng, n=4, m=2, K=2)
-    with pytest.raises(ValueError, match="zero"):
-        update_probe_standard(np.ones((2, 2, 2), dtype=complex), np.zeros((4, 4)), geom, CFG)
+    with pytest.raises(DegenerateInputError, match="^object is identically zero: probe update"):
+        update_probe_standard(np.ones((2, 2, 2), dtype=complex), np.zeros((4, 4)), geom)
 
 
 def test_projector_leaves_consistent_stacks(rng):
@@ -115,7 +113,7 @@ def test_projector_leaves_consistent_stacks(rng):
     w = rand_complex(rng, 3, 3)
     frames = illuminate(rand_complex(rng, 6, 6), w, geom)
     np.testing.assert_allclose(
-        frame_consistency_project(frames, w, geom, CFG), frames, rtol=1e-11
+        frame_consistency_project(frames, w, geom), frames, rtol=1e-11
     )
 
 
@@ -123,8 +121,8 @@ def test_projector_idempotent(rng):
     geom = random_geometry(rng, n=6, m=3, K=4)
     w = rand_complex(rng, 3, 3)
     frames = rand_complex(rng, 4, 3, 3)
-    once = frame_consistency_project(frames, w, geom, CFG)
-    twice = frame_consistency_project(once, w, geom, CFG)
+    once = frame_consistency_project(frames, w, geom)
+    twice = frame_consistency_project(once, w, geom)
     assert np.linalg.norm(twice - once) <= 1e-10 * np.linalg.norm(once)
 
 
@@ -135,7 +133,7 @@ def test_projector_matches_dense_projection(rng):
     Q = dense_illuminate_matrix(w, geom)
     gram_inv = np.linalg.inv(Q.conj().T @ Q)
     want = vec_to_stack(Q @ (gram_inv @ (Q.conj().T @ stack_to_vec(frames))), geom)
-    got = frame_consistency_project(frames, w, geom, CFG)
+    got = frame_consistency_project(frames, w, geom)
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -146,7 +144,7 @@ def test_projector_never_increases_discrepancy(rng):
         frames = rand_complex(rng, 4, 3, 3)
         before = pairwise_discrepancy(frames, w, geom)
         after = pairwise_discrepancy(
-            frame_consistency_project(frames, w, geom, CFG), w, geom
+            frame_consistency_project(frames, w, geom), w, geom
         )
         assert after <= before * (1 + 1e-12) + 1e-12
 
