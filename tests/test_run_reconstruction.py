@@ -177,14 +177,18 @@ class TestNonFiniteIterate:
         hist = run_reconstruction(np.zeros_like(amps), geom, init, cfg, frames_init=frames)
         assert hist.rows[0].data_residual == float("inf")
 
-    def test_non_finite_probe_update_is_named(self, monkeypatch):
+    @pytest.mark.parametrize("frames_given", [True, False])
+    def test_non_finite_probe_update_is_named(self, monkeypatch, frames_given):
+        # The check guards the update itself, on both start paths: given
+        # frames, or the frames of a unit object under the initial probe.
         geom, probe, init, amps = overlapping_instance()
+        frames = illuminate(np.ones((geom.n, geom.n), dtype=complex), probe, geom)
         monkeypatch.setattr(
             solver, "update_probe_power", lambda *args, **kwargs: np.full((8, 8), np.nan + 0j)
         )
         cfg = SolverConfig(probe_mode="power", max_iters=3)
         with pytest.raises(ValueError, match="^iteration 1: power probe update is not finite$"):
-            run_reconstruction(amps, geom, init, cfg)
+            run_reconstruction(amps, geom, init, cfg, frames_init=frames if frames_given else None)
 
 
 class TestDeterminism:
