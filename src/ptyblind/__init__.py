@@ -3,13 +3,13 @@ probe retrieval.
 
 Submodules: ``operators`` (matrix-free structured operators),
 ``fourier`` (batched unitary frame DFT), ``solver`` (reconstruction
-updates and the outer loop), ``metrics`` (probe NRMSE, data residual),
+updates and the outer loop), ``metrics`` (probe NRMSE, metrics rows),
 ``synth`` (phantoms, probes, scan geometries, forward simulation),
 ``npyio`` (bit-exact file IO), and ``cli`` (the ``ptyblind`` command).
 """
 
 from .fourier import frame_dft
-from .metrics import MetricsRow, data_residual, nrmse_probe
+from .metrics import MetricsRow, nrmse_probe
 from .operators import (
     ScanGeometry,
     coverage_maps,
@@ -23,15 +23,7 @@ from .solver import (
     History,
     SolverConfig,
     center_probe,
-    pairwise_discrepancy,
     run_reconstruction,
-    shift_consistency,
-    transparency_framewise,
-    transparency_global,
-    update_object,
-    update_probe_power,
-    update_probe_rank1,
-    update_probe_standard,
 )
 from .synth import (
     PhantomSpec,
@@ -55,7 +47,6 @@ __all__ = [
     "SolverConfig",
     "center_probe",
     "coverage_maps",
-    "data_residual",
     "embed_add_frames",
     "extract_frames",
     "frame_dft",
@@ -65,16 +56,8 @@ __all__ = [
     "make_raster_geometry",
     "make_test_object",
     "nrmse_probe",
-    "pairwise_discrepancy",
     "perturb_probe",
     "run_reconstruction",
-    "shift_consistency",
     "simulate_data",
-    "transparency_framewise",
-    "transparency_global",
-    "update_object",
-    "update_probe_power",
-    "update_probe_rank1",
-    "update_probe_standard",
     "__version__",
 ]

@@ -7,8 +7,6 @@ from typing import Optional
 
 import numpy as np
 
-from .fourier import frame_dft
-
 
 @dataclass
 class MetricsRow:
@@ -47,9 +45,3 @@ def _relative_gap(misfit_norm, amplitude_norm) -> float:
         return 0.0 if misfit_norm == 0.0 else float("inf")
     return float(misfit_norm / amplitude_norm)
 
-
-def data_residual(frames: np.ndarray, amplitudes: np.ndarray) -> float:
-    """Relative gap between frame spectra magnitudes and measured data."""
-    amplitudes = np.asarray(amplitudes)
-    gap = np.linalg.norm(np.abs(frame_dft(frames)) - amplitudes)
-    return _relative_gap(gap, np.linalg.norm(amplitudes))

@@ -18,8 +18,8 @@ Conventions
   bit-reproducible.
 
 All functions are pure and safe to call concurrently, except that a
-call given a ``workspace`` writes that workspace's stacks (see
-:class:`_Workspace`); calls sharing one must not overlap.
+call given a buffer (``out`` or ``scratch``) writes it; calls sharing
+one must not overlap.
 """
 
 from __future__ import annotations
@@ -91,69 +91,6 @@ class ScanGeometry:
         in the order of the float64 view of a complex stack."""
         slots = 2 * self.frame_indices.reshape(-1, 1)
         return (slots + np.arange(2)).reshape(-1)
-
-
-class _Workspace:
-    """Frame-sized scratch stacks of one geometry, reused by every call
-    that is given the workspace.
-
-    A reconstruction run keeps one, so that after its first iteration
-    no step allocates a frame-sized array. ``stack``, ``spare`` and
-    ``pair`` are complex (K, m, m) stacks; the float64 memory of
-    ``pair`` also serves as the two real stacks ``real`` and ``real2``,
-    and no step uses it both ways at once. ``frame_coverage`` holds the
-    frame coverage of the last :func:`coverage_maps` call given the
-    workspace. A call reads nothing a previous call left in the scratch
-    stacks, and a stack passed into a call must not be one the call
-    writes.
-
-    Each stack is allocated on its first use, or by :meth:`allocate`,
-    on its own: glibc serves blocks of one stack's size from its heap
-    once one has been freed, where a larger block would raise its
-    thresholds for the whole process.
-    """
-
-    def __init__(self, geom: ScanGeometry) -> None:
-        self.shape = (geom.K, geom.m, geom.m)
-
-    def allocate(self) -> _Workspace:
-        """Allocate every stack now. A run does so before it allocates
-        its frames, which outlive it in its ``History``: its stacks then
-        lie below memory still in use when they are freed, and glibc
-        keeps them for the next run instead of returning them to the
-        system, to fault them in again page by page."""
-        for name in ("stack", "spare", "pair", "frame_coverage"):
-            getattr(self, name)
-        return self
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        return np.empty(self.shape, dtype=np.complex128)
-
-    @cached_property
-    def spare(self) -> np.ndarray:
-        return np.empty(self.shape, dtype=np.complex128)
-
-    @cached_property
-    def pair(self) -> np.ndarray:
-        return np.empty(self.shape, dtype=np.complex128)
-
-    @cached_property
-    def real(self) -> np.ndarray:
-        return self.pair.reshape(-1).view(np.float64).reshape(2, *self.shape)[0]
-
-    @cached_property
-    def real2(self) -> np.ndarray:
-        return self.pair.reshape(-1).view(np.float64).reshape(2, *self.shape)[1]
-
-    @cached_property
-    def frame_coverage(self) -> np.ndarray:
-        return np.empty(self.shape, dtype=np.float64)
-
-
-def _work(workspace: Optional[_Workspace], geom: ScanGeometry) -> _Workspace:
-    """The given workspace, or a new one for a call made without."""
-    return workspace if workspace is not None else _Workspace(geom)
 
 
 def _fill(out: np.ndarray, value) -> np.ndarray:
@@ -261,40 +198,36 @@ def illuminate_adjoint(
     probe: np.ndarray,
     geom: ScanGeometry,
     *,
-    workspace: Optional[_Workspace] = None,
+    scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Adjoint illumination: conjugate-probe weighting then scatter-add.
 
-    The weighted stack is formed in ``workspace.stack`` when a
-    workspace is given.
+    The weighted stack is formed in ``scratch``, a complex128 (K, m, m)
+    stack, when given.
     """
     frames = _check_stack(frames, geom)
     probe = _check_probe(probe, geom)
-    work = _work(workspace, geom)
-    weighted = np.multiply(_fill(work.stack, np.conj(probe)), frames, out=work.stack)
+    if scratch is None:
+        scratch = np.empty(frames.shape, dtype=np.complex128)
+    weighted = np.multiply(_fill(scratch, np.conj(probe)), frames, out=scratch)
     return embed_add_frames(weighted, geom)
 
 
 def coverage_maps(
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    *,
-    workspace: Optional[_Workspace] = None,
+    probe: np.ndarray, geom: ScanGeometry, *, out: Optional[np.ndarray] = None
 ) -> CoverageMaps:
     """Object- and frame-domain illumination coverage for a probe.
 
     Both maps depend only on (probe, geometry); solvers compute them
     once per probe value and pass them into the update operations.
-    Given a ``workspace``, the frame coverage is written into its
-    ``frame_coverage`` stack, over the one the previous such call
-    returned.
+    The frame coverage is written into ``out``, a float64 (K, m, m)
+    stack, when given.
     """
     probe = _check_probe(probe, geom)
-    work = _work(workspace, geom)
     intensity = np.abs(probe) ** 2
-    obj_cov = embed_add_frames(replicate_probe(intensity, geom, out=work.real), geom)
+    obj_cov = embed_add_frames(replicate_probe(intensity, geom, out=out), geom)
     return CoverageMaps(
         object_coverage=obj_cov,
-        frame_coverage=extract_frames(obj_cov, geom, out=work.frame_coverage),
+        frame_coverage=extract_frames(obj_cov, geom, out=out),
     )
 

@@ -37,12 +37,18 @@ of the current (frames, probe) pair are computed once and read by
 every consumer: the illumination coverage, and the adjoint
 accumulation ``illuminate_adjoint(frames, probe)``, which is the
 pairwise term of the metrics row, the numerator of the next object
-update and the power step's accumulation. The rank-1 estimators and
-the gate run only on iterations the cadence allows. The global gate
-score reduces to ``||A_s||^2 / <|s|^2, frame coverage>`` for the
-shifted stack ``s`` and its accumulation ``A_s``, one scatter-add. The
-model spectra are transformed once: their magnitudes give the data
-residual and then phase the spectra in place for the frame update.
+update and the power step's accumulation. Every step takes the ones
+it reads as required arguments, with the run's scratch stacks, and
+none recomputes them; a step that needs the accumulation of another
+stack (the shifted stack, or the frames under a new probe) is handed
+it by its caller. The steps keep public names in this module because
+the benchmark in ``perfbench/`` traces them by name. The rank-1
+estimators and the gate run only on iterations the cadence allows.
+The global gate score reduces to ``||A_s||^2 / <|s|^2, frame
+coverage>`` for the shifted stack ``s`` and its accumulation ``A_s``,
+one scatter-add. The model spectra are transformed once: their
+magnitudes give the data residual and then phase the spectra in place
+for the frame update.
 
 The per-frame part of the frame update (gather, probe product, DFT,
 magnitudes, misfit, phase, scaling, inverse DFT, conjugate-probe
@@ -53,13 +59,13 @@ scatter-add, read the whole stack, so every result is bit-identical to
 the unchunked pass. A stack shorter than two chunks (every 64 px
 instance) is one chunk, run on the calling thread by the same code.
 The new frames overwrite the old ones, which nothing reads by then.
-Every other frame-sized stack of a run lives in one workspace, made
-when the run starts: the pass's spectra, magnitudes and weighted
-stack, the steps' scratch stacks and the frame coverage. The steps
-write into it with ``out=`` ufuncs and ``take`` gathers. A probe, a
-per-frame factor or a real operand that a ufunc would broadcast or
-cast over a stack is first copied into a whole stack, since numpy
-buffers such operands on every call. After the first iteration no
+Every other frame-sized stack of a run is allocated when the run
+starts (:class:`_Workspace`): the pass's spectra, magnitudes and
+weighted stack, the steps' scratch stacks and the frame coverage. The
+steps write into them with ``out=`` ufuncs and ``take`` gathers. A
+probe, a per-frame factor or a real operand that a ufunc would
+broadcast or cast over a stack is first copied into a whole stack,
+since numpy buffers such operands on every call. After the first iteration no
 step allocates a frame-sized array. With fresh stacks and
 temporaries, glibc grew and trimmed its heap on every gate or
 shifted iteration of the 64 px instances (up to 650 page faults and
@@ -90,8 +96,6 @@ from .operators import (
     CoverageMaps,
     ScanGeometry,
     _fill,
-    _work,
-    _Workspace,
     coverage_maps,
     embed_add_frames,
     extract_frames,
@@ -134,6 +138,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.stop_nrmse is not None and not self.stop_nrmse >= 0.0:
+            # A NaN threshold would never fire.
+            raise ValueError(f"stop_nrmse must be >= 0, got {self.stop_nrmse}")
         if self.probe_mode not in PROBE_MODES:
             raise ValueError(f"probe_mode must be one of {PROBE_MODES}, got {self.probe_mode!r}")
         if not 0.0 <= self.rank1_gate <= 1.0:
@@ -153,6 +160,34 @@ class History:
     frames: Optional[np.ndarray] = None
 
 
+class _Workspace:
+    """Frame-sized scratch stacks of one run, allocated when it starts.
+
+    ``stack``, ``spare`` and ``pair`` are complex (K, m, m) stacks; the
+    float64 memory of ``pair`` also serves as the two real stacks
+    ``real`` and ``real2``, and no step uses it both ways at once.
+    ``frame_coverage`` holds the frame coverage of the run's current
+    probe. A step reads nothing a previous step left in the scratch
+    stacks, and a stack passed into a step must not be one it writes.
+
+    Each stack is allocated on its own: glibc serves blocks of one
+    stack's size from its heap once one has been freed, where a larger
+    block would raise its thresholds for the whole process. A run makes
+    its workspace before its frames, which outlive it in its
+    ``History``: the stacks then lie below memory still in use when
+    they are freed, and glibc keeps them for the next run instead of
+    returning them to the system, to fault them in again page by page.
+    """
+
+    def __init__(self, geom: ScanGeometry) -> None:
+        shape = (geom.K, geom.m, geom.m)
+        self.stack = np.empty(shape, dtype=np.complex128)
+        self.spare = np.empty(shape, dtype=np.complex128)
+        self.pair = np.empty(shape, dtype=np.complex128)
+        self.frame_coverage = np.empty(shape, dtype=np.float64)
+        self.real, self.real2 = self.pair.reshape(-1).view(np.float64).reshape(2, *shape)
+
+
 def _floored(denominator: np.ndarray, vanished: str) -> np.ndarray:
     """``denominator`` floored at ``EPSILON_REL`` times its maximum.
     Raises :class:`DegenerateInputError` with the message ``vanished``
@@ -163,45 +198,24 @@ def _floored(denominator: np.ndarray, vanished: str) -> np.ndarray:
     return np.maximum(denominator, EPSILON_REL * peak)
 
 
-def update_object(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    cov: Optional[CoverageMaps] = None,
-    *,
-    adjoint: Optional[np.ndarray] = None,
-    workspace: Optional[_Workspace] = None,
-) -> np.ndarray:
+def update_object(cov: CoverageMaps, adjoint: np.ndarray) -> np.ndarray:
     """Least-squares object estimate from a frame stack and probe.
 
     Conjugate-probe weighted scatter-add divided by the illumination
-    coverage; pixels no frame covers come out zero. ``adjoint`` is
-    ``illuminate_adjoint(frames, probe, geom)`` when already at hand;
-    otherwise it is formed in ``workspace`` when one is given.
+    coverage; pixels no frame covers come out zero. ``cov`` is the
+    probe's coverage and ``adjoint`` the stack's accumulation
+    ``illuminate_adjoint(frames, probe, geom)``.
     """
-    if cov is None:
-        cov = coverage_maps(probe, geom)
-    if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom, workspace=workspace)
     return adjoint / _floored(
         cov.object_coverage, "probe is identically zero: object coverage vanishes"
     )
 
 
 def update_probe_standard(
-    frames: np.ndarray,
-    obj: np.ndarray,
-    geom: ScanGeometry,
-    *,
-    workspace: Optional[_Workspace] = None,
+    frames: np.ndarray, obj: np.ndarray, geom: ScanGeometry, work: _Workspace
 ) -> np.ndarray:
     """Per-pixel least-squares probe given the object: frame-averaged
-    conjugate-view weighting over the summed view intensities.
-
-    The views and their intensities are formed in ``workspace`` when
-    one is given.
-    """
-    work = _work(workspace, geom)
+    conjugate-view weighting over the summed view intensities."""
     views = extract_frames(obj, geom, out=work.stack)
     intensity = np.abs(views, out=work.real)
     den = sum_frames(np.square(intensity, out=intensity))
@@ -211,20 +225,13 @@ def update_probe_standard(
 
 
 def _energies(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    cov: CoverageMaps,
-    adjoint: Optional[np.ndarray],
-    work: _Workspace,
+    frames: np.ndarray, cov: CoverageMaps, adjoint: np.ndarray, work: _Workspace
 ) -> tuple[float, float]:
     """The stack's coverage-weighted energy ``<frames, frame_coverage *
-    frames>`` and the energy of its adjoint accumulation (``adjoint``,
-    computed when not given), both formed in ``work.stack``."""
+    frames>``, formed in ``work.stack``, and the energy of its adjoint
+    accumulation ``adjoint``."""
     weighted = np.multiply(_fill(work.stack, cov.frame_coverage), frames, out=work.stack)
     energy = float(np.vdot(frames, weighted).real)
-    if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
     return energy, float(np.vdot(adjoint, adjoint).real)
 
 
@@ -236,13 +243,7 @@ def _stack_coverage(frames: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> 
 
 
 def pairwise_discrepancy(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    cov: Optional[CoverageMaps] = None,
-    *,
-    adjoint: Optional[np.ndarray] = None,
-    workspace: Optional[_Workspace] = None,
+    frames: np.ndarray, cov: CoverageMaps, adjoint: np.ndarray, work: _Workspace
 ) -> float:
     """Mutual inconsistency of overlapping frames under the probe.
 
@@ -250,24 +251,16 @@ def pairwise_discrepancy(
     re-illuminated at the other's position; zero exactly when the
     stack comes from a single object. Evaluated matrix-free as the
     coverage-weighted stack energy minus the energy of the adjoint
-    accumulation (``adjoint``, computed when not given), clamped at
-    zero against rounding. The weighted stack is formed in
-    ``workspace`` when one is given.
+    accumulation, clamped at zero against rounding. ``cov`` is the
+    probe's coverage and ``adjoint`` the stack's accumulation
+    ``illuminate_adjoint(frames, probe, geom)``.
     """
-    if cov is None:
-        cov = coverage_maps(probe, geom)
-    frames = np.asarray(frames)
-    energy, form = _energies(frames, probe, geom, cov, adjoint, _work(workspace, geom))
+    energy, form = _energies(np.asarray(frames), cov, adjoint, work)
     return max(energy - form, 0.0)
 
 
 def update_probe_power(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    *,
-    adjoint: Optional[np.ndarray] = None,
-    workspace: Optional[_Workspace] = None,
+    frames: np.ndarray, geom: ScanGeometry, adjoint: np.ndarray, work: _Workspace
 ) -> np.ndarray:
     """One power step on the pairwise-discrepancy quadratic form.
 
@@ -275,15 +268,12 @@ def update_probe_power(
     probe whose kernel (for consistent frames) is the true probe
     direction; the preconditioned power step drives the iterate toward
     it. Numerator: frames times the re-extracted conjugate adjoint
-    accumulation (``adjoint``, computed when not given), summed over
-    frames. Denominator: frame-overlap coverage of the stack intensity.
-    Both are formed in ``workspace`` when one is given.
+    accumulation ``adjoint = illuminate_adjoint(frames, probe, geom)``,
+    summed over frames. Denominator: frame-overlap coverage of the
+    stack intensity.
     """
     frames = np.asarray(frames)
-    work = _work(workspace, geom)
     den = sum_frames(_stack_coverage(frames, geom, work.real))
-    if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
     view = extract_frames(np.conj(adjoint), geom, out=work.stack)
     # view * frames, not frames * view: see the note in _rank1_terms.
     num = sum_frames(np.multiply(view, frames, out=view))
@@ -360,17 +350,17 @@ def _rank1_terms(
     probe: np.ndarray,
     geom: ScanGeometry,
     transparency: np.ndarray,
-    cov: Optional[CoverageMaps],
-    adjoint: Optional[np.ndarray],
+    cov: CoverageMaps,
+    adjoint: np.ndarray,
     work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator and denominator of the transparency-shifted power
     step with one factor per frame (``transparency``, length K), and
     the shifted stack: each frame is handled by the uniform-shift
-    formula at its own factor, assembled from the unshifted stack's
-    coverage and adjoint accumulation (computed when not given) and one
-    more scatter-add. Each frame's denominator term is a nonnegative
-    coverage of a shifted stack; tiny negative rounding is clamped.
+    formula at its own factor, assembled from the probe's coverage, the
+    unshifted stack's adjoint accumulation and one more scatter-add.
+    Each frame's denominator term is a nonnegative coverage of a
+    shifted stack; tiny negative rounding is clamped.
 
     The denominator runs in ``work.stack``, ``work.spare`` and the two
     real halves of ``work.pair``; the numerator in ``work.stack``,
@@ -382,10 +372,6 @@ def _rank1_terms(
         raise ValueError(
             f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
         )
-    if cov is None:
-        cov = coverage_maps(probe, geom)
-    if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
     fcol = factors[:, None, None]
     conj_fcol = np.conj(fcol)
     view = extract_frames(adjoint, geom, out=work.stack)
@@ -413,10 +399,9 @@ def shift_consistency(
     probe: np.ndarray,
     geom: ScanGeometry,
     transparency: complex | np.ndarray,
-    *,
-    cov: Optional[CoverageMaps] = None,
-    adjoint: Optional[np.ndarray] = None,
-    workspace: Optional[_Workspace] = None,
+    cov: CoverageMaps,
+    adjoint: np.ndarray,
+    work: _Workspace,
 ) -> float:
     """Consistency score of the transparency-shifted stack along the
     current probe.
@@ -434,16 +419,13 @@ def shift_consistency(
     the update's own degeneracy check, not this score.
 
     ``transparency`` is one complex factor for the whole stack or a
-    length-K array of per-frame factors. ``cov`` (the probe's coverage)
-    and ``adjoint`` (``illuminate_adjoint(frames, probe, geom)``) are
-    computed when not given. The shifted stack and the terms are formed
-    in ``workspace`` when one is given.
+    length-K array of per-frame factors. ``cov`` is the probe's
+    coverage and ``adjoint`` the unshifted stack's accumulation
+    ``illuminate_adjoint(frames, probe, geom)``, which only the
+    per-frame form reads.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
-    work = _work(workspace, geom)
-    if cov is None:
-        cov = coverage_maps(probe, geom)
     if np.ndim(transparency) == 0:
         # With one factor the shifted stack is plain data, so the
         # form at the probe is the energy of its adjoint accumulation
@@ -453,7 +435,8 @@ def shift_consistency(
         # orders below the stack, scoring a perfectly transparent
         # region as junk instead of as consistent.
         shifted = _shifted(frames, probe, transparency, work.spare, work.stack)
-        weight, form = _energies(shifted, probe, geom, cov, None, work)
+        shifted_adjoint = illuminate_adjoint(shifted, probe, geom, scratch=work.stack)
+        weight, form = _energies(shifted, cov, shifted_adjoint, work)
     else:
         num, den, _ = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
         form = np.vdot(probe, num).real
@@ -468,10 +451,9 @@ def update_probe_rank1(
     probe: np.ndarray,
     geom: ScanGeometry,
     transparency: complex | np.ndarray,
-    *,
-    cov: Optional[CoverageMaps] = None,
-    adjoint: Optional[np.ndarray] = None,
-    workspace: Optional[_Workspace] = None,
+    cov: CoverageMaps,
+    adjoint: np.ndarray,
+    work: _Workspace,
 ) -> np.ndarray:
     """Transparency-accelerated probe update.
 
@@ -492,18 +474,17 @@ def update_probe_rank1(
     probe information), in which case callers may fall back to the
     plain power update.
 
-    The per-frame form reads the probe's coverage ``cov`` and the
-    unshifted stack's ``illuminate_adjoint(frames, probe, geom)`` as
-    ``adjoint``; both are computed when not given. The shifted stack
-    and the step's terms are formed in ``workspace`` when one is given.
+    ``cov`` is the probe's coverage and ``adjoint`` the unshifted
+    stack's accumulation ``illuminate_adjoint(frames, probe, geom)``;
+    only the per-frame form reads them.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
-    work = _work(workspace, geom)
     if np.ndim(transparency) == 0:
         shifted = _shifted(frames, probe, transparency, work.spare, work.stack)
         _check_rank1_degeneracy(frames, shifted)
-        return update_probe_power(shifted, probe, geom, workspace=work)
+        shifted_adjoint = illuminate_adjoint(shifted, probe, geom, scratch=work.stack)
+        return update_probe_power(shifted, geom, shifted_adjoint, work)
     num, den, shifted = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
     _check_rank1_degeneracy(frames, shifted)
     return num / _floored(den, "shifted frame stack is identically zero: rank-1 update undefined")
@@ -633,27 +614,18 @@ def _probe_step(
     shifted, and advances the shift schedule in ``state``.
     """
     frames, probe, work = state.frames, state.probe, state.work
+    cov, adjoint = state.cov, state.adjoint
     if cfg.probe_mode == "standard":
-        return update_probe_standard(frames, obj, geom, workspace=work), False
+        return update_probe_standard(frames, obj, geom, work), False
     if cfg.probe_mode != "power" and state.since_shift >= cfg.rank1_cadence:
         if cfg.probe_mode == "rank1_framewise":
             transparency = transparency_framewise(frames, probe, overlap)
         else:
             transparency = transparency_global(frames, probe)
-        score = shift_consistency(
-            frames, probe, geom, transparency, cov=state.cov, adjoint=state.adjoint, workspace=work
-        )
+        score = shift_consistency(frames, probe, geom, transparency, cov, adjoint, work)
         if score >= cfg.rank1_gate:
             try:
-                shifted = update_probe_rank1(
-                    frames,
-                    probe,
-                    geom,
-                    transparency,
-                    cov=state.cov,
-                    adjoint=state.adjoint,
-                    workspace=work,
-                )
+                shifted = update_probe_rank1(frames, probe, geom, transparency, cov, adjoint, work)
             except DegenerateInputError:
                 events.append(
                     f"iteration {iteration}: degenerate transparency shift, "
@@ -669,8 +641,7 @@ def _probe_step(
                 state.shift_seen = True
                 return shifted, True
     state.since_shift += 1
-    power = update_probe_power(frames, probe, geom, adjoint=state.adjoint, workspace=work)
-    return power, False
+    return update_probe_power(frames, geom, adjoint, work), False
 
 
 def run_reconstruction(
@@ -724,7 +695,7 @@ def run_reconstruction(
 
     # Frames are chunked by their complex128 bytes; K and m are fixed.
     edges = _frame_edges(geom.K, np.dtype(np.complex128).itemsize * geom.m**2)
-    work = _Workspace(geom).allocate()
+    work = _Workspace(geom)
     overlap = None
     if cfg.probe_mode == "rank1_framewise":
         # Built once per run, before the frames like the workspace, in
@@ -748,9 +719,9 @@ def run_reconstruction(
 
     history = History()
     t_start = time.perf_counter()
-    cov = coverage_maps(probe, geom, workspace=work)
+    cov = coverage_maps(probe, geom, out=work.frame_coverage)
     if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom, workspace=work)
+        adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
     state = _Iterate(frames, probe, cov, adjoint, work, since_shift=cfg.rank1_cadence)
     # From here the state holds these; the old names would keep the
     # first probe, coverage and adjoint alive for the whole run.
@@ -759,9 +730,7 @@ def run_reconstruction(
     def record(iteration: int, resid: float, t0: float) -> bool:
         """Append a metrics row; returns whether the stop rule fires."""
         err = nrmse_probe(state.probe, probe_true) if probe_true is not None else None
-        pairwise = pairwise_discrepancy(
-            state.frames, state.probe, geom, cov=state.cov, adjoint=state.adjoint, workspace=work
-        )
+        pairwise = pairwise_discrepancy(state.frames, state.cov, state.adjoint, work)
         _check_finite(pairwise, "pairwise discrepancy")
         history.rows.append(
             MetricsRow(
@@ -784,7 +753,7 @@ def run_reconstruction(
 
     iteration = 0
     try:
-        obj = update_object(state.frames, state.probe, geom, cov=state.cov, adjoint=state.adjoint)
+        obj = update_object(state.cov, state.adjoint)
         # Row 0 keeps the initial frames: its pass writes no frames, and
         # the frame memory it needs as scratch is the spare stack.
         misfit_norm = _magnitude_pass(
@@ -795,9 +764,7 @@ def run_reconstruction(
             if stop:
                 break
             t0 = time.perf_counter()
-            obj = update_object(
-                state.frames, state.probe, geom, cov=state.cov, adjoint=state.adjoint
-            )
+            obj = update_object(state.cov, state.adjoint)
             probe, engaged = _probe_step(state, obj, geom, cfg, overlap, iteration, history.events)
             _check_finite(probe, f"{cfg.probe_mode} probe update")
             probe, shift = center_probe(probe)
@@ -808,14 +775,16 @@ def run_reconstruction(
                 raise ValueError("probe update collapsed to zero")
             probe *= norm_lock_target / norm
             state.probe = probe
-            state.cov = coverage_maps(probe, geom, workspace=work)
+            state.cov = coverage_maps(probe, geom, out=work.frame_coverage)
             if engaged:
                 # A shifted step can move the probe far; re-fit the
                 # object before rebuilding the frames so the jump is
                 # kept instead of being averaged away. The old object
                 # is dropped first, out of the re-fit's peak memory.
                 del obj
-                obj = update_object(state.frames, probe, geom, cov=state.cov, workspace=work)
+                obj = update_object(
+                    state.cov, illuminate_adjoint(state.frames, probe, geom, scratch=work.stack)
+                )
             # Nothing reads the old frames any more: the new ones
             # overwrite them.
             misfit_norm = _magnitude_pass(obj, probe, amplitudes, geom, edges, work, state.frames)

@@ -9,6 +9,7 @@ is deterministic under fixed seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,10 @@ class ProbeSpec:
             raise ValueError(
                 f"aperture_radius_px must lie in (0, m/2] = (0, {self.m / 2}], "
                 f"got {self.aperture_radius_px}"
+            )
+        if not math.isfinite(self.defocus_phase_strength):
+            raise ValueError(
+                f"defocus_phase_strength must be finite, got {self.defocus_phase_strength}"
             )
 
 
@@ -164,8 +169,10 @@ def perturb_probe(
     ``noise_level * ||probe|| / m`` per pixel, i.e. a total noise norm
     of about ``noise_level * ||probe||``.
     """
-    if blur_sigma_px < 0 or noise_level < 0:
-        raise ValueError("blur_sigma_px and noise_level must be >= 0")
+    for name, value in (("blur_sigma_px", blur_sigma_px), ("noise_level", noise_level)):
+        # A NaN would skip its perturbation and an infinity give a NaN probe.
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     out = np.array(probe, dtype=np.complex128)
     norm0 = np.linalg.norm(out)
     if norm0 == 0.0:

@@ -1,12 +1,15 @@
 """Shared oracle builders for the test suite.
 
-Everything here is built independently from the library internals:
+The oracles here are built independently from the library internals:
 dense matrices come from explicit Python loops over scan positions,
 so agreement with the matrix-free operators is meaningful evidence.
+``step_inputs`` is the exception: it builds a solver step's inputs
+the way the reconstruction loop does.
 """
 
 import shutil
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -20,10 +23,10 @@ from ptyblind import (
     frame_dft,
     illuminate,
     illuminate_adjoint,
-    update_object,
 )
-from ptyblind.operators import sum_frames
-from ptyblind.solver import EPSILON_REL, RANK1_DEGENERACY_RTOL
+from ptyblind.metrics import _relative_gap
+from ptyblind.operators import CoverageMaps, sum_frames
+from ptyblind.solver import EPSILON_REL, RANK1_DEGENERACY_RTOL, _Workspace, update_object
 
 
 def rand_complex(rng, *shape):
@@ -109,6 +112,28 @@ def dense_power_matrices(frames, geom):
     return D, A
 
 
+class StepInputs(NamedTuple):
+    cov: CoverageMaps
+    adjoint: np.ndarray
+    work: _Workspace
+
+
+def step_inputs(frames, probe, geom):
+    """What the reconstruction loop hands a solver step for the pair
+    (frames, probe), built fresh: the probe's coverage, the adjoint
+    accumulation ``illuminate_adjoint(frames, probe, geom)`` and a new
+    run workspace, whose frame-coverage stack holds the coverage as in
+    the loop.
+
+    The steps take these in this order, after their other arguments, so
+    ``*step_inputs(...)`` completes a call of ``pairwise_discrepancy``,
+    ``shift_consistency`` and ``update_probe_rank1``.
+    """
+    work = _Workspace(geom)
+    cov = coverage_maps(probe, geom, out=work.frame_coverage)
+    return StepInputs(cov, illuminate_adjoint(frames, probe, geom), work)
+
+
 def frame_consistency_project(frames, probe, geom):
     """Project a frame stack onto the set consistent with one object.
 
@@ -116,7 +141,16 @@ def frame_consistency_project(frames, probe, geom):
     re-illuminates; fixed points are exactly the stacks a single object
     can produce under the probe.
     """
-    return illuminate(update_object(frames, probe, geom), probe, geom)
+    cov, adjoint, _ = step_inputs(frames, probe, geom)
+    return illuminate(update_object(cov, adjoint), probe, geom)
+
+
+def data_residual(frames, amplitudes):
+    """Relative gap between frame spectra magnitudes and measured data,
+    with the loop's convention against all-zero data."""
+    amplitudes = np.asarray(amplitudes)
+    gap = np.linalg.norm(np.abs(frame_dft(frames)) - amplitudes)
+    return _relative_gap(gap, np.linalg.norm(amplitudes))
 
 
 def frame_idft(spectra):

@@ -19,6 +19,7 @@ from conftest import (
     grid_search_nrmse,
     rand_complex,
     stack_to_vec,
+    step_inputs,
     update_probe_rank1_expanded,
     vec_to_stack,
 )
@@ -30,16 +31,18 @@ from ptyblind import (
     coverage_maps,
     illuminate,
     illuminate_adjoint,
-    pairwise_discrepancy,
     run_reconstruction,
+)
+from ptyblind.metrics import nrmse_probe
+from ptyblind.operators import replicate_probe
+from ptyblind.solver import (
+    pairwise_discrepancy,
     transparency_global,
     update_object,
     update_probe_power,
     update_probe_rank1,
     update_probe_standard,
 )
-from ptyblind.metrics import nrmse_probe
-from ptyblind.operators import replicate_probe
 from ptyblind.synth import (
     PhantomSpec,
     ProbeSpec,
@@ -90,18 +93,19 @@ def test_criterion_1_dense_oracle_equivalence():
     # diagonal least squares in the object domain, then re-illumination
     pinv = np.where(obj_cov > 1e-12 * obj_cov.max(), 1.0 / np.where(obj_cov > 0, obj_cov, 1.0), 0.0)
     obj_lsq = pinv * (Q.conj().T @ stack_to_vec(frames))
-    errs["update_object"] = _rel(update_object(frames, probe, geom), obj_lsq.reshape(n, n))
+    inputs = step_inputs(frames, probe, geom)
+    errs["update_object"] = _rel(update_object(*inputs[:2]), obj_lsq.reshape(n, n))
     errs["consistency_projection"] = _rel(
         frame_consistency_project(frames, probe, geom), vec_to_stack(Q @ obj_lsq, geom)
     )
 
     views = vec_to_stack(T.astype(complex) @ obj.reshape(-1), geom)
     per_pixel = (np.conj(views) * frames).sum(axis=0) / (np.abs(views) ** 2).sum(axis=0)
-    errs["probe_standard"] = _rel(update_probe_standard(frames, obj, geom), per_pixel)
+    errs["probe_standard"] = _rel(update_probe_standard(frames, obj, geom, inputs.work), per_pixel)
 
     D, A = dense_power_matrices(frames, geom)
     errs["probe_power"] = _rel(
-        update_probe_power(frames, probe, geom), ((A @ probe.reshape(-1)) / D).reshape(m, m)
+        update_probe_power(frames, geom, *inputs[1:]), ((A @ probe.reshape(-1)) / D).reshape(m, m)
     )
 
     elapsed = time.perf_counter() - t0
@@ -144,11 +148,11 @@ def test_criterion_2_pairwise_identity():
                 diff = wfields[j] * zfields[i] - wfields[i] * zfields[j]
                 brute += float(np.vdot(diff, diff).real)
         brute *= 0.5
-        fast = pairwise_discrepancy(frames, probe, geom)
+        fast = pairwise_discrepancy(frames, *step_inputs(frames, probe, geom))
         worst_random = max(worst_random, abs(brute - fast) / brute)
 
         consistent = illuminate(rand_complex(rng, n, n), probe, geom)
-        value = pairwise_discrepancy(consistent, probe, geom)
+        value = pairwise_discrepancy(consistent, *step_inputs(consistent, probe, geom))
         bound = np.linalg.norm(consistent) ** 2 * coverage_maps(probe, geom).object_coverage.max()
         worst_consistent = max(worst_consistent, value / bound)
 
@@ -170,8 +174,8 @@ def test_criterion_3_projector_properties():
         once = frame_consistency_project(frames, probe, geom)
         twice = frame_consistency_project(once, probe, geom)
         worst_idem = max(worst_idem, _rel(twice, once))
-        before = pairwise_discrepancy(frames, probe, geom)
-        after = pairwise_discrepancy(once, probe, geom)
+        before = pairwise_discrepancy(frames, *step_inputs(frames, probe, geom))
+        after = pairwise_discrepancy(once, *step_inputs(once, probe, geom))
         worst_increase = max(worst_increase, (after - before) / before)
     ok = worst_idem <= 1e-10 and worst_increase <= 1e-10
     _report(3, ok, f"50 stacks: idempotence residue {worst_idem:.2e}, "
@@ -216,7 +220,8 @@ def test_criterion_5_rank1_algebra():
             transparency = complex(rand_complex(rng, 1)[0])
         else:
             transparency = rand_complex(rng, K)
-        fast = update_probe_rank1(frames, probe, geom, transparency)
+        inputs = step_inputs(frames, probe, geom)
+        fast = update_probe_rank1(frames, probe, geom, transparency, *inputs)
         slow = update_probe_rank1_expanded(frames, probe, geom, transparency)
         worst_paths = max(worst_paths, _rel(slow, fast))
 
@@ -231,7 +236,8 @@ def test_criterion_5_rank1_algebra():
     probe = rand_complex(rng, 3, 3)
     constant_frames = (0.8 + 0.3j) * replicate_probe(probe, geom)
     with pytest.raises(DegenerateInputError):
-        update_probe_rank1(constant_frames, probe, geom, 0.8 + 0.3j)
+        inputs = step_inputs(constant_frames, probe, geom)
+        update_probe_rank1(constant_frames, probe, geom, 0.8 + 0.3j, *inputs)
 
     ok = worst_paths <= 1e-11 and worst_nu <= 1e-14
     _report(5, ok, f"two evaluation paths agree to {worst_paths:.2e} (30 instances), "

@@ -2,6 +2,7 @@
 strict config parsing, and the simulate/reconstruct/compare pipeline."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from conftest import rand_complex
 
 import ptyblind
 from ptyblind import synth
-from ptyblind.cli import PerturbationSpec, main, parse_run_config
+from ptyblind.cli import PerturbationSpec, load_run_config, main, parse_run_config
 from ptyblind.metrics import MetricsRow
 from ptyblind.npyio import (
     load_array,
@@ -207,6 +208,17 @@ class TestConfigParsing:
         doc["solver"]["stop_nrmse"] = None
         with pytest.raises(ValueError, match=r"solver\.stop_nrmse: expected a number, got None"):
             parse_run_config(doc)
+
+    def test_nan_stop_nrmse_is_rejected(self, tmp_path):
+        # Python's json reads a bare NaN.
+        path = tmp_path / "run.json"
+        text = json.dumps(BASE_CONFIG).replace(
+            '"max_iters": 5', '"max_iters": 5, "stop_nrmse": NaN'
+        )
+        path.write_text(text)
+        assert math.isnan(json.loads(text)["solver"]["stop_nrmse"])
+        with pytest.raises(ValueError, match="stop_nrmse must be >= 0, got nan"):
+            load_run_config(str(path))
 
     def test_integers_are_numbers(self):
         doc = json.loads(json.dumps(BASE_CONFIG))

@@ -11,18 +11,20 @@ every History value except the wall time, and the events.
 
 import numpy as np
 import pytest
-from conftest import magnitude_project, rand_complex
+from conftest import data_residual, magnitude_project, rand_complex, step_inputs
 
 from ptyblind import (
     DegenerateInputError,
     ScanGeometry,
     SolverConfig,
     center_probe,
-    data_residual,
     illuminate,
     nrmse_probe,
-    pairwise_discrepancy,
     run_reconstruction,
+)
+from ptyblind.solver import (
+    build_overlap_matrix,
+    pairwise_discrepancy,
     shift_consistency,
     transparency_framewise,
     transparency_global,
@@ -31,7 +33,6 @@ from ptyblind import (
     update_probe_rank1,
     update_probe_standard,
 )
-from ptyblind.solver import build_overlap_matrix
 from ptyblind.synth import (
     PhantomSpec,
     ProbeSpec,
@@ -62,28 +63,33 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
     def record(iteration, model):
         err = nrmse_probe(probe, probe_true) if probe_true is not None else None
         resid = data_residual(model, amplitudes)
-        rows.append((iteration, err, resid, pairwise_discrepancy(frames, probe, geom)))
+        pairwise = pairwise_discrepancy(frames, *step_inputs(frames, probe, geom))
+        rows.append((iteration, err, resid, pairwise))
         return cfg.stop_nrmse is not None and err <= cfg.stop_nrmse
 
-    obj = update_object(frames, probe, geom)
+    obj = update_object(*step_inputs(frames, probe, geom)[:2])
     stop = record(0, illuminate(obj, probe, geom))
     since_shift, shifts = cfg.rank1_cadence, 0
     for iteration in range(1, cfg.max_iters + 1):
         if stop:
             break
-        obj = update_object(frames, probe, geom)
+        obj = update_object(*step_inputs(frames, probe, geom)[:2])
         new, engaged = None, False
         if cfg.probe_mode == "standard":
-            new = update_probe_standard(frames, obj, geom)
+            new = update_probe_standard(frames, obj, geom, step_inputs(frames, probe, geom).work)
         elif cfg.probe_mode != "power" and since_shift >= cfg.rank1_cadence:
             if cfg.probe_mode == "rank1_framewise":
                 transparency = transparency_framewise(frames, probe, overlap)
             else:
                 transparency = transparency_global(frames, probe)
-            score = shift_consistency(frames, probe, geom, transparency)
+            score = shift_consistency(
+                frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
+            )
             if score >= cfg.rank1_gate:
                 try:
-                    new = update_probe_rank1(frames, probe, geom, transparency)
+                    new = update_probe_rank1(
+                        frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
+                    )
                 except DegenerateInputError:
                     events.append(
                         f"iteration {iteration}: degenerate transparency shift, "
@@ -97,13 +103,13 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
                         )
                     engaged, shifts, since_shift = True, shifts + 1, 0
         if new is None:
-            new = update_probe_power(frames, probe, geom)
+            new = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
             since_shift += 1
         probe, shift = center_probe(new)
         obj = np.roll(obj, tuple(shift), axis=(0, 1))
         probe *= norm_lock_target / np.linalg.norm(probe)
         if engaged:
-            obj = update_object(frames, probe, geom)
+            obj = update_object(*step_inputs(frames, probe, geom)[:2])
         model = illuminate(obj, probe, geom)
         frames = magnitude_project(model, amplitudes)
         stop = record(iteration, model)

@@ -3,10 +3,10 @@ data-feasibility residual's exact cases."""
 
 import numpy as np
 import pytest
-from conftest import frame_idft, grid_search_nrmse, rand_complex
+from conftest import data_residual, frame_idft, grid_search_nrmse, rand_complex
 
 from ptyblind.fourier import frame_dft
-from ptyblind.metrics import data_residual, nrmse_probe
+from ptyblind.metrics import nrmse_probe
 
 
 class TestNrmseProbe:

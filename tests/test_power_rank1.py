@@ -13,6 +13,7 @@ from conftest import (
     dense_power_matrices,
     rand_complex,
     random_geometry,
+    step_inputs,
     update_probe_rank1_expanded,
 )
 
@@ -23,17 +24,19 @@ from ptyblind import (
     extract_frames,
     illuminate,
     illuminate_adjoint,
+    solver,
+)
+from ptyblind.metrics import nrmse_probe
+from ptyblind.operators import replicate_probe, sum_frames
+from ptyblind.solver import (
+    build_overlap_matrix,
     pairwise_discrepancy,
     shift_consistency,
-    solver,
     transparency_framewise,
     transparency_global,
     update_probe_power,
     update_probe_rank1,
 )
-from ptyblind.metrics import nrmse_probe
-from ptyblind.operators import replicate_probe, sum_frames
-from ptyblind.solver import build_overlap_matrix
 
 def consistent_instance(rng, n, m, K):
     geom = random_geometry(rng, n, m, K)
@@ -71,15 +74,15 @@ class TestPairwiseDiscrepancy:
             frames = rand_complex(rng, geom.K, 3, 3)
             probe = rand_complex(rng, 3, 3)
             brute = brute_pairwise(frames, probe, geom)
-            fast = pairwise_discrepancy(frames, probe, geom)
+            fast = pairwise_discrepancy(frames, *step_inputs(frames, probe, geom))
             assert brute == pytest.approx(2.0 * fast, rel=1e-10)
 
     def test_zero_on_consistent_stack(self, rng):
         for _ in range(5):
             geom, probe, obj, frames = consistent_instance(rng, 6, 3, 4)
-            assert pairwise_discrepancy(frames, probe, geom) <= 1e-12 * np.linalg.norm(
-                frames
-            ) ** 2 * float(np.abs(probe).max() ** 2) * geom.K
+            value = pairwise_discrepancy(frames, *step_inputs(frames, probe, geom))
+            scale = np.linalg.norm(frames) ** 2 * float(np.abs(probe).max() ** 2) * geom.K
+            assert value <= 1e-12 * scale
 
 
 class TestPowerStep:
@@ -92,7 +95,7 @@ class TestPowerStep:
             probe = rand_complex(rng, 4, 4)
             D, A = dense_power_matrices(frames, geom)
             expected = ((A @ probe.reshape(-1)) / D).reshape(4, 4)
-            got = update_probe_power(frames, probe, geom)
+            got = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
             assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
 
     def test_pencil_difference_is_positive_semidefinite(self, rng):
@@ -106,7 +109,7 @@ class TestPowerStep:
     def test_fixed_point_on_consistent_frames(self, rng):
         for _ in range(5):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-            stepped = update_probe_power(frames, probe, geom)
+            stepped = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_scale_equivariance(self, rng):
@@ -114,8 +117,8 @@ class TestPowerStep:
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
         c = complex(rand_complex(rng, 1)[0])
-        direct = update_probe_power(frames, c * probe, geom)
-        scaled = c * update_probe_power(frames, probe, geom)
+        direct = update_probe_power(frames, geom, *step_inputs(frames, c * probe, geom)[1:])
+        scaled = c * update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
         assert np.linalg.norm(direct - scaled) <= 1e-12 * np.linalg.norm(scaled)
 
     def test_iteration_recovers_probe_from_consistent_frames(self, rng):
@@ -132,7 +135,7 @@ class TestPowerStep:
         probe = rand_complex(rng, 4, 4)
         lock = np.linalg.norm(probe_true)
         for _ in range(100):
-            probe = update_probe_power(frames, probe, geom)
+            probe = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
             probe *= lock / np.linalg.norm(probe)
         assert nrmse_probe(probe, probe_true) <= 1e-6
 
@@ -140,7 +143,8 @@ class TestPowerStep:
         geom = random_geometry(rng, 8, 4, 6)
         probe = rand_complex(rng, 4, 4)
         with pytest.raises(DegenerateInputError, match="^frame stack is identically zero: power"):
-            update_probe_power(np.zeros((geom.K, 4, 4), dtype=complex), probe, geom)
+            frames = np.zeros((geom.K, 4, 4), dtype=complex)
+            update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
 
 
 class TestTransparencyGlobal:
@@ -233,15 +237,17 @@ class TestRank1Update:
         geom = random_geometry(rng, 8, 4, 6)
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
-        got = update_probe_rank1(frames, probe, geom, 0.0)
-        assert np.array_equal(got, update_probe_power(frames, probe, geom))
+        inputs = step_inputs(frames, probe, geom)
+        got = update_probe_rank1(frames, probe, geom, 0.0, *inputs)
+        assert np.array_equal(got, update_probe_power(frames, geom, *inputs[1:]))
 
     def test_zero_factor_reduces_to_power_framewise(self, rng):
         geom = random_geometry(rng, 8, 4, 6)
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
-        got = update_probe_rank1(frames, probe, geom, np.zeros(geom.K, dtype=complex))
-        want = update_probe_power(frames, probe, geom)
+        inputs = step_inputs(frames, probe, geom)
+        got = update_probe_rank1(frames, probe, geom, np.zeros(geom.K, dtype=complex), *inputs)
+        want = update_probe_power(frames, geom, *inputs[1:])
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
     def test_production_and_expanded_paths_agree(self, rng):
@@ -253,7 +259,8 @@ class TestRank1Update:
                 transparency = complex(rand_complex(rng, 1)[0])
             else:
                 transparency = rand_complex(rng, geom.K)
-            fast = update_probe_rank1(frames, probe, geom, transparency)
+            inputs = step_inputs(frames, probe, geom)
+            fast = update_probe_rank1(frames, probe, geom, transparency, *inputs)
             slow = update_probe_rank1_expanded(frames, probe, geom, transparency)
             assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(fast)
 
@@ -261,7 +268,8 @@ class TestRank1Update:
         for _ in range(3):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             transparency = transparency_global(frames, probe)
-            stepped = update_probe_rank1(frames, probe, geom, transparency)
+            inputs = step_inputs(frames, probe, geom)
+            stepped = update_probe_rank1(frames, probe, geom, transparency, *inputs)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_fixed_point_at_true_pair_framewise(self, rng):
@@ -270,7 +278,8 @@ class TestRank1Update:
         for _ in range(3):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
-            stepped = update_probe_rank1(frames, probe, geom, factors)
+            inputs = step_inputs(frames, probe, geom)
+            stepped = update_probe_rank1(frames, probe, geom, factors, *inputs)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
             expanded = update_probe_rank1_expanded(frames, probe, geom, factors)
             assert np.linalg.norm(expanded - probe) <= 1e-10 * np.linalg.norm(probe)
@@ -280,11 +289,12 @@ class TestRank1Update:
         probe = rand_complex(rng, 4, 4)
         c = complex(rand_complex(rng, 1)[0])
         frames = c * replicate_probe(probe, geom)
+        inputs = step_inputs(frames, probe, geom)
         with pytest.raises(DegenerateInputError):
-            update_probe_rank1(frames, probe, geom, c)
+            update_probe_rank1(frames, probe, geom, c, *inputs)
         factors = np.full(geom.K, c)
         with pytest.raises(DegenerateInputError):
-            update_probe_rank1(frames, probe, geom, factors)
+            update_probe_rank1(frames, probe, geom, factors, *inputs)
 
 
 class TestTransparencyForms:
@@ -298,10 +308,11 @@ class TestTransparencyForms:
             raise AssertionError("a single factor took the per-frame route")
 
         monkeypatch.setattr(solver, "_rank1_terms", framewise_route)
+        inputs = step_inputs(frames, probe, geom)
         steps, scores = set(), set()
         for transparency in (c, np.complex128(c), np.array(c)):
-            steps.add(update_probe_rank1(frames, probe, geom, transparency).tobytes())
-            scores.add(shift_consistency(frames, probe, geom, transparency))
+            steps.add(update_probe_rank1(frames, probe, geom, transparency, *inputs).tobytes())
+            scores.add(shift_consistency(frames, probe, geom, transparency, *inputs))
         assert len(steps) == 1 and len(scores) == 1
 
     @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)])
@@ -310,11 +321,12 @@ class TestTransparencyForms:
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
         factors = np.ones(shape, dtype=complex)
+        inputs = step_inputs(frames, probe, geom)
         message = r"framewise transparency must have length K=6, got shape"
         with pytest.raises(ValueError, match=message):
-            update_probe_rank1(frames, probe, geom, factors)
+            update_probe_rank1(frames, probe, geom, factors, *inputs)
         with pytest.raises(ValueError, match=message):
-            shift_consistency(frames, probe, geom, factors)
+            shift_consistency(frames, probe, geom, factors, *inputs)
 
 
 def pencil_global_consistency(frames, probe, geom, c):
@@ -342,16 +354,17 @@ class TestShiftConsistency:
             else:
                 frames = illuminate(rand_complex(rng, n, n), probe, geom)
                 c = transparency_global(frames, probe)
-            score = shift_consistency(frames, probe, geom, c)
+            score = shift_consistency(frames, probe, geom, c, *step_inputs(frames, probe, geom))
             want = pencil_global_consistency(frames, probe, geom, c)
             assert score == pytest.approx(want, abs=1e-12)
 
     def test_equals_one_on_consistent_stack(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-        score = shift_consistency(frames, probe, geom, 0.7 - 0.2j)
+        inputs = step_inputs(frames, probe, geom)
+        score = shift_consistency(frames, probe, geom, 0.7 - 0.2j, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
         factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
-        score = shift_consistency(frames, probe, geom, factors)
+        score = shift_consistency(frames, probe, geom, factors, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_global_score_stays_in_unit_interval(self, rng):
@@ -360,7 +373,8 @@ class TestShiftConsistency:
             frames = rand_complex(rng, geom.K, 3, 3)
             probe = rand_complex(rng, 3, 3)
             transparency = complex(rand_complex(rng, 1)[0])
-            score = shift_consistency(frames, probe, geom, transparency)
+            inputs = step_inputs(frames, probe, geom)
+            score = shift_consistency(frames, probe, geom, transparency, *inputs)
             assert -1e-12 <= score <= 1.0 + 1e-12
 
     def test_degenerate_shift_scores_zero(self, rng):
@@ -368,12 +382,14 @@ class TestShiftConsistency:
         probe = rand_complex(rng, 4, 4)
         c = 1.5 - 0.5j
         frames = c * replicate_probe(probe, geom)
-        assert shift_consistency(frames, probe, geom, c) == 0.0
+        assert shift_consistency(frames, probe, geom, c, *step_inputs(frames, probe, geom)) == 0.0
 
     def test_noise_scores_below_consistent_data(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
         transparency = transparency_global(frames, probe)
         noise = rand_complex(rng, geom.K, 4, 4)
-        noisy = shift_consistency(noise, probe, geom, transparency)
-        clean = shift_consistency(frames, probe, geom, transparency)
+        noisy_inputs = step_inputs(noise, probe, geom)
+        noisy = shift_consistency(noise, probe, geom, transparency, *noisy_inputs)
+        clean_inputs = step_inputs(frames, probe, geom)
+        clean = shift_consistency(frames, probe, geom, transparency, *clean_inputs)
         assert noisy < 0.9 < clean

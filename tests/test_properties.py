@@ -10,7 +10,7 @@ keeps Hypothesis's other files out of the working tree.
 """
 
 import numpy as np
-from conftest import magnitude_project, rand_complex
+from conftest import magnitude_project, rand_complex, step_inputs
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -21,12 +21,14 @@ from ptyblind import (
     frame_dft,
     illuminate,
     illuminate_adjoint,
+)
+from ptyblind.solver import (
+    build_overlap_matrix,
     transparency_framewise,
     transparency_global,
     update_probe_power,
     update_probe_rank1,
 )
-from ptyblind.solver import build_overlap_matrix
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -124,7 +126,7 @@ def assert_fixed(stepped, probe):
 @with_edge_cases()
 def test_true_probe_is_a_fixed_point_of_the_power_step(geom, seed):
     probe, frames, _ = consistent_pair(geom, seed)
-    assert_fixed(update_probe_power(frames, probe, geom), probe)
+    assert_fixed(update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:]), probe)
 
 
 @PROPERTY
@@ -145,4 +147,5 @@ def test_true_probe_is_a_fixed_point_of_the_shifted_step(geom, seed, per_frame, 
         transparency = rand_complex(rng, geom.K)
     else:
         transparency = complex(rand_complex(rng, 1)[0])
-    assert_fixed(update_probe_rank1(frames, probe, geom, transparency), probe)
+    inputs = step_inputs(frames, probe, geom)
+    assert_fixed(update_probe_rank1(frames, probe, geom, transparency, *inputs), probe)

@@ -258,3 +258,8 @@ class TestValidation:
             SolverConfig(rank1_gate=1.5)
         with pytest.raises(ValueError):
             SolverConfig(rank1_cadence=0)
+        # A NaN threshold compares false with every error, so its stop
+        # rule would never fire.
+        for stop in (float("nan"), -0.1):
+            with pytest.raises(ValueError, match="stop_nrmse must be >= 0"):
+                SolverConfig(stop_nrmse=stop)

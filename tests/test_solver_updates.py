@@ -9,10 +9,8 @@ from ptyblind import (
     center_probe,
     extract_frames,
     illuminate,
-    pairwise_discrepancy,
-    update_object,
-    update_probe_standard,
 )
+from ptyblind.solver import pairwise_discrepancy, update_object, update_probe_standard
 
 from conftest import (
     dense_illuminate_matrix,
@@ -20,6 +18,7 @@ from conftest import (
     rand_complex,
     random_geometry,
     stack_to_vec,
+    step_inputs,
     vec_to_stack,
 )
 
@@ -38,14 +37,14 @@ def test_update_object_recovers_exact_object(rng):
     w = rand_complex(rng, 3, 3) + 2.0
     psi = rand_complex(rng, 6, 6)
     frames = illuminate(psi, w, geom)
-    got = update_object(frames, w, geom)
+    got = update_object(*step_inputs(frames, w, geom)[:2])
     np.testing.assert_allclose(got, psi, rtol=1e-10)
 
 
 def test_update_object_single_full_frame_unit_probe(rng):
     geom = ScanGeometry(n=4, m=4, positions=[(0, 0)])
     frames = rand_complex(rng, 1, 4, 4)
-    got = update_object(frames, np.ones((4, 4), dtype=complex), geom)
+    got = update_object(*step_inputs(frames, np.ones((4, 4), dtype=complex), geom)[:2])
     np.testing.assert_allclose(got, frames[0], atol=1e-13)
 
 
@@ -56,27 +55,28 @@ def test_update_object_matches_dense_normal_equations(rng):
     Q = dense_illuminate_matrix(w, geom)
     gram = Q.conj().T @ Q
     want = np.linalg.solve(gram, Q.conj().T @ stack_to_vec(frames)).reshape(5, 5)
-    got = update_object(frames, w, geom)
+    got = update_object(*step_inputs(frames, w, geom)[:2])
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 def test_update_object_zero_probe_raises(rng):
     geom = random_geometry(rng, n=4, m=2, K=2)
     with pytest.raises(DegenerateInputError, match="^probe is identically zero: object coverage"):
-        update_object(np.ones((2, 2, 2), dtype=complex), np.zeros((2, 2)), geom)
+        update_object(*step_inputs(np.ones((2, 2, 2), dtype=complex), np.zeros((2, 2)), geom)[:2])
 
 
 def test_update_object_uncovered_pixels_are_zero(rng):
     geom = ScanGeometry(n=4, m=2, positions=[(0, 0)])
     frames = rand_complex(rng, 1, 2, 2)
-    got = update_object(frames, np.ones((2, 2), dtype=complex), geom)
+    got = update_object(*step_inputs(frames, np.ones((2, 2), dtype=complex), geom)[:2])
     assert np.all(got[2:, :] == 0) and np.all(got[:, 2:] == 0)
 
 
 def test_update_probe_standard_pure_average(rng):
     geom = random_geometry(rng, n=6, m=3, K=4)
     frames = rand_complex(rng, 4, 3, 3)
-    got = update_probe_standard(frames, np.ones((6, 6), dtype=complex), geom)
+    work = step_inputs(frames, np.ones((3, 3), dtype=complex), geom).work
+    got = update_probe_standard(frames, np.ones((6, 6), dtype=complex), geom, work)
     np.testing.assert_allclose(got, frames.sum(axis=0) / 4.0, rtol=1e-12)
 
 
@@ -84,7 +84,8 @@ def test_update_probe_standard_fixed_point(rng):
     geom = random_geometry(rng, n=6, m=3, K=5)
     w = rand_complex(rng, 3, 3)
     psi = rand_complex(rng, 6, 6) + 2.0
-    got = update_probe_standard(illuminate(psi, w, geom), psi, geom)
+    frames = illuminate(psi, w, geom)
+    got = update_probe_standard(frames, psi, geom, step_inputs(frames, w, geom).work)
     np.testing.assert_allclose(got, w, rtol=1e-12)
 
 
@@ -98,14 +99,17 @@ def test_update_probe_standard_matches_dense_per_pixel_lsq(rng):
         for c in range(3):
             column = views[:, r, c]
             want[r, c] = np.vdot(column, frames[:, r, c]) / np.vdot(column, column)
-    got = update_probe_standard(frames, psi, geom)
+    work = step_inputs(frames, np.ones((3, 3), dtype=complex), geom).work
+    got = update_probe_standard(frames, psi, geom, work)
     np.testing.assert_allclose(got, want, rtol=1e-11)
 
 
 def test_update_probe_standard_zero_object_raises(rng):
     geom = random_geometry(rng, n=4, m=2, K=2)
     with pytest.raises(DegenerateInputError, match="^object is identically zero: probe update"):
-        update_probe_standard(np.ones((2, 2, 2), dtype=complex), np.zeros((4, 4)), geom)
+        frames = np.ones((2, 2, 2), dtype=complex)
+        work = step_inputs(frames, np.ones((2, 2), dtype=complex), geom).work
+        update_probe_standard(frames, np.zeros((4, 4)), geom, work)
 
 
 def test_projector_leaves_consistent_stacks(rng):
@@ -142,10 +146,9 @@ def test_projector_never_increases_discrepancy(rng):
     w = rand_complex(rng, 3, 3)
     for _ in range(10):
         frames = rand_complex(rng, 4, 3, 3)
-        before = pairwise_discrepancy(frames, w, geom)
-        after = pairwise_discrepancy(
-            frame_consistency_project(frames, w, geom), w, geom
-        )
+        before = pairwise_discrepancy(frames, *step_inputs(frames, w, geom))
+        once = frame_consistency_project(frames, w, geom)
+        after = pairwise_discrepancy(once, *step_inputs(once, w, geom))
         assert after <= before * (1 + 1e-12) + 1e-12
 
 

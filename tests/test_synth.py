@@ -85,6 +85,12 @@ class TestMakeProbe:
         with pytest.raises(ValueError):
             ProbeSpec(m=16, aperture_radius_px=-2.0)
 
+    @pytest.mark.parametrize("strength", [float("nan"), float("inf"), -float("inf")])
+    def test_defocus_must_be_finite(self, strength):
+        # A NaN defocus would make every simulated amplitude NaN.
+        with pytest.raises(ValueError, match="defocus_phase_strength must be finite"):
+            ProbeSpec(m=16, aperture_radius_px=5.0, defocus_phase_strength=strength)
+
 
 class TestRasterGeometry:
     def test_enumerates_row_major(self):
@@ -140,3 +146,19 @@ class TestPerturbProbe:
             perturb_probe(probe, blur_sigma_px=-1.0, noise_level=0.0, seed=0)
         with pytest.raises(ValueError):
             perturb_probe(probe, blur_sigma_px=0.0, noise_level=-0.1, seed=0)
+
+    @pytest.mark.parametrize(
+        "blur, noise, name",
+        [
+            (float("nan"), 0.05, "blur_sigma_px"),
+            (float("inf"), 0.05, "blur_sigma_px"),
+            (1.0, float("nan"), "noise_level"),
+            (1.0, float("inf"), "noise_level"),
+        ],
+    )
+    def test_rejects_non_finite_arguments(self, blur, noise, name):
+        # A NaN would skip its perturbation, starting a run from the
+        # true probe; an infinite noise level gave a NaN probe.
+        probe = make_probe(ProbeSpec(m=8, aperture_radius_px=3.0))
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
+            perturb_probe(probe, blur_sigma_px=blur, noise_level=noise, seed=0)
