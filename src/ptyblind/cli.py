@@ -180,7 +180,11 @@ def _parse_section(section: dict, path: str, cls: type, supplied: dict):
         value = _get(section, f.name, kind, path, required)
         if value is not None:
             kwargs[f.name] = value
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        # A value the class itself rejects, named by its section.
+        raise ValueError(f"config {path}: {exc}") from exc
 
 
 def parse_run_config(doc: dict) -> RunConfig:

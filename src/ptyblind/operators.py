@@ -15,7 +15,8 @@ Conventions
   0 <= r, c < m; scan offsets are reduced mod n at construction.
 * Scatter-add accumulation runs in a fixed order (frame index
   ascending, row-major within each frame) so overlapping sums are
-  bit-reproducible.
+  bit-reproducible: complex stacks by one ``np.add.at``, real ones by
+  one ``np.bincount``, each adding every pixel in that frame order.
 
 All functions are pure and safe to call concurrently, except that a
 call given a buffer (``out`` or ``scratch``) writes it; calls sharing
@@ -83,14 +84,6 @@ class ScanGeometry:
         rows = (self.positions[:, 0:1] + offs) % self.n  # (K, m)
         cols = (self.positions[:, 1:2] + offs) % self.n  # (K, m)
         return rows[:, :, None] * self.n + cols[:, None, :]
-
-    @cached_property
-    def _interleaved_indices(self) -> np.ndarray:
-        """(2*K*m*m,) indices into the float64 view of a complex object
-        canvas: the real then the imaginary slot of every frame pixel,
-        in the order of the float64 view of a complex stack."""
-        slots = 2 * self.frame_indices.reshape(-1, 1)
-        return (slots + np.arange(2)).reshape(-1)
 
 
 def _fill(out: np.ndarray, value) -> np.ndarray:
@@ -160,14 +153,14 @@ def embed_add_frames(frames: np.ndarray, geom: ScanGeometry) -> np.ndarray:
     """
     frames = _check_stack(frames, geom)
     size = geom.n * geom.n
+    idx = geom.frame_indices.reshape(-1)
     if np.iscomplexobj(frames):
-        # One bincount over the float64 view: real and imaginary parts
-        # accumulate in adjacent bins, each in frame order.
-        parts = np.ascontiguousarray(frames, dtype=np.complex128).reshape(-1).view(np.float64)
-        acc = np.bincount(geom._interleaved_indices, weights=parts, minlength=2 * size)
-        acc = acc.view(np.complex128)
+        # Adds each pixel in frame order, both parts at once: the sums
+        # one bincount per part would give, bit for bit, and faster. On
+        # real stacks bincount is the faster of the two.
+        acc = np.zeros(size, dtype=np.complex128)
+        np.add.at(acc, idx, np.asarray(frames, dtype=np.complex128).reshape(-1))
     else:
-        idx = geom.frame_indices.reshape(-1)
         acc = np.bincount(idx, weights=frames.reshape(-1), minlength=size)
     return acc.reshape(geom.n, geom.n)
 

@@ -50,14 +50,20 @@ one scatter-add. The model spectra are transformed once: their
 magnitudes give the data residual and then phase the spectra in place
 for the frame update.
 
-The per-frame part of the frame update (gather, probe product, DFT,
-magnitudes, misfit, phase, scaling, inverse DFT, conjugate-probe
-product) runs as one fused pass per chunk of about 4 MiB of frames, on
-a thread pool with one worker per usable core; numpy releases the GIL
-in these loops. Only the sums over frames, the misfit norm and the
-scatter-add, read the whole stack, so every result is bit-identical to
-the unchunked pass. A stack shorter than two chunks (every 64 px
-instance) is one chunk, run on the calling thread by the same code.
+Every per-frame elementwise stage runs in the run's chunks of about
+4 MiB of frames (``_Workspace.edges``), on a thread pool with one
+worker per usable core; numpy releases the GIL in these loops. The
+frame update (gather, probe product, DFT, magnitudes, misfit, phase,
+scaling, inverse DFT, conjugate-probe product) is one fused pass per
+chunk. So are the gathers, products and shifted stacks of the probe
+steps and the gate, and the coverage weighting of the metrics energy;
+a step whose stack goes through a scatter-add runs one pass before it
+and one after. Only the sums over frames, the inner products, the
+misfit norm and the scatter-adds read the whole stack; they run on the
+calling thread once every chunk has finished, so every result is
+bit-identical to the unchunked pass. A stack shorter than two chunks
+(every 64 px instance) is one chunk, run on the calling thread by the
+same code, touching the same stacks in the same order.
 The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized stack of a run is allocated when the run
 starts (:class:`_Workspace`): the pass's spectra, magnitudes and
@@ -79,6 +85,7 @@ division is scale-free and uncovered pixels map to zero.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -95,10 +102,11 @@ from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
     CoverageMaps,
     ScanGeometry,
+    _check_object,
     _fill,
     coverage_maps,
     embed_add_frames,
-    extract_frames,
+    extract_frames,  # noqa: F401  (unused here; perfbench's tracer test wraps this binding)
     illuminate_adjoint,
     sum_frames,
 )
@@ -136,6 +144,12 @@ class SolverConfig:
     rank1_cadence: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("max_iters", "rank1_cadence"):
+            value = getattr(self, name)
+            # A fractional count fails later in range(); a NaN cadence
+            # passes every comparison false and never allows a shift.
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.stop_nrmse is not None and not self.stop_nrmse >= 0.0:
@@ -169,6 +183,7 @@ class _Workspace:
     ``frame_coverage`` holds the frame coverage of the run's current
     probe. A step reads nothing a previous step left in the scratch
     stacks, and a stack passed into a step must not be one it writes.
+    ``edges`` are the frame chunks every per-frame pass runs over.
 
     Each stack is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
@@ -186,6 +201,8 @@ class _Workspace:
         self.pair = np.empty(shape, dtype=np.complex128)
         self.frame_coverage = np.empty(shape, dtype=np.float64)
         self.real, self.real2 = self.pair.reshape(-1).view(np.float64).reshape(2, *shape)
+        # Chunked by the frames' complex128 bytes.
+        self.edges = _frame_edges(geom.K, self.stack.itemsize * geom.m**2)
 
 
 def _floored(denominator: np.ndarray, vanished: str) -> np.ndarray:
@@ -211,16 +228,32 @@ def update_object(cov: CoverageMaps, adjoint: np.ndarray) -> np.ndarray:
     )
 
 
+def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
+    """An (n, n) image flattened in the dtype of ``out``, the stack its
+    windows are gathered into: ``take`` writes only an ``out`` of its
+    source's dtype."""
+    return np.asarray(_check_object(image, geom), dtype=out.dtype).reshape(-1)
+
+
 def update_probe_standard(
     frames: np.ndarray, obj: np.ndarray, geom: ScanGeometry, work: _Workspace
 ) -> np.ndarray:
     """Per-pixel least-squares probe given the object: frame-averaged
     conjugate-view weighting over the summed view intensities."""
-    views = extract_frames(obj, geom, out=work.stack)
-    intensity = np.abs(views, out=work.real)
-    den = sum_frames(np.square(intensity, out=intensity))
-    products = np.multiply(np.conj(views, out=views), np.asarray(frames), out=views)
-    num = sum_frames(products)
+    frames = np.asarray(frames)
+    flat, index = _flat_image(obj, geom, work.stack), geom.frame_indices
+
+    # ``clip`` spares every take() below a buffer; the indices are in
+    # range.
+    def chunk(lo, hi):
+        views, intensity = work.stack[lo:hi], work.real[lo:hi]
+        flat.take(index[lo:hi], out=views, mode="clip")
+        np.square(np.abs(views, out=intensity), out=intensity)
+        np.multiply(np.conj(views, out=views), frames[lo:hi], out=views)
+
+    _over_frames(chunk, work.edges)
+    den = sum_frames(work.real)
+    num = sum_frames(work.stack)
     return num / _floored(den, "object is identically zero: probe update undefined")
 
 
@@ -230,16 +263,20 @@ def _energies(
     """The stack's coverage-weighted energy ``<frames, frame_coverage *
     frames>``, formed in ``work.stack``, and the energy of its adjoint
     accumulation ``adjoint``."""
-    weighted = np.multiply(_fill(work.stack, cov.frame_coverage), frames, out=work.stack)
+    weighted, coverage = work.stack, cov.frame_coverage
+
+    def chunk(lo, hi):
+        np.multiply(_fill(weighted[lo:hi], coverage[lo:hi]), frames[lo:hi], out=weighted[lo:hi])
+
+    _over_frames(chunk, work.edges)
     energy = float(np.vdot(frames, weighted).real)
     return energy, float(np.vdot(adjoint, adjoint).real)
 
 
-def _stack_coverage(frames: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
-    """Frame-overlap coverage of the stack intensity in ``out``: each
-    frame's window of the scatter-added ``|frames|**2``."""
-    intensity = np.square(np.abs(frames, out=out), out=out)
-    return extract_frames(embed_add_frames(intensity, geom), geom, out=out)
+def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
+    """``|frames|**2`` in ``out``: the stack intensity whose scatter-add,
+    gathered back to each frame, is the frame-overlap coverage."""
+    np.square(np.abs(frames, out=out), out=out)
 
 
 def pairwise_discrepancy(
@@ -273,10 +310,33 @@ def update_probe_power(
     stack intensity.
     """
     frames = np.asarray(frames)
-    den = sum_frames(_stack_coverage(frames, geom, work.real))
-    view = extract_frames(np.conj(adjoint), geom, out=work.stack)
-    # view * frames, not frames * view: see the note in _rank1_terms.
-    num = sum_frames(np.multiply(view, frames, out=view))
+    coverage, view, index = work.real, work.stack, geom.frame_indices
+
+    def intensity(lo, hi):
+        _intensity(frames[lo:hi], coverage[lo:hi])
+
+    _over_frames(intensity, work.edges)
+    canvas = embed_add_frames(coverage, geom).reshape(-1)
+
+    def gather(lo, hi):
+        canvas.take(index[lo:hi], out=coverage[lo:hi], mode="clip")
+
+    _over_frames(gather, work.edges)
+    # The coverage canvas goes before the conjugate accumulation is
+    # made, and that before the sums: no two image-sized temporaries
+    # are held at once.
+    del canvas
+    conj_adjoint = np.conj(_flat_image(adjoint, geom, view))
+
+    def products(lo, hi):
+        conj_adjoint.take(index[lo:hi], out=view[lo:hi], mode="clip")
+        # view * frames, not frames * view: see the note in _rank1_terms.
+        np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
+
+    _over_frames(products, work.edges)
+    del conj_adjoint
+    den = sum_frames(coverage)
+    num = sum_frames(view)
     return num / _floored(den, "frame stack is identically zero: power update undefined")
 
 
@@ -345,6 +405,23 @@ def _shifted(
     return np.subtract(frames, product, out=out)
 
 
+def _shift_globally(
+    frames: np.ndarray, probe: np.ndarray, factor: complex, work: _Workspace
+) -> np.ndarray:
+    """The stack shifted by one ``factor``, in ``work.spare``, and its
+    conjugate-probe weighting in ``work.stack``: the stack whose
+    scatter-add is the shifted stack's adjoint accumulation."""
+    shifted, weighted = work.spare, work.stack
+    conj_probe = np.conj(probe)
+
+    def chunk(lo, hi):
+        _shifted(frames[lo:hi], probe, factor, shifted[lo:hi], weighted[lo:hi])
+        np.multiply(_fill(weighted[lo:hi], conj_probe), shifted[lo:hi], out=weighted[lo:hi])
+
+    _over_frames(chunk, work.edges)
+    return shifted
+
+
 def _rank1_terms(
     frames: np.ndarray,
     probe: np.ndarray,
@@ -365,7 +442,8 @@ def _rank1_terms(
     The denominator runs in ``work.stack``, ``work.spare`` and the two
     real halves of ``work.pair``; the numerator in ``work.stack``,
     ``work.spare`` and ``work.pair``, and the shifted stack is left in
-    ``work.spare``.
+    ``work.spare``. The numerator's pass overwrites the real halves, so
+    the denominator is summed before it starts.
     """
     factors = np.asarray(transparency, dtype=np.complex128)
     if factors.shape != (geom.K,):
@@ -374,24 +452,47 @@ def _rank1_terms(
         )
     fcol = factors[:, None, None]
     conj_fcol = np.conj(fcol)
-    view = extract_frames(adjoint, geom, out=work.stack)
-    cross = np.multiply(_fill(work.spare, conj_fcol), view, out=work.spare)
-    twice = np.multiply(2.0, cross.real, out=work.real)
-    den = np.subtract(_stack_coverage(frames, geom, work.real2), twice, out=work.real2)
-    scaled = np.multiply(_fill(work.real, np.abs(fcol) ** 2), cov.frame_coverage, out=work.real)
-    den = sum_frames(np.add(den, scaled, out=den))
+    scale = np.abs(fcol) ** 2
+    flat, index = _flat_image(adjoint, geom, work.stack), geom.frame_indices
+    coverage = cov.frame_coverage
+    view, spare, pair, real, real2 = work.stack, work.spare, work.pair, work.real, work.real2
 
-    diff = np.conj(view, out=view)
-    coverage = _fill(work.pair, cov.frame_coverage)
-    np.subtract(diff, np.multiply(_fill(work.spare, conj_fcol), coverage, out=work.spare), out=diff)
-    shifted = _shifted(frames, probe, fcol, work.spare, work.pair)
-    # Operand order fixes the rounding: numpy fuses a multiply and an
-    # add in complex products, so a * b and b * a can differ in the last
-    # bit. This order reproduces earlier results bit for bit; on stacks
-    # of 256 KiB and more numpy evaluated ``shifted * (...)`` in place
-    # in its temporary, as ``(...) * shifted``.
-    num = sum_frames(np.multiply(diff, shifted, out=diff))
-    return num, np.maximum(den, 0.0), shifted
+    def cross(lo, hi):
+        flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
+        product = np.multiply(_fill(spare[lo:hi], conj_fcol[lo:hi]), view[lo:hi], out=spare[lo:hi])
+        np.multiply(2.0, product.real, out=real[lo:hi])
+        _intensity(frames[lo:hi], real2[lo:hi])
+
+    _over_frames(cross, work.edges)
+    canvas = embed_add_frames(real2, geom).reshape(-1)
+
+    def denominator(lo, hi):
+        den = canvas.take(index[lo:hi], out=real2[lo:hi], mode="clip")
+        np.subtract(den, real[lo:hi], out=den)
+        scaled = np.multiply(_fill(real[lo:hi], scale[lo:hi]), coverage[lo:hi], out=real[lo:hi])
+        np.add(den, scaled, out=den)
+
+    _over_frames(denominator, work.edges)
+    del canvas
+    den = sum_frames(real2)
+
+    def numerator(lo, hi):
+        diff = np.conj(view[lo:hi], out=view[lo:hi])
+        weights = _fill(pair[lo:hi], coverage[lo:hi])
+        product = np.multiply(_fill(spare[lo:hi], conj_fcol[lo:hi]), weights, out=spare[lo:hi])
+        np.subtract(diff, product, out=diff)
+        shifted = _shifted(frames[lo:hi], probe, fcol[lo:hi], spare[lo:hi], pair[lo:hi])
+        # Operand order fixes the rounding: numpy fuses a multiply and
+        # an add in complex products, so a * b and b * a can differ in
+        # the last bit. This order reproduces earlier results bit for
+        # bit; on stacks of 256 KiB and more numpy evaluated
+        # ``shifted * (...)`` in place in its temporary, as
+        # ``(...) * shifted``.
+        np.multiply(diff, shifted, out=diff)
+
+    _over_frames(numerator, work.edges)
+    num = sum_frames(view)
+    return num, np.maximum(den, 0.0), spare
 
 
 def shift_consistency(
@@ -434,9 +535,8 @@ def shift_consistency(
         # cancels catastrophically when the shift residue sits many
         # orders below the stack, scoring a perfectly transparent
         # region as junk instead of as consistent.
-        shifted = _shifted(frames, probe, transparency, work.spare, work.stack)
-        shifted_adjoint = illuminate_adjoint(shifted, probe, geom, scratch=work.stack)
-        weight, form = _energies(shifted, cov, shifted_adjoint, work)
+        shifted = _shift_globally(frames, probe, transparency, work)
+        weight, form = _energies(shifted, cov, embed_add_frames(work.stack, geom), work)
     else:
         num, den, _ = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
         form = np.vdot(probe, num).real
@@ -481,10 +581,9 @@ def update_probe_rank1(
     frames = np.asarray(frames)
     probe = np.asarray(probe)
     if np.ndim(transparency) == 0:
-        shifted = _shifted(frames, probe, transparency, work.spare, work.stack)
+        shifted = _shift_globally(frames, probe, transparency, work)
         _check_rank1_degeneracy(frames, shifted)
-        shifted_adjoint = illuminate_adjoint(shifted, probe, geom, scratch=work.stack)
-        return update_probe_power(shifted, geom, shifted_adjoint, work)
+        return update_probe_power(shifted, geom, embed_add_frames(work.stack, geom), work)
     num, den, shifted = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
     _check_rank1_degeneracy(frames, shifted)
     return num / _floored(den, "shifted frame stack is identically zero: rank-1 update undefined")
@@ -523,15 +622,14 @@ def _magnitude_pass(
     probe: np.ndarray,
     amplitudes: np.ndarray,
     geom: ScanGeometry,
-    edges: list[int],
     work: _Workspace,
     frames: np.ndarray,
     *,
     gap: bool = True,
     project: bool = True,
 ) -> Optional[float]:
-    """Per-frame part of the frame update, fused over the frame chunks
-    between ``edges``.
+    """Per-frame part of the frame update, fused over the run's frame
+    chunks.
 
     Each chunk illuminates its windows of ``obj`` and transforms them
     in ``work.stack``, and puts the spectrum magnitudes in ``work.real``.
@@ -567,7 +665,7 @@ def _magnitude_pass(
             np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=spare)
             np.multiply(_fill(spectra, conj_probe), spare, out=spectra)
 
-    _over_frames(chunk, edges)
+    _over_frames(chunk, work.edges)
     return np.linalg.norm(misfit) if gap else None
 
 
@@ -693,8 +791,6 @@ def run_reconstruction(
     if cfg.stop_nrmse is not None and probe_true is None:
         raise ValueError("stop_nrmse requires the true probe")
 
-    # Frames are chunked by their complex128 bytes; K and m are fixed.
-    edges = _frame_edges(geom.K, np.dtype(np.complex128).itemsize * geom.m**2)
     work = _Workspace(geom)
     overlap = None
     if cfg.probe_mode == "rank1_framewise":
@@ -705,7 +801,7 @@ def run_reconstruction(
     if frames_init is None:
         ones = np.ones((geom.n, geom.n), dtype=np.complex128)
         frames = np.empty(amplitudes.shape, dtype=np.complex128)
-        _magnitude_pass(ones, probe, amplitudes, geom, edges, work, frames, gap=False)
+        _magnitude_pass(ones, probe, amplitudes, geom, work, frames, gap=False)
         adjoint = embed_add_frames(work.stack, geom)
         del ones
     else:
@@ -757,7 +853,7 @@ def run_reconstruction(
         # Row 0 keeps the initial frames: its pass writes no frames, and
         # the frame memory it needs as scratch is the spare stack.
         misfit_norm = _magnitude_pass(
-            obj, state.probe, amplitudes, geom, edges, work, work.spare, project=False
+            obj, state.probe, amplitudes, geom, work, work.spare, project=False
         )
         stop = record(0, model_gap(misfit_norm), t_start)
         for iteration in range(1, cfg.max_iters + 1):
@@ -787,7 +883,7 @@ def run_reconstruction(
                 )
             # Nothing reads the old frames any more: the new ones
             # overwrite them.
-            misfit_norm = _magnitude_pass(obj, probe, amplitudes, geom, edges, work, state.frames)
+            misfit_norm = _magnitude_pass(obj, probe, amplitudes, geom, work, state.frames)
             state.adjoint = embed_add_frames(work.stack, geom)
             stop = record(iteration, model_gap(misfit_norm), t0)
     except ValueError as exc:

@@ -217,8 +217,9 @@ class TestConfigParsing:
         )
         path.write_text(text)
         assert math.isnan(json.loads(text)["solver"]["stop_nrmse"])
-        with pytest.raises(ValueError, match="stop_nrmse must be >= 0, got nan"):
+        with pytest.raises(ValueError, match="stop_nrmse must be >= 0, got nan") as caught:
             load_run_config(str(path))
+        assert str(caught.value).startswith(f"{path}: config solver: ")
 
     def test_integers_are_numbers(self):
         doc = json.loads(json.dumps(BASE_CONFIG))

@@ -1,5 +1,6 @@
-"""The frame-chunked pass: chunk edges, bit-identity with the one-chunk
-run, and what worker threads may and may not do.
+"""The frame-chunked passes: chunk edges, bit-identity of a run and of
+each chunked step with the one-chunk call, and what worker threads may
+and may not do.
 
 Shrinking ``fourier._CHUNK_BYTES`` splits even small stacks into many
 chunks that run on the thread pool; every outcome must stay byte-equal
@@ -16,10 +17,20 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import rand_complex, step_inputs
 from test_loop_oracle import MODES, wrapping_instance
 
-from ptyblind import ScanGeometry, SolverConfig, fourier, metrics, operators, run_reconstruction, solver
-from ptyblind.synth import ProbeSpec, make_probe, simulate_data
+from ptyblind import (
+    ScanGeometry,
+    SolverConfig,
+    fourier,
+    illuminate,
+    metrics,
+    operators,
+    run_reconstruction,
+    solver,
+)
+from ptyblind.synth import PhantomSpec, ProbeSpec, make_probe, make_test_object, simulate_data
 
 
 def outcome(history):
@@ -88,6 +99,67 @@ def test_chunked_run_at_frame_size_128_matches_one_chunk_run(monkeypatch):
     chunks = record_chunks(monkeypatch)
     assert outcome(run_reconstruction(amps, geom, probe * 0.9, cfg, probe_true=probe)) == whole
     assert sorted({(lo, hi) for lo, hi, _ in chunks}) == [(0, 2), (2, 5)]
+
+
+def step_case(m):
+    """Frames, object and probe of a weak-contrast scan whose frames are
+    perturbed off consistency, so every step has work to do."""
+    if m == 8:
+        geom = wrapping_instance()[0]
+    else:
+        # An odd frame size, so no chunk is a whole number of vectors.
+        rng = np.random.default_rng(5)
+        geom = ScanGeometry(n=23, m=m, positions=rng.integers(0, 23, size=(17, 2)))
+    obj = make_test_object(PhantomSpec(n=geom.n, dc_fraction=0.98, texture_seed=1))
+    probe = make_probe(ProbeSpec(m=m, aperture_radius_px=m / 2 - 0.5, defocus_phase_strength=0.5))
+    frames = illuminate(obj, probe, geom)
+    frames += 0.01 * rand_complex(np.random.default_rng(6), *frames.shape)
+    return geom, obj, probe, frames
+
+
+STEPS = [
+    "update_probe_standard",
+    "update_probe_power",
+    "pairwise_discrepancy",
+    "shift_consistency/global",
+    "shift_consistency/framewise",
+    "update_probe_rank1/global",
+    "update_probe_rank1/framewise",
+]
+
+
+def call_step(step, geom, obj, probe, frames, inputs):
+    """Call the named step; a ``/global`` or ``/framewise`` suffix picks
+    the form of the transparency it is given."""
+    cov, adjoint, work = inputs
+    if step == "update_probe_standard":
+        return solver.update_probe_standard(frames, obj, geom, work)
+    if step == "update_probe_power":
+        return solver.update_probe_power(frames, geom, adjoint, work)
+    if step == "pairwise_discrepancy":
+        return solver.pairwise_discrepancy(frames, cov, adjoint, work)
+    name, kind = step.split("/")
+    if kind == "global":
+        factor = solver.transparency_global(frames, probe)
+    else:
+        factor = solver.transparency_framewise(frames, probe, solver.build_overlap_matrix(geom))
+    return getattr(solver, name)(frames, probe, geom, factor, *inputs)
+
+
+@pytest.mark.parametrize("m", [8, 7])
+@pytest.mark.parametrize("step", STEPS)
+def test_chunked_step_matches_one_chunk_step_byte_for_byte(monkeypatch, step, m):
+    geom, obj, probe, frames = step_case(m)
+    inputs = step_inputs(frames, probe, geom)
+    assert len(inputs.work.edges) == 2
+    whole = np.asarray(call_step(step, geom, obj, probe, frames, inputs))
+    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    inputs = step_inputs(frames, probe, geom)
+    chunks = record_chunks(monkeypatch)
+    chunked = np.asarray(call_step(step, geom, obj, probe, frames, inputs))
+    assert (chunked.dtype, chunked.tobytes()) == (whole.dtype, whole.tobytes())
+    assert len({(lo, hi) for lo, hi, _ in chunks}) == len(inputs.work.edges) - 1 > 1
+    assert not any(on_main for _, _, on_main in chunks)
 
 
 def test_public_functions_run_on_the_calling_thread_only(monkeypatch):

@@ -87,6 +87,43 @@ def test_complex_embed_sums_each_part_in_frame_order(rng):
             assert got.imag.tobytes() == parts[1].reshape(n, n).tobytes()
 
 
+def part_sums_in_frame_order(frames, geom):
+    """The complex scatter-add as one bincount per part."""
+    idx = geom.frame_indices.reshape(-1)
+    n = geom.n
+    real, imag = (
+        np.bincount(idx, weights=part.reshape(-1), minlength=n * n).reshape(n, n)
+        for part in (frames.real, frames.imag)
+    )
+    return real, imag
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["wrapping offsets", "frame as large as object", "one frame", "non-contiguous stack"],
+)
+def test_complex_embed_matches_part_sums_on_edge_layouts(rng, case):
+    if case == "wrapping offsets":
+        # Every offset is at least n - m, so every frame wraps an edge.
+        geom = ScanGeometry(n=9, m=4, positions=[(5, 7), (8, 8), (6, 5), (7, 6), (8, 5)])
+        frames = rand_complex(rng, 5, 4, 4)
+    elif case == "frame as large as object":
+        geom = random_geometry(rng, n=6, m=6, K=4)
+        frames = rand_complex(rng, 4, 6, 6)
+    elif case == "one frame":
+        geom = ScanGeometry(n=7, m=3, positions=[(5, 6)])
+        frames = rand_complex(rng, 1, 3, 3)
+    else:
+        geom = random_geometry(rng, n=10, m=4, K=6)
+        frames = rand_complex(rng, 6, 4, 8)[:, :, ::2]
+        assert not frames.flags.c_contiguous
+    real, imag = part_sums_in_frame_order(frames, geom)
+    got = embed_add_frames(frames, geom)
+    assert got.dtype == np.complex128
+    assert got.real.tobytes() == real.tobytes()
+    assert got.imag.tobytes() == imag.tobytes()
+
+
 def test_embed_matches_dense_adjoint(rng):
     geom = random_geometry(rng, n=4, m=2, K=3)
     stack = rand_complex(rng, 3, 2, 2)

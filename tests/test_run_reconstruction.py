@@ -263,3 +263,13 @@ class TestValidation:
         for stop in (float("nan"), -0.1):
             with pytest.raises(ValueError, match="stop_nrmse must be >= 0"):
                 SolverConfig(stop_nrmse=stop)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        # A NaN cadence compares false with every count and would never
+        # allow a shift; a fractional max_iters would fail in range().
+        [("rank1_cadence", float("nan")), ("max_iters", 2.5), ("max_iters", True)],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            SolverConfig(**{field: value})
