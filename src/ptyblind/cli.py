@@ -107,7 +107,10 @@ def _get(section: dict, key: str, kind: type, path: str, required: bool = False)
     accepted = (int, float) if kind is float else kind
     if not isinstance(value, accepted) or isinstance(value, bool):
         raise ValueError(f"config {path}.{key}: expected {_EXPECTED[kind]}, got {value!r}")
-    return float(value) if kind is float else value
+    try:
+        return float(value) if kind is float else value
+    except OverflowError:
+        raise ValueError(f"config {path}.{key}: integer too large for a number") from None
 
 
 def _is_int_pair(value) -> bool:

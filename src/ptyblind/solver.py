@@ -46,7 +46,9 @@ the benchmark in ``perfbench/`` traces them by name. The rank-1
 estimators and the gate run only on iterations the cadence allows.
 The global gate score reduces to ``||A_s||^2 / <|s|^2, frame
 coverage>`` for the shifted stack ``s`` and its accumulation ``A_s``,
-one scatter-add. The model spectra are transformed once: their
+one scatter-add. An accepted shifted step finishes from the gate's own
+shifted stack (and ``A_s``, or the per-frame sums), so no stack is
+shifted twice. The model spectra are transformed once: their
 magnitudes give the data residual and then phase the spectra in place
 for the frame update.
 
@@ -88,7 +90,8 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -182,7 +185,8 @@ class _Workspace:
     ``real`` and ``real2``, and no step uses it both ways at once.
     ``frame_coverage`` holds the frame coverage of the run's current
     probe. A step reads nothing a previous step left in the scratch
-    stacks, and a stack passed into a step must not be one it writes.
+    stacks but the gate's shifted stack in ``spare``, and a stack
+    passed into a step must not be one it writes.
     ``edges`` are the frame chunks every per-frame pass runs over.
 
     Each stack is allocated on its own: glibc serves blocks of one
@@ -205,14 +209,14 @@ class _Workspace:
         self.edges = _frame_edges(geom.K, self.stack.itemsize * geom.m**2)
 
 
-def _floored(denominator: np.ndarray, vanished: str) -> np.ndarray:
-    """``denominator`` floored at ``EPSILON_REL`` times its maximum.
-    Raises :class:`DegenerateInputError` with the message ``vanished``
-    when it is identically zero."""
+def _divided(numerator: np.ndarray, denominator: np.ndarray, vanished: str) -> np.ndarray:
+    """``numerator`` over ``denominator`` floored at ``EPSILON_REL`` times
+    its maximum. Raises :class:`DegenerateInputError` with the message
+    ``vanished`` when the denominator is identically zero."""
     peak = denominator.max()
     if not peak > 0:
         raise DegenerateInputError(vanished)
-    return np.maximum(denominator, EPSILON_REL * peak)
+    return numerator / np.maximum(denominator, EPSILON_REL * peak)
 
 
 def update_object(cov: CoverageMaps, adjoint: np.ndarray) -> np.ndarray:
@@ -223,8 +227,8 @@ def update_object(cov: CoverageMaps, adjoint: np.ndarray) -> np.ndarray:
     probe's coverage and ``adjoint`` the stack's accumulation
     ``illuminate_adjoint(frames, probe, geom)``.
     """
-    return adjoint / _floored(
-        cov.object_coverage, "probe is identically zero: object coverage vanishes"
+    return _divided(
+        adjoint, cov.object_coverage, "probe is identically zero: object coverage vanishes"
     )
 
 
@@ -254,7 +258,7 @@ def update_probe_standard(
     _over_frames(chunk, work.edges)
     den = sum_frames(work.real)
     num = sum_frames(work.stack)
-    return num / _floored(den, "object is identically zero: probe update undefined")
+    return _divided(num, den, "object is identically zero: probe update undefined")
 
 
 def _energies(
@@ -337,7 +341,7 @@ def update_probe_power(
     del conj_adjoint
     den = sum_frames(coverage)
     num = sum_frames(view)
-    return num / _floored(den, "frame stack is identically zero: power update undefined")
+    return _divided(num, den, "frame stack is identically zero: power update undefined")
 
 
 def transparency_global(frames: np.ndarray, probe: np.ndarray) -> complex:
@@ -382,13 +386,6 @@ def build_overlap_matrix(geom: ScanGeometry) -> np.ndarray:
     rows = axis_overlap(geom.positions[:, 0])
     cols = axis_overlap(geom.positions[:, 1])
     return (rows & cols).astype(np.uint8)
-
-
-def _check_rank1_degeneracy(frames: np.ndarray, shifted: np.ndarray) -> None:
-    if np.linalg.norm(shifted) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
-        raise DegenerateInputError(
-            "transparency shift removed the whole stack: constant object region"
-        )
 
 
 def _shifted(
@@ -503,12 +500,13 @@ def shift_consistency(
     cov: CoverageMaps,
     adjoint: np.ndarray,
     work: _Workspace,
-) -> float:
+) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
     """Consistency score of the transparency-shifted stack along the
-    current probe.
+    current probe, with the shifted stack and the step that finishes
+    from it.
 
-    This is the ratio of the shifted power step's quadratic form to
-    its coverage-weighted norm at the current probe. It equals 1
+    The score is the ratio of the shifted power step's quadratic form
+    to its coverage-weighted norm at the current probe. It equals 1
     exactly when the shifted frames are mutually consistent (come from
     a single object under this probe) and drops toward 0 as the shift
     residue is dominated by frame inconsistency; a degenerate (zero)
@@ -524,6 +522,16 @@ def shift_consistency(
     coverage and ``adjoint`` the unshifted stack's accumulation
     ``illuminate_adjoint(frames, probe, geom)``, which only the
     per-frame form reads.
+
+    Only here is a shifted stack formed. It is left in ``work.spare``,
+    and ``finish()`` completes the shifted step from the score's own
+    terms; :func:`update_probe_rank1` takes both, before any other step
+    writes the workspace. With one factor the shifted stack is still
+    consistent data, so the step is its power step, on the accumulation
+    scattered here. Per-frame factors take the uniform-shift formula at
+    each frame's own factor (which multiplies the full coverage map):
+    the plain power step of frames shifted by different constants would
+    break the true-probe fixed point, since no single object makes them.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
@@ -536,57 +544,35 @@ def shift_consistency(
         # orders below the stack, scoring a perfectly transparent
         # region as junk instead of as consistent.
         shifted = _shift_globally(frames, probe, transparency, work)
-        weight, form = _energies(shifted, cov, embed_add_frames(work.stack, geom), work)
+        accumulation = embed_add_frames(work.stack, geom)
+        weight, form = _energies(shifted, cov, accumulation, work)
+        finish = partial(update_probe_power, shifted, geom, accumulation, work)
     else:
-        num, den, _ = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
+        num, den, shifted = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
         form = np.vdot(probe, num).real
         weight = float((den * np.abs(probe) ** 2).sum())
-    if not weight > 0.0:
-        return 0.0
-    return float(form / weight)
+        vanished = "shifted frame stack is identically zero: rank-1 update undefined"
+        finish = partial(_divided, num, den, vanished)
+    score = float(form / weight) if weight > 0.0 else 0.0
+    return score, shifted, finish
 
 
 def update_probe_rank1(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    transparency: complex | np.ndarray,
-    cov: CoverageMaps,
-    adjoint: np.ndarray,
-    work: _Workspace,
+    frames: np.ndarray, shifted: np.ndarray, finish: Callable[[], np.ndarray]
 ) -> np.ndarray:
-    """Transparency-accelerated probe update.
-
-    Subtracts the estimated transmitted component from the stack and
-    applies the power step to the remainder. ``transparency`` is one
-    complex factor for the whole stack or a length-K array of per-frame
-    factors. With a single global factor the shifted stack is still
-    consistent data, so this is literally the power update of the
-    shifted stack. With per-frame factors each frame is treated by the
-    uniform-shift formula at its own factor (the frame's factor
-    multiplies the full coverage map); shifting frames by different
-    constants and taking the plain power step instead would break the
-    true-probe fixed point, because such a stack no longer comes from
-    any single object.
+    """Transparency-accelerated probe update: the power step of the stack
+    less its estimated transmitted component, from the ``shifted`` stack
+    and ``finish`` that :func:`shift_consistency` returned for ``frames``.
 
     Raises :class:`DegenerateInputError` when the shifted stack is
-    numerically zero (a purely constant object region carries no
-    probe information), in which case callers may fall back to the
-    plain power update.
-
-    ``cov`` is the probe's coverage and ``adjoint`` the unshifted
-    stack's accumulation ``illuminate_adjoint(frames, probe, geom)``;
-    only the per-frame form reads them.
+    numerically zero (a purely constant object region carries no probe
+    information); callers may then fall back to the plain power update.
     """
-    frames = np.asarray(frames)
-    probe = np.asarray(probe)
-    if np.ndim(transparency) == 0:
-        shifted = _shift_globally(frames, probe, transparency, work)
-        _check_rank1_degeneracy(frames, shifted)
-        return update_probe_power(shifted, geom, embed_add_frames(work.stack, geom), work)
-    num, den, shifted = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
-    _check_rank1_degeneracy(frames, shifted)
-    return num / _floored(den, "shifted frame stack is identically zero: rank-1 update undefined")
+    if np.linalg.norm(shifted) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
+        raise DegenerateInputError(
+            "transparency shift removed the whole stack: constant object region"
+        )
+    return finish()
 
 
 def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -675,6 +661,16 @@ def _check_finite(value, name: str) -> None:
         raise ValueError(f"{name} is not finite")
 
 
+def _check_probe(probe: np.ndarray, name: str, geom: ScanGeometry) -> None:
+    """Reject a wrong-shaped, non-finite or zero probe named ``name``."""
+    if probe.shape != (geom.m, geom.m):
+        raise ValueError(f"{name} shape {probe.shape} does not match geometry m={geom.m}")
+    if not np.all(np.isfinite(probe)):
+        raise ValueError(f"{name} contains non-finite entries")
+    if np.linalg.norm(probe) == 0.0:
+        raise ValueError(f"{name} is identically zero")
+
+
 @dataclass
 class _Iterate:
     """State the loop carries from one iteration to the next.
@@ -717,13 +713,13 @@ def _probe_step(
         return update_probe_standard(frames, obj, geom, work), False
     if cfg.probe_mode != "power" and state.since_shift >= cfg.rank1_cadence:
         if cfg.probe_mode == "rank1_framewise":
-            transparency = transparency_framewise(frames, probe, overlap)
+            factor = transparency_framewise(frames, probe, overlap)
         else:
-            transparency = transparency_global(frames, probe)
-        score = shift_consistency(frames, probe, geom, transparency, cov, adjoint, work)
+            factor = transparency_global(frames, probe)
+        score, shifted, finish = shift_consistency(frames, probe, geom, factor, cov, adjoint, work)
         if score >= cfg.rank1_gate:
             try:
-                shifted = update_probe_rank1(frames, probe, geom, transparency, cov, adjoint, work)
+                stepped = update_probe_rank1(frames, shifted, finish)
             except DegenerateInputError:
                 events.append(
                     f"iteration {iteration}: degenerate transparency shift, "
@@ -737,7 +733,9 @@ def _probe_step(
                     )
                 state.since_shift = 0
                 state.shift_seen = True
-                return shifted, True
+                return stepped, True
+        # The power step runs without the gate's accumulation held.
+        del shifted, finish
     state.since_shift += 1
     return update_probe_power(frames, geom, adjoint, work), False
 
@@ -781,13 +779,10 @@ def run_reconstruction(
             f"(K={geom.K}, m={geom.m})"
         )
     probe = np.array(probe_init, dtype=np.complex128)
-    if probe.shape != (geom.m, geom.m):
-        raise ValueError(f"probe shape {probe.shape} does not match geometry m={geom.m}")
-    if not np.all(np.isfinite(probe)):
-        raise ValueError("probe_init contains non-finite entries")
+    _check_probe(probe, "probe_init", geom)
     norm_lock_target = np.linalg.norm(probe)
-    if norm_lock_target == 0.0:
-        raise ValueError("initial probe is identically zero")
+    if probe_true is not None:
+        _check_probe(np.asarray(probe_true), "probe_true", geom)
     if cfg.stop_nrmse is not None and probe_true is None:
         raise ValueError("stop_nrmse requires the true probe")
 

@@ -26,7 +26,14 @@ from ptyblind import (
 )
 from ptyblind.metrics import _relative_gap
 from ptyblind.operators import CoverageMaps, sum_frames
-from ptyblind.solver import EPSILON_REL, RANK1_DEGENERACY_RTOL, _Workspace, update_object
+from ptyblind.solver import (
+    EPSILON_REL,
+    RANK1_DEGENERACY_RTOL,
+    _Workspace,
+    shift_consistency,
+    update_object,
+    update_probe_rank1,
+)
 
 
 def rand_complex(rng, *shape):
@@ -127,11 +134,19 @@ def step_inputs(frames, probe, geom):
 
     The steps take these in this order, after their other arguments, so
     ``*step_inputs(...)`` completes a call of ``pairwise_discrepancy``,
-    ``shift_consistency`` and ``update_probe_rank1``.
+    ``shift_consistency`` and ``rank1_step``.
     """
     work = _Workspace(geom)
     cov = coverage_maps(probe, geom, out=work.frame_coverage)
     return StepInputs(cov, illuminate_adjoint(frames, probe, geom), work)
+
+
+def rank1_step(frames, probe, geom, transparency, cov, adjoint, work):
+    """The transparency-shifted probe step as the loop takes it: the gate
+    ``shift_consistency`` forms the shifted stack, and
+    ``update_probe_rank1`` finishes from it."""
+    _, shifted, finish = shift_consistency(frames, probe, geom, transparency, cov, adjoint, work)
+    return update_probe_rank1(frames, shifted, finish)
 
 
 def frame_consistency_project(frames, probe, geom):
@@ -178,7 +193,7 @@ def magnitude_project(frames, amplitudes):
 
 
 def update_probe_rank1_expanded(frames, probe, geom, transparency):
-    """Cross-check of ``update_probe_rank1`` by the complementary
+    """Cross-check of the shifted step (``rank1_step``) by the complementary
     arithmetic route, built from the public operators only.
 
     Global factor c: the transparency terms are distributed through the

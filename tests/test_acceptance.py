@@ -18,6 +18,7 @@ from conftest import (
     frame_consistency_project,
     grid_search_nrmse,
     rand_complex,
+    rank1_step,
     stack_to_vec,
     step_inputs,
     update_probe_rank1_expanded,
@@ -40,7 +41,6 @@ from ptyblind.solver import (
     transparency_global,
     update_object,
     update_probe_power,
-    update_probe_rank1,
     update_probe_standard,
 )
 from ptyblind.synth import (
@@ -221,7 +221,7 @@ def test_criterion_5_rank1_algebra():
         else:
             transparency = rand_complex(rng, K)
         inputs = step_inputs(frames, probe, geom)
-        fast = update_probe_rank1(frames, probe, geom, transparency, *inputs)
+        fast = rank1_step(frames, probe, geom, transparency, *inputs)
         slow = update_probe_rank1_expanded(frames, probe, geom, transparency)
         worst_paths = max(worst_paths, _rel(slow, fast))
 
@@ -237,7 +237,7 @@ def test_criterion_5_rank1_algebra():
     constant_frames = (0.8 + 0.3j) * replicate_probe(probe, geom)
     with pytest.raises(DegenerateInputError):
         inputs = step_inputs(constant_frames, probe, geom)
-        update_probe_rank1(constant_frames, probe, geom, 0.8 + 0.3j, *inputs)
+        rank1_step(constant_frames, probe, geom, 0.8 + 0.3j, *inputs)
 
     ok = worst_paths <= 1e-11 and worst_nu <= 1e-14
     _report(5, ok, f"two evaluation paths agree to {worst_paths:.2e} (30 instances), "

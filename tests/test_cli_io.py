@@ -221,6 +221,14 @@ class TestConfigParsing:
             load_run_config(str(path))
         assert str(caught.value).startswith(f"{path}: config solver: ")
 
+    def test_integer_too_large_for_a_number_is_a_config_error(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["solver"]["stop_nrmse"] = 10**400
+        config = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: config solver.stop_nrmse: integer too large for a number\n"
+
     def test_integers_are_numbers(self):
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc["solver"]["rank1_gate"] = 1

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import rand_complex, step_inputs
+from conftest import rand_complex, rank1_step, step_inputs
 from test_loop_oracle import MODES, wrapping_instance
 
 from ptyblind import (
@@ -143,7 +143,9 @@ def call_step(step, geom, obj, probe, frames, inputs):
         factor = solver.transparency_global(frames, probe)
     else:
         factor = solver.transparency_framewise(frames, probe, solver.build_overlap_matrix(geom))
-    return getattr(solver, name)(frames, probe, geom, factor, *inputs)
+    if name == "update_probe_rank1":
+        return rank1_step(frames, probe, geom, factor, *inputs)
+    return solver.shift_consistency(frames, probe, geom, factor, *inputs)[0]
 
 
 @pytest.mark.parametrize("m", [8, 7])

@@ -11,7 +11,7 @@ every History value except the wall time, and the events.
 
 import numpy as np
 import pytest
-from conftest import data_residual, magnitude_project, rand_complex, step_inputs
+from conftest import data_residual, magnitude_project, rand_complex, rank1_step, step_inputs
 
 from ptyblind import (
     DegenerateInputError,
@@ -30,7 +30,6 @@ from ptyblind.solver import (
     transparency_global,
     update_object,
     update_probe_power,
-    update_probe_rank1,
     update_probe_standard,
 )
 from ptyblind.synth import (
@@ -82,12 +81,12 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
                 transparency = transparency_framewise(frames, probe, overlap)
             else:
                 transparency = transparency_global(frames, probe)
-            score = shift_consistency(
+            score, _, _ = shift_consistency(
                 frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
             )
             if score >= cfg.rank1_gate:
                 try:
-                    new = update_probe_rank1(
+                    new = rank1_step(
                         frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
                     )
                 except DegenerateInputError:

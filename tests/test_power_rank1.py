@@ -13,6 +13,7 @@ from conftest import (
     dense_power_matrices,
     rand_complex,
     random_geometry,
+    rank1_step,
     step_inputs,
     update_probe_rank1_expanded,
 )
@@ -35,7 +36,6 @@ from ptyblind.solver import (
     transparency_framewise,
     transparency_global,
     update_probe_power,
-    update_probe_rank1,
 )
 
 def consistent_instance(rng, n, m, K):
@@ -238,7 +238,7 @@ class TestRank1Update:
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
         inputs = step_inputs(frames, probe, geom)
-        got = update_probe_rank1(frames, probe, geom, 0.0, *inputs)
+        got = rank1_step(frames, probe, geom, 0.0, *inputs)
         assert np.array_equal(got, update_probe_power(frames, geom, *inputs[1:]))
 
     def test_zero_factor_reduces_to_power_framewise(self, rng):
@@ -246,7 +246,7 @@ class TestRank1Update:
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
         inputs = step_inputs(frames, probe, geom)
-        got = update_probe_rank1(frames, probe, geom, np.zeros(geom.K, dtype=complex), *inputs)
+        got = rank1_step(frames, probe, geom, np.zeros(geom.K, dtype=complex), *inputs)
         want = update_probe_power(frames, geom, *inputs[1:])
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -260,7 +260,7 @@ class TestRank1Update:
             else:
                 transparency = rand_complex(rng, geom.K)
             inputs = step_inputs(frames, probe, geom)
-            fast = update_probe_rank1(frames, probe, geom, transparency, *inputs)
+            fast = rank1_step(frames, probe, geom, transparency, *inputs)
             slow = update_probe_rank1_expanded(frames, probe, geom, transparency)
             assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(fast)
 
@@ -269,7 +269,7 @@ class TestRank1Update:
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             transparency = transparency_global(frames, probe)
             inputs = step_inputs(frames, probe, geom)
-            stepped = update_probe_rank1(frames, probe, geom, transparency, *inputs)
+            stepped = rank1_step(frames, probe, geom, transparency, *inputs)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_fixed_point_at_true_pair_framewise(self, rng):
@@ -279,7 +279,7 @@ class TestRank1Update:
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
             inputs = step_inputs(frames, probe, geom)
-            stepped = update_probe_rank1(frames, probe, geom, factors, *inputs)
+            stepped = rank1_step(frames, probe, geom, factors, *inputs)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
             expanded = update_probe_rank1_expanded(frames, probe, geom, factors)
             assert np.linalg.norm(expanded - probe) <= 1e-10 * np.linalg.norm(probe)
@@ -291,10 +291,10 @@ class TestRank1Update:
         frames = c * replicate_probe(probe, geom)
         inputs = step_inputs(frames, probe, geom)
         with pytest.raises(DegenerateInputError):
-            update_probe_rank1(frames, probe, geom, c, *inputs)
+            rank1_step(frames, probe, geom, c, *inputs)
         factors = np.full(geom.K, c)
         with pytest.raises(DegenerateInputError):
-            update_probe_rank1(frames, probe, geom, factors, *inputs)
+            rank1_step(frames, probe, geom, factors, *inputs)
 
 
 class TestTransparencyForms:
@@ -311,8 +311,8 @@ class TestTransparencyForms:
         inputs = step_inputs(frames, probe, geom)
         steps, scores = set(), set()
         for transparency in (c, np.complex128(c), np.array(c)):
-            steps.add(update_probe_rank1(frames, probe, geom, transparency, *inputs).tobytes())
-            scores.add(shift_consistency(frames, probe, geom, transparency, *inputs))
+            steps.add(rank1_step(frames, probe, geom, transparency, *inputs).tobytes())
+            scores.add(shift_consistency(frames, probe, geom, transparency, *inputs)[0])
         assert len(steps) == 1 and len(scores) == 1
 
     @pytest.mark.parametrize("shape", [(5,), (7,), (6, 1)])
@@ -324,7 +324,7 @@ class TestTransparencyForms:
         inputs = step_inputs(frames, probe, geom)
         message = r"framewise transparency must have length K=6, got shape"
         with pytest.raises(ValueError, match=message):
-            update_probe_rank1(frames, probe, geom, factors, *inputs)
+            rank1_step(frames, probe, geom, factors, *inputs)
         with pytest.raises(ValueError, match=message):
             shift_consistency(frames, probe, geom, factors, *inputs)
 
@@ -354,17 +354,18 @@ class TestShiftConsistency:
             else:
                 frames = illuminate(rand_complex(rng, n, n), probe, geom)
                 c = transparency_global(frames, probe)
-            score = shift_consistency(frames, probe, geom, c, *step_inputs(frames, probe, geom))
+            inputs = step_inputs(frames, probe, geom)
+            score, _, _ = shift_consistency(frames, probe, geom, c, *inputs)
             want = pencil_global_consistency(frames, probe, geom, c)
             assert score == pytest.approx(want, abs=1e-12)
 
     def test_equals_one_on_consistent_stack(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
         inputs = step_inputs(frames, probe, geom)
-        score = shift_consistency(frames, probe, geom, 0.7 - 0.2j, *inputs)
+        score, _, _ = shift_consistency(frames, probe, geom, 0.7 - 0.2j, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
         factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
-        score = shift_consistency(frames, probe, geom, factors, *inputs)
+        score, _, _ = shift_consistency(frames, probe, geom, factors, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_global_score_stays_in_unit_interval(self, rng):
@@ -374,7 +375,7 @@ class TestShiftConsistency:
             probe = rand_complex(rng, 3, 3)
             transparency = complex(rand_complex(rng, 1)[0])
             inputs = step_inputs(frames, probe, geom)
-            score = shift_consistency(frames, probe, geom, transparency, *inputs)
+            score, _, _ = shift_consistency(frames, probe, geom, transparency, *inputs)
             assert -1e-12 <= score <= 1.0 + 1e-12
 
     def test_degenerate_shift_scores_zero(self, rng):
@@ -382,14 +383,15 @@ class TestShiftConsistency:
         probe = rand_complex(rng, 4, 4)
         c = 1.5 - 0.5j
         frames = c * replicate_probe(probe, geom)
-        assert shift_consistency(frames, probe, geom, c, *step_inputs(frames, probe, geom)) == 0.0
+        score, _, _ = shift_consistency(frames, probe, geom, c, *step_inputs(frames, probe, geom))
+        assert score == 0.0
 
     def test_noise_scores_below_consistent_data(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
         transparency = transparency_global(frames, probe)
         noise = rand_complex(rng, geom.K, 4, 4)
         noisy_inputs = step_inputs(noise, probe, geom)
-        noisy = shift_consistency(noise, probe, geom, transparency, *noisy_inputs)
+        noisy, _, _ = shift_consistency(noise, probe, geom, transparency, *noisy_inputs)
         clean_inputs = step_inputs(frames, probe, geom)
-        clean = shift_consistency(frames, probe, geom, transparency, *clean_inputs)
+        clean, _, _ = shift_consistency(frames, probe, geom, transparency, *clean_inputs)
         assert noisy < 0.9 < clean

@@ -242,6 +242,30 @@ class TestValidation:
         with pytest.raises(ValueError, match="^probe_init contains non-finite entries$"):
             run_reconstruction(amps, geom, bad, SolverConfig(max_iters=1))
 
+    @pytest.mark.parametrize(
+        "spoil, message",
+        [
+            ("nan", "contains non-finite entries"),
+            ("zero", "is identically zero"),
+            ("flattened", r"shape \(64,\) does not match geometry m=8"),
+        ],
+        ids=["nan", "zero", "flattened"],
+    )
+    def test_rejects_bad_probe_true(self, spoil, message):
+        # A NaN truth would fill every row's error with NaN, so the stop
+        # rule would never fire; the others failed only at iteration 0.
+        geom, obj, probe, amps = disjoint_instance()
+        truth = probe.astype(complex)
+        if spoil == "nan":
+            truth[2, 3] = np.nan
+        elif spoil == "zero":
+            truth[:] = 0.0
+        else:
+            truth = truth.ravel()
+        cfg = SolverConfig(max_iters=3, stop_nrmse=0.1)
+        with pytest.raises(ValueError, match=f"^probe_true {message}$"):
+            run_reconstruction(amps, geom, probe, cfg, probe_true=truth)
+
     def test_rejects_non_finite_frames_init(self):
         geom, obj, probe, amps = disjoint_instance()
         frames = illuminate(obj, probe, geom)
