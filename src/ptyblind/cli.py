@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from typing import Optional, get_args, get_type_hints
 
 import numpy as np
@@ -42,33 +43,24 @@ class PerturbationSpec:
     noise_level: float = 0.0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 @dataclass
 class RunConfig:
-    """Parsed experiment configuration.
+    """Parsed experiment configuration. The scan ``geometry`` is built
+    when the config is parsed; the other sections are optional, and
+    each command checks for the ones it needs."""
 
-    Sections other than geometry are optional at parse time; each
-    command checks for the ones it needs.
-    """
-
-    n: int
-    m: int
-    step: Optional[int] = None
-    grid: Optional[tuple[int, int]] = None
-    positions: Optional[list[tuple[int, int]]] = None
+    geometry: ScanGeometry
     phantom: Optional[PhantomSpec] = None
     probe: Optional[ProbeSpec] = None
     perturbation: Optional[PerturbationSpec] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_dir: Optional[str] = None
     record_every: int = 1
-
-    def build_geometry(self) -> ScanGeometry:
-        if self.positions is not None:
-            return ScanGeometry(
-                n=self.n, m=self.m, positions=np.array(self.positions, dtype=np.int64)
-            )
-        return make_raster_geometry(self.n, self.m, self.step, self.grid)
 
 
 def _check_keys(section: dict, allowed: tuple, path: str) -> None:
@@ -120,15 +112,15 @@ def _is_int_pair(value) -> bool:
     )
 
 
-def _parse_geometry(doc: dict) -> dict:
+def _parse_geometry(doc: dict) -> ScanGeometry:
+    """The scan the geometry section describes. A value the library
+    rejects is named by the section, as a key of the wrong type is."""
     section = _section(doc, "geometry")
     if section is None:
         raise ValueError("config: missing required section 'geometry'")
     _check_keys(section, ("n", "m", "step", "grid", "positions"), "geometry")
-    out = {
-        "n": _get(section, "n", int, "geometry", required=True),
-        "m": _get(section, "m", int, "geometry", required=True),
-    }
+    n = _get(section, "n", int, "geometry", required=True)
+    m = _get(section, "m", int, "geometry", required=True)
     has_raster = "step" in section or "grid" in section
     has_explicit = "positions" in section
     if has_raster == has_explicit:
@@ -136,11 +128,11 @@ def _parse_geometry(doc: dict) -> dict:
             "config geometry: give either ('step' and 'grid') or 'positions', not both/neither"
         )
     if has_raster:
-        out["step"] = _get(section, "step", int, "geometry", required=True)
+        step = _get(section, "step", int, "geometry", required=True)
         grid = section.get("grid")
         if not _is_int_pair(grid):
             raise ValueError("config geometry.grid: expected a pair of integers, e.g. [13, 13]")
-        out["grid"] = (grid[0], grid[1])
+        build = partial(make_raster_geometry, n, m, step, (grid[0], grid[1]))
     else:
         positions = section["positions"]
         if not isinstance(positions, list) or not positions:
@@ -152,8 +144,12 @@ def _parse_geometry(doc: dict) -> dict:
                     f"config geometry.positions[{i}]: expected [row, col] integers, got {pos!r}"
                 )
             parsed.append((pos[0], pos[1]))
-        out["positions"] = parsed
-    return out
+        build = partial(ScanGeometry, n, m, parsed)
+    try:
+        return build()
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: an integer too large for an int64 offset.
+        raise ValueError(f"config geometry: {exc}") from exc
 
 
 # Config sections built from a dataclass: its class, and the fields the
@@ -195,12 +191,11 @@ def parse_run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValueError("config: expected a JSON object at top level")
     _check_keys(doc, ("geometry", *_SECTIONS, "output_dir", "record_every"), "(top level)")
-    geometry = _parse_geometry(doc)
-    cfg = RunConfig(**geometry)
+    cfg = RunConfig(_parse_geometry(doc))
     for name, (cls, from_geometry) in _SECTIONS.items():
         section = _section(doc, name)
         if section is not None:
-            supplied = {key: geometry[key] for key in from_geometry}
+            supplied = {key: getattr(cfg.geometry, key) for key in from_geometry}
             setattr(cfg, name, _parse_section(section, name, cls, supplied))
 
     cfg.output_dir = _get(doc, "output_dir", str, "(top level)")
@@ -233,7 +228,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     """Generate a dataset: phantom, true probe, amplitudes, geometry."""
     if cfg.phantom is None or cfg.probe is None:
         raise ValueError("simulate requires 'phantom' and 'probe' config sections")
-    geom = cfg.build_geometry()
+    geom = cfg.geometry
     obj = make_test_object(cfg.phantom)
     probe = make_probe(cfg.probe)
     amplitudes = simulate_data(obj, probe, geom)
@@ -266,7 +261,7 @@ def _check_dataset_geometry(stored: dict, geom: ScanGeometry, path: str) -> None
 
 def cmd_reconstruct(cfg: RunConfig, dataset_dir: str, out_dir: str) -> int:
     """Run the reconstruction against a simulated dataset."""
-    geom = cfg.build_geometry()
+    geom = cfg.geometry
     geometry_path = os.path.join(dataset_dir, GEOMETRY_FILE)
     _check_dataset_geometry(load_json(geometry_path), geom, geometry_path)
     amplitudes = load_array(os.path.join(dataset_dir, AMPLITUDES_FILE))
@@ -293,7 +288,11 @@ def cmd_reconstruct(cfg: RunConfig, dataset_dir: str, out_dir: str) -> int:
 
 
 def _first_iteration_reaching(path: str, threshold: float) -> Optional[int]:
-    rows = [row for row in read_metrics_csv(path) if row.nrmse_probe is not None]
+    rows = read_metrics_csv(path)
+    if [row.iter for row in rows] != list(range(len(rows))):
+        # A thinned log hides the first iteration that reached the threshold.
+        raise ValueError(f"{path}: iterations have gaps; compare needs record_every 1")
+    rows = [row for row in rows if row.nrmse_probe is not None]
     if not rows:
         raise ValueError(f"{path}: no nrmse_probe values present")
     for row in rows:

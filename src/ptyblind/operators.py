@@ -118,32 +118,27 @@ def _check_object(obj: np.ndarray, geom: ScanGeometry) -> np.ndarray:
     return obj
 
 
-def _check_probe(probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:
+def _check_probe(probe: np.ndarray, geom: ScanGeometry, name: str = "probe") -> np.ndarray:
     probe = np.asarray(probe)
     if probe.shape != (geom.m, geom.m):
-        raise ValueError(f"probe shape {probe.shape} does not match geometry m={geom.m}")
+        raise ValueError(f"{name} shape {probe.shape} does not match geometry m={geom.m}")
     return probe
 
 
-def _check_stack(frames: np.ndarray, geom: ScanGeometry) -> np.ndarray:
+def _check_stack(frames: np.ndarray, geom: ScanGeometry, name: str = "frame stack") -> np.ndarray:
     frames = np.asarray(frames)
     if frames.shape != (geom.K, geom.m, geom.m):
         raise ValueError(
-            f"frame stack shape {frames.shape} does not match geometry "
+            f"{name} shape {frames.shape} does not match geometry "
             f"(K={geom.K}, m={geom.m})"
         )
     return frames
 
 
-def extract_frames(
-    obj: np.ndarray, geom: ScanGeometry, *, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Cut the K circular m x m windows out of an object, as a stack,
-    written into ``out`` when given."""
-    # take() writes only an ``out`` of the object's dtype; ``clip``
-    # spares it a buffer, and the indices are in range.
-    obj = np.asarray(_check_object(obj, geom), dtype=None if out is None else out.dtype)
-    return obj.reshape(-1).take(geom.frame_indices, out=out, mode="clip")
+def extract_frames(obj: np.ndarray, geom: ScanGeometry) -> np.ndarray:
+    """Cut the K circular m x m windows out of an object, as a stack."""
+    # ``clip`` spares take() a buffer; the indices are in range.
+    return _check_object(obj, geom).reshape(-1).take(geom.frame_indices, mode="clip")
 
 
 def embed_add_frames(frames: np.ndarray, geom: ScanGeometry) -> np.ndarray:
@@ -206,21 +201,19 @@ def illuminate_adjoint(
     return embed_add_frames(weighted, geom)
 
 
-def coverage_maps(
-    probe: np.ndarray, geom: ScanGeometry, *, out: Optional[np.ndarray] = None
-) -> CoverageMaps:
+def _object_coverage(probe: np.ndarray, geom: ScanGeometry, scratch: np.ndarray) -> np.ndarray:
+    """The (n, n) object coverage of a probe: ``|probe|**2`` replicated
+    into ``scratch``, a float64 (K, m, m) stack, and scattered."""
+    intensity = np.abs(probe) ** 2
+    return embed_add_frames(replicate_probe(intensity, geom, out=scratch), geom)
+
+
+def coverage_maps(probe: np.ndarray, geom: ScanGeometry) -> CoverageMaps:
     """Object- and frame-domain illumination coverage for a probe.
 
-    Both maps depend only on (probe, geometry); solvers compute them
-    once per probe value and pass them into the update operations.
-    The frame coverage is written into ``out``, a float64 (K, m, m)
-    stack, when given.
+    Both maps depend only on (probe, geometry). The solver keeps only
+    the object coverage and gathers the frame coverage from it where a
+    step reads it, as :func:`extract_frames` does here.
     """
-    probe = _check_probe(probe, geom)
-    intensity = np.abs(probe) ** 2
-    obj_cov = embed_add_frames(replicate_probe(intensity, geom, out=out), geom)
-    return CoverageMaps(
-        object_coverage=obj_cov,
-        frame_coverage=extract_frames(obj_cov, geom, out=out),
-    )
-
+    obj_cov = _object_coverage(probe, geom, np.empty((geom.K, geom.m, geom.m)))
+    return CoverageMaps(object_coverage=obj_cov, frame_coverage=extract_frames(obj_cov, geom))

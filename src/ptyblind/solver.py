@@ -34,15 +34,16 @@ branches leave an exact solution fixed.
 
 Each iteration is a single pass over the frame stack. Two products
 of the current (frames, probe) pair are computed once and read by
-every consumer: the illumination coverage, and the adjoint
-accumulation ``illuminate_adjoint(frames, probe)``, which is the
-pairwise term of the metrics row, the numerator of the next object
-update and the power step's accumulation. Every step takes the ones
-it reads as required arguments, with the run's scratch stacks, and
-none recomputes them; a step that needs the accumulation of another
-stack (the shifted stack, or the frames under a new probe) is handed
-it by its caller. The steps keep public names in this module because
-the benchmark in ``perfbench/`` traces them by name. The rank-1
+every consumer: the object coverage, and the adjoint accumulation
+``illuminate_adjoint(frames, probe)``, which is the pairwise term of
+the metrics row, the numerator of the next object update and the
+power step's accumulation. Both are (n, n) images, gathered to the
+frames chunk by chunk where a step reads them. Every step takes the
+ones it reads as required arguments, with the run's scratch stacks,
+and none recomputes them; a step that needs the accumulation of
+another stack (the shifted stack, or the frames under a new probe) is
+handed it by its caller. The steps keep public names in this module
+because the benchmark in ``perfbench/`` traces them by name. The rank-1
 estimators and the gate run only on iterations the cadence allows.
 The global gate score reduces to ``||A_s||^2 / <|s|^2, frame
 coverage>`` for the shifted stack ``s`` and its accumulation ``A_s``,
@@ -69,16 +70,16 @@ same code, touching the same stacks in the same order.
 The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized stack of a run is allocated when the run
 starts (:class:`_Workspace`): the pass's spectra, magnitudes and
-weighted stack, the steps' scratch stacks and the frame coverage. The
-steps write into them with ``out=`` ufuncs and ``take`` gathers. A
-probe, a per-frame factor or a real operand that a ufunc would
-broadcast or cast over a stack is first copied into a whole stack,
-since numpy buffers such operands on every call. After the first iteration no
-step allocates a frame-sized array. With fresh stacks and
-temporaries, glibc grew and trimmed its heap on every gate or
-shifted iteration of the 64 px instances (up to 650 page faults and
-30% more time per framewise iteration). Workers call numpy and private
-helpers only, so every public function runs on the calling thread.
+weighted stack, and the steps' scratch stacks. The steps write into
+them with ``out=`` ufuncs and ``take`` gathers. A probe, a per-frame
+factor or a real operand that a ufunc would broadcast or cast over a
+stack is first copied into a whole stack, since numpy buffers such
+operands on every call. After the first iteration no step allocates
+a frame-sized array. With fresh stacks and temporaries, glibc grew
+and trimmed its heap on every gate or shifted iteration of the 64 px
+instances (up to 650 page faults and 30% more time per framewise
+iteration). Workers call numpy and private helpers only, so every
+public function runs on the calling thread.
 
 Denominators are floored at ``EPSILON_REL`` times their maximum, so
 division is scale-free and uncovered pixels map to zero.
@@ -95,19 +96,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fourier import (
-    _frame_edges,
-    _over_frames,
-    _unit_phase,
-    check_amplitudes,
-)
+from .fourier import _frame_edges, _over_frames, _unit_phase, check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
-    CoverageMaps,
     ScanGeometry,
     _check_object,
+    _check_probe as _check_probe_shape,
+    _check_stack,
     _fill,
-    coverage_maps,
+    _object_coverage,
     embed_add_frames,
     extract_frames,  # noqa: F401  (unused here; perfbench's tracer test wraps this binding)
     illuminate_adjoint,
@@ -182,11 +179,11 @@ class _Workspace:
 
     ``stack``, ``spare`` and ``pair`` are complex (K, m, m) stacks; the
     float64 memory of ``pair`` also serves as the two real stacks
-    ``real`` and ``real2``, and no step uses it both ways at once.
-    ``frame_coverage`` holds the frame coverage of the run's current
-    probe. A step reads nothing a previous step left in the scratch
-    stacks but the gate's shifted stack in ``spare``, and a stack
-    passed into a step must not be one it writes.
+    ``real`` and ``real2``, and no step uses it both ways at once. No
+    stack holds the coverage: a step gathers the (n, n) object coverage
+    where it reads it. A step reads nothing a previous step left in the
+    scratch stacks but the gate's shifted stack in ``spare``, and a
+    stack passed into a step must not be one it writes.
     ``edges`` are the frame chunks every per-frame pass runs over.
 
     Each stack is allocated on its own: glibc serves blocks of one
@@ -203,7 +200,6 @@ class _Workspace:
         self.stack = np.empty(shape, dtype=np.complex128)
         self.spare = np.empty(shape, dtype=np.complex128)
         self.pair = np.empty(shape, dtype=np.complex128)
-        self.frame_coverage = np.empty(shape, dtype=np.float64)
         self.real, self.real2 = self.pair.reshape(-1).view(np.float64).reshape(2, *shape)
         # Chunked by the frames' complex128 bytes.
         self.edges = _frame_edges(geom.K, self.stack.itemsize * geom.m**2)
@@ -219,17 +215,15 @@ def _divided(numerator: np.ndarray, denominator: np.ndarray, vanished: str) -> n
     return numerator / np.maximum(denominator, EPSILON_REL * peak)
 
 
-def update_object(cov: CoverageMaps, adjoint: np.ndarray) -> np.ndarray:
+def update_object(coverage: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
     """Least-squares object estimate from a frame stack and probe.
 
     Conjugate-probe weighted scatter-add divided by the illumination
-    coverage; pixels no frame covers come out zero. ``cov`` is the
-    probe's coverage and ``adjoint`` the stack's accumulation
+    coverage; pixels no frame covers come out zero. ``coverage`` is the
+    probe's object coverage and ``adjoint`` the stack's accumulation
     ``illuminate_adjoint(frames, probe, geom)``.
     """
-    return _divided(
-        adjoint, cov.object_coverage, "probe is identically zero: object coverage vanishes"
-    )
+    return _divided(adjoint, coverage, "probe is identically zero: object coverage vanishes")
 
 
 def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
@@ -262,15 +256,22 @@ def update_probe_standard(
 
 
 def _energies(
-    frames: np.ndarray, cov: CoverageMaps, adjoint: np.ndarray, work: _Workspace
+    frames: np.ndarray,
+    geom: ScanGeometry,
+    coverage: np.ndarray,
+    adjoint: np.ndarray,
+    work: _Workspace,
 ) -> tuple[float, float]:
-    """The stack's coverage-weighted energy ``<frames, frame_coverage *
-    frames>``, formed in ``work.stack``, and the energy of its adjoint
-    accumulation ``adjoint``."""
-    weighted, coverage = work.stack, cov.frame_coverage
+    """The stack's energy weighted by the object ``coverage`` gathered
+    to the frames, formed in ``work.stack``, and the energy of its
+    adjoint accumulation ``adjoint``."""
+    weighted = work.stack
+    flat, index = _flat_image(coverage, geom, weighted), geom.frame_indices
 
     def chunk(lo, hi):
-        np.multiply(_fill(weighted[lo:hi], coverage[lo:hi]), frames[lo:hi], out=weighted[lo:hi])
+        # The gather writes the coverage as complex numbers, c + 0j.
+        gathered = flat.take(index[lo:hi], out=weighted[lo:hi], mode="clip")
+        np.multiply(gathered, frames[lo:hi], out=gathered)
 
     _over_frames(chunk, work.edges)
     energy = float(np.vdot(frames, weighted).real)
@@ -284,7 +285,11 @@ def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
 
 
 def pairwise_discrepancy(
-    frames: np.ndarray, cov: CoverageMaps, adjoint: np.ndarray, work: _Workspace
+    frames: np.ndarray,
+    geom: ScanGeometry,
+    coverage: np.ndarray,
+    adjoint: np.ndarray,
+    work: _Workspace,
 ) -> float:
     """Mutual inconsistency of overlapping frames under the probe.
 
@@ -292,11 +297,11 @@ def pairwise_discrepancy(
     re-illuminated at the other's position; zero exactly when the
     stack comes from a single object. Evaluated matrix-free as the
     coverage-weighted stack energy minus the energy of the adjoint
-    accumulation, clamped at zero against rounding. ``cov`` is the
-    probe's coverage and ``adjoint`` the stack's accumulation
+    accumulation, clamped at zero against rounding. ``coverage`` is the
+    probe's object coverage and ``adjoint`` the stack's accumulation
     ``illuminate_adjoint(frames, probe, geom)``.
     """
-    energy, form = _energies(np.asarray(frames), cov, adjoint, work)
+    energy, form = _energies(np.asarray(frames), geom, coverage, adjoint, work)
     return max(energy - form, 0.0)
 
 
@@ -424,23 +429,25 @@ def _rank1_terms(
     probe: np.ndarray,
     geom: ScanGeometry,
     transparency: np.ndarray,
-    cov: CoverageMaps,
+    coverage: np.ndarray,
     adjoint: np.ndarray,
     work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator and denominator of the transparency-shifted power
     step with one factor per frame (``transparency``, length K), and
     the shifted stack: each frame is handled by the uniform-shift
-    formula at its own factor, assembled from the probe's coverage, the
-    unshifted stack's adjoint accumulation and one more scatter-add.
+    formula at its own factor, assembled from the probe's object
+    coverage, the unshifted stack's adjoint accumulation and one more
+    scatter-add.
     Each frame's denominator term is a nonnegative coverage of a
     shifted stack; tiny negative rounding is clamped.
 
     The denominator runs in ``work.stack``, ``work.spare`` and the two
-    real halves of ``work.pair``; the numerator in ``work.stack``,
-    ``work.spare`` and ``work.pair``, and the shifted stack is left in
-    ``work.spare``. The numerator's pass overwrites the real halves, so
-    the denominator is summed before it starts.
+    real halves of ``work.pair``, and leaves the coverage gathered to
+    the frames in ``work.spare``; the numerator reads it there and runs
+    in ``work.stack``, ``work.spare`` and ``work.pair``, and the shifted
+    stack is left in ``work.spare``. The numerator's pass overwrites the
+    real halves, so the denominator is summed before it starts.
     """
     factors = np.asarray(transparency, dtype=np.complex128)
     if factors.shape != (geom.K,):
@@ -451,7 +458,6 @@ def _rank1_terms(
     conj_fcol = np.conj(fcol)
     scale = np.abs(fcol) ** 2
     flat, index = _flat_image(adjoint, geom, work.stack), geom.frame_indices
-    coverage = cov.frame_coverage
     view, spare, pair, real, real2 = work.stack, work.spare, work.pair, work.real, work.real2
 
     def cross(lo, hi):
@@ -462,21 +468,23 @@ def _rank1_terms(
 
     _over_frames(cross, work.edges)
     canvas = embed_add_frames(real2, geom).reshape(-1)
+    frame_coverage = _flat_image(coverage, geom, spare)
 
     def denominator(lo, hi):
         den = canvas.take(index[lo:hi], out=real2[lo:hi], mode="clip")
         np.subtract(den, real[lo:hi], out=den)
-        scaled = np.multiply(_fill(real[lo:hi], scale[lo:hi]), coverage[lo:hi], out=real[lo:hi])
+        weights = frame_coverage.take(index[lo:hi], out=spare[lo:hi], mode="clip")
+        scaled = np.multiply(_fill(real[lo:hi], scale[lo:hi]), weights.real, out=real[lo:hi])
         np.add(den, scaled, out=den)
 
     _over_frames(denominator, work.edges)
-    del canvas
+    del canvas, frame_coverage
     den = sum_frames(real2)
 
     def numerator(lo, hi):
         diff = np.conj(view[lo:hi], out=view[lo:hi])
-        weights = _fill(pair[lo:hi], coverage[lo:hi])
-        product = np.multiply(_fill(spare[lo:hi], conj_fcol[lo:hi]), weights, out=spare[lo:hi])
+        weights = spare[lo:hi]
+        product = np.multiply(_fill(pair[lo:hi], conj_fcol[lo:hi]), weights, out=weights)
         np.subtract(diff, product, out=diff)
         shifted = _shifted(frames[lo:hi], probe, fcol[lo:hi], spare[lo:hi], pair[lo:hi])
         # Operand order fixes the rounding: numpy fuses a multiply and
@@ -497,7 +505,7 @@ def shift_consistency(
     probe: np.ndarray,
     geom: ScanGeometry,
     transparency: complex | np.ndarray,
-    cov: CoverageMaps,
+    coverage: np.ndarray,
     adjoint: np.ndarray,
     work: _Workspace,
 ) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
@@ -518,8 +526,8 @@ def shift_consistency(
     the update's own degeneracy check, not this score.
 
     ``transparency`` is one complex factor for the whole stack or a
-    length-K array of per-frame factors. ``cov`` is the probe's
-    coverage and ``adjoint`` the unshifted stack's accumulation
+    length-K array of per-frame factors. ``coverage`` is the probe's
+    object coverage and ``adjoint`` the unshifted stack's accumulation
     ``illuminate_adjoint(frames, probe, geom)``, which only the
     per-frame form reads.
 
@@ -545,10 +553,11 @@ def shift_consistency(
         # region as junk instead of as consistent.
         shifted = _shift_globally(frames, probe, transparency, work)
         accumulation = embed_add_frames(work.stack, geom)
-        weight, form = _energies(shifted, cov, accumulation, work)
+        weight, form = _energies(shifted, geom, coverage, accumulation, work)
         finish = partial(update_probe_power, shifted, geom, accumulation, work)
     else:
-        num, den, shifted = _rank1_terms(frames, probe, geom, transparency, cov, adjoint, work)
+        terms = _rank1_terms(frames, probe, geom, transparency, coverage, adjoint, work)
+        num, den, shifted = terms
         form = np.vdot(probe, num).real
         weight = float((den * np.abs(probe) ** 2).sum())
         vanished = "shifted frame stack is identically zero: rank-1 update undefined"
@@ -663,8 +672,7 @@ def _check_finite(value, name: str) -> None:
 
 def _check_probe(probe: np.ndarray, name: str, geom: ScanGeometry) -> None:
     """Reject a wrong-shaped, non-finite or zero probe named ``name``."""
-    if probe.shape != (geom.m, geom.m):
-        raise ValueError(f"{name} shape {probe.shape} does not match geometry m={geom.m}")
+    _check_probe_shape(probe, geom, name)
     if not np.all(np.isfinite(probe)):
         raise ValueError(f"{name} contains non-finite entries")
     if np.linalg.norm(probe) == 0.0:
@@ -675,18 +683,17 @@ def _check_probe(probe: np.ndarray, name: str, geom: ScanGeometry) -> None:
 class _Iterate:
     """State the loop carries from one iteration to the next.
 
-    ``cov`` is the coverage of ``probe`` and ``adjoint`` is
-    ``illuminate_adjoint(frames, probe)``. Each is computed once per
-    iteration and read by the metrics row, the next object update,
-    the power step and the rank-1 gate. ``work`` holds every other
-    frame-sized stack the steps use, and ``cov.frame_coverage`` lives
-    in it. ``since_shift`` counts the iterations since the last
-    transparency-shifted step.
+    ``coverage`` is the (n, n) object coverage of ``probe`` and
+    ``adjoint`` is ``illuminate_adjoint(frames, probe)``. Each is
+    computed once per iteration and read by the metrics row, the next
+    object update, the power step and the rank-1 gate. ``work`` holds
+    every other frame-sized stack the steps use. ``since_shift``
+    counts the iterations since the last transparency-shifted step.
     """
 
     frames: np.ndarray
     probe: np.ndarray
-    cov: CoverageMaps
+    coverage: np.ndarray
     adjoint: np.ndarray
     work: _Workspace
     since_shift: int
@@ -708,7 +715,7 @@ def _probe_step(
     shifted, and advances the shift schedule in ``state``.
     """
     frames, probe, work = state.frames, state.probe, state.work
-    cov, adjoint = state.cov, state.adjoint
+    coverage, adjoint = state.coverage, state.adjoint
     if cfg.probe_mode == "standard":
         return update_probe_standard(frames, obj, geom, work), False
     if cfg.probe_mode != "power" and state.since_shift >= cfg.rank1_cadence:
@@ -716,7 +723,9 @@ def _probe_step(
             factor = transparency_framewise(frames, probe, overlap)
         else:
             factor = transparency_global(frames, probe)
-        score, shifted, finish = shift_consistency(frames, probe, geom, factor, cov, adjoint, work)
+        score, shifted, finish = shift_consistency(
+            frames, probe, geom, factor, coverage, adjoint, work
+        )
         if score >= cfg.rank1_gate:
             try:
                 stepped = update_probe_rank1(frames, shifted, finish)
@@ -772,12 +781,7 @@ def run_reconstruction(
     ``stop_nrmse`` halts the run at the first iteration whose probe
     error reaches the threshold and requires ``probe_true``.
     """
-    amplitudes = check_amplitudes(amplitudes)
-    if amplitudes.shape != (geom.K, geom.m, geom.m):
-        raise ValueError(
-            f"amplitudes shape {amplitudes.shape} does not match geometry "
-            f"(K={geom.K}, m={geom.m})"
-        )
+    amplitudes = _check_stack(check_amplitudes(amplitudes), geom, "amplitudes")
     probe = np.array(probe_init, dtype=np.complex128)
     _check_probe(probe, "probe_init", geom)
     norm_lock_target = np.linalg.norm(probe)
@@ -803,25 +807,24 @@ def run_reconstruction(
         # A C-ordered copy: the loop overwrites these frames in place,
         # and the frames' memory order decides how reductions round.
         frames = np.array(frames_init, dtype=np.complex128, order="C")
-        if frames.shape != amplitudes.shape:
-            raise ValueError(f"frames_init shape {frames.shape} does not match data")
+        _check_stack(frames, geom, "frames_init")
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
 
     history = History()
     t_start = time.perf_counter()
-    cov = coverage_maps(probe, geom, out=work.frame_coverage)
+    coverage = _object_coverage(probe, geom, work.real)
     if adjoint is None:
         adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
-    state = _Iterate(frames, probe, cov, adjoint, work, since_shift=cfg.rank1_cadence)
+    state = _Iterate(frames, probe, coverage, adjoint, work, since_shift=cfg.rank1_cadence)
     # From here the state holds these; the old names would keep the
     # first probe, coverage and adjoint alive for the whole run.
-    del frames, probe, cov, adjoint
+    del frames, probe, coverage, adjoint
 
     def record(iteration: int, resid: float, t0: float) -> bool:
         """Append a metrics row; returns whether the stop rule fires."""
         err = nrmse_probe(state.probe, probe_true) if probe_true is not None else None
-        pairwise = pairwise_discrepancy(state.frames, state.cov, state.adjoint, work)
+        pairwise = pairwise_discrepancy(state.frames, geom, state.coverage, state.adjoint, work)
         _check_finite(pairwise, "pairwise discrepancy")
         history.rows.append(
             MetricsRow(
@@ -844,7 +847,7 @@ def run_reconstruction(
 
     iteration = 0
     try:
-        obj = update_object(state.cov, state.adjoint)
+        obj = update_object(state.coverage, state.adjoint)
         # Row 0 keeps the initial frames: its pass writes no frames, and
         # the frame memory it needs as scratch is the spare stack.
         misfit_norm = _magnitude_pass(
@@ -855,7 +858,7 @@ def run_reconstruction(
             if stop:
                 break
             t0 = time.perf_counter()
-            obj = update_object(state.cov, state.adjoint)
+            obj = update_object(state.coverage, state.adjoint)
             probe, engaged = _probe_step(state, obj, geom, cfg, overlap, iteration, history.events)
             _check_finite(probe, f"{cfg.probe_mode} probe update")
             probe, shift = center_probe(probe)
@@ -866,7 +869,7 @@ def run_reconstruction(
                 raise ValueError("probe update collapsed to zero")
             probe *= norm_lock_target / norm
             state.probe = probe
-            state.cov = coverage_maps(probe, geom, out=work.frame_coverage)
+            state.coverage = _object_coverage(probe, geom, work.real)
             if engaged:
                 # A shifted step can move the probe far; re-fit the
                 # object before rebuilding the frames so the jump is
@@ -874,7 +877,8 @@ def run_reconstruction(
                 # is dropped first, out of the re-fit's peak memory.
                 del obj
                 obj = update_object(
-                    state.cov, illuminate_adjoint(state.frames, probe, geom, scratch=work.stack)
+                    state.coverage,
+                    illuminate_adjoint(state.frames, probe, geom, scratch=work.stack),
                 )
             # Nothing reads the old frames any more: the new ones
             # overwrite them.

@@ -47,6 +47,8 @@ class PhantomSpec:
             raise ValueError(f"object size must be >= 1, got {self.n}")
         if not 0.0 <= self.dc_fraction < 1.0:
             raise ValueError(f"dc_fraction must lie in [0, 1), got {self.dc_fraction}")
+        if self.texture_seed < 0:
+            raise ValueError(f"texture_seed must be >= 0, got {self.texture_seed}")
         if self.texture_kind not in TEXTURE_KINDS:
             raise ValueError(
                 f"texture_kind must be one of {TEXTURE_KINDS}, got {self.texture_kind!r}"

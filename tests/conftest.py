@@ -25,7 +25,7 @@ from ptyblind import (
     illuminate_adjoint,
 )
 from ptyblind.metrics import _relative_gap
-from ptyblind.operators import CoverageMaps, sum_frames
+from ptyblind.operators import sum_frames
 from ptyblind.solver import (
     EPSILON_REL,
     RANK1_DEGENERACY_RTOL,
@@ -120,32 +120,32 @@ def dense_power_matrices(frames, geom):
 
 
 class StepInputs(NamedTuple):
-    cov: CoverageMaps
+    coverage: np.ndarray
     adjoint: np.ndarray
     work: _Workspace
 
 
 def step_inputs(frames, probe, geom):
     """What the reconstruction loop hands a solver step for the pair
-    (frames, probe), built fresh: the probe's coverage, the adjoint
-    accumulation ``illuminate_adjoint(frames, probe, geom)`` and a new
-    run workspace, whose frame-coverage stack holds the coverage as in
-    the loop.
+    (frames, probe), built fresh: the probe's object coverage, the
+    adjoint accumulation ``illuminate_adjoint(frames, probe, geom)`` and
+    a new run workspace.
 
     The steps take these in this order, after their other arguments, so
     ``*step_inputs(...)`` completes a call of ``pairwise_discrepancy``,
     ``shift_consistency`` and ``rank1_step``.
     """
-    work = _Workspace(geom)
-    cov = coverage_maps(probe, geom, out=work.frame_coverage)
-    return StepInputs(cov, illuminate_adjoint(frames, probe, geom), work)
+    coverage = coverage_maps(probe, geom).object_coverage
+    return StepInputs(coverage, illuminate_adjoint(frames, probe, geom), _Workspace(geom))
 
 
-def rank1_step(frames, probe, geom, transparency, cov, adjoint, work):
+def rank1_step(frames, probe, geom, transparency, coverage, adjoint, work):
     """The transparency-shifted probe step as the loop takes it: the gate
     ``shift_consistency`` forms the shifted stack, and
     ``update_probe_rank1`` finishes from it."""
-    _, shifted, finish = shift_consistency(frames, probe, geom, transparency, cov, adjoint, work)
+    _, shifted, finish = shift_consistency(
+        frames, probe, geom, transparency, coverage, adjoint, work
+    )
     return update_probe_rank1(frames, shifted, finish)
 
 
@@ -156,8 +156,8 @@ def frame_consistency_project(frames, probe, geom):
     re-illuminates; fixed points are exactly the stacks a single object
     can produce under the probe.
     """
-    cov, adjoint, _ = step_inputs(frames, probe, geom)
-    return illuminate(update_object(cov, adjoint), probe, geom)
+    coverage, adjoint, _ = step_inputs(frames, probe, geom)
+    return illuminate(update_object(coverage, adjoint), probe, geom)
 
 
 def data_residual(frames, amplitudes):

@@ -151,7 +151,9 @@ class TestConfigParsing:
         doc["solver"].update({"rank1_gate": 0.9, "rank1_cadence": 2})
         doc["record_every"] = 3
         cfg = parse_run_config(doc)
-        assert (cfg.n, cfg.m, cfg.step, cfg.grid) == (16, 8, 4, (3, 3))
+        geom = cfg.geometry
+        assert (geom.n, geom.m) == (16, 8)
+        assert geom.positions.tolist() == [[4 * r, 4 * c] for r in range(3) for c in range(3)]
         assert cfg.phantom.dc_fraction == 0.9
         assert cfg.probe.aperture_radius_px == 3.0
         assert cfg.perturbation.noise_level == 0.05
@@ -159,12 +161,10 @@ class TestConfigParsing:
         assert cfg.solver.rank1_gate == 0.9
         assert cfg.solver.rank1_cadence == 2
         assert cfg.record_every == 3
-        geom = cfg.build_geometry()
-        assert geom.K == 9
 
     def test_explicit_positions(self):
         doc = {"geometry": {"n": 16, "m": 8, "positions": [[0, 0], [0, 8], [8, 0]]}}
-        geom = parse_run_config(doc).build_geometry()
+        geom = parse_run_config(doc).geometry
         assert geom.positions.tolist() == [[0, 0], [0, 8], [8, 0]]
 
     def test_unknown_keys_report_section_path(self):
@@ -228,6 +228,27 @@ class TestConfigParsing:
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {config}: config solver.stop_nrmse: integer too large for a number\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("phantom", "texture_seed", -3, "texture_seed must be >= 0, got -3"),
+            ("perturbation", "seed", -1, "seed must be >= 0, got -1"),
+            ("geometry", "step", 0, "step must be >= 1, got 0"),
+            ("geometry", "grid", [0, 3], "grid must be positive, got (0, 3)"),
+            ("geometry", "m", 64, "need 1 <= m <= n, got m=64, n=32"),
+        ],
+        ids=["texture_seed", "perturbation_seed", "step", "grid", "m"],
+    )
+    def test_value_the_library_rejects_names_file_and_section(
+        self, tmp_path, capsys, section, key, value, message
+    ):
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["geometry"] = {"n": 32, "m": 8, "step": 4, "grid": [3, 3]}
+        doc[section][key] = value
+        config = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: config {section}: {message}\n"
 
     def test_integers_are_numbers(self):
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -395,6 +416,19 @@ class TestCommandLine:
         assert main(["compare", never, reaches_20] + threshold) == 1
         assert main(["compare", reaches_10, never] + threshold) == 0
         assert main(["compare", never, never] + threshold) == 2
+
+    def test_compare_rejects_a_thinned_log(self, tmp_path, capsys):
+        # Thinned to every 10th row, a log that first reaches the
+        # threshold at iteration 19 would read 20.
+        full = str(tmp_path / "full.csv")
+        thinned = str(tmp_path / "thinned.csv")
+        write_metrics_csv(full, make_rows([0.5] * 51 + [0.09] * 10))
+        write_metrics_csv(thinned, make_rows([0.5] * 19 + [0.09] * 42), record_every=10)
+        assert [row.iter for row in read_metrics_csv(thinned)] == list(range(0, 61, 10))
+        for pair in ([thinned, full], [full, thinned]):
+            assert main(["compare", *pair, "--threshold", "0.1"]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: {thinned}: iterations have gaps; compare needs record_every 1\n"
 
     def test_module_entry_point_runs_compare(self, tmp_path, capsys):
         reaches_10 = str(tmp_path / "a.csv")

@@ -131,13 +131,13 @@ STEPS = [
 def call_step(step, geom, obj, probe, frames, inputs):
     """Call the named step; a ``/global`` or ``/framewise`` suffix picks
     the form of the transparency it is given."""
-    cov, adjoint, work = inputs
+    coverage, adjoint, work = inputs
     if step == "update_probe_standard":
         return solver.update_probe_standard(frames, obj, geom, work)
     if step == "update_probe_power":
         return solver.update_probe_power(frames, geom, adjoint, work)
     if step == "pairwise_discrepancy":
-        return solver.pairwise_discrepancy(frames, cov, adjoint, work)
+        return solver.pairwise_discrepancy(frames, geom, coverage, adjoint, work)
     name, kind = step.split("/")
     if kind == "global":
         factor = solver.transparency_global(frames, probe)

@@ -62,7 +62,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
     def record(iteration, model):
         err = nrmse_probe(probe, probe_true) if probe_true is not None else None
         resid = data_residual(model, amplitudes)
-        pairwise = pairwise_discrepancy(frames, *step_inputs(frames, probe, geom))
+        pairwise = pairwise_discrepancy(frames, geom, *step_inputs(frames, probe, geom))
         rows.append((iteration, err, resid, pairwise))
         return cfg.stop_nrmse is not None and err <= cfg.stop_nrmse
 

@@ -74,13 +74,13 @@ class TestPairwiseDiscrepancy:
             frames = rand_complex(rng, geom.K, 3, 3)
             probe = rand_complex(rng, 3, 3)
             brute = brute_pairwise(frames, probe, geom)
-            fast = pairwise_discrepancy(frames, *step_inputs(frames, probe, geom))
+            fast = pairwise_discrepancy(frames, geom, *step_inputs(frames, probe, geom))
             assert brute == pytest.approx(2.0 * fast, rel=1e-10)
 
     def test_zero_on_consistent_stack(self, rng):
         for _ in range(5):
             geom, probe, obj, frames = consistent_instance(rng, 6, 3, 4)
-            value = pairwise_discrepancy(frames, *step_inputs(frames, probe, geom))
+            value = pairwise_discrepancy(frames, geom, *step_inputs(frames, probe, geom))
             scale = np.linalg.norm(frames) ** 2 * float(np.abs(probe).max() ** 2) * geom.K
             assert value <= 1e-12 * scale
 

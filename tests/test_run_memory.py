@@ -6,7 +6,8 @@ free of that size made glibc grow and trim its heap, which made a
 64 px framewise iteration up to 30% slower. The traced memory is
 sampled at every metrics row: the peak between two rows, less the
 larger of the memory in use at either row, must stay below one float64
-frame stack.
+frame stack. The memory in use holds the frames and the run's three
+complex scratch stacks, and no further frame-sized stack.
 """
 
 import tracemalloc
@@ -30,7 +31,8 @@ from ptyblind.synth import (
 
 def traced_run(monkeypatch, amps, geom, init, cfg, probe_true):
     """Run with tracemalloc on; returns the transient peak between each
-    pair of consecutive rows and the number of shifted-step calls."""
+    pair of consecutive rows, the memory in use at each row and the
+    number of shifted-step calls."""
     samples = []
     nrmse = solver.nrmse_probe
     rank1 = solver.update_probe_rank1
@@ -56,7 +58,7 @@ def traced_run(monkeypatch, amps, geom, init, cfg, probe_true):
         peak - max(before, after) for (before, _), (after, peak) in zip(samples, samples[1:])
     ]
     assert len(transient) == len(history.rows) - 1
-    return transient, calls[0]
+    return transient, [current for current, _ in samples], calls[0]
 
 
 def frame_stack_bytes(geom):
@@ -67,7 +69,7 @@ def frame_stack_bytes(geom):
 def test_no_frame_sized_transient_after_first_iteration(monkeypatch, mode):
     geom, probe, init, amps = wrapping_instance()
     cfg = SolverConfig(probe_mode=mode, max_iters=30)
-    transient, shifts = traced_run(monkeypatch, amps, geom, init, cfg, probe)
+    transient, _, shifts = traced_run(monkeypatch, amps, geom, init, cfg, probe)
     if mode.startswith("rank1"):
         assert shifts >= 2
     # From row 2 on: the first iteration allocates the run's stacks.
@@ -84,5 +86,10 @@ def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode):
     init = perturb_probe(probe, blur_sigma_px=2.0, noise_level=0.05, seed=3)
     cfg = SolverConfig(probe_mode=mode, max_iters=5, rank1_cadence=1)
     amps = simulate_data(obj, probe, geom)
-    transient, _ = traced_run(monkeypatch, amps, geom, init, cfg, probe)
+    transient, in_use, _ = traced_run(monkeypatch, amps, geom, init, cfg, probe)
     assert max(transient[1:]) < frame_stack_bytes(geom), transient
+    # The frames and three complex128 scratch stacks are four complex
+    # stacks, eight float64 ones; the images, the overlap matrix and the
+    # small arrays fit in half of a ninth.
+    held = 8 * frame_stack_bytes(geom)
+    assert max(in_use) < held + frame_stack_bytes(geom) // 2, (in_use, held)

@@ -146,9 +146,9 @@ def test_projector_never_increases_discrepancy(rng):
     w = rand_complex(rng, 3, 3)
     for _ in range(10):
         frames = rand_complex(rng, 4, 3, 3)
-        before = pairwise_discrepancy(frames, *step_inputs(frames, w, geom))
+        before = pairwise_discrepancy(frames, geom, *step_inputs(frames, w, geom))
         once = frame_consistency_project(frames, w, geom)
-        after = pairwise_discrepancy(once, *step_inputs(once, w, geom))
+        after = pairwise_discrepancy(once, geom, *step_inputs(once, w, geom))
         assert after <= before * (1 + 1e-12) + 1e-12
 
 
