@@ -60,7 +60,6 @@ class RunConfig:
     perturbation: Optional[PerturbationSpec] = None
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_dir: Optional[str] = None
-    record_every: int = 1
 
 
 def _check_keys(section: dict, allowed: tuple, path: str) -> None:
@@ -190,7 +189,7 @@ def parse_run_config(doc: dict) -> RunConfig:
     """Validate a configuration document strictly and build a RunConfig."""
     if not isinstance(doc, dict):
         raise ValueError("config: expected a JSON object at top level")
-    _check_keys(doc, ("geometry", *_SECTIONS, "output_dir", "record_every"), "(top level)")
+    _check_keys(doc, ("geometry", *_SECTIONS, "output_dir"), "(top level)")
     cfg = RunConfig(_parse_geometry(doc))
     for name, (cls, from_geometry) in _SECTIONS.items():
         section = _section(doc, name)
@@ -199,10 +198,6 @@ def parse_run_config(doc: dict) -> RunConfig:
             setattr(cfg, name, _parse_section(section, name, cls, supplied))
 
     cfg.output_dir = _get(doc, "output_dir", str, "(top level)")
-    if "record_every" in doc:
-        cfg.record_every = _get(doc, "record_every", int, "(top level)")
-        if cfg.record_every < 1:
-            raise ValueError(f"config record_every: must be >= 1, got {cfg.record_every}")
     return cfg
 
 
@@ -273,9 +268,7 @@ def cmd_reconstruct(cfg: RunConfig, dataset_dir: str, out_dir: str) -> int:
 
     save_array(os.path.join(out_dir, PROBE_EST_FILE), history.probe.astype(np.complex128))
     save_array(os.path.join(out_dir, OBJECT_EST_FILE), history.object_image.astype(np.complex128))
-    write_metrics_csv(
-        os.path.join(out_dir, CONVERGENCE_FILE), history.rows, record_every=cfg.record_every
-    )
+    write_metrics_csv(os.path.join(out_dir, CONVERGENCE_FILE), history.rows)
     for event in history.events:
         print(f"note: {event}")
     final = history.rows[-1]
@@ -290,8 +283,8 @@ def cmd_reconstruct(cfg: RunConfig, dataset_dir: str, out_dir: str) -> int:
 def _first_iteration_reaching(path: str, threshold: float) -> Optional[int]:
     rows = read_metrics_csv(path)
     if [row.iter for row in rows] != list(range(len(rows))):
-        # A thinned log hides the first iteration that reached the threshold.
-        raise ValueError(f"{path}: iterations have gaps; compare needs record_every 1")
+        # A log with gaps hides the first iteration that reached the threshold.
+        raise ValueError(f"{path}: iterations have gaps; compare needs every iteration")
     rows = [row for row in rows if row.nrmse_probe is not None]
     if not rows:
         raise ValueError(f"{path}: no nrmse_probe values present")
@@ -325,6 +318,13 @@ def cmd_compare(csv_a: str, csv_b: str, threshold: float) -> int:
     return 0 if 2 * first_a <= first_b else 1
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a non-negative integer, as every seed is."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _apply_seed_override(cfg: RunConfig, seed: Optional[int]) -> RunConfig:
     if seed is None:
         return cfg
@@ -345,13 +345,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_sim = sub.add_parser("simulate", help="generate a synthetic dataset")
     p_sim.add_argument("--config", required=True, help="JSON configuration file")
     p_sim.add_argument("--out", help="output directory (default: config output_dir)")
-    p_sim.add_argument("--seed", type=int, help="override every RNG seed in the config")
+    p_sim.add_argument("--seed", type=_seed, help="override every RNG seed in the config")
 
     p_rec = sub.add_parser("reconstruct", help="reconstruct from a simulated dataset")
     p_rec.add_argument("--config", required=True, help="JSON configuration file")
     p_rec.add_argument("--dataset", required=True, help="dataset directory from 'simulate'")
     p_rec.add_argument("--out", help="output directory (default: config output_dir)")
-    p_rec.add_argument("--seed", type=int, help="override every RNG seed in the config")
+    p_rec.add_argument("--seed", type=_seed, help="override every RNG seed in the config")
 
     p_cmp = sub.add_parser("compare", help="compare two convergence CSV logs")
     p_cmp.add_argument("csv_a", help="convergence CSV of run A")

@@ -71,19 +71,12 @@ def _format_value(value: float) -> str:
     return f"{value:.17g}"
 
 
-def write_metrics_csv(path: str, rows: list[MetricsRow], record_every: int = 1) -> None:
-    """Write convergence metrics, keeping every ``record_every``-th row
-    plus the final row (iteration 0 is always a multiple, hence kept)."""
-    if record_every < 1:
-        raise ValueError(f"record_every must be >= 1, got {record_every}")
-    kept = [row for row in rows if row.iter % record_every == 0]
-    if rows and (not kept or kept[-1].iter != rows[-1].iter):
-        kept.append(rows[-1])
-
+def write_metrics_csv(path: str, rows: list[MetricsRow]) -> None:
+    """Write convergence metrics, one CSV row per metrics row."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in kept:
+    for row in rows:
         writer.writerow(
             [
                 row.iter,

@@ -145,14 +145,23 @@ def make_probe(spec: ProbeSpec) -> np.ndarray:
 
 
 def make_raster_geometry(n: int, m: int, step: int, grid: tuple[int, int]) -> ScanGeometry:
-    """Row-major raster scan: positions (step*r, step*c) over the grid."""
+    """Row-major raster scan: positions (step*r, step*c) over the grid.
+
+    The grid may have at most ``n`` rows and columns, since past that a
+    raster repeats its frames. Checked before anything is allocated, the
+    bound keeps the positions no larger than the object.
+    """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     rows, cols = int(grid[0]), int(grid[1])
     if rows < 1 or cols < 1:
         raise ValueError(f"grid must be positive, got {grid}")
-    positions = [(step * r, step * c) for r in range(rows) for c in range(cols)]
-    return ScanGeometry(n=n, m=m, positions=np.array(positions, dtype=np.int64))
+    if max(rows, cols) > n:
+        raise ValueError(f"grid must have at most n={n} rows and columns, got {grid}")
+    # Python products, so an offset past int64 raises instead of wrapping.
+    offsets = np.array([step * i for i in range(max(rows, cols))], dtype=np.int64)
+    positions = np.column_stack([np.repeat(offsets[:rows], cols), np.tile(offsets[:cols], rows)])
+    return ScanGeometry(n=n, m=m, positions=positions)
 
 
 def simulate_data(obj: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:

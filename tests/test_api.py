@@ -9,12 +9,14 @@ and derives the gate's accept ratio from the counts.
 
 import inspect
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 from test_loop_oracle import MODES, wrapping_instance
 
 import ptyblind
 from ptyblind import SolverConfig, run_reconstruction, solver
+from ptyblind.cli import RunConfig, parse_run_config
 
 PUBLIC = {
     "DegenerateInputError",
@@ -60,6 +62,17 @@ def test_all_is_exactly_the_solver_user_api():
     assert set(ptyblind.__all__) == PUBLIC | {"__version__"}
     for name in ptyblind.__all__:
         assert getattr(ptyblind, name) is not None
+
+
+def test_config_holds_only_what_a_user_sets():
+    # The rank-1 schedule is two solver constants, and every
+    # convergence log holds every iteration.
+    assert [f.name for f in fields(SolverConfig)] == ["probe_mode", "max_iters", "stop_nrmse"]
+    top_level = ["geometry", "phantom", "probe", "perturbation", "solver", "output_dir"]
+    assert [f.name for f in fields(RunConfig)] == top_level
+    with pytest.raises(ValueError) as caught:
+        parse_run_config({"geometry": {"n": 16, "m": 8, "step": 4, "grid": [3, 3]}, "x": 0})
+    assert str(caught.value).endswith(f"allowed keys: {sorted(top_level)}")
 
 
 def test_steps_take_only_required_positional_parameters():

@@ -100,16 +100,6 @@ class TestMetricsCsv:
             assert a.pairwise == b.pairwise
             assert a.wall_ms == b.wall_ms
 
-    def test_record_every_keeps_final_row(self, tmp_path):
-        rows = make_rows([0.5] * 11)
-        path = str(tmp_path / "m.csv")
-        write_metrics_csv(path, rows, record_every=4)
-        assert [r.iter for r in read_metrics_csv(path)] == [0, 4, 8, 10]
-
-    def test_rejects_bad_record_every(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_metrics_csv(str(tmp_path / "m.csv"), make_rows([0.5]), record_every=0)
-
     def test_read_validates_header_and_monotone_iterations(self, tmp_path):
         good = str(tmp_path / "good.csv")
         write_metrics_csv(good, make_rows([0.5, 0.4]))
@@ -148,8 +138,6 @@ BASE_CONFIG = {
 class TestConfigParsing:
     def test_reads_all_sections(self):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc["solver"].update({"rank1_gate": 0.9, "rank1_cadence": 2})
-        doc["record_every"] = 3
         cfg = parse_run_config(doc)
         geom = cfg.geometry
         assert (geom.n, geom.m) == (16, 8)
@@ -158,9 +146,6 @@ class TestConfigParsing:
         assert cfg.probe.aperture_radius_px == 3.0
         assert cfg.perturbation.noise_level == 0.05
         assert cfg.solver.probe_mode == "power"
-        assert cfg.solver.rank1_gate == 0.9
-        assert cfg.solver.rank1_cadence == 2
-        assert cfg.record_every == 3
 
     def test_explicit_positions(self):
         doc = {"geometry": {"n": 16, "m": 8, "positions": [[0, 0], [0, 8], [8, 0]]}}
@@ -252,9 +237,9 @@ class TestConfigParsing:
 
     def test_integers_are_numbers(self):
         doc = json.loads(json.dumps(BASE_CONFIG))
-        doc["solver"]["rank1_gate"] = 1
-        gate = parse_run_config(doc).solver.rank1_gate
-        assert gate == 1.0 and type(gate) is float
+        doc["solver"]["stop_nrmse"] = 1
+        stop = parse_run_config(doc).solver.stop_nrmse
+        assert stop == 1.0 and type(stop) is float
 
     def test_probe_requires_aperture_radius(self):
         doc = json.loads(json.dumps(BASE_CONFIG))
@@ -279,15 +264,27 @@ class TestConfigParsing:
             ("probe_norm_lock", True),
             ("init_seed", 0),
             ("frame_init", "transparent"),
+            ("rank1_gate", 0.95),
+            ("rank1_cadence", 3),
         ],
     )
     def test_solver_rejects_removed_keys(self, key, value):
         # Every run starts from the transparent object, centers the probe
-        # and locks its norm; the denominator floor is a constant.
+        # and locks its norm; the denominator floor and the rank-1
+        # schedule are constants.
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc["solver"][key] = value
         with pytest.raises(ValueError, match=rf"config solver: unknown key\(s\) \['{key}'\]"):
             parse_run_config(doc)
+
+    def test_rejects_record_every(self, tmp_path, capsys):
+        # Every convergence log holds every iteration.
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["record_every"] = 1
+        config = write_config(tmp_path, doc)
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "x")]) == 2
+        unknown = f"error: {config}: config (top level): unknown key(s) ['record_every']"
+        assert capsys.readouterr().err.startswith(unknown)
 
 
 SECTION_CLASSES = {
@@ -318,8 +315,6 @@ FIELD_VALUES = {
         "max_iters": (7, 7.5),
         "probe_mode": ("rank1_framewise", 1),
         "stop_nrmse": (0.2, "0.2"),
-        "rank1_gate": (0.5, True),
-        "rank1_cadence": (2, 2.0),
     },
 }
 
@@ -345,6 +340,13 @@ def test_every_section_field_is_parsed_strictly(section, field):
     doc[section][field.name] = bad
     with pytest.raises(ValueError, match=rf"config {section}\.{field.name}: expected "):
         parse_run_config(doc)
+
+
+def source_env():
+    """The environment of a child Python that imports this ptyblind."""
+    src = str(Path(ptyblind.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -423,21 +425,19 @@ class TestCommandLine:
         full = str(tmp_path / "full.csv")
         thinned = str(tmp_path / "thinned.csv")
         write_metrics_csv(full, make_rows([0.5] * 51 + [0.09] * 10))
-        write_metrics_csv(thinned, make_rows([0.5] * 19 + [0.09] * 42), record_every=10)
+        write_metrics_csv(thinned, make_rows([0.5] * 19 + [0.09] * 42)[::10])
         assert [row.iter for row in read_metrics_csv(thinned)] == list(range(0, 61, 10))
         for pair in ([thinned, full], [full, thinned]):
             assert main(["compare", *pair, "--threshold", "0.1"]) == 2
             err = capsys.readouterr().err
-            assert err == f"error: {thinned}: iterations have gaps; compare needs record_every 1\n"
+            assert err == f"error: {thinned}: iterations have gaps; compare needs every iteration\n"
 
     def test_module_entry_point_runs_compare(self, tmp_path, capsys):
         reaches_10 = str(tmp_path / "a.csv")
         reaches_20 = str(tmp_path / "b.csv")
         write_metrics_csv(reaches_10, make_rows([0.5] * 10 + [0.09]))
         write_metrics_csv(reaches_20, make_rows([0.5] * 20 + [0.09]))
-        src = str(Path(ptyblind.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = source_env()
         for pair, status in (([reaches_10, reaches_20], 0), ([reaches_20, reaches_10], 1)):
             args = ["compare", *pair, "--threshold", "0.1"]
             assert main(args) == status
@@ -448,6 +448,42 @@ class TestCommandLine:
             )
             assert (run.returncode, run.stdout) == (status, printed)
             assert len(printed.splitlines()) == 3
+
+    @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
+    def test_negative_seed_names_the_option(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, BASE_CONFIG)
+        args = [command, "--config", config, "--out", str(tmp_path / "x"), "--seed", "-1"]
+        if command == "reconstruct":
+            args += ["--dataset", str(tmp_path / "data")]
+        with pytest.raises(SystemExit) as caught:
+            main(args)
+        assert caught.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --seed: expected a non-negative integer, got '-1'\n")
+        assert not os.path.exists(tmp_path / "x")
+
+    def test_oversized_grid_is_a_config_error(self, tmp_path):
+        # Under a 2 GiB address-space cap, building the grid's positions
+        # fails fast instead of exhausting the machine's memory.
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["geometry"] = {"n": 32, "m": 8, "step": 4, "grid": [10**26, 2]}
+        config = write_config(tmp_path, doc)
+        cap = 2 * 1024**3
+        child = (
+            "import resource, runpy; "
+            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+            "runpy.run_module('ptyblind.cli', run_name='__main__')"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", child, "simulate", "--config", config,
+             "--out", str(tmp_path / "x")],
+            env=source_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == 2, run.stderr
+        assert run.stderr == (
+            f"error: {config}: config geometry: grid must have at most n=32 rows and "
+            f"columns, got ({10**26}, 2)\n"
+        )
 
     def test_dataset_geometry_mismatch_fails(self, tmp_path):
         config = write_config(tmp_path, BASE_CONFIG)

@@ -93,7 +93,9 @@ def test_chunked_run_at_frame_size_128_matches_one_chunk_run(monkeypatch):
     obj = 1.0 + 0.05 * (rng.normal(size=(140, 140)) + 1j * rng.normal(size=(140, 140)))
     probe = make_probe(ProbeSpec(m=128, aperture_radius_px=48.0, defocus_phase_strength=1.0))
     amps = simulate_data(obj, probe, geom)
-    cfg = SolverConfig(probe_mode="rank1_global", max_iters=2, rank1_cadence=1, rank1_gate=0.0)
+    monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
+    monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
+    cfg = SolverConfig(probe_mode="rank1_global", max_iters=2)
     whole = outcome(run_reconstruction(amps, geom, probe * 0.9, cfg, probe_true=probe))
     monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
     chunks = record_chunks(monkeypatch)

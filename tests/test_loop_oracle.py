@@ -21,6 +21,7 @@ from ptyblind import (
     illuminate,
     nrmse_probe,
     run_reconstruction,
+    solver,
 )
 from ptyblind.solver import (
     build_overlap_matrix,
@@ -68,7 +69,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
 
     obj = update_object(*step_inputs(frames, probe, geom)[:2])
     stop = record(0, illuminate(obj, probe, geom))
-    since_shift, shifts = cfg.rank1_cadence, 0
+    since_shift, shifts = solver.RANK1_CADENCE, 0
     for iteration in range(1, cfg.max_iters + 1):
         if stop:
             break
@@ -76,7 +77,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
         new, engaged = None, False
         if cfg.probe_mode == "standard":
             new = update_probe_standard(frames, obj, geom, step_inputs(frames, probe, geom).work)
-        elif cfg.probe_mode != "power" and since_shift >= cfg.rank1_cadence:
+        elif cfg.probe_mode != "power" and since_shift >= solver.RANK1_CADENCE:
             if cfg.probe_mode == "rank1_framewise":
                 transparency = transparency_framewise(frames, probe, overlap)
             else:
@@ -84,7 +85,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
             score, _, _ = shift_consistency(
                 frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
             )
-            if score >= cfg.rank1_gate:
+            if score >= solver.RANK1_GATE:
                 try:
                     new = rank1_step(
                         frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
@@ -154,13 +155,14 @@ def test_loop_matches_reference_until_stop():
     assert_same_run(run_reconstruction(amps, geom, init, cfg, probe_true=probe), reference)
 
 
-def test_loop_matches_reference_through_degenerate_fallback(rng):
+def test_loop_matches_reference_through_degenerate_fallback(monkeypatch, rng):
     geom = make_raster_geometry(n=16, m=8, step=4, grid=(4, 4))
     probe = make_probe(ProbeSpec(m=8, aperture_radius_px=3.0, defocus_phase_strength=0.3))
     obj = 1.0 + 1e-13 * rand_complex(rng, 16, 16)
     frames = illuminate(obj, probe, geom)
     amps = simulate_data(obj, probe, geom)
-    cfg = SolverConfig(probe_mode="rank1_global", max_iters=3, rank1_cadence=1)
+    monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
+    cfg = SolverConfig(probe_mode="rank1_global", max_iters=3)
     reference = reference_run(amps, geom, probe, cfg, frames_init=frames)
     assert any("degenerate transparency shift" in event for event in reference[1])
     history = run_reconstruction(amps, geom, probe, cfg, frames_init=frames)

@@ -84,7 +84,8 @@ def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode):
     obj = make_test_object(PhantomSpec(n=128, dc_fraction=0.98, texture_seed=2))
     probe = make_probe(ProbeSpec(m=64, aperture_radius_px=24.0, defocus_phase_strength=0.5))
     init = perturb_probe(probe, blur_sigma_px=2.0, noise_level=0.05, seed=3)
-    cfg = SolverConfig(probe_mode=mode, max_iters=5, rank1_cadence=1)
+    monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
+    cfg = SolverConfig(probe_mode=mode, max_iters=5)
     amps = simulate_data(obj, probe, geom)
     transient, in_use, _ = traced_run(monkeypatch, amps, geom, init, cfg, probe)
     assert max(transient[1:]) < frame_stack_bytes(geom), transient

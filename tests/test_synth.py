@@ -4,7 +4,7 @@ geometry, raster enumeration, forward data, and seeded perturbation."""
 import numpy as np
 import pytest
 
-from ptyblind import illuminate
+from ptyblind import ScanGeometry, illuminate
 from ptyblind.fourier import frame_dft
 from ptyblind.metrics import nrmse_probe
 from ptyblind.synth import (
@@ -98,11 +98,26 @@ class TestRasterGeometry:
         assert geom.positions.tolist() == [[0, 0], [0, 3], [3, 0], [3, 3]]
         assert geom.n == 10 and geom.m == 3 and geom.K == 4
 
+    @pytest.mark.parametrize(
+        "step, grid", [(4, (13, 13)), (3, (11, 11)), (5, (3, 7)), (9, (16, 1))]
+    )
+    def test_matches_the_loop_it_replaced(self, step, grid):
+        # Wrapping, non-square and one-column rasters included.
+        positions = [(step * r, step * c) for r in range(grid[0]) for c in range(grid[1])]
+        want = ScanGeometry(n=16, m=4, positions=np.array(positions, dtype=np.int64)).positions
+        got = make_raster_geometry(n=16, m=4, step=step, grid=grid).positions
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             make_raster_geometry(n=10, m=3, step=0, grid=(2, 2))
         with pytest.raises(ValueError):
             make_raster_geometry(n=10, m=3, step=2, grid=(0, 2))
+        # Past n rows or columns a raster repeats its frames.
+        for grid in ((11, 2), (2, 11), (10**26, 2)):
+            with pytest.raises(ValueError, match="at most n=10 rows and columns"):
+                make_raster_geometry(n=10, m=3, step=2, grid=grid)
 
 
 class TestSimulateData:
