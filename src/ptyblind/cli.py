@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from typing import Optional, get_args, get_type_hints
@@ -201,14 +202,34 @@ def parse_run_config(doc: dict) -> RunConfig:
     return cfg
 
 
-def load_run_config(path: str) -> RunConfig:
+@contextmanager
+def _naming_file(path: str):
+    """Prefix a config error raised inside with the config's ``path``."""
     try:
-        return parse_run_config(load_json(path))
+        yield
     except ValueError as exc:
         message = str(exc)
         if message.startswith("config"):
             raise ValueError(f"{path}: {message}") from exc
         raise
+
+
+@contextmanager
+def _fits_in_memory(geom: ScanGeometry):
+    """Report a MemoryError of the arrays the geometry sizes, the object
+    first, as a config error."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ValueError(
+            f"config geometry: n={geom.n}, m={geom.m}, K={geom.K}: the {geom.n}x{geom.n} "
+            f"object and its {geom.K} frames of {geom.m}x{geom.m} pixels do not fit in memory"
+        ) from exc
+
+
+def load_run_config(path: str) -> RunConfig:
+    with _naming_file(path):
+        return parse_run_config(load_json(path))
 
 
 def _resolve_out_dir(args_out: Optional[str], cfg: RunConfig) -> str:
@@ -224,9 +245,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     if cfg.phantom is None or cfg.probe is None:
         raise ValueError("simulate requires 'phantom' and 'probe' config sections")
     geom = cfg.geometry
-    obj = make_test_object(cfg.phantom)
-    probe = make_probe(cfg.probe)
-    amplitudes = simulate_data(obj, probe, geom)
+    with _fits_in_memory(geom):
+        obj = make_test_object(cfg.phantom)
+        probe = make_probe(cfg.probe)
+        amplitudes = simulate_data(obj, probe, geom)
 
     save_array(os.path.join(out_dir, OBJECT_FILE), obj.astype(np.complex128))
     save_array(os.path.join(out_dir, PROBE_TRUE_FILE), probe.astype(np.complex128))
@@ -264,7 +286,10 @@ def cmd_reconstruct(cfg: RunConfig, dataset_dir: str, out_dir: str) -> int:
 
     pert = cfg.perturbation or PerturbationSpec()
     probe_init = perturb_probe(probe_true, pert.blur_sigma_px, pert.noise_level, pert.seed)
-    history = run_reconstruction(amplitudes, geom, probe_init, cfg.solver, probe_true=probe_true)
+    with _fits_in_memory(geom):
+        history = run_reconstruction(
+            amplitudes, geom, probe_init, cfg.solver, probe_true=probe_true
+        )
 
     save_array(os.path.join(out_dir, PROBE_EST_FILE), history.probe.astype(np.complex128))
     save_array(os.path.join(out_dir, OBJECT_EST_FILE), history.object_image.astype(np.complex128))
@@ -364,9 +389,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_compare(args.csv_a, args.csv_b, args.threshold)
         cfg = _apply_seed_override(load_run_config(args.config), args.seed)
         out_dir = _resolve_out_dir(args.out, cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir)
-        return cmd_reconstruct(cfg, args.dataset, out_dir)
+        with _naming_file(args.config):
+            if args.command == "simulate":
+                return cmd_simulate(cfg, out_dir)
+            return cmd_reconstruct(cfg, args.dataset, out_dir)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

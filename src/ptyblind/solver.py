@@ -47,11 +47,18 @@ because the benchmark in ``perfbench/`` traces them by name. The rank-1
 estimators and the gate run only on iterations the cadence allows.
 The global gate score reduces to ``||A_s||^2 / <|s|^2, frame
 coverage>`` for the shifted stack ``s`` and its accumulation ``A_s``,
-one scatter-add. An accepted shifted step finishes from the gate's own
-shifted stack (and ``A_s``, or the per-frame sums), so no stack is
-shifted twice. The model spectra are transformed once: their
-magnitudes give the data residual and then phase the spectra in place
-for the frame update.
+one scatter-add. Shifting by one factor ``t`` makes ``A_s = A - t C``
+for the adjoint accumulation ``A`` and the object coverage ``C``, so
+the score also has a closed form in (n, n) images and the stack
+energy of the last metrics row (:func:`_screened_score`). The loop
+screens each global gate with it first: a gate that form scores
+certainly below ``RANK1_GATE`` is rejected without forming a stack,
+and every other gate is scored on its shifted stack, so each decision
+is the one that stack's score makes. An accepted shifted step
+finishes from the gate's own shifted stack (and ``A_s``, or the
+per-frame sums), so no stack is shifted twice. The model spectra are
+transformed once: their magnitudes give the data residual and then
+phase the spectra in place for the frame update.
 
 Every per-frame elementwise stage runs in the run's chunks of about
 4 MiB of frames (``_Workspace.edges``), on a thread pool with one
@@ -128,6 +135,19 @@ EPSILON_REL = 1e-8
 # cadence 3.
 RANK1_GATE = 0.95
 RANK1_CADENCE = 3
+
+# The global gate's closed-form screen (:func:`_screened_score`) rejects
+# a gate only when its score is below ``RANK1_GATE`` by
+# ``_SCREEN_MARGIN`` and the shifted weight is at least
+# ``_SCREEN_WEIGHT`` of the stack energy. Its denominator sums terms of
+# up to the stack energy, so it loses log10(energy / weight) digits, at
+# most 3 above the floor: the score is then good to about 1e3 * 1e-16,
+# and was measured within 2e-13 of the stack's. The margin is 5e6 times
+# that, so a screened rejection is one the stack's score would make.
+# Below the floor lies a nearly transparent region, whose shifted
+# residue the closed form can cancel to nothing.
+_SCREEN_WEIGHT = 1e-3
+_SCREEN_MARGIN = 1e-6
 
 
 class DegenerateInputError(ValueError):
@@ -562,6 +582,40 @@ def shift_consistency(
     return score, shifted, finish
 
 
+def _screened_score(
+    probe: np.ndarray,
+    geom: ScanGeometry,
+    coverage: np.ndarray,
+    adjoint: np.ndarray,
+    pairwise: float,
+) -> Optional[float]:
+    """The global gate's score in closed form from (n, n) images, or
+    ``None`` where the closed form cannot decide a rejection.
+
+    Shifting every frame by ``t * probe`` shifts the adjoint
+    accumulation ``A`` by ``t`` times the object coverage ``C``, so the
+    score of :func:`shift_consistency` at the factor of
+    :func:`transparency_global`, ``t = sum(A) / (K ||p||^2)``, is
+    ``||A - t C||^2 / (E - 2 Re(conj(t) <C, A>) + |t|^2 ||C||^2)``.
+    ``E``, the stack's coverage-weighted energy, is the ``pairwise``
+    discrepancy of the same (frames, probe) pair plus ``||A||^2``.
+    ``None`` when the shifted weight is below ``_SCREEN_WEIGHT`` of ``E``
+    or a term is not finite.
+    """
+    energy = pairwise + np.vdot(adjoint, adjoint).real
+    factor = adjoint.sum() / (geom.K * np.vdot(probe, probe).real)
+    # One image-sized temporary at a time.
+    residue = factor * coverage
+    np.subtract(adjoint, residue, out=residue)
+    form = np.vdot(residue, residue).real
+    del residue
+    cross = (np.conj(factor) * np.vdot(coverage, adjoint)).real
+    weight = energy - 2.0 * cross + abs(factor) ** 2 * np.vdot(coverage, coverage)
+    # A non-finite energy makes the weight non-finite.
+    finite = math.isfinite(form) and math.isfinite(weight)
+    return float(form / weight) if finite and weight >= _SCREEN_WEIGHT * energy > 0.0 else None
+
+
 def update_probe_rank1(
     frames: np.ndarray, shifted: np.ndarray, finish: Callable[[], np.ndarray]
 ) -> np.ndarray:
@@ -685,6 +739,11 @@ class _Iterate:
     object update, the power step and the rank-1 gate. ``work`` holds
     every other frame-sized stack the steps use. ``since_shift``
     counts the iterations since the last transparency-shifted step.
+    ``pairwise`` is the last metrics row's pairwise discrepancy, of the
+    same (frames, probe) pair: with the energy of ``adjoint`` it gives
+    back the stack energy the global gate's screen reads, so the screen
+    forms no stack. It is NaN, which the screen defers on, until the
+    first row is recorded.
     """
 
     frames: np.ndarray
@@ -694,6 +753,7 @@ class _Iterate:
     work: _Workspace
     since_shift: int
     shift_seen: bool = False
+    pairwise: float = math.nan
 
 
 def _probe_step(
@@ -714,7 +774,12 @@ def _probe_step(
     coverage, adjoint = state.coverage, state.adjoint
     if cfg.probe_mode == "standard":
         return update_probe_standard(frames, obj, geom, work), False
-    if cfg.probe_mode != "power" and state.since_shift >= RANK1_CADENCE:
+    gate = cfg.probe_mode != "power" and state.since_shift >= RANK1_CADENCE
+    if gate and cfg.probe_mode == "rank1_global":
+        # A gate the closed form rejects for certain forms no stack.
+        screened = _screened_score(probe, geom, coverage, adjoint, state.pairwise)
+        gate = screened is None or screened >= RANK1_GATE - _SCREEN_MARGIN
+    if gate:
         if cfg.probe_mode == "rank1_framewise":
             factor = transparency_framewise(frames, probe, overlap)
         else:
@@ -822,6 +887,7 @@ def run_reconstruction(
         err = nrmse_probe(state.probe, probe_true) if probe_true is not None else None
         pairwise = pairwise_discrepancy(state.frames, geom, state.coverage, state.adjoint, work)
         _check_finite(pairwise, "pairwise discrepancy")
+        state.pairwise = pairwise
         history.rows.append(
             MetricsRow(
                 iter=iteration,

@@ -4,7 +4,9 @@
 steps stay out of it but keep their names in ``ptyblind.solver``, and
 the loop calls them through that module's attributes: the benchmark in
 ``perfbench/`` wraps those attributes to count and time every call,
-and derives the gate's accept ratio from the counts.
+and derives the gate's accept ratio from the counts. In
+``rank1_global`` those count only the gates the closed-form screen
+passes on to the shifted stack.
 """
 
 import inspect
@@ -12,6 +14,7 @@ from collections import Counter
 from dataclasses import fields
 
 import pytest
+import test_loop_oracle
 from test_loop_oracle import MODES, wrapping_instance
 
 import ptyblind
@@ -84,17 +87,28 @@ def test_steps_take_only_required_positional_parameters():
             assert param.default is param.empty, (name, param)
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
+def count_calls(monkeypatch, module, names):
+    """A Counter of the calls to ``module``'s functions ``names``, which
+    are replaced by counting wrappers for the test."""
     calls = Counter()
-    for name in STEPS + list(SHIFT_KERNELS):
-        def counted(*args, _name=name, _original=getattr(solver, name), **kwargs):
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     geom, probe, init, amps = wrapping_instance()
     cfg = SolverConfig(probe_mode=mode, max_iters=30)
+    # The reference loop reaches the gate where the loop does, and scores
+    # every gate on its shifted stack.
+    reference = count_calls(monkeypatch, test_loop_oracle, ("shift_consistency", "rank1_step"))
+    test_loop_oracle.reference_run(amps, geom, init, cfg, probe_true=probe)
+    calls = count_calls(monkeypatch, solver, STEPS + list(SHIFT_KERNELS))
     history = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
     kernels = sum(calls.pop(name, 0) for name in SHIFT_KERNELS)
     assert set(calls) == set(MODE_STEPS[mode])
@@ -104,3 +118,9 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
         # An accepted gate hands its shifted stack to the step: each
         # stack is formed once.
         assert kernels == calls["shift_consistency"]
+        assert calls["update_probe_rank1"] == reference["rank1_step"]
+    if mode == "rank1_global":
+        # The closed-form screen rejects some gates without a stack.
+        assert calls["shift_consistency"] < reference["shift_consistency"]
+    elif mode == "rank1_framewise":
+        assert calls["shift_consistency"] == reference["shift_consistency"]

@@ -349,6 +349,22 @@ def source_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
+def capped_cli(args):
+    """Run the CLI with ``args`` in a child Python under a 2 GiB
+    address-space cap, so an oversized allocation fails fast instead of
+    exhausting the machine's memory."""
+    cap = 2 * 1024**3
+    child = (
+        "import resource, runpy; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
+        "runpy.run_module('ptyblind.cli', run_name='__main__')"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", child, *args],
+        env=source_env(), capture_output=True, text=True, timeout=60,
+    )
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = str(tmp_path / name)
     with open(path, "w") as fh:
@@ -468,21 +484,45 @@ class TestCommandLine:
         doc = json.loads(json.dumps(BASE_CONFIG))
         doc["geometry"] = {"n": 32, "m": 8, "step": 4, "grid": [10**26, 2]}
         config = write_config(tmp_path, doc)
-        cap = 2 * 1024**3
-        child = (
-            "import resource, runpy; "
-            f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap})); "
-            "runpy.run_module('ptyblind.cli', run_name='__main__')"
-        )
-        run = subprocess.run(
-            [sys.executable, "-c", child, "simulate", "--config", config,
-             "--out", str(tmp_path / "x")],
-            env=source_env(), capture_output=True, text=True, timeout=60,
-        )
+        run = capped_cli(["simulate", "--config", config, "--out", str(tmp_path / "x")])
         assert run.returncode == 2, run.stderr
         assert run.stderr == (
             f"error: {config}: config geometry: grid must have at most n=32 rows and "
             f"columns, got ({10**26}, 2)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, geometry, sizes",
+        [
+            ("simulate", {"n": 10**6}, (10**6, 8, 9)),
+            ("reconstruct", {"n": 10**6}, (10**6, 8, 9)),
+            ("simulate", {"n": 512, "m": 512, "step": 1, "grid": [512, 512]}, (512, 512, 512**2)),
+        ],
+        ids=["simulate", "reconstruct", "simulate-frames"],
+    )
+    def test_oversized_object_is_a_config_error(self, tmp_path, command, geometry, sizes):
+        # Under a 2 GiB address-space cap, the 10^6 x 10^6 object, or
+        # the frames of a small object, fail to allocate and the error
+        # names the geometry. The dataset of the reconstruct case is a
+        # 16 px one relabelled n = 10^6: its amplitudes do not depend on
+        # n.
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        doc["geometry"].update(geometry)
+        config = write_config(tmp_path, doc)
+        args = [command, "--config", config, "--out", str(tmp_path / "x")]
+        if command == "reconstruct":
+            data = str(tmp_path / "data")
+            small = write_config(tmp_path, BASE_CONFIG, name="small.json")
+            assert main(["simulate", "--config", small, "--out", data]) == 0
+            stored = os.path.join(data, "geometry.json")
+            save_json(stored, dict(load_json(stored), n=10**6))
+            args += ["--dataset", data]
+        run = capped_cli(args)
+        assert run.returncode == 2, run.stderr
+        n, m, k = sizes
+        assert run.stderr == (
+            f"error: {config}: config geometry: n={n}, m={m}, K={k}: the {n}x{n} object "
+            f"and its {k} frames of {m}x{m} pixels do not fit in memory\n"
         )
 
     def test_dataset_geometry_mismatch_fails(self, tmp_path):

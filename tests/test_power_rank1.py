@@ -21,10 +21,12 @@ from conftest import (
 from ptyblind import (
     DegenerateInputError,
     ScanGeometry,
+    SolverConfig,
     embed_add_frames,
     extract_frames,
     illuminate,
     illuminate_adjoint,
+    make_raster_geometry,
     solver,
 )
 from ptyblind.metrics import nrmse_probe
@@ -395,3 +397,69 @@ class TestShiftConsistency:
         clean_inputs = step_inputs(frames, probe, geom)
         clean, _, _ = shift_consistency(frames, probe, geom, transparency, *clean_inputs)
         assert noisy < 0.9 < clean
+
+
+def raster(n, m, step, grid, offset=0):
+    positions = make_raster_geometry(n=n, m=m, step=step, grid=grid).positions + offset
+    return ScanGeometry(n=n, m=m, positions=positions)
+
+
+def screen_and_gate(frames, probe, geom):
+    """The global gate's closed-form screen, from the metrics row's
+    pairwise discrepancy as the loop hands it, and the score of the
+    shifted stack at the global transparency."""
+    inputs = step_inputs(frames, probe, geom)
+    pairwise = pairwise_discrepancy(frames, geom, *inputs)
+    screened = solver._screened_score(probe, geom, inputs.coverage, inputs.adjoint, pairwise)
+    transparency = transparency_global(frames, probe)
+    exact, _, _ = shift_consistency(frames, probe, geom, transparency, *inputs)
+    return screened, exact
+
+
+class TestGateScreen:
+    @pytest.mark.parametrize(
+        "geom",
+        [raster(32, 8, 3, (8, 8)), raster(32, 8, 3, (11, 11), offset=5), raster(16, 8, 4, (3, 2))],
+        ids=["non-wrapping", "wrapping", "3x2"],
+    )
+    def test_matches_the_shifted_stack_score(self, rng, geom):
+        probe = rand_complex(rng, geom.m, geom.m)
+        clean = illuminate(1.0 + 0.1 * rand_complex(rng, geom.n, geom.n), probe, geom)
+        scores = []
+        for noise in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
+            frames = clean + noise * rand_complex(rng, *clean.shape)
+            screened, exact = screen_and_gate(frames, probe, geom)
+            assert screened == pytest.approx(exact, abs=1e-10)
+            scores.append(exact)
+        # The stacks span the gate: accepted and rejected gates alike.
+        assert max(scores) >= solver.RANK1_GATE > min(scores)
+
+    @pytest.mark.parametrize("residue", ["noise", "consistent"])
+    def test_defers_on_a_nearly_transparent_stack(self, rng, monkeypatch, residue):
+        # The shift leaves a residue nine orders below the stack. The
+        # closed form's weight is then rounding noise of either sign,
+        # and where positive it would score a consistent residue near 0,
+        # so the gate is scored on the shifted stack itself. Several
+        # draws make both signs occur.
+        geom = raster(32, 8, 3, (8, 8))
+        probe = rand_complex(rng, 8, 8)
+        transparent = (0.8 - 0.3j) * replicate_probe(probe, geom)
+        for _ in range(8):
+            if residue == "noise":
+                frames = transparent + 1e-9 * rand_complex(rng, *transparent.shape)
+            else:
+                frames = transparent + illuminate(1e-9 * rand_complex(rng, 32, 32), probe, geom)
+            screened, exact = screen_and_gate(frames, probe, geom)
+            assert screened is None
+            assert (exact >= solver.RANK1_GATE) == (residue == "consistent")
+        calls = []
+        gate = solver.shift_consistency
+        monkeypatch.setattr(solver, "shift_consistency", lambda *a: calls.append(1) or gate(*a))
+        coverage, adjoint, work = step_inputs(frames, probe, geom)
+        pairwise = pairwise_discrepancy(frames, geom, coverage, adjoint, work)
+        state = solver._Iterate(
+            frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, pairwise=pairwise
+        )
+        cfg = SolverConfig(probe_mode="rank1_global")
+        solver._probe_step(state, None, geom, cfg, None, 1, [])
+        assert calls == [1]
