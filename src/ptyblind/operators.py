@@ -25,6 +25,7 @@ one must not overlap.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -32,6 +33,14 @@ from typing import Optional
 import numpy as np
 
 from .fourier import _check_stack_3d
+
+
+def _check_integer(value, name: str) -> None:
+    """Reject a ``value`` named ``name`` that is not an integer. A float
+    or a bool would pass the range checks and then size or index arrays;
+    numpy integers are integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -54,6 +63,8 @@ class ScanGeometry:
     positions: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        _check_integer(self.n, "n")
+        _check_integer(self.m, "m")
         if self.m < 1 or self.n < self.m:
             raise ValueError(f"need 1 <= m <= n, got m={self.m}, n={self.n}")
         pos = np.asarray(self.positions)

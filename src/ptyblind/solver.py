@@ -45,20 +45,19 @@ another stack (the shifted stack, or the frames under a new probe) is
 handed it by its caller. The steps keep public names in this module
 because the benchmark in ``perfbench/`` traces them by name. The rank-1
 estimators and the gate run only on iterations the cadence allows.
-The global gate score reduces to ``||A_s||^2 / <|s|^2, frame
-coverage>`` for the shifted stack ``s`` and its accumulation ``A_s``,
-one scatter-add. Shifting by one factor ``t`` makes ``A_s = A - t C``
-for the adjoint accumulation ``A`` and the object coverage ``C``, so
-the score also has a closed form in (n, n) images and the stack
-energy of the last metrics row (:func:`_screened_score`). The loop
-screens each global gate with it first: a gate that form scores
-certainly below ``RANK1_GATE`` is rejected without forming a stack,
-and every other gate is scored on its shifted stack, so each decision
-is the one that stack's score makes. An accepted shifted step
-finishes from the gate's own shifted stack (and ``A_s``, or the
-per-frame sums), so no stack is shifted twice. The model spectra are
-transformed once: their magnitudes give the data residual and then
-phase the spectra in place for the frame update.
+Shifting every frame by one factor ``t`` times the probe shifts the
+adjoint accumulation ``A`` by ``t`` times the object coverage ``C``.
+So the global gate's transparency, its shifted accumulation
+``A_s = A - t C`` and its score, ``||A_s||^2`` over the shifted
+stack's coverage-weighted energy, all come from (n, n) images and the
+stack energy of the last metrics row. Only where that energy's closed
+form cancels, on a nearly transparent stack, is the shifted stack
+formed to measure it. An accepted shifted step forms the shifted
+stack at most once and takes its power step with ``A_s`` (or, per
+frame, finishes from the gate's sums), so no stack is shifted twice.
+The model spectra are transformed once: their magnitudes give the
+data residual and then phase the spectra in place for the frame
+update.
 
 Every per-frame elementwise stage runs in the run's chunks of about
 4 MiB of frames (``_Workspace.edges``), on a thread pool with one
@@ -95,7 +94,6 @@ division is scale-free and uncovered pixels map to zero.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -107,6 +105,7 @@ from .fourier import _frame_edges, _over_frames, _unit_phase, check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
     ScanGeometry,
+    _check_integer,
     _check_object,
     _check_probe as _check_probe_shape,
     _check_stack,
@@ -136,18 +135,12 @@ EPSILON_REL = 1e-8
 RANK1_GATE = 0.95
 RANK1_CADENCE = 3
 
-# The global gate's closed-form screen (:func:`_screened_score`) rejects
-# a gate only when its score is below ``RANK1_GATE`` by
-# ``_SCREEN_MARGIN`` and the shifted weight is at least
-# ``_SCREEN_WEIGHT`` of the stack energy. Its denominator sums terms of
-# up to the stack energy, so it loses log10(energy / weight) digits, at
-# most 3 above the floor: the score is then good to about 1e3 * 1e-16,
-# and was measured within 2e-13 of the stack's. The margin is 5e6 times
-# that, so a screened rejection is one the stack's score would make.
-# Below the floor lies a nearly transparent region, whose shifted
-# residue the closed form can cancel to nothing.
-_SCREEN_WEIGHT = 1e-3
-_SCREEN_MARGIN = 1e-6
+# The global gate's closed-form weight sums terms of up to the stack
+# energy, so it loses log10(energy / weight) digits. Below this fraction
+# of the energy (more than 3 digits lost) it is measured on the shifted
+# stack instead: a nearly transparent stack's residue can cancel to
+# rounding noise of either sign there.
+_WEIGHT_FLOOR = 1e-3
 
 
 class DegenerateInputError(ValueError):
@@ -168,8 +161,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         # A fractional count would fail later in range().
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        _check_integer(self.max_iters, "max_iters")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.stop_nrmse is not None and not self.stop_nrmse >= 0.0:
@@ -365,14 +357,16 @@ def update_probe_power(
     return _divided(num, den, "frame stack is identically zero: power update undefined")
 
 
-def transparency_global(frames: np.ndarray, probe: np.ndarray) -> complex:
-    """Average complex transmission of the frames relative to the probe."""
-    frames = np.asarray(frames)
+def transparency_global(adjoint: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> complex:
+    """Average complex transmission of the frames relative to the probe,
+    ``<p, f_k> / ||p||^2`` averaged over the K frames, from their adjoint
+    accumulation ``adjoint = illuminate_adjoint(frames, probe, geom)``,
+    whose sum is ``sum_k <p, f_k>``."""
     probe = np.asarray(probe)
     probe_sq = np.vdot(probe, probe).real
     if probe_sq == 0.0:
         raise ValueError("probe is identically zero")
-    return complex(np.vdot(probe, sum_frames(frames)) / (frames.shape[0] * probe_sq))
+    return complex(_check_object(adjoint, geom).sum() / (geom.K * probe_sq))
 
 
 def transparency_framewise(
@@ -426,15 +420,11 @@ def _shifted(
 def _shift_globally(
     frames: np.ndarray, probe: np.ndarray, factor: complex, work: _Workspace
 ) -> np.ndarray:
-    """The stack shifted by one ``factor``, in ``work.spare``, and its
-    conjugate-probe weighting in ``work.stack``: the stack whose
-    scatter-add is the shifted stack's adjoint accumulation."""
-    shifted, weighted = work.spare, work.stack
-    conj_probe = np.conj(probe)
+    """The stack shifted by one ``factor``, in ``work.spare``."""
+    shifted, scratch = work.spare, work.stack
 
     def chunk(lo, hi):
-        _shifted(frames[lo:hi], probe, factor, shifted[lo:hi], weighted[lo:hi])
-        np.multiply(_fill(weighted[lo:hi], conj_probe), shifted[lo:hi], out=weighted[lo:hi])
+        _shifted(frames[lo:hi], probe, factor, shifted[lo:hi], scratch[lo:hi])
 
     _over_frames(chunk, work.edges)
     return shifted
@@ -523,8 +513,9 @@ def shift_consistency(
     transparency: complex | np.ndarray,
     coverage: np.ndarray,
     adjoint: np.ndarray,
+    pairwise: float,
     work: _Workspace,
-) -> tuple[float, np.ndarray, Callable[[], np.ndarray]]:
+) -> tuple[float, Callable[[], np.ndarray], Callable[[], np.ndarray]]:
     """Consistency score of the transparency-shifted stack along the
     current probe, with the shifted stack and the step that finishes
     from it.
@@ -543,91 +534,73 @@ def shift_consistency(
 
     ``transparency`` is one complex factor for the whole stack or a
     length-K array of per-frame factors. ``coverage`` is the probe's
-    object coverage and ``adjoint`` the unshifted stack's accumulation
-    ``illuminate_adjoint(frames, probe, geom)``, which only the
-    per-frame form reads.
+    object coverage, ``adjoint`` the unshifted stack's accumulation
+    ``illuminate_adjoint(frames, probe, geom)`` and ``pairwise`` its
+    :func:`pairwise_discrepancy`, which only the global form reads.
 
-    Only here is a shifted stack formed. It is left in ``work.spare``,
-    and ``finish()`` completes the shifted step from the score's own
-    terms; :func:`update_probe_rank1` takes both, before any other step
-    writes the workspace. With one factor the shifted stack is still
-    consistent data, so the step is its power step, on the accumulation
-    scattered here. Per-frame factors take the uniform-shift formula at
-    each frame's own factor (which multiplies the full coverage map):
-    the plain power step of frames shifted by different constants would
-    break the true-probe fixed point, since no single object makes them.
+    With one factor ``t`` the shifted stack is still plain data, so the
+    form at the probe is the energy of its accumulation ``A - t C`` and
+    the norm its coverage-weighted energy, ``E - 2 Re(conj(t) <C, A>) +
+    |t|^2 ||C||^2`` for the accumulation ``A``, the coverage ``C`` and
+    the stack's own weighted energy ``E = pairwise + ||A||^2``. Those
+    terms cancel as the shift residue falls many orders below the stack,
+    which would score a transparent region as junk instead of as
+    consistent; where the norm is not finite or below ``_WEIGHT_FLOOR``
+    of ``E``, it is measured on the shifted stack instead. The step is
+    the power step of the shifted stack on ``A - t C``. Per-frame factors
+    take the uniform-shift formula at each frame's own factor (which
+    multiplies the full coverage map): the plain power step of frames
+    shifted by different constants would break the true-probe fixed
+    point, since no single object makes them. Their score and step come
+    from one pass that forms the shifted stack.
+
+    :func:`update_probe_rank1` takes ``shifted()``, the shifted stack in
+    ``work.spare``, formed at most once whichever form made it, and then
+    ``finish()``, the step; both before any other step writes the
+    workspace.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
     if np.ndim(transparency) == 0:
-        # With one factor the shifted stack is plain data, so the
-        # form at the probe is the energy of its adjoint accumulation
-        # and the norm its coverage-weighted energy. Both are evaluated
-        # on the shifted stack itself: the distributed three-term form
-        # cancels catastrophically when the shift residue sits many
-        # orders below the stack, scoring a perfectly transparent
-        # region as junk instead of as consistent.
-        shifted = _shift_globally(frames, probe, transparency, work)
-        accumulation = embed_add_frames(work.stack, geom)
-        weight, form = _energies(shifted, geom, coverage, accumulation, work)
-        finish = partial(update_probe_power, shifted, geom, accumulation, work)
+        energy = pairwise + np.vdot(adjoint, adjoint).real
+        # One image-sized temporary at a time; a real factor still makes
+        # a complex accumulation.
+        accumulation = np.multiply(transparency, coverage, dtype=np.complex128)
+        np.subtract(adjoint, accumulation, out=accumulation)
+        form = np.vdot(accumulation, accumulation).real
+        cross = (np.conj(transparency) * np.vdot(coverage, adjoint)).real
+        weight = energy - 2.0 * cross + abs(transparency) ** 2 * np.vdot(coverage, coverage)
+        # A NaN pairwise (no metrics row yet) makes the weight NaN.
+        if math.isfinite(weight) and weight >= _WEIGHT_FLOOR * energy > 0.0:
+            shifted = partial(_shift_globally, frames, probe, transparency, work)
+        else:
+            stack = _shift_globally(frames, probe, transparency, work)
+            weight = _energies(stack, geom, coverage, accumulation, work)[0]
+            shifted = lambda: stack  # noqa: E731
+        finish = partial(update_probe_power, work.spare, geom, accumulation, work)
     else:
-        terms = _rank1_terms(frames, probe, geom, transparency, coverage, adjoint, work)
-        num, den, shifted = terms
+        num, den, stack = _rank1_terms(frames, probe, geom, transparency, coverage, adjoint, work)
         form = np.vdot(probe, num).real
         weight = float((den * np.abs(probe) ** 2).sum())
         vanished = "shifted frame stack is identically zero: rank-1 update undefined"
+        shifted = lambda: stack  # noqa: E731
         finish = partial(_divided, num, den, vanished)
     score = float(form / weight) if weight > 0.0 else 0.0
     return score, shifted, finish
 
 
-def _screened_score(
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    coverage: np.ndarray,
-    adjoint: np.ndarray,
-    pairwise: float,
-) -> Optional[float]:
-    """The global gate's score in closed form from (n, n) images, or
-    ``None`` where the closed form cannot decide a rejection.
-
-    Shifting every frame by ``t * probe`` shifts the adjoint
-    accumulation ``A`` by ``t`` times the object coverage ``C``, so the
-    score of :func:`shift_consistency` at the factor of
-    :func:`transparency_global`, ``t = sum(A) / (K ||p||^2)``, is
-    ``||A - t C||^2 / (E - 2 Re(conj(t) <C, A>) + |t|^2 ||C||^2)``.
-    ``E``, the stack's coverage-weighted energy, is the ``pairwise``
-    discrepancy of the same (frames, probe) pair plus ``||A||^2``.
-    ``None`` when the shifted weight is below ``_SCREEN_WEIGHT`` of ``E``
-    or a term is not finite.
-    """
-    energy = pairwise + np.vdot(adjoint, adjoint).real
-    factor = adjoint.sum() / (geom.K * np.vdot(probe, probe).real)
-    # One image-sized temporary at a time.
-    residue = factor * coverage
-    np.subtract(adjoint, residue, out=residue)
-    form = np.vdot(residue, residue).real
-    del residue
-    cross = (np.conj(factor) * np.vdot(coverage, adjoint)).real
-    weight = energy - 2.0 * cross + abs(factor) ** 2 * np.vdot(coverage, coverage)
-    # A non-finite energy makes the weight non-finite.
-    finite = math.isfinite(form) and math.isfinite(weight)
-    return float(form / weight) if finite and weight >= _SCREEN_WEIGHT * energy > 0.0 else None
-
-
 def update_probe_rank1(
-    frames: np.ndarray, shifted: np.ndarray, finish: Callable[[], np.ndarray]
+    frames: np.ndarray, shifted: Callable[[], np.ndarray], finish: Callable[[], np.ndarray]
 ) -> np.ndarray:
     """Transparency-accelerated probe update: the power step of the stack
-    less its estimated transmitted component, from the ``shifted`` stack
-    and ``finish`` that :func:`shift_consistency` returned for ``frames``.
+    less its estimated transmitted component, from ``shifted`` and
+    ``finish`` that :func:`shift_consistency` returned for ``frames``.
 
     Raises :class:`DegenerateInputError` when the shifted stack is
     numerically zero (a purely constant object region carries no probe
     information); callers may then fall back to the plain power update.
     """
-    if np.linalg.norm(shifted) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
+    if np.linalg.norm(shifted()) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
         raise DegenerateInputError(
             "transparency shift removed the whole stack: constant object region"
         )
@@ -741,9 +714,9 @@ class _Iterate:
     counts the iterations since the last transparency-shifted step.
     ``pairwise`` is the last metrics row's pairwise discrepancy, of the
     same (frames, probe) pair: with the energy of ``adjoint`` it gives
-    back the stack energy the global gate's screen reads, so the screen
-    forms no stack. It is NaN, which the screen defers on, until the
-    first row is recorded.
+    back the stack energy the global gate reads, so the gate forms no
+    stack. It is NaN until the first row is recorded, and the gate then
+    measures the energy on its shifted stack.
     """
 
     frames: np.ndarray
@@ -775,17 +748,13 @@ def _probe_step(
     if cfg.probe_mode == "standard":
         return update_probe_standard(frames, obj, geom, work), False
     gate = cfg.probe_mode != "power" and state.since_shift >= RANK1_CADENCE
-    if gate and cfg.probe_mode == "rank1_global":
-        # A gate the closed form rejects for certain forms no stack.
-        screened = _screened_score(probe, geom, coverage, adjoint, state.pairwise)
-        gate = screened is None or screened >= RANK1_GATE - _SCREEN_MARGIN
     if gate:
         if cfg.probe_mode == "rank1_framewise":
             factor = transparency_framewise(frames, probe, overlap)
         else:
-            factor = transparency_global(frames, probe)
+            factor = transparency_global(adjoint, probe, geom)
         score, shifted, finish = shift_consistency(
-            frames, probe, geom, factor, coverage, adjoint, work
+            frames, probe, geom, factor, coverage, adjoint, state.pairwise, work
         )
         if score >= RANK1_GATE:
             try:

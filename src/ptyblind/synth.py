@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import frame_dft
-from .operators import ScanGeometry, illuminate
+from .operators import ScanGeometry, _check_integer, illuminate
 
 TEXTURE_KINDS = ("smooth", "piecewise")
 
@@ -43,6 +43,7 @@ class PhantomSpec:
     texture_kind: str = "smooth"
 
     def __post_init__(self) -> None:
+        _check_integer(self.n, "n")
         if self.n < 1:
             raise ValueError(f"object size must be >= 1, got {self.n}")
         if not 0.0 <= self.dc_fraction < 1.0:
@@ -69,6 +70,7 @@ class ProbeSpec:
     defocus_phase_strength: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_integer(self.m, "m")
         if self.m < 1:
             raise ValueError(f"frame size must be >= 1, got {self.m}")
         if not 0.0 < self.aperture_radius_px <= self.m / 2.0:
@@ -151,14 +153,17 @@ def make_raster_geometry(n: int, m: int, step: int, grid: tuple[int, int]) -> Sc
     raster repeats its frames. Checked before anything is allocated, the
     bound keeps the positions no larger than the object.
     """
+    _check_integer(step, "step")
+    _check_integer(grid[0], "grid[0]")
+    _check_integer(grid[1], "grid[1]")
+    # Python integers, so an offset past int64 raises instead of wrapping.
+    step, rows, cols = int(step), int(grid[0]), int(grid[1])
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    rows, cols = int(grid[0]), int(grid[1])
     if rows < 1 or cols < 1:
         raise ValueError(f"grid must be positive, got {grid}")
     if max(rows, cols) > n:
         raise ValueError(f"grid must have at most n={n} rows and columns, got {grid}")
-    # Python products, so an offset past int64 raises instead of wrapping.
     offsets = np.array([step * i for i in range(max(rows, cols))], dtype=np.int64)
     positions = np.column_stack([np.repeat(offsets[:rows], cols), np.tile(offsets[:cols], rows)])
     return ScanGeometry(n=n, m=m, positions=positions)

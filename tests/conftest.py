@@ -25,11 +25,12 @@ from ptyblind import (
     illuminate_adjoint,
 )
 from ptyblind.metrics import _relative_gap
-from ptyblind.operators import sum_frames
+from ptyblind.operators import replicate_probe, sum_frames
 from ptyblind.solver import (
     EPSILON_REL,
     RANK1_DEGENERACY_RTOL,
     _Workspace,
+    pairwise_discrepancy,
     shift_consistency,
     update_object,
     update_probe_rank1,
@@ -132,21 +133,44 @@ def step_inputs(frames, probe, geom):
     a new run workspace.
 
     The steps take these in this order, after their other arguments, so
-    ``*step_inputs(...)`` completes a call of ``pairwise_discrepancy``,
-    ``shift_consistency`` and ``rank1_step``.
+    ``*step_inputs(...)`` completes a call of ``pairwise_discrepancy``
+    and ``rank1_step``.
     """
     coverage = coverage_maps(probe, geom).object_coverage
     return StepInputs(coverage, illuminate_adjoint(frames, probe, geom), _Workspace(geom))
 
 
+def gate_inputs(frames, probe, geom):
+    """``step_inputs`` with the pair's pairwise discrepancy, which the loop
+    carries from its last metrics row, before the workspace: the inputs
+    ``*gate_inputs(...)`` completes a ``shift_consistency`` call with."""
+    coverage, adjoint, work = step_inputs(frames, probe, geom)
+    pairwise = pairwise_discrepancy(frames, geom, coverage, adjoint, work)
+    return coverage, adjoint, pairwise, work
+
+
 def rank1_step(frames, probe, geom, transparency, coverage, adjoint, work):
     """The transparency-shifted probe step as the loop takes it: the gate
-    ``shift_consistency`` forms the shifted stack, and
-    ``update_probe_rank1`` finishes from it."""
+    ``shift_consistency`` scores the shift, and ``update_probe_rank1``
+    finishes from the shifted stack the gate formed or forms it."""
+    pairwise = pairwise_discrepancy(frames, geom, coverage, adjoint, work)
     _, shifted, finish = shift_consistency(
-        frames, probe, geom, transparency, coverage, adjoint, work
+        frames, probe, geom, transparency, coverage, adjoint, pairwise, work
     )
     return update_probe_rank1(frames, shifted, finish)
+
+
+def stack_scored_gate(frames, probe, geom, transparency):
+    """The global gate's score taken on the shifted stack itself: the
+    energy of the shifted stack's adjoint accumulation (its conjugate-
+    probe weighting, scattered) over the stack's energy weighted by the
+    object coverage gathered to the frames; 0 for a zero stack."""
+    shifted = np.asarray(frames) - transparency * replicate_probe(probe, geom)
+    accumulation = embed_add_frames(np.conj(probe) * shifted, geom)
+    coverage = extract_frames(coverage_maps(probe, geom).object_coverage, geom)
+    weight = np.vdot(shifted, coverage * shifted).real
+    form = np.vdot(accumulation, accumulation).real
+    return float(form / weight) if weight > 0.0 else 0.0
 
 
 def frame_consistency_project(frames, probe, geom):

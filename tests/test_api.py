@@ -4,9 +4,7 @@
 steps stay out of it but keep their names in ``ptyblind.solver``, and
 the loop calls them through that module's attributes: the benchmark in
 ``perfbench/`` wraps those attributes to count and time every call,
-and derives the gate's accept ratio from the counts. In
-``rank1_global`` those count only the gates the closed-form screen
-passes on to the shifted stack.
+and derives the gate's accept ratio from the counts.
 """
 
 import inspect
@@ -104,23 +102,26 @@ def count_calls(monkeypatch, module, names):
 def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     geom, probe, init, amps = wrapping_instance()
     cfg = SolverConfig(probe_mode=mode, max_iters=30)
-    # The reference loop reaches the gate where the loop does, and scores
-    # every gate on its shifted stack.
+    # The reference loop reaches the gate where the loop does.
     reference = count_calls(monkeypatch, test_loop_oracle, ("shift_consistency", "rank1_step"))
     test_loop_oracle.reference_run(amps, geom, init, cfg, probe_true=probe)
-    calls = count_calls(monkeypatch, solver, STEPS + list(SHIFT_KERNELS))
+    calls = count_calls(monkeypatch, solver, STEPS + ["_energies", *SHIFT_KERNELS])
     history = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
     kernels = sum(calls.pop(name, 0) for name in SHIFT_KERNELS)
+    # Every metrics row weighs the stack's energy once; a global gate
+    # weighs its shifted stack only near transparency.
+    assert calls.pop("_energies") == len(history.rows)
     assert set(calls) == set(MODE_STEPS[mode])
     assert calls["pairwise_discrepancy"] == len(history.rows)
     if mode.startswith("rank1"):
-        assert calls["shift_consistency"] >= calls["update_probe_rank1"] > 0
+        assert calls["shift_consistency"] == reference["shift_consistency"]
+        assert calls["shift_consistency"] > calls["update_probe_rank1"] > 0
+        assert calls["update_probe_rank1"] == reference["rank1_step"]
+    if mode == "rank1_global":
+        # The gate forms no stack; each shifted step forms one.
+        assert calls["transparency_global"] == calls["shift_consistency"]
+        assert kernels == calls["update_probe_rank1"]
+    elif mode == "rank1_framewise":
         # An accepted gate hands its shifted stack to the step: each
         # stack is formed once.
         assert kernels == calls["shift_consistency"]
-        assert calls["update_probe_rank1"] == reference["rank1_step"]
-    if mode == "rank1_global":
-        # The closed-form screen rejects some gates without a stack.
-        assert calls["shift_consistency"] < reference["shift_consistency"]
-    elif mode == "rank1_framewise":
-        assert calls["shift_consistency"] == reference["shift_consistency"]

@@ -142,12 +142,13 @@ def call_step(step, geom, obj, probe, frames, inputs):
         return solver.pairwise_discrepancy(frames, geom, coverage, adjoint, work)
     name, kind = step.split("/")
     if kind == "global":
-        factor = solver.transparency_global(frames, probe)
+        factor = solver.transparency_global(adjoint, probe, geom)
     else:
         factor = solver.transparency_framewise(frames, probe, solver.build_overlap_matrix(geom))
     if name == "update_probe_rank1":
         return rank1_step(frames, probe, geom, factor, *inputs)
-    return solver.shift_consistency(frames, probe, geom, factor, *inputs)[0]
+    pairwise = solver.pairwise_discrepancy(frames, geom, coverage, adjoint, work)
+    return solver.shift_consistency(frames, probe, geom, factor, coverage, adjoint, pairwise, work)[0]
 
 
 @pytest.mark.parametrize("m", [8, 7])

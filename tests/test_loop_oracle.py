@@ -11,7 +11,14 @@ every History value except the wall time, and the events.
 
 import numpy as np
 import pytest
-from conftest import data_residual, magnitude_project, rand_complex, rank1_step, step_inputs
+from conftest import (
+    data_residual,
+    gate_inputs,
+    magnitude_project,
+    rand_complex,
+    rank1_step,
+    step_inputs,
+)
 
 from ptyblind import (
     DegenerateInputError,
@@ -81,9 +88,10 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
             if cfg.probe_mode == "rank1_framewise":
                 transparency = transparency_framewise(frames, probe, overlap)
             else:
-                transparency = transparency_global(frames, probe)
+                adjoint = step_inputs(frames, probe, geom).adjoint
+                transparency = transparency_global(adjoint, probe, geom)
             score, _, _ = shift_consistency(
-                frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
+                frames, probe, geom, transparency, *gate_inputs(frames, probe, geom)
             )
             if score >= solver.RANK1_GATE:
                 try:

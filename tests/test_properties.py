@@ -141,7 +141,7 @@ def test_true_probe_is_a_fixed_point_of_the_shifted_step(geom, seed, per_frame, 
     if estimated and per_frame:
         transparency = transparency_framewise(frames, probe, build_overlap_matrix(geom))
     elif estimated:
-        transparency = transparency_global(frames, probe)
+        transparency = transparency_global(illuminate_adjoint(frames, probe, geom), probe, geom)
     elif per_frame:
         transparency = rand_complex(rng, geom.K)
     else:

@@ -177,3 +177,34 @@ class TestPerturbProbe:
         probe = make_probe(ProbeSpec(m=8, aperture_radius_px=3.0))
         with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0"):
             perturb_probe(probe, blur_sigma_px=blur, noise_level=noise, seed=0)
+
+
+SIZES = {
+    "fractional step": (lambda: make_raster_geometry(32, 8, 4.5, (4, 1)), "step"),
+    "boolean step": (lambda: make_raster_geometry(32, 8, True, (4, 1)), "step"),
+    "fractional grid rows": (lambda: make_raster_geometry(32, 8, 4, (2.5, 2)), r"grid\[0\]"),
+    "float grid columns": (lambda: make_raster_geometry(32, 8, 4, (2, np.float64(2))), r"grid\[1\]"),
+    "fractional probe size": (lambda: ProbeSpec(m=8.5, aperture_radius_px=3.0), "m"),
+    "float object size": (lambda: PhantomSpec(n=16.0, dc_fraction=0.9), "n"),
+    "float frame size": (lambda: ScanGeometry(n=16, m=8.0, positions=[[0, 0]]), "m"),
+    "fractional object size": (lambda: ScanGeometry(n=16.5, m=8, positions=[[0, 0]]), "n"),
+    "boolean sizes": (lambda: ScanGeometry(n=True, m=True, positions=[[0, 0]]), "n"),
+}
+
+
+@pytest.mark.parametrize("build, name", SIZES.values(), ids=SIZES.keys())
+def test_sizes_must_be_integers(build, name):
+    # Each was accepted: a fractional step built an irregular scan, a
+    # fractional size was rounded or truncated, a float frame size gave
+    # float frame indices that failed in numpy, and True made a 1x1 scan.
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        build()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    i = np.int64
+    geom = make_raster_geometry(i(32), i(8), i(4), (i(4), np.int32(2)))
+    assert geom.positions.tolist() == make_raster_geometry(32, 8, 4, (4, 2)).positions.tolist()
+    assert geom.frame_indices.dtype.kind == "i"
+    assert make_probe(ProbeSpec(m=i(8), aperture_radius_px=3.0)).shape == (8, 8)
+    assert make_test_object(PhantomSpec(n=i(16), dc_fraction=0.9)).shape == (16, 16)
