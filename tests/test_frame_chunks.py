@@ -8,6 +8,7 @@ to the run that handles the whole stack at once on the calling thread.
 """
 
 import inspect
+import math
 import os
 import signal
 import sys
@@ -147,8 +148,10 @@ def call_step(step, geom, obj, probe, frames, inputs):
         factor = solver.transparency_framewise(frames, probe, solver.build_overlap_matrix(geom))
     if name == "update_probe_rank1":
         return rank1_step(frames, probe, geom, factor, *inputs)
-    pairwise = solver.pairwise_discrepancy(frames, geom, coverage, adjoint, work)
-    return solver.shift_consistency(frames, probe, geom, factor, coverage, adjoint, pairwise, work)[0]
+    # The global gate's only per-frame pass weighs its shifted stack, which
+    # it does when the closed-form weight is unusable, as with no metrics row.
+    inputs = (coverage, adjoint, math.nan, work)
+    return solver.shift_consistency(frames, probe, geom, factor, *inputs)[0]
 
 
 @pytest.mark.parametrize("m", [8, 7])

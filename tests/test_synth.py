@@ -183,7 +183,10 @@ SIZES = {
     "fractional step": (lambda: make_raster_geometry(32, 8, 4.5, (4, 1)), "step"),
     "boolean step": (lambda: make_raster_geometry(32, 8, True, (4, 1)), "step"),
     "fractional grid rows": (lambda: make_raster_geometry(32, 8, 4, (2.5, 2)), r"grid\[0\]"),
-    "float grid columns": (lambda: make_raster_geometry(32, 8, 4, (2, np.float64(2))), r"grid\[1\]"),
+    "float grid columns": (
+        lambda: make_raster_geometry(32, 8, 4, (2, np.float64(2))),
+        r"grid\[1\]",
+    ),
     "fractional probe size": (lambda: ProbeSpec(m=8.5, aperture_radius_px=3.0), "m"),
     "float object size": (lambda: PhantomSpec(n=16.0, dc_fraction=0.9), "n"),
     "float frame size": (lambda: ScanGeometry(n=16, m=8.0, positions=[[0, 0]]), "m"),
