@@ -52,9 +52,10 @@ So the global gate's transparency, its shifted accumulation
 stack's coverage-weighted energy, all come from (n, n) images and the
 stack energy of the last metrics row. Only where that energy's closed
 form cancels, on a nearly transparent stack, is the shifted stack
-formed to measure it. An accepted shifted step forms the shifted
-stack at most once and takes its power step with ``A_s`` (or, per
-frame, finishes from the gate's sums), so no stack is shifted twice.
+formed, and the gate then takes ``A_s`` and the score from it. An
+accepted shifted step forms the shifted stack at most once and takes
+its power step with ``A_s`` (or, per frame, finishes from the gate's
+sums), so no stack is shifted twice.
 The model spectra are transformed once: their magnitudes give the
 data residual and then phase the spectra in place for the frame
 update.
@@ -137,9 +138,9 @@ RANK1_CADENCE = 3
 
 # The global gate's closed-form weight sums terms of up to the stack
 # energy, so it loses log10(energy / weight) digits. Below this fraction
-# of the energy (more than 3 digits lost) it is measured on the shifted
-# stack instead: a nearly transparent stack's residue can cancel to
-# rounding noise of either sign there.
+# of the energy (more than 3 digits lost) the gate is scored on the
+# shifted stack instead: a nearly transparent stack's residue can cancel
+# to rounding noise of either sign there.
 _WEIGHT_FLOOR = 1e-3
 
 
@@ -546,8 +547,11 @@ def shift_consistency(
     terms cancel as the shift residue falls many orders below the stack,
     which would score a transparent region as junk instead of as
     consistent; where the norm is not finite or below ``_WEIGHT_FLOOR``
-    of ``E``, it is measured on the shifted stack instead. The step is
-    the power step of the shifted stack on ``A - t C``. Per-frame factors
+    of ``E``, the shifted stack is formed and both terms are taken on
+    it, the form from its own scattered accumulation, so a stack the
+    shift leaves at rounding level still scores as the stack it is. The
+    step is the power step of the shifted stack on its accumulation
+    (``A - t C``, or the scattered one). Per-frame factors
     take the uniform-shift formula at each frame's own factor (which
     multiplies the full coverage map): the plain power step of frames
     shifted by different constants would break the true-probe fixed
@@ -574,8 +578,12 @@ def shift_consistency(
         if math.isfinite(weight) and weight >= _WEIGHT_FLOOR * energy > 0.0:
             shifted = partial(_shift_globally, frames, probe, transparency, work)
         else:
+            # Both terms come from the one shifted stack, so a stack the
+            # shift leaves at rounding level still scores self-consistently.
+            del accumulation
             stack = _shift_globally(frames, probe, transparency, work)
-            weight = _energies(stack, geom, coverage, accumulation, work)[0]
+            accumulation = illuminate_adjoint(stack, probe, geom, scratch=work.stack)
+            weight, form = _energies(stack, geom, coverage, accumulation, work)
             shifted = lambda: stack  # noqa: E731
         finish = partial(update_probe_power, work.spare, geom, accumulation, work)
     else:

@@ -356,11 +356,7 @@ class TestShiftConsistency:
     def test_global_score_matches_pencil_form(self, rng):
         for trial in range(40):
             n = int(rng.integers(4, 12))
-            # The estimated factor removes a lone one-pixel frame
-            # entirely, the degenerate case the step rejects; the closed
-            # form scores its rounding residue as noise. So the consistent
-            # draws, which take that factor, have m >= 2.
-            m = int(rng.integers(1 if trial % 2 else 2, n + 1))
+            m = int(rng.integers(1, n + 1))
             geom = random_geometry(rng, n, m, int(rng.integers(1, 9)))
             probe = rand_complex(rng, m, m)
             if trial % 2:
@@ -468,7 +464,7 @@ class TestGlobalGate:
                 frames = transparent + illuminate(scale * rand_complex(rng, 32, 32), probe, geom)
             score, formed, oracle = global_gate(frames, probe, geom)
             assert formed == 1
-            assert (score >= solver.RANK1_GATE) == (oracle >= solver.RANK1_GATE)
+            assert score == pytest.approx(oracle, abs=1e-9)
             assert (score >= solver.RANK1_GATE) == (residue == "consistent")
         # In the loop, an accepted gate's step takes the stack the gate
         # formed, and a rejected one forms no other.
@@ -483,3 +479,32 @@ class TestGlobalGate:
         _, engaged = solver._probe_step(state, None, geom, cfg, None, 1, [])
         assert formed == [1]
         assert engaged == (residue == "consistent")
+
+    @pytest.mark.parametrize("residue", ["noise", "consistent"])
+    def test_a_stack_shifted_to_rounding_level_scores_as_that_stack(self, rng, residue):
+        # A residue 1e-14 of the stack is below RANK1_DEGENERACY_RTOL, so
+        # the shift leaves a stack the step rejects. The gate scores that
+        # stack itself, as the oracle does, and whether the loop logs the
+        # degenerate fallback follows from the residue, not from how the
+        # closed form rounds.
+        geom = raster(32, 8, 3, (8, 8))
+        probe = rand_complex(rng, 8, 8)
+        transparent = (0.8 - 0.3j) * replicate_probe(probe, geom)
+        cfg = SolverConfig(probe_mode="rank1_global")
+        for _ in range(8):
+            if residue == "noise":
+                frames = transparent + 1e-14 * rand_complex(rng, *transparent.shape)
+            else:
+                frames = transparent + illuminate(1e-14 * rand_complex(rng, 32, 32), probe, geom)
+            score, formed, oracle = global_gate(frames, probe, geom)
+            assert formed == 1
+            assert score == pytest.approx(oracle, abs=1e-9)
+            coverage, adjoint, pairwise, work = gate_inputs(frames, probe, geom)
+            state = solver._Iterate(
+                frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, pairwise=pairwise
+            )
+            events = []
+            _, engaged = solver._probe_step(state, None, geom, cfg, None, 1, events)
+            assert not engaged
+            fell_back = ["iteration 1: degenerate transparency shift, fell back to power update"]
+            assert events == (fell_back if residue == "consistent" else [])
