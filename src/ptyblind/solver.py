@@ -32,30 +32,35 @@ recomputed with the new probe before the frames are rebuilt, so the
 jump is absorbed instead of being undone by the next consolidation
 steps. Both branches leave an exact solution fixed.
 
-Each iteration is a single pass over the frame stack. Two products
+Each iteration is a single pass over the frame stack. Three products
 of the current (frames, probe) pair are computed once and read by
-every consumer: the object coverage, and the adjoint accumulation
-``illuminate_adjoint(frames, probe)``, which is the pairwise term of
-the metrics row, the numerator of the next object update and the
-power step's accumulation. Both are (n, n) images, gathered to the
-frames chunk by chunk where a step reads them. Every step takes the
-ones it reads as required arguments, with the run's scratch stacks,
-and none recomputes them; a step that needs the accumulation of
-another stack (the shifted stack, or the frames under a new probe) is
-handed it by its caller. The steps keep public names in this module
-because the benchmark in ``perfbench/`` traces them by name. The rank-1
-estimators and the gate run only on iterations the cadence allows.
+every consumer: the object coverage ``C``; the adjoint accumulation
+``A = illuminate_adjoint(frames, probe)``, the numerator of the next
+object update and the power step's accumulation; and the intensity
+canvas, the scatter-add of ``|frames|**2``, which the metrics row
+makes for the frames it records. ``<C, canvas>`` is the stack's
+coverage-weighted energy ``E``, from which the metrics row's pairwise
+discrepancy ``E - ||A||^2`` and the global gate read; the canvas
+gathered to the frames is the power step's denominator. All three
+are (n, n) images, gathered to the frames chunk by chunk where a step
+reads them. Every step takes the ones it reads as required arguments,
+with the run's scratch stacks, and none recomputes them; a step that
+needs the accumulation or canvas of another stack (the shifted stack,
+or the frames under a new probe) is handed it by its caller. The
+steps keep public names in this module because the benchmark in
+``perfbench/`` traces them by name. The rank-1 estimators and the
+gate run only on iterations the cadence allows.
 Shifting every frame by one factor ``t`` times the probe shifts the
 adjoint accumulation ``A`` by ``t`` times the object coverage ``C``.
 So the global gate's transparency, its shifted accumulation
 ``A_s = A - t C`` and its score, ``||A_s||^2`` over the shifted
-stack's coverage-weighted energy, all come from (n, n) images and the
-stack energy of the last metrics row. Only where that energy's closed
-form cancels, on a nearly transparent stack, is the shifted stack
-formed, and the gate then takes ``A_s`` and the score from it. An
-accepted shifted step forms the shifted stack at most once and takes
-its power step with ``A_s`` (or, per frame, finishes from the gate's
-sums), so no stack is shifted twice.
+stack's coverage-weighted energy, all come from (n, n) images. Only
+where that energy's closed form cancels, on a nearly transparent
+stack, is the shifted stack formed, and the gate then takes ``A_s``
+and the score from it and its canvas. An accepted shifted step forms
+the shifted stack and its canvas at most once and takes its power
+step with ``A_s`` (or, per frame, finishes from the gate's sums), so
+no stack is shifted or scattered twice.
 The model spectra are transformed once: their magnitudes give the
 data residual and then phase the spectra in place for the frame
 update.
@@ -66,9 +71,9 @@ worker per usable core; numpy releases the GIL in these loops. The
 frame update (gather, probe product, DFT, magnitudes, misfit, phase,
 scaling, inverse DFT, conjugate-probe product) is one fused pass per
 chunk. So are the gathers, products and shifted stacks of the probe
-steps and the gate, and the coverage weighting of the metrics energy;
-a step whose stack goes through a scatter-add runs one pass before it
-and one after. Only the sums over frames, the inner products, the
+steps and the gate, and the intensity of the canvas; a step whose
+stack goes through a scatter-add runs one pass before it and one
+after. Only the sums over frames, the inner products, the
 misfit norm and the scatter-adds read the whole stack; they run on the
 calling thread once every chunk has finished, so every result is
 bit-identical to the unchunked pass. A stack shorter than two chunks
@@ -249,13 +254,17 @@ def update_probe_standard(
     conjugate-view weighting over the summed view intensities."""
     frames = np.asarray(frames)
     flat, index = _flat_image(obj, geom, work.stack), geom.frame_indices
+    # Elementwise, so gathering the image's intensity gives each view's
+    # intensity bit for bit, at the cost of one image instead of a stack.
+    intensity = np.abs(flat)
+    np.square(intensity, out=intensity)
 
     # ``clip`` spares every take() below a buffer; the indices are in
     # range.
     def chunk(lo, hi):
-        views, intensity = work.stack[lo:hi], work.real[lo:hi]
+        views = work.stack[lo:hi]
         flat.take(index[lo:hi], out=views, mode="clip")
-        np.square(np.abs(views, out=intensity), out=intensity)
+        intensity.take(index[lo:hi], out=work.real[lo:hi], mode="clip")
         np.multiply(np.conj(views, out=views), frames[lo:hi], out=views)
 
     _over_frames(chunk, work.edges)
@@ -264,58 +273,43 @@ def update_probe_standard(
     return _divided(num, den, "object is identically zero: probe update undefined")
 
 
-def _energies(
-    frames: np.ndarray,
-    geom: ScanGeometry,
-    coverage: np.ndarray,
-    adjoint: np.ndarray,
-    work: _Workspace,
-) -> tuple[float, float]:
-    """The stack's energy weighted by the object ``coverage`` gathered
-    to the frames, formed in ``work.stack``, and the energy of its
-    adjoint accumulation ``adjoint``."""
-    weighted = work.stack
-    flat, index = _flat_image(coverage, geom, weighted), geom.frame_indices
+def _intensity_canvas(frames: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
+    """The (n, n) scatter-add of the stack intensity ``|frames|**2``,
+    formed in ``work.real``. Gathered back to each frame it is the
+    frame-overlap coverage the power step divides by; its inner product
+    with the object coverage is the stack's coverage-weighted energy."""
+    intensity = work.real
 
     def chunk(lo, hi):
-        # The gather writes the coverage as complex numbers, c + 0j.
-        gathered = flat.take(index[lo:hi], out=weighted[lo:hi], mode="clip")
-        np.multiply(gathered, frames[lo:hi], out=gathered)
+        np.square(np.abs(frames[lo:hi], out=intensity[lo:hi]), out=intensity[lo:hi])
 
     _over_frames(chunk, work.edges)
-    energy = float(np.vdot(frames, weighted).real)
-    return energy, float(np.vdot(adjoint, adjoint).real)
+    return embed_add_frames(intensity, geom)
 
 
-def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
-    """``|frames|**2`` in ``out``: the stack intensity whose scatter-add,
-    gathered back to each frame, is the frame-overlap coverage."""
-    np.square(np.abs(frames, out=out), out=out)
-
-
-def pairwise_discrepancy(
-    frames: np.ndarray,
-    geom: ScanGeometry,
-    coverage: np.ndarray,
-    adjoint: np.ndarray,
-    work: _Workspace,
-) -> float:
+def pairwise_discrepancy(coverage: np.ndarray, adjoint: np.ndarray, canvas: np.ndarray) -> float:
     """Mutual inconsistency of overlapping frames under the probe.
 
     Sum over frame pairs of the squared mismatch between each frame
     re-illuminated at the other's position; zero exactly when the
-    stack comes from a single object. Evaluated matrix-free as the
-    coverage-weighted stack energy minus the energy of the adjoint
-    accumulation, clamped at zero against rounding. ``coverage`` is the
-    probe's object coverage and ``adjoint`` the stack's accumulation
-    ``illuminate_adjoint(frames, probe, geom)``.
+    stack comes from a single object. Evaluated matrix-free, from
+    (n, n) images only, as the coverage-weighted stack energy
+    ``<coverage, canvas>`` minus the energy of the adjoint accumulation,
+    clamped at zero against rounding. ``coverage`` is the probe's object
+    coverage, ``adjoint`` the stack's accumulation
+    ``illuminate_adjoint(frames, probe, geom)`` and ``canvas`` the
+    scatter-add of the stack intensity ``|frames|**2``.
     """
-    energy, form = _energies(np.asarray(frames), geom, coverage, adjoint, work)
-    return max(energy - form, 0.0)
+    energy = np.vdot(coverage, canvas).real
+    return max(float(energy - np.vdot(adjoint, adjoint).real), 0.0)
 
 
 def update_probe_power(
-    frames: np.ndarray, geom: ScanGeometry, adjoint: np.ndarray, work: _Workspace
+    frames: np.ndarray,
+    geom: ScanGeometry,
+    adjoint: np.ndarray,
+    canvas: np.ndarray,
+    work: _Workspace,
 ) -> np.ndarray:
     """One power step on the pairwise-discrepancy quadratic form.
 
@@ -325,28 +319,16 @@ def update_probe_power(
     it. Numerator: frames times the re-extracted conjugate adjoint
     accumulation ``adjoint = illuminate_adjoint(frames, probe, geom)``,
     summed over frames. Denominator: frame-overlap coverage of the
-    stack intensity.
+    stack intensity, the ``canvas`` (the scatter-add of ``|frames|**2``)
+    gathered to the frames.
     """
     frames = np.asarray(frames)
     coverage, view, index = work.real, work.stack, geom.frame_indices
-
-    def intensity(lo, hi):
-        _intensity(frames[lo:hi], coverage[lo:hi])
-
-    _over_frames(intensity, work.edges)
-    canvas = embed_add_frames(coverage, geom).reshape(-1)
-
-    def gather(lo, hi):
-        canvas.take(index[lo:hi], out=coverage[lo:hi], mode="clip")
-
-    _over_frames(gather, work.edges)
-    # The coverage canvas goes before the conjugate accumulation is
-    # made, and that before the sums: no two image-sized temporaries
-    # are held at once.
-    del canvas
+    flat = _flat_image(canvas, geom, coverage)
     conj_adjoint = np.conj(_flat_image(adjoint, geom, view))
 
     def products(lo, hi):
+        flat.take(index[lo:hi], out=coverage[lo:hi], mode="clip")
         conj_adjoint.take(index[lo:hi], out=view[lo:hi], mode="clip")
         # view * frames, not frames * view: see the note in _rank1_terms.
         np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
@@ -438,14 +420,15 @@ def _rank1_terms(
     transparency: np.ndarray,
     coverage: np.ndarray,
     adjoint: np.ndarray,
+    canvas: np.ndarray,
     work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator and denominator of the transparency-shifted power
     step with one factor per frame (``transparency``, length K), and
     the shifted stack: each frame is handled by the uniform-shift
     formula at its own factor, assembled from the probe's object
-    coverage, the unshifted stack's adjoint accumulation and one more
-    scatter-add.
+    coverage, the unshifted stack's adjoint accumulation and its
+    intensity ``canvas``, so no stack is scattered.
     Each frame's denominator term is a nonnegative coverage of a
     shifted stack; tiny negative rounding is clamped.
 
@@ -471,10 +454,9 @@ def _rank1_terms(
         flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
         product = np.multiply(_fill(spare[lo:hi], conj_fcol[lo:hi]), view[lo:hi], out=spare[lo:hi])
         np.multiply(2.0, product.real, out=real[lo:hi])
-        _intensity(frames[lo:hi], real2[lo:hi])
 
     _over_frames(cross, work.edges)
-    canvas = embed_add_frames(real2, geom).reshape(-1)
+    canvas = _flat_image(canvas, geom, real2)
     frame_coverage = _flat_image(coverage, geom, spare)
 
     def denominator(lo, hi):
@@ -485,7 +467,7 @@ def _rank1_terms(
         np.add(den, scaled, out=den)
 
     _over_frames(denominator, work.edges)
-    del canvas, frame_coverage
+    del frame_coverage
     den = sum_frames(real2)
 
     def numerator(lo, hi):
@@ -514,7 +496,7 @@ def shift_consistency(
     transparency: complex | np.ndarray,
     coverage: np.ndarray,
     adjoint: np.ndarray,
-    pairwise: float,
+    canvas: np.ndarray,
     work: _Workspace,
 ) -> tuple[float, Callable[[], np.ndarray], Callable[[], np.ndarray]]:
     """Consistency score of the transparency-shifted stack along the
@@ -536,22 +518,24 @@ def shift_consistency(
     ``transparency`` is one complex factor for the whole stack or a
     length-K array of per-frame factors. ``coverage`` is the probe's
     object coverage, ``adjoint`` the unshifted stack's accumulation
-    ``illuminate_adjoint(frames, probe, geom)`` and ``pairwise`` its
-    :func:`pairwise_discrepancy`, which only the global form reads.
+    ``illuminate_adjoint(frames, probe, geom)`` and ``canvas`` the
+    scatter-add of its intensity ``|frames|**2``.
 
     With one factor ``t`` the shifted stack is still plain data, so the
     form at the probe is the energy of its accumulation ``A - t C`` and
     the norm its coverage-weighted energy, ``E - 2 Re(conj(t) <C, A>) +
     |t|^2 ||C||^2`` for the accumulation ``A``, the coverage ``C`` and
-    the stack's own weighted energy ``E = pairwise + ||A||^2``. Those
-    terms cancel as the shift residue falls many orders below the stack,
+    the stack's own weighted energy ``E = <C, canvas>``. Those terms
+    cancel as the shift residue falls many orders below the stack,
     which would score a transparent region as junk instead of as
     consistent; where the norm is not finite or below ``_WEIGHT_FLOOR``
     of ``E``, the shifted stack is formed and both terms are taken on
-    it, the form from its own scattered accumulation, so a stack the
-    shift leaves at rounding level still scores as the stack it is. The
-    step is the power step of the shifted stack on its accumulation
-    (``A - t C``, or the scattered one). Per-frame factors
+    it, the norm from its own intensity canvas and the form from its
+    own scattered accumulation, so a stack the shift leaves at rounding
+    level still scores as the stack it is. The step is the power step
+    of the shifted stack on its accumulation (``A - t C``, or the
+    scattered one) and its intensity canvas, made once whether the
+    gate or the step needs it first. Per-frame factors
     take the uniform-shift formula at each frame's own factor (which
     multiplies the full coverage map): the plain power step of frames
     shifted by different constants would break the true-probe fixed
@@ -566,7 +550,7 @@ def shift_consistency(
     frames = np.asarray(frames)
     probe = np.asarray(probe)
     if np.ndim(transparency) == 0:
-        energy = pairwise + np.vdot(adjoint, adjoint).real
+        energy = np.vdot(coverage, canvas).real
         # One image-sized temporary at a time; a real factor still makes
         # a complex accumulation.
         accumulation = np.multiply(transparency, coverage, dtype=np.complex128)
@@ -574,7 +558,7 @@ def shift_consistency(
         form = np.vdot(accumulation, accumulation).real
         cross = (np.conj(transparency) * np.vdot(coverage, adjoint)).real
         weight = energy - 2.0 * cross + abs(transparency) ** 2 * np.vdot(coverage, coverage)
-        # A NaN pairwise (no metrics row yet) makes the weight NaN.
+        stack_canvas = None
         if math.isfinite(weight) and weight >= _WEIGHT_FLOOR * energy > 0.0:
             shifted = partial(_shift_globally, frames, probe, transparency, work)
         else:
@@ -582,12 +566,21 @@ def shift_consistency(
             # shift leaves at rounding level still scores self-consistently.
             del accumulation
             stack = _shift_globally(frames, probe, transparency, work)
+            stack_canvas = _intensity_canvas(stack, geom, work)
             accumulation = illuminate_adjoint(stack, probe, geom, scratch=work.stack)
-            weight, form = _energies(stack, geom, coverage, accumulation, work)
+            weight = np.vdot(coverage, stack_canvas).real
+            form = np.vdot(accumulation, accumulation).real
             shifted = lambda: stack  # noqa: E731
-        finish = partial(update_probe_power, work.spare, geom, accumulation, work)
+
+        def finish():
+            made = stack_canvas
+            if made is None:
+                made = _intensity_canvas(work.spare, geom, work)
+            return update_probe_power(work.spare, geom, accumulation, made, work)
     else:
-        num, den, stack = _rank1_terms(frames, probe, geom, transparency, coverage, adjoint, work)
+        num, den, stack = _rank1_terms(
+            frames, probe, geom, transparency, coverage, adjoint, canvas, work
+        )
         form = np.vdot(probe, num).real
         weight = float((den * np.abs(probe) ** 2).sum())
         vanished = "shifted frame stack is identically zero: rank-1 update undefined"
@@ -651,24 +644,22 @@ def _magnitude_pass(
     work: _Workspace,
     frames: np.ndarray,
     *,
-    gap: bool = True,
     project: bool = True,
-) -> Optional[float]:
+) -> float:
     """Per-frame part of the frame update, fused over the run's frame
     chunks.
 
     Each chunk illuminates its windows of ``obj`` and transforms them
-    in ``work.stack``, and puts the spectrum magnitudes in ``work.real``.
-    With ``gap`` it turns those into the misfit to ``amplitudes``. With
-    ``project`` it imposes the amplitudes on the spectra, transforms
+    in ``work.stack``, puts the spectrum magnitudes in ``work.real`` and
+    turns those into the misfit to ``amplitudes``. With ``project`` it
+    imposes the amplitudes on the spectra, transforms
     back into ``frames`` and weights the frames by the conjugate probe
     in ``work.stack``, the stack whose scatter-add is their adjoint
     accumulation. Until the inverse transform writes them, a chunk's
     ``frames`` hold in turn the replicated probe, the magnitudes and the
     amplitudes, as complex numbers, so no ufunc broadcasts or casts a
-    frame-sized operand. Returns the misfit norm, or ``None`` without
-    ``gap``; it is taken over the whole stack, so no bit depends on the
-    chunking.
+    frame-sized operand. Returns the misfit norm; it is taken over the
+    whole stack, so no bit depends on the chunking.
     """
     flat = obj.reshape(-1)
     index = geom.frame_indices
@@ -683,8 +674,7 @@ def _magnitude_pass(
         np.abs(spectra, out=magnitudes)
         if project:
             _fill(spare, magnitudes)
-        if gap:
-            np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
+        np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
         if project:
             _unit_phase(spectra, spare, out=spectra)
             np.multiply(spectra, _fill(spare, amplitudes[lo:hi]), out=spectra)
@@ -692,7 +682,7 @@ def _magnitude_pass(
             np.multiply(_fill(spectra, conj_probe), spare, out=spectra)
 
     _over_frames(chunk, work.edges)
-    return np.linalg.norm(misfit) if gap else None
+    return np.linalg.norm(misfit)
 
 
 def _check_finite(value, name: str) -> None:
@@ -714,17 +704,15 @@ def _check_probe(probe: np.ndarray, name: str, geom: ScanGeometry) -> None:
 class _Iterate:
     """State the loop carries from one iteration to the next.
 
-    ``coverage`` is the (n, n) object coverage of ``probe`` and
-    ``adjoint`` is ``illuminate_adjoint(frames, probe)``. Each is
-    computed once per iteration and read by the metrics row, the next
-    object update, the power step and the rank-1 gate. ``work`` holds
-    every other frame-sized stack the steps use. ``since_shift``
+    ``coverage`` is the (n, n) object coverage of ``probe``,
+    ``adjoint`` is ``illuminate_adjoint(frames, probe)`` and ``canvas``
+    the scatter-add of the intensity ``|frames|**2``, which the metrics
+    row computes for the frames it records. Each is computed once per
+    iteration and read by the metrics row and the probe step: the
+    coverage and ``adjoint`` also by the next object update, ``adjoint``
+    and ``canvas`` by the power step and both rank-1 gates. ``work``
+    holds every other frame-sized stack the steps use. ``since_shift``
     counts the iterations since the last transparency-shifted step.
-    ``pairwise`` is the last metrics row's pairwise discrepancy, of the
-    same (frames, probe) pair: with the energy of ``adjoint`` it gives
-    back the stack energy the global gate reads, so the gate forms no
-    stack. It is NaN until the first row is recorded, and the gate then
-    measures the energy on its shifted stack.
     """
 
     frames: np.ndarray
@@ -734,7 +722,7 @@ class _Iterate:
     work: _Workspace
     since_shift: int
     shift_seen: bool = False
-    pairwise: float = math.nan
+    canvas: Optional[np.ndarray] = None
 
 
 def _probe_step(
@@ -752,7 +740,7 @@ def _probe_step(
     shifted, and advances the shift schedule in ``state``.
     """
     frames, probe, work = state.frames, state.probe, state.work
-    coverage, adjoint = state.coverage, state.adjoint
+    coverage, adjoint, canvas = state.coverage, state.adjoint, state.canvas
     if cfg.probe_mode == "standard":
         return update_probe_standard(frames, obj, geom, work), False
     gate = cfg.probe_mode != "power" and state.since_shift >= RANK1_CADENCE
@@ -762,7 +750,7 @@ def _probe_step(
         else:
             factor = transparency_global(adjoint, probe, geom)
         score, shifted, finish = shift_consistency(
-            frames, probe, geom, factor, coverage, adjoint, state.pairwise, work
+            frames, probe, geom, factor, coverage, adjoint, canvas, work
         )
         if score >= RANK1_GATE:
             try:
@@ -784,7 +772,7 @@ def _probe_step(
         # The power step runs without the gate's accumulation held.
         del shifted, finish
     state.since_shift += 1
-    return update_probe_power(frames, geom, adjoint, work), False
+    return update_probe_power(frames, geom, adjoint, canvas, work), False
 
 
 def run_reconstruction(
@@ -838,7 +826,7 @@ def run_reconstruction(
     if frames_init is None:
         ones = np.ones((geom.n, geom.n), dtype=np.complex128)
         frames = np.empty(amplitudes.shape, dtype=np.complex128)
-        _magnitude_pass(ones, probe, amplitudes, geom, work, frames, gap=False)
+        _magnitude_pass(ones, probe, amplitudes, geom, work, frames)
         adjoint = embed_add_frames(work.stack, geom)
         del ones
     else:
@@ -862,9 +850,9 @@ def run_reconstruction(
     def record(iteration: int, resid: float, t0: float) -> bool:
         """Append a metrics row; returns whether the stop rule fires."""
         err = nrmse_probe(state.probe, probe_true) if probe_true is not None else None
-        pairwise = pairwise_discrepancy(state.frames, geom, state.coverage, state.adjoint, work)
+        state.canvas = _intensity_canvas(state.frames, geom, work)
+        pairwise = pairwise_discrepancy(state.coverage, state.adjoint, state.canvas)
         _check_finite(pairwise, "pairwise discrepancy")
-        state.pairwise = pairwise
         history.rows.append(
             MetricsRow(
                 iter=iteration,

@@ -30,7 +30,6 @@ from ptyblind.solver import (
     EPSILON_REL,
     RANK1_DEGENERACY_RTOL,
     _Workspace,
-    pairwise_discrepancy,
     shift_consistency,
     update_object,
     update_probe_rank1,
@@ -123,39 +122,35 @@ def dense_power_matrices(frames, geom):
 class StepInputs(NamedTuple):
     coverage: np.ndarray
     adjoint: np.ndarray
+    canvas: np.ndarray
     work: _Workspace
 
 
 def step_inputs(frames, probe, geom):
     """What the reconstruction loop hands a solver step for the pair
-    (frames, probe), built fresh: the probe's object coverage, the
-    adjoint accumulation ``illuminate_adjoint(frames, probe, geom)`` and
-    a new run workspace.
+    (frames, probe), built fresh from public operators: the probe's
+    object coverage, the adjoint accumulation ``illuminate_adjoint(frames,
+    probe, geom)``, the scatter-add of the stack intensity ``|frames|**2``
+    and a new run workspace.
 
     The steps take these in this order, after their other arguments, so
-    ``*step_inputs(...)`` completes a call of ``pairwise_discrepancy``
-    and ``rank1_step``.
+    ``*step_inputs(...)`` completes a call of ``shift_consistency`` and
+    ``rank1_step``, ``*step_inputs(...)[:3]`` one of
+    ``pairwise_discrepancy`` and ``*step_inputs(...)[1:]`` one of
+    ``update_probe_power``.
     """
     coverage = coverage_maps(probe, geom).object_coverage
-    return StepInputs(coverage, illuminate_adjoint(frames, probe, geom), _Workspace(geom))
+    adjoint = illuminate_adjoint(frames, probe, geom)
+    canvas = embed_add_frames(np.abs(frames) ** 2, geom)
+    return StepInputs(coverage, adjoint, canvas, _Workspace(geom))
 
 
-def gate_inputs(frames, probe, geom):
-    """``step_inputs`` with the pair's pairwise discrepancy, which the loop
-    carries from its last metrics row, before the workspace: the inputs
-    ``*gate_inputs(...)`` completes a ``shift_consistency`` call with."""
-    coverage, adjoint, work = step_inputs(frames, probe, geom)
-    pairwise = pairwise_discrepancy(frames, geom, coverage, adjoint, work)
-    return coverage, adjoint, pairwise, work
-
-
-def rank1_step(frames, probe, geom, transparency, coverage, adjoint, work):
+def rank1_step(frames, probe, geom, transparency, coverage, adjoint, canvas, work):
     """The transparency-shifted probe step as the loop takes it: the gate
     ``shift_consistency`` scores the shift, and ``update_probe_rank1``
     finishes from the shifted stack the gate formed or forms it."""
-    pairwise = pairwise_discrepancy(frames, geom, coverage, adjoint, work)
     _, shifted, finish = shift_consistency(
-        frames, probe, geom, transparency, coverage, adjoint, pairwise, work
+        frames, probe, geom, transparency, coverage, adjoint, canvas, work
     )
     return update_probe_rank1(frames, shifted, finish)
 
@@ -180,7 +175,7 @@ def frame_consistency_project(frames, probe, geom):
     re-illuminates; fixed points are exactly the stacks a single object
     can produce under the probe.
     """
-    coverage, adjoint, _ = step_inputs(frames, probe, geom)
+    coverage, adjoint = step_inputs(frames, probe, geom)[:2]
     return illuminate(update_object(coverage, adjoint), probe, geom)
 
 

@@ -148,11 +148,11 @@ def test_criterion_2_pairwise_identity():
                 diff = wfields[j] * zfields[i] - wfields[i] * zfields[j]
                 brute += float(np.vdot(diff, diff).real)
         brute *= 0.5
-        fast = pairwise_discrepancy(frames, geom, *step_inputs(frames, probe, geom))
+        fast = pairwise_discrepancy(*step_inputs(frames, probe, geom)[:3])
         worst_random = max(worst_random, abs(brute - fast) / brute)
 
         consistent = illuminate(rand_complex(rng, n, n), probe, geom)
-        value = pairwise_discrepancy(consistent, geom, *step_inputs(consistent, probe, geom))
+        value = pairwise_discrepancy(*step_inputs(consistent, probe, geom)[:3])
         bound = np.linalg.norm(consistent) ** 2 * coverage_maps(probe, geom).object_coverage.max()
         worst_consistent = max(worst_consistent, value / bound)
 
@@ -174,8 +174,8 @@ def test_criterion_3_projector_properties():
         once = frame_consistency_project(frames, probe, geom)
         twice = frame_consistency_project(once, probe, geom)
         worst_idem = max(worst_idem, _rel(twice, once))
-        before = pairwise_discrepancy(frames, geom, *step_inputs(frames, probe, geom))
-        after = pairwise_discrepancy(once, geom, *step_inputs(once, probe, geom))
+        before = pairwise_discrepancy(*step_inputs(frames, probe, geom)[:3])
+        after = pairwise_discrepancy(*step_inputs(once, probe, geom)[:3])
         worst_increase = max(worst_increase, (after - before) / before)
     ok = worst_idem <= 1e-10 and worst_increase <= 1e-10
     _report(3, ok, f"50 stacks: idempotence residue {worst_idem:.2e}, "

@@ -105,12 +105,14 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     # The reference loop reaches the gate where the loop does.
     reference = count_calls(monkeypatch, test_loop_oracle, ("shift_consistency", "rank1_step"))
     test_loop_oracle.reference_run(amps, geom, init, cfg, probe_true=probe)
-    calls = count_calls(monkeypatch, solver, STEPS + ["_energies", *SHIFT_KERNELS])
+    calls = count_calls(monkeypatch, solver, STEPS + ["_intensity_canvas", *SHIFT_KERNELS])
     history = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
     kernels = sum(calls.pop(name, 0) for name in SHIFT_KERNELS)
-    # Every metrics row weighs the stack's energy once; a global gate
-    # weighs its shifted stack only near transparency.
-    assert calls.pop("_energies") == len(history.rows)
+    # Every metrics row scatters the stack intensity once, and every
+    # global shifted stack (an accepted step's, or a fallback gate's)
+    # once more; the power steps and the gates read those canvases.
+    global_stacks = kernels if mode == "rank1_global" else 0
+    assert calls.pop("_intensity_canvas") == len(history.rows) + global_stacks
     assert set(calls) == set(MODE_STEPS[mode])
     assert calls["pairwise_discrepancy"] == len(history.rows)
     if mode.startswith("rank1"):

@@ -8,7 +8,6 @@ to the run that handles the whole stack at once on the calling thread.
 """
 
 import inspect
-import math
 import os
 import signal
 import sys
@@ -123,7 +122,7 @@ def step_case(m):
 STEPS = [
     "update_probe_standard",
     "update_probe_power",
-    "pairwise_discrepancy",
+    "_intensity_canvas",
     "shift_consistency/global",
     "shift_consistency/framewise",
     "update_probe_rank1/global",
@@ -134,13 +133,13 @@ STEPS = [
 def call_step(step, geom, obj, probe, frames, inputs):
     """Call the named step; a ``/global`` or ``/framewise`` suffix picks
     the form of the transparency it is given."""
-    coverage, adjoint, work = inputs
+    coverage, adjoint, canvas, work = inputs
     if step == "update_probe_standard":
         return solver.update_probe_standard(frames, obj, geom, work)
     if step == "update_probe_power":
-        return solver.update_probe_power(frames, geom, adjoint, work)
-    if step == "pairwise_discrepancy":
-        return solver.pairwise_discrepancy(frames, geom, coverage, adjoint, work)
+        return solver.update_probe_power(frames, geom, adjoint, canvas, work)
+    if step == "_intensity_canvas":
+        return solver._intensity_canvas(frames, geom, work)
     name, kind = step.split("/")
     if kind == "global":
         factor = solver.transparency_global(adjoint, probe, geom)
@@ -149,8 +148,8 @@ def call_step(step, geom, obj, probe, frames, inputs):
     if name == "update_probe_rank1":
         return rank1_step(frames, probe, geom, factor, *inputs)
     # The global gate's only per-frame pass weighs its shifted stack, which
-    # it does when the closed-form weight is unusable, as with no metrics row.
-    inputs = (coverage, adjoint, math.nan, work)
+    # it does when the closed-form weight is unusable, as with a NaN canvas.
+    inputs = (coverage, adjoint, np.full_like(canvas, np.nan), work)
     return solver.shift_consistency(frames, probe, geom, factor, *inputs)[0]
 
 

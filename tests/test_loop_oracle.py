@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 from conftest import (
     data_residual,
-    gate_inputs,
+    step_inputs,
     magnitude_project,
     rand_complex,
     rank1_step,
-    step_inputs,
 )
 
 from ptyblind import (
@@ -70,7 +69,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
     def record(iteration, model):
         err = nrmse_probe(probe, probe_true) if probe_true is not None else None
         resid = data_residual(model, amplitudes)
-        pairwise = pairwise_discrepancy(frames, geom, *step_inputs(frames, probe, geom))
+        pairwise = pairwise_discrepancy(*step_inputs(frames, probe, geom)[:3])
         rows.append((iteration, err, resid, pairwise))
         return cfg.stop_nrmse is not None and err <= cfg.stop_nrmse
 
@@ -91,7 +90,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
                 adjoint = step_inputs(frames, probe, geom).adjoint
                 transparency = transparency_global(adjoint, probe, geom)
             score, _, _ = shift_consistency(
-                frames, probe, geom, transparency, *gate_inputs(frames, probe, geom)
+                frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
             )
             if score >= solver.RANK1_GATE:
                 try:

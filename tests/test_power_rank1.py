@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 from conftest import (
     dense_power_matrices,
-    gate_inputs,
+    step_inputs,
     rand_complex,
     random_geometry,
     rank1_step,
     stack_scored_gate,
-    step_inputs,
     update_probe_rank1_expanded,
 )
 
@@ -29,6 +28,7 @@ from ptyblind import (
     illuminate,
     illuminate_adjoint,
     make_raster_geometry,
+    operators,
     solver,
 )
 from ptyblind.metrics import nrmse_probe
@@ -78,13 +78,13 @@ class TestPairwiseDiscrepancy:
             frames = rand_complex(rng, geom.K, 3, 3)
             probe = rand_complex(rng, 3, 3)
             brute = brute_pairwise(frames, probe, geom)
-            fast = pairwise_discrepancy(frames, geom, *step_inputs(frames, probe, geom))
+            fast = pairwise_discrepancy(*step_inputs(frames, probe, geom)[:3])
             assert brute == pytest.approx(2.0 * fast, rel=1e-10)
 
     def test_zero_on_consistent_stack(self, rng):
         for _ in range(5):
             geom, probe, obj, frames = consistent_instance(rng, 6, 3, 4)
-            value = pairwise_discrepancy(frames, geom, *step_inputs(frames, probe, geom))
+            value = pairwise_discrepancy(*step_inputs(frames, probe, geom)[:3])
             scale = np.linalg.norm(frames) ** 2 * float(np.abs(probe).max() ** 2) * geom.K
             assert value <= 1e-12 * scale
 
@@ -149,6 +149,45 @@ class TestPowerStep:
         with pytest.raises(DegenerateInputError, match="^frame stack is identically zero: power"):
             frames = np.zeros((geom.K, 4, 4), dtype=complex)
             update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
+
+
+def record_scatters(monkeypatch):
+    """The dtypes of the stacks scattered by ``embed_add_frames``, through
+    ``solver``'s binding or ``operators``' own, while the test runs."""
+    scattered = []
+    scatter = operators.embed_add_frames
+
+    def recorded(frames, geom):
+        scattered.append(np.asarray(frames).dtype)
+        return scatter(frames, geom)
+
+    monkeypatch.setattr(solver, "embed_add_frames", recorded)
+    monkeypatch.setattr(operators, "embed_add_frames", recorded)
+    return scattered
+
+
+class TestIntensityCanvas:
+    def test_power_step_and_per_frame_terms_scatter_no_real_stack(self, rng, monkeypatch):
+        # Both read the canvas they are handed instead of scattering the
+        # stack intensity again.
+        geom = random_geometry(rng, 8, 4, 6)
+        frames = rand_complex(rng, geom.K, 4, 4)
+        probe = rand_complex(rng, 4, 4)
+        inputs = step_inputs(frames, probe, geom)
+        factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
+        scattered = record_scatters(monkeypatch)
+        update_probe_power(frames, geom, *inputs[1:])
+        solver._rank1_terms(frames, probe, geom, factors, *inputs)
+        rank1_step(frames, probe, geom, factors, *inputs)
+        assert not [dtype for dtype in scattered if dtype.kind == "f"]
+
+    def test_a_global_shifted_step_scatters_its_stack_intensity_once(self, rng, monkeypatch):
+        geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
+        inputs = step_inputs(frames, probe, geom)
+        transparency = transparency_global(inputs.adjoint, probe, geom)
+        scattered = record_scatters(monkeypatch)
+        rank1_step(frames, probe, geom, transparency, *inputs)
+        assert scattered == [np.dtype(np.float64)]
 
 
 class TestTransparencyGlobal:
@@ -318,7 +357,7 @@ class TestTransparencyForms:
             raise AssertionError("a single factor took the per-frame route")
 
         monkeypatch.setattr(solver, "_rank1_terms", framewise_route)
-        inputs = gate_inputs(frames, probe, geom)
+        inputs = step_inputs(frames, probe, geom)
         steps, scores = set(), set()
         for transparency in (c, np.complex128(c), np.array(c)):
             score, shifted, finish = shift_consistency(frames, probe, geom, transparency, *inputs)
@@ -337,7 +376,7 @@ class TestTransparencyForms:
         with pytest.raises(ValueError, match=message):
             rank1_step(frames, probe, geom, factors, *inputs)
         with pytest.raises(ValueError, match=message):
-            shift_consistency(frames, probe, geom, factors, *gate_inputs(frames, probe, geom))
+            shift_consistency(frames, probe, geom, factors, *step_inputs(frames, probe, geom))
 
 
 def pencil_global_consistency(frames, probe, geom, c):
@@ -365,14 +404,14 @@ class TestShiftConsistency:
             else:
                 frames = illuminate(rand_complex(rng, n, n), probe, geom)
                 c = transparency_global(illuminate_adjoint(frames, probe, geom), probe, geom)
-            inputs = gate_inputs(frames, probe, geom)
+            inputs = step_inputs(frames, probe, geom)
             score, _, _ = shift_consistency(frames, probe, geom, c, *inputs)
             want = pencil_global_consistency(frames, probe, geom, c)
             assert score == pytest.approx(want, abs=1e-12)
 
     def test_equals_one_on_consistent_stack(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-        inputs = gate_inputs(frames, probe, geom)
+        inputs = step_inputs(frames, probe, geom)
         score, _, _ = shift_consistency(frames, probe, geom, 0.7 - 0.2j, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
         factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
@@ -385,7 +424,7 @@ class TestShiftConsistency:
             frames = rand_complex(rng, geom.K, 3, 3)
             probe = rand_complex(rng, 3, 3)
             transparency = complex(rand_complex(rng, 1)[0])
-            inputs = gate_inputs(frames, probe, geom)
+            inputs = step_inputs(frames, probe, geom)
             score, _, _ = shift_consistency(frames, probe, geom, transparency, *inputs)
             assert -1e-12 <= score <= 1.0 + 1e-12
 
@@ -394,15 +433,15 @@ class TestShiftConsistency:
         probe = rand_complex(rng, 4, 4)
         c = 1.5 - 0.5j
         frames = c * replicate_probe(probe, geom)
-        score, _, _ = shift_consistency(frames, probe, geom, c, *gate_inputs(frames, probe, geom))
+        score, _, _ = shift_consistency(frames, probe, geom, c, *step_inputs(frames, probe, geom))
         assert score == 0.0
 
     def test_noise_scores_below_consistent_data(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-        clean_inputs = gate_inputs(frames, probe, geom)
+        clean_inputs = step_inputs(frames, probe, geom)
         transparency = transparency_global(clean_inputs[1], probe, geom)
         noise = rand_complex(rng, geom.K, 4, 4)
-        noisy_inputs = gate_inputs(noise, probe, geom)
+        noisy_inputs = step_inputs(noise, probe, geom)
         noisy, _, _ = shift_consistency(noise, probe, geom, transparency, *noisy_inputs)
         clean, _, _ = shift_consistency(frames, probe, geom, transparency, *clean_inputs)
         assert noisy < 0.9 < clean
@@ -417,7 +456,7 @@ def global_gate(frames, probe, geom):
     """The global gate as the loop takes it, at the global transparency,
     with the number of shifted stacks it formed, and the stack-scored
     oracle's score at the same transparency."""
-    inputs = gate_inputs(frames, probe, geom)
+    inputs = step_inputs(frames, probe, geom)
     transparency = transparency_global(inputs[1], probe, geom)
     formed = []
     shift = solver._shift_globally
@@ -471,9 +510,9 @@ class TestGlobalGate:
         formed = []
         shift = solver._shift_globally
         monkeypatch.setattr(solver, "_shift_globally", lambda *a: formed.append(1) or shift(*a))
-        coverage, adjoint, pairwise, work = gate_inputs(frames, probe, geom)
+        coverage, adjoint, canvas, work = step_inputs(frames, probe, geom)
         state = solver._Iterate(
-            frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, pairwise=pairwise
+            frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, canvas=canvas
         )
         cfg = SolverConfig(probe_mode="rank1_global")
         _, engaged = solver._probe_step(state, None, geom, cfg, None, 1, [])
@@ -499,9 +538,9 @@ class TestGlobalGate:
             score, formed, oracle = global_gate(frames, probe, geom)
             assert formed == 1
             assert score == pytest.approx(oracle, abs=1e-9)
-            coverage, adjoint, pairwise, work = gate_inputs(frames, probe, geom)
+            coverage, adjoint, canvas, work = step_inputs(frames, probe, geom)
             state = solver._Iterate(
-                frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, pairwise=pairwise
+                frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, canvas=canvas
             )
             events = []
             _, engaged = solver._probe_step(state, None, geom, cfg, None, 1, events)

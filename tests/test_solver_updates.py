@@ -10,7 +10,12 @@ from ptyblind import (
     extract_frames,
     illuminate,
 )
-from ptyblind.solver import pairwise_discrepancy, update_object, update_probe_standard
+from ptyblind.solver import (
+    EPSILON_REL,
+    pairwise_discrepancy,
+    update_object,
+    update_probe_standard,
+)
 
 from conftest import (
     dense_illuminate_matrix,
@@ -104,6 +109,22 @@ def test_update_probe_standard_matches_dense_per_pixel_lsq(rng):
     np.testing.assert_allclose(got, want, rtol=1e-11)
 
 
+@pytest.mark.parametrize("n, m, K", [(6, 3, 5), (23, 7, 17), (64, 16, 169)])
+def test_update_probe_standard_returns_the_bytes_of_the_view_side_formula(rng, n, m, K):
+    # The step gathers the intensity of the object image; the view-side
+    # formula takes the intensity of every gathered view. Both are
+    # elementwise, so they must agree bit for bit, odd sizes included.
+    geom = random_geometry(rng, n, m, K)
+    psi = rand_complex(rng, n, n) + 1.5
+    frames = rand_complex(rng, K, m, m)
+    views = extract_frames(psi, geom)
+    num = (np.conj(views) * frames).sum(axis=0)
+    den = (np.abs(views) ** 2).sum(axis=0)
+    want = num / np.maximum(den, EPSILON_REL * den.max())
+    got = update_probe_standard(frames, psi, geom, step_inputs(frames, psi[:m, :m], geom).work)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
 def test_update_probe_standard_zero_object_raises(rng):
     geom = random_geometry(rng, n=4, m=2, K=2)
     with pytest.raises(DegenerateInputError, match="^object is identically zero: probe update"):
@@ -146,9 +167,9 @@ def test_projector_never_increases_discrepancy(rng):
     w = rand_complex(rng, 3, 3)
     for _ in range(10):
         frames = rand_complex(rng, 4, 3, 3)
-        before = pairwise_discrepancy(frames, geom, *step_inputs(frames, w, geom))
+        before = pairwise_discrepancy(*step_inputs(frames, w, geom)[:3])
         once = frame_consistency_project(frames, w, geom)
-        after = pairwise_discrepancy(once, geom, *step_inputs(once, w, geom))
+        after = pairwise_discrepancy(*step_inputs(once, w, geom)[:3])
         assert after <= before * (1 + 1e-12) + 1e-12
 
 

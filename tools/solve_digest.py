@@ -1,22 +1,26 @@
 """Digest every seed-0 benchmark solve, or diff two digests.
 
 A digest records, per workload, instance and probe mode, a SHA-256 of
-the solve's outputs (final probe, object and frames, every ``History``
-row without its wall time, and the events), the iteration count, the
-number of ``update_probe_rank1`` calls, the events and the per-row
-probe NRMSE. It runs the solves of ``perfbench/workloads.py`` from the
-tree given by ``--root``, importing that tree's ``src/`` and
-``perfbench/workloads.py`` without changing either. Compare two trees
-(say a change and its parent) by digesting each and diffing::
+the solve's final probe, object and frames and its events, the
+iteration count, the number of ``update_probe_rank1`` calls, the
+events, and the ``History`` columns ``nrmse_probe``, ``data_residual``
+and ``pairwise`` row by row. It runs the solves of
+``perfbench/workloads.py`` from the tree given by ``--root``, importing
+that tree's ``src/`` and ``perfbench/workloads.py`` without changing
+either. Compare two trees (say a change and its parent) by digesting
+each and diffing::
 
     python3 tools/solve_digest.py --root . --out change.json
     python3 tools/solve_digest.py --root ../parent --out parent.json
     python3 tools/solve_digest.py change.json --against parent.json
 
-The diff lists the solves whose bytes differ, and among those any
-change of iteration count, ``update_probe_rank1`` calls or events, with
-the worst per-row difference of ``nrmse_probe``. The exit code is 1
-when any solve differs.
+The diff lists the solves whose arrays or events differ, any change of
+iteration count, ``update_probe_rank1`` calls or events, and for each
+column the number of solves whose rows differ and the worst per-row
+relative difference, ``|new - old| / max(|new|, |old|)``. The exit code
+is 1 when the arrays, events, iteration counts or ``update_probe_rank1``
+calls of any solve differ; a column that moves only in its values is
+reported, not failed.
 """
 
 import os
@@ -30,6 +34,8 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+
+COLUMNS = ("nrmse_probe", "data_residual", "pairwise")
 
 
 def digest_tree(root: Path, names: list[str] | None, seed: int) -> dict:
@@ -62,50 +68,68 @@ def digest_tree(root: Path, names: list[str] | None, seed: int) -> dict:
                     array = np.ascontiguousarray(array)
                     sha.update(f"{array.dtype} {array.shape}".encode())
                     sha.update(array.tobytes())
-                for row in history.rows:
-                    values = (row.iter, row.nrmse_probe, row.data_residual, row.pairwise)
-                    sha.update(repr(values).encode())
                 sha.update("\n".join(history.events).encode())
                 solves[f"{name}/{k}/{mode}"] = {
                     "sha256": sha.hexdigest(),
                     "iterations": history.rows[-1].iter,
                     "rank1_calls": calls[0],
                     "events": history.events,
-                    "nrmse_probe": [row.nrmse_probe for row in history.rows],
+                    **{c: [getattr(row, c) for row in history.rows] for c in COLUMNS},
                 }
             print(f"{name} instance {k} done", file=sys.stderr)
     return {"root": str(root), "seed": seed, "solves": solves}
 
 
+def relative_gap(new, old) -> float:
+    """``|new - old| / max(|new|, |old|)``: 0 for equal values (two
+    zeros or two blanks included), 1 where only one is blank."""
+    if new == old:
+        return 0.0
+    if new is None or old is None:
+        return 1.0
+    return abs(new - old) / max(abs(new), abs(old))
+
+
 def diff(new: dict, old: dict) -> tuple[list[str], int]:
     """Report lines on how the digest ``new`` differs from ``old``, and
-    the number of solves that differ."""
+    the number of solves whose arrays, events or counts differ."""
     lines = []
-    changed, worst = [], 0.0
+    changed = []
+    moved = {column: 0 for column in COLUMNS}
+    worst = {column: 0.0 for column in COLUMNS}
     for key in sorted(old["solves"].keys() | new["solves"].keys()):
         a, b = old["solves"].get(key), new["solves"].get(key)
         if a is None or b is None:
             lines.append(f"{key}: only in the {'new' if a is None else 'old'} digest")
             changed.append(key)
             continue
-        if a["sha256"] == b["sha256"]:
-            continue
-        changed.append(key)
-        for field in ("iterations", "rank1_calls", "events"):
-            if a[field] != b[field]:
-                lines.append(f"{key}: {field} {a[field]!r} -> {b[field]!r}")
-        rows_a, rows_b = a["nrmse_probe"], b["nrmse_probe"]
-        if len(rows_a) == len(rows_b):
-            gap = max(abs(x - y) for x, y in zip(rows_a, rows_b))
-            worst = max(worst, gap)
-            lines.append(f"{key}: bytes differ, worst per-row nrmse_probe difference {gap:.3g}")
-        else:
-            lines.append(f"{key}: {len(rows_a)} -> {len(rows_b)} rows")
+        differs = [f for f in ("iterations", "rank1_calls", "events") if a[f] != b[f]]
+        for field in differs:
+            lines.append(f"{key}: {field} {a[field]!r} -> {b[field]!r}")
+        if a["sha256"] != b["sha256"]:
+            lines.append(f"{key}: arrays or events differ")
+            differs.append("sha256")
+        if differs:
+            changed.append(key)
+        for column in COLUMNS:
+            rows_a, rows_b = a[column], b[column]
+            if rows_a == rows_b:
+                continue
+            moved[column] += 1
+            if len(rows_a) != len(rows_b):
+                lines.append(f"{key}: {column} has {len(rows_a)} -> {len(rows_b)} rows")
+                worst[column] = float("inf")
+                continue
+            gap = max(relative_gap(y, x) for x, y in zip(rows_a, rows_b))
+            worst[column] = max(worst[column], gap)
     total = len(old["solves"].keys() | new["solves"].keys())
-    lines.append(
-        f"{total - len(changed)} of {total} solves byte-identical; "
-        f"worst per-row nrmse_probe difference {worst:.3g}"
-    )
+    same = total - len(changed)
+    lines.append(f"{same} of {total} solves with identical arrays, events and counts")
+    for column in COLUMNS:
+        lines.append(
+            f"{column}: {total - moved[column]} of {total} solves identical; "
+            f"worst per-row relative difference {worst[column]:.3g}"
+        )
     return lines, len(changed)
 
 
