@@ -177,7 +177,7 @@ class TestIntensityCanvas:
         factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
         scattered = record_scatters(monkeypatch)
         update_probe_power(frames, geom, *inputs[1:])
-        solver._rank1_terms(frames, probe, geom, factors, *inputs)
+        # The per-frame gate forms its terms with _rank1_terms.
         rank1_step(frames, probe, geom, factors, *inputs)
         assert not [dtype for dtype in scattered if dtype.kind == "f"]
 
