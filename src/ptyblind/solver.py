@@ -54,13 +54,18 @@ Shifting every frame by one factor ``t`` times the probe shifts the
 adjoint accumulation ``A`` by ``t`` times the object coverage ``C``.
 So the global gate's transparency, its shifted accumulation
 ``A_s = A - t C`` and its score, ``||A_s||^2`` over the shifted
-stack's coverage-weighted energy, all come from (n, n) images. Only
-where that energy's closed form cancels, on a nearly transparent
-stack, is the shifted stack formed, and the gate then takes ``A_s``
-and the score from it and its canvas. An accepted shifted step forms
-the shifted stack and its canvas at most once and takes its power
-step with ``A_s`` (or, per frame, finishes from the gate's sums), so
-no stack is shifted or scattered twice.
+stack's coverage-weighted energy, all come from (n, n) images. The
+per-frame gate's score is the same form with one factor per frame; it
+comes from those images and three length-K sums over the frame
+windows, two by FFT correlation with ``|p|**2`` and one by a gathered
+pass over the frames. Only where the energy's closed form cancels, on
+a nearly transparent stack, does a gate form its shifted stack: the
+global gate then takes ``A_s`` and the score from it and its canvas,
+and the per-frame gate scores on its step's terms. An accepted
+shifted step forms the shifted stack at most once, the global one
+with its canvas for a power step with ``A_s``, the per-frame one with
+the terms it finishes from, so no stack is shifted or scattered twice
+and a rejected gate forms none.
 The model spectra are transformed once: their magnitudes give the
 data residual and then phase the spectra in place for the frame
 update.
@@ -102,7 +107,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,11 +146,12 @@ EPSILON_REL = 1e-8
 RANK1_GATE = 0.95
 RANK1_CADENCE = 3
 
-# The global gate's closed-form weight sums terms of up to the stack
-# energy, so it loses log10(energy / weight) digits. Below this fraction
-# of the energy (more than 3 digits lost) the gate is scored on the
-# shifted stack instead: a nearly transparent stack's residue can cancel
-# to rounding noise of either sign there.
+# Either gate's closed-form weight sums terms of up to the stack energy,
+# so it loses log10(energy / weight) digits. Below this fraction of the
+# energy (more than 3 digits lost) a gate is scored on its shifted stack
+# instead, the global gate on the stack's own canvas and accumulation and
+# the per-frame gate on its step's terms: a nearly transparent stack's
+# residue can cancel to rounding noise of either sign there.
 _WEIGHT_FLOOR = 1e-3
 
 
@@ -417,20 +423,22 @@ def _rank1_terms(
     frames: np.ndarray,
     probe: np.ndarray,
     geom: ScanGeometry,
-    transparency: np.ndarray,
+    factors: np.ndarray,
     coverage: np.ndarray,
     adjoint: np.ndarray,
     canvas: np.ndarray,
     work: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator and denominator of the transparency-shifted power
-    step with one factor per frame (``transparency``, length K), and
-    the shifted stack: each frame is handled by the uniform-shift
-    formula at its own factor, assembled from the probe's object
-    coverage, the unshifted stack's adjoint accumulation and its
+    step with one factor per frame (``factors``, complex128 of length
+    K), and the shifted stack: each frame is handled by the
+    uniform-shift formula at its own factor, assembled from the probe's
+    object coverage, the unshifted stack's adjoint accumulation and its
     intensity ``canvas``, so no stack is scattered.
     Each frame's denominator term is a nonnegative coverage of a
-    shifted stack; tiny negative rounding is clamped.
+    shifted stack; tiny negative rounding is clamped. The per-frame
+    gate runs this only for a step it accepts, or to score a stack
+    below the weight floor.
 
     The denominator runs in ``work.stack``, ``work.spare`` and the two
     real halves of ``work.pair``, and leaves the coverage gathered to
@@ -439,11 +447,6 @@ def _rank1_terms(
     stack is left in ``work.spare``. The numerator's pass overwrites the
     real halves, so the denominator is summed before it starts.
     """
-    factors = np.asarray(transparency, dtype=np.complex128)
-    if factors.shape != (geom.K,):
-        raise ValueError(
-            f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
-        )
     fcol = factors[:, None, None]
     conj_fcol = np.conj(fcol)
     scale = np.abs(fcol) ** 2
@@ -489,6 +492,61 @@ def _rank1_terms(
     return num, np.maximum(den, 0.0), spare
 
 
+def _window_sums(
+    frames: np.ndarray,
+    probe: np.ndarray,
+    geom: ScanGeometry,
+    coverage: np.ndarray,
+    adjoint: np.ndarray,
+    work: _Workspace,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-frame sums ``alpha``, ``beta`` and ``gamma`` the per-frame
+    gate is scored from, each of length K: ``alpha_k = sum |p|^2 A|_k``,
+    ``beta_k = sum C|_k conj(p) f_k`` and ``gamma_k = sum |p|^2 C|_k``
+    (real), where ``X|_k`` is the window of an (n, n) image at frame k,
+    ``A`` the adjoint accumulation and ``C`` the object coverage.
+
+    ``alpha`` and ``gamma`` are circular correlations of the images with
+    ``|p|^2`` zero-padded to (n, n), taken by FFT and read at the
+    positions, which the geometry holds modulo n, so a window that
+    wraps is summed as it is gathered. ``beta`` is one gathered pass:
+    each chunk weighs its frames by the gathered coverage in
+    ``work.stack``, and the product with ``conj(p)`` runs over the whole
+    stack on the calling thread.
+    """
+    # Two image-sized arrays, transformed in place (``ifft2`` would
+    # allocate two more whatever its ``out``).
+    kernel = np.zeros((geom.n, geom.n), dtype=np.complex128)
+    kernel[: geom.m, : geom.m] = np.abs(probe) ** 2
+    np.conj(np.fft.fftn(kernel, out=kernel), out=kernel)
+    spectrum = np.empty_like(kernel)
+
+    def correlated(image):
+        spectrum[...] = image
+        np.fft.fftn(spectrum, out=spectrum)
+        np.multiply(spectrum, kernel, out=spectrum)
+        return np.fft.ifftn(spectrum, out=spectrum)[geom.positions[:, 0], geom.positions[:, 1]]
+
+    alpha = correlated(adjoint)
+    gamma = correlated(coverage).real
+    del kernel, spectrum
+    flat, index, view = _flat_image(coverage, geom, work.stack), geom.frame_indices, work.stack
+
+    def weighted(lo, hi):
+        flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
+        np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
+
+    _over_frames(weighted, work.edges)
+    beta = view.reshape(geom.K, -1) @ np.conj(probe).reshape(-1)
+    return alpha, beta, gamma
+
+
+def _usable_weight(weight: float, energy: float) -> bool:
+    """Whether a gate's closed-form weight keeps enough digits to score
+    by: finite and at least ``_WEIGHT_FLOOR`` of the stack energy."""
+    return math.isfinite(weight) and weight >= _WEIGHT_FLOOR * energy > 0.0
+
+
 def shift_consistency(
     frames: np.ndarray,
     probe: np.ndarray,
@@ -516,7 +574,8 @@ def shift_consistency(
     the update's own degeneracy check, not this score.
 
     ``transparency`` is one complex factor for the whole stack or a
-    length-K array of per-frame factors. ``coverage`` is the probe's
+    length-K array of per-frame factors; per-frame factors of any other
+    shape raise ``ValueError`` before any work. ``coverage`` is the probe's
     object coverage, ``adjoint`` the unshifted stack's accumulation
     ``illuminate_adjoint(frames, probe, geom)`` and ``canvas`` the
     scatter-add of its intensity ``|frames|**2``.
@@ -535,12 +594,20 @@ def shift_consistency(
     level still scores as the stack it is. The step is the power step
     of the shifted stack on its accumulation (``A - t C``, or the
     scattered one) and its intensity canvas, made once whether the
-    gate or the step needs it first. Per-frame factors
-    take the uniform-shift formula at each frame's own factor (which
-    multiplies the full coverage map): the plain power step of frames
-    shifted by different constants would break the true-probe fixed
-    point, since no single object makes them. Their score and step come
-    from one pass that forms the shifted stack.
+    gate or the step needs it first.
+
+    Per-frame factors ``t_k`` take the uniform-shift formula at each
+    frame's own factor (which multiplies the full coverage map): the
+    plain power step of frames shifted by different constants would
+    break the true-probe fixed point, since no single object makes them.
+    Their form is ``||A||^2 - Re sum_k (t_k conj(alpha_k) + conj(t_k)
+    beta_k) + sum_k |t_k|^2 gamma_k`` and their norm ``E - 2 Re sum_k
+    conj(t_k) alpha_k + sum_k |t_k|^2 gamma_k``, from the window sums
+    of :func:`_window_sums`; with every ``t_k = t`` these are the global
+    terms. Below the same floor the gate forms the step's terms and
+    shifted stack (:func:`_rank1_terms`) and scores on those terms, and
+    otherwise only an accepted step forms them, in the first of
+    ``shifted()`` and ``finish()``.
 
     :func:`update_probe_rank1` takes ``shifted()``, the shifted stack in
     ``work.spare``, formed at most once whichever form made it, and then
@@ -549,8 +616,8 @@ def shift_consistency(
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
+    energy = np.vdot(coverage, canvas).real
     if np.ndim(transparency) == 0:
-        energy = np.vdot(coverage, canvas).real
         # One image-sized temporary at a time; a real factor still makes
         # a complex accumulation.
         accumulation = np.multiply(transparency, coverage, dtype=np.complex128)
@@ -559,7 +626,7 @@ def shift_consistency(
         cross = (np.conj(transparency) * np.vdot(coverage, adjoint)).real
         weight = energy - 2.0 * cross + abs(transparency) ** 2 * np.vdot(coverage, coverage)
         stack_canvas = None
-        if math.isfinite(weight) and weight >= _WEIGHT_FLOOR * energy > 0.0:
+        if _usable_weight(weight, energy):
             shifted = partial(_shift_globally, frames, probe, transparency, work)
         else:
             # Both terms come from the one shifted stack, so a stack the
@@ -578,30 +645,45 @@ def shift_consistency(
                 made = _intensity_canvas(work.spare, geom, work)
             return update_probe_power(work.spare, geom, accumulation, made, work)
     else:
-        num, den, stack = _rank1_terms(
-            frames, probe, geom, transparency, coverage, adjoint, canvas, work
+        factors = np.asarray(transparency, dtype=np.complex128)
+        if factors.shape != (geom.K,):
+            raise ValueError(
+                f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
+            )
+        alpha, beta, gamma = _window_sums(frames, probe, geom, coverage, adjoint, work)
+        cross = np.vdot(factors, alpha).real
+        scaled = np.abs(factors) ** 2 @ gamma
+        form = np.vdot(adjoint, adjoint).real - cross - np.vdot(factors, beta).real + scaled
+        weight = energy - 2.0 * cross + scaled
+        # Formed once, by the first of the fallback, shifted() and finish().
+        terms = cache(
+            partial(_rank1_terms, frames, probe, geom, factors, coverage, adjoint, canvas, work)
         )
-        form = np.vdot(probe, num).real
-        weight = float((den * np.abs(probe) ** 2).sum())
+        if not _usable_weight(weight, energy):
+            num, den, _ = terms()
+            form = np.vdot(probe, num).real
+            weight = float((den * np.abs(probe) ** 2).sum())
         vanished = "shifted frame stack is identically zero: rank-1 update undefined"
-        shifted = lambda: stack  # noqa: E731
-        finish = partial(_divided, num, den, vanished)
+        shifted = lambda: terms()[2]  # noqa: E731
+        finish = lambda: _divided(*terms()[:2], vanished)  # noqa: E731
     score = float(form / weight) if weight > 0.0 else 0.0
     return score, shifted, finish
 
 
 def update_probe_rank1(
-    frames: np.ndarray, shifted: Callable[[], np.ndarray], finish: Callable[[], np.ndarray]
+    canvas: np.ndarray, shifted: Callable[[], np.ndarray], finish: Callable[[], np.ndarray]
 ) -> np.ndarray:
     """Transparency-accelerated probe update: the power step of the stack
     less its estimated transmitted component, from ``shifted`` and
-    ``finish`` that :func:`shift_consistency` returned for ``frames``.
+    ``finish`` that :func:`shift_consistency` returned for a stack whose
+    intensity canvas (the scatter-add of ``|frames|**2``, which sums to
+    ``||frames||^2``) is ``canvas``.
 
     Raises :class:`DegenerateInputError` when the shifted stack is
     numerically zero (a purely constant object region carries no probe
     information); callers may then fall back to the plain power update.
     """
-    if np.linalg.norm(shifted()) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
+    if np.linalg.norm(shifted()) <= RANK1_DEGENERACY_RTOL * np.sqrt(canvas.sum()):
         raise DegenerateInputError(
             "transparency shift removed the whole stack: constant object region"
         )
@@ -710,7 +792,8 @@ class _Iterate:
     row computes for the frames it records. Each is computed once per
     iteration and read by the metrics row and the probe step: the
     coverage and ``adjoint`` also by the next object update, ``adjoint``
-    and ``canvas`` by the power step and both rank-1 gates. ``work``
+    and ``canvas`` by the power step and both rank-1 gates, ``canvas``
+    also by the shifted step's degeneracy check. ``work``
     holds every other frame-sized stack the steps use. ``since_shift``
     counts the iterations since the last transparency-shifted step.
     """
@@ -754,7 +837,7 @@ def _probe_step(
         )
         if score >= RANK1_GATE:
             try:
-                stepped = update_probe_rank1(frames, shifted, finish)
+                stepped = update_probe_rank1(canvas, shifted, finish)
             except DegenerateInputError:
                 events.append(
                     f"iteration {iteration}: degenerate transparency shift, "

@@ -148,11 +148,12 @@ def step_inputs(frames, probe, geom):
 def rank1_step(frames, probe, geom, transparency, coverage, adjoint, canvas, work):
     """The transparency-shifted probe step as the loop takes it: the gate
     ``shift_consistency`` scores the shift, and ``update_probe_rank1``
-    finishes from the shifted stack the gate formed or forms it."""
+    checks the shifted stack against the stack norm the canvas gives
+    and finishes from the stack the gate formed, or forms it."""
     _, shifted, finish = shift_consistency(
         frames, probe, geom, transparency, coverage, adjoint, canvas, work
     )
-    return update_probe_rank1(frames, shifted, finish)
+    return update_probe_rank1(canvas, shifted, finish)
 
 
 def stack_scored_gate(frames, probe, geom, transparency):
@@ -166,6 +167,32 @@ def stack_scored_gate(frames, probe, geom, transparency):
     weight = np.vdot(shifted, coverage * shifted).real
     form = np.vdot(accumulation, accumulation).real
     return float(form / weight) if weight > 0.0 else 0.0
+
+
+def uniform_shift_terms(frames, probe, geom, factors):
+    """Numerator and denominator of the shifted power step with one
+    factor per frame, frame by frame: frame i's terms come from the
+    whole stack shifted uniformly by its own factor, formed explicitly,
+    scattered and gathered back. The denominator is not clamped."""
+    num = np.zeros((geom.m, geom.m), dtype=complex)
+    den = np.zeros((geom.m, geom.m))
+    for i in range(geom.K):
+        uniform = frames - factors[i] * probe[None, :, :]
+        acc = illuminate_adjoint(uniform, probe, geom)
+        num += uniform[i] * extract_frames(np.conj(acc), geom)[i]
+        den += extract_frames(embed_add_frames(np.abs(uniform) ** 2, geom), geom)[i]
+    return num, den
+
+
+def stack_scored_framewise_gate(frames, probe, geom, factors):
+    """The per-frame gate's score taken on the shifted stacks: the
+    shifted step's quadratic form ``<p, num>`` over its weight
+    ``sum(den |p|^2)``, from the terms of :func:`uniform_shift_terms`
+    with the denominator clamped at zero; 0 for a zero weight."""
+    probe = np.asarray(probe)
+    num, den = uniform_shift_terms(np.asarray(frames), probe, geom, np.asarray(factors))
+    weight = float((np.maximum(den, 0.0) * np.abs(probe) ** 2).sum())
+    return float(np.vdot(probe, num).real / weight) if weight > 0.0 else 0.0
 
 
 def frame_consistency_project(frames, probe, geom):
@@ -245,13 +272,7 @@ def update_probe_rank1_expanded(frames, probe, geom, transparency):
             stack_cov - 2.0 * np.real(np.conj(c) * adjoint_view) + abs(c) ** 2 * frame_cov
         )
     else:
-        num = np.zeros((geom.m, geom.m), dtype=complex)
-        den = np.zeros((geom.m, geom.m))
-        for i in range(geom.K):
-            uniform = frames - factors[i] * probe[None, :, :]
-            acc = illuminate_adjoint(uniform, probe, geom)
-            num += uniform[i] * extract_frames(np.conj(acc), geom)[i]
-            den += extract_frames(embed_add_frames(np.abs(uniform) ** 2, geom), geom)[i]
+        num, den = uniform_shift_terms(frames, probe, geom, factors)
     den = np.maximum(den, 0.0)
     if not den.max() > 0:
         raise DegenerateInputError("shifted frame stack is identically zero")

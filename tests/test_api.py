@@ -120,10 +120,8 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
         assert calls["shift_consistency"] > calls["update_probe_rank1"] > 0
         assert calls["update_probe_rank1"] == reference["rank1_step"]
     if mode == "rank1_global":
-        # The gate forms no stack; each shifted step forms one.
         assert calls["transparency_global"] == calls["shift_consistency"]
+    if mode.startswith("rank1"):
+        # Either gate scores from (n, n) images and K-vectors and forms
+        # no stack; each shifted step forms one.
         assert kernels == calls["update_probe_rank1"]
-    elif mode == "rank1_framewise":
-        # An accepted gate hands its shifted stack to the step: each
-        # stack is formed once.
-        assert kernels == calls["shift_consistency"]

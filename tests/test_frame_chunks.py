@@ -125,14 +125,20 @@ STEPS = [
     "_intensity_canvas",
     "shift_consistency/global",
     "shift_consistency/framewise",
+    "shift_consistency/framewise/closed-form",
     "update_probe_rank1/global",
     "update_probe_rank1/framewise",
 ]
 
 
+def formed_terms(*args):
+    raise AssertionError("the closed-form gate formed the per-frame terms")
+
+
 def call_step(step, geom, obj, probe, frames, inputs):
     """Call the named step; a ``/global`` or ``/framewise`` suffix picks
-    the form of the transparency it is given."""
+    the form of the transparency it is given, and a further
+    ``/closed-form`` scores a gate on its closed form."""
     coverage, adjoint, canvas, work = inputs
     if step == "update_probe_standard":
         return solver.update_probe_standard(frames, obj, geom, work)
@@ -140,15 +146,22 @@ def call_step(step, geom, obj, probe, frames, inputs):
         return solver.update_probe_power(frames, geom, adjoint, canvas, work)
     if step == "_intensity_canvas":
         return solver._intensity_canvas(frames, geom, work)
-    name, kind = step.split("/")
+    name, kind, *closed_form = step.split("/")
     if kind == "global":
         factor = solver.transparency_global(adjoint, probe, geom)
     else:
         factor = solver.transparency_framewise(frames, probe, solver.build_overlap_matrix(geom))
     if name == "update_probe_rank1":
         return rank1_step(frames, probe, geom, factor, *inputs)
-    # The global gate's only per-frame pass weighs its shifted stack, which
-    # it does when the closed-form weight is unusable, as with a NaN canvas.
+    if closed_form:
+        # The per-frame closed form's own pass, for its sums over the
+        # coverage-weighted frames; it forms no per-frame terms.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_rank1_terms", formed_terms)
+            return solver.shift_consistency(frames, probe, geom, factor, *inputs)[0]
+    # Each gate scores on its shifted stack where the closed-form weight
+    # is unusable, as with a NaN canvas: the global gate weighs that
+    # stack, and the per-frame gate forms its terms.
     inputs = (coverage, adjoint, np.full_like(canvas, np.nan), work)
     return solver.shift_consistency(frames, probe, geom, factor, *inputs)[0]
 

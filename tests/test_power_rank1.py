@@ -15,6 +15,7 @@ from conftest import (
     rand_complex,
     random_geometry,
     rank1_step,
+    stack_scored_framewise_gate,
     stack_scored_gate,
     update_probe_rank1_expanded,
 )
@@ -177,7 +178,7 @@ class TestIntensityCanvas:
         factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
         scattered = record_scatters(monkeypatch)
         update_probe_power(frames, geom, *inputs[1:])
-        # The per-frame gate forms its terms with _rank1_terms.
+        # The per-frame step forms its terms with _rank1_terms.
         rank1_step(frames, probe, geom, factors, *inputs)
         assert not [dtype for dtype in scattered if dtype.kind == "f"]
 
@@ -361,7 +362,7 @@ class TestTransparencyForms:
         steps, scores = set(), set()
         for transparency in (c, np.complex128(c), np.array(c)):
             score, shifted, finish = shift_consistency(frames, probe, geom, transparency, *inputs)
-            steps.add(solver.update_probe_rank1(frames, shifted, finish).tobytes())
+            steps.add(solver.update_probe_rank1(inputs.canvas, shifted, finish).tobytes())
             scores.add(score)
         assert len(steps) == 1 and len(scores) == 1
 
@@ -452,33 +453,60 @@ def raster(n, m, step, grid, offset=0):
     return ScanGeometry(n=n, m=m, positions=positions)
 
 
-def global_gate(frames, probe, geom):
-    """The global gate as the loop takes it, at the global transparency,
-    with the number of shifted stacks it formed, and the stack-scored
-    oracle's score at the same transparency."""
+def gate(frames, probe, geom, per_frame=False):
+    """The global or per-frame gate as the loop takes it, at the
+    transparency of its form, with the number of shifted stacks it
+    formed, and the stack-scored oracle's score at the same
+    transparency."""
     inputs = step_inputs(frames, probe, geom)
-    transparency = transparency_global(inputs[1], probe, geom)
+    if per_frame:
+        transparency = transparency_framewise(frames, probe, build_overlap_matrix(geom))
+        kernel, oracle = "_rank1_terms", stack_scored_framewise_gate
+    else:
+        transparency = transparency_global(inputs.adjoint, probe, geom)
+        kernel, oracle = "_shift_globally", stack_scored_gate
     formed = []
-    shift = solver._shift_globally
+    form = getattr(solver, kernel)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "_shift_globally", lambda *a: formed.append(1) or shift(*a))
+        patch.setattr(solver, kernel, lambda *a: formed.append(1) or form(*a))
         score, _, _ = shift_consistency(frames, probe, geom, transparency, *inputs)
-    return score, len(formed), stack_scored_gate(frames, probe, geom, transparency)
+    return score, len(formed), oracle(frames, probe, geom, transparency)
+
+
+RASTERS = pytest.mark.parametrize(
+    "geom",
+    [raster(32, 8, 3, (8, 8)), raster(32, 8, 3, (11, 11), offset=5), raster(16, 8, 4, (3, 2))],
+    ids=["non-wrapping", "wrapping", "3x2"],
+)
+
+
+def loop_gate(frames, probe, geom, mode, kernel):
+    """Whether the loop's probe step at (frames, probe) takes the shifted
+    step in ``mode``, with the number of calls of the stack-forming
+    ``kernel`` it made."""
+    formed = []
+    form = getattr(solver, kernel)
+    coverage, adjoint, canvas, work = step_inputs(frames, probe, geom)
+    state = solver._Iterate(
+        frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, canvas=canvas
+    )
+    overlap = build_overlap_matrix(geom).astype(np.complex128)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, kernel, lambda *a: formed.append(1) or form(*a))
+        cfg = SolverConfig(probe_mode=mode)
+        _, engaged = solver._probe_step(state, None, geom, cfg, overlap, 1, [])
+    return engaged, len(formed)
 
 
 class TestGlobalGate:
-    @pytest.mark.parametrize(
-        "geom",
-        [raster(32, 8, 3, (8, 8)), raster(32, 8, 3, (11, 11), offset=5), raster(16, 8, 4, (3, 2))],
-        ids=["non-wrapping", "wrapping", "3x2"],
-    )
+    @RASTERS
     def test_closed_form_matches_the_stack_scored_gate(self, rng, geom):
         probe = rand_complex(rng, geom.m, geom.m)
         clean = illuminate(1.0 + 0.1 * rand_complex(rng, geom.n, geom.n), probe, geom)
         scores = []
         for noise in (0.0, 1e-3, 1e-2, 1e-1, 1.0):
             frames = clean + noise * rand_complex(rng, *clean.shape)
-            score, formed, oracle = global_gate(frames, probe, geom)
+            score, formed, oracle = gate(frames, probe, geom)
             assert score == pytest.approx(oracle, abs=1e-10)
             assert formed == 0
             scores.append(score)
@@ -487,7 +515,7 @@ class TestGlobalGate:
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-11])
     @pytest.mark.parametrize("residue", ["noise", "consistent"])
-    def test_weighs_a_nearly_transparent_stack_on_the_stack(self, rng, monkeypatch, residue, scale):
+    def test_weighs_a_nearly_transparent_stack_on_the_stack(self, rng, residue, scale):
         # The shift leaves a residue many orders below the stack. The
         # closed-form weight is then rounding noise of either sign, and
         # where positive it would score a consistent residue near 0, so
@@ -501,22 +529,14 @@ class TestGlobalGate:
                 frames = transparent + scale * rand_complex(rng, *transparent.shape)
             else:
                 frames = transparent + illuminate(scale * rand_complex(rng, 32, 32), probe, geom)
-            score, formed, oracle = global_gate(frames, probe, geom)
+            score, formed, oracle = gate(frames, probe, geom)
             assert formed == 1
             assert score == pytest.approx(oracle, abs=1e-9)
             assert (score >= solver.RANK1_GATE) == (residue == "consistent")
         # In the loop, an accepted gate's step takes the stack the gate
         # formed, and a rejected one forms no other.
-        formed = []
-        shift = solver._shift_globally
-        monkeypatch.setattr(solver, "_shift_globally", lambda *a: formed.append(1) or shift(*a))
-        coverage, adjoint, canvas, work = step_inputs(frames, probe, geom)
-        state = solver._Iterate(
-            frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, canvas=canvas
-        )
-        cfg = SolverConfig(probe_mode="rank1_global")
-        _, engaged = solver._probe_step(state, None, geom, cfg, None, 1, [])
-        assert formed == [1]
+        engaged, formed = loop_gate(frames, probe, geom, "rank1_global", "_shift_globally")
+        assert formed == 1
         assert engaged == (residue == "consistent")
 
     @pytest.mark.parametrize("residue", ["noise", "consistent"])
@@ -535,7 +555,7 @@ class TestGlobalGate:
                 frames = transparent + 1e-14 * rand_complex(rng, *transparent.shape)
             else:
                 frames = transparent + illuminate(1e-14 * rand_complex(rng, 32, 32), probe, geom)
-            score, formed, oracle = global_gate(frames, probe, geom)
+            score, formed, oracle = gate(frames, probe, geom)
             assert formed == 1
             assert score == pytest.approx(oracle, abs=1e-9)
             coverage, adjoint, canvas, work = step_inputs(frames, probe, geom)
@@ -547,3 +567,53 @@ class TestGlobalGate:
             assert not engaged
             fell_back = ["iteration 1: degenerate transparency shift, fell back to power update"]
             assert events == (fell_back if residue == "consistent" else [])
+
+
+class TestFramewiseGate:
+    @RASTERS
+    def test_closed_form_matches_the_stack_scored_gate(self, rng, geom):
+        # A diagonal phase ramp across the object, so the local
+        # transparency differs from frame to frame along both axes.
+        probe = rand_complex(rng, geom.m, geom.m)
+        pixels = np.arange(geom.n)
+        ramp = np.exp(2j * np.pi * np.add.outer(pixels, pixels) / geom.n)
+        obj = ramp * (1.0 + 0.1 * rand_complex(rng, geom.n, geom.n))
+        clean = illuminate(obj, probe, geom)
+        scores = []
+        for noise in (0.0, 1e-6, 1e-3, 1e-1, 1.0):
+            draw = noise * rand_complex(rng, *clean.shape)
+            for frames in (clean + draw, clean - draw):
+                score, formed, oracle = gate(frames, probe, geom, per_frame=True)
+                assert score == pytest.approx(oracle, abs=1e-10)
+                assert formed == 0
+                scores.append(score)
+        # The stacks span the gate. Each frame is scored against its own
+        # shifted stack, so a small draw moves the score off 1 in its
+        # first order, by opposite amounts for opposite draws: one of
+        # them scores above 1, by far more than the rounding.
+        assert max(scores) > 1.0 + 1e-11
+        assert max(scores) >= solver.RANK1_GATE > min(scores)
+
+    @pytest.mark.parametrize("scale", [1e-2, 1e-3])
+    @pytest.mark.parametrize("residue", ["noise", "consistent"])
+    def test_scores_a_nearly_transparent_stack_on_the_stack(self, rng, residue, scale):
+        # The shift leaves a residue below the weight floor, so the
+        # closed form would have lost more than 3 digits: the gate forms
+        # the shifted stack and its terms and scores on them.
+        geom = raster(32, 8, 3, (8, 8))
+        probe = rand_complex(rng, 8, 8)
+        transparent = (0.8 - 0.3j) * replicate_probe(probe, geom)
+        for _ in range(4):
+            if residue == "noise":
+                frames = transparent + scale * rand_complex(rng, *transparent.shape)
+            else:
+                frames = transparent + illuminate(scale * rand_complex(rng, 32, 32), probe, geom)
+            score, formed, oracle = gate(frames, probe, geom, per_frame=True)
+            assert formed == 1
+            assert score == pytest.approx(oracle, abs=1e-10)
+            assert (score >= solver.RANK1_GATE) == (residue == "consistent")
+        # In the loop, an accepted gate's step finishes from the terms the
+        # gate formed, and a rejected one forms no others.
+        engaged, formed = loop_gate(frames, probe, geom, "rank1_framewise", "_rank1_terms")
+        assert formed == 1
+        assert engaged == (residue == "consistent")
