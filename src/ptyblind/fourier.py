@@ -1,4 +1,4 @@
-"""Batched per-frame 2D DFT and the phase helper of the magnitude projection.
+"""Batched per-frame 2D DFT and the frame chunks of per-frame passes.
 
 Each frame of a (K, m, m) stack is transformed independently with the
 unitary 2D DFT (overall scaling 1/m for an m x m frame), so the
@@ -122,14 +122,3 @@ def frame_dft(frames: np.ndarray) -> np.ndarray:
 
     _over_frames(work, _frame_edges(frames.shape[0], out.itemsize * frames.shape[1] ** 2))
     return out
-
-
-def _unit_phase(spectra: np.ndarray, mag: np.ndarray, out=None) -> np.ndarray:
-    """Phase of ``spectra`` given its magnitudes ``mag``, which are
-    overwritten; zero-magnitude bins take phase 1. ``out=spectra``
-    phases the stack in place."""
-    zero = mag == 0.0
-    mag[zero] = 1.0
-    phase = np.divide(spectra, mag, out=out)
-    phase[zero] = 1.0
-    return phase

@@ -85,18 +85,21 @@ bit-identical to the unchunked pass. A stack shorter than two chunks
 (every 64 px instance) is one chunk, run on the calling thread by the
 same code, touching the same stacks in the same order.
 The new frames overwrite the old ones, which nothing reads by then.
-Every other frame-sized stack of a run is allocated when the run
-starts (:class:`_Workspace`): the pass's spectra, magnitudes and
-weighted stack, and the steps' scratch stacks. The steps write into
-them with ``out=`` ufuncs and ``take`` gathers. A probe, a per-frame
+Every other frame-sized stack of a run is one of its scratch stacks
+(:class:`_Workspace`): two, which hold the pass's spectra, magnitudes,
+reciprocal magnitudes and weighted stack and the steps' scratch, are
+allocated when the run starts, and a third, which only a shifted
+stack needs, when the run first forms one. The steps write into them
+with ``out=`` ufuncs and ``take`` gathers. A probe, a per-frame
 factor or a real operand that a ufunc would broadcast or cast over a
 stack is first copied into a whole stack, since numpy buffers such
-operands on every call. After the first iteration no step allocates
-a frame-sized array. With fresh stacks and temporaries, glibc grew
-and trimmed its heap on every gate or shifted iteration of the 64 px
-instances (up to 650 page faults and 30% more time per framewise
-iteration). Workers call numpy and private helpers only, so every
-public function runs on the calling thread.
+operands on every call. Past the first iteration no step allocates a
+frame-sized array but that third stack, once, and none frees one.
+With fresh stacks and temporaries, glibc grew and trimmed its heap on
+every gate or shifted iteration of the 64 px instances (up to 650 page
+faults and 30% more time per framewise iteration). Workers call numpy
+and private helpers only, so every public function runs on the
+calling thread.
 
 Denominators are floored at ``EPSILON_REL`` times their maximum, so
 division is scale-free and uncovered pixels map to zero.
@@ -112,7 +115,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fourier import _frame_edges, _over_frames, _unit_phase, check_amplitudes
+from .fourier import _frame_edges, _over_frames, check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
     ScanGeometry,
@@ -195,9 +198,9 @@ class History:
 
 
 class _Workspace:
-    """Frame-sized scratch stacks of one run, allocated when it starts.
+    """Frame-sized scratch stacks of one run.
 
-    ``stack``, ``spare`` and ``pair`` are complex (K, m, m) stacks; the
+    ``stack``, ``pair`` and ``spare`` are complex (K, m, m) stacks; the
     float64 memory of ``pair`` also serves as the two real stacks
     ``real`` and ``real2``, and no step uses it both ways at once. No
     stack holds the coverage: a step gathers the (n, n) object coverage
@@ -206,23 +209,40 @@ class _Workspace:
     stack passed into a step must not be one it writes.
     ``edges`` are the frame chunks every per-frame pass runs over.
 
+    ``stack`` and ``pair`` are allocated when the run starts. Only a
+    shifted stack needs ``spare``: it is allocated the first time it is
+    read, on the calling thread, and kept for the rest of the run, so a
+    ``standard`` or ``power`` run, and a rank-1 run whose gates all
+    score from their closed forms and reject, never makes it.
+
     Each stack is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
     block would raise its thresholds for the whole process. A run makes
-    its workspace before its frames, which outlive it in its
-    ``History``: the stacks then lie below memory still in use when
-    they are freed, and glibc keeps them for the next run instead of
-    returning them to the system, to fault them in again page by page.
+    ``stack`` and ``pair`` before its frames, which outlive it in its
+    ``History``: they then lie below memory still in use when they are
+    freed, and glibc keeps them for the next run instead of returning
+    them to the system, to fault them in again page by page. ``spare``
+    comes after the frames and gets no such shelter: on the 64 px
+    benchmark instances (K=169, m=16) a run that shifts faults in every
+    page of it at its first shifted stack, 169 minor faults, where the
+    start of every run now takes about 85 fewer.
     """
 
     def __init__(self, geom: ScanGeometry) -> None:
         shape = (geom.K, geom.m, geom.m)
         self.stack = np.empty(shape, dtype=np.complex128)
-        self.spare = np.empty(shape, dtype=np.complex128)
         self.pair = np.empty(shape, dtype=np.complex128)
         self.real, self.real2 = self.pair.reshape(-1).view(np.float64).reshape(2, *shape)
+        self._spare: Optional[np.ndarray] = None
         # Chunked by the frames' complex128 bytes.
         self.edges = _frame_edges(geom.K, self.stack.itemsize * geom.m**2)
+
+    @property
+    def spare(self) -> np.ndarray:
+        """The third complex stack, allocated on first use."""
+        if self._spare is None:
+            self._spare = np.empty_like(self.stack)
+        return self._spare
 
 
 def _divided(numerator: np.ndarray, denominator: np.ndarray, vanished: str) -> np.ndarray:
@@ -718,52 +738,92 @@ def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.roll(probe, tuple(shift), axis=(0, 1)), shift
 
 
+def _impose_amplitudes(
+    spectra: np.ndarray,
+    magnitudes: np.ndarray,
+    amplitudes: np.ndarray,
+    inv: np.ndarray,
+    scratch: np.ndarray,
+) -> None:
+    """Give ``spectra`` the magnitudes ``amplitudes`` in place and keep
+    their phases: multiply them by the reciprocal of their
+    ``magnitudes``, formed in ``inv``, and then by the amplitudes, each
+    filled into the complex stack ``scratch`` first. A bin of magnitude
+    exactly zero takes phase 1, so it becomes its amplitude, and no bin
+    is divided by zero."""
+    if magnitudes.min() > 0.0:
+        np.divide(1.0, magnitudes, out=inv)
+    else:
+        # Zero bins (or NaN): both factors are 1 at the zero bins.
+        zero = magnitudes == 0.0
+        np.divide(1.0, np.add(magnitudes, zero, out=inv), out=inv)
+        np.copyto(spectra, 1.0, where=zero)
+    np.multiply(spectra, _fill(scratch, inv), out=spectra)
+    np.multiply(spectra, _fill(scratch, amplitudes), out=spectra)
+
+
 def _magnitude_pass(
     obj: np.ndarray,
     probe: np.ndarray,
     amplitudes: np.ndarray,
     geom: ScanGeometry,
     work: _Workspace,
-    frames: np.ndarray,
-    *,
-    project: bool = True,
+    frames: Optional[np.ndarray],
 ) -> float:
     """Per-frame part of the frame update, fused over the run's frame
     chunks.
 
     Each chunk illuminates its windows of ``obj`` and transforms them
     in ``work.stack``, puts the spectrum magnitudes in ``work.real`` and
-    turns those into the misfit to ``amplitudes``. With ``project`` it
-    imposes the amplitudes on the spectra, transforms
-    back into ``frames`` and weights the frames by the conjugate probe
-    in ``work.stack``, the stack whose scatter-add is their adjoint
+    turns those into the misfit to ``amplitudes``. Given ``frames``, it
+    imposes the amplitudes on the spectra (:func:`_impose_amplitudes`,
+    with the reciprocal magnitudes in ``work.real2``), transforms back
+    into ``frames`` and weights the frames by the conjugate probe in
+    ``work.stack``, the stack whose scatter-add is their adjoint
     accumulation. Until the inverse transform writes them, a chunk's
-    ``frames`` hold in turn the replicated probe, the magnitudes and the
-    amplitudes, as complex numbers, so no ufunc broadcasts or casts a
-    frame-sized operand. Returns the misfit norm; it is taken over the
+    ``frames`` hold in turn the replicated probe, the reciprocal
+    magnitudes and the amplitudes, as complex numbers, so no ufunc
+    broadcasts or casts a frame-sized operand. Without ``frames`` the
+    probe is replicated in ``work.pair``, whose memory the magnitudes
+    then take, so every chunk is transformed before any magnitude is
+    written: two passes. Returns the misfit norm; it is taken over the
     whole stack, so no bit depends on the chunking.
+
+    The reciprocal gives the bits the division by the magnitudes gave:
+    numpy divides by a complex ``mag + 0j`` as by Smith's formula, which
+    multiplies both parts of the numerator by ``1 / mag``, and the
+    product with ``1 / mag + 0j`` rounds each part once, the same way.
     """
     flat = obj.reshape(-1)
     index = geom.frame_indices
     conj_probe = np.conj(probe)
-    weighted, misfit = work.stack, work.real
+    weighted, misfit, inv = work.stack, work.real, work.real2
+    probes = work.pair if frames is None else frames
 
-    def chunk(lo, hi):
-        spectra, spare, magnitudes = weighted[lo:hi], frames[lo:hi], misfit[lo:hi]
+    def transform(lo, hi):
+        spectra = weighted[lo:hi]
         flat.take(index[lo:hi], out=spectra, mode="clip")
-        np.multiply(_fill(spare, probe), spectra, out=spectra)
+        np.multiply(_fill(probes[lo:hi], probe), spectra, out=spectra)
         np.fft.fftn(spectra, axes=(-2, -1), norm="ortho", out=spectra)
-        np.abs(spectra, out=magnitudes)
-        if project:
-            _fill(spare, magnitudes)
-        np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
-        if project:
-            _unit_phase(spectra, spare, out=spectra)
-            np.multiply(spectra, _fill(spare, amplitudes[lo:hi]), out=spectra)
-            np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=spare)
-            np.multiply(_fill(spectra, conj_probe), spare, out=spectra)
 
-    _over_frames(chunk, work.edges)
+    def gap(lo, hi):
+        np.abs(weighted[lo:hi], out=misfit[lo:hi])
+        np.subtract(misfit[lo:hi], amplitudes[lo:hi], out=misfit[lo:hi])
+
+    def project(lo, hi):
+        transform(lo, hi)
+        spectra, scratch, magnitudes = weighted[lo:hi], frames[lo:hi], misfit[lo:hi]
+        np.abs(spectra, out=magnitudes)
+        _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], inv[lo:hi], scratch)
+        np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
+        np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
+        np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
+
+    if frames is None:
+        _over_frames(transform, work.edges)
+        _over_frames(gap, work.edges)
+    else:
+        _over_frames(project, work.edges)
     return np.linalg.norm(misfit)
 
 
@@ -958,11 +1018,8 @@ def run_reconstruction(
     iteration = 0
     try:
         obj = update_object(state.coverage, state.adjoint)
-        # Row 0 keeps the initial frames: its pass writes no frames, and
-        # the frame memory it needs as scratch is the spare stack.
-        misfit_norm = _magnitude_pass(
-            obj, state.probe, amplitudes, geom, work, work.spare, project=False
-        )
+        # Row 0 keeps the initial frames: its pass writes no frames.
+        misfit_norm = _magnitude_pass(obj, state.probe, amplitudes, geom, work, None)
         stop = record(0, model_gap(misfit_norm), t_start)
         for iteration in range(1, cfg.max_iters + 1):
             if stop:

@@ -228,6 +228,19 @@ def spectrum_phase(spectra):
     return phase
 
 
+def divided_spectra(spectra, amplitudes):
+    """Spectra given the magnitudes ``amplitudes`` by complex division:
+    ``spectra`` over their magnitudes filled into a complex stack, with
+    phase 1 at exactly-zero bins, times the amplitudes."""
+    magnitudes = np.empty_like(spectra)
+    magnitudes[...] = np.abs(spectra)
+    zero = magnitudes == 0.0
+    magnitudes[zero] = 1.0
+    phase = spectra / magnitudes
+    phase[zero] = 1.0
+    return phase * amplitudes
+
+
 def magnitude_project(frames, amplitudes):
     """Replace each frame's Fourier magnitudes with measured amplitudes.
 

@@ -17,13 +17,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import rand_complex, rank1_step, step_inputs
+from conftest import divided_spectra, frame_idft, rand_complex, rank1_step, step_inputs
 from test_loop_oracle import MODES, wrapping_instance
 
 from ptyblind import (
     ScanGeometry,
     SolverConfig,
     fourier,
+    frame_dft,
     illuminate,
     metrics,
     operators,
@@ -218,9 +219,9 @@ def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypa
     assert per_pass > 2
     calls, finished = [], []
     lock = threading.Lock()
-    real = solver._unit_phase
+    real = solver._impose_amplitudes
 
-    def faulty(spectra, mag, out=None):
+    def faulty(*args):
         # The transparent start is the first projecting pass; fail one
         # chunk of the second, which is iteration 1's frame update.
         with lock:
@@ -229,16 +230,58 @@ def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypa
         if call == per_pass + 1:
             raise ValueError("chunk failed")
         time.sleep(0.002)
-        phase = real(spectra, mag, out=out)
+        real(*args)
         with lock:
             finished.append(call)
-        return phase
 
-    monkeypatch.setattr(solver, "_unit_phase", faulty)
+    monkeypatch.setattr(solver, "_impose_amplitudes", faulty)
     with pytest.raises(ValueError, match="^iteration 1: chunk failed$"):
         run_reconstruction(amps, geom, init, SolverConfig(probe_mode="power", max_iters=3))
     assert len(calls) == 2 * per_pass
     assert sorted(finished) == [c for c in range(1, 2 * per_pass + 1) if c != per_pass + 1]
+
+
+@pytest.mark.parametrize(("chunk_bytes", "chunks"), [(fourier._CHUNK_BYTES, 1), (1, 8)])
+def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chunk_bytes, chunks):
+    """The frame update's reciprocal magnitudes give the bytes of the
+    complex division, zero bins and magnitudes from 1e-300 to 1e300
+    included, and divide by no zero."""
+    monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
+    rng = np.random.default_rng(7)
+    m, side = 8, 4
+    offsets = np.arange(side) * m
+    positions = np.stack(np.meshgrid(offsets, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
+    geom = ScanGeometry(n=side * m, m=m, positions=positions)
+    # Rows of the probe are constant, so a window constant along its rows
+    # has exactly-zero bins off the first column; frame 5 is all zero.
+    probe = np.repeat(rand_complex(rng, m, 1), m, axis=1)
+    obj = rand_complex(rng, geom.n, geom.n)
+    for k, scale in enumerate(np.logspace(-300, 300, geom.K)):
+        r, c = positions[k]
+        obj[r : r + m, c : c + m] *= scale
+    for k in (3, 9, 12):
+        r, c = positions[k]
+        obj[r : r + m, c : c + m] = obj[r : r + m, c : c + 1]
+    r, c = positions[5]
+    obj[r : r + m, c : c + m] = 0.0
+    work = solver._Workspace(geom)
+    assert len(work.edges) == chunks + 1
+    frames = np.empty((geom.K, m, m), dtype=np.complex128)
+    with np.errstate(all="raise"):
+        spectra = frame_dft(illuminate(obj, probe, geom))
+        magnitudes = np.abs(spectra)
+        # Measured where the squared misfit would overflow its norm.
+        amps = np.where(magnitudes > 1e150, magnitudes, rng.uniform(0.0, 2.0, magnitudes.shape))
+        assert (magnitudes[[3, 9, 12]] == 0.0).sum() == 3 * m * (m - 1)
+        assert (magnitudes[5] == 0.0).all()
+        assert 0.0 < magnitudes[magnitudes > 0].min() < 1e-299
+        assert 1e299 < magnitudes.max() < 1e301
+        want = frame_idft(divided_spectra(spectra, amps))
+        misfit = solver._magnitude_pass(obj, probe, amps, geom, work, frames)
+    assert frames.tobytes() == want.tobytes()
+    assert work.stack.tobytes() == (np.conj(probe) * want).tobytes()
+    assert misfit == np.linalg.norm(magnitudes - amps)
+    assert work._spare is None
 
 
 def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):
