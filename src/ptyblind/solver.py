@@ -223,9 +223,10 @@ class _Workspace:
     freed, and glibc keeps them for the next run instead of returning
     them to the system, to fault them in again page by page. ``spare``
     comes after the frames and gets no such shelter: on the 64 px
-    benchmark instances (K=169, m=16) a run that shifts faults in every
-    page of it at its first shifted stack, 169 minor faults, where the
-    start of every run now takes about 85 fewer.
+    benchmark instances (K=169, m=16) a run's first shifted stack
+    faults in all 169 of its pages. Every run starts with 85 fewer
+    minor faults, so a ``standard`` or ``power`` run takes 85 fewer in
+    all and a ``rank1_global`` run 84 more.
     """
 
     def __init__(self, geom: ScanGeometry) -> None:
@@ -790,9 +791,10 @@ def _magnitude_pass(
     whole stack, so no bit depends on the chunking.
 
     The reciprocal gives the bits the division by the magnitudes gave:
-    numpy divides by a complex ``mag + 0j`` as by Smith's formula, which
-    multiplies both parts of the numerator by ``1 / mag``, and the
-    product with ``1 / mag + 0j`` rounds each part once, the same way.
+    numpy divides by a complex ``mag + 0j`` by Smith's formula, which
+    multiplies ``re + im * 0`` and ``im - re * 0``, the numerator's
+    parts but for the sign of a zero part, by ``1 / mag``; the product
+    with ``1 / mag + 0j`` rounds each part once, the same way.
     """
     flat = obj.reshape(-1)
     index = geom.frame_indices

@@ -270,7 +270,8 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
     with np.errstate(all="raise"):
         spectra = frame_dft(illuminate(obj, probe, geom))
         magnitudes = np.abs(spectra)
-        # Measured where the squared misfit would overflow its norm.
+        # Amplitudes equal the magnitudes above 1e150, where the squared
+        # misfit would overflow the misfit norm.
         amps = np.where(magnitudes > 1e150, magnitudes, rng.uniform(0.0, 2.0, magnitudes.shape))
         assert (magnitudes[[3, 9, 12]] == 0.0).sum() == 3 * m * (m - 1)
         assert (magnitudes[5] == 0.0).all()
