@@ -70,7 +70,7 @@ class ScanGeometry:
         pos = np.asarray(self.positions)
         if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
             raise ValueError(f"positions must have shape (K, 2) with K >= 1, got {pos.shape}")
-        if pos.dtype.kind not in "biuf":
+        if pos.dtype.kind not in "iuf":
             raise ValueError(f"positions must be integers, got dtype {pos.dtype}")
         if pos.dtype.kind == "f":
             # Casting would truncate a fraction and turn a NaN or an

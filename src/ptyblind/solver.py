@@ -59,13 +59,15 @@ per-frame gate's score is the same form with one factor per frame; it
 comes from those images and three length-K sums over the frame
 windows, two by FFT correlation with ``|p|**2`` and one by a gathered
 pass over the frames. Only where the energy's closed form cancels, on
-a nearly transparent stack, does a gate form its shifted stack: the
-global gate then takes ``A_s`` and the score from it and its canvas,
-and the per-frame gate scores on its step's terms. An accepted
-shifted step forms the shifted stack at most once, the global one
-with its canvas for a power step with ``A_s``, the per-frame one with
-the terms it finishes from, so no stack is shifted or scattered twice
-and a rejected gate forms none.
+a nearly transparent stack, does a gate form its shifted stack, to
+score on it: the global gate on the stack's own scattered
+accumulation and canvas, the per-frame gate on its step's terms. A
+gate returns its score and keeps nothing. The shifted step forms what
+it reads itself, the global one the shifted stack and its canvas for
+a power step with ``A_s``, the per-frame one the shifted stack and
+the terms it finishes from. So a gate above the floor forms no stack,
+and a stack is formed twice, by gate and step, only for an accepted
+gate below the floor, which no benchmark gate reaches.
 The model spectra are transformed once: their magnitudes give the
 data residual and then phase the spectra in place for the frame
 update.
@@ -110,8 +112,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -204,9 +205,9 @@ class _Workspace:
     float64 memory of ``pair`` also serves as the two real stacks
     ``real`` and ``real2``, and no step uses it both ways at once. No
     stack holds the coverage: a step gathers the (n, n) object coverage
-    where it reads it. A step reads nothing a previous step left in the
-    scratch stacks but the gate's shifted stack in ``spare``, and a
-    stack passed into a step must not be one it writes.
+    where it reads it. No state survives a step: a step reads nothing a
+    previous step left in the scratch stacks, and a stack passed into a
+    step must not be one it writes.
     ``edges`` are the frame chunks every per-frame pass runs over.
 
     ``stack`` and ``pair`` are allocated when the run starts. Only a
@@ -458,8 +459,8 @@ def _rank1_terms(
     intensity ``canvas``, so no stack is scattered.
     Each frame's denominator term is a nonnegative coverage of a
     shifted stack; tiny negative rounding is clamped. The per-frame
-    gate runs this only for a step it accepts, or to score a stack
-    below the weight floor.
+    step runs this, and the per-frame gate only to score a stack below
+    the weight floor.
 
     The denominator runs in ``work.stack``, ``work.spare`` and the two
     real halves of ``work.pair``, and leaves the coverage gathered to
@@ -568,6 +569,17 @@ def _usable_weight(weight: float, energy: float) -> bool:
     return math.isfinite(weight) and weight >= _WEIGHT_FLOOR * energy > 0.0
 
 
+def _frame_factors(transparency: np.ndarray, geom: ScanGeometry) -> np.ndarray:
+    """Per-frame transparency factors as complex128; any shape but
+    ``(K,)`` raises ``ValueError``."""
+    factors = np.asarray(transparency, dtype=np.complex128)
+    if factors.shape != (geom.K,):
+        raise ValueError(
+            f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
+        )
+    return factors
+
+
 def shift_consistency(
     frames: np.ndarray,
     probe: np.ndarray,
@@ -577,10 +589,9 @@ def shift_consistency(
     adjoint: np.ndarray,
     canvas: np.ndarray,
     work: _Workspace,
-) -> tuple[float, Callable[[], np.ndarray], Callable[[], np.ndarray]]:
+) -> float:
     """Consistency score of the transparency-shifted stack along the
-    current probe, with the shifted stack and the step that finishes
-    from it.
+    current probe.
 
     The score is the ratio of the shifted power step's quadratic form
     to its coverage-weighted norm at the current probe. It equals 1
@@ -594,12 +605,14 @@ def shift_consistency(
     can be trusted; whether the shift left enough signal to act on is
     the update's own degeneracy check, not this score.
 
-    ``transparency`` is one complex factor for the whole stack or a
-    length-K array of per-frame factors; per-frame factors of any other
-    shape raise ``ValueError`` before any work. ``coverage`` is the probe's
-    object coverage, ``adjoint`` the unshifted stack's accumulation
-    ``illuminate_adjoint(frames, probe, geom)`` and ``canvas`` the
-    scatter-add of its intensity ``|frames|**2``.
+    The arguments are those of :func:`update_probe_rank1`, which takes
+    the step the score vouches for. ``transparency`` is one complex
+    factor for the whole stack or a length-K array of per-frame factors;
+    per-frame factors of any other shape raise ``ValueError`` before any
+    work. ``coverage`` is the probe's object coverage, ``adjoint`` the
+    unshifted stack's accumulation ``illuminate_adjoint(frames, probe,
+    geom)`` and ``canvas`` the scatter-add of its intensity
+    ``|frames|**2``.
 
     With one factor ``t`` the shifted stack is still plain data, so the
     form at the probe is the energy of its accumulation ``A - t C`` and
@@ -612,10 +625,7 @@ def shift_consistency(
     of ``E``, the shifted stack is formed and both terms are taken on
     it, the norm from its own intensity canvas and the form from its
     own scattered accumulation, so a stack the shift leaves at rounding
-    level still scores as the stack it is. The step is the power step
-    of the shifted stack on its accumulation (``A - t C``, or the
-    scattered one) and its intensity canvas, made once whether the
-    gate or the step needs it first.
+    level still scores as the stack it is.
 
     Per-frame factors ``t_k`` take the uniform-shift formula at each
     frame's own factor (which multiplies the full coverage map): the
@@ -625,90 +635,89 @@ def shift_consistency(
     beta_k) + sum_k |t_k|^2 gamma_k`` and their norm ``E - 2 Re sum_k
     conj(t_k) alpha_k + sum_k |t_k|^2 gamma_k``, from the window sums
     of :func:`_window_sums`; with every ``t_k = t`` these are the global
-    terms. Below the same floor the gate forms the step's terms and
-    shifted stack (:func:`_rank1_terms`) and scores on those terms, and
-    otherwise only an accepted step forms them, in the first of
-    ``shifted()`` and ``finish()``.
+    terms. Below the same floor the gate forms the step's terms
+    (:func:`_rank1_terms`) and scores on them.
 
-    :func:`update_probe_rank1` takes ``shifted()``, the shifted stack in
-    ``work.spare``, formed at most once whichever form made it, and then
-    ``finish()``, the step; both before any other step writes the
-    workspace.
+    Only below the floor does the gate form a shifted stack, and it
+    keeps nothing: the step forms what it reads itself.
     """
-    frames = np.asarray(frames)
-    probe = np.asarray(probe)
+    frames, probe = np.asarray(frames), np.asarray(probe)
     energy = np.vdot(coverage, canvas).real
     if np.ndim(transparency) == 0:
-        # One image-sized temporary at a time; a real factor still makes
-        # a complex accumulation.
-        accumulation = np.multiply(transparency, coverage, dtype=np.complex128)
-        np.subtract(adjoint, accumulation, out=accumulation)
-        form = np.vdot(accumulation, accumulation).real
         cross = (np.conj(transparency) * np.vdot(coverage, adjoint)).real
         weight = energy - 2.0 * cross + abs(transparency) ** 2 * np.vdot(coverage, coverage)
-        stack_canvas = None
         if _usable_weight(weight, energy):
-            shifted = partial(_shift_globally, frames, probe, transparency, work)
+            # One image-sized temporary at a time; a real factor still
+            # makes a complex accumulation.
+            accumulation = np.multiply(transparency, coverage, dtype=np.complex128)
+            np.subtract(adjoint, accumulation, out=accumulation)
         else:
             # Both terms come from the one shifted stack, so a stack the
             # shift leaves at rounding level still scores self-consistently.
-            del accumulation
             stack = _shift_globally(frames, probe, transparency, work)
-            stack_canvas = _intensity_canvas(stack, geom, work)
+            weight = np.vdot(coverage, _intensity_canvas(stack, geom, work)).real
             accumulation = illuminate_adjoint(stack, probe, geom, scratch=work.stack)
-            weight = np.vdot(coverage, stack_canvas).real
-            form = np.vdot(accumulation, accumulation).real
-            shifted = lambda: stack  # noqa: E731
-
-        def finish():
-            made = stack_canvas
-            if made is None:
-                made = _intensity_canvas(work.spare, geom, work)
-            return update_probe_power(work.spare, geom, accumulation, made, work)
+        form = np.vdot(accumulation, accumulation).real
     else:
-        factors = np.asarray(transparency, dtype=np.complex128)
-        if factors.shape != (geom.K,):
-            raise ValueError(
-                f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
-            )
+        factors = _frame_factors(transparency, geom)
         alpha, beta, gamma = _window_sums(frames, probe, geom, coverage, adjoint, work)
         cross = np.vdot(factors, alpha).real
         scaled = np.abs(factors) ** 2 @ gamma
         form = np.vdot(adjoint, adjoint).real - cross - np.vdot(factors, beta).real + scaled
         weight = energy - 2.0 * cross + scaled
-        # Formed once, by the first of the fallback, shifted() and finish().
-        terms = cache(
-            partial(_rank1_terms, frames, probe, geom, factors, coverage, adjoint, canvas, work)
-        )
         if not _usable_weight(weight, energy):
-            num, den, _ = terms()
+            num, den, _ = _rank1_terms(
+                frames, probe, geom, factors, coverage, adjoint, canvas, work
+            )
             form = np.vdot(probe, num).real
             weight = float((den * np.abs(probe) ** 2).sum())
-        vanished = "shifted frame stack is identically zero: rank-1 update undefined"
-        shifted = lambda: terms()[2]  # noqa: E731
-        finish = lambda: _divided(*terms()[:2], vanished)  # noqa: E731
-    score = float(form / weight) if weight > 0.0 else 0.0
-    return score, shifted, finish
+    return float(form / weight) if weight > 0.0 else 0.0
 
 
 def update_probe_rank1(
-    canvas: np.ndarray, shifted: Callable[[], np.ndarray], finish: Callable[[], np.ndarray]
+    frames: np.ndarray,
+    probe: np.ndarray,
+    geom: ScanGeometry,
+    transparency: complex | np.ndarray,
+    coverage: np.ndarray,
+    adjoint: np.ndarray,
+    canvas: np.ndarray,
+    work: _Workspace,
 ) -> np.ndarray:
     """Transparency-accelerated probe update: the power step of the stack
-    less its estimated transmitted component, from ``shifted`` and
-    ``finish`` that :func:`shift_consistency` returned for a stack whose
-    intensity canvas (the scatter-add of ``|frames|**2``, which sums to
-    ``||frames||^2``) is ``canvas``.
+    less its estimated transmitted component ``transparency`` times the
+    probe, with the arguments of :func:`shift_consistency`.
+
+    With one factor ``t`` it is the power step of the shifted stack,
+    formed in ``work.spare``, on its accumulation ``A - t C`` and its
+    own intensity canvas. Per-frame factors take the uniform-shift
+    formula at each frame's own factor, from the terms of
+    :func:`_rank1_terms`, which forms the shifted stack beside them.
 
     Raises :class:`DegenerateInputError` when the shifted stack is
-    numerically zero (a purely constant object region carries no probe
-    information); callers may then fall back to the plain power update.
+    numerically zero against the stack norm ``canvas`` gives (its sum is
+    ``||frames||^2``): a purely constant object region carries no probe
+    information, and callers may then fall back to the plain power
+    update.
     """
-    if np.linalg.norm(shifted()) <= RANK1_DEGENERACY_RTOL * np.sqrt(canvas.sum()):
+    frames, probe = np.asarray(frames), np.asarray(probe)
+    if np.ndim(transparency) == 0:
+        stack = _shift_globally(frames, probe, transparency, work)
+    else:
+        num, den, stack = _rank1_terms(
+            frames, probe, geom, _frame_factors(transparency, geom), coverage, adjoint, canvas, work
+        )
+    if np.linalg.norm(stack) <= RANK1_DEGENERACY_RTOL * np.sqrt(canvas.sum()):
         raise DegenerateInputError(
             "transparency shift removed the whole stack: constant object region"
         )
-    return finish()
+    if np.ndim(transparency) == 0:
+        # The shifted stack's accumulation A - t C, by the gate's two ufuncs,
+        # so it has the bits the gate scored.
+        shift = np.multiply(transparency, coverage, dtype=np.complex128)
+        adjoint = np.subtract(adjoint, shift, out=shift)
+        return update_probe_power(stack, geom, adjoint, _intensity_canvas(stack, geom, work), work)
+    return _divided(num, den, "shifted frame stack is identically zero: rank-1 update undefined")
 
 
 def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -854,10 +863,11 @@ class _Iterate:
     row computes for the frames it records. Each is computed once per
     iteration and read by the metrics row and the probe step: the
     coverage and ``adjoint`` also by the next object update, ``adjoint``
-    and ``canvas`` by the power step and both rank-1 gates, ``canvas``
-    also by the shifted step's degeneracy check. ``work``
-    holds every other frame-sized stack the steps use. ``since_shift``
-    counts the iterations since the last transparency-shifted step.
+    and ``canvas`` by the power step, and all three by both rank-1
+    gates and the shifted step, which checks its degeneracy against the
+    ``canvas``. ``work`` holds every other frame-sized stack the steps
+    use. ``since_shift`` counts the iterations since the last
+    transparency-shifted step.
     """
 
     frames: np.ndarray
@@ -888,18 +898,16 @@ def _probe_step(
     coverage, adjoint, canvas = state.coverage, state.adjoint, state.canvas
     if cfg.probe_mode == "standard":
         return update_probe_standard(frames, obj, geom, work), False
-    gate = cfg.probe_mode != "power" and state.since_shift >= RANK1_CADENCE
-    if gate:
+    if cfg.probe_mode != "power" and state.since_shift >= RANK1_CADENCE:
         if cfg.probe_mode == "rank1_framewise":
             factor = transparency_framewise(frames, probe, overlap)
         else:
             factor = transparency_global(adjoint, probe, geom)
-        score, shifted, finish = shift_consistency(
-            frames, probe, geom, factor, coverage, adjoint, canvas, work
-        )
+        args = (frames, probe, geom, factor, coverage, adjoint, canvas, work)
+        score = shift_consistency(*args)
         if score >= RANK1_GATE:
             try:
-                stepped = update_probe_rank1(canvas, shifted, finish)
+                stepped = update_probe_rank1(*args)
             except DegenerateInputError:
                 events.append(
                     f"iteration {iteration}: degenerate transparency shift, "
@@ -914,8 +922,6 @@ def _probe_step(
                 state.since_shift = 0
                 state.shift_seen = True
                 return stepped, True
-        # The power step runs without the gate's accumulation held.
-        del shifted, finish
     state.since_shift += 1
     return update_probe_power(frames, geom, adjoint, canvas, work), False
 

@@ -30,9 +30,7 @@ from ptyblind.solver import (
     EPSILON_REL,
     RANK1_DEGENERACY_RTOL,
     _Workspace,
-    shift_consistency,
     update_object,
-    update_probe_rank1,
 )
 
 
@@ -135,7 +133,7 @@ def step_inputs(frames, probe, geom):
 
     The steps take these in this order, after their other arguments, so
     ``*step_inputs(...)`` completes a call of ``shift_consistency`` and
-    ``rank1_step``, ``*step_inputs(...)[:3]`` one of
+    ``update_probe_rank1``, ``*step_inputs(...)[:3]`` one of
     ``pairwise_discrepancy`` and ``*step_inputs(...)[1:]`` one of
     ``update_probe_power``.
     """
@@ -143,17 +141,6 @@ def step_inputs(frames, probe, geom):
     adjoint = illuminate_adjoint(frames, probe, geom)
     canvas = embed_add_frames(np.abs(frames) ** 2, geom)
     return StepInputs(coverage, adjoint, canvas, _Workspace(geom))
-
-
-def rank1_step(frames, probe, geom, transparency, coverage, adjoint, canvas, work):
-    """The transparency-shifted probe step as the loop takes it: the gate
-    ``shift_consistency`` scores the shift, and ``update_probe_rank1``
-    checks the shifted stack against the stack norm the canvas gives
-    and finishes from the stack the gate formed, or forms it."""
-    _, shifted, finish = shift_consistency(
-        frames, probe, geom, transparency, coverage, adjoint, canvas, work
-    )
-    return update_probe_rank1(canvas, shifted, finish)
 
 
 def stack_scored_gate(frames, probe, geom, transparency):
@@ -252,7 +239,7 @@ def magnitude_project(frames, amplitudes):
 
 
 def update_probe_rank1_expanded(frames, probe, geom, transparency):
-    """Cross-check of the shifted step (``rank1_step``) by the complementary
+    """Cross-check of the shifted step (``update_probe_rank1``) by the complementary
     arithmetic route, built from the public operators only.
 
     Global factor c: the transparency terms are distributed through the

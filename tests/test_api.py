@@ -103,7 +103,7 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     geom, probe, init, amps = wrapping_instance()
     cfg = SolverConfig(probe_mode=mode, max_iters=30)
     # The reference loop reaches the gate where the loop does.
-    reference = count_calls(monkeypatch, test_loop_oracle, ("shift_consistency", "rank1_step"))
+    reference = count_calls(monkeypatch, test_loop_oracle, RANK1[1:])
     test_loop_oracle.reference_run(amps, geom, init, cfg, probe_true=probe)
     calls = count_calls(monkeypatch, solver, STEPS + ["_intensity_canvas", *SHIFT_KERNELS])
     history = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
@@ -118,7 +118,7 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     if mode.startswith("rank1"):
         assert calls["shift_consistency"] == reference["shift_consistency"]
         assert calls["shift_consistency"] > calls["update_probe_rank1"] > 0
-        assert calls["update_probe_rank1"] == reference["rank1_step"]
+        assert calls["update_probe_rank1"] == reference["update_probe_rank1"]
     if mode == "rank1_global":
         assert calls["transparency_global"] == calls["shift_consistency"]
     if mode.startswith("rank1"):

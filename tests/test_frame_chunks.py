@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import divided_spectra, frame_idft, rand_complex, rank1_step, step_inputs
+from conftest import divided_spectra, frame_idft, rand_complex, step_inputs
 from test_loop_oracle import MODES, wrapping_instance
 
 from ptyblind import (
@@ -153,18 +153,18 @@ def call_step(step, geom, obj, probe, frames, inputs):
     else:
         factor = solver.transparency_framewise(frames, probe, solver.build_overlap_matrix(geom))
     if name == "update_probe_rank1":
-        return rank1_step(frames, probe, geom, factor, *inputs)
+        return solver.update_probe_rank1(frames, probe, geom, factor, *inputs)
     if closed_form:
         # The per-frame closed form's own pass, for its sums over the
         # coverage-weighted frames; it forms no per-frame terms.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(solver, "_rank1_terms", formed_terms)
-            return solver.shift_consistency(frames, probe, geom, factor, *inputs)[0]
+            return solver.shift_consistency(frames, probe, geom, factor, *inputs)
     # Each gate scores on its shifted stack where the closed-form weight
     # is unusable, as with a NaN canvas: the global gate weighs that
     # stack, and the per-frame gate forms its terms.
     inputs = (coverage, adjoint, np.full_like(canvas, np.nan), work)
-    return solver.shift_consistency(frames, probe, geom, factor, *inputs)[0]
+    return solver.shift_consistency(frames, probe, geom, factor, *inputs)
 
 
 @pytest.mark.parametrize("m", [8, 7])

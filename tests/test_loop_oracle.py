@@ -16,7 +16,6 @@ from conftest import (
     step_inputs,
     magnitude_project,
     rand_complex,
-    rank1_step,
 )
 
 from ptyblind import (
@@ -37,6 +36,7 @@ from ptyblind.solver import (
     transparency_global,
     update_object,
     update_probe_power,
+    update_probe_rank1,
     update_probe_standard,
 )
 from ptyblind.synth import (
@@ -89,12 +89,12 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
             else:
                 adjoint = step_inputs(frames, probe, geom).adjoint
                 transparency = transparency_global(adjoint, probe, geom)
-            score, _, _ = shift_consistency(
+            score = shift_consistency(
                 frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
             )
             if score >= solver.RANK1_GATE:
                 try:
-                    new = rank1_step(
+                    new = update_probe_rank1(
                         frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
                     )
                 except DegenerateInputError:

@@ -229,6 +229,12 @@ def test_non_numeric_positions_are_rejected(positions):
         ScanGeometry(n=8, m=4, positions=positions)
 
 
+def test_boolean_positions_are_rejected():
+    # As a bool n or m is: offsets of True and False would read as 1 and 0.
+    with pytest.raises(ValueError, match="^positions must be integers, got dtype bool$"):
+        ScanGeometry(n=8, m=4, positions=[[True, False], [False, True]])
+
+
 def test_integral_positions_give_the_int64_offsets():
     offsets = [(-9, 3), (7, 21), (0, 8)]
     want = np.mod(np.array(offsets, dtype=np.int64), 8).tobytes()

@@ -14,7 +14,6 @@ from conftest import (
     step_inputs,
     rand_complex,
     random_geometry,
-    rank1_step,
     stack_scored_framewise_gate,
     stack_scored_gate,
     update_probe_rank1_expanded,
@@ -41,6 +40,7 @@ from ptyblind.solver import (
     transparency_framewise,
     transparency_global,
     update_probe_power,
+    update_probe_rank1,
 )
 
 def consistent_instance(rng, n, m, K):
@@ -179,7 +179,7 @@ class TestIntensityCanvas:
         scattered = record_scatters(monkeypatch)
         update_probe_power(frames, geom, *inputs[1:])
         # The per-frame step forms its terms with _rank1_terms.
-        rank1_step(frames, probe, geom, factors, *inputs)
+        update_probe_rank1(frames, probe, geom, factors, *inputs)
         assert not [dtype for dtype in scattered if dtype.kind == "f"]
 
     def test_a_global_shifted_step_scatters_its_stack_intensity_once(self, rng, monkeypatch):
@@ -187,7 +187,7 @@ class TestIntensityCanvas:
         inputs = step_inputs(frames, probe, geom)
         transparency = transparency_global(inputs.adjoint, probe, geom)
         scattered = record_scatters(monkeypatch)
-        rank1_step(frames, probe, geom, transparency, *inputs)
+        update_probe_rank1(frames, probe, geom, transparency, *inputs)
         assert scattered == [np.dtype(np.float64)]
 
 
@@ -288,7 +288,7 @@ class TestRank1Update:
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
         inputs = step_inputs(frames, probe, geom)
-        got = rank1_step(frames, probe, geom, 0.0, *inputs)
+        got = update_probe_rank1(frames, probe, geom, 0.0, *inputs)
         assert np.array_equal(got, update_probe_power(frames, geom, *inputs[1:]))
 
     def test_zero_factor_reduces_to_power_framewise(self, rng):
@@ -296,7 +296,7 @@ class TestRank1Update:
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
         inputs = step_inputs(frames, probe, geom)
-        got = rank1_step(frames, probe, geom, np.zeros(geom.K, dtype=complex), *inputs)
+        got = update_probe_rank1(frames, probe, geom, np.zeros(geom.K, dtype=complex), *inputs)
         want = update_probe_power(frames, geom, *inputs[1:])
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
@@ -310,7 +310,7 @@ class TestRank1Update:
             else:
                 transparency = rand_complex(rng, geom.K)
             inputs = step_inputs(frames, probe, geom)
-            fast = rank1_step(frames, probe, geom, transparency, *inputs)
+            fast = update_probe_rank1(frames, probe, geom, transparency, *inputs)
             slow = update_probe_rank1_expanded(frames, probe, geom, transparency)
             assert np.linalg.norm(fast - slow) <= 1e-11 * np.linalg.norm(fast)
 
@@ -319,7 +319,7 @@ class TestRank1Update:
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             inputs = step_inputs(frames, probe, geom)
             transparency = transparency_global(inputs.adjoint, probe, geom)
-            stepped = rank1_step(frames, probe, geom, transparency, *inputs)
+            stepped = update_probe_rank1(frames, probe, geom, transparency, *inputs)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_fixed_point_at_true_pair_framewise(self, rng):
@@ -329,7 +329,7 @@ class TestRank1Update:
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
             factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
             inputs = step_inputs(frames, probe, geom)
-            stepped = rank1_step(frames, probe, geom, factors, *inputs)
+            stepped = update_probe_rank1(frames, probe, geom, factors, *inputs)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
             expanded = update_probe_rank1_expanded(frames, probe, geom, factors)
             assert np.linalg.norm(expanded - probe) <= 1e-10 * np.linalg.norm(probe)
@@ -341,10 +341,10 @@ class TestRank1Update:
         frames = c * replicate_probe(probe, geom)
         inputs = step_inputs(frames, probe, geom)
         with pytest.raises(DegenerateInputError):
-            rank1_step(frames, probe, geom, c, *inputs)
+            update_probe_rank1(frames, probe, geom, c, *inputs)
         factors = np.full(geom.K, c)
         with pytest.raises(DegenerateInputError):
-            rank1_step(frames, probe, geom, factors, *inputs)
+            update_probe_rank1(frames, probe, geom, factors, *inputs)
 
 
 class TestTransparencyForms:
@@ -361,8 +361,8 @@ class TestTransparencyForms:
         inputs = step_inputs(frames, probe, geom)
         steps, scores = set(), set()
         for transparency in (c, np.complex128(c), np.array(c)):
-            score, shifted, finish = shift_consistency(frames, probe, geom, transparency, *inputs)
-            steps.add(solver.update_probe_rank1(inputs.canvas, shifted, finish).tobytes())
+            score = shift_consistency(frames, probe, geom, transparency, *inputs)
+            steps.add(update_probe_rank1(frames, probe, geom, transparency, *inputs).tobytes())
             scores.add(score)
         assert len(steps) == 1 and len(scores) == 1
 
@@ -375,7 +375,7 @@ class TestTransparencyForms:
         inputs = step_inputs(frames, probe, geom)
         message = r"framewise transparency must have length K=6, got shape"
         with pytest.raises(ValueError, match=message):
-            rank1_step(frames, probe, geom, factors, *inputs)
+            update_probe_rank1(frames, probe, geom, factors, *inputs)
         with pytest.raises(ValueError, match=message):
             shift_consistency(frames, probe, geom, factors, *step_inputs(frames, probe, geom))
 
@@ -406,17 +406,17 @@ class TestShiftConsistency:
                 frames = illuminate(rand_complex(rng, n, n), probe, geom)
                 c = transparency_global(illuminate_adjoint(frames, probe, geom), probe, geom)
             inputs = step_inputs(frames, probe, geom)
-            score, _, _ = shift_consistency(frames, probe, geom, c, *inputs)
+            score = shift_consistency(frames, probe, geom, c, *inputs)
             want = pencil_global_consistency(frames, probe, geom, c)
             assert score == pytest.approx(want, abs=1e-12)
 
     def test_equals_one_on_consistent_stack(self, rng):
         geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
         inputs = step_inputs(frames, probe, geom)
-        score, _, _ = shift_consistency(frames, probe, geom, 0.7 - 0.2j, *inputs)
+        score = shift_consistency(frames, probe, geom, 0.7 - 0.2j, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
         factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
-        score, _, _ = shift_consistency(frames, probe, geom, factors, *inputs)
+        score = shift_consistency(frames, probe, geom, factors, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
 
     def test_global_score_stays_in_unit_interval(self, rng):
@@ -426,7 +426,7 @@ class TestShiftConsistency:
             probe = rand_complex(rng, 3, 3)
             transparency = complex(rand_complex(rng, 1)[0])
             inputs = step_inputs(frames, probe, geom)
-            score, _, _ = shift_consistency(frames, probe, geom, transparency, *inputs)
+            score = shift_consistency(frames, probe, geom, transparency, *inputs)
             assert -1e-12 <= score <= 1.0 + 1e-12
 
     def test_degenerate_shift_scores_zero(self, rng):
@@ -434,7 +434,7 @@ class TestShiftConsistency:
         probe = rand_complex(rng, 4, 4)
         c = 1.5 - 0.5j
         frames = c * replicate_probe(probe, geom)
-        score, _, _ = shift_consistency(frames, probe, geom, c, *step_inputs(frames, probe, geom))
+        score = shift_consistency(frames, probe, geom, c, *step_inputs(frames, probe, geom))
         assert score == 0.0
 
     def test_noise_scores_below_consistent_data(self, rng):
@@ -443,8 +443,8 @@ class TestShiftConsistency:
         transparency = transparency_global(clean_inputs[1], probe, geom)
         noise = rand_complex(rng, geom.K, 4, 4)
         noisy_inputs = step_inputs(noise, probe, geom)
-        noisy, _, _ = shift_consistency(noise, probe, geom, transparency, *noisy_inputs)
-        clean, _, _ = shift_consistency(frames, probe, geom, transparency, *clean_inputs)
+        noisy = shift_consistency(noise, probe, geom, transparency, *noisy_inputs)
+        clean = shift_consistency(frames, probe, geom, transparency, *clean_inputs)
         assert noisy < 0.9 < clean
 
 
@@ -469,7 +469,7 @@ def gate(frames, probe, geom, per_frame=False):
     form = getattr(solver, kernel)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, kernel, lambda *a: formed.append(1) or form(*a))
-        score, _, _ = shift_consistency(frames, probe, geom, transparency, *inputs)
+        score = shift_consistency(frames, probe, geom, transparency, *inputs)
     return score, len(formed), oracle(frames, probe, geom, transparency)
 
 
@@ -533,11 +533,37 @@ class TestGlobalGate:
             assert formed == 1
             assert score == pytest.approx(oracle, abs=1e-9)
             assert (score >= solver.RANK1_GATE) == (residue == "consistent")
-        # In the loop, an accepted gate's step takes the stack the gate
-        # formed, and a rejected one forms no other.
+        # In the loop, an accepted gate's step forms the stack again, and
+        # a rejected one forms no other.
         engaged, formed = loop_gate(frames, probe, geom, "rank1_global", "_shift_globally")
-        assert formed == 1
+        assert formed == 1 + engaged
         assert engaged == (residue == "consistent")
+
+    @pytest.mark.parametrize("scale", [1e-4, 1e-6])
+    @pytest.mark.parametrize("residue", ["noise", "consistent"])
+    def test_step_below_the_floor_is_the_power_step_of_the_shifted_stack(
+        self, rng, residue, scale
+    ):
+        # Below the weight floor the gate scores on the shifted stack's
+        # scattered accumulation; the step still takes A - t C, which
+        # must agree with it to far more digits than the floor keeps.
+        geom = raster(32, 8, 3, (8, 8))
+        probe = rand_complex(rng, 8, 8)
+        transparent = (0.8 - 0.3j) * replicate_probe(probe, geom)
+        for _ in range(4):
+            if residue == "noise":
+                frames = transparent + scale * rand_complex(rng, *transparent.shape)
+            else:
+                frames = transparent + illuminate(scale * rand_complex(rng, 32, 32), probe, geom)
+            assert gate(frames, probe, geom)[1] == 1
+            inputs = step_inputs(frames, probe, geom)
+            transparency = transparency_global(inputs.adjoint, probe, geom)
+            stepped = update_probe_rank1(frames, probe, geom, transparency, *inputs)
+            shifted = frames - transparency * replicate_probe(probe, geom)
+            want = update_probe_power(
+                shifted, geom, *step_inputs(shifted, probe, geom)[1:3], inputs.work
+            )
+            assert np.linalg.norm(stepped - want) <= 1e-8 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("residue", ["noise", "consistent"])
     def test_a_stack_shifted_to_rounding_level_scores_as_that_stack(self, rng, residue):
@@ -612,8 +638,8 @@ class TestFramewiseGate:
             assert formed == 1
             assert score == pytest.approx(oracle, abs=1e-10)
             assert (score >= solver.RANK1_GATE) == (residue == "consistent")
-        # In the loop, an accepted gate's step finishes from the terms the
-        # gate formed, and a rejected one forms no others.
+        # In the loop, an accepted gate's step forms the terms again, and
+        # a rejected one forms no others.
         engaged, formed = loop_gate(frames, probe, geom, "rank1_framewise", "_rank1_terms")
-        assert formed == 1
+        assert formed == 1 + engaged
         assert engaged == (residue == "consistent")

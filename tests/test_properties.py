@@ -10,7 +10,7 @@ keeps Hypothesis's other files out of the working tree.
 """
 
 import numpy as np
-from conftest import magnitude_project, rand_complex, rank1_step, step_inputs
+from conftest import magnitude_project, rand_complex, step_inputs
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +27,7 @@ from ptyblind.solver import (
     transparency_framewise,
     transparency_global,
     update_probe_power,
+    update_probe_rank1,
 )
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -147,4 +148,4 @@ def test_true_probe_is_a_fixed_point_of_the_shifted_step(geom, seed, per_frame, 
     else:
         transparency = complex(rand_complex(rng, 1)[0])
     inputs = step_inputs(frames, probe, geom)
-    assert_fixed(rank1_step(frames, probe, geom, transparency, *inputs), probe)
+    assert_fixed(update_probe_rank1(frames, probe, geom, transparency, *inputs), probe)

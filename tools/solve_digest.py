@@ -2,8 +2,9 @@
 
 A digest records, per workload, instance and probe mode, a SHA-256 of
 the solve's final probe, object and frames and its events, the
-iteration count, the number of ``update_probe_rank1`` calls, the
-events, and the ``History`` columns ``nrmse_probe``, ``data_residual``
+iteration count, the numbers of ``shift_consistency`` calls (``gates``)
+and ``update_probe_rank1`` calls (``rank1_calls``), the events, and the
+``History`` columns ``nrmse_probe``, ``data_residual``
 and ``pairwise`` row by row. It runs the solves of
 ``perfbench/workloads.py`` from the tree given by ``--root``, importing
 that tree's ``src/`` and ``perfbench/workloads.py`` without changing
@@ -15,12 +16,12 @@ each and diffing::
     python3 tools/solve_digest.py change.json --against parent.json
 
 The diff lists the solves whose arrays or events differ, any change of
-iteration count, ``update_probe_rank1`` calls or events, and for each
-column the number of solves whose rows differ and the worst per-row
-relative difference, ``|new - old| / max(|new|, |old|)``. The exit code
-is 1 when the arrays, events, iteration counts or ``update_probe_rank1``
-calls of any solve differ; a column that moves only in its values is
-reported, not failed.
+iteration count, gate or step count or events, and for each column
+the number of solves whose rows differ and the worst per-row relative
+difference, ``|new - old| / max(|new|, |old|)``. The exit code is 1
+when the arrays, events, iteration counts or gate or step counts of any
+solve differ; a column that moves only in its values is reported, not
+failed.
 """
 
 import os
@@ -36,6 +37,8 @@ import sys
 from pathlib import Path
 
 COLUMNS = ("nrmse_probe", "data_residual", "pairwise")
+# Each digest count and the solver step whose calls it counts.
+COUNTED = {"gates": "shift_consistency", "rank1_calls": "update_probe_rank1"}
 
 
 def digest_tree(root: Path, names: list[str] | None, seed: int) -> dict:
@@ -46,22 +49,25 @@ def digest_tree(root: Path, names: list[str] | None, seed: int) -> dict:
     import workloads
     from ptyblind import solver
 
-    calls = [0]
-    step = solver.update_probe_rank1
+    calls = dict.fromkeys(COUNTED, 0)
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return step(*args, **kwargs)
+    def counting(count, step):
+        def counted(*args, **kwargs):
+            calls[count] += 1
+            return step(*args, **kwargs)
+
+        return counted
 
     # The loop calls its steps through the module's attributes.
-    solver.update_probe_rank1 = counted
+    for count, name in COUNTED.items():
+        setattr(solver, name, counting(count, getattr(solver, name)))
     solves = {}
     for name in names or workloads.WORKLOADS:
         w = workloads.WORKLOADS[name]
         inputs = workloads.generate(w, seed)
         for k in range(w.instances):
             for mode in workloads.MODES:
-                calls[0] = 0
+                calls.update(dict.fromkeys(COUNTED, 0))
                 history = workloads.solve(w, inputs, k, mode)
                 sha = hashlib.sha256()
                 for array in (history.probe, history.object_image, history.frames):
@@ -72,7 +78,7 @@ def digest_tree(root: Path, names: list[str] | None, seed: int) -> dict:
                 solves[f"{name}/{k}/{mode}"] = {
                     "sha256": sha.hexdigest(),
                     "iterations": history.rows[-1].iter,
-                    "rank1_calls": calls[0],
+                    **calls,
                     "events": history.events,
                     **{c: [getattr(row, c) for row in history.rows] for c in COLUMNS},
                 }
@@ -103,7 +109,7 @@ def diff(new: dict, old: dict) -> tuple[list[str], int]:
             lines.append(f"{key}: only in the {'new' if a is None else 'old'} digest")
             changed.append(key)
             continue
-        differs = [f for f in ("iterations", "rank1_calls", "events") if a[f] != b[f]]
+        differs = [f for f in ("iterations", *COUNTED, "events") if a[f] != b[f]]
         for field in differs:
             lines.append(f"{key}: {field} {a[field]!r} -> {b[field]!r}")
         if a["sha256"] != b["sha256"]:
