@@ -48,7 +48,10 @@ def save_array(path: str, arr: np.ndarray) -> None:
 
 def load_array(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        return npy_format.read_array(fh, allow_pickle=False)
+        try:
+            return npy_format.read_array(fh, allow_pickle=False)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_json(path: str, doc: dict) -> None:
@@ -62,6 +65,8 @@ def load_json(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object at top level")
     return doc
@@ -103,12 +108,15 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
         for record in reader:
             if len(record) != len(CSV_HEADER):
                 raise ValueError(f"{path}: malformed row {record!r}")
-            iteration = int(record[0])
+            try:
+                iteration = int(record[0])
+                nrmse = None if record[1] == "" else float(record[1])
+                values = [float(field) for field in record[2:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
             if previous_iter is not None and iteration <= previous_iter:
                 raise ValueError(f"{path}: iterations not strictly increasing at {iteration}")
             previous_iter = iteration
-            nrmse = None if record[1] == "" else float(record[1])
-            values = [float(field) for field in record[2:]]
             if any(not math.isfinite(v) for v in values) or (
                 nrmse is not None and not math.isfinite(nrmse)
             ):

@@ -74,18 +74,21 @@ update.
 
 Every per-frame elementwise stage runs in the run's chunks of about
 4 MiB of frames (``_Workspace.edges``), on a thread pool with one
-worker per usable core; numpy releases the GIL in these loops. The
-frame update (gather, probe product, DFT, magnitudes, misfit, phase,
-scaling, inverse DFT, conjugate-probe product) is one fused pass per
-chunk. So are the gathers, products and shifted stacks of the probe
-steps and the gate, and the intensity of the canvas; a step whose
-stack goes through a scatter-add runs one pass before it and one
-after. Only the sums over frames, the inner products, the
-misfit norm and the scatter-adds read the whole stack; they run on the
-calling thread once every chunk has finished, so every result is
-bit-identical to the unchunked pass. A stack shorter than two chunks
-(every 64 px instance) is one chunk, run on the calling thread by the
-same code, touching the same stacks in the same order.
+worker per usable core; numpy releases the GIL in these loops. Each
+stage is one fused pass per chunk: the frame update (gather, probe
+product, DFT, magnitudes, misfit, phase, scaling, inverse DFT,
+conjugate-probe product) and row 0's, which stops at the misfit; the
+standard and power steps, which share one gathered kernel; the
+per-frame gate's weighted stack; a shifted stack; and the intensity
+of the canvas. The per-frame shifted step takes two passes, as its
+numerator reuses the real stacks its denominator is summed from, and
+the global one three: its shift, its canvas and its power step. Only
+the sums over frames, the inner products, the misfit norm and the
+scatter-adds read the whole stack; they run on the calling thread
+once every chunk has finished, so every result is bit-identical to
+the unchunked pass. A stack shorter than two chunks (every 64 px
+instance) is one chunk, run on the calling thread by the same code,
+touching the same stacks in the same order.
 The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized stack of a run is one of its scratch stacks
 (:class:`_Workspace`): two, which hold the pass's spectra, magnitudes,
@@ -95,8 +98,10 @@ stack needs, when the run first forms one. The steps write into them
 with ``out=`` ufuncs and ``take`` gathers. A probe, a per-frame
 factor or a real operand that a ufunc would broadcast or cast over a
 stack is first copied into a whole stack, since numpy buffers such
-operands on every call. Past the first iteration no step allocates a
-frame-sized array but that third stack, once, and none frees one.
+operands on every call; only row 0, once per run, multiplies its
+windows by the broadcast probe, which gives the same bits. Past the
+first iteration no step allocates a frame-sized array but that third
+stack, once, and none frees one.
 With fresh stacks and temporaries, glibc grew and trimmed its heap on
 every gate or shifted iteration of the 64 px instances (up to 650 page
 faults and 30% more time per framewise iteration). Workers call numpy
@@ -201,13 +206,15 @@ class History:
 class _Workspace:
     """Frame-sized scratch stacks of one run.
 
-    ``stack``, ``pair`` and ``spare`` are complex (K, m, m) stacks; the
-    float64 memory of ``pair`` also serves as the two real stacks
-    ``real`` and ``real2``, and no step uses it both ways at once. No
-    stack holds the coverage: a step gathers the (n, n) object coverage
-    where it reads it. No state survives a step: a step reads nothing a
-    previous step left in the scratch stacks, and a stack passed into a
-    step must not be one it writes.
+    ``stack``, ``pair`` and ``spare`` are complex (K, m, m) stacks. The
+    float64 memory of ``pair`` serves as the two real stacks ``real``
+    and ``real2``; only the per-frame shifted step's numerator uses it
+    as a complex stack, for its replicated factors and probe, and no
+    step uses it both ways at once. No stack holds the coverage: a step
+    gathers the (n, n) object coverage where it reads it. No state
+    survives a step: a step reads nothing a previous step left in the
+    scratch stacks, and a stack passed into a step must not be one it
+    writes.
     ``edges`` are the frame chunks every per-frame pass runs over.
 
     ``stack`` and ``pair`` are allocated when the run starts. Only a
@@ -275,29 +282,43 @@ def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.nd
     return np.asarray(_check_object(image, geom), dtype=out.dtype).reshape(-1)
 
 
+def _gathered_terms(
+    frames: np.ndarray, geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares terms ``sum_k conj(image|_k) f_k`` and
+    ``sum_k weights|_k`` of the standard and power steps, where ``X|_k``
+    is the window of an (n, n) image at frame k: the products run in
+    ``work.stack`` and the gathered real ``weights`` in ``work.real``."""
+    frames = np.asarray(frames)
+    products, gathered, index = work.stack, work.real, geom.frame_indices
+    flat = _flat_image(weights, geom, gathered)
+    conj_image = np.conj(_flat_image(image, geom, products))
+
+    # ``clip`` spares every take() below a buffer; the indices are in
+    # range.
+    def chunk(lo, hi):
+        flat.take(index[lo:hi], out=gathered[lo:hi], mode="clip")
+        conj_image.take(index[lo:hi], out=products[lo:hi], mode="clip")
+        # conj(image) * frames, not the reverse: see the note in
+        # _rank1_terms.
+        np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
+
+    _over_frames(chunk, work.edges)
+    del conj_image
+    return sum_frames(products), sum_frames(gathered)
+
+
 def update_probe_standard(
     frames: np.ndarray, obj: np.ndarray, geom: ScanGeometry, work: _Workspace
 ) -> np.ndarray:
     """Per-pixel least-squares probe given the object: frame-averaged
     conjugate-view weighting over the summed view intensities."""
-    frames = np.asarray(frames)
-    flat, index = _flat_image(obj, geom, work.stack), geom.frame_indices
+    obj = np.asarray(_check_object(obj, geom), dtype=np.complex128)
     # Elementwise, so gathering the image's intensity gives each view's
     # intensity bit for bit, at the cost of one image instead of a stack.
-    intensity = np.abs(flat)
+    intensity = np.abs(obj)
     np.square(intensity, out=intensity)
-
-    # ``clip`` spares every take() below a buffer; the indices are in
-    # range.
-    def chunk(lo, hi):
-        views = work.stack[lo:hi]
-        flat.take(index[lo:hi], out=views, mode="clip")
-        intensity.take(index[lo:hi], out=work.real[lo:hi], mode="clip")
-        np.multiply(np.conj(views, out=views), frames[lo:hi], out=views)
-
-    _over_frames(chunk, work.edges)
-    den = sum_frames(work.real)
-    num = sum_frames(work.stack)
+    num, den = _gathered_terms(frames, geom, obj, intensity, work)
     return _divided(num, den, "object is identically zero: probe update undefined")
 
 
@@ -350,21 +371,7 @@ def update_probe_power(
     stack intensity, the ``canvas`` (the scatter-add of ``|frames|**2``)
     gathered to the frames.
     """
-    frames = np.asarray(frames)
-    coverage, view, index = work.real, work.stack, geom.frame_indices
-    flat = _flat_image(canvas, geom, coverage)
-    conj_adjoint = np.conj(_flat_image(adjoint, geom, view))
-
-    def products(lo, hi):
-        flat.take(index[lo:hi], out=coverage[lo:hi], mode="clip")
-        conj_adjoint.take(index[lo:hi], out=view[lo:hi], mode="clip")
-        # view * frames, not frames * view: see the note in _rank1_terms.
-        np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
-
-    _over_frames(products, work.edges)
-    del conj_adjoint
-    den = sum_frames(coverage)
-    num = sum_frames(view)
+    num, den = _gathered_terms(frames, geom, adjoint, canvas, work)
     return _divided(num, den, "frame stack is identically zero: power update undefined")
 
 
@@ -462,31 +469,29 @@ def _rank1_terms(
     step runs this, and the per-frame gate only to score a stack below
     the weight floor.
 
-    The denominator runs in ``work.stack``, ``work.spare`` and the two
-    real halves of ``work.pair``, and leaves the coverage gathered to
-    the frames in ``work.spare``; the numerator reads it there and runs
-    in ``work.stack``, ``work.spare`` and ``work.pair``, and the shifted
-    stack is left in ``work.spare``. The numerator's pass overwrites the
-    real halves, so the denominator is summed before it starts.
+    Two passes. The denominator's gathers the adjoint accumulation into
+    ``work.stack``, forms each chunk's cross term in ``work.real`` and
+    its denominator in ``work.real2``, and leaves the coverage gathered
+    to the frames in ``work.spare``. The numerator's reads both gathers
+    there, runs in ``work.stack``, ``work.spare`` and ``work.pair``, and
+    leaves the shifted stack in ``work.spare``. It overwrites the real
+    halves of ``work.pair``, so the denominator is summed before it
+    starts.
     """
     fcol = factors[:, None, None]
     conj_fcol = np.conj(fcol)
     scale = np.abs(fcol) ** 2
     flat, index = _flat_image(adjoint, geom, work.stack), geom.frame_indices
     view, spare, pair, real, real2 = work.stack, work.spare, work.pair, work.real, work.real2
-
-    def cross(lo, hi):
-        flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
-        product = np.multiply(_fill(spare[lo:hi], conj_fcol[lo:hi]), view[lo:hi], out=spare[lo:hi])
-        np.multiply(2.0, product.real, out=real[lo:hi])
-
-    _over_frames(cross, work.edges)
     canvas = _flat_image(canvas, geom, real2)
     frame_coverage = _flat_image(coverage, geom, spare)
 
     def denominator(lo, hi):
+        flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
+        product = np.multiply(_fill(spare[lo:hi], conj_fcol[lo:hi]), view[lo:hi], out=spare[lo:hi])
+        cross = np.multiply(2.0, product.real, out=real[lo:hi])
         den = canvas.take(index[lo:hi], out=real2[lo:hi], mode="clip")
-        np.subtract(den, real[lo:hi], out=den)
+        np.subtract(den, cross, out=den)
         weights = frame_coverage.take(index[lo:hi], out=spare[lo:hi], mode="clip")
         scaled = np.multiply(_fill(real[lo:hi], scale[lo:hi]), weights.real, out=real[lo:hi])
         np.add(den, scaled, out=den)
@@ -793,11 +798,11 @@ def _magnitude_pass(
     accumulation. Until the inverse transform writes them, a chunk's
     ``frames`` hold in turn the replicated probe, the reciprocal
     magnitudes and the amplitudes, as complex numbers, so no ufunc
-    broadcasts or casts a frame-sized operand. Without ``frames`` the
-    probe is replicated in ``work.pair``, whose memory the magnitudes
-    then take, so every chunk is transformed before any magnitude is
-    written: two passes. Returns the misfit norm; it is taken over the
-    whole stack, so no bit depends on the chunking.
+    broadcasts or casts a frame-sized operand. Without ``frames`` (row
+    0, which writes no frames) the windows take the broadcast probe, the
+    product the filled stack gives bit for bit, and the pass stops at the
+    misfit. Returns the misfit norm; it is taken over the whole stack, so
+    no bit depends on the chunking.
 
     The reciprocal gives the bits the division by the magnitudes gave:
     numpy divides by a complex ``mag + 0j`` by Smith's formula, which
@@ -809,32 +814,22 @@ def _magnitude_pass(
     index = geom.frame_indices
     conj_probe = np.conj(probe)
     weighted, misfit, inv = work.stack, work.real, work.real2
-    probes = work.pair if frames is None else frames
 
-    def transform(lo, hi):
-        spectra = weighted[lo:hi]
+    def chunk(lo, hi):
+        spectra, magnitudes = weighted[lo:hi], misfit[lo:hi]
         flat.take(index[lo:hi], out=spectra, mode="clip")
-        np.multiply(_fill(probes[lo:hi], probe), spectra, out=spectra)
+        probes = probe if frames is None else _fill(frames[lo:hi], probe)
+        np.multiply(probes, spectra, out=spectra)
         np.fft.fftn(spectra, axes=(-2, -1), norm="ortho", out=spectra)
-
-    def gap(lo, hi):
-        np.abs(weighted[lo:hi], out=misfit[lo:hi])
-        np.subtract(misfit[lo:hi], amplitudes[lo:hi], out=misfit[lo:hi])
-
-    def project(lo, hi):
-        transform(lo, hi)
-        spectra, scratch, magnitudes = weighted[lo:hi], frames[lo:hi], misfit[lo:hi]
         np.abs(spectra, out=magnitudes)
-        _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], inv[lo:hi], scratch)
+        if frames is not None:
+            scratch = frames[lo:hi]
+            _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], inv[lo:hi], scratch)
+            np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
+            np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
         np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
-        np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
-        np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
 
-    if frames is None:
-        _over_frames(transform, work.edges)
-        _over_frames(gap, work.edges)
-    else:
-        _over_frames(project, work.edges)
+    _over_frames(chunk, work.edges)
     return np.linalg.norm(misfit)
 
 
@@ -973,7 +968,6 @@ def run_reconstruction(
         # Built once per run, before the frames like the workspace, in
         # the dtype its product is taken in.
         overlap = build_overlap_matrix(geom).astype(np.complex128)
-    adjoint = None
     if frames_init is None:
         ones = np.ones((geom.n, geom.n), dtype=np.complex128)
         frames = np.empty(amplitudes.shape, dtype=np.complex128)
@@ -987,12 +981,11 @@ def run_reconstruction(
         _check_stack(frames, geom, "frames_init")
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
+        adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
 
     history = History()
     t_start = time.perf_counter()
     coverage = _object_coverage(probe, geom, work.real)
-    if adjoint is None:
-        adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
     state = _Iterate(frames, probe, coverage, adjoint, work, since_shift=RANK1_CADENCE)
     # From here the state holds these; the old names would keep the
     # first probe, coverage and adjoint alive for the whole run.

@@ -544,3 +544,33 @@ class TestCommandLine:
         full = write_config(tmp_path, BASE_CONFIG, name="full.json")
         assert main(["simulate", "--config", full]) == 2
         assert "no output directory" in capsys.readouterr().err
+
+    def test_unparsable_csv_field_names_the_file(self, tmp_path, capsys):
+        good = str(tmp_path / "good.csv")
+        bad = str(tmp_path / "bad.csv")
+        write_metrics_csv(good, make_rows([0.5, 0.09]))
+        text = Path(good).read_text(encoding="utf-8")
+        Path(bad).write_text(text.replace("\n1,", "\nx,"), encoding="utf-8")
+        assert main(["compare", good, bad, "--threshold", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: invalid literal for int() with base 10: 'x'\n"
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("amplitudes.npy", "the magic string is not correct"),
+            ("geometry.json", "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["corrupt-npy", "non-utf8-json"],
+    )
+    def test_unreadable_dataset_file_names_the_file(self, tmp_path, capsys, name, message):
+        config = write_config(tmp_path, BASE_CONFIG)
+        data = str(tmp_path / "data")
+        assert main(["simulate", "--config", config, "--out", data]) == 0
+        path = os.path.join(data, name)
+        with open(path, "wb") as fh:
+            fh.write(b"\xff not a dataset file\n")
+        capsys.readouterr()
+        out = str(tmp_path / "run")
+        assert main(["reconstruct", "--config", config, "--dataset", data, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")

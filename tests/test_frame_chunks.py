@@ -245,7 +245,8 @@ def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypa
 def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chunk_bytes, chunks):
     """The frame update's reciprocal magnitudes give the bytes of the
     complex division, zero bins and magnitudes from 1e-300 to 1e300
-    included, and divide by no zero."""
+    included, and divide by no zero. Without frames (row 0) the pass
+    gives the misfit of the broadcast illumination, bit for bit."""
     monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(7)
     m, side = 8, 4
@@ -278,7 +279,9 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
         assert 0.0 < magnitudes[magnitudes > 0].min() < 1e-299
         assert 1e299 < magnitudes.max() < 1e301
         want = frame_idft(divided_spectra(spectra, amps))
+        row0 = solver._magnitude_pass(obj, probe, amps, geom, work, None)
         misfit = solver._magnitude_pass(obj, probe, amps, geom, work, frames)
+    assert row0 == np.linalg.norm(np.abs(frame_dft(illuminate(obj, probe, geom))) - amps)
     assert frames.tobytes() == want.tobytes()
     assert work.stack.tobytes() == (np.conj(probe) * want).tobytes()
     assert misfit == np.linalg.norm(magnitudes - amps)
