@@ -100,34 +100,40 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
     known header, strictly increasing iterations, finite values."""
     rows: list[MetricsRow] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_HEADER):
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        previous_iter = None
-        for record in reader:
-            if len(record) != len(CSV_HEADER):
-                raise ValueError(f"{path}: malformed row {record!r}")
-            try:
-                iteration = int(record[0])
-                nrmse = None if record[1] == "" else float(record[1])
-                values = [float(field) for field in record[2:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-            if previous_iter is not None and iteration <= previous_iter:
-                raise ValueError(f"{path}: iterations not strictly increasing at {iteration}")
-            previous_iter = iteration
-            if any(not math.isfinite(v) for v in values) or (
-                nrmse is not None and not math.isfinite(nrmse)
-            ):
-                raise ValueError(f"{path}: non-finite value in row {record!r}")
-            rows.append(
-                MetricsRow(
-                    iter=iteration,
-                    nrmse_probe=nrmse,
-                    data_residual=values[0],
-                    pairwise=values[1],
-                    wall_ms=values[2],
-                )
+        # Decoded whole, so a file that is not UTF-8 fails here, with its
+        # path, and not part way through the rows.
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header != list(CSV_HEADER):
+        raise ValueError(f"{path}: unexpected header {header!r}")
+    previous_iter = None
+    for record in reader:
+        if len(record) != len(CSV_HEADER):
+            raise ValueError(f"{path}: malformed row {record!r}")
+        try:
+            iteration = int(record[0])
+            nrmse = None if record[1] == "" else float(record[1])
+            values = [float(field) for field in record[2:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        if previous_iter is not None and iteration <= previous_iter:
+            raise ValueError(f"{path}: iterations not strictly increasing at {iteration}")
+        previous_iter = iteration
+        if any(not math.isfinite(v) for v in values) or (
+            nrmse is not None and not math.isfinite(nrmse)
+        ):
+            raise ValueError(f"{path}: non-finite value in row {record!r}")
+        rows.append(
+            MetricsRow(
+                iter=iteration,
+                nrmse_probe=nrmse,
+                data_residual=values[0],
+                pairwise=values[1],
+                wall_ms=values[2],
             )
+        )
     return rows

@@ -51,23 +51,25 @@ steps keep public names in this module because the benchmark in
 ``perfbench/`` traces them by name. The rank-1 estimators and the
 gate run only on iterations the cadence allows.
 Shifting every frame by one factor ``t`` times the probe shifts the
-adjoint accumulation ``A`` by ``t`` times the object coverage ``C``.
-So the global gate's transparency, its shifted accumulation
-``A_s = A - t C`` and its score, ``||A_s||^2`` over the shifted
-stack's coverage-weighted energy, all come from (n, n) images. The
-per-frame gate's score is the same form with one factor per frame; it
-comes from those images and three length-K sums over the frame
+adjoint accumulation ``A`` by ``t`` times the object coverage ``C``,
+and the intensity canvas by ``|t|^2 C - 2 Re(conj(t) A)``. So the
+global gate's transparency, its shifted accumulation ``A_s = A - t C``
+and its score, ``||A_s||^2`` over the shifted stack's
+coverage-weighted energy, all come from (n, n) images, and so does the
+global shifted step, the power step on ``A_s`` and the shifted canvas.
+The per-frame gate's score is the same form with one factor per frame;
+it comes from those images and three length-K sums over the frame
 windows, two by FFT correlation with ``|p|**2`` and one by a gathered
-pass over the frames. Only where the energy's closed form cancels, on
-a nearly transparent stack, does a gate form its shifted stack, to
-score on it: the global gate on the stack's own scattered
-accumulation and canvas, the per-frame gate on its step's terms. A
-gate returns its score and keeps nothing. The shifted step forms what
-it reads itself, the global one the shifted stack and its canvas for
-a power step with ``A_s``, the per-frame one the shifted stack and
-the terms it finishes from. So a gate above the floor forms no stack,
-and a stack is formed twice, by gate and step, only for an accepted
-gate below the floor, which no benchmark gate reaches.
+pass over the frames. The per-frame step takes each frame's shifted
+accumulation ``A|_k - t_k C|_k`` from the gathered images. These closed
+forms cancel as the shifted stack's energy falls below the stack's:
+only where it falls below ``_WEIGHT_FLOOR`` of it, on a nearly
+transparent stack, does a gate or a step form the shifted stack. There
+the global gate scores on the stack's own scattered accumulation and
+canvas, the per-frame gate on its step's terms, and either step reads
+the stack. A gate returns its score and keeps nothing, so a stack is
+formed twice, by gate and step, only for an accepted gate below the
+floor, which no benchmark gate reaches.
 The model spectra are transformed once: their magnitudes give the
 data residual and then phase the spectra in place for the frame
 update.
@@ -80,9 +82,10 @@ product, DFT, magnitudes, misfit, phase, scaling, inverse DFT,
 conjugate-probe product) and row 0's, which stops at the misfit; the
 standard and power steps, which share one gathered kernel; the
 per-frame gate's weighted stack; a shifted stack; and the intensity
-of the canvas. The per-frame shifted step takes two passes, as its
-numerator reuses the real stacks its denominator is summed from, and
-the global one three: its shift, its canvas and its power step. Only
+of the canvas. A shifted step takes two passes: the first gathers the
+shifted accumulation, whose sums over the frames are taken before the
+second multiplies it by the frames; below the floor the shifted stack
+is one more pass, and its canvas another for the global step. Only
 the sums over frames, the inner products, the misfit norm and the
 scatter-adds read the whole stack; they run on the calling thread
 once every chunk has finished, so every result is bit-identical to
@@ -94,12 +97,13 @@ Every other frame-sized stack of a run is one of its scratch stacks
 (:class:`_Workspace`): two, which hold the pass's spectra, magnitudes,
 reciprocal magnitudes and weighted stack and the steps' scratch, are
 allocated when the run starts, and a third, which only a shifted
-stack needs, when the run first forms one. The steps write into them
-with ``out=`` ufuncs and ``take`` gathers. A probe, a per-frame
-factor or a real operand that a ufunc would broadcast or cast over a
-stack is first copied into a whole stack, since numpy buffers such
-operands on every call; only row 0, once per run, multiplies its
-windows by the broadcast probe, which gives the same bits. Past the
+stack needs, when the run first forms one below the weight floor. The
+steps write into them with ``out=`` ufuncs and ``take`` gathers. A
+probe, a per-frame factor or a real operand that a ufunc would
+broadcast or cast over a stack is first copied into a whole stack,
+since numpy buffers such operands on every call; only row 0, once per
+run, multiplies its windows by the broadcast probe, which gives the
+same bits. Past the
 first iteration no step allocates a frame-sized array but that third
 stack, once, and none frees one.
 With fresh stacks and temporaries, glibc grew and trimmed its heap on
@@ -208,20 +212,21 @@ class _Workspace:
 
     ``stack``, ``pair`` and ``spare`` are complex (K, m, m) stacks. The
     float64 memory of ``pair`` serves as the two real stacks ``real``
-    and ``real2``; only the per-frame shifted step's numerator uses it
-    as a complex stack, for its replicated factors and probe, and no
-    step uses it both ways at once. No stack holds the coverage: a step
-    gathers the (n, n) object coverage where it reads it. No state
+    and ``real2``; only the forming of a shifted stack uses it as a
+    complex stack, for the replicated probe, and no step uses it both
+    ways at once. No stack holds the coverage: a step gathers the (n, n)
+    object coverage where it reads it. No state
     survives a step: a step reads nothing a previous step left in the
     scratch stacks, and a stack passed into a step must not be one it
     writes.
     ``edges`` are the frame chunks every per-frame pass runs over.
 
     ``stack`` and ``pair`` are allocated when the run starts. Only a
-    shifted stack needs ``spare``: it is allocated the first time it is
+    shifted stack needs ``spare``, which a gate or a shifted step forms
+    only below the weight floor: it is allocated the first time it is
     read, on the calling thread, and kept for the rest of the run, so a
-    ``standard`` or ``power`` run, and a rank-1 run whose gates all
-    score from their closed forms and reject, never makes it.
+    run whose gates and steps all take their closed forms, as every
+    benchmark run does, never makes it.
 
     Each stack is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
@@ -230,11 +235,9 @@ class _Workspace:
     ``History``: they then lie below memory still in use when they are
     freed, and glibc keeps them for the next run instead of returning
     them to the system, to fault them in again page by page. ``spare``
-    comes after the frames and gets no such shelter: on the 64 px
-    benchmark instances (K=169, m=16) a run's first shifted stack
-    faults in all 169 of its pages. Every run starts with 85 fewer
-    minor faults, so a ``standard`` or ``power`` run takes 85 fewer in
-    all and a ``rank1_global`` run 84 more.
+    comes after the frames and gets no such shelter: a run's first
+    shifted stack faults in all of its pages, 169 at 64 px (K=169,
+    m=16).
     """
 
     def __init__(self, geom: ScanGeometry) -> None:
@@ -283,13 +286,15 @@ def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.nd
 
 
 def _gathered_terms(
-    frames: np.ndarray, geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace
+    frames, geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """The least-squares terms ``sum_k conj(image|_k) f_k`` and
     ``sum_k weights|_k`` of the standard and power steps, where ``X|_k``
     is the window of an (n, n) image at frame k: the products run in
-    ``work.stack`` and the gathered real ``weights`` in ``work.real``."""
-    frames = np.asarray(frames)
+    ``work.stack`` and the gathered real ``weights`` in ``work.real``.
+    ``frames`` is a frame stack or None; without frames the first term
+    is ``sum_k conj(image|_k)``, and the windows ``conj(image|_k)`` are
+    left in ``work.stack``."""
     products, gathered, index = work.stack, work.real, geom.frame_indices
     flat = _flat_image(weights, geom, gathered)
     conj_image = np.conj(_flat_image(image, geom, products))
@@ -299,9 +304,10 @@ def _gathered_terms(
     def chunk(lo, hi):
         flat.take(index[lo:hi], out=gathered[lo:hi], mode="clip")
         conj_image.take(index[lo:hi], out=products[lo:hi], mode="clip")
-        # conj(image) * frames, not the reverse: see the note in
-        # _rank1_terms.
-        np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
+        if frames is not None:
+            # conj(image) * frames, not the reverse: see the note in
+            # _rank1_terms.
+            np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
 
     _over_frames(chunk, work.edges)
     del conj_image
@@ -318,7 +324,7 @@ def update_probe_standard(
     # intensity bit for bit, at the cost of one image instead of a stack.
     intensity = np.abs(obj)
     np.square(intensity, out=intensity)
-    num, den = _gathered_terms(frames, geom, obj, intensity, work)
+    num, den = _gathered_terms(np.asarray(frames), geom, obj, intensity, work)
     return _divided(num, den, "object is identically zero: probe update undefined")
 
 
@@ -371,7 +377,7 @@ def update_probe_power(
     stack intensity, the ``canvas`` (the scatter-add of ``|frames|**2``)
     gathered to the frames.
     """
-    num, den = _gathered_terms(frames, geom, adjoint, canvas, work)
+    num, den = _gathered_terms(np.asarray(frames), geom, adjoint, canvas, work)
     return _divided(num, den, "frame stack is identically zero: power update undefined")
 
 
@@ -421,31 +427,39 @@ def build_overlap_matrix(geom: ScanGeometry) -> np.ndarray:
     return (rows & cols).astype(np.uint8)
 
 
-def _shifted(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    factor: complex | np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
-) -> np.ndarray:
-    """The transparency-shifted stack ``frames - factor * probe`` in
-    ``out``, for a ``factor`` that broadcasts over the stack (a scalar
-    or one factor per frame); ``scratch`` holds the replicated probe."""
-    product = np.multiply(_fill(out, factor), _fill(scratch, probe), out=out)
-    return np.subtract(frames, product, out=out)
-
-
 def _shift_globally(
-    frames: np.ndarray, probe: np.ndarray, factor: complex, work: _Workspace
+    frames: np.ndarray, probe: np.ndarray, factors: complex | np.ndarray, work: _Workspace
 ) -> np.ndarray:
-    """The stack shifted by one ``factor``, in ``work.spare``."""
-    shifted, scratch = work.spare, work.stack
+    """The transparency-shifted stack ``frames - factors * probe`` in
+    ``work.spare``, for one factor or a (K, 1, 1) column of per-frame
+    factors; ``work.pair`` holds the replicated probe."""
+    shifted, scratch = work.spare, work.pair
 
     def chunk(lo, hi):
-        _shifted(frames[lo:hi], probe, factor, shifted[lo:hi], scratch[lo:hi])
+        out, factor = shifted[lo:hi], factors if np.ndim(factors) == 0 else factors[lo:hi]
+        product = np.multiply(_fill(out, factor), _fill(scratch[lo:hi], probe), out=out)
+        np.subtract(frames[lo:hi], product, out=out)
 
     _over_frames(chunk, work.edges)
     return shifted
+
+
+def _global_shift(
+    transparency: complex, coverage: np.ndarray, adjoint: np.ndarray, canvas: np.ndarray
+) -> tuple[float, bool, np.ndarray]:
+    """The stack shifted by one factor ``t`` in closed form: its
+    coverage-weighted energy ``E - 2 Re(conj(t) <C, A>) + |t|^2 ||C||^2``
+    for the stack's own weighted energy ``E = <C, canvas>``, its
+    accumulation ``A`` and the object coverage ``C``; whether that weight
+    is usable; and the shifted accumulation ``A - t C``."""
+    energy = np.vdot(coverage, canvas).real
+    cross = (np.conj(transparency) * np.vdot(coverage, adjoint)).real
+    weight = energy - 2.0 * cross + abs(transparency) ** 2 * np.vdot(coverage, coverage)
+    # One image-sized temporary at a time; a real factor still makes a
+    # complex accumulation.
+    accumulation = np.multiply(transparency, coverage, dtype=np.complex128)
+    np.subtract(adjoint, accumulation, out=accumulation)
+    return weight, _usable_weight(weight, energy), accumulation
 
 
 def _rank1_terms(
@@ -457,66 +471,70 @@ def _rank1_terms(
     adjoint: np.ndarray,
     canvas: np.ndarray,
     work: _Workspace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Numerator and denominator of the transparency-shifted power
     step with one factor per frame (``factors``, complex128 of length
-    K), and the shifted stack: each frame is handled by the
-    uniform-shift formula at its own factor, assembled from the probe's
-    object coverage, the unshifted stack's adjoint accumulation and its
-    intensity ``canvas``, so no stack is scattered.
-    Each frame's denominator term is a nonnegative coverage of a
-    shifted stack; tiny negative rounding is clamped. The per-frame
-    step runs this, and the per-frame gate only to score a stack below
-    the weight floor.
+    K), and the shifted stack where it is formed: each frame is handled
+    by the uniform-shift formula at its own factor, assembled from the
+    probe's object coverage ``C``, the unshifted stack's adjoint
+    accumulation ``A`` and its intensity ``canvas``, so no stack is
+    scattered. With the window ``X|_k`` of an (n, n) image at frame k
+    and ``A'_k = A|_k - t_k C|_k``, the numerator is ``sum_k conj(A'_k)
+    f_k - p sum_k t_k conj(A'_k)`` and the denominator ``sum_k
+    (canvas|_k - |t_k|^2 C|_k - 2 Re(conj(t_k) A'_k))``, a nonnegative
+    coverage of shifted stacks; tiny negative rounding is clamped. The
+    per-frame step runs this, and the per-frame gate only to score a
+    stack below the weight floor.
 
-    Two passes. The denominator's gathers the adjoint accumulation into
-    ``work.stack``, forms each chunk's cross term in ``work.real`` and
-    its denominator in ``work.real2``, and leaves the coverage gathered
-    to the frames in ``work.spare``. The numerator's reads both gathers
-    there, runs in ``work.stack``, ``work.spare`` and ``work.pair``, and
-    leaves the shifted stack in ``work.spare``. It overwrites the real
-    halves of ``work.pair``, so the denominator is summed before it
-    starts.
+    Two passes. The first forms ``A'_k`` in ``work.stack`` and each
+    frame's ``canvas|_k - |t_k|^2 C|_k`` in the real halves of
+    ``work.pair``, whose sum, less the real part of twice ``sum_k
+    conj(t_k) A'_k``, is the denominator; its weight ``sum(den |p|^2)``
+    is the gate's closed-form weight. Where that is usable, the second
+    pass multiplies ``conj(A'_k)`` by the frames. Below the floor it
+    multiplies it by the shifted stack instead, formed in ``work.spare``
+    and returned.
     """
     fcol = factors[:, None, None]
-    conj_fcol = np.conj(fcol)
-    scale = np.abs(fcol) ** 2
-    flat, index = _flat_image(adjoint, geom, work.stack), geom.frame_indices
-    view, spare, pair, real, real2 = work.stack, work.spare, work.pair, work.real, work.real2
-    canvas = _flat_image(canvas, geom, real2)
-    frame_coverage = _flat_image(coverage, geom, spare)
+    index, view, real, real2 = geom.frame_indices, work.stack, work.real, work.real2
+    flat, flat_coverage = _flat_image(adjoint, geom, view), _flat_image(coverage, geom, real)
+    flat_canvas = _flat_image(canvas, geom, real2)
 
-    def denominator(lo, hi):
-        flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
-        product = np.multiply(_fill(spare[lo:hi], conj_fcol[lo:hi]), view[lo:hi], out=spare[lo:hi])
-        cross = np.multiply(2.0, product.real, out=real[lo:hi])
-        den = canvas.take(index[lo:hi], out=real2[lo:hi], mode="clip")
-        np.subtract(den, cross, out=den)
-        weights = frame_coverage.take(index[lo:hi], out=spare[lo:hi], mode="clip")
-        scaled = np.multiply(_fill(real[lo:hi], scale[lo:hi]), weights.real, out=real[lo:hi])
-        np.add(den, scaled, out=den)
+    # Both scratch halves of ``work.pair`` are real here, so ``t_k C|_k``
+    # is taken part by part: C is real, and each part has the bits of the
+    # complex product. ``C|_k`` is then scaled by ``|t_k|^2`` in place and
+    # subtracted from the canvas frame by frame, before any sum over the
+    # frames, which keeps the denominator to the digits its terms keep.
+    def shifted_accumulation(lo, hi):
+        shift = flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
+        weights = flat_coverage.take(index[lo:hi], out=real[lo:hi], mode="clip")
+        for part, factor in ((shift.real, fcol.real), (shift.imag, fcol.imag)):
+            product = np.multiply(_fill(real2[lo:hi], factor[lo:hi]), weights, out=real2[lo:hi])
+            np.subtract(part, product, out=part)
+        np.multiply(weights, _fill(real2[lo:hi], np.abs(fcol[lo:hi]) ** 2), out=weights)
+        den = flat_canvas.take(index[lo:hi], out=real2[lo:hi], mode="clip")
+        np.subtract(den, weights, out=den)
 
-    _over_frames(denominator, work.edges)
-    del frame_coverage
-    den = sum_frames(real2)
+    _over_frames(shifted_accumulation, work.edges)
+    # sum_k conj(t_k) A'_k, and the denominator
+    cross = (np.conj(factors) @ view.reshape(geom.K, -1)).reshape(probe.shape)
+    den = sum_frames(real2) - 2.0 * cross.real
+    closed = _usable_weight(float((den * np.abs(probe) ** 2).sum()), np.vdot(coverage, canvas).real)
+    spare = None if closed else _shift_globally(frames, probe, fcol, work)
 
     def numerator(lo, hi):
         diff = np.conj(view[lo:hi], out=view[lo:hi])
-        weights = spare[lo:hi]
-        product = np.multiply(_fill(pair[lo:hi], conj_fcol[lo:hi]), weights, out=weights)
-        np.subtract(diff, product, out=diff)
-        shifted = _shifted(frames[lo:hi], probe, fcol[lo:hi], spare[lo:hi], pair[lo:hi])
         # Operand order fixes the rounding: numpy fuses a multiply and
         # an add in complex products, so a * b and b * a can differ in
         # the last bit. This order reproduces earlier results bit for
         # bit; on stacks of 256 KiB and more numpy evaluated
         # ``shifted * (...)`` in place in its temporary, as
         # ``(...) * shifted``.
-        np.multiply(diff, shifted, out=diff)
+        np.multiply(diff, frames[lo:hi] if closed else spare[lo:hi], out=diff)
 
     _over_frames(numerator, work.edges)
-    num = sum_frames(view)
-    return num, np.maximum(den, 0.0), spare
+    num, den = sum_frames(view), np.maximum(den, 0.0)
+    return (num - probe * np.conj(cross) if closed else num), den, spare
 
 
 def _window_sums(
@@ -644,19 +662,13 @@ def shift_consistency(
     (:func:`_rank1_terms`) and scores on them.
 
     Only below the floor does the gate form a shifted stack, and it
-    keeps nothing: the step forms what it reads itself.
+    keeps nothing. :func:`update_probe_rank1` takes its step by the same
+    closed forms, and below the same floor forms the stack again.
     """
     frames, probe = np.asarray(frames), np.asarray(probe)
-    energy = np.vdot(coverage, canvas).real
     if np.ndim(transparency) == 0:
-        cross = (np.conj(transparency) * np.vdot(coverage, adjoint)).real
-        weight = energy - 2.0 * cross + abs(transparency) ** 2 * np.vdot(coverage, coverage)
-        if _usable_weight(weight, energy):
-            # One image-sized temporary at a time; a real factor still
-            # makes a complex accumulation.
-            accumulation = np.multiply(transparency, coverage, dtype=np.complex128)
-            np.subtract(adjoint, accumulation, out=accumulation)
-        else:
+        weight, usable, accumulation = _global_shift(transparency, coverage, adjoint, canvas)
+        if not usable:
             # Both terms come from the one shifted stack, so a stack the
             # shift leaves at rounding level still scores self-consistently.
             stack = _shift_globally(frames, probe, transparency, work)
@@ -665,17 +677,16 @@ def shift_consistency(
         form = np.vdot(accumulation, accumulation).real
     else:
         factors = _frame_factors(transparency, geom)
+        energy = np.vdot(coverage, canvas).real
         alpha, beta, gamma = _window_sums(frames, probe, geom, coverage, adjoint, work)
         cross = np.vdot(factors, alpha).real
         scaled = np.abs(factors) ** 2 @ gamma
         form = np.vdot(adjoint, adjoint).real - cross - np.vdot(factors, beta).real + scaled
         weight = energy - 2.0 * cross + scaled
         if not _usable_weight(weight, energy):
-            num, den, _ = _rank1_terms(
-                frames, probe, geom, factors, coverage, adjoint, canvas, work
-            )
-            form = np.vdot(probe, num).real
-            weight = float((den * np.abs(probe) ** 2).sum())
+            terms = _rank1_terms(frames, probe, geom, factors, coverage, adjoint, canvas, work)
+            form = np.vdot(probe, terms[0]).real
+            weight = float((terms[1] * np.abs(probe) ** 2).sum())
     return float(form / weight) if weight > 0.0 else 0.0
 
 
@@ -693,35 +704,53 @@ def update_probe_rank1(
     less its estimated transmitted component ``transparency`` times the
     probe, with the arguments of :func:`shift_consistency`.
 
-    With one factor ``t`` it is the power step of the shifted stack,
-    formed in ``work.spare``, on its accumulation ``A - t C`` and its
-    own intensity canvas. Per-frame factors take the uniform-shift
-    formula at each frame's own factor, from the terms of
-    :func:`_rank1_terms`, which forms the shifted stack beside them.
+    Where the gate's closed-form weight is usable (at least
+    ``_WEIGHT_FLOOR`` of the stack energy, as :func:`shift_consistency`
+    tests it), the step forms no shifted stack. With one factor ``t`` it
+    reads the shifted stack's accumulation ``A' = A - t C``, which the
+    gate scored, and its intensity canvas ``canvas - 2 Re(conj(t) A) +
+    |t|^2 C``, gathered and summed for the denominator; the numerator is
+    ``sum_k conj(A'|_k) f_k - t p sum_k conj(A'|_k)``, where ``X|_k`` is
+    the window of an (n, n) image at frame k. Two passes over
+    ``work.stack``: one gathers ``conj(A'|_k)`` (and the canvas, into
+    ``work.real``), the other multiplies it by the frames once its sum is
+    taken. Per-frame factors take the uniform-shift formula at each
+    frame's own factor, from the terms of :func:`_rank1_terms`.
 
-    Raises :class:`DegenerateInputError` when the shifted stack is
-    numerically zero against the stack norm ``canvas`` gives (its sum is
-    ``||frames||^2``): a purely constant object region carries no probe
-    information, and callers may then fall back to the plain power
-    update.
+    Below the floor the step forms the shifted stack in ``work.spare``:
+    with one factor it is the power step of that stack on ``A'`` and the
+    stack's own intensity canvas, and per-frame factors multiply it in
+    :func:`_rank1_terms`. It then raises :class:`DegenerateInputError`
+    when the shifted stack is numerically zero against the stack norm
+    ``canvas`` gives (its sum is ``||frames||^2``): a purely constant
+    object region carries no probe information, and callers may then
+    fall back to the plain power update. Above the floor the shifted
+    stack holds at least ``_WEIGHT_FLOOR`` of the stack energy, so it is
+    not zero.
     """
     frames, probe = np.asarray(frames), np.asarray(probe)
+    stack = None
     if np.ndim(transparency) == 0:
-        stack = _shift_globally(frames, probe, transparency, work)
+        _, usable, shift = _global_shift(transparency, coverage, adjoint, canvas)
+        if usable:
+            cross = np.multiply(np.conj(transparency), adjoint).real
+            shifted_canvas = canvas - 2.0 * cross + abs(transparency) ** 2 * coverage
+            total, den = _gathered_terms(None, geom, shift, shifted_canvas, work)
+            view, edges = work.stack, work.edges
+            _over_frames(lambda a, b: np.multiply(view[a:b], frames[a:b], out=view[a:b]), edges)
+            num = sum_frames(view) - transparency * probe * total
+        else:
+            stack = _shift_globally(frames, probe, transparency, work)
+            shifted_canvas = _intensity_canvas(stack, geom, work)
+            num, den = _gathered_terms(stack, geom, shift, shifted_canvas, work)
     else:
         num, den, stack = _rank1_terms(
             frames, probe, geom, _frame_factors(transparency, geom), coverage, adjoint, canvas, work
         )
-    if np.linalg.norm(stack) <= RANK1_DEGENERACY_RTOL * np.sqrt(canvas.sum()):
+    if stack is not None and np.linalg.norm(stack) <= RANK1_DEGENERACY_RTOL * np.sqrt(canvas.sum()):
         raise DegenerateInputError(
             "transparency shift removed the whole stack: constant object region"
         )
-    if np.ndim(transparency) == 0:
-        # The shifted stack's accumulation A - t C, by the gate's two ufuncs,
-        # so it has the bits the gate scored.
-        shift = np.multiply(transparency, coverage, dtype=np.complex128)
-        adjoint = np.subtract(adjoint, shift, out=shift)
-        return update_probe_power(stack, geom, adjoint, _intensity_canvas(stack, geom, work), work)
     return _divided(num, den, "shifted frame stack is identically zero: rank-1 update undefined")
 
 

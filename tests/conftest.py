@@ -171,6 +171,20 @@ def uniform_shift_terms(frames, probe, geom, factors):
     return num, den
 
 
+def stack_formed_step(frames, probe, geom, transparency):
+    """The shifted step from explicitly shifted stacks: the terms of
+    :func:`uniform_shift_terms` at each frame's factor (one factor for
+    every frame, given a single transparency), the denominator clamped
+    at zero and floored as the solver floors it."""
+    if np.ndim(transparency) == 0:
+        factors = np.full(geom.K, complex(transparency))
+    else:
+        factors = np.asarray(transparency, dtype=complex)
+    num, den = uniform_shift_terms(np.asarray(frames), np.asarray(probe), geom, factors)
+    den = np.maximum(den, 0.0)
+    return num / np.maximum(den, EPSILON_REL * den.max())
+
+
 def stack_scored_framewise_gate(frames, probe, geom, factors):
     """The per-frame gate's score taken on the shifted stacks: the
     shifted step's quadratic form ``<p, num>`` over its weight

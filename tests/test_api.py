@@ -52,9 +52,10 @@ MODE_STEPS = {
     "rank1_framewise": COMMON + RANK1 + ("transparency_framewise", "build_overlap_matrix"),
 }
 STEPS = sorted(set().union(*MODE_STEPS.values()))
-# The kernels that form a transparency-shifted stack: one global factor,
-# or one factor per frame.
-SHIFT_KERNELS = ("_shift_globally", "_rank1_terms")
+# The kernel that forms a transparency-shifted stack, for one global
+# factor or one factor per frame. Only a gate or a shifted step whose
+# closed-form weight is below the weight floor calls it.
+SHIFT_KERNELS = ("_shift_globally",)
 
 
 def test_all_is_exactly_the_solver_user_api():
@@ -109,8 +110,9 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     history = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
     kernels = sum(calls.pop(name, 0) for name in SHIFT_KERNELS)
     # Every metrics row scatters the stack intensity once, and every
-    # global shifted stack (an accepted step's, or a fallback gate's)
-    # once more; the power steps and the gates read those canvases.
+    # global shifted stack (a below-floor step's or gate's) once more;
+    # the power steps, the gates and the shifted steps above the floor
+    # read those canvases.
     global_stacks = kernels if mode == "rank1_global" else 0
     assert calls.pop("_intensity_canvas") == len(history.rows) + global_stacks
     assert set(calls) == set(MODE_STEPS[mode])
@@ -122,6 +124,7 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     if mode == "rank1_global":
         assert calls["transparency_global"] == calls["shift_consistency"]
     if mode.startswith("rank1"):
-        # Either gate scores from (n, n) images and K-vectors and forms
-        # no stack; each shifted step forms one.
-        assert kernels == calls["update_probe_rank1"]
+        # Every gate here is above the weight floor: either gate scores,
+        # and either shifted step steps, from (n, n) images and K-vectors,
+        # and none forms a stack.
+        assert kernels == 0

@@ -4,6 +4,7 @@ strict config parsing, and the simulate/reconstruct/compare pipeline."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import MISSING, fields
@@ -124,6 +125,25 @@ class TestMetricsCsv:
             fh.write(lines[0] + "\n" + "0,nan,0.1,0.1,1.0\n")
         with pytest.raises(ValueError):
             read_metrics_csv(nonfinite)
+
+    @pytest.mark.parametrize("where", ["header", "row"])
+    def test_a_file_that_is_not_utf8_is_named(self, tmp_path, where):
+        good = str(tmp_path / "good.csv")
+        write_metrics_csv(good, make_rows([0.5, 0.4]))
+        with open(good, "rb") as fh:
+            data = fh.read()
+        header, rest = data.split(b"\n", 1)
+        if where == "header":
+            data = header + b"\xff\n" + rest
+        else:
+            data = data + b"2,0.3,0.1,0.1,1.0\xff\n"
+        path = str(tmp_path / "latin.csv")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with pytest.raises(ValueError, match="^" + re.escape(path) + ": 'utf-8' codec") as caught:
+            read_metrics_csv(path)
+        assert type(caught.value) is ValueError
+        assert isinstance(caught.value.__cause__, UnicodeDecodeError)
 
 
 BASE_CONFIG = {

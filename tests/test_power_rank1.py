@@ -14,6 +14,7 @@ from conftest import (
     step_inputs,
     rand_complex,
     random_geometry,
+    stack_formed_step,
     stack_scored_framewise_gate,
     stack_scored_gate,
     update_probe_rank1_expanded,
@@ -183,12 +184,33 @@ class TestIntensityCanvas:
         assert not [dtype for dtype in scattered if dtype.kind == "f"]
 
     def test_a_global_shifted_step_scatters_its_stack_intensity_once(self, rng, monkeypatch):
-        geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-        inputs = step_inputs(frames, probe, geom)
-        transparency = transparency_global(inputs.adjoint, probe, geom)
+        # Below the weight floor the step forms the shifted stack and
+        # scatters that stack's intensity once, for its power step.
+        geom, probe, frames, inputs, transparency = weak_global_case(rng, 1e-6)
+        assert gate(frames, probe, geom)[1] == 1
         scattered = record_scatters(monkeypatch)
         update_probe_rank1(frames, probe, geom, transparency, *inputs)
         assert scattered == [np.dtype(np.float64)]
+        assert inputs.work._spare is not None
+
+    def test_a_global_shifted_step_above_the_floor_scatters_nothing(self, rng, monkeypatch):
+        # Above it the step reads the shifted canvas from (n, n) images.
+        geom, probe, frames, inputs, transparency = weak_global_case(rng, 1e-1)
+        assert gate(frames, probe, geom)[1] == 0
+        scattered = record_scatters(monkeypatch)
+        update_probe_rank1(frames, probe, geom, transparency, *inputs)
+        assert scattered == []
+        assert inputs.work._spare is None
+
+
+def weak_global_case(rng, contrast):
+    """A consistent stack of an object with the given contrast about a
+    constant, its step inputs and its global transparency."""
+    geom = raster(32, 8, 3, (8, 8))
+    probe = rand_complex(rng, 8, 8)
+    frames = illuminate(0.8 - 0.3j + contrast * rand_complex(rng, 32, 32), probe, geom)
+    inputs = step_inputs(frames, probe, geom)
+    return geom, probe, frames, inputs, transparency_global(inputs.adjoint, probe, geom)
 
 
 class TestTransparencyGlobal:
@@ -287,18 +309,18 @@ class TestRank1Update:
         geom = random_geometry(rng, 8, 4, 6)
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
-        inputs = step_inputs(frames, probe, geom)
-        got = update_probe_rank1(frames, probe, geom, 0.0, *inputs)
-        assert np.array_equal(got, update_probe_power(frames, geom, *inputs[1:]))
+        got = closed_form_step(frames, probe, geom, 0.0)
+        want = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
+        assert got.tobytes() == want.tobytes()
 
     def test_zero_factor_reduces_to_power_framewise(self, rng):
+        # Byte for byte: the closed form adds and subtracts exact zeros.
         geom = random_geometry(rng, 8, 4, 6)
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
-        inputs = step_inputs(frames, probe, geom)
-        got = update_probe_rank1(frames, probe, geom, np.zeros(geom.K, dtype=complex), *inputs)
-        want = update_probe_power(frames, geom, *inputs[1:])
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        got = closed_form_step(frames, probe, geom, np.zeros(geom.K, dtype=complex))
+        want = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
+        assert got.tobytes() == want.tobytes()
 
     def test_production_and_expanded_paths_agree(self, rng):
         for trial in range(30):
@@ -317,9 +339,8 @@ class TestRank1Update:
     def test_fixed_point_at_true_pair_global(self, rng):
         for _ in range(3):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-            inputs = step_inputs(frames, probe, geom)
-            transparency = transparency_global(inputs.adjoint, probe, geom)
-            stepped = update_probe_rank1(frames, probe, geom, transparency, *inputs)
+            transparency = estimated_transparency(frames, probe, geom, "global")
+            stepped = closed_form_step(frames, probe, geom, transparency)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
 
     def test_fixed_point_at_true_pair_framewise(self, rng):
@@ -327,9 +348,8 @@ class TestRank1Update:
         # still hold the true probe in place
         for _ in range(3):
             geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
-            factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
-            inputs = step_inputs(frames, probe, geom)
-            stepped = update_probe_rank1(frames, probe, geom, factors, *inputs)
+            factors = estimated_transparency(frames, probe, geom, "framewise")
+            stepped = closed_form_step(frames, probe, geom, factors)
             assert np.linalg.norm(stepped - probe) <= 1e-10 * np.linalg.norm(probe)
             expanded = update_probe_rank1_expanded(frames, probe, geom, factors)
             assert np.linalg.norm(expanded - probe) <= 1e-10 * np.linalg.norm(probe)
@@ -643,3 +663,59 @@ class TestFramewiseGate:
         engaged, formed = loop_gate(frames, probe, geom, "rank1_framewise", "_rank1_terms")
         assert formed == 1 + engaged
         assert engaged == (residue == "consistent")
+
+
+def forms_a_stack(*args):
+    raise AssertionError("the step formed a shifted stack above the weight floor")
+
+
+def closed_form_step(frames, probe, geom, transparency):
+    """``update_probe_rank1`` with the stack-forming kernel made to fail,
+    checked to leave its workspace without a spare stack."""
+    inputs = step_inputs(frames, probe, geom)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_shift_globally", forms_a_stack)
+        stepped = update_probe_rank1(frames, probe, geom, transparency, *inputs)
+    assert inputs.work._spare is None
+    return stepped
+
+
+def estimated_transparency(frames, probe, geom, form):
+    if form == "global":
+        return transparency_global(illuminate_adjoint(frames, probe, geom), probe, geom)
+    return transparency_framewise(frames, probe, build_overlap_matrix(geom))
+
+
+FORMS = pytest.mark.parametrize("form", ["global", "framewise"])
+
+
+class TestClosedFormStep:
+    """Above the weight floor the shifted step forms no shifted stack;
+    it is still the power step of the shifted stack. The zero-factor and
+    fixed-point tests of ``TestRank1Update`` take the same route."""
+
+    @FORMS
+    @pytest.mark.parametrize("stack", ["random", "consistent", "weak-contrast"])
+    def test_matches_the_stack_formed_step(self, rng, form, stack):
+        for _ in range(4):
+            if stack == "random":
+                geom = random_geometry(rng, 8, 4, 6)
+                frames = rand_complex(rng, geom.K, 4, 4)
+                probe = rand_complex(rng, 4, 4)
+                transparency = rand_complex(rng, geom.K)
+                if form == "global":
+                    transparency = complex(transparency[0])
+            else:
+                if stack == "consistent":
+                    geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
+                else:
+                    # A residue about a tenth of the stack: the closed
+                    # form loses two of its digits.
+                    geom = raster(32, 8, 3, (8, 8))
+                    probe = rand_complex(rng, 8, 8)
+                    obj = 0.8 - 0.3j + 0.1 * rand_complex(rng, 32, 32)
+                    frames = illuminate(obj, probe, geom) + 1e-2 * rand_complex(rng, geom.K, 8, 8)
+                transparency = estimated_transparency(frames, probe, geom, form)
+            got = closed_form_step(frames, probe, geom, transparency)
+            want = stack_formed_step(frames, probe, geom, transparency)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)

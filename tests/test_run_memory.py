@@ -7,9 +7,10 @@ which made a 64 px framewise iteration up to 30% slower. The traced
 memory is sampled at every metrics row: the peak between two rows, less
 the larger of the memory in use at either row, must stay below one
 float64 frame stack. The memory in use holds the frames and the run's
-two complex scratch stacks, and a third, the spare stack, only in a run
-that forms a shifted stack: a ``standard`` or ``power`` run never makes
-it, and holds no further frame-sized stack.
+two complex scratch stacks. A third, the spare stack, is made only by a
+run that forms a shifted stack, which a gate or a shifted step does only
+below the weight floor: a rank-1 run that takes its shifted steps from
+the closed form holds no more frame-sized stacks than a ``power`` run.
 """
 
 import tracemalloc
@@ -63,6 +64,19 @@ def traced_run(monkeypatch, amps, geom, init, cfg, probe_true):
     return transient, [current for current, _ in samples], calls[0]
 
 
+def recorded_workspaces(monkeypatch):
+    """The workspaces of the runs made while the test runs."""
+    workspaces = []
+
+    class Recorded(solver._Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            workspaces.append(self)
+
+    monkeypatch.setattr(solver, "_Workspace", Recorded)
+    return workspaces
+
+
 def frame_stack_bytes(geom):
     return geom.K * geom.m**2 * np.dtype(np.float64).itemsize
 
@@ -89,24 +103,36 @@ def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode):
     monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
     cfg = SolverConfig(probe_mode=mode, max_iters=5)
     amps = simulate_data(obj, probe, geom)
-    workspaces = []
-
-    class Recorded(solver._Workspace):
-        def __init__(self, *args):
-            super().__init__(*args)
-            workspaces.append(self)
-
-    monkeypatch.setattr(solver, "_Workspace", Recorded)
-    transient, in_use, _ = traced_run(monkeypatch, amps, geom, init, cfg, probe)
+    workspaces = recorded_workspaces(monkeypatch)
+    transient, in_use, shifts = traced_run(monkeypatch, amps, geom, init, cfg, probe)
     assert max(transient[1:]) < frame_stack_bytes(geom), transient
-    # The frames and three complex128 scratch stacks are four complex
-    # stacks, eight float64 ones; the images, the overlap matrix and the
-    # small arrays fit in half of a ninth. A run that never shifts holds
-    # two scratch stacks, six float64 stacks with the frames.
+    assert shifts == (1 if mode.startswith("rank1") else 0)
+    # The frames and two complex128 scratch stacks are six float64
+    # stacks; the images, the overlap matrix and the small arrays fit in
+    # half of a seventh. Each rank-1 run takes its shifted step above the
+    # weight floor, and makes no spare stack.
     (work,) = workspaces
-    if mode in ("standard", "power"):
-        assert work._spare is None
-        held = 6 * frame_stack_bytes(geom)
-    else:
-        held = 8 * frame_stack_bytes(geom)
+    assert work._spare is None
+    held = 6 * frame_stack_bytes(geom)
     assert max(in_use) < held + frame_stack_bytes(geom) // 2, (in_use, held)
+
+
+@pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
+def test_a_shifting_run_holds_only_the_frames_and_two_scratch_stacks(mode):
+    # On the wrapping instance every gate and shifted step is above the
+    # weight floor. At its rows the rank-1 run holds no more than the
+    # most a power run holds, and, per-frame, the K x K complex overlap
+    # matrix: the spare stack would add two float64 frame stacks.
+    geom, probe, init, amps = wrapping_instance()
+    held = {}
+    for run in ("power", mode):
+        with pytest.MonkeyPatch.context() as patch:
+            workspaces = recorded_workspaces(patch)
+            cfg = SolverConfig(probe_mode=run, max_iters=30)
+            _, in_use, shifts = traced_run(patch, amps, geom, init, cfg, probe)
+        (work,) = workspaces
+        assert work._spare is None
+        held[run] = max(in_use)
+    assert shifts >= 2
+    overlap = geom.K**2 * np.dtype(np.complex128).itemsize if mode == "rank1_framewise" else 0
+    assert held[mode] - overlap < held["power"] + frame_stack_bytes(geom) // 2, (held, overlap)

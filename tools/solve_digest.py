@@ -1,8 +1,9 @@
 """Digest every seed-0 benchmark solve, or diff two digests.
 
 A digest records, per workload, instance and probe mode, a SHA-256 of
-the solve's final probe, object and frames and its events, the
-iteration count, the numbers of ``shift_consistency`` calls (``gates``)
+the solve's final probe, object and frames and its events, the final
+probe itself (real and imaginary parts, row by row), the iteration
+count, the numbers of ``shift_consistency`` calls (``gates``)
 and ``update_probe_rank1`` calls (``rank1_calls``), the events, and the
 ``History`` columns ``nrmse_probe``, ``data_residual``
 and ``pairwise`` row by row. It runs the solves of
@@ -18,7 +19,10 @@ each and diffing::
 The diff lists the solves whose arrays or events differ, any change of
 iteration count, gate or step count or events, and for each column
 the number of solves whose rows differ and the worst per-row relative
-difference, ``|new - old| / max(|new|, |old|)``. The exit code is 1
+difference, ``|new - old| / max(|new|, |old|)``. Over the solves whose
+arrays or events differ it gives the worst relative final-probe
+difference, ``||new - old|| / max(||new||, ||old||)`` in the Frobenius
+norm, where both digests hold the probe. The exit code is 1
 when the arrays, events, iteration counts or gate or step counts of any
 solve differ; a column that moves only in its values is reported, not
 failed.
@@ -36,6 +40,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 COLUMNS = ("nrmse_probe", "data_residual", "pairwise")
 # Each digest count and the solver step whose calls it counts.
 COUNTED = {"gates": "shift_consistency", "rank1_calls": "update_probe_rank1"}
@@ -45,7 +51,6 @@ def digest_tree(root: Path, names: list[str] | None, seed: int) -> dict:
     """Run every solve of the workloads ``names`` (all by default) at
     ``seed`` from the tree at ``root`` and return their digest."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import numpy as np
     import workloads
     from ptyblind import solver
 
@@ -77,6 +82,7 @@ def digest_tree(root: Path, names: list[str] | None, seed: int) -> dict:
                 sha.update("\n".join(history.events).encode())
                 solves[f"{name}/{k}/{mode}"] = {
                     "sha256": sha.hexdigest(),
+                    "probe": [history.probe.real.tolist(), history.probe.imag.tolist()],
                     "iterations": history.rows[-1].iter,
                     **calls,
                     "events": history.events,
@@ -96,11 +102,29 @@ def relative_gap(new, old) -> float:
     return abs(new - old) / max(abs(new), abs(old))
 
 
+def probe_gap(new: dict, old: dict) -> float | None:
+    """The relative difference of two solves' final probes in the
+    Frobenius norm, or None where either digest lacks the probe."""
+    if "probe" not in new or "probe" not in old:
+        return None
+    a, b = (complex_array(solve["probe"]) for solve in (new, old))
+    if a.shape != b.shape:
+        return float("inf")
+    scale = max(np.linalg.norm(a), np.linalg.norm(b))
+    return float(np.linalg.norm(a - b) / scale) if scale > 0 else 0.0
+
+
+def complex_array(parts: list) -> np.ndarray:
+    real, imag = (np.asarray(part, dtype=np.float64) for part in parts)
+    return real + 1j * imag
+
+
 def diff(new: dict, old: dict) -> tuple[list[str], int]:
     """Report lines on how the digest ``new`` differs from ``old``, and
     the number of solves whose arrays, events or counts differ."""
     lines = []
     changed = []
+    probe_gaps = []
     moved = {column: 0 for column in COLUMNS}
     worst = {column: 0.0 for column in COLUMNS}
     for key in sorted(old["solves"].keys() | new["solves"].keys()):
@@ -115,6 +139,7 @@ def diff(new: dict, old: dict) -> tuple[list[str], int]:
         if a["sha256"] != b["sha256"]:
             lines.append(f"{key}: arrays or events differ")
             differs.append("sha256")
+            probe_gaps.append(probe_gap(b, a))
         if differs:
             changed.append(key)
         for column in COLUMNS:
@@ -131,6 +156,13 @@ def diff(new: dict, old: dict) -> tuple[list[str], int]:
     total = len(old["solves"].keys() | new["solves"].keys())
     same = total - len(changed)
     lines.append(f"{same} of {total} solves with identical arrays, events and counts")
+    if probe_gaps:
+        known = [gap for gap in probe_gaps if gap is not None]
+        probe_worst = f"{max(known):.3g}" if known else "not recorded"
+        lines.append(
+            f"final probe: worst relative difference {probe_worst} over the "
+            f"{len(probe_gaps)} solves whose arrays or events differ"
+        )
     for column in COLUMNS:
         lines.append(
             f"{column}: {total - moved[column]} of {total} solves identical; "
