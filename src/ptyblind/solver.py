@@ -45,8 +45,8 @@ gathered to the frames is the power step's denominator. All three
 are (n, n) images, gathered to the frames chunk by chunk where a step
 reads them. Every step takes the ones it reads as required arguments,
 with the run's scratch stacks, and none recomputes them; a step that
-needs the accumulation or canvas of another stack (the shifted stack,
-or the frames under a new probe) is handed it by its caller. The
+needs the accumulation of another stack (the frames under a new
+probe) is handed it by its caller. The
 steps keep public names in this module because the benchmark in
 ``perfbench/`` traces them by name. The rank-1 estimators and the
 gate run only on iterations the cadence allows.
@@ -61,15 +61,13 @@ The per-frame gate's score is the same form with one factor per frame;
 it comes from those images and three length-K sums over the frame
 windows, two by FFT correlation with ``|p|**2`` and one by a gathered
 pass over the frames. The per-frame step takes each frame's shifted
-accumulation ``A|_k - t_k C|_k`` from the gathered images. These closed
-forms cancel as the shifted stack's energy falls below the stack's:
-only where it falls below ``_WEIGHT_FLOOR`` of it, on a nearly
-transparent stack, does a gate or a step form the shifted stack. There
-the global gate scores on the stack's own scattered accumulation and
-canvas, the per-frame gate on its step's terms, and either step reads
-the stack. A gate returns its score and keeps nothing, so a stack is
-formed twice, by gate and step, only for an accepted gate below the
-floor, which no benchmark gate reaches.
+accumulation ``A|_k - t_k C|_k`` from the gathered images. No gate or
+step forms a shifted stack. These closed forms lose about
+``log10(E / weight)`` digits as the shifted stack's coverage-weighted
+energy, the gate's weight, falls below the stack's ``E``: below
+``_WEIGHT_FLOOR`` of it, on a nearly transparent stack, a gate scores 0
+and a step raises :class:`DegenerateInputError`, and the loop takes the
+plain power step. A gate returns its score and keeps nothing.
 The model spectra are transformed once: their magnitudes give the
 data residual and then phase the spectra in place for the frame
 update.
@@ -81,11 +79,10 @@ stage is one fused pass per chunk: the frame update (gather, probe
 product, DFT, magnitudes, misfit, phase, scaling, inverse DFT,
 conjugate-probe product) and row 0's, which stops at the misfit; the
 standard and power steps, which share one gathered kernel; the
-per-frame gate's weighted stack; a shifted stack; and the intensity
-of the canvas. A shifted step takes two passes: the first gathers the
-shifted accumulation, whose sums over the frames are taken before the
-second multiplies it by the frames; below the floor the shifted stack
-is one more pass, and its canvas another for the global step. Only
+per-frame gate's weighted stack; and the intensity of the canvas. A
+shifted step takes two passes: the first gathers the shifted
+accumulation, whose sums over the frames are taken before the second
+multiplies it by the frames. Only
 the sums over frames, the inner products, the misfit norm and the
 scatter-adds read the whole stack; they run on the calling thread
 once every chunk has finished, so every result is bit-identical to
@@ -93,19 +90,17 @@ the unchunked pass. A stack shorter than two chunks (every 64 px
 instance) is one chunk, run on the calling thread by the same code,
 touching the same stacks in the same order.
 The new frames overwrite the old ones, which nothing reads by then.
-Every other frame-sized stack of a run is one of its scratch stacks
-(:class:`_Workspace`): two, which hold the pass's spectra, magnitudes,
-reciprocal magnitudes and weighted stack and the steps' scratch, are
-allocated when the run starts, and a third, which only a shifted
-stack needs, when the run first forms one below the weight floor. The
-steps write into them with ``out=`` ufuncs and ``take`` gathers. A
-probe, a per-frame factor or a real operand that a ufunc would
-broadcast or cast over a stack is first copied into a whole stack,
-since numpy buffers such operands on every call; only row 0, once per
-run, multiplies its windows by the broadcast probe, which gives the
-same bits. Past the
-first iteration no step allocates a frame-sized array but that third
-stack, once, and none frees one.
+Every other frame-sized array of a run is one of its scratch stacks
+(:class:`_Workspace`), a complex stack and a float64 block of the same
+size, which hold the pass's spectra, magnitudes, reciprocal magnitudes
+and weighted stack and the steps' scratch; both are allocated when the
+run starts. The steps write into them with ``out=`` ufuncs and ``take``
+gathers. A probe, a per-frame factor or a real operand that a ufunc
+would broadcast or cast over a stack is first copied into a whole
+stack, since numpy buffers such operands on every call; only row 0,
+once per run, multiplies its windows by the broadcast probe, which
+gives the same bits. Past the first iteration no step allocates a
+frame-sized array, and none frees one.
 With fresh stacks and temporaries, glibc grew and trimmed its heap on
 every gate or shifted iteration of the 64 px instances (up to 650 page
 faults and 30% more time per framewise iteration). Workers call numpy
@@ -118,6 +113,7 @@ division is scale-free and uncovered pixels map to zero.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 from dataclasses import dataclass, field
@@ -143,11 +139,6 @@ from .operators import (
 
 PROBE_MODES = ("standard", "power", "rank1_global", "rank1_framewise")
 
-# Relative frame-stack norm below which a transparency-shifted stack is
-# treated as pure transparency (a constant object carries no probe
-# information).
-RANK1_DEGENERACY_RTOL = 1e-12
-
 # Every update's denominator is floored at this fraction of its maximum.
 EPSILON_REL = 1e-8
 
@@ -160,12 +151,12 @@ RANK1_GATE = 0.95
 RANK1_CADENCE = 3
 
 # Either gate's closed-form weight sums terms of up to the stack energy,
-# so it loses log10(energy / weight) digits. Below this fraction of the
-# energy (more than 3 digits lost) a gate is scored on its shifted stack
-# instead, the global gate on the stack's own canvas and accumulation and
-# the per-frame gate on its step's terms: a nearly transparent stack's
-# residue can cancel to rounding noise of either sign there.
-_WEIGHT_FLOOR = 1e-3
+# so it and the step's closed forms lose log10(energy / weight) digits:
+# at this fraction of the energy they still keep 8. Below it a gate
+# scores 0 and a shifted step raises DegenerateInputError: a nearly
+# transparent stack's residue can cancel to rounding noise of either
+# sign there, and a constant object carries no probe information.
+_WEIGHT_FLOOR = 1e-8
 
 
 class DegenerateInputError(ValueError):
@@ -210,51 +201,29 @@ class History:
 class _Workspace:
     """Frame-sized scratch stacks of one run.
 
-    ``stack``, ``pair`` and ``spare`` are complex (K, m, m) stacks. The
-    float64 memory of ``pair`` serves as the two real stacks ``real``
-    and ``real2``; only the forming of a shifted stack uses it as a
-    complex stack, for the replicated probe, and no step uses it both
-    ways at once. No stack holds the coverage: a step gathers the (n, n)
-    object coverage where it reads it. No state
-    survives a step: a step reads nothing a previous step left in the
-    scratch stacks, and a stack passed into a step must not be one it
-    writes.
+    ``stack`` is a complex (K, m, m) stack, and ``real`` and ``real2``
+    are the two float64 (K, m, m) halves of one block of the same
+    bytes. No stack holds the coverage: a step gathers the (n, n)
+    object coverage where it reads it. No state survives a step: a step
+    reads nothing a previous step left in the scratch stacks, and a
+    stack passed into a step must not be one it writes.
     ``edges`` are the frame chunks every per-frame pass runs over.
-
-    ``stack`` and ``pair`` are allocated when the run starts. Only a
-    shifted stack needs ``spare``, which a gate or a shifted step forms
-    only below the weight floor: it is allocated the first time it is
-    read, on the calling thread, and kept for the rest of the run, so a
-    run whose gates and steps all take their closed forms, as every
-    benchmark run does, never makes it.
 
     Each stack is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
     block would raise its thresholds for the whole process. A run makes
-    ``stack`` and ``pair`` before its frames, which outlive it in its
-    ``History``: they then lie below memory still in use when they are
-    freed, and glibc keeps them for the next run instead of returning
-    them to the system, to fault them in again page by page. ``spare``
-    comes after the frames and gets no such shelter: a run's first
-    shifted stack faults in all of its pages, 169 at 64 px (K=169,
-    m=16).
+    both before its frames, which outlive it in its ``History``: they
+    then lie below memory still in use when they are freed, and glibc
+    keeps them for the next run instead of returning them to the
+    system, to fault them in again page by page.
     """
 
     def __init__(self, geom: ScanGeometry) -> None:
         shape = (geom.K, geom.m, geom.m)
         self.stack = np.empty(shape, dtype=np.complex128)
-        self.pair = np.empty(shape, dtype=np.complex128)
-        self.real, self.real2 = self.pair.reshape(-1).view(np.float64).reshape(2, *shape)
-        self._spare: Optional[np.ndarray] = None
+        self.real, self.real2 = np.empty((2, *shape), dtype=np.float64)
         # Chunked by the frames' complex128 bytes.
         self.edges = _frame_edges(geom.K, self.stack.itemsize * geom.m**2)
-
-    @property
-    def spare(self) -> np.ndarray:
-        """The third complex stack, allocated on first use."""
-        if self._spare is None:
-            self._spare = np.empty_like(self.stack)
-        return self._spare
 
 
 def _divided(numerator: np.ndarray, denominator: np.ndarray, vanished: str) -> np.ndarray:
@@ -427,23 +396,6 @@ def build_overlap_matrix(geom: ScanGeometry) -> np.ndarray:
     return (rows & cols).astype(np.uint8)
 
 
-def _shift_globally(
-    frames: np.ndarray, probe: np.ndarray, factors: complex | np.ndarray, work: _Workspace
-) -> np.ndarray:
-    """The transparency-shifted stack ``frames - factors * probe`` in
-    ``work.spare``, for one factor or a (K, 1, 1) column of per-frame
-    factors; ``work.pair`` holds the replicated probe."""
-    shifted, scratch = work.spare, work.pair
-
-    def chunk(lo, hi):
-        out, factor = shifted[lo:hi], factors if np.ndim(factors) == 0 else factors[lo:hi]
-        product = np.multiply(_fill(out, factor), _fill(scratch[lo:hi], probe), out=out)
-        np.subtract(frames[lo:hi], product, out=out)
-
-    _over_frames(chunk, work.edges)
-    return shifted
-
-
 def _global_shift(
     transparency: complex, coverage: np.ndarray, adjoint: np.ndarray, canvas: np.ndarray
 ) -> tuple[float, bool, np.ndarray]:
@@ -471,40 +423,38 @@ def _rank1_terms(
     adjoint: np.ndarray,
     canvas: np.ndarray,
     work: _Workspace,
-) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Numerator and denominator of the transparency-shifted power
     step with one factor per frame (``factors``, complex128 of length
-    K), and the shifted stack where it is formed: each frame is handled
-    by the uniform-shift formula at its own factor, assembled from the
-    probe's object coverage ``C``, the unshifted stack's adjoint
-    accumulation ``A`` and its intensity ``canvas``, so no stack is
-    scattered. With the window ``X|_k`` of an (n, n) image at frame k
-    and ``A'_k = A|_k - t_k C|_k``, the numerator is ``sum_k conj(A'_k)
-    f_k - p sum_k t_k conj(A'_k)`` and the denominator ``sum_k
-    (canvas|_k - |t_k|^2 C|_k - 2 Re(conj(t_k) A'_k))``, a nonnegative
-    coverage of shifted stacks; tiny negative rounding is clamped. The
-    per-frame step runs this, and the per-frame gate only to score a
-    stack below the weight floor.
+    K): each frame is handled by the uniform-shift formula at its own
+    factor, assembled from the probe's object coverage ``C``, the
+    unshifted stack's adjoint accumulation ``A`` and its intensity
+    ``canvas``, so no stack is formed or scattered. With the window
+    ``X|_k`` of an (n, n) image at frame k and ``A'_k = A|_k - t_k
+    C|_k``, the numerator is ``sum_k conj(A'_k) f_k - p sum_k t_k
+    conj(A'_k)`` and the denominator ``sum_k (canvas|_k - |t_k|^2 C|_k
+    - 2 Re(conj(t_k) A'_k))``, a nonnegative coverage of shifted
+    stacks; tiny negative rounding is clamped.
 
     Two passes. The first forms ``A'_k`` in ``work.stack`` and each
-    frame's ``canvas|_k - |t_k|^2 C|_k`` in the real halves of
-    ``work.pair``, whose sum, less the real part of twice ``sum_k
-    conj(t_k) A'_k``, is the denominator; its weight ``sum(den |p|^2)``
-    is the gate's closed-form weight. Where that is usable, the second
-    pass multiplies ``conj(A'_k)`` by the frames. Below the floor it
-    multiplies it by the shifted stack instead, formed in ``work.spare``
-    and returned.
+    frame's ``canvas|_k - |t_k|^2 C|_k`` in ``work.real2``, whose sum,
+    less the real part of twice ``sum_k conj(t_k) A'_k``, is the
+    denominator. Its weight ``sum(den |p|^2)`` is the shifted stack's
+    coverage-weighted energy; where that is not usable (below
+    ``_WEIGHT_FLOOR`` of the stack energy) it raises
+    :class:`DegenerateInputError` before the second pass, which
+    multiplies ``conj(A'_k)`` by the frames.
     """
     fcol = factors[:, None, None]
     index, view, real, real2 = geom.frame_indices, work.stack, work.real, work.real2
     flat, flat_coverage = _flat_image(adjoint, geom, view), _flat_image(coverage, geom, real)
     flat_canvas = _flat_image(canvas, geom, real2)
 
-    # Both scratch halves of ``work.pair`` are real here, so ``t_k C|_k``
-    # is taken part by part: C is real, and each part has the bits of the
-    # complex product. ``C|_k`` is then scaled by ``|t_k|^2`` in place and
-    # subtracted from the canvas frame by frame, before any sum over the
-    # frames, which keeps the denominator to the digits its terms keep.
+    # Both scratch halves are real, so ``t_k C|_k`` is taken part by
+    # part: C is real, and each part has the bits of the complex product.
+    # ``C|_k`` is then scaled by ``|t_k|^2`` in place and subtracted from
+    # the canvas frame by frame, before any sum over the frames, which
+    # keeps the denominator to the digits its terms keep.
     def shifted_accumulation(lo, hi):
         shift = flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
         weights = flat_coverage.take(index[lo:hi], out=real[lo:hi], mode="clip")
@@ -519,8 +469,10 @@ def _rank1_terms(
     # sum_k conj(t_k) A'_k, and the denominator
     cross = (np.conj(factors) @ view.reshape(geom.K, -1)).reshape(probe.shape)
     den = sum_frames(real2) - 2.0 * cross.real
-    closed = _usable_weight(float((den * np.abs(probe) ** 2).sum()), np.vdot(coverage, canvas).real)
-    spare = None if closed else _shift_globally(frames, probe, fcol, work)
+    if not _usable_weight(float((den * np.abs(probe) ** 2).sum()), np.vdot(coverage, canvas).real):
+        raise DegenerateInputError(
+            "transparency shift left no usable stack energy: nearly constant object region"
+        )
 
     def numerator(lo, hi):
         diff = np.conj(view[lo:hi], out=view[lo:hi])
@@ -530,11 +482,10 @@ def _rank1_terms(
         # bit; on stacks of 256 KiB and more numpy evaluated
         # ``shifted * (...)`` in place in its temporary, as
         # ``(...) * shifted``.
-        np.multiply(diff, frames[lo:hi] if closed else spare[lo:hi], out=diff)
+        np.multiply(diff, frames[lo:hi], out=diff)
 
     _over_frames(numerator, work.edges)
-    num, den = sum_frames(view), np.maximum(den, 0.0)
-    return (num - probe * np.conj(cross) if closed else num), den, spare
+    return sum_frames(view) - probe * np.conj(cross), np.maximum(den, 0.0)
 
 
 def _window_sums(
@@ -587,19 +538,25 @@ def _window_sums(
 
 
 def _usable_weight(weight: float, energy: float) -> bool:
-    """Whether a gate's closed-form weight keeps enough digits to score
-    by: finite and at least ``_WEIGHT_FLOOR`` of the stack energy."""
+    """Whether a closed-form weight, the shifted stack's coverage-weighted
+    energy, keeps enough digits to score or step by: finite and at least
+    ``_WEIGHT_FLOOR`` of the stack energy."""
     return math.isfinite(weight) and weight >= _WEIGHT_FLOOR * energy > 0.0
 
 
-def _frame_factors(transparency: np.ndarray, geom: ScanGeometry) -> np.ndarray:
-    """Per-frame transparency factors as complex128; any shape but
-    ``(K,)`` raises ``ValueError``."""
-    factors = np.asarray(transparency, dtype=np.complex128)
-    if factors.shape != (geom.K,):
-        raise ValueError(
-            f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
-        )
+def _shift_factors(transparency: complex | np.ndarray, geom: ScanGeometry) -> complex | np.ndarray:
+    """One transparency factor as it is given, or per-frame factors as
+    complex128; per-frame factors of any shape but ``(K,)`` and a
+    factor that is not finite raise ``ValueError``."""
+    if np.ndim(transparency) == 0:
+        factors = transparency
+    else:
+        factors = np.asarray(transparency, dtype=np.complex128)
+        if factors.shape != (geom.K,):
+            raise ValueError(
+                f"framewise transparency must have length K={geom.K}, got shape {factors.shape}"
+            )
+    _check_finite(factors, "transparency")
     return factors
 
 
@@ -620,35 +577,26 @@ def shift_consistency(
     to its coverage-weighted norm at the current probe. It equals 1
     exactly when the shifted frames are mutually consistent (come from
     a single object under this probe) and drops toward 0 as the shift
-    residue is dominated by frame inconsistency; a degenerate (zero)
-    shifted stack scores 0. With a single global factor the score is
-    confined to [0, 1] up to rounding; with per-frame factors it can
-    overshoot 1 slightly because each frame is scored against its own
-    shifted stack. The solver uses it to decide when the shifted step
-    can be trusted; whether the shift left enough signal to act on is
-    the update's own degeneracy check, not this score.
+    residue is dominated by frame inconsistency. With a single global
+    factor the score is confined to [0, 1] up to rounding; with
+    per-frame factors it can overshoot 1 slightly because each frame is
+    scored against its own shifted stack. The solver uses it to decide
+    when the shifted step can be trusted.
 
     The arguments are those of :func:`update_probe_rank1`, which takes
     the step the score vouches for. ``transparency`` is one complex
     factor for the whole stack or a length-K array of per-frame factors;
-    per-frame factors of any other shape raise ``ValueError`` before any
-    work. ``coverage`` is the probe's object coverage, ``adjoint`` the
-    unshifted stack's accumulation ``illuminate_adjoint(frames, probe,
-    geom)`` and ``canvas`` the scatter-add of its intensity
-    ``|frames|**2``.
+    per-frame factors of any other shape, and a factor that is not
+    finite, raise ``ValueError`` before any work. ``coverage`` is the
+    probe's object coverage, ``adjoint`` the unshifted stack's
+    accumulation ``illuminate_adjoint(frames, probe, geom)`` and
+    ``canvas`` the scatter-add of its intensity ``|frames|**2``.
 
     With one factor ``t`` the shifted stack is still plain data, so the
     form at the probe is the energy of its accumulation ``A - t C`` and
     the norm its coverage-weighted energy, ``E - 2 Re(conj(t) <C, A>) +
     |t|^2 ||C||^2`` for the accumulation ``A``, the coverage ``C`` and
-    the stack's own weighted energy ``E = <C, canvas>``. Those terms
-    cancel as the shift residue falls many orders below the stack,
-    which would score a transparent region as junk instead of as
-    consistent; where the norm is not finite or below ``_WEIGHT_FLOOR``
-    of ``E``, the shifted stack is formed and both terms are taken on
-    it, the norm from its own intensity canvas and the form from its
-    own scattered accumulation, so a stack the shift leaves at rounding
-    level still scores as the stack it is.
+    the stack's own weighted energy ``E = <C, canvas>``.
 
     Per-frame factors ``t_k`` take the uniform-shift formula at each
     frame's own factor (which multiplies the full coverage map): the
@@ -658,36 +606,27 @@ def shift_consistency(
     beta_k) + sum_k |t_k|^2 gamma_k`` and their norm ``E - 2 Re sum_k
     conj(t_k) alpha_k + sum_k |t_k|^2 gamma_k``, from the window sums
     of :func:`_window_sums`; with every ``t_k = t`` these are the global
-    terms. Below the same floor the gate forms the step's terms
-    (:func:`_rank1_terms`) and scores on them.
+    terms.
 
-    Only below the floor does the gate form a shifted stack, and it
-    keeps nothing. :func:`update_probe_rank1` takes its step by the same
-    closed forms, and below the same floor forms the stack again.
+    Both terms cancel as the shift residue falls many orders below the
+    stack. Where the norm is not finite or below ``_WEIGHT_FLOOR`` of
+    ``E`` the score is 0, so the loop takes the plain power step; the
+    gate forms no shifted stack and keeps nothing.
     """
+    factors = _shift_factors(transparency, geom)
     frames, probe = np.asarray(frames), np.asarray(probe)
-    if np.ndim(transparency) == 0:
-        weight, usable, accumulation = _global_shift(transparency, coverage, adjoint, canvas)
-        if not usable:
-            # Both terms come from the one shifted stack, so a stack the
-            # shift leaves at rounding level still scores self-consistently.
-            stack = _shift_globally(frames, probe, transparency, work)
-            weight = np.vdot(coverage, _intensity_canvas(stack, geom, work)).real
-            accumulation = illuminate_adjoint(stack, probe, geom, scratch=work.stack)
+    if np.ndim(factors) == 0:
+        weight, usable, accumulation = _global_shift(factors, coverage, adjoint, canvas)
         form = np.vdot(accumulation, accumulation).real
     else:
-        factors = _frame_factors(transparency, geom)
         energy = np.vdot(coverage, canvas).real
         alpha, beta, gamma = _window_sums(frames, probe, geom, coverage, adjoint, work)
         cross = np.vdot(factors, alpha).real
         scaled = np.abs(factors) ** 2 @ gamma
         form = np.vdot(adjoint, adjoint).real - cross - np.vdot(factors, beta).real + scaled
         weight = energy - 2.0 * cross + scaled
-        if not _usable_weight(weight, energy):
-            terms = _rank1_terms(frames, probe, geom, factors, coverage, adjoint, canvas, work)
-            form = np.vdot(probe, terms[0]).real
-            weight = float((terms[1] * np.abs(probe) ** 2).sum())
-    return float(form / weight) if weight > 0.0 else 0.0
+        usable = _usable_weight(weight, energy)
+    return float(form / weight) if usable else 0.0
 
 
 def update_probe_rank1(
@@ -704,12 +643,10 @@ def update_probe_rank1(
     less its estimated transmitted component ``transparency`` times the
     probe, with the arguments of :func:`shift_consistency`.
 
-    Where the gate's closed-form weight is usable (at least
-    ``_WEIGHT_FLOOR`` of the stack energy, as :func:`shift_consistency`
-    tests it), the step forms no shifted stack. With one factor ``t`` it
-    reads the shifted stack's accumulation ``A' = A - t C``, which the
-    gate scored, and its intensity canvas ``canvas - 2 Re(conj(t) A) +
-    |t|^2 C``, gathered and summed for the denominator; the numerator is
+    The step forms no shifted stack. With one factor ``t`` it reads the
+    shifted stack's accumulation ``A' = A - t C``, which the gate
+    scored, and its intensity canvas ``canvas - 2 Re(conj(t) A) + |t|^2
+    C``, gathered and summed for the denominator; the numerator is
     ``sum_k conj(A'|_k) f_k - t p sum_k conj(A'|_k)``, where ``X|_k`` is
     the window of an (n, n) image at frame k. Two passes over
     ``work.stack``: one gathers ``conj(A'|_k)`` (and the canvas, into
@@ -717,40 +654,32 @@ def update_probe_rank1(
     taken. Per-frame factors take the uniform-shift formula at each
     frame's own factor, from the terms of :func:`_rank1_terms`.
 
-    Below the floor the step forms the shifted stack in ``work.spare``:
-    with one factor it is the power step of that stack on ``A'`` and the
-    stack's own intensity canvas, and per-frame factors multiply it in
-    :func:`_rank1_terms`. It then raises :class:`DegenerateInputError`
-    when the shifted stack is numerically zero against the stack norm
-    ``canvas`` gives (its sum is ``||frames||^2``): a purely constant
-    object region carries no probe information, and callers may then
-    fall back to the plain power update. Above the floor the shifted
-    stack holds at least ``_WEIGHT_FLOOR`` of the stack energy, so it is
-    not zero.
+    Where the shifted stack's coverage-weighted energy is not usable
+    (below ``_WEIGHT_FLOOR`` of the stack energy, as
+    :func:`shift_consistency` tests it), the step raises
+    :class:`DegenerateInputError` before it multiplies anything by the
+    frames: a nearly constant object region carries no probe information
+    the closed forms can resolve, and callers may then fall back to the
+    plain power update. With per-frame factors the step sums that energy
+    over its own denominator, so it can fall on the other side of the
+    floor from the gate's.
     """
+    factors = _shift_factors(transparency, geom)
     frames, probe = np.asarray(frames), np.asarray(probe)
-    stack = None
-    if np.ndim(transparency) == 0:
-        _, usable, shift = _global_shift(transparency, coverage, adjoint, canvas)
-        if usable:
-            cross = np.multiply(np.conj(transparency), adjoint).real
-            shifted_canvas = canvas - 2.0 * cross + abs(transparency) ** 2 * coverage
-            total, den = _gathered_terms(None, geom, shift, shifted_canvas, work)
-            view, edges = work.stack, work.edges
-            _over_frames(lambda a, b: np.multiply(view[a:b], frames[a:b], out=view[a:b]), edges)
-            num = sum_frames(view) - transparency * probe * total
-        else:
-            stack = _shift_globally(frames, probe, transparency, work)
-            shifted_canvas = _intensity_canvas(stack, geom, work)
-            num, den = _gathered_terms(stack, geom, shift, shifted_canvas, work)
+    if np.ndim(factors) == 0:
+        _, usable, shift = _global_shift(factors, coverage, adjoint, canvas)
+        if not usable:
+            raise DegenerateInputError(
+                "transparency shift left no usable stack energy: nearly constant object region"
+            )
+        cross = np.multiply(np.conj(factors), adjoint).real
+        shifted_canvas = canvas - 2.0 * cross + abs(factors) ** 2 * coverage
+        total, den = _gathered_terms(None, geom, shift, shifted_canvas, work)
+        view, edges = work.stack, work.edges
+        _over_frames(lambda a, b: np.multiply(view[a:b], frames[a:b], out=view[a:b]), edges)
+        num = sum_frames(view) - factors * probe * total
     else:
-        num, den, stack = _rank1_terms(
-            frames, probe, geom, _frame_factors(transparency, geom), coverage, adjoint, canvas, work
-        )
-    if stack is not None and np.linalg.norm(stack) <= RANK1_DEGENERACY_RTOL * np.sqrt(canvas.sum()):
-        raise DegenerateInputError(
-            "transparency shift removed the whole stack: constant object region"
-        )
+        num, den = _rank1_terms(frames, probe, geom, factors, coverage, adjoint, canvas, work)
     return _divided(num, den, "shifted frame stack is identically zero: rank-1 update undefined")
 
 
@@ -863,7 +792,7 @@ def _magnitude_pass(
 
 
 def _check_finite(value, name: str) -> None:
-    finite = np.isfinite(value).all() if isinstance(value, np.ndarray) else math.isfinite(value)
+    finite = np.isfinite(value).all() if isinstance(value, np.ndarray) else cmath.isfinite(value)
     if not finite:
         raise ValueError(f"{name} is not finite")
 
@@ -888,8 +817,7 @@ class _Iterate:
     iteration and read by the metrics row and the probe step: the
     coverage and ``adjoint`` also by the next object update, ``adjoint``
     and ``canvas`` by the power step, and all three by both rank-1
-    gates and the shifted step, which checks its degeneracy against the
-    ``canvas``. ``work`` holds every other frame-sized stack the steps
+    gates and the shifted step. ``work`` holds every other frame-sized stack the steps
     use. ``since_shift`` counts the iterations since the last
     transparency-shifted step.
     """

@@ -28,7 +28,7 @@ from ptyblind.metrics import _relative_gap
 from ptyblind.operators import replicate_probe, sum_frames
 from ptyblind.solver import (
     EPSILON_REL,
-    RANK1_DEGENERACY_RTOL,
+    _WEIGHT_FLOOR,
     _Workspace,
     update_object,
 )
@@ -263,7 +263,10 @@ def update_probe_rank1_expanded(frames, probe, geom, transparency):
     expands to |z|^2 - 2 Re(conj(c) conj(p) z) + |c|^2 |p|^2.
     Per-frame factors: each frame's contribution is recomputed from an
     explicitly shifted stack (one uniform shift per frame), the
-    un-distributed form of the same update.
+    un-distributed form of the same update. Either raises
+    ``DegenerateInputError`` where the weight of the unclamped
+    denominator, ``sum(den |p|^2)``, is below ``_WEIGHT_FLOOR`` of the
+    stack's coverage-weighted energy.
     """
     frames = np.asarray(frames)
     probe = np.asarray(probe)
@@ -272,13 +275,11 @@ def update_probe_rank1_expanded(frames, probe, geom, transparency):
         factors = np.full(geom.K, complex(transparency))
     else:
         factors = np.asarray(transparency, dtype=complex)
-    shifted = frames - factors[:, None, None] * probe[None, :, :]
-    if np.linalg.norm(shifted) <= RANK1_DEGENERACY_RTOL * np.linalg.norm(frames):
-        raise DegenerateInputError("transparency shift removed the whole stack")
+    frame_cov = coverage_maps(probe, geom).frame_coverage
 
     if one_factor:
         c = factors[0]
-        frame_cov = coverage_maps(probe, geom).frame_coverage
+        shifted = frames - c * probe[None, :, :]
         adjoint_view = extract_frames(illuminate_adjoint(frames, probe, geom), geom)
         num = sum_frames(shifted * (np.conj(adjoint_view) - np.conj(c) * frame_cov))
         stack_cov = extract_frames(embed_add_frames(np.abs(frames) ** 2, geom), geom)
@@ -287,9 +288,10 @@ def update_probe_rank1_expanded(frames, probe, geom, transparency):
         )
     else:
         num, den = uniform_shift_terms(frames, probe, geom, factors)
+    energy = np.vdot(frames, frame_cov * frames).real
+    if not (den * np.abs(probe) ** 2).sum() >= _WEIGHT_FLOOR * energy > 0.0:
+        raise DegenerateInputError("transparency shift left no usable stack energy")
     den = np.maximum(den, 0.0)
-    if not den.max() > 0:
-        raise DegenerateInputError("shifted frame stack is identically zero")
     return num / np.maximum(den, EPSILON_REL * den.max())
 
 

@@ -52,10 +52,6 @@ MODE_STEPS = {
     "rank1_framewise": COMMON + RANK1 + ("transparency_framewise", "build_overlap_matrix"),
 }
 STEPS = sorted(set().union(*MODE_STEPS.values()))
-# The kernel that forms a transparency-shifted stack, for one global
-# factor or one factor per frame. Only a gate or a shifted step whose
-# closed-form weight is below the weight floor calls it.
-SHIFT_KERNELS = ("_shift_globally",)
 
 
 def test_all_is_exactly_the_solver_user_api():
@@ -106,15 +102,11 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     # The reference loop reaches the gate where the loop does.
     reference = count_calls(monkeypatch, test_loop_oracle, RANK1[1:])
     test_loop_oracle.reference_run(amps, geom, init, cfg, probe_true=probe)
-    calls = count_calls(monkeypatch, solver, STEPS + ["_intensity_canvas", *SHIFT_KERNELS])
+    calls = count_calls(monkeypatch, solver, STEPS + ["_intensity_canvas"])
     history = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
-    kernels = sum(calls.pop(name, 0) for name in SHIFT_KERNELS)
-    # Every metrics row scatters the stack intensity once, and every
-    # global shifted stack (a below-floor step's or gate's) once more;
-    # the power steps, the gates and the shifted steps above the floor
-    # read those canvases.
-    global_stacks = kernels if mode == "rank1_global" else 0
-    assert calls.pop("_intensity_canvas") == len(history.rows) + global_stacks
+    # Every metrics row scatters the stack intensity once; the power
+    # steps, the gates and the shifted steps read those canvases.
+    assert calls.pop("_intensity_canvas") == len(history.rows)
     assert set(calls) == set(MODE_STEPS[mode])
     assert calls["pairwise_discrepancy"] == len(history.rows)
     if mode.startswith("rank1"):
@@ -123,8 +115,3 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
         assert calls["update_probe_rank1"] == reference["update_probe_rank1"]
     if mode == "rank1_global":
         assert calls["transparency_global"] == calls["shift_consistency"]
-    if mode.startswith("rank1"):
-        # Every gate here is above the weight floor: either gate scores,
-        # and either shifted step steps, from (n, n) images and K-vectors,
-        # and none forms a stack.
-        assert kernels == 0

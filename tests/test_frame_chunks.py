@@ -124,22 +124,16 @@ STEPS = [
     "update_probe_standard",
     "update_probe_power",
     "_intensity_canvas",
-    "shift_consistency/global",
     "shift_consistency/framewise",
-    "shift_consistency/framewise/closed-form",
     "update_probe_rank1/global",
     "update_probe_rank1/framewise",
 ]
 
 
-def formed_terms(*args):
-    raise AssertionError("the closed-form gate formed the per-frame terms")
-
-
 def call_step(step, geom, obj, probe, frames, inputs):
     """Call the named step; a ``/global`` or ``/framewise`` suffix picks
-    the form of the transparency it is given, and a further
-    ``/closed-form`` scores a gate on its closed form."""
+    the form of the transparency it is given. The global gate is left
+    out: it reads (n, n) images only, and no frame chunk."""
     coverage, adjoint, canvas, work = inputs
     if step == "update_probe_standard":
         return solver.update_probe_standard(frames, obj, geom, work)
@@ -147,23 +141,15 @@ def call_step(step, geom, obj, probe, frames, inputs):
         return solver.update_probe_power(frames, geom, adjoint, canvas, work)
     if step == "_intensity_canvas":
         return solver._intensity_canvas(frames, geom, work)
-    name, kind, *closed_form = step.split("/")
+    name, kind = step.split("/")
     if kind == "global":
         factor = solver.transparency_global(adjoint, probe, geom)
     else:
         factor = solver.transparency_framewise(frames, probe, solver.build_overlap_matrix(geom))
     if name == "update_probe_rank1":
         return solver.update_probe_rank1(frames, probe, geom, factor, *inputs)
-    if closed_form:
-        # The per-frame closed form's own pass, for its sums over the
-        # coverage-weighted frames; it forms no per-frame terms.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver, "_rank1_terms", formed_terms)
-            return solver.shift_consistency(frames, probe, geom, factor, *inputs)
-    # Each gate scores on its shifted stack where the closed-form weight
-    # is unusable, as with a NaN canvas: the global gate weighs that
-    # stack, and the per-frame gate forms its terms.
-    inputs = (coverage, adjoint, np.full_like(canvas, np.nan), work)
+    # The per-frame gate's own pass, for its sums over the
+    # coverage-weighted frames.
     return solver.shift_consistency(frames, probe, geom, factor, *inputs)
 
 
@@ -285,7 +271,6 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
     assert frames.tobytes() == want.tobytes()
     assert work.stack.tobytes() == (np.conj(probe) * want).tobytes()
     assert misfit == np.linalg.norm(magnitudes - amps)
-    assert work._spare is None
 
 
 def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):

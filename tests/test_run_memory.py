@@ -7,10 +7,9 @@ which made a 64 px framewise iteration up to 30% slower. The traced
 memory is sampled at every metrics row: the peak between two rows, less
 the larger of the memory in use at either row, must stay below one
 float64 frame stack. The memory in use holds the frames and the run's
-two complex scratch stacks. A third, the spare stack, is made only by a
-run that forms a shifted stack, which a gate or a shifted step does only
-below the weight floor: a rank-1 run that takes its shifted steps from
-the closed form holds no more frame-sized stacks than a ``power`` run.
+scratch stacks, a complex stack and a float64 block of the same bytes.
+No gate or shifted step forms a shifted stack, so a rank-1 run holds no
+more frame-sized stacks than a ``power`` run.
 """
 
 import tracemalloc
@@ -81,6 +80,22 @@ def frame_stack_bytes(geom):
     return geom.K * geom.m**2 * np.dtype(np.float64).itemsize
 
 
+def assert_one_stack_and_one_block(work, geom):
+    """The workspace holds one complex frame stack and the two halves of
+    one float64 block of the same bytes, and no other frame-sized
+    array."""
+    shape = (geom.K, geom.m, geom.m)
+    frame_sized = [
+        name for name, value in vars(work).items()
+        if isinstance(value, np.ndarray) and value.nbytes >= frame_stack_bytes(geom)
+    ]
+    assert sorted(frame_sized) == ["real", "real2", "stack"]
+    assert (work.stack.dtype, work.stack.shape) == (np.complex128, shape)
+    block = work.real.base
+    assert work.real2.base is block
+    assert (block.dtype, block.shape, block.nbytes) == (np.float64, (2, *shape), work.stack.nbytes)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_no_frame_sized_transient_after_first_iteration(monkeypatch, mode):
     geom, probe, init, amps = wrapping_instance()
@@ -107,22 +122,20 @@ def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode):
     transient, in_use, shifts = traced_run(monkeypatch, amps, geom, init, cfg, probe)
     assert max(transient[1:]) < frame_stack_bytes(geom), transient
     assert shifts == (1 if mode.startswith("rank1") else 0)
-    # The frames and two complex128 scratch stacks are six float64
-    # stacks; the images, the overlap matrix and the small arrays fit in
-    # half of a seventh. Each rank-1 run takes its shifted step above the
-    # weight floor, and makes no spare stack.
+    # The frames and the two scratch stacks are six float64 stacks; the
+    # images, the overlap matrix and the small arrays fit in half of a
+    # seventh.
     (work,) = workspaces
-    assert work._spare is None
+    assert_one_stack_and_one_block(work, geom)
     held = 6 * frame_stack_bytes(geom)
     assert max(in_use) < held + frame_stack_bytes(geom) // 2, (in_use, held)
 
 
 @pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
 def test_a_shifting_run_holds_only_the_frames_and_two_scratch_stacks(mode):
-    # On the wrapping instance every gate and shifted step is above the
-    # weight floor. At its rows the rank-1 run holds no more than the
-    # most a power run holds, and, per-frame, the K x K complex overlap
-    # matrix: the spare stack would add two float64 frame stacks.
+    # At its rows the rank-1 run holds no more than the most a power run
+    # holds, and, per-frame, the K x K complex overlap matrix: a shifted
+    # stack would add two float64 frame stacks.
     geom, probe, init, amps = wrapping_instance()
     held = {}
     for run in ("power", mode):
@@ -131,7 +144,7 @@ def test_a_shifting_run_holds_only_the_frames_and_two_scratch_stacks(mode):
             cfg = SolverConfig(probe_mode=run, max_iters=30)
             _, in_use, shifts = traced_run(patch, amps, geom, init, cfg, probe)
         (work,) = workspaces
-        assert work._spare is None
+        assert_one_stack_and_one_block(work, geom)
         held[run] = max(in_use)
     assert shifts >= 2
     overlap = geom.K**2 * np.dtype(np.complex128).itemsize if mode == "rank1_framewise" else 0
