@@ -78,17 +78,20 @@ worker per usable core; numpy releases the GIL in these loops. Each
 stage is one fused pass per chunk: the frame update (gather, probe
 product, DFT, magnitudes, misfit, phase, scaling, inverse DFT,
 conjugate-probe product) and row 0's, which stops at the misfit; the
-standard and power steps, which share one gathered kernel; the
-per-frame gate's weighted stack; and the intensity of the canvas. A
-shifted step takes two passes: the first gathers the shifted
-accumulation, whose sums over the frames are taken before the second
-multiplies it by the frames. Only
-the sums over frames, the inner products, the misfit norm and the
-scatter-adds read the whole stack; they run on the calling thread
-once every chunk has finished, so every result is bit-identical to
-the unchunked pass. A stack shorter than two chunks (every 64 px
-instance) is one chunk, run on the calling thread by the same code,
-touching the same stacks in the same order.
+start frames of a run without ``frames_init`` (:func:`_start_frames`),
+the frame update on a unit object: its windows are all the probe, so
+the phases come from one transform of the probe and the pass fills them
+and runs the scaling onwards; the standard and power steps, which share
+one gathered kernel; the per-frame gate's weighted stack; and the
+intensity of the canvas. A shifted step takes two passes: the first
+gathers the shifted accumulation, whose sums over the frames are taken
+before the second multiplies it by the frames. Only the sums over
+frames, the inner products, the misfit norm and the scatter-adds read
+the whole stack; they run on the calling thread once every chunk has
+finished, so every result is bit-identical to the unchunked pass. A
+stack shorter than two chunks (every 64 px instance) is one chunk, run
+on the calling thread by the same code, touching the same stacks in the
+same order.
 The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized array of a run is one of its scratch stacks
 (:class:`_Workspace`), a complex stack and a float64 block of the same
@@ -226,13 +229,25 @@ class _Workspace:
         self.edges = _frame_edges(geom.K, self.stack.itemsize * geom.m**2)
 
 
-def _divided(numerator: np.ndarray, denominator: np.ndarray, vanished: str) -> np.ndarray:
+def _divided(
+    numerator: np.ndarray,
+    denominator: np.ndarray,
+    subject: str,
+    undefined: str,
+    source: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """``numerator`` over ``denominator`` floored at ``EPSILON_REL`` times
-    its maximum. Raises :class:`DegenerateInputError` with the message
-    ``vanished`` when the denominator is identically zero."""
+    its maximum. Where the denominator, an intensity of ``subject``, is
+    identically zero it raises :class:`DegenerateInputError`: "``subject``
+    is identically zero: ``undefined``", or, where ``source`` is given
+    and not zero, so the intensity underflowed, "``subject`` intensity
+    underflowed to zero: ``undefined``". Only that path reads
+    ``source``."""
     peak = denominator.max()
     if not peak > 0:
-        raise DegenerateInputError(vanished)
+        if source is not None and np.any(source):
+            raise DegenerateInputError(f"{subject} intensity underflowed to zero: {undefined}")
+        raise DegenerateInputError(f"{subject} is identically zero: {undefined}")
     return numerator / np.maximum(denominator, EPSILON_REL * peak)
 
 
@@ -244,7 +259,8 @@ def update_object(coverage: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
     probe's object coverage and ``adjoint`` the stack's accumulation
     ``illuminate_adjoint(frames, probe, geom)``.
     """
-    return _divided(adjoint, coverage, "probe is identically zero: object coverage vanishes")
+    # A nonzero accumulation needs a nonzero probe.
+    return _divided(adjoint, coverage, "probe", "object coverage vanishes", source=adjoint)
 
 
 def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
@@ -294,7 +310,7 @@ def update_probe_standard(
     intensity = np.abs(obj)
     np.square(intensity, out=intensity)
     num, den = _gathered_terms(np.asarray(frames), geom, obj, intensity, work)
-    return _divided(num, den, "object is identically zero: probe update undefined")
+    return _divided(num, den, "object", "probe update undefined", source=obj)
 
 
 def _intensity_canvas(frames: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
@@ -347,7 +363,7 @@ def update_probe_power(
     gathered to the frames.
     """
     num, den = _gathered_terms(np.asarray(frames), geom, adjoint, canvas, work)
-    return _divided(num, den, "frame stack is identically zero: power update undefined")
+    return _divided(num, den, "frame stack", "power update undefined", source=frames)
 
 
 def transparency_global(adjoint: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> complex:
@@ -680,7 +696,7 @@ def update_probe_rank1(
         num = sum_frames(view) - factors * probe * total
     else:
         num, den = _rank1_terms(frames, probe, geom, factors, coverage, adjoint, canvas, work)
-    return _divided(num, den, "shifted frame stack is identically zero: rank-1 update undefined")
+    return _divided(num, den, "shifted frame stack", "rank-1 update undefined")
 
 
 def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -714,7 +730,7 @@ def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _impose_amplitudes(
     spectra: np.ndarray,
     magnitudes: np.ndarray,
-    amplitudes: np.ndarray,
+    amplitudes: Optional[np.ndarray],
     inv: np.ndarray,
     scratch: np.ndarray,
 ) -> None:
@@ -723,7 +739,8 @@ def _impose_amplitudes(
     ``magnitudes``, formed in ``inv``, and then by the amplitudes, each
     filled into the complex stack ``scratch`` first. A bin of magnitude
     exactly zero takes phase 1, so it becomes its amplitude, and no bin
-    is divided by zero."""
+    is divided by zero. Without ``amplitudes`` the spectra are left at
+    unit modulus, their phases."""
     if magnitudes.min() > 0.0:
         np.divide(1.0, magnitudes, out=inv)
     else:
@@ -732,7 +749,8 @@ def _impose_amplitudes(
         np.divide(1.0, np.add(magnitudes, zero, out=inv), out=inv)
         np.copyto(spectra, 1.0, where=zero)
     np.multiply(spectra, _fill(scratch, inv), out=spectra)
-    np.multiply(spectra, _fill(scratch, amplitudes), out=spectra)
+    if amplitudes is not None:
+        np.multiply(spectra, _fill(scratch, amplitudes), out=spectra)
 
 
 def _magnitude_pass(
@@ -789,6 +807,46 @@ def _magnitude_pass(
 
     _over_frames(chunk, work.edges)
     return np.linalg.norm(misfit)
+
+
+def _start_frames(
+    probe: np.ndarray, amplitudes: np.ndarray, geom: ScanGeometry, work: _Workspace
+) -> np.ndarray:
+    """The frames of a unit object under ``probe`` with the measured
+    ``amplitudes`` imposed, the start of a run without ``frames_init``;
+    their conjugate-probe weighting is left in ``work.stack``, the stack
+    whose scatter-add is their adjoint accumulation.
+
+    Every window of a unit object is the probe, so every frame has the
+    probe's spectrum and so its phases. These are taken once, in the
+    first frame of the scratch stacks, by the calls the frame pass
+    (:func:`_magnitude_pass`) makes on a chunk: the product of the probe
+    with a window of ones, a ``(1, m, m)`` transform and the phase rule
+    of :func:`_impose_amplitudes`. One pass over the chunks then fills
+    each frame with the phases, multiplies them by its amplitudes,
+    transforms back into the frames and weights those by the conjugate
+    probe: the bits of the frame pass on a unit object, without its K
+    forward transforms and magnitudes and its misfit.
+    """
+    frames = np.empty(amplitudes.shape, dtype=np.complex128)
+    spectrum, magnitudes, inv = work.stack[:1], work.real[:1], work.real2[:1]
+    spectrum.fill(1.0)
+    np.multiply(_fill(frames[:1], probe), spectrum, out=spectrum)
+    np.fft.fftn(spectrum, axes=(-2, -1), norm="ortho", out=spectrum)
+    np.abs(spectrum, out=magnitudes)
+    _impose_amplitudes(spectrum, magnitudes, None, inv, frames[:1])
+    # Copied out of the stack the pass overwrites.
+    phases = spectrum[0].copy()
+    conj_probe = np.conj(probe)
+
+    def chunk(lo, hi):
+        spectra, scratch = work.stack[lo:hi], frames[lo:hi]
+        np.multiply(_fill(spectra, phases), _fill(scratch, amplitudes[lo:hi]), out=spectra)
+        np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
+        np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
+
+    _over_frames(chunk, work.edges)
+    return frames
 
 
 def _check_finite(value, name: str) -> None:
@@ -906,7 +964,10 @@ def run_reconstruction(
 
     Without ``frames_init`` the run starts from the frames of a unit
     object under the initial probe, with the measured magnitudes
-    imposed.
+    imposed. Every window of a unit object is the probe, so the probe's
+    spectrum is transformed once and its phases given to every frame:
+    the bits of the frame update on a unit object, without its K forward
+    transforms.
     ``stop_nrmse`` halts the run at the first iteration whose probe
     error reaches the threshold and requires ``probe_true``.
     """
@@ -926,11 +987,8 @@ def run_reconstruction(
         # the dtype its product is taken in.
         overlap = build_overlap_matrix(geom).astype(np.complex128)
     if frames_init is None:
-        ones = np.ones((geom.n, geom.n), dtype=np.complex128)
-        frames = np.empty(amplitudes.shape, dtype=np.complex128)
-        _magnitude_pass(ones, probe, amplitudes, geom, work, frames)
+        frames = _start_frames(probe, amplitudes, geom, work)
         adjoint = embed_add_frames(work.stack, geom)
-        del ones
     else:
         # A C-ordered copy: the loop overwrites these frames in place,
         # and the frames' memory order decides how reductions round.

@@ -208,12 +208,13 @@ def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypa
     real = solver._impose_amplitudes
 
     def faulty(*args):
-        # The transparent start is the first projecting pass; fail one
-        # chunk of the second, which is iteration 1's frame update.
+        # The start takes the probe's phases once, on the calling thread;
+        # every later call is one chunk of a projecting pass. Fail one
+        # chunk of the first, which is iteration 1's frame update.
         with lock:
             calls.append(None)
             call = len(calls)
-        if call == per_pass + 1:
+        if call == 2:
             raise ValueError("chunk failed")
         time.sleep(0.002)
         real(*args)
@@ -223,8 +224,8 @@ def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypa
     monkeypatch.setattr(solver, "_impose_amplitudes", faulty)
     with pytest.raises(ValueError, match="^iteration 1: chunk failed$"):
         run_reconstruction(amps, geom, init, SolverConfig(probe_mode="power", max_iters=3))
-    assert len(calls) == 2 * per_pass
-    assert sorted(finished) == [c for c in range(1, 2 * per_pass + 1) if c != per_pass + 1]
+    assert len(calls) == 1 + per_pass
+    assert sorted(finished) == [c for c in range(1, per_pass + 2) if c != 2]
 
 
 @pytest.mark.parametrize(("chunk_bytes", "chunks"), [(fourier._CHUNK_BYTES, 1), (1, 8)])

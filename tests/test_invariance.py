@@ -13,6 +13,10 @@ undone on its output, with the solve of the problem itself:
   phase on the start probe: the arithmetic is the same up to the order
   of its sums, so the iteration count and the events are equal and the
   probes agree to 1e-12.
+
+Past the range, amplitudes times ``2**-540``, the stack's intensities
+underflow though the data do not, and the error says so; zero
+amplitudes still say the stack is zero.
 """
 
 from functools import lru_cache
@@ -113,3 +117,34 @@ def test_a_symmetry_of_the_problem_keeps_the_solve(mode, transform):
     assert [row.iter for row in got.rows] == [row.iter for row in want.rows]
     probe = undo(got.probe)
     assert np.linalg.norm(probe - want.probe) <= 1e-12 * np.linalg.norm(want.probe)
+
+
+# The first step of each mode that divides by an intensity of the scaled
+# stack: the standard step by the object's, the power step (every
+# rank-1 mode's first) by the frames'.
+DIVIDED_BY = {
+    "standard": ("object", "probe update undefined"),
+    "rank1_global": ("frame stack", "power update undefined"),
+    "rank1_framewise": ("frame stack", "power update undefined"),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_amplitude_scale_past_the_range_says_the_intensity_underflowed(mode):
+    # Below the range: the stack's intensities underflow, the data do not.
+    geom, probe, init, amps = instance()
+    scaled = amps * np.ldexp(1.0, -540)
+    assert (scaled > 0).all()
+    subject, undefined = DIVIDED_BY[mode]
+    message = f"^iteration 1: {subject} intensity underflowed to zero: {undefined}$"
+    with pytest.raises(solver.DegenerateInputError, match=message):
+        solve(mode, geom, probe, init, scaled)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_zero_amplitudes_say_the_stack_is_zero(mode):
+    geom, probe, init, amps = instance()
+    subject, undefined = DIVIDED_BY[mode]
+    message = f"^iteration 1: {subject} is identically zero: {undefined}$"
+    with pytest.raises(solver.DegenerateInputError, match=message):
+        solve(mode, geom, probe, init, np.zeros_like(amps))

@@ -70,6 +70,16 @@ def test_update_object_zero_probe_raises(rng):
         update_object(*step_inputs(np.ones((2, 2, 2), dtype=complex), np.zeros((2, 2)), geom)[:2])
 
 
+def test_update_object_underflowed_probe_says_so(rng):
+    # |probe|**2 underflows to zero; the accumulation conj(probe) f does not.
+    geom = random_geometry(rng, n=4, m=2, K=2)
+    probe = np.full((2, 2), np.ldexp(1.0, -600), dtype=complex)
+    coverage, adjoint = step_inputs(np.ones((2, 2, 2), dtype=complex), probe, geom)[:2]
+    assert not coverage.any() and adjoint.any()
+    with pytest.raises(DegenerateInputError, match="^probe intensity underflowed to zero: object"):
+        update_object(coverage, adjoint)
+
+
 def test_update_object_uncovered_pixels_are_zero(rng):
     geom = ScanGeometry(n=4, m=2, positions=[(0, 0)])
     frames = rand_complex(rng, 1, 2, 2)
