@@ -204,7 +204,7 @@ def frame_consistency_project(frames, probe, geom):
     can produce under the probe.
     """
     coverage, adjoint = step_inputs(frames, probe, geom)[:2]
-    return illuminate(update_object(coverage, adjoint), probe, geom)
+    return illuminate(update_object(coverage, adjoint, probe), probe, geom)
 
 
 def data_residual(frames, amplitudes):

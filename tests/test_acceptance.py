@@ -94,7 +94,7 @@ def test_criterion_1_dense_oracle_equivalence():
     pinv = np.where(obj_cov > 1e-12 * obj_cov.max(), 1.0 / np.where(obj_cov > 0, obj_cov, 1.0), 0.0)
     obj_lsq = pinv * (Q.conj().T @ stack_to_vec(frames))
     inputs = step_inputs(frames, probe, geom)
-    errs["update_object"] = _rel(update_object(*inputs[:2]), obj_lsq.reshape(n, n))
+    errs["update_object"] = _rel(update_object(*inputs[:2], probe), obj_lsq.reshape(n, n))
     errs["consistency_projection"] = _rel(
         frame_consistency_project(frames, probe, geom), vec_to_stack(Q @ obj_lsq, geom)
     )

@@ -142,6 +142,17 @@ def test_an_amplitude_scale_past_the_range_says_the_intensity_underflowed(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_a_probe_scale_past_the_range_says_its_intensity_underflowed(mode):
+    # The start probe's norm underflows, and with the amplitudes scaled
+    # as well every intensity and accumulation of the run would too.
+    geom, probe, init, amps = instance()
+    scale = np.ldexp(1.0, -540)
+    assert (init * scale).any()
+    with pytest.raises(ValueError, match="^probe_init intensity underflowed to zero$"):
+        solve(mode, geom, probe, init * scale, amps * scale)
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_zero_amplitudes_say_the_stack_is_zero(mode):
     geom, probe, init, amps = instance()
     subject, undefined = DIVIDED_BY[mode]

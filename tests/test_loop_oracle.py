@@ -72,13 +72,13 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
         rows.append((iteration, err, resid, pairwise))
         return cfg.stop_nrmse is not None and err <= cfg.stop_nrmse
 
-    obj = update_object(*step_inputs(frames, probe, geom)[:2])
+    obj = update_object(*step_inputs(frames, probe, geom)[:2], probe)
     stop = record(0, illuminate(obj, probe, geom))
     since_shift, shifts = solver.RANK1_CADENCE, 0
     for iteration in range(1, cfg.max_iters + 1):
         if stop:
             break
-        obj = update_object(*step_inputs(frames, probe, geom)[:2])
+        obj = update_object(*step_inputs(frames, probe, geom)[:2], probe)
         new, engaged = None, False
         if cfg.probe_mode == "standard":
             new = update_probe_standard(frames, obj, geom, step_inputs(frames, probe, geom).work)
@@ -115,7 +115,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
         obj = np.roll(obj, tuple(shift), axis=(0, 1))
         probe *= norm_lock_target / np.linalg.norm(probe)
         if engaged:
-            obj = update_object(*step_inputs(frames, probe, geom)[:2])
+            obj = update_object(*step_inputs(frames, probe, geom)[:2], probe)
         model = illuminate(obj, probe, geom)
         frames = magnitude_project(model, amplitudes)
         stop = record(iteration, model)

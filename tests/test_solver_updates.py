@@ -42,14 +42,15 @@ def test_update_object_recovers_exact_object(rng):
     w = rand_complex(rng, 3, 3) + 2.0
     psi = rand_complex(rng, 6, 6)
     frames = illuminate(psi, w, geom)
-    got = update_object(*step_inputs(frames, w, geom)[:2])
+    got = update_object(*step_inputs(frames, w, geom)[:2], w)
     np.testing.assert_allclose(got, psi, rtol=1e-10)
 
 
 def test_update_object_single_full_frame_unit_probe(rng):
     geom = ScanGeometry(n=4, m=4, positions=[(0, 0)])
     frames = rand_complex(rng, 1, 4, 4)
-    got = update_object(*step_inputs(frames, np.ones((4, 4), dtype=complex), geom)[:2])
+    probe = np.ones((4, 4), dtype=complex)
+    got = update_object(*step_inputs(frames, probe, geom)[:2], probe)
     np.testing.assert_allclose(got, frames[0], atol=1e-13)
 
 
@@ -60,30 +61,35 @@ def test_update_object_matches_dense_normal_equations(rng):
     Q = dense_illuminate_matrix(w, geom)
     gram = Q.conj().T @ Q
     want = np.linalg.solve(gram, Q.conj().T @ stack_to_vec(frames)).reshape(5, 5)
-    got = update_object(*step_inputs(frames, w, geom)[:2])
+    got = update_object(*step_inputs(frames, w, geom)[:2], w)
     np.testing.assert_allclose(got, want, rtol=1e-10)
 
 
 def test_update_object_zero_probe_raises(rng):
     geom = random_geometry(rng, n=4, m=2, K=2)
     with pytest.raises(DegenerateInputError, match="^probe is identically zero: object coverage"):
-        update_object(*step_inputs(np.ones((2, 2, 2), dtype=complex), np.zeros((2, 2)), geom)[:2])
+        probe = np.zeros((2, 2), dtype=complex)
+        update_object(*step_inputs(np.ones((2, 2, 2), dtype=complex), probe, geom)[:2], probe)
 
 
-def test_update_object_underflowed_probe_says_so(rng):
-    # |probe|**2 underflows to zero; the accumulation conj(probe) f does not.
+@pytest.mark.parametrize("frame_scale", [1.0, np.ldexp(1.0, -600)])
+def test_update_object_underflowed_probe_says_so(rng, frame_scale):
+    # |probe|**2 underflows to zero; with frames scaled down as well, so
+    # does the accumulation conj(probe) f, but the probe is not zero.
     geom = random_geometry(rng, n=4, m=2, K=2)
     probe = np.full((2, 2), np.ldexp(1.0, -600), dtype=complex)
-    coverage, adjoint = step_inputs(np.ones((2, 2, 2), dtype=complex), probe, geom)[:2]
-    assert not coverage.any() and adjoint.any()
+    frames = np.full((2, 2, 2), frame_scale, dtype=complex)
+    coverage, adjoint = step_inputs(frames, probe, geom)[:2]
+    assert not coverage.any() and adjoint.any() == (frame_scale == 1.0)
     with pytest.raises(DegenerateInputError, match="^probe intensity underflowed to zero: object"):
-        update_object(coverage, adjoint)
+        update_object(coverage, adjoint, probe)
 
 
 def test_update_object_uncovered_pixels_are_zero(rng):
     geom = ScanGeometry(n=4, m=2, positions=[(0, 0)])
     frames = rand_complex(rng, 1, 2, 2)
-    got = update_object(*step_inputs(frames, np.ones((2, 2), dtype=complex), geom)[:2])
+    probe = np.ones((2, 2), dtype=complex)
+    got = update_object(*step_inputs(frames, probe, geom)[:2], probe)
     assert np.all(got[2:, :] == 0) and np.all(got[:, 2:] == 0)
 
 

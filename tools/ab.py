@@ -1,8 +1,9 @@
 """Time the solves of two ``src/ptyblind`` trees against each other in one process.
 
 Each tree is loaded under a module name of its own (``ab_a``, ``ab_b``),
-so both can be timed side by side on the same inputs: a workload
-instance of ``perfbench/workloads.py``, generated once by this checkout.
+so both can be timed side by side on the same inputs: instance 0 of a
+workload of ``perfbench/workloads.py`` at seed 0, generated once by this
+checkout.
 A round runs the solve four times, each a ``run_reconstruction`` call
 of ``--iters`` iterations (the workload's count by default; 0 times the
 set-up alone), in ABBA order and BAAB in the next, so each side takes
@@ -56,15 +57,15 @@ def load_tree(root: Path, name: str):
     return module
 
 
-def instance(workload: str, seed: int, k: int):
-    """Positions, sizes and arrays of instance ``k`` of a workload of
-    ``perfbench/workloads.py``, generated by this checkout."""
+def instance(workload: str):
+    """Positions, sizes and arrays of instance 0 of a workload of
+    ``perfbench/workloads.py`` at seed 0, generated by this checkout."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
     w = workloads.WORKLOADS[workload]
-    inputs = workloads.generate(w, seed)
-    inst = inputs.instances[k]
+    inputs = workloads.generate(w, 0)
+    inst = inputs.instances[0]
     geom = inputs.geom
     return w, (geom.n, geom.m, np.array(geom.positions)), inst
 
@@ -90,10 +91,10 @@ def timed(call) -> float:
     return time.perf_counter() - t0
 
 
-def summary(ratios: list[float], seed: int = 0) -> dict:
+def summary(ratios: list[float]) -> dict:
     """Median of the ratios and a 95% bootstrap interval of it."""
     values = np.asarray(ratios)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     picks = rng.integers(0, len(values), size=(BOOTSTRAP_SAMPLES, len(values)))
     medians = np.median(values[picks], axis=1)
     low, high = np.percentile(medians, [2.5, 97.5])
@@ -130,14 +131,12 @@ def main(argv=None) -> int:
     parser.add_argument("a", help="tree A, the reference (say the parent)")
     parser.add_argument("b", help="tree B, the candidate")
     parser.add_argument("--workload", default="large223")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--instance", type=int, default=0)
     parser.add_argument("--mode", default="standard")
     parser.add_argument("--iters", type=int, help="iterations per solve (default: the workload's)")
     parser.add_argument("--rounds", type=int, default=20)
     args = parser.parse_args(argv)
 
-    w, layout, inst = instance(args.workload, args.seed, args.instance)
+    w, layout, inst = instance(args.workload)
     iters = w.max_iters if args.iters is None else args.iters
     calls = [
         solver_call(load_tree(root, name), layout, inst, args.mode, iters)
@@ -148,8 +147,6 @@ def main(argv=None) -> int:
         "a": str(args.a),
         "b": str(args.b),
         "workload": args.workload,
-        "seed": args.seed,
-        "instance": args.instance,
         "mode": args.mode,
         "iters": iters,
         "identical_probe": same,
