@@ -10,6 +10,12 @@ work on a stack larger than one chunk of ``_CHUNK_BYTES`` runs in frame
 chunks on a pool with one thread per usable core (numpy releases the
 GIL in its FFTs and ufunc loops). Every chunk computes its frames
 exactly as the whole stack would, so the results are bit-identical.
+Sums over the whole stack run on the calling thread after every chunk
+has finished, except that a pass may give a tail, which the calling
+thread runs on each chunk in chunk order as soon as it finishes, while
+the pool works on later chunks: that is where the solver scatters
+frames of at least ``_WINDOW_PX`` onto the object, by window adds that
+keep the frame order and so the bits.
 """
 
 from __future__ import annotations
@@ -26,6 +32,17 @@ import numpy as np
 # (1, m, m) frame may round differently from the same frame inside a
 # taller stack.
 _CHUNK_BYTES = 4 * 2**20
+
+# Frames of at least this many pixels a side are scattered onto the
+# object window by window, chunk by chunk as the tail of a pass (see
+# ``operators._add_windows``); smaller ones by one ``np.add.at`` or
+# ``bincount`` over the stack. On a 2-core Xeon, over 169-frame rasters
+# at a quarter-frame step, a real stack took 0.42 ms by ``bincount``
+# against 0.52 by window adds at 48 px, 0.75 against 0.84 at 64 and 3.2
+# against 2.6 at 128; a 4-iteration solve took the same time either way
+# at 64 px and about 5% less by windows at 128 px, where the adds run
+# while the pool transforms later chunks.
+_WINDOW_PX = 64
 
 
 def _usable_cores() -> int:
@@ -68,25 +85,36 @@ def _frame_edges(count: int, frame_bytes: int) -> list[int]:
     return [count * i // chunks for i in range(chunks + 1)]
 
 
-def _over_frames(work, edges: list[int]) -> None:
+def _over_frames(work, edges: list[int], tail=None) -> None:
     """Run ``work(lo, hi)`` on the frames ``[lo, hi)`` of every chunk
     between ``edges``; each chunk writes its own frames of the output
-    stacks the caller allocated.
+    stacks the caller allocated. Given ``tail``, run ``tail(lo, hi)`` on
+    the calling thread for each chunk in chunk order, as soon as that
+    chunk's work has finished, while the pool works on later chunks.
 
-    A single chunk runs on the calling thread. Several run on the pool,
-    and the first exception in chunk order is raised once every chunk
-    has finished. ``work`` runs in a copy of the caller's context
-    (numpy's error state) and must call numpy and private helpers only.
+    A single chunk runs its work and then its tail on the calling
+    thread. Several run on the pool, and the first exception in chunk
+    order is raised once every chunk has finished; no tail runs at or
+    after a chunk that failed. ``work`` runs in a copy of the caller's
+    context (numpy's error state) and must call numpy and private
+    helpers only.
     """
     if len(edges) == 2:
         work(edges[0], edges[1])
+        if tail is not None:
+            tail(edges[0], edges[1])
         return
+    chunks = list(zip(edges, edges[1:]))
     pool = _pool()
-    futures = [
-        pool.submit(contextvars.copy_context().run, work, lo, hi)
-        for lo, hi in zip(edges, edges[1:])
-    ]
-    wait(futures)
+    futures = [pool.submit(contextvars.copy_context().run, work, lo, hi) for lo, hi in chunks]
+    try:
+        if tail is not None:
+            for future, (lo, hi) in zip(futures, chunks):
+                if future.exception() is not None:
+                    break
+                tail(lo, hi)
+    finally:
+        wait(futures)
     for future in futures:
         future.result()
 

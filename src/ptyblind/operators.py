@@ -17,6 +17,11 @@ Conventions
   ascending, row-major within each frame) so overlapping sums are
   bit-reproducible: complex stacks by one ``np.add.at``, real ones by
   one ``np.bincount``, each adding every pixel in that frame order.
+  Frames of at least ``fourier._WINDOW_PX`` a side are added window by
+  window instead (:func:`_add_windows`), frame by frame in the same
+  order, so each pixel takes the same additions from 0.0 and the same
+  bits; the solver runs those adds chunk by chunk on the calling
+  thread while its pool transforms later chunks.
 
 All functions are pure and safe to call concurrently, except that a
 call given a buffer (``out`` or ``scratch``) writes it; calls sharing
@@ -32,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import fourier
 from .fourier import _check_stack_3d
 
 
@@ -95,6 +101,29 @@ class ScanGeometry:
         rows = (self.positions[:, 0:1] + offs) % self.n  # (K, m)
         cols = (self.positions[:, 1:2] + offs) % self.n  # (K, m)
         return rows[:, :, None] * self.n + cols[:, None, :]
+
+    @cached_property
+    def window_slices(self) -> tuple:
+        """Per frame, the rectangles its window covers on the object: one,
+        or up to four where it wraps, each a ``(target, source)`` pair
+        such that ``image[target]`` of an (n, n) image and
+        ``stack[source]`` of a (K, m, m) stack hold the same pixels of
+        that frame, ``source`` leading with the frame index."""
+
+        def parts(offset: int) -> list[tuple[slice, slice]]:
+            # (object slice, frame slice) along one axis.
+            split = self.n - offset
+            if split >= self.m:
+                return [(slice(offset, offset + self.m), slice(0, self.m))]
+            return [
+                (slice(offset, self.n), slice(0, split)),
+                (slice(0, self.m - split), slice(split, self.m)),
+            ]
+
+        return tuple(
+            tuple(((rt, ct), (k, rs, cs)) for rt, rs in parts(r) for ct, cs in parts(c))
+            for k, (r, c) in enumerate(self.positions.tolist())
+        )
 
 
 def _fill(out: np.ndarray, value) -> np.ndarray:
@@ -212,10 +241,34 @@ def illuminate_adjoint(
     return embed_add_frames(weighted, geom)
 
 
+def _by_windows(geom: ScanGeometry) -> bool:
+    """Whether scatters onto the object of ``geom`` add its frames window
+    by window: frames of at least ``fourier._WINDOW_PX`` a side."""
+    return geom.m >= fourier._WINDOW_PX
+
+
+def _add_windows(image: np.ndarray, stack: np.ndarray, geom: ScanGeometry, lo: int, hi: int) -> None:
+    """Add the frames ``[lo, hi)`` of ``stack`` onto the (n, n) ``image``
+    in place, window by window in frame order (see
+    :attr:`ScanGeometry.window_slices`). Every pixel takes its frames in
+    the order :func:`embed_add_frames` adds them, so frames added in
+    ascending runs onto zeros give its bits. Unlike ``np.add.at``, each
+    add releases the GIL."""
+    for rects in geom.window_slices[lo:hi]:
+        for target, source in rects:
+            window = image[target]
+            np.add(window, stack[source], out=window)
+
+
 def _object_coverage(probe: np.ndarray, geom: ScanGeometry, scratch: np.ndarray) -> np.ndarray:
-    """The (n, n) object coverage of a probe: ``|probe|**2`` replicated
-    into ``scratch``, a float64 (K, m, m) stack, and scattered."""
+    """The (n, n) object coverage of a probe: ``|probe|**2`` added window
+    by window, or for frames below ``fourier._WINDOW_PX`` replicated into
+    ``scratch``, a float64 (K, m, m) stack, and scattered."""
     intensity = np.abs(probe) ** 2
+    if _by_windows(geom):
+        coverage = np.zeros((geom.n, geom.n))
+        _add_windows(coverage, np.broadcast_to(intensity, (geom.K, geom.m, geom.m)), geom, 0, geom.K)
+        return coverage
     return embed_add_frames(replicate_probe(intensity, geom, out=scratch), geom)
 
 

@@ -38,7 +38,8 @@ every consumer: the object coverage ``C``; the adjoint accumulation
 ``A = illuminate_adjoint(frames, probe)``, the numerator of the next
 object update and the power step's accumulation; and the intensity
 canvas, the scatter-add of ``|frames|**2``, which the metrics row
-makes for the frames it records. ``<C, canvas>`` is the stack's
+makes for the frames it records (the frame update, for frames of at
+least ``fourier._WINDOW_PX``). ``<C, canvas>`` is the stack's
 coverage-weighted energy ``E``, from which the metrics row's pairwise
 discrepancy ``E - ||A||^2`` and the global gate read; the canvas
 gathered to the frames is the power step's denominator. All three
@@ -86,12 +87,20 @@ one gathered kernel; the per-frame gate's weighted stack; and the
 intensity of the canvas. A shifted step takes two passes: the first
 gathers the shifted accumulation, whose sums over the frames are taken
 before the second multiplies it by the frames. Only the sums over
-frames, the inner products, the misfit norm and the scatter-adds read
-the whole stack; they run on the calling thread once every chunk has
-finished, so every result is bit-identical to the unchunked pass. A
-stack shorter than two chunks (every 64 px instance) is one chunk, run
-on the calling thread by the same code, touching the same stacks in the
-same order.
+frames, the inner products and the misfit norm read the whole stack;
+they run on the calling thread once every chunk has finished. Frames
+below ``fourier._WINDOW_PX`` (16 px in every 64 px instance) are
+scattered onto the object the same way, one ``np.add.at`` or
+``bincount`` over the whole stack. Larger frames are scattered chunk by
+chunk on the calling thread: as each chunk of the frame update or of
+the start frames finishes, its weighted frames and their intensities
+are added window by window into the new adjoint accumulation and
+canvas while the pool transforms later chunks, and the object coverage
+adds ``|p|**2`` windows. Each pixel receives its frames in ascending
+order from 0.0 on either route, so every result is bit-identical to the
+unchunked pass. A stack shorter than two chunks (every 64 px instance)
+is one chunk, run on the calling thread by the same code, touching the
+same stacks in the same order.
 The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized array of a run is one of its scratch stacks
 (:class:`_Workspace`), a complex stack and a float64 block of the same
@@ -128,6 +137,8 @@ from .fourier import _frame_edges, _over_frames, check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
     ScanGeometry,
+    _add_windows,
+    _by_windows,
     _check_integer,
     _check_object,
     _check_probe as _check_probe_shape,
@@ -313,18 +324,45 @@ def update_probe_standard(
     return _divided(num, den, "object", "probe update undefined", source=obj)
 
 
+def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
+    """``|frames|**2`` into the float64 ``out``."""
+    np.square(np.abs(frames, out=out), out=out)
+
+
 def _intensity_canvas(frames: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
     """The (n, n) scatter-add of the stack intensity ``|frames|**2``,
     formed in ``work.real``. Gathered back to each frame it is the
     frame-overlap coverage the power step divides by; its inner product
     with the object coverage is the stack's coverage-weighted energy."""
     intensity = work.real
-
-    def chunk(lo, hi):
-        np.square(np.abs(frames[lo:hi], out=intensity[lo:hi]), out=intensity[lo:hi])
-
-    _over_frames(chunk, work.edges)
+    _over_frames(lambda lo, hi: _intensity(frames[lo:hi], intensity[lo:hi]), work.edges)
     return embed_add_frames(intensity, geom)
+
+
+def _zero_images(geom: ScanGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """A zero complex adjoint accumulation and a zero intensity canvas,
+    for a frame pass to add its frames into."""
+    return np.zeros((geom.n, geom.n), dtype=np.complex128), np.zeros((geom.n, geom.n))
+
+
+def _window_tail(
+    images: Optional[tuple[np.ndarray, np.ndarray]], geom: ScanGeometry, work: _Workspace
+):
+    """The tail of a frame pass given ``images``, an (adjoint, canvas)
+    pair from :func:`_zero_images`, or None without: it adds each
+    finished chunk's conjugate-probe weighted frames (``work.stack``)
+    into the adjoint and their intensities (``work.real2``) into the
+    canvas, window by window, so the images end with the bits of
+    ``embed_add_frames`` on the whole stacks."""
+    if images is None:
+        return None
+    adjoint, canvas = images
+
+    def tail(lo, hi):
+        _add_windows(adjoint, work.stack, geom, lo, hi)
+        _add_windows(canvas, work.real2, geom, lo, hi)
+
+    return tail
 
 
 def pairwise_discrepancy(coverage: np.ndarray, adjoint: np.ndarray, canvas: np.ndarray) -> float:
@@ -760,6 +798,7 @@ def _magnitude_pass(
     geom: ScanGeometry,
     work: _Workspace,
     frames: Optional[np.ndarray],
+    images: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> float:
     """Per-frame part of the frame update, fused over the run's frame
     chunks.
@@ -779,6 +818,13 @@ def _magnitude_pass(
     product the filled stack gives bit for bit, and the pass stops at the
     misfit. Returns the misfit norm; it is taken over the whole stack, so
     no bit depends on the chunking.
+
+    Given ``images`` as well (frames of at least ``fourier._WINDOW_PX``),
+    each chunk leaves its new frames' intensity in ``work.real2``, free
+    once the amplitudes are imposed, and the calling thread adds each
+    finished chunk into the adjoint accumulation and intensity canvas
+    ``images`` (:func:`_window_tail`) while the pool works on later
+    chunks.
 
     The reciprocal gives the bits the division by the magnitudes gave:
     numpy divides by a complex ``mag + 0j`` by Smith's formula, which
@@ -803,14 +849,20 @@ def _magnitude_pass(
             _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], inv[lo:hi], scratch)
             np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
             np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
+            if images is not None:
+                _intensity(scratch, inv[lo:hi])
         np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
 
-    _over_frames(chunk, work.edges)
+    _over_frames(chunk, work.edges, _window_tail(images, geom, work))
     return np.linalg.norm(misfit)
 
 
 def _start_frames(
-    probe: np.ndarray, amplitudes: np.ndarray, geom: ScanGeometry, work: _Workspace
+    probe: np.ndarray,
+    amplitudes: np.ndarray,
+    geom: ScanGeometry,
+    work: _Workspace,
+    images: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """The frames of a unit object under ``probe`` with the measured
     ``amplitudes`` imposed, the start of a run without ``frames_init``;
@@ -826,7 +878,8 @@ def _start_frames(
     each frame with the phases, multiplies them by its amplitudes,
     transforms back into the frames and weights those by the conjugate
     probe: the bits of the frame pass on a unit object, without its K
-    forward transforms and magnitudes and its misfit.
+    forward transforms and magnitudes and its misfit. Given ``images``,
+    the pass adds its frames into them as :func:`_magnitude_pass` does.
     """
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
     spectrum, magnitudes, inv = work.stack[:1], work.real[:1], work.real2[:1]
@@ -844,8 +897,10 @@ def _start_frames(
         np.multiply(_fill(spectra, phases), _fill(scratch, amplitudes[lo:hi]), out=spectra)
         np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
         np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
+        if images is not None:
+            _intensity(scratch, work.real2[lo:hi])
 
-    _over_frames(chunk, work.edges)
+    _over_frames(chunk, work.edges, _window_tail(images, geom, work))
     return frames
 
 
@@ -874,8 +929,9 @@ class _Iterate:
     ``coverage`` is the (n, n) object coverage of ``probe``,
     ``adjoint`` is ``illuminate_adjoint(frames, probe)`` and ``canvas``
     the scatter-add of the intensity ``|frames|**2``, which the metrics
-    row computes for the frames it records. Each is computed once per
-    iteration and read by the metrics row and the probe step: the
+    row computes for the frames it records, or for frames of at least
+    ``fourier._WINDOW_PX`` the pass that makes them. Each is computed
+    once per iteration and read by the metrics row and the probe step: the
     coverage and ``adjoint`` also by the next object update, ``adjoint``
     and ``canvas`` by the power step, and all three by both rank-1
     gates and the shifted step. ``work`` holds every other frame-sized stack the steps
@@ -984,6 +1040,8 @@ def run_reconstruction(
         raise ValueError("stop_nrmse requires the true probe")
 
     work = _Workspace(geom)
+    windowed = _by_windows(geom)
+    canvas = None
     overlap = None
     if cfg.probe_mode == "rank1_framewise":
         # Built once per run, before the frames like the workspace, in
@@ -996,8 +1054,12 @@ def run_reconstruction(
         # solves of perfbench's noisy_wrap64 ran 2-3% slower, from the
         # placement alone; nothing reads the block.
         gap = np.empty((geom.n, geom.n), dtype=np.complex128)
-        frames = _start_frames(probe, amplitudes, geom, work)
-        adjoint = embed_add_frames(work.stack, geom)
+        if windowed:
+            adjoint, canvas = _zero_images(geom)
+            frames = _start_frames(probe, amplitudes, geom, work, (adjoint, canvas))
+        else:
+            frames = _start_frames(probe, amplitudes, geom, work)
+            adjoint = embed_add_frames(work.stack, geom)
         del gap
     else:
         # A C-ordered copy: the loop overwrites these frames in place,
@@ -1007,19 +1069,25 @@ def run_reconstruction(
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
         adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
+        if windowed:
+            canvas = _intensity_canvas(frames, geom, work)
 
     history = History()
     t_start = time.perf_counter()
     coverage = _object_coverage(probe, geom, work.real)
-    state = _Iterate(frames, probe, coverage, adjoint, work, since_shift=RANK1_CADENCE)
+    state = _Iterate(
+        frames, probe, coverage, adjoint, work, since_shift=RANK1_CADENCE, canvas=canvas
+    )
     # From here the state holds these; the old names would keep the
-    # first probe, coverage and adjoint alive for the whole run.
-    del frames, probe, coverage, adjoint
+    # first probe, coverage, adjoint and canvas alive for the whole run.
+    del frames, probe, coverage, adjoint, canvas
 
     def record(iteration: int, resid: float, t0: float) -> bool:
         """Append a metrics row; returns whether the stop rule fires."""
         err = nrmse_probe(state.probe, probe_true) if probe_true is not None else None
-        state.canvas = _intensity_canvas(state.frames, geom, work)
+        if not windowed:
+            # Below the window size the frame passes make no canvas.
+            state.canvas = _intensity_canvas(state.frames, geom, work)
         pairwise = pairwise_discrepancy(state.coverage, state.adjoint, state.canvas)
         _check_finite(pairwise, "pairwise discrepancy")
         history.rows.append(
@@ -1076,8 +1144,17 @@ def run_reconstruction(
                 )
             # Nothing reads the old frames any more: the new ones
             # overwrite them.
-            misfit_norm = _magnitude_pass(obj, probe, amplitudes, geom, work, state.frames)
-            state.adjoint = embed_add_frames(work.stack, geom)
+            if windowed:
+                # The old images go before the pass makes the new ones,
+                # out of its peak memory.
+                state.adjoint = state.canvas = None
+                state.adjoint, state.canvas = _zero_images(geom)
+                misfit_norm = _magnitude_pass(
+                    obj, probe, amplitudes, geom, work, state.frames, (state.adjoint, state.canvas)
+                )
+            else:
+                misfit_norm = _magnitude_pass(obj, probe, amplitudes, geom, work, state.frames)
+                state.adjoint = embed_add_frames(work.stack, geom)
             stop = record(iteration, model_gap(misfit_norm), t0)
     except ValueError as exc:
         raise type(exc)(f"iteration {iteration}: {exc}") from exc

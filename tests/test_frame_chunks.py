@@ -45,12 +45,12 @@ def record_chunks(monkeypatch):
     chunks = []
     real = solver._over_frames
 
-    def spy(work, edges):
+    def spy(work, edges, tail=None):
         def recorded(lo, hi):
             chunks.append((lo, hi, threading.current_thread() is threading.main_thread()))
             work(lo, hi)
 
-        real(recorded, edges)
+        real(recorded, edges, tail)
 
     monkeypatch.setattr(solver, "_over_frames", spy)
     return chunks
@@ -102,6 +102,157 @@ def test_chunked_run_at_frame_size_128_matches_one_chunk_run(monkeypatch):
     chunks = record_chunks(monkeypatch)
     assert outcome(run_reconstruction(amps, geom, probe * 0.9, cfg, probe_true=probe)) == whole
     assert sorted({(lo, hi) for lo, hi, _ in chunks}) == [(0, 2), (2, 5)]
+
+
+def windowed_instance():
+    """A weak-contrast scan of 64 px frames on an 80 px object, shifted
+    so that frames wrap in one axis and in both."""
+    offsets = np.array([0, 6, 12])
+    grid = np.stack(np.meshgrid(offsets, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
+    geom = ScanGeometry(n=80, m=64, positions=grid + (10, 14))
+    assert {len(rects) for rects in geom.window_slices} == {1, 2, 4}
+    obj = make_test_object(PhantomSpec(n=80, dc_fraction=0.95, texture_seed=2))
+    probe = make_probe(ProbeSpec(m=64, aperture_radius_px=24.0, defocus_phase_strength=0.5))
+    return geom, probe, simulate_data(obj, probe, geom)
+
+
+def count_window_adds(monkeypatch):
+    counts = []
+    real = operators._add_windows
+
+    def counted(*args):
+        counts.append(None)
+        real(*args)
+
+    monkeypatch.setattr(operators, "_add_windows", counted)
+    monkeypatch.setattr(solver, "_add_windows", counted)
+    return counts
+
+
+@pytest.mark.parametrize("chunk_bytes", [fourier._CHUNK_BYTES, 1], ids=["one chunk", "chunked"])
+@pytest.mark.parametrize("mode", MODES)
+def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chunk_bytes):
+    """Frames of 64 px scatter onto the object by windows, as each chunk
+    finishes; with the window size out of reach the same run scatters
+    whole stacks by np.add.at and bincount, with the same bits."""
+    geom, probe, amps = windowed_instance()
+    monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
+    # A shifted step, and so the re-fit, at every iteration.
+    monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
+    monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
+    cfg = SolverConfig(probe_mode=mode, max_iters=4)
+    adds = count_window_adds(monkeypatch)
+    chunks = record_chunks(monkeypatch)
+    windowed = outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe))
+    # Per chunk, two adds for each frame pass (the start and four
+    # iterations); one coverage per probe.
+    passes = len({(lo, hi) for lo, hi, _ in chunks})
+    assert passes == (1 if chunk_bytes > 1 else geom.K // 2)
+    assert len(adds) == 2 * 5 * passes + 5
+    monkeypatch.setattr(fourier, "_WINDOW_PX", geom.m + 1)
+    del adds[:]
+    assert outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe)) == windowed
+    assert not adds
+    if mode.startswith("rank1"):
+        assert windowed[1]
+
+
+def test_window_scatter_run_from_given_frames_matches_the_stack_scatter_run(monkeypatch):
+    geom, probe, amps = windowed_instance()
+    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    frames = frame_idft(amps * np.exp(1j * np.random.default_rng(4).uniform(0, 6.3, amps.shape)))
+    cfg = SolverConfig(probe_mode="power", max_iters=3)
+
+    def run():
+        return outcome(run_reconstruction(amps, geom, probe, cfg, probe_true=probe, frames_init=frames))
+
+    windowed = run()
+    monkeypatch.setattr(fourier, "_WINDOW_PX", geom.m + 1)
+    assert run() == windowed
+
+
+def over_frames_log(edges, fail=(), delay=lambda i: 0.0):
+    """Run ``fourier._over_frames`` with a tail over ``edges`` and return
+    its events, in order: ("work", lo, on the main thread) as a chunk's
+    work finishes and ("tail", lo, on the main thread) as its tail runs,
+    and the exception it raised. Chunk ``i`` first sleeps ``delay(i)``
+    seconds; the chunks starting at ``fail`` then raise."""
+    events = []
+    lock = threading.Lock()
+
+    def log(kind, lo):
+        with lock:
+            events.append((kind, lo, threading.current_thread() is threading.main_thread()))
+
+    def work(lo, hi):
+        time.sleep(delay(edges.index(lo)))
+        if lo in fail:
+            raise ValueError(f"chunk {lo} failed")
+        log("work", lo)
+
+    try:
+        fourier._over_frames(work, edges, lambda lo, hi: log("tail", lo))
+    except ValueError as exc:
+        return events, exc
+    return events, None
+
+
+def test_tails_run_on_the_calling_thread_in_chunk_order_after_their_chunk():
+    edges = [0, 2, 4, 6, 8, 10, 12]
+    # Later chunks finish first.
+    events, error = over_frames_log(edges, delay=lambda i: 0.002 * (len(edges) - i))
+    assert error is None
+    tails = [(lo, main) for kind, lo, main in events if kind == "tail"]
+    assert tails == [(lo, True) for lo in edges[:-1]]
+    assert sorted(lo for kind, lo, main in events if kind == "work" and not main) == edges[:-1]
+    for lo in edges[:-1]:
+        assert events.index(("tail", lo, True)) > [e[:2] for e in events].index(("work", lo))
+
+
+def test_a_single_chunk_runs_its_work_then_its_tail():
+    events, error = over_frames_log([0, 5])
+    assert error is None
+    assert events == [("work", 0, True), ("tail", 0, True)]
+
+
+def test_no_tail_runs_at_or_after_a_failed_chunk_and_the_first_error_waits_for_every_chunk():
+    edges = [0, 2, 4, 6, 8, 10, 12]
+    # Chunks 4 and 8 fail; later chunks take longer.
+    events, error = over_frames_log(edges, fail=(4, 8), delay=lambda i: 0.003 * i)
+    assert str(error) == "chunk 4 failed"
+    assert [lo for kind, lo, _ in events if kind == "tail"] == [0, 2]
+    assert sorted(lo for kind, lo, _ in events if kind == "work") == [0, 2, 6, 10]
+
+
+def test_tails_read_finished_chunks_under_fast_thread_switching(monkeypatch):
+    # More workers than cores, and threads switched every microsecond: a
+    # tail that ran before its chunk's writes had all landed would copy
+    # zeros.
+    monkeypatch.setattr(fourier, "_POOL", None)
+    workers = 4 * fourier._usable_cores()
+    monkeypatch.setattr(fourier, "_usable_cores", lambda: workers)
+    edges = list(range(0, 65, 2))
+    stack, seen = np.zeros((64, 4, 4)), np.zeros((64, 4, 4))
+
+    def work(lo, hi):
+        for k in range(lo, hi):
+            for row in range(4):
+                stack[k, row] = k + 1
+
+    def tail(lo, hi):
+        seen[lo:hi] = stack[lo:hi]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            stack[...] = seen[...] = 0.0
+            fourier._over_frames(work, edges, tail)
+            assert (seen == np.arange(1.0, 65.0)[:, None, None]).all()
+    finally:
+        sys.setswitchinterval(interval)
+        if fourier._POOL is not None:
+            fourier._POOL.shutdown()
 
 
 def step_case(m):

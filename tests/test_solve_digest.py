@@ -121,3 +121,33 @@ def test_the_diff_reads_a_digest_without_probes(tmp_path):
     done = run_tool(changed, "--against", old)
     assert done.returncode == 1
     assert "final probe: worst relative difference not recorded over the 1 solves" in done.stdout
+
+
+def test_the_diff_compares_only_the_workloads_the_new_digest_holds(tmp_path):
+    probe = np.ones((2, 2), dtype=complex)
+    solves = {f"{w}/{k}/power": solve_entry(probe) for w in ("a", "b", "c") for k in (0, 1)}
+    old = write(tmp_path / "old.json", solves)
+    subset = write(tmp_path / "subset.json", {key: solves[key] for key in ("b/0/power", "b/1/power")})
+    done = run_tool(subset, "--against", old)
+    assert done.returncode == 0, done.stdout
+    lines = done.stdout.splitlines()
+    assert lines[0] == "not compared, only in the old digest: a, c"
+    assert "2 of 2 solves with identical arrays, events and counts" in lines
+    assert "only in" not in "\n".join(lines[1:])
+    # A solve missing inside a compared workload still fails the diff.
+    partial = write(tmp_path / "partial.json", {"b/0/power": solves["b/0/power"]})
+    done = run_tool(partial, "--against", old)
+    assert done.returncode == 1
+    assert "b/1/power: only in the old digest" in done.stdout.splitlines()
+    assert "1 of 2 solves with identical arrays, events and counts" in done.stdout
+
+
+def test_the_diff_refuses_digests_of_different_seeds(tmp_path):
+    solves = {"w/0/power": solve_entry(np.ones((2, 2), dtype=complex))}
+    old = write(tmp_path / "old.json", solves)
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"root": ".", "seed": 5, "solves": solves}))
+    done = run_tool(other, "--against", old)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "error: the digests are of different seeds: 5 against 0" in done.stderr

@@ -1,0 +1,92 @@
+"""The window route of the scatter-adds onto the object, byte for byte
+against ``embed_add_frames`` and the replicate-and-``bincount`` object
+coverage.
+
+Frames of at least ``fourier._WINDOW_PX`` a side are added onto an
+(n, n) image window by window, one to four rectangles a frame, in frame
+order. Each pixel must receive its frames in the order of ``np.add.at``
+and ``bincount``, starting from 0.0, so every sum keeps their bits.
+Frame values spread over 16 decades, so any other order of the
+additions shows in the last bits.
+"""
+
+import numpy as np
+import pytest
+from conftest import rand_complex
+
+from ptyblind import ScanGeometry, embed_add_frames, fourier, operators
+from ptyblind.operators import _add_windows, _object_coverage, replicate_probe
+
+
+def raster(n, m, offsets, shift=(0, 0)):
+    grid = np.stack(np.meshgrid(offsets, offsets, indexing="ij"), axis=-1).reshape(-1, 2)
+    return ScanGeometry(n=n, m=m, positions=grid + np.asarray(shift))
+
+
+GEOMETRIES = {
+    "64 px raster": (raster(96, 64, [0, 8, 16]), {1}),
+    # Offsets 8 and 16 run past the edge: a frame splits in two where
+    # one of its offsets does and in four where both do.
+    "raster wraps": (raster(72, 64, [0, 8, 16]), {1, 2, 4}),
+    "both wrap": (raster(80, 64, [0, 8, 16], shift=(20, 20)), {4}),
+    "row wraps": (ScanGeometry(n=80, m=64, positions=[(30, 0), (40, 8), (70, 16)]), {2}),
+    "m = n": (raster(64, 64, [0, 8, 16]), {1, 2, 4}),
+    "K = 1": (ScanGeometry(n=70, m=64, positions=[(33, 51)]), {4}),
+}
+
+
+def spread_stack(rng, geom, dtype):
+    """A random stack whose frames differ in scale by up to 16 decades."""
+    shape = (geom.K, geom.m, geom.m)
+    values = rand_complex(rng, *shape) if dtype == complex else rng.normal(size=shape)
+    return values * np.logspace(-8, 8, geom.K)[rng.permutation(geom.K), None, None]
+
+
+@pytest.mark.parametrize("name", GEOMETRIES)
+def test_window_slices_cover_each_frames_indices(name):
+    geom, counts = GEOMETRIES[name]
+    flat = np.arange(geom.n * geom.n).reshape(geom.n, geom.n)
+    seen = set()
+    for k, rects in enumerate(geom.window_slices):
+        seen.add(len(rects))
+        covered = np.full((geom.m, geom.m), -1)
+        for target, source in rects:
+            assert source[0] == k
+            assert (covered[source[1:]] == -1).all()
+            covered[source[1:]] = flat[target]
+        assert (covered == geom.frame_indices[k]).all()
+    assert seen == counts
+
+
+@pytest.mark.parametrize("dtype", [complex, float])
+@pytest.mark.parametrize("name", GEOMETRIES)
+def test_window_adds_match_embed_add_frames_byte_for_byte(rng, name, dtype):
+    geom, _ = GEOMETRIES[name]
+    stack = spread_stack(rng, geom, dtype)
+    want = embed_add_frames(stack, geom)
+    whole = np.zeros_like(want)
+    _add_windows(whole, stack, geom, 0, geom.K)
+    assert (whole.dtype, whole.tobytes()) == (want.dtype, want.tobytes())
+    # In ascending runs of frames, as a pass's tail adds its chunks.
+    runs = np.zeros_like(want)
+    edges = sorted({0, geom.K // 3, 2 * geom.K // 3, geom.K})
+    for lo, hi in zip(edges, edges[1:]):
+        _add_windows(runs, stack, geom, lo, hi)
+    assert runs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", GEOMETRIES)
+def test_object_coverage_by_windows_matches_replicate_and_bincount(rng, name):
+    geom, _ = GEOMETRIES[name]
+    probe = rand_complex(rng, geom.m, geom.m) * np.logspace(-4, 4, geom.m)[:, None]
+    assert operators._by_windows(geom)
+    got = _object_coverage(probe, geom, None)
+    want = embed_add_frames(replicate_probe(np.abs(probe) ** 2, geom), geom)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+def test_only_frames_of_the_window_size_and_up_add_by_windows(monkeypatch):
+    assert not operators._by_windows(ScanGeometry(n=64, m=fourier._WINDOW_PX - 1, positions=[(0, 0)]))
+    assert operators._by_windows(ScanGeometry(n=64, m=fourier._WINDOW_PX, positions=[(0, 0)]))
+    monkeypatch.setattr(fourier, "_WINDOW_PX", 65)
+    assert not operators._by_windows(ScanGeometry(n=64, m=64, positions=[(0, 0)]))

@@ -16,15 +16,20 @@ each and diffing::
     python3 tools/solve_digest.py --root ../parent --out parent.json
     python3 tools/solve_digest.py change.json --against parent.json
 
-The diff lists the solves whose arrays or events differ, any change of
-iteration count, gate or step count or events, and for each column
+The diff compares the workloads the new digest holds, so a digest of
+one workload (``--workload large223``) diffs against a full one; one
+line names the workloads it leaves out. Two digests of different seeds
+are refused with exit code 2. The diff lists the solves whose arrays
+or events differ, any change of iteration count, gate or step count or
+events, and for each column
 the number of solves whose rows differ and the worst per-row relative
 difference, ``|new - old| / max(|new|, |old|)``. Over the solves whose
 arrays or events differ it gives the worst relative final-probe
 difference, ``||new - old|| / max(||new||, ||old||)`` in the Frobenius
 norm, where both digests hold the probe. The exit code is 1
 when the arrays, events, iteration counts or gate or step counts of any
-solve differ; a column that moves only in its values is reported, not
+compared solve differ, or a solve of a compared workload is in one
+digest only; a column that moves only in its values is reported, not
 failed.
 """
 
@@ -119,16 +124,27 @@ def complex_array(parts: list) -> np.ndarray:
     return real + 1j * imag
 
 
+def workload(key: str) -> str:
+    """The workload of a solve's key ``<workload>/<instance>/<mode>``."""
+    return key.split("/")[0]
+
+
 def diff(new: dict, old: dict) -> tuple[list[str], int]:
-    """Report lines on how the digest ``new`` differs from ``old``, and
-    the number of solves whose arrays, events or counts differ."""
+    """Report lines on how the digest ``new`` differs from ``old`` over
+    the workloads ``new`` holds, and the number of those solves whose
+    arrays, events or counts differ or that one digest lacks."""
     lines = []
     changed = []
     probe_gaps = []
     moved = {column: 0 for column in COLUMNS}
     worst = {column: 0.0 for column in COLUMNS}
-    for key in sorted(old["solves"].keys() | new["solves"].keys()):
-        a, b = old["solves"].get(key), new["solves"].get(key)
+    compared = {workload(key) for key in new["solves"]}
+    left_out = sorted({workload(key) for key in old["solves"]} - compared)
+    if left_out:
+        lines.append(f"not compared, only in the old digest: {', '.join(left_out)}")
+    old_solves = {key: v for key, v in old["solves"].items() if workload(key) in compared}
+    for key in sorted(old_solves.keys() | new["solves"].keys()):
+        a, b = old_solves.get(key), new["solves"].get(key)
         if a is None or b is None:
             lines.append(f"{key}: only in the {'new' if a is None else 'old'} digest")
             changed.append(key)
@@ -153,7 +169,7 @@ def diff(new: dict, old: dict) -> tuple[list[str], int]:
                 continue
             gap = max(relative_gap(y, x) for x, y in zip(rows_a, rows_b))
             worst[column] = max(worst[column], gap)
-    total = len(old["solves"].keys() | new["solves"].keys())
+    total = len(old_solves.keys() | new["solves"].keys())
     same = total - len(changed)
     lines.append(f"{same} of {total} solves with identical arrays, events and counts")
     if probe_gaps:
@@ -188,7 +204,15 @@ def main() -> int:
         Path(args.out).write_text(json.dumps(current, indent=1) + "\n")
     if args.against is None:
         return 0
-    lines, changed = diff(current, json.loads(Path(args.against).read_text()))
+    against = json.loads(Path(args.against).read_text())
+    if current.get("seed") != against.get("seed"):
+        print(
+            f"error: the digests are of different seeds: {current.get('seed')} "
+            f"against {against.get('seed')}",
+            file=sys.stderr,
+        )
+        return 2
+    lines, changed = diff(current, against)
     print("\n".join(lines))
     return 1 if changed else 0
 
