@@ -107,8 +107,7 @@ class ScanGeometry:
         """Per frame, the rectangles its window covers on the object: one,
         or up to four where it wraps, each a ``(target, source)`` pair
         such that ``image[target]`` of an (n, n) image and
-        ``stack[source]`` of a (K, m, m) stack hold the same pixels of
-        that frame, ``source`` leading with the frame index."""
+        ``frame[source]`` of the (m, m) frame hold the same pixels."""
 
         def parts(offset: int) -> list[tuple[slice, slice]]:
             # (object slice, frame slice) along one axis.
@@ -121,8 +120,8 @@ class ScanGeometry:
             ]
 
         return tuple(
-            tuple(((rt, ct), (k, rs, cs)) for rt, rs in parts(r) for ct, cs in parts(c))
-            for k, (r, c) in enumerate(self.positions.tolist())
+            tuple(((rt, ct), (rs, cs)) for rt, rs in parts(r) for ct, cs in parts(c))
+            for r, c in self.positions.tolist()
         )
 
 
@@ -247,17 +246,17 @@ def _by_windows(geom: ScanGeometry) -> bool:
     return geom.m >= fourier._WINDOW_PX
 
 
-def _add_windows(image: np.ndarray, stack: np.ndarray, geom: ScanGeometry, lo: int, hi: int) -> None:
-    """Add the frames ``[lo, hi)`` of ``stack`` onto the (n, n) ``image``
-    in place, window by window in frame order (see
+def _add_windows(image: np.ndarray, frames: np.ndarray, geom: ScanGeometry, lo: int) -> None:
+    """Add ``frames``, the frames from ``lo`` on of a stack, onto the
+    (n, n) ``image`` in place, window by window in frame order (see
     :attr:`ScanGeometry.window_slices`). Every pixel takes its frames in
     the order :func:`embed_add_frames` adds them, so frames added in
     ascending runs onto zeros give its bits. Unlike ``np.add.at``, each
     add releases the GIL."""
-    for rects in geom.window_slices[lo:hi]:
+    for frame, rects in zip(frames, geom.window_slices[lo : lo + len(frames)]):
         for target, source in rects:
             window = image[target]
-            np.add(window, stack[source], out=window)
+            np.add(window, frame[source], out=window)
 
 
 def _object_coverage(probe: np.ndarray, geom: ScanGeometry, scratch: np.ndarray) -> np.ndarray:
@@ -267,7 +266,7 @@ def _object_coverage(probe: np.ndarray, geom: ScanGeometry, scratch: np.ndarray)
     intensity = np.abs(probe) ** 2
     if _by_windows(geom):
         coverage = np.zeros((geom.n, geom.n))
-        _add_windows(coverage, np.broadcast_to(intensity, (geom.K, geom.m, geom.m)), geom, 0, geom.K)
+        _add_windows(coverage, np.broadcast_to(intensity, (geom.K, geom.m, geom.m)), geom, 0)
         return coverage
     return embed_add_frames(replicate_probe(intensity, geom, out=scratch), geom)
 

@@ -86,30 +86,43 @@ and runs the scaling onwards; the standard and power steps, which share
 one gathered kernel; the per-frame gate's weighted stack; and the
 intensity of the canvas. A shifted step takes two passes: the first
 gathers the shifted accumulation, whose sums over the frames are taken
-before the second multiplies it by the frames. Only the sums over
-frames, the inner products and the misfit norm read the whole stack;
-they run on the calling thread once every chunk has finished. Frames
-below ``fourier._WINDOW_PX`` (16 px in every 64 px instance) are
-scattered onto the object the same way, one ``np.add.at`` or
-``bincount`` over the whole stack. Larger frames are scattered chunk by
-chunk on the calling thread: as each chunk of the frame update or of
-the start frames finishes, its weighted frames and their intensities
-are added window by window into the new adjoint accumulation and
-canvas while the pool transforms later chunks, and the object coverage
-adds ``|p|**2`` windows. Each pixel receives its frames in ascending
-order from 0.0 on either route, so every result is bit-identical to the
-unchunked pass. A stack shorter than two chunks (every 64 px instance)
-is one chunk, run on the calling thread by the same code, touching the
-same stacks in the same order.
+before the second multiplies it by the frames. The sums over the frames
+of a step's products and weights are taken in the pass's tail, which
+the calling thread runs on each chunk in chunk order as soon as it
+finishes, while the pool works on later chunks: the first chunk is
+summed and each later frame added in turn, which is the order numpy's
+sum over the whole stack takes, so the bits are its bits. Only the
+inner products, the misfit norm and the sums of a gathered
+accumulation that a later pass multiplies in place read the whole
+stack once every chunk has finished. Frames below
+``fourier._WINDOW_PX`` (16 px in every 64 px instance) are scattered
+onto the object the same way, one ``np.add.at`` or ``bincount`` over the
+whole stack. Larger frames are scattered chunk by chunk in the tail: as
+each chunk of the frame update or of the start frames finishes, its
+weighted frames and their intensities are added window by window into
+the new adjoint accumulation and canvas, and so are the weighted frames
+of the re-fit after a shifted step; the object coverage adds ``|p|**2``
+windows. Each pixel receives its frames in ascending order from 0.0 on
+either route, so every result is bit-identical to the unchunked pass. A
+stack shorter than two chunks (every 64 px instance) is one chunk, run
+on the calling thread by the same code, touching the same stacks in the
+same order.
 The new frames overwrite the old ones, which nothing reads by then.
-Every other frame-sized array of a run is one of its scratch stacks
-(:class:`_Workspace`), a complex stack and a float64 block of the same
-size, which hold the pass's spectra, magnitudes, reciprocal magnitudes
-and weighted stack and the steps' scratch; both are allocated when the
-run starts. The steps write into them with ``out=`` ufuncs and ``take``
-gathers. A probe, a per-frame factor or a real operand that a ufunc
-would broadcast or cast over a stack is first copied into a whole
-stack, since numpy buffers such operands on every call; only row 0,
+Every other frame-sized array of a run is its scratch
+(:class:`_Workspace`): a complex stack, for the spectra and the weighted
+stack, and one float64 block. The block holds a float64 stack for what
+reductions over the whole stack read (the magnitudes and misfit, the
+gathered weights) and the chunk slots, for what a chunk needs only
+until its tail has run (the reciprocal magnitudes, the new frames'
+intensities, the shifted step's per-frame denominator). A pass that
+writes slots keeps at most one chunk per usable core and one more in
+flight, each in a slot of its own, so a stack of more chunks than that
+(400 frames of 128 px make 25) holds a few chunks of slots instead of a
+second float64 stack. Both are allocated when the run starts. The
+steps write into them with ``out=`` ufuncs and ``take`` gathers. A
+probe, a per-frame factor or a real operand that a ufunc would
+broadcast or cast over a stack is first copied into a whole stack or
+slot, since numpy buffers such operands on every call; only row 0,
 once per run, multiplies its windows by the broadcast probe, which
 gives the same bits. Past the first iteration no step allocates a
 frame-sized array, and none frees one.
@@ -133,7 +146,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fourier import _frame_edges, _over_frames, check_amplitudes
+from .fourier import _frame_edges, _in_flight, _over_frames, check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
     ScanGeometry,
@@ -213,17 +226,31 @@ class History:
 
 
 class _Workspace:
-    """Frame-sized scratch stacks of one run.
+    """Frame-sized scratch of one run.
 
-    ``stack`` is a complex (K, m, m) stack, and ``real`` and ``real2``
-    are the two float64 (K, m, m) halves of one block of the same
-    bytes. No stack holds the coverage: a step gathers the (n, n)
-    object coverage where it reads it. No state survives a step: a step
-    reads nothing a previous step left in the scratch stacks, and a
-    stack passed into a step must not be one it writes.
+    ``stack`` is a complex (K, m, m) stack and ``real`` a float64 one,
+    which holds what a reduction over the whole stack reads: the misfit
+    and the gathered weights of the probe steps. No stack holds the
+    coverage: a step gathers the (n, n) object coverage where it reads
+    it. No state survives a step: a step reads nothing a previous step
+    left in the scratch stacks, and a stack passed into a step must not
+    be one it writes.
+
     ``edges`` are the frame chunks every per-frame pass runs over.
+    Float64 values a chunk needs only until its tail has run (the
+    reciprocal magnitudes, the intensities the tail adds into the
+    canvas, the shifted step's per-frame denominator) go in the chunk's
+    slot, :meth:`slot`: chunk ``i`` takes slot ``i mod ahead``, and a
+    pass that writes slots keeps at most ``ahead`` chunks in flight
+    (``fourier._over_frames``), so a chunk starts only once the chunk
+    before it in its slot has been through its tail. ``ahead`` is one
+    more than the usable cores, or the number of chunks where that is
+    fewer; then every chunk has a slot of its own. ``real`` and the
+    slots are one float64 block: a (2, K, m, m) one whose second stack
+    holds each chunk's slot at its own frames where every chunk has a
+    slot, else ``real`` followed by the slots.
 
-    Each stack is allocated on its own: glibc serves blocks of one
+    Each array is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
     block would raise its thresholds for the whole process. A run makes
     both before its frames, which outlive it in its ``History``: they
@@ -233,11 +260,33 @@ class _Workspace:
     """
 
     def __init__(self, geom: ScanGeometry) -> None:
-        shape = (geom.K, geom.m, geom.m)
-        self.stack = np.empty(shape, dtype=np.complex128)
-        self.real, self.real2 = np.empty((2, *shape), dtype=np.float64)
+        m = geom.m
+        self.stack = np.empty((geom.K, m, m), dtype=np.complex128)
         # Chunked by the frames' complex128 bytes.
-        self.edges = _frame_edges(geom.K, self.stack.itemsize * geom.m**2)
+        self.edges = _frame_edges(geom.K, self.stack.itemsize * m**2)
+        chunks = list(zip(self.edges, self.edges[1:]))
+        self.ahead = _in_flight(len(chunks))
+        if self.ahead == len(chunks):
+            block = np.empty((2, geom.K, m, m))
+            self.real = block[0]
+            starts = [geom.K + lo for lo, _ in chunks]
+        else:
+            # Each slot as tall as the tallest chunk it takes.
+            shared = [chunks[j :: self.ahead] for j in range(self.ahead)]
+            heights = [max(hi - lo for lo, hi in taken) for taken in shared]
+            block = np.empty((geom.K + sum(heights), m, m))
+            self.real = block[: geom.K]
+            starts = [geom.K + sum(heights[:j]) for j in range(self.ahead)]
+        frames = block.reshape(-1, m, m)
+        self._slots = {}
+        for i, (lo, hi) in enumerate(chunks):
+            first = starts[i % self.ahead]
+            self._slots[lo] = frames[first : first + hi - lo]
+
+    def slot(self, lo: int) -> np.ndarray:
+        """The float64 scratch of the chunk starting at frame ``lo``, one
+        (m, m) frame for each of its frames."""
+        return self._slots[lo]
 
 
 def _divided(
@@ -281,16 +330,37 @@ def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.nd
     return np.asarray(_check_object(image, geom), dtype=out.dtype).reshape(-1)
 
 
+def _summing_tail(chunk_of):
+    """A pass tail that adds each finished chunk of some stacks into
+    their sums over the frames, and the list that holds those sums once
+    the pass has run. ``chunk_of(lo, hi)`` gives the chunk's frames of
+    each stack. The first chunk is summed and later ones added frame by
+    frame: numpy sums a stack over its frames in frame order, so each
+    sum has the bits of :func:`sum_frames` on its whole stack."""
+    sums = []
+
+    def tail(lo, hi):
+        for i, frames in enumerate(chunk_of(lo, hi)):
+            if i == len(sums):
+                sums.append(frames.sum(axis=0))
+                continue
+            for frame in frames:
+                np.add(sums[i], frame, out=sums[i])
+
+    return tail, sums
+
+
 def _gathered_terms(
     frames, geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """The least-squares terms ``sum_k conj(image|_k) f_k`` and
     ``sum_k weights|_k`` of the standard and power steps, where ``X|_k``
     is the window of an (n, n) image at frame k: the products run in
-    ``work.stack`` and the gathered real ``weights`` in ``work.real``.
-    ``frames`` is a frame stack or None; without frames the first term
-    is ``sum_k conj(image|_k)``, and the windows ``conj(image|_k)`` are
-    left in ``work.stack``."""
+    ``work.stack`` and the gathered real ``weights`` in ``work.real``,
+    and the pass's tail sums each finished chunk of both. ``frames`` is
+    a frame stack or None; without frames the first term is ``sum_k
+    conj(image|_k)``, the windows ``conj(image|_k)`` are left in
+    ``work.stack`` and both stacks are summed once the pass is done."""
     products, gathered, index = work.stack, work.real, geom.frame_indices
     flat = _flat_image(weights, geom, gathered)
     conj_image = np.conj(_flat_image(image, geom, products))
@@ -305,9 +375,13 @@ def _gathered_terms(
             # _rank1_terms.
             np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
 
-    _over_frames(chunk, work.edges)
-    del conj_image
-    return sum_frames(products), sum_frames(gathered)
+    if frames is None:
+        _over_frames(chunk, work.edges)
+        del conj_image
+        return sum_frames(products), sum_frames(gathered)
+    tail, sums = _summing_tail(lambda lo, hi: (products[lo:hi], gathered[lo:hi]))
+    _over_frames(chunk, work.edges, tail)
+    return sums[0], sums[1]
 
 
 def update_probe_standard(
@@ -345,24 +419,42 @@ def _zero_images(geom: ScanGeometry) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((geom.n, geom.n), dtype=np.complex128), np.zeros((geom.n, geom.n))
 
 
-def _window_tail(
-    images: Optional[tuple[np.ndarray, np.ndarray]], geom: ScanGeometry, work: _Workspace
-):
+def _window_tail(images: Optional[tuple], geom: ScanGeometry, work: _Workspace):
     """The tail of a frame pass given ``images``, an (adjoint, canvas)
     pair from :func:`_zero_images`, or None without: it adds each
     finished chunk's conjugate-probe weighted frames (``work.stack``)
-    into the adjoint and their intensities (``work.real2``) into the
-    canvas, window by window, so the images end with the bits of
-    ``embed_add_frames`` on the whole stacks."""
+    into the adjoint and, unless the canvas is None, their intensities
+    (the chunk's slot) into the canvas, window by window, so the images
+    end with the bits of ``embed_add_frames`` on the whole stacks."""
     if images is None:
         return None
     adjoint, canvas = images
 
     def tail(lo, hi):
-        _add_windows(adjoint, work.stack, geom, lo, hi)
-        _add_windows(canvas, work.real2, geom, lo, hi)
+        _add_windows(adjoint, work.stack[lo:hi], geom, lo)
+        if canvas is not None:
+            _add_windows(canvas, work.slot(lo), geom, lo)
 
     return tail
+
+
+def _adjoint(
+    frames: np.ndarray, probe: np.ndarray, geom: ScanGeometry, work: _Workspace
+) -> np.ndarray:
+    """``illuminate_adjoint(frames, probe, geom)`` with the weighted stack
+    in ``work.stack``, bit for bit. Frames of at least
+    ``fourier._WINDOW_PX`` take one pass of conjugate-probe products
+    whose tail adds each chunk into a zero image."""
+    if not _by_windows(geom):
+        return illuminate_adjoint(frames, probe, geom, scratch=work.stack)
+    adjoint = np.zeros((geom.n, geom.n), dtype=np.complex128)
+    conj_probe, weighted = np.conj(probe), work.stack
+
+    def chunk(lo, hi):
+        np.multiply(_fill(weighted[lo:hi], conj_probe), frames[lo:hi], out=weighted[lo:hi])
+
+    _over_frames(chunk, work.edges, _window_tail((adjoint, None), geom, work))
+    return adjoint
 
 
 def pairwise_discrepancy(coverage: np.ndarray, adjoint: np.ndarray, canvas: np.ndarray) -> float:
@@ -491,38 +583,40 @@ def _rank1_terms(
     stacks; tiny negative rounding is clamped.
 
     Two passes. The first forms ``A'_k`` in ``work.stack`` and each
-    frame's ``canvas|_k - |t_k|^2 C|_k`` in ``work.real2``, whose sum,
-    less the real part of twice ``sum_k conj(t_k) A'_k``, is the
-    denominator. Its weight ``sum(den |p|^2)`` is the shifted stack's
-    coverage-weighted energy; where that is not usable (below
-    ``_WEIGHT_FLOOR`` of the stack energy) it raises
+    frame's ``canvas|_k - |t_k|^2 C|_k`` in its chunk's slot, which the
+    pass's tail sums; that sum, less the real part of twice ``sum_k
+    conj(t_k) A'_k``, is the denominator. Its weight ``sum(den |p|^2)``
+    is the shifted stack's coverage-weighted energy; where that is not
+    usable (below ``_WEIGHT_FLOOR`` of the stack energy) it raises
     :class:`DegenerateInputError` before the second pass, which
     multiplies ``conj(A'_k)`` by the frames.
     """
     fcol = factors[:, None, None]
-    index, view, real, real2 = geom.frame_indices, work.stack, work.real, work.real2
+    index, view, real = geom.frame_indices, work.stack, work.real
     flat, flat_coverage = _flat_image(adjoint, geom, view), _flat_image(coverage, geom, real)
-    flat_canvas = _flat_image(canvas, geom, real2)
+    flat_canvas = _flat_image(canvas, geom, real)
 
-    # Both scratch halves are real, so ``t_k C|_k`` is taken part by
-    # part: C is real, and each part has the bits of the complex product.
+    # The float scratch is real, so ``t_k C|_k`` is taken part by part:
+    # C is real, and each part has the bits of the complex product.
     # ``C|_k`` is then scaled by ``|t_k|^2`` in place and subtracted from
     # the canvas frame by frame, before any sum over the frames, which
     # keeps the denominator to the digits its terms keep.
     def shifted_accumulation(lo, hi):
         shift = flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
         weights = flat_coverage.take(index[lo:hi], out=real[lo:hi], mode="clip")
+        slot = work.slot(lo)
         for part, factor in ((shift.real, fcol.real), (shift.imag, fcol.imag)):
-            product = np.multiply(_fill(real2[lo:hi], factor[lo:hi]), weights, out=real2[lo:hi])
+            product = np.multiply(_fill(slot, factor[lo:hi]), weights, out=slot)
             np.subtract(part, product, out=part)
-        np.multiply(weights, _fill(real2[lo:hi], np.abs(fcol[lo:hi]) ** 2), out=weights)
-        den = flat_canvas.take(index[lo:hi], out=real2[lo:hi], mode="clip")
+        np.multiply(weights, _fill(slot, np.abs(fcol[lo:hi]) ** 2), out=weights)
+        den = flat_canvas.take(index[lo:hi], out=slot, mode="clip")
         np.subtract(den, weights, out=den)
 
-    _over_frames(shifted_accumulation, work.edges)
+    tail, sums = _summing_tail(lambda lo, hi: (work.slot(lo),))
+    _over_frames(shifted_accumulation, work.edges, tail, work.ahead)
     # sum_k conj(t_k) A'_k, and the denominator
     cross = (np.conj(factors) @ view.reshape(geom.K, -1)).reshape(probe.shape)
-    den = sum_frames(real2) - 2.0 * cross.real
+    den = sums[0] - 2.0 * cross.real
     if not _usable_weight(float((den * np.abs(probe) ** 2).sum()), np.vdot(coverage, canvas).real):
         raise DegenerateInputError(
             "transparency shift left no usable stack energy: nearly constant object region"
@@ -538,8 +632,9 @@ def _rank1_terms(
         # ``(...) * shifted``.
         np.multiply(diff, frames[lo:hi], out=diff)
 
-    _over_frames(numerator, work.edges)
-    return sum_frames(view) - probe * np.conj(cross), np.maximum(den, 0.0)
+    tail, sums = _summing_tail(lambda lo, hi: (view[lo:hi],))
+    _over_frames(numerator, work.edges, tail)
+    return sums[0] - probe * np.conj(cross), np.maximum(den, 0.0)
 
 
 def _window_sums(
@@ -729,9 +824,14 @@ def update_probe_rank1(
         cross = np.multiply(np.conj(factors), adjoint).real
         shifted_canvas = canvas - 2.0 * cross + abs(factors) ** 2 * coverage
         total, den = _gathered_terms(None, geom, shift, shifted_canvas, work)
-        view, edges = work.stack, work.edges
-        _over_frames(lambda a, b: np.multiply(view[a:b], frames[a:b], out=view[a:b]), edges)
-        num = sum_frames(view) - factors * probe * total
+        view = work.stack
+
+        def product(lo, hi):
+            np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
+
+        tail, sums = _summing_tail(lambda lo, hi: (view[lo:hi],))
+        _over_frames(product, work.edges, tail)
+        num = sums[0] - factors * probe * total
     else:
         num, den = _rank1_terms(frames, probe, geom, factors, coverage, adjoint, canvas, work)
     return _divided(num, den, "shifted frame stack", "rank-1 update undefined")
@@ -807,7 +907,7 @@ def _magnitude_pass(
     in ``work.stack``, puts the spectrum magnitudes in ``work.real`` and
     turns those into the misfit to ``amplitudes``. Given ``frames``, it
     imposes the amplitudes on the spectra (:func:`_impose_amplitudes`,
-    with the reciprocal magnitudes in ``work.real2``), transforms back
+    with the reciprocal magnitudes in the chunk's slot), transforms back
     into ``frames`` and weights the frames by the conjugate probe in
     ``work.stack``, the stack whose scatter-add is their adjoint
     accumulation. Until the inverse transform writes them, a chunk's
@@ -820,8 +920,8 @@ def _magnitude_pass(
     no bit depends on the chunking.
 
     Given ``images`` as well (frames of at least ``fourier._WINDOW_PX``),
-    each chunk leaves its new frames' intensity in ``work.real2``, free
-    once the amplitudes are imposed, and the calling thread adds each
+    each chunk leaves its new frames' intensity in its slot, free once
+    the amplitudes are imposed, and the calling thread adds each
     finished chunk into the adjoint accumulation and intensity canvas
     ``images`` (:func:`_window_tail`) while the pool works on later
     chunks.
@@ -835,7 +935,7 @@ def _magnitude_pass(
     flat = obj.reshape(-1)
     index = geom.frame_indices
     conj_probe = np.conj(probe)
-    weighted, misfit, inv = work.stack, work.real, work.real2
+    weighted, misfit = work.stack, work.real
 
     def chunk(lo, hi):
         spectra, magnitudes = weighted[lo:hi], misfit[lo:hi]
@@ -845,15 +945,15 @@ def _magnitude_pass(
         np.fft.fftn(spectra, axes=(-2, -1), norm="ortho", out=spectra)
         np.abs(spectra, out=magnitudes)
         if frames is not None:
-            scratch = frames[lo:hi]
-            _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], inv[lo:hi], scratch)
+            scratch, inv = frames[lo:hi], work.slot(lo)
+            _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], inv, scratch)
             np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
             np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
             if images is not None:
-                _intensity(scratch, inv[lo:hi])
+                _intensity(scratch, inv)
         np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
 
-    _over_frames(chunk, work.edges, _window_tail(images, geom, work))
+    _over_frames(chunk, work.edges, _window_tail(images, geom, work), work.ahead)
     return np.linalg.norm(misfit)
 
 
@@ -882,7 +982,7 @@ def _start_frames(
     the pass adds its frames into them as :func:`_magnitude_pass` does.
     """
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
-    spectrum, magnitudes, inv = work.stack[:1], work.real[:1], work.real2[:1]
+    spectrum, magnitudes, inv = work.stack[:1], work.real[:1], work.slot(0)[:1]
     spectrum.fill(1.0)
     np.multiply(_fill(frames[:1], probe), spectrum, out=spectrum)
     np.fft.fftn(spectrum, axes=(-2, -1), norm="ortho", out=spectrum)
@@ -898,9 +998,9 @@ def _start_frames(
         np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
         np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
         if images is not None:
-            _intensity(scratch, work.real2[lo:hi])
+            _intensity(scratch, work.slot(lo))
 
-    _over_frames(chunk, work.edges, _window_tail(images, geom, work))
+    _over_frames(chunk, work.edges, _window_tail(images, geom, work), work.ahead)
     return frames
 
 
@@ -1068,7 +1168,7 @@ def run_reconstruction(
         _check_stack(frames, geom, "frames_init")
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
-        adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
+        adjoint = _adjoint(frames, probe, geom, work)
         if windowed:
             canvas = _intensity_canvas(frames, geom, work)
 
@@ -1137,11 +1237,7 @@ def run_reconstruction(
                 # kept instead of being averaged away. The old object
                 # is dropped first, out of the re-fit's peak memory.
                 del obj
-                obj = update_object(
-                    state.coverage,
-                    illuminate_adjoint(state.frames, probe, geom, scratch=work.stack),
-                    probe,
-                )
+                obj = update_object(state.coverage, _adjoint(state.frames, probe, geom, work), probe)
             # Nothing reads the old frames any more: the new ones
             # overwrite them.
             if windowed:

@@ -11,16 +11,37 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab.py"
 
 
-def run_tool(a, b):
+def run_tool(a, b, summary=None):
     args = [sys.executable, str(TOOL), str(a), str(b), "--workload", "weak64"]
     args += ["--iters", "1", "--rounds", "3"]
     done = subprocess.run(args, capture_output=True, text=True, timeout=120)
-    return done.returncode, json.loads(done.stdout.splitlines()[-1])
+    lines = done.stdout.splitlines()
+    if summary is not None:
+        summary.append(lines[-2])
+    return done.returncode, json.loads(lines[-1])
+
+
+def copy_tree(tmp_path, old, new):
+    """A copy of this tree's ``src`` whose solver has ``old`` replaced by
+    ``new``, once."""
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    solver = tmp_path / "src" / "ptyblind" / "solver.py"
+    source = solver.read_text()
+    assert source.count(old) == 1
+    solver.write_text(source.replace(old, new))
+    return tmp_path
 
 
 def test_an_a_a_run_reports_paired_ratios_and_identical_probes():
-    code, report = run_tool(ROOT, ROOT)
+    summary = []
+    code, report = run_tool(ROOT, ROOT, summary)
     assert code == 0 and report["identical_probe"]
+    # One traced solve a side: the same tree's peaks agree to a KiB.
+    assert report["a_peak_mb"] > 0.5
+    assert abs(report["b_peak_mb"] - report["a_peak_mb"]) < 2**-10
+    assert summary[0].endswith(
+        f"peak A {report['a_peak_mb']:.1f} MiB, B {report['b_peak_mb']:.1f} MiB"
+    )
     assert (report["workload"], report["mode"], report["iters"], report["rounds"]) == (
         "weak64", "standard", 1, 3
     )
@@ -32,10 +53,15 @@ def test_an_a_a_run_reports_paired_ratios_and_identical_probes():
 
 def test_each_tree_runs_its_own_code(tmp_path):
     # A copy whose floor differs gives another probe, so exit code 1.
-    shutil.copytree(ROOT / "src", tmp_path / "src")
-    solver = tmp_path / "src" / "ptyblind" / "solver.py"
-    source = solver.read_text()
-    assert source.count("EPSILON_REL = 1e-8\n") == 1
-    solver.write_text(source.replace("EPSILON_REL = 1e-8\n", "EPSILON_REL = 1e-2\n"))
-    code, report = run_tool(ROOT, tmp_path)
+    copy = copy_tree(tmp_path, "EPSILON_REL = 1e-8\n", "EPSILON_REL = 1e-2\n")
+    code, report = run_tool(ROOT, copy)
     assert code == 1 and not report["identical_probe"]
+
+
+def test_each_side_reports_its_own_traced_peak(tmp_path):
+    # A copy whose workspace holds one MiB more peaks one MiB higher.
+    line = "        self.edges = _frame_edges("
+    copy = copy_tree(tmp_path, line, "        self.spare = np.ones(2**17)\n" + line)
+    code, report = run_tool(ROOT, copy)
+    assert code == 0 and report["identical_probe"]
+    assert abs(report["b_peak_mb"] - report["a_peak_mb"] - 1.0) < 2**-10

@@ -7,19 +7,23 @@ which made a 64 px framewise iteration up to 30% slower. The traced
 memory is sampled at every metrics row: the peak between two rows, less
 the larger of the memory in use at either row, must stay below one
 float64 frame stack. The memory in use holds the frames and the run's
-scratch stacks, a complex stack and a float64 block of the same bytes.
-No gate or shifted step forms a shifted stack, so a rank-1 run holds no
-more frame-sized stacks than a ``power`` run.
+scratch: a complex stack and one float64 block, a float64 stack followed
+by the chunk slots. Where every chunk has a slot of its own the slots
+are a second float64 stack; a stack of more chunks than a pass keeps in
+flight has a slot for each of those only. No gate or shifted step forms
+a shifted stack, so a rank-1 run holds no more frame-sized stacks than a
+``power`` run.
 """
 
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from test_loop_oracle import MODES, wrapping_instance
 
-from ptyblind import ScanGeometry, SolverConfig, run_reconstruction, solver
-from ptyblind.fourier import _frame_edges
+from ptyblind import ScanGeometry, SolverConfig, fourier, run_reconstruction, solver
 from ptyblind.synth import (
     PhantomSpec,
     ProbeSpec,
@@ -29,6 +33,9 @@ from ptyblind.synth import (
     perturb_probe,
     simulate_data,
 )
+
+# Chunk bytes of four 64 px complex frames.
+FOUR_FRAMES = 4 * 64**2 * np.dtype(np.complex128).itemsize
 
 
 def traced_run(monkeypatch, amps, geom, init, cfg, probe_true):
@@ -80,20 +87,62 @@ def frame_stack_bytes(geom):
     return geom.K * geom.m**2 * np.dtype(np.float64).itemsize
 
 
+def pool_instance():
+    """144 frames of 64 px on a 128 px object, two chunks by default."""
+    geom = make_raster_geometry(n=128, m=64, step=6, grid=(12, 12))
+    geom = ScanGeometry(n=128, m=64, positions=geom.positions + 3)
+    obj = make_test_object(PhantomSpec(n=128, dc_fraction=0.98, texture_seed=2))
+    probe = make_probe(ProbeSpec(m=64, aperture_radius_px=24.0, defocus_phase_strength=0.5))
+    init = perturb_probe(probe, blur_sigma_px=2.0, noise_level=0.05, seed=3)
+    return geom, probe, init, simulate_data(obj, probe, geom)
+
+
+def more_chunks_than_slots(monkeypatch):
+    """Chunks of four frames, and three of them in flight."""
+    monkeypatch.setattr(fourier, "_CHUNK_BYTES", FOUR_FRAMES)
+    monkeypatch.setattr(fourier, "_usable_cores", lambda: 2)
+
+
 def assert_one_stack_and_one_block(work, geom):
-    """The workspace holds one complex frame stack and the two halves of
-    one float64 block of the same bytes, and no other frame-sized
-    array."""
-    shape = (geom.K, geom.m, geom.m)
+    """The workspace holds one complex frame stack and one float64 block,
+    ``real`` followed by the chunk slots, and no other frame-sized array.
+    Where every chunk has a slot, the block is (2, K, m, m) and each slot
+    is its chunk's frames of the second stack; else chunks ``ahead``
+    apart share a slot, the slots of ``ahead`` chunks in a row do not
+    overlap, and the block has no frame no slot uses."""
+    m, shape = geom.m, (geom.K, geom.m, geom.m)
     frame_sized = [
         name for name, value in vars(work).items()
         if isinstance(value, np.ndarray) and value.nbytes >= frame_stack_bytes(geom)
     ]
-    assert sorted(frame_sized) == ["real", "real2", "stack"]
+    assert sorted(frame_sized) == ["real", "stack"]
     assert (work.stack.dtype, work.stack.shape) == (np.complex128, shape)
     block = work.real.base
-    assert work.real2.base is block
-    assert (block.dtype, block.shape, block.nbytes) == (np.float64, (2, *shape), work.stack.nbytes)
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+
+    def first(array):
+        # The frame of the block an array starts at.
+        return (array.ctypes.data - block.ctypes.data) // (m * m * block.itemsize)
+
+    assert (work.real.shape, first(work.real)) == (shape, 0)
+    chunks = list(zip(work.edges, work.edges[1:]))
+    slots = [work.slot(lo) for lo, _ in chunks]
+    for slot, (lo, hi) in zip(slots, chunks):
+        assert slot.base is block and slot.shape == (hi - lo, m, m) and slot.flags.c_contiguous
+    assert work.ahead == min(len(chunks), fourier._usable_cores() + 1)
+    if work.ahead == len(chunks):
+        assert block.shape == (2, *shape)
+        assert [first(slot) for slot in slots] == [geom.K + lo for lo, _ in chunks]
+        return
+    assert len(chunks) > 1
+    ahead = work.ahead
+    for i in range(ahead, len(chunks)):
+        assert first(slots[i]) == first(slots[i - ahead])
+    used = np.zeros(block.shape[0], dtype=int)
+    for i in range(ahead):
+        tallest = max(len(slot) for slot in slots[i::ahead])
+        used[first(slots[i]) : first(slots[i]) + tallest] += 1
+    assert (used[geom.K :] == 1).all() and not used[: geom.K].any()
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -107,28 +156,31 @@ def test_no_frame_sized_transient_after_first_iteration(monkeypatch, mode):
     assert max(transient[1:]) < frame_stack_bytes(geom), transient
 
 
+@pytest.mark.parametrize("layout", ["a slot per chunk", "more chunks than slots"])
 @pytest.mark.parametrize("mode", MODES)
-def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode):
-    geom = make_raster_geometry(n=128, m=64, step=6, grid=(12, 12))
-    geom = ScanGeometry(n=128, m=64, positions=geom.positions + 3)
-    assert len(_frame_edges(geom.K, np.dtype(np.complex128).itemsize * geom.m**2)) > 2
-    obj = make_test_object(PhantomSpec(n=128, dc_fraction=0.98, texture_seed=2))
-    probe = make_probe(ProbeSpec(m=64, aperture_radius_px=24.0, defocus_phase_strength=0.5))
-    init = perturb_probe(probe, blur_sigma_px=2.0, noise_level=0.05, seed=3)
+def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode, layout):
+    geom, probe, init, amps = pool_instance()
+    if layout == "more chunks than slots":
+        more_chunks_than_slots(monkeypatch)
     monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
     cfg = SolverConfig(probe_mode=mode, max_iters=5)
-    amps = simulate_data(obj, probe, geom)
     workspaces = recorded_workspaces(monkeypatch)
     transient, in_use, shifts = traced_run(monkeypatch, amps, geom, init, cfg, probe)
     assert max(transient[1:]) < frame_stack_bytes(geom), transient
     assert shifts == (1 if mode.startswith("rank1") else 0)
-    # The frames and the two scratch stacks are six float64 stacks; the
-    # images, the overlap matrix and the small arrays fit in half of a
-    # seventh.
     (work,) = workspaces
     assert_one_stack_and_one_block(work, geom)
-    held = 6 * frame_stack_bytes(geom)
+    chunks = len(work.edges) - 1
+    assert (chunks, work.ahead) == ((2, 2) if layout == "a slot per chunk" else (36, 3))
+    # The frames and the complex stack are four float64 stacks, and the
+    # block holds the rest; the images, the overlap matrix and the small
+    # arrays fit in half of one more stack.
+    held = 4 * frame_stack_bytes(geom) + work.real.base.nbytes
     assert max(in_use) < held + frame_stack_bytes(geom) // 2, (in_use, held)
+    if layout == "more chunks than slots":
+        # Twelve frames of slots against the 144 of a second stack.
+        assert work.real.base.nbytes == frame_stack_bytes(geom) * (144 + 12) // 144
+        assert max(in_use) < 5.5 * frame_stack_bytes(geom), in_use
 
 
 @pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
@@ -149,3 +201,127 @@ def test_a_shifting_run_holds_only_the_frames_and_two_scratch_stacks(mode):
     assert shifts >= 2
     overlap = geom.K**2 * np.dtype(np.complex128).itemsize if mode == "rank1_framewise" else 0
     assert held[mode] - overlap < held["power"] + frame_stack_bytes(geom) // 2, (held, overlap)
+
+
+def outcome(history):
+    rows = [(r.iter, r.nrmse_probe, r.data_residual, r.pairwise) for r in history.rows]
+    arrays = [(a.dtype, a.tobytes()) for a in (history.probe, history.object_image, history.frames)]
+    return rows, history.events, arrays
+
+
+@pytest.mark.parametrize("mode", ["standard", "rank1_framewise"])
+def test_a_run_of_more_chunks_than_slots_matches_the_one_chunk_run_byte_for_byte(monkeypatch, mode):
+    geom, probe, init, amps = pool_instance()
+    # A shifted step at every other iteration.
+    monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
+    monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
+    cfg = SolverConfig(probe_mode=mode, max_iters=4)
+    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 2 * frame_stack_bytes(geom))
+    whole = outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe))
+    more_chunks_than_slots(monkeypatch)
+    workspaces = recorded_workspaces(monkeypatch)
+    shifted = []
+    rank1 = solver.update_probe_rank1
+    monkeypatch.setattr(solver, "update_probe_rank1", lambda *a: shifted.append(None) or rank1(*a))
+    assert outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe)) == whole
+    (work,) = workspaces
+    assert work.ahead < len(work.edges) - 1
+    assert len(shifted) == (2 if mode == "rank1_framewise" else 0)
+
+
+def over_frames_events(edges, ahead, tail=True):
+    """Run ``fourier._over_frames`` over ``edges`` with at most ``ahead``
+    chunks in flight, later chunks finishing first, and return its events
+    in order: ("start", i) as chunk i's work starts, ("done", i) as it
+    ends and ("tail", i) as its tail runs."""
+    events, lock = [], threading.Lock()
+
+    def log(kind, lo):
+        with lock:
+            events.append((kind, edges.index(lo)))
+
+    def work(lo, hi):
+        log("start", lo)
+        time.sleep(0.001 * (len(edges) - edges.index(lo)))
+        log("done", lo)
+
+    fourier._over_frames(work, edges, (lambda lo, hi: log("tail", lo)) if tail else None, ahead)
+    return events
+
+
+@pytest.mark.parametrize("tail", [True, False], ids=["tail", "no tail"])
+@pytest.mark.parametrize("ahead", [1, 2, 3])
+def test_chunk_i_starts_only_after_chunk_i_minus_ahead_has_run_its_tail(ahead, tail):
+    edges = list(range(0, 21, 2))
+    events = over_frames_events(edges, ahead, tail)
+    chunks = len(edges) - 1
+    release = "tail" if tail else "done"
+    for kind in ("start", "done") + (("tail",) if tail else ()):
+        assert sorted(i for k, i in events if k == kind) == list(range(chunks))
+    if tail:
+        assert [i for k, i in events if k == "tail"] == list(range(chunks))
+    for i in range(ahead, chunks):
+        assert events.index((release, i - ahead)) < events.index(("start", i))
+    # Never more than ``ahead`` chunks between their start and release.
+    in_flight = 0
+    for kind, _ in events:
+        in_flight += {"start": 1, release: -1}.get(kind, 0)
+        assert in_flight <= ahead
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_tail(
+    monkeypatch, mode
+):
+    """In a run of more chunks than slots, every pass that uses slots
+    keeps ``work.ahead`` chunks in flight, so chunk i starts only after
+    chunk i - ahead, whose slot it takes, has been through its tail (or,
+    in a pass without one, has finished)."""
+    geom, probe, init, amps = pool_instance()
+    more_chunks_than_slots(monkeypatch)
+    monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
+    monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
+    passes, current, lock = [], [None], threading.Lock()
+
+    class Logged(solver._Workspace):
+        def slot(self, lo):
+            if current[0] is not None:
+                with lock:
+                    current[0].append(("slot", lo))
+            return super().slot(lo)
+
+    monkeypatch.setattr(solver, "_Workspace", Logged)
+    real = solver._over_frames
+
+    def spy(work, edges, tail=None, ahead=None):
+        events = current[0] = []
+
+        def log(kind, lo):
+            with lock:
+                events.append((kind, lo))
+
+        def logged_work(lo, hi):
+            log("start", lo)
+            work(lo, hi)
+            log("done", lo)
+
+        def logged_tail(lo, hi):
+            tail(lo, hi)
+            log("tail", lo)
+
+        try:
+            real(logged_work, edges, None if tail is None else logged_tail, ahead)
+        finally:
+            current[0] = None
+        passes.append((edges, tail is not None, ahead, events))
+
+    monkeypatch.setattr(solver, "_over_frames", spy)
+    run_reconstruction(amps, geom, init, SolverConfig(probe_mode=mode, max_iters=3), probe_true=probe)
+    slotted = [p for p in passes if any(kind == "slot" for kind, _ in p[3])]
+    # The start, three frame updates and, framewise, two shifted steps.
+    assert len(slotted) == (6 if mode == "rank1_framewise" else 4)
+    for edges, has_tail, ahead, events in slotted:
+        assert ahead == 3 < len(edges) - 1
+        release = "tail" if has_tail else "done"
+        for i in range(ahead, len(edges) - 1):
+            assert events.index((release, edges[i - ahead])) < events.index(("start", edges[i]))

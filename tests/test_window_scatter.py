@@ -51,9 +51,8 @@ def test_window_slices_cover_each_frames_indices(name):
         seen.add(len(rects))
         covered = np.full((geom.m, geom.m), -1)
         for target, source in rects:
-            assert source[0] == k
-            assert (covered[source[1:]] == -1).all()
-            covered[source[1:]] = flat[target]
+            assert (covered[source] == -1).all()
+            covered[source] = flat[target]
         assert (covered == geom.frame_indices[k]).all()
     assert seen == counts
 
@@ -65,13 +64,13 @@ def test_window_adds_match_embed_add_frames_byte_for_byte(rng, name, dtype):
     stack = spread_stack(rng, geom, dtype)
     want = embed_add_frames(stack, geom)
     whole = np.zeros_like(want)
-    _add_windows(whole, stack, geom, 0, geom.K)
+    _add_windows(whole, stack, geom, 0)
     assert (whole.dtype, whole.tobytes()) == (want.dtype, want.tobytes())
     # In ascending runs of frames, as a pass's tail adds its chunks.
     runs = np.zeros_like(want)
     edges = sorted({0, geom.K // 3, 2 * geom.K // 3, geom.K})
     for lo, hi in zip(edges, edges[1:]):
-        _add_windows(runs, stack, geom, lo, hi)
+        _add_windows(runs, stack[lo:hi], geom, lo)
     assert runs.tobytes() == want.tobytes()
 
 

@@ -12,7 +12,10 @@ a2)`` of raw wall seconds. The report gives the median ratio over the
 rounds with a 95% bootstrap interval, the rounds B wins, and the A/A
 spread of the same rounds: the median and interval of ``a2 / a1``, the
 later A solve over the earlier, which shows what the protocol can
-resolve. Give the same tree twice for a full A/A run::
+resolve. Before the rounds, each side runs one solve under
+``tracemalloc``, whose traced peak the report gives in MiB, as
+``perfbench/run.py`` measures ``peak_mb``. Give the same tree twice for
+a full A/A run::
 
     python3 tools/ab.py ../parent . --workload large223 --mode standard
     python3 tools/ab.py ../parent . --workload large223 --iters 0
@@ -35,6 +38,7 @@ import importlib.util
 import json
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +86,17 @@ def solver_call(tree, layout, inst, mode: str, iters: int):
         )
 
     return call
+
+
+def traced_peak_mb(call) -> float:
+    """The traced allocation peak of one call, in MiB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
 
 
 def timed(call) -> float:
@@ -143,6 +158,7 @@ def main(argv=None) -> int:
         for root, name in ((args.a, "ab_a"), (args.b, "ab_b"))
     ]
     same = calls[0]().probe.tobytes() == calls[1]().probe.tobytes()
+    peaks = [traced_peak_mb(call) for call in calls]
     report = {
         "a": str(args.a),
         "b": str(args.b),
@@ -150,6 +166,8 @@ def main(argv=None) -> int:
         "mode": args.mode,
         "iters": iters,
         "identical_probe": same,
+        "a_peak_mb": peaks[0],
+        "b_peak_mb": peaks[1],
         **compare(*calls, args.rounds),
     }
     ratio, spread = report["ratio"], report["aa_spread"]
@@ -157,7 +175,8 @@ def main(argv=None) -> int:
         f"B/A {ratio['median']:.4f} [{ratio['interval'][0]:.4f}, {ratio['interval'][1]:.4f}], "
         f"B faster in {report['b_wins']} of {args.rounds}; A/A {spread['median']:.4f} "
         f"[{spread['interval'][0]:.4f}, {spread['interval'][1]:.4f}]; "
-        f"A {report['a_median_s']:.4f} s, B {report['b_median_s']:.4f} s"
+        f"A {report['a_median_s']:.4f} s, B {report['b_median_s']:.4f} s; "
+        f"peak A {peaks[0]:.1f} MiB, B {peaks[1]:.1f} MiB"
     )
     print(json.dumps(report))
     return 0 if same else 1
