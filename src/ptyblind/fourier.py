@@ -16,7 +16,7 @@ thread runs on each chunk in chunk order as soon as it finishes, while
 the pool works on later chunks: that is where the solver sums the
 probe step's terms in frame order and scatters frames of at least
 ``_WINDOW_PX`` onto the object, by window adds that keep the frame
-order and so the bits. A pass may also bound the chunks it has in
+order and so the bits. A pass keeps a bounded number of chunks in
 flight, so that chunks that far apart can share scratch.
 """
 
@@ -79,9 +79,9 @@ if hasattr(os, "register_at_fork"):
 
 
 def _in_flight(chunks: int) -> int:
-    """Chunks a pass over ``chunks`` chunks keeps in flight when it
-    bounds them: one per usable core and one queued, so no worker waits
-    on the calling thread's tails, or every chunk where that is fewer."""
+    """Chunks a pass over ``chunks`` chunks keeps in flight: one per
+    usable core and one queued, so no worker waits on the calling
+    thread's tails, or every chunk where that is fewer."""
     return min(chunks, _usable_cores() + 1)
 
 
@@ -94,21 +94,21 @@ def _frame_edges(count: int, frame_bytes: int) -> list[int]:
     return [count * i // chunks for i in range(chunks + 1)]
 
 
-def _over_frames(work, edges: list[int], tail=None, ahead=None) -> None:
+def _over_frames(work, edges: list[int], tail=None) -> None:
     """Run ``work(lo, hi)`` on the frames ``[lo, hi)`` of every chunk
     between ``edges``; each chunk writes its own frames of the output
     stacks the caller allocated. Given ``tail``, run ``tail(lo, hi)`` on
     the calling thread for each chunk in chunk order, as soon as that
     chunk's work has finished, while the pool works on later chunks.
-    Given ``ahead``, chunk ``i`` is submitted only once chunk ``i -
-    ahead`` has finished and its tail has run, so chunks ``ahead`` apart
-    may share scratch.
+    At most :func:`_in_flight` chunks are in flight: chunk ``i`` is
+    submitted only once chunk ``i - _in_flight(chunks)`` has finished
+    and been through its tail, so chunks that far apart may share
+    scratch.
 
     A single chunk runs its work and then its tail on the calling
     thread. Several run on the pool, and the first exception in chunk
-    order is raised once every submitted chunk has finished; no tail
-    runs at or after a chunk that failed, and no chunk ``ahead`` or more
-    past it is submitted. ``work`` runs in a copy of the caller's
+    order is raised once every chunk has finished; no tail runs at or
+    after a chunk that failed. ``work`` runs in a copy of the caller's
     context (numpy's error state) and must call numpy and private
     helpers only.
     """
@@ -118,27 +118,25 @@ def _over_frames(work, edges: list[int], tail=None, ahead=None) -> None:
             tail(edges[0], edges[1])
         return
     chunks = list(zip(edges, edges[1:]))
-    ahead = len(chunks) if ahead is None else ahead
+    ahead = _in_flight(len(chunks))
     pool = _pool()
     futures = []
+    failed = False
 
-    def settled(i):
-        # Whether chunk i finished cleanly; its tail has run if so.
-        if futures[i].exception() is not None:
-            return False
-        if tail is not None:
+    def settle(i):
+        # Wait for chunk i; run its tail while no chunk up to it failed.
+        nonlocal failed
+        failed = failed or futures[i].exception() is not None
+        if tail is not None and not failed:
             tail(*chunks[i])
-        return True
 
     try:
         for i, (lo, hi) in enumerate(chunks):
-            if i >= ahead and not settled(i - ahead):
-                break
+            if i >= ahead:
+                settle(i - ahead)
             futures.append(pool.submit(contextvars.copy_context().run, work, lo, hi))
-        else:
-            for i in range(max(len(chunks) - ahead, 0), len(chunks)):
-                if not settled(i):
-                    break
+        for i in range(len(chunks) - ahead, len(chunks)):
+            settle(i)
     finally:
         wait(futures)
     for future in futures:

@@ -92,17 +92,14 @@ the calling thread runs on each chunk in chunk order as soon as it
 finishes, while the pool works on later chunks: the first chunk is
 summed and each later frame added in turn, which is the order numpy's
 sum over the whole stack takes, so the bits are its bits. Only the
-inner products, the misfit norm and the sums of a gathered
-accumulation that a later pass multiplies in place read the whole
-stack once every chunk has finished. Frames below
-``fourier._WINDOW_PX`` (16 px in every 64 px instance) are scattered
-onto the object the same way, one ``np.add.at`` or ``bincount`` over the
-whole stack. Larger frames are scattered chunk by chunk in the tail: as
+inner products and the misfit norm read the whole stack once every
+chunk has finished. Frames below ``fourier._WINDOW_PX`` (16 px in every
+64 px instance) are scattered onto the object the same way, one
+``np.add.at`` or ``bincount`` over the whole stack. Larger frames are scattered chunk by chunk in the tail: as
 each chunk of the frame update or of the start frames finishes, its
 weighted frames and their intensities are added window by window into
-the new adjoint accumulation and canvas, and so are the weighted frames
-of the re-fit after a shifted step; the object coverage adds ``|p|**2``
-windows. Each pixel receives its frames in ascending order from 0.0 on
+the new adjoint accumulation and canvas; the object coverage adds
+``|p|**2`` windows. Each pixel receives its frames in ascending order from 0.0 on
 either route, so every result is bit-identical to the unchunked pass. A
 stack shorter than two chunks (every 64 px instance) is one chunk, run
 on the calling thread by the same code, touching the same stacks in the
@@ -114,11 +111,11 @@ stack, and one float64 block. The block holds a float64 stack for what
 reductions over the whole stack read (the magnitudes and misfit, the
 gathered weights) and the chunk slots, for what a chunk needs only
 until its tail has run (the reciprocal magnitudes, the new frames'
-intensities, the shifted step's per-frame denominator). A pass that
-writes slots keeps at most one chunk per usable core and one more in
-flight, each in a slot of its own, so a stack of more chunks than that
-(400 frames of 128 px make 25) holds a few chunks of slots instead of a
-second float64 stack. Both are allocated when the run starts. The
+intensities, the shifted step's per-frame denominator). A pass keeps
+at most one chunk per usable core and one more in flight, each in a
+slot of its own, so a stack of more chunks than that (400 frames of
+128 px make 25) holds a few chunks of slots instead of a second float64
+stack. Both are allocated when the run starts. The
 steps write into them with ``out=`` ufuncs and ``take`` gathers. A
 probe, a per-frame factor or a real operand that a ufunc would
 broadcast or cast over a stack is first copied into a whole stack or
@@ -161,7 +158,6 @@ from .operators import (
     embed_add_frames,
     extract_frames,  # noqa: F401  (unused here; perfbench's tracer test wraps this binding)
     illuminate_adjoint,
-    sum_frames,
 )
 
 PROBE_MODES = ("standard", "power", "rank1_global", "rank1_framewise")
@@ -240,15 +236,14 @@ class _Workspace:
     Float64 values a chunk needs only until its tail has run (the
     reciprocal magnitudes, the intensities the tail adds into the
     canvas, the shifted step's per-frame denominator) go in the chunk's
-    slot, :meth:`slot`: chunk ``i`` takes slot ``i mod ahead``, and a
-    pass that writes slots keeps at most ``ahead`` chunks in flight
-    (``fourier._over_frames``), so a chunk starts only once the chunk
-    before it in its slot has been through its tail. ``ahead`` is one
-    more than the usable cores, or the number of chunks where that is
-    fewer; then every chunk has a slot of its own. ``real`` and the
-    slots are one float64 block: a (2, K, m, m) one whose second stack
-    holds each chunk's slot at its own frames where every chunk has a
-    slot, else ``real`` followed by the slots.
+    slot, :meth:`slot`: chunk ``i`` takes slot ``i mod S``, where ``S =
+    fourier._in_flight(chunks)`` is one more than the usable cores, or
+    the number of chunks where that is fewer. A pass keeps at most ``S``
+    chunks in flight (``fourier._over_frames``), so a chunk starts only
+    once the chunk before it in its slot has been through its tail.
+    ``real`` and the slots are one float64 block, ``real`` first; where
+    every chunk has a slot of its own, the block is two stacks and the
+    second holds each chunk's slot at its own frames.
 
     Each array is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
@@ -265,23 +260,17 @@ class _Workspace:
         # Chunked by the frames' complex128 bytes.
         self.edges = _frame_edges(geom.K, self.stack.itemsize * m**2)
         chunks = list(zip(self.edges, self.edges[1:]))
-        self.ahead = _in_flight(len(chunks))
-        if self.ahead == len(chunks):
-            block = np.empty((2, geom.K, m, m))
-            self.real = block[0]
-            starts = [geom.K + lo for lo, _ in chunks]
-        else:
-            # Each slot as tall as the tallest chunk it takes.
-            shared = [chunks[j :: self.ahead] for j in range(self.ahead)]
-            heights = [max(hi - lo for lo, hi in taken) for taken in shared]
-            block = np.empty((geom.K + sum(heights), m, m))
-            self.real = block[: geom.K]
-            starts = [geom.K + sum(heights[:j]) for j in range(self.ahead)]
-        frames = block.reshape(-1, m, m)
+        ahead = _in_flight(len(chunks))
+        # ``real``, then the slots, each as tall as the tallest chunk it
+        # takes: with a slot per chunk, a second stack holding each
+        # chunk's slot at its own frames.
+        heights = [max(hi - lo for lo, hi in chunks[j::ahead]) for j in range(ahead)]
+        block = np.empty((geom.K + sum(heights), m, m))
+        self.real = block[: geom.K]
         self._slots = {}
         for i, (lo, hi) in enumerate(chunks):
-            first = starts[i % self.ahead]
-            self._slots[lo] = frames[first : first + hi - lo]
+            first = geom.K + sum(heights[: i % ahead])
+            self._slots[lo] = block[first : first + hi - lo]
 
     def slot(self, lo: int) -> np.ndarray:
         """The float64 scratch of the chunk starting at frame ``lo``, one
@@ -336,7 +325,7 @@ def _summing_tail(chunk_of):
     the pass has run. ``chunk_of(lo, hi)`` gives the chunk's frames of
     each stack. The first chunk is summed and later ones added frame by
     frame: numpy sums a stack over its frames in frame order, so each
-    sum has the bits of :func:`sum_frames` on its whole stack."""
+    sum has the bits of ``operators.sum_frames`` on its whole stack."""
     sums = []
 
     def tail(lo, hi):
@@ -359,8 +348,8 @@ def _gathered_terms(
     ``work.stack`` and the gathered real ``weights`` in ``work.real``,
     and the pass's tail sums each finished chunk of both. ``frames`` is
     a frame stack or None; without frames the first term is ``sum_k
-    conj(image|_k)``, the windows ``conj(image|_k)`` are left in
-    ``work.stack`` and both stacks are summed once the pass is done."""
+    conj(image|_k)``, and the windows ``conj(image|_k)`` are left in
+    ``work.stack``."""
     products, gathered, index = work.stack, work.real, geom.frame_indices
     flat = _flat_image(weights, geom, gathered)
     conj_image = np.conj(_flat_image(image, geom, products))
@@ -375,10 +364,6 @@ def _gathered_terms(
             # _rank1_terms.
             np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
 
-    if frames is None:
-        _over_frames(chunk, work.edges)
-        del conj_image
-        return sum_frames(products), sum_frames(gathered)
     tail, sums = _summing_tail(lambda lo, hi: (products[lo:hi], gathered[lo:hi]))
     _over_frames(chunk, work.edges, tail)
     return sums[0], sums[1]
@@ -419,42 +404,24 @@ def _zero_images(geom: ScanGeometry) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((geom.n, geom.n), dtype=np.complex128), np.zeros((geom.n, geom.n))
 
 
-def _window_tail(images: Optional[tuple], geom: ScanGeometry, work: _Workspace):
+def _window_tail(
+    images: Optional[tuple[np.ndarray, np.ndarray]], geom: ScanGeometry, work: _Workspace
+):
     """The tail of a frame pass given ``images``, an (adjoint, canvas)
     pair from :func:`_zero_images`, or None without: it adds each
     finished chunk's conjugate-probe weighted frames (``work.stack``)
-    into the adjoint and, unless the canvas is None, their intensities
-    (the chunk's slot) into the canvas, window by window, so the images
-    end with the bits of ``embed_add_frames`` on the whole stacks."""
+    into the adjoint and their intensities (the chunk's slot) into the
+    canvas, window by window, so the images end with the bits of
+    ``embed_add_frames`` on the whole stacks."""
     if images is None:
         return None
     adjoint, canvas = images
 
     def tail(lo, hi):
         _add_windows(adjoint, work.stack[lo:hi], geom, lo)
-        if canvas is not None:
-            _add_windows(canvas, work.slot(lo), geom, lo)
+        _add_windows(canvas, work.slot(lo), geom, lo)
 
     return tail
-
-
-def _adjoint(
-    frames: np.ndarray, probe: np.ndarray, geom: ScanGeometry, work: _Workspace
-) -> np.ndarray:
-    """``illuminate_adjoint(frames, probe, geom)`` with the weighted stack
-    in ``work.stack``, bit for bit. Frames of at least
-    ``fourier._WINDOW_PX`` take one pass of conjugate-probe products
-    whose tail adds each chunk into a zero image."""
-    if not _by_windows(geom):
-        return illuminate_adjoint(frames, probe, geom, scratch=work.stack)
-    adjoint = np.zeros((geom.n, geom.n), dtype=np.complex128)
-    conj_probe, weighted = np.conj(probe), work.stack
-
-    def chunk(lo, hi):
-        np.multiply(_fill(weighted[lo:hi], conj_probe), frames[lo:hi], out=weighted[lo:hi])
-
-    _over_frames(chunk, work.edges, _window_tail((adjoint, None), geom, work))
-    return adjoint
 
 
 def pairwise_discrepancy(coverage: np.ndarray, adjoint: np.ndarray, canvas: np.ndarray) -> float:
@@ -613,7 +580,7 @@ def _rank1_terms(
         np.subtract(den, weights, out=den)
 
     tail, sums = _summing_tail(lambda lo, hi: (work.slot(lo),))
-    _over_frames(shifted_accumulation, work.edges, tail, work.ahead)
+    _over_frames(shifted_accumulation, work.edges, tail)
     # sum_k conj(t_k) A'_k, and the denominator
     cross = (np.conj(factors) @ view.reshape(geom.K, -1)).reshape(probe.shape)
     den = sums[0] - 2.0 * cross.real
@@ -953,7 +920,7 @@ def _magnitude_pass(
                 _intensity(scratch, inv)
         np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
 
-    _over_frames(chunk, work.edges, _window_tail(images, geom, work), work.ahead)
+    _over_frames(chunk, work.edges, _window_tail(images, geom, work))
     return np.linalg.norm(misfit)
 
 
@@ -1000,7 +967,7 @@ def _start_frames(
         if images is not None:
             _intensity(scratch, work.slot(lo))
 
-    _over_frames(chunk, work.edges, _window_tail(images, geom, work), work.ahead)
+    _over_frames(chunk, work.edges, _window_tail(images, geom, work))
     return frames
 
 
@@ -1168,7 +1135,7 @@ def run_reconstruction(
         _check_stack(frames, geom, "frames_init")
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
-        adjoint = _adjoint(frames, probe, geom, work)
+        adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
         if windowed:
             canvas = _intensity_canvas(frames, geom, work)
 
@@ -1237,7 +1204,11 @@ def run_reconstruction(
                 # kept instead of being averaged away. The old object
                 # is dropped first, out of the re-fit's peak memory.
                 del obj
-                obj = update_object(state.coverage, _adjoint(state.frames, probe, geom, work), probe)
+                obj = update_object(
+                    state.coverage,
+                    illuminate_adjoint(state.frames, probe, geom, scratch=work.stack),
+                    probe,
+                )
             # Nothing reads the old frames any more: the new ones
             # overwrite them.
             if windowed:

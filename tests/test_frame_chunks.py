@@ -26,7 +26,6 @@ from ptyblind import (
     fourier,
     frame_dft,
     illuminate,
-    illuminate_adjoint,
     metrics,
     operators,
     run_reconstruction,
@@ -46,12 +45,12 @@ def record_chunks(monkeypatch):
     chunks = []
     real = solver._over_frames
 
-    def spy(work, edges, tail=None, ahead=None):
+    def spy(work, edges, tail=None):
         def recorded(lo, hi):
             chunks.append((lo, hi, threading.current_thread() is threading.main_thread()))
             work(lo, hi)
 
-        real(recorded, edges, tail, ahead)
+        real(recorded, edges, tail)
 
     monkeypatch.setattr(solver, "_over_frames", spy)
     return chunks
@@ -144,58 +143,18 @@ def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chu
     cfg = SolverConfig(probe_mode=mode, max_iters=4)
     adds = count_window_adds(monkeypatch)
     chunks = record_chunks(monkeypatch)
-    refits = []
-    adjoint = solver._adjoint
-    monkeypatch.setattr(solver, "_adjoint", lambda *args: refits.append(None) or adjoint(*args))
     windowed = outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe))
     # Per chunk, two adds for each frame pass (the start and four
-    # iterations) and one for each re-fit after a shifted step; one
-    # coverage per probe.
+    # iterations); one coverage per probe.
     passes = len({(lo, hi) for lo, hi, _ in chunks})
     assert passes == (1 if chunk_bytes > 1 else geom.K // 2)
-    assert len(adds) == 2 * 5 * passes + len(refits) * passes + 5
-    assert bool(refits) == mode.startswith("rank1")
+    assert len(adds) == 2 * 5 * passes + 5
     monkeypatch.setattr(fourier, "_WINDOW_PX", geom.m + 1)
     del adds[:]
     assert outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe)) == windowed
     assert not adds
     if mode.startswith("rank1"):
         assert windowed[1]
-
-
-@pytest.mark.parametrize("chunk_bytes", [fourier._CHUNK_BYTES, 1], ids=["one chunk", "chunked"])
-@pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
-def test_refit_adjoint_matches_illuminate_adjoint_byte_for_byte(monkeypatch, mode, chunk_bytes):
-    """The re-fit after a shifted step takes the adjoint of 64 px frames
-    in one chunk pass whose tail adds the weighted frames into a zero
-    image: the bytes of ``illuminate_adjoint`` and of its weighted stack,
-    on a raster whose frames wrap."""
-    geom, probe, amps = windowed_instance()
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
-    monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
-    monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
-    refits = []
-    adjoint = solver._adjoint
-
-    def checked(frames, probe, geom, work):
-        got = adjoint(frames, probe, geom, work)
-        weighted = np.empty_like(work.stack)
-        want = illuminate_adjoint(frames, probe, geom, scratch=weighted)
-        refits.append((len(work.edges) - 1, got.tobytes() == want.tobytes()))
-        assert work.stack.tobytes() == weighted.tobytes()
-        return got
-
-    monkeypatch.setattr(solver, "_adjoint", checked)
-    # Frames spread over 16 decades, where any other order of the adds
-    # shows in the last bits.
-    rng = np.random.default_rng(5)
-    spread = rand_complex(rng, geom.K, geom.m, geom.m) * np.logspace(-8, 8, geom.K)[:, None, None]
-    solver._adjoint(spread, probe, geom, solver._Workspace(geom))
-    cfg = SolverConfig(probe_mode=mode, max_iters=4)
-    run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe)
-    chunks = 1 if chunk_bytes > 1 else geom.K // 2
-    # The direct call, then one re-fit a shifted step, every other iteration.
-    assert refits == [(chunks, True)] * 3
 
 
 def test_window_scatter_run_from_given_frames_matches_the_stack_scatter_run(monkeypatch):
@@ -393,10 +352,8 @@ def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
 def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypatch):
     geom, probe, init, amps = wrapping_instance()
     monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(fourier, "_usable_cores", lambda: 2)
     per_pass = len(chunk_edges(geom.K, 16 * geom.m**2))
-    ahead = fourier._in_flight(per_pass)
-    assert per_pass > ahead == 3
+    assert per_pass > 2
     calls, finished = [], []
     lock = threading.Lock()
     real = solver._impose_amplitudes
@@ -418,11 +375,8 @@ def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypa
     monkeypatch.setattr(solver, "_impose_amplitudes", faulty)
     with pytest.raises(ValueError, match="^iteration 1: chunk failed$"):
         run_reconstruction(amps, geom, init, SolverConfig(probe_mode="power", max_iters=3))
-    # Three chunks are in flight at a time, and the failed one, the
-    # first or the second, stops the pass submitting more: three or four
-    # chunks start, and every one of them has finished.
-    assert 1 + ahead <= len(calls) <= 2 + ahead
-    assert sorted(finished) == [c for c in range(1, len(calls) + 1) if c != 2]
+    assert len(calls) == 1 + per_pass
+    assert sorted(finished) == [c for c in range(1, per_pass + 2) if c != 2]
 
 
 @pytest.mark.parametrize(("chunk_bytes", "chunks"), [(fourier._CHUNK_BYTES, 1), (1, 8)])

@@ -106,10 +106,10 @@ def more_chunks_than_slots(monkeypatch):
 def assert_one_stack_and_one_block(work, geom):
     """The workspace holds one complex frame stack and one float64 block,
     ``real`` followed by the chunk slots, and no other frame-sized array.
-    Where every chunk has a slot, the block is (2, K, m, m) and each slot
-    is its chunk's frames of the second stack; else chunks ``ahead``
-    apart share a slot, the slots of ``ahead`` chunks in a row do not
-    overlap, and the block has no frame no slot uses."""
+    Where every chunk has a slot, the block is two stacks and each slot
+    is its chunk's frames of the second; else chunks ``ahead`` apart
+    share a slot, the slots of ``ahead`` chunks in a row do not overlap,
+    and the block has no frame no slot uses."""
     m, shape = geom.m, (geom.K, geom.m, geom.m)
     frame_sized = [
         name for name, value in vars(work).items()
@@ -129,13 +129,13 @@ def assert_one_stack_and_one_block(work, geom):
     slots = [work.slot(lo) for lo, _ in chunks]
     for slot, (lo, hi) in zip(slots, chunks):
         assert slot.base is block and slot.shape == (hi - lo, m, m) and slot.flags.c_contiguous
-    assert work.ahead == min(len(chunks), fourier._usable_cores() + 1)
-    if work.ahead == len(chunks):
-        assert block.shape == (2, *shape)
+    ahead = fourier._in_flight(len(chunks))
+    assert ahead == min(len(chunks), fourier._usable_cores() + 1)
+    if ahead == len(chunks):
+        assert block.nbytes == 2 * frame_stack_bytes(geom)
         assert [first(slot) for slot in slots] == [geom.K + lo for lo, _ in chunks]
         return
     assert len(chunks) > 1
-    ahead = work.ahead
     for i in range(ahead, len(chunks)):
         assert first(slots[i]) == first(slots[i - ahead])
     used = np.zeros(block.shape[0], dtype=int)
@@ -171,7 +171,7 @@ def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode, layout):
     (work,) = workspaces
     assert_one_stack_and_one_block(work, geom)
     chunks = len(work.edges) - 1
-    assert (chunks, work.ahead) == ((2, 2) if layout == "a slot per chunk" else (36, 3))
+    assert (chunks, fourier._in_flight(chunks)) == ((2, 2) if layout == "a slot per chunk" else (36, 3))
     # The frames and the complex stack are four float64 stacks, and the
     # block holds the rest; the images, the overlap matrix and the small
     # arrays fit in half of one more stack.
@@ -225,15 +225,16 @@ def test_a_run_of_more_chunks_than_slots_matches_the_one_chunk_run_byte_for_byte
     monkeypatch.setattr(solver, "update_probe_rank1", lambda *a: shifted.append(None) or rank1(*a))
     assert outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe)) == whole
     (work,) = workspaces
-    assert work.ahead < len(work.edges) - 1
+    assert fourier._in_flight(len(work.edges) - 1) < len(work.edges) - 1
     assert len(shifted) == (2 if mode == "rank1_framewise" else 0)
 
 
-def over_frames_events(edges, ahead, tail=True):
+def over_frames_events(monkeypatch, edges, ahead, tail=True):
     """Run ``fourier._over_frames`` over ``edges`` with at most ``ahead``
     chunks in flight, later chunks finishing first, and return its events
     in order: ("start", i) as chunk i's work starts, ("done", i) as it
     ends and ("tail", i) as its tail runs."""
+    monkeypatch.setattr(fourier, "_in_flight", lambda chunks: min(chunks, ahead))
     events, lock = [], threading.Lock()
 
     def log(kind, lo):
@@ -245,15 +246,15 @@ def over_frames_events(edges, ahead, tail=True):
         time.sleep(0.001 * (len(edges) - edges.index(lo)))
         log("done", lo)
 
-    fourier._over_frames(work, edges, (lambda lo, hi: log("tail", lo)) if tail else None, ahead)
+    fourier._over_frames(work, edges, (lambda lo, hi: log("tail", lo)) if tail else None)
     return events
 
 
 @pytest.mark.parametrize("tail", [True, False], ids=["tail", "no tail"])
 @pytest.mark.parametrize("ahead", [1, 2, 3])
-def test_chunk_i_starts_only_after_chunk_i_minus_ahead_has_run_its_tail(ahead, tail):
+def test_chunk_i_starts_only_after_chunk_i_minus_ahead_has_run_its_tail(monkeypatch, ahead, tail):
     edges = list(range(0, 21, 2))
-    events = over_frames_events(edges, ahead, tail)
+    events = over_frames_events(monkeypatch, edges, ahead, tail)
     chunks = len(edges) - 1
     release = "tail" if tail else "done"
     for kind in ("start", "done") + (("tail",) if tail else ()):
@@ -273,10 +274,10 @@ def test_chunk_i_starts_only_after_chunk_i_minus_ahead_has_run_its_tail(ahead, t
 def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_tail(
     monkeypatch, mode
 ):
-    """In a run of more chunks than slots, every pass that uses slots
-    keeps ``work.ahead`` chunks in flight, so chunk i starts only after
-    chunk i - ahead, whose slot it takes, has been through its tail (or,
-    in a pass without one, has finished)."""
+    """In a run of more chunks than slots, every pass keeps ``ahead``
+    chunks in flight, so in a pass that uses slots chunk i starts only
+    after chunk i - ahead, whose slot it takes, has been through its
+    tail (or, in a pass without one, has finished)."""
     geom, probe, init, amps = pool_instance()
     more_chunks_than_slots(monkeypatch)
     monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
@@ -293,7 +294,7 @@ def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_t
     monkeypatch.setattr(solver, "_Workspace", Logged)
     real = solver._over_frames
 
-    def spy(work, edges, tail=None, ahead=None):
+    def spy(work, edges, tail=None):
         events = current[0] = []
 
         def log(kind, lo):
@@ -310,10 +311,10 @@ def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_t
             log("tail", lo)
 
         try:
-            real(logged_work, edges, None if tail is None else logged_tail, ahead)
+            real(logged_work, edges, None if tail is None else logged_tail)
         finally:
             current[0] = None
-        passes.append((edges, tail is not None, ahead, events))
+        passes.append((edges, tail is not None, fourier._in_flight(len(edges) - 1), events))
 
     monkeypatch.setattr(solver, "_over_frames", spy)
     run_reconstruction(amps, geom, init, SolverConfig(probe_mode=mode, max_iters=3), probe_true=probe)
