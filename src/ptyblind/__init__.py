@@ -3,7 +3,9 @@ probe retrieval.
 
 Submodules: ``operators`` (matrix-free structured operators),
 ``fourier`` (batched unitary frame DFT), ``solver`` (reconstruction
-updates and the outer loop), ``metrics`` (probe NRMSE, metrics rows),
+updates and the outer loop), the private ``_passes`` (the frame-pass
+engine the solver's per-frame work runs in: chunks, thread pool,
+scratch and the scatter route), ``metrics`` (probe NRMSE, metrics rows),
 ``synth`` (phantoms, probes, scan geometries, forward simulation),
 ``npyio`` (bit-exact file IO), and ``cli`` (the ``ptyblind`` command).
 """

@@ -2,9 +2,10 @@
 
 A scan experiment views an n x n object through K overlapping m x m
 windows (circular boundary), each multiplied by a common m x m probe.
-This module implements the window extraction / scatter-add pair, the
-probe replication / frame summation pair, the combined illumination
-operator and its adjoint, and the illumination coverage diagonals.
+This module implements the window extraction / scatter-add pair, probe
+replication (whose adjoint is the sum over the frames,
+``stack.sum(axis=0)``), the combined illumination operator and its
+adjoint, and the illumination coverage diagonals.
 
 Conventions
 -----------
@@ -17,11 +18,9 @@ Conventions
   ascending, row-major within each frame) so overlapping sums are
   bit-reproducible: complex stacks by one ``np.add.at``, real ones by
   one ``np.bincount``, each adding every pixel in that frame order.
-  Frames of at least ``fourier._WINDOW_PX`` a side are added window by
-  window instead (:func:`_add_windows`), frame by frame in the same
-  order, so each pixel takes the same additions from 0.0 and the same
-  bits; the solver runs those adds chunk by chunk on the calling
-  thread while its pool transforms later chunks.
+  The solver's frame passes scatter large frames window by window in
+  the same order instead (``_passes._add_windows``), with the same
+  bits.
 
 All functions are pure and safe to call concurrently, except that a
 call given a buffer (``out`` or ``scratch``) writes it; calls sharing
@@ -37,8 +36,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import fourier
-from .fourier import _check_stack_3d
 
 
 def _check_integer(value, name: str) -> None:
@@ -209,11 +206,6 @@ def replicate_probe(
     return _fill(out, probe)
 
 
-def sum_frames(frames: np.ndarray) -> np.ndarray:
-    """Sum a stack over its frame axis (adjoint of probe replication)."""
-    return _check_stack_3d(frames).sum(axis=0)
-
-
 def illuminate(obj: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:
     """Forward illumination: probe times each extracted object window."""
     probe = _check_probe(probe, geom)
@@ -240,43 +232,15 @@ def illuminate_adjoint(
     return embed_add_frames(weighted, geom)
 
 
-def _by_windows(geom: ScanGeometry) -> bool:
-    """Whether scatters onto the object of ``geom`` add its frames window
-    by window: frames of at least ``fourier._WINDOW_PX`` a side."""
-    return geom.m >= fourier._WINDOW_PX
-
-
-def _add_windows(image: np.ndarray, frames: np.ndarray, geom: ScanGeometry, lo: int) -> None:
-    """Add ``frames``, the frames from ``lo`` on of a stack, onto the
-    (n, n) ``image`` in place, window by window in frame order (see
-    :attr:`ScanGeometry.window_slices`). Every pixel takes its frames in
-    the order :func:`embed_add_frames` adds them, so frames added in
-    ascending runs onto zeros give its bits. Unlike ``np.add.at``, each
-    add releases the GIL."""
-    for frame, rects in zip(frames, geom.window_slices[lo : lo + len(frames)]):
-        for target, source in rects:
-            window = image[target]
-            np.add(window, frame[source], out=window)
-
-
-def _object_coverage(probe: np.ndarray, geom: ScanGeometry, scratch: np.ndarray) -> np.ndarray:
-    """The (n, n) object coverage of a probe: ``|probe|**2`` added window
-    by window, or for frames below ``fourier._WINDOW_PX`` replicated into
-    ``scratch``, a float64 (K, m, m) stack, and scattered."""
-    intensity = np.abs(probe) ** 2
-    if _by_windows(geom):
-        coverage = np.zeros((geom.n, geom.n))
-        _add_windows(coverage, np.broadcast_to(intensity, (geom.K, geom.m, geom.m)), geom, 0)
-        return coverage
-    return embed_add_frames(replicate_probe(intensity, geom, out=scratch), geom)
-
-
 def coverage_maps(probe: np.ndarray, geom: ScanGeometry) -> CoverageMaps:
     """Object- and frame-domain illumination coverage for a probe.
 
-    Both maps depend only on (probe, geometry). The solver keeps only
-    the object coverage and gathers the frame coverage from it where a
-    step reads it, as :func:`extract_frames` does here.
+    Both maps depend only on (probe, geometry): the object coverage is
+    ``|probe|**2`` replicated over the frames and scattered onto the
+    object, and the frame coverage that map extracted to the frames. The
+    solver keeps only the object coverage and gathers the frame coverage
+    from it where a step reads it.
     """
-    obj_cov = _object_coverage(probe, geom, np.empty((geom.K, geom.m, geom.m)))
+    intensity = np.abs(np.asarray(probe)) ** 2
+    obj_cov = embed_add_frames(replicate_probe(intensity, geom), geom)
     return CoverageMaps(object_coverage=obj_cov, frame_coverage=extract_frames(obj_cov, geom))

@@ -16,9 +16,14 @@ model frames. Probe modes:
     The power step applied after subtracting the estimated average
     transmitted component (a single complex transparency factor, or
     one factor per overlapping-frame neighborhood) from the frames.
-    Removing that near-constant part enlarges the spectral gap the
-    power step sees, which is what accelerates weak-contrast
-    reconstructions.
+    On the weak-contrast acceptance instance (criterion 6) they reach
+    probe NRMSE 0.1 in 19 (global) and 16 (per-frame) iterations
+    against 51 for ``standard``. Why is still open. It is not a
+    spectral gap the shift restores: at fixed, consistent frames the
+    plain power step has one unit eigenvalue per gauge class of the
+    scan (16 on the 4 px raster) and the next at |lambda| = 0.069, a
+    gap of 0.93, and there the shifted step contracts more slowly than
+    the plain one, not faster.
 
 The shifted step divides by the small residual contrast, so it
 amplifies whatever frame inconsistency the magnitude projection left
@@ -32,25 +37,23 @@ recomputed with the new probe before the frames are rebuilt, so the
 jump is absorbed instead of being undone by the next consolidation
 steps. Both branches leave an exact solution fixed.
 
-Each iteration is a single pass over the frame stack. Three products
-of the current (frames, probe) pair are computed once and read by
-every consumer: the object coverage ``C``; the adjoint accumulation
-``A = illuminate_adjoint(frames, probe)``, the numerator of the next
-object update and the power step's accumulation; and the intensity
-canvas, the scatter-add of ``|frames|**2``, which the metrics row
-makes for the frames it records (the frame update, for frames of at
-least ``fourier._WINDOW_PX``). ``<C, canvas>`` is the stack's
-coverage-weighted energy ``E``, from which the metrics row's pairwise
-discrepancy ``E - ||A||^2`` and the global gate read; the canvas
-gathered to the frames is the power step's denominator. All three
-are (n, n) images, gathered to the frames chunk by chunk where a step
-reads them. Every step takes the ones it reads as required arguments,
-with the run's scratch stacks, and none recomputes them; a step that
-needs the accumulation of another stack (the frames under a new
-probe) is handed it by its caller. The
-steps keep public names in this module because the benchmark in
-``perfbench/`` traces them by name. The rank-1 estimators and the
-gate run only on iterations the cadence allows.
+Three products of the current (frames, probe) pair are computed once
+per iteration and read by every consumer: the object coverage ``C``;
+the adjoint accumulation ``A = illuminate_adjoint(frames, probe)``, the
+numerator of the next object update and the power step's
+accumulation; and the intensity canvas, the scatter-add of
+``|frames|**2``. The frame update makes the last two with the frames.
+``<C, canvas>`` is the stack's coverage-weighted energy ``E``, from
+which the metrics row's pairwise discrepancy ``E - ||A||^2`` and the
+global gate read; the canvas gathered to the frames is the power step's
+denominator. All three are (n, n) images, gathered to the frames where
+a step reads them. Every step takes the ones it reads as required
+arguments, with the run's scratch stacks, and none recomputes them; a
+step that needs the accumulation of another stack (the frames under a
+new probe) is handed it by its caller. The steps keep public names
+in this module because the benchmark in ``perfbench/`` traces them by
+name. The rank-1 estimators and the gate run only on iterations the
+cadence allows.
 Shifting every frame by one factor ``t`` times the probe shifts the
 adjoint accumulation ``A`` by ``t`` times the object coverage ``C``,
 and the intensity canvas by ``|t|^2 C - 2 Re(conj(t) A)``. So the
@@ -73,61 +76,9 @@ The model spectra are transformed once: their magnitudes give the
 data residual and then phase the spectra in place for the frame
 update.
 
-Every per-frame elementwise stage runs in the run's chunks of about
-4 MiB of frames (``_Workspace.edges``), on a thread pool with one
-worker per usable core; numpy releases the GIL in these loops. Each
-stage is one fused pass per chunk: the frame update (gather, probe
-product, DFT, magnitudes, misfit, phase, scaling, inverse DFT,
-conjugate-probe product) and row 0's, which stops at the misfit; the
-start frames of a run without ``frames_init`` (:func:`_start_frames`),
-the frame update on a unit object: its windows are all the probe, so
-the phases come from one transform of the probe and the pass fills them
-and runs the scaling onwards; the standard and power steps, which share
-one gathered kernel; the per-frame gate's weighted stack; and the
-intensity of the canvas. A shifted step takes two passes: the first
-gathers the shifted accumulation, whose sums over the frames are taken
-before the second multiplies it by the frames. The sums over the frames
-of a step's products and weights are taken in the pass's tail, which
-the calling thread runs on each chunk in chunk order as soon as it
-finishes, while the pool works on later chunks: the first chunk is
-summed and each later frame added in turn, which is the order numpy's
-sum over the whole stack takes, so the bits are its bits. Only the
-inner products and the misfit norm read the whole stack once every
-chunk has finished. Frames below ``fourier._WINDOW_PX`` (16 px in every
-64 px instance) are scattered onto the object the same way, one
-``np.add.at`` or ``bincount`` over the whole stack. Larger frames are scattered chunk by chunk in the tail: as
-each chunk of the frame update or of the start frames finishes, its
-weighted frames and their intensities are added window by window into
-the new adjoint accumulation and canvas; the object coverage adds
-``|p|**2`` windows. Each pixel receives its frames in ascending order from 0.0 on
-either route, so every result is bit-identical to the unchunked pass. A
-stack shorter than two chunks (every 64 px instance) is one chunk, run
-on the calling thread by the same code, touching the same stacks in the
-same order.
-The new frames overwrite the old ones, which nothing reads by then.
-Every other frame-sized array of a run is its scratch
-(:class:`_Workspace`): a complex stack, for the spectra and the weighted
-stack, and one float64 block. The block holds a float64 stack for what
-reductions over the whole stack read (the magnitudes and misfit, the
-gathered weights) and the chunk slots, for what a chunk needs only
-until its tail has run (the reciprocal magnitudes, the new frames'
-intensities, the shifted step's per-frame denominator). A pass keeps
-at most one chunk per usable core and one more in flight, each in a
-slot of its own, so a stack of more chunks than that (400 frames of
-128 px make 25) holds a few chunks of slots instead of a second float64
-stack. Both are allocated when the run starts. The
-steps write into them with ``out=`` ufuncs and ``take`` gathers. A
-probe, a per-frame factor or a real operand that a ufunc would
-broadcast or cast over a stack is first copied into a whole stack or
-slot, since numpy buffers such operands on every call; only row 0,
-once per run, multiplies its windows by the broadcast probe, which
-gives the same bits. Past the first iteration no step allocates a
-frame-sized array, and none frees one.
-With fresh stacks and temporaries, glibc grew and trimmed its heap on
-every gate or shifted iteration of the 64 px instances (up to 650 page
-faults and 30% more time per framewise iteration). Workers call numpy
-and private helpers only, so every public function runs on the
-calling thread.
+The per-frame work runs in the frame-pass engine, ``_passes``: its
+chunked passes, the run's scratch stacks and the route by which frames
+are scattered onto the object are described there.
 
 Denominators are floored at ``EPSILON_REL`` times their maximum, so
 division is scale-free and uncovered pixels map to zero.
@@ -143,19 +94,18 @@ from typing import Optional
 
 import numpy as np
 
-from .fourier import _frame_edges, _in_flight, _over_frames, check_amplitudes
+from ._passes import (
+    _Workspace, _frame_update, _gathered_terms, _intensity_canvas, _magnitude_pass,
+    _object_coverage, _shifted_windows, _start_frames, _summed_products, _window_sums,
+)
+from .fourier import check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
 from .operators import (
     ScanGeometry,
-    _add_windows,
-    _by_windows,
     _check_integer,
     _check_object,
     _check_probe as _check_probe_shape,
     _check_stack,
-    _fill,
-    _object_coverage,
-    embed_add_frames,
     extract_frames,  # noqa: F401  (unused here; perfbench's tracer test wraps this binding)
     illuminate_adjoint,
 )
@@ -221,63 +171,6 @@ class History:
     frames: Optional[np.ndarray] = None
 
 
-class _Workspace:
-    """Frame-sized scratch of one run.
-
-    ``stack`` is a complex (K, m, m) stack and ``real`` a float64 one,
-    which holds what a reduction over the whole stack reads: the misfit
-    and the gathered weights of the probe steps. No stack holds the
-    coverage: a step gathers the (n, n) object coverage where it reads
-    it. No state survives a step: a step reads nothing a previous step
-    left in the scratch stacks, and a stack passed into a step must not
-    be one it writes.
-
-    ``edges`` are the frame chunks every per-frame pass runs over.
-    Float64 values a chunk needs only until its tail has run (the
-    reciprocal magnitudes, the intensities the tail adds into the
-    canvas, the shifted step's per-frame denominator) go in the chunk's
-    slot, :meth:`slot`: chunk ``i`` takes slot ``i mod S``, where ``S =
-    fourier._in_flight(chunks)`` is one more than the usable cores, or
-    the number of chunks where that is fewer. A pass keeps at most ``S``
-    chunks in flight (``fourier._over_frames``), so a chunk starts only
-    once the chunk before it in its slot has been through its tail.
-    ``real`` and the slots are one float64 block, ``real`` first; where
-    every chunk has a slot of its own, the block is two stacks and the
-    second holds each chunk's slot at its own frames.
-
-    Each array is allocated on its own: glibc serves blocks of one
-    stack's size from its heap once one has been freed, where a larger
-    block would raise its thresholds for the whole process. A run makes
-    both before its frames, which outlive it in its ``History``: they
-    then lie below memory still in use when they are freed, and glibc
-    keeps them for the next run instead of returning them to the
-    system, to fault them in again page by page.
-    """
-
-    def __init__(self, geom: ScanGeometry) -> None:
-        m = geom.m
-        self.stack = np.empty((geom.K, m, m), dtype=np.complex128)
-        # Chunked by the frames' complex128 bytes.
-        self.edges = _frame_edges(geom.K, self.stack.itemsize * m**2)
-        chunks = list(zip(self.edges, self.edges[1:]))
-        ahead = _in_flight(len(chunks))
-        # ``real``, then the slots, each as tall as the tallest chunk it
-        # takes: with a slot per chunk, a second stack holding each
-        # chunk's slot at its own frames.
-        heights = [max(hi - lo for lo, hi in chunks[j::ahead]) for j in range(ahead)]
-        block = np.empty((geom.K + sum(heights), m, m))
-        self.real = block[: geom.K]
-        self._slots = {}
-        for i, (lo, hi) in enumerate(chunks):
-            first = geom.K + sum(heights[: i % ahead])
-            self._slots[lo] = block[first : first + hi - lo]
-
-    def slot(self, lo: int) -> np.ndarray:
-        """The float64 scratch of the chunk starting at frame ``lo``, one
-        (m, m) frame for each of its frames."""
-        return self._slots[lo]
-
-
 def _divided(
     numerator: np.ndarray,
     denominator: np.ndarray,
@@ -312,63 +205,6 @@ def update_object(coverage: np.ndarray, adjoint: np.ndarray, probe: np.ndarray) 
     return _divided(adjoint, coverage, "probe", "object coverage vanishes", source=probe)
 
 
-def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
-    """An (n, n) image flattened in the dtype of ``out``, the stack its
-    windows are gathered into: ``take`` writes only an ``out`` of its
-    source's dtype."""
-    return np.asarray(_check_object(image, geom), dtype=out.dtype).reshape(-1)
-
-
-def _summing_tail(chunk_of):
-    """A pass tail that adds each finished chunk of some stacks into
-    their sums over the frames, and the list that holds those sums once
-    the pass has run. ``chunk_of(lo, hi)`` gives the chunk's frames of
-    each stack. The first chunk is summed and later ones added frame by
-    frame: numpy sums a stack over its frames in frame order, so each
-    sum has the bits of ``operators.sum_frames`` on its whole stack."""
-    sums = []
-
-    def tail(lo, hi):
-        for i, frames in enumerate(chunk_of(lo, hi)):
-            if i == len(sums):
-                sums.append(frames.sum(axis=0))
-                continue
-            for frame in frames:
-                np.add(sums[i], frame, out=sums[i])
-
-    return tail, sums
-
-
-def _gathered_terms(
-    frames, geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The least-squares terms ``sum_k conj(image|_k) f_k`` and
-    ``sum_k weights|_k`` of the standard and power steps, where ``X|_k``
-    is the window of an (n, n) image at frame k: the products run in
-    ``work.stack`` and the gathered real ``weights`` in ``work.real``,
-    and the pass's tail sums each finished chunk of both. ``frames`` is
-    a frame stack or None; without frames the first term is ``sum_k
-    conj(image|_k)``, and the windows ``conj(image|_k)`` are left in
-    ``work.stack``."""
-    products, gathered, index = work.stack, work.real, geom.frame_indices
-    flat = _flat_image(weights, geom, gathered)
-    conj_image = np.conj(_flat_image(image, geom, products))
-
-    # ``clip`` spares every take() below a buffer; the indices are in
-    # range.
-    def chunk(lo, hi):
-        flat.take(index[lo:hi], out=gathered[lo:hi], mode="clip")
-        conj_image.take(index[lo:hi], out=products[lo:hi], mode="clip")
-        if frames is not None:
-            # conj(image) * frames, not the reverse: see the note in
-            # _rank1_terms.
-            np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
-
-    tail, sums = _summing_tail(lambda lo, hi: (products[lo:hi], gathered[lo:hi]))
-    _over_frames(chunk, work.edges, tail)
-    return sums[0], sums[1]
-
-
 def update_probe_standard(
     frames: np.ndarray, obj: np.ndarray, geom: ScanGeometry, work: _Workspace
 ) -> np.ndarray:
@@ -381,47 +217,6 @@ def update_probe_standard(
     np.square(intensity, out=intensity)
     num, den = _gathered_terms(np.asarray(frames), geom, obj, intensity, work)
     return _divided(num, den, "object", "probe update undefined", source=obj)
-
-
-def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
-    """``|frames|**2`` into the float64 ``out``."""
-    np.square(np.abs(frames, out=out), out=out)
-
-
-def _intensity_canvas(frames: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
-    """The (n, n) scatter-add of the stack intensity ``|frames|**2``,
-    formed in ``work.real``. Gathered back to each frame it is the
-    frame-overlap coverage the power step divides by; its inner product
-    with the object coverage is the stack's coverage-weighted energy."""
-    intensity = work.real
-    _over_frames(lambda lo, hi: _intensity(frames[lo:hi], intensity[lo:hi]), work.edges)
-    return embed_add_frames(intensity, geom)
-
-
-def _zero_images(geom: ScanGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """A zero complex adjoint accumulation and a zero intensity canvas,
-    for a frame pass to add its frames into."""
-    return np.zeros((geom.n, geom.n), dtype=np.complex128), np.zeros((geom.n, geom.n))
-
-
-def _window_tail(
-    images: Optional[tuple[np.ndarray, np.ndarray]], geom: ScanGeometry, work: _Workspace
-):
-    """The tail of a frame pass given ``images``, an (adjoint, canvas)
-    pair from :func:`_zero_images`, or None without: it adds each
-    finished chunk's conjugate-probe weighted frames (``work.stack``)
-    into the adjoint and their intensities (the chunk's slot) into the
-    canvas, window by window, so the images end with the bits of
-    ``embed_add_frames`` on the whole stacks."""
-    if images is None:
-        return None
-    adjoint, canvas = images
-
-    def tail(lo, hi):
-        _add_windows(adjoint, work.stack[lo:hi], geom, lo)
-        _add_windows(canvas, work.slot(lo), geom, lo)
-
-    return tail
 
 
 def pairwise_discrepancy(coverage: np.ndarray, adjoint: np.ndarray, canvas: np.ndarray) -> float:
@@ -549,108 +344,24 @@ def _rank1_terms(
     - 2 Re(conj(t_k) A'_k))``, a nonnegative coverage of shifted
     stacks; tiny negative rounding is clamped.
 
-    Two passes. The first forms ``A'_k`` in ``work.stack`` and each
-    frame's ``canvas|_k - |t_k|^2 C|_k`` in its chunk's slot, which the
-    pass's tail sums; that sum, less the real part of twice ``sum_k
+    Two passes. The first forms the ``A'_k`` and the sum of ``canvas|_k
+    - |t_k|^2 C|_k``; that sum, less the real part of twice ``sum_k
     conj(t_k) A'_k``, is the denominator. Its weight ``sum(den |p|^2)``
     is the shifted stack's coverage-weighted energy; where that is not
     usable (below ``_WEIGHT_FLOOR`` of the stack energy) it raises
     :class:`DegenerateInputError` before the second pass, which
     multiplies ``conj(A'_k)`` by the frames.
     """
-    fcol = factors[:, None, None]
-    index, view, real = geom.frame_indices, work.stack, work.real
-    flat, flat_coverage = _flat_image(adjoint, geom, view), _flat_image(coverage, geom, real)
-    flat_canvas = _flat_image(canvas, geom, real)
-
-    # The float scratch is real, so ``t_k C|_k`` is taken part by part:
-    # C is real, and each part has the bits of the complex product.
-    # ``C|_k`` is then scaled by ``|t_k|^2`` in place and subtracted from
-    # the canvas frame by frame, before any sum over the frames, which
-    # keeps the denominator to the digits its terms keep.
-    def shifted_accumulation(lo, hi):
-        shift = flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
-        weights = flat_coverage.take(index[lo:hi], out=real[lo:hi], mode="clip")
-        slot = work.slot(lo)
-        for part, factor in ((shift.real, fcol.real), (shift.imag, fcol.imag)):
-            product = np.multiply(_fill(slot, factor[lo:hi]), weights, out=slot)
-            np.subtract(part, product, out=part)
-        np.multiply(weights, _fill(slot, np.abs(fcol[lo:hi]) ** 2), out=weights)
-        den = flat_canvas.take(index[lo:hi], out=slot, mode="clip")
-        np.subtract(den, weights, out=den)
-
-    tail, sums = _summing_tail(lambda lo, hi: (work.slot(lo),))
-    _over_frames(shifted_accumulation, work.edges, tail)
+    canvas_sum, shifted = _shifted_windows(geom, factors, coverage, adjoint, canvas, work)
     # sum_k conj(t_k) A'_k, and the denominator
-    cross = (np.conj(factors) @ view.reshape(geom.K, -1)).reshape(probe.shape)
-    den = sums[0] - 2.0 * cross.real
+    cross = (np.conj(factors) @ shifted.reshape(geom.K, -1)).reshape(probe.shape)
+    den = canvas_sum - 2.0 * cross.real
     if not _usable_weight(float((den * np.abs(probe) ** 2).sum()), np.vdot(coverage, canvas).real):
         raise DegenerateInputError(
             "transparency shift left no usable stack energy: nearly constant object region"
         )
-
-    def numerator(lo, hi):
-        diff = np.conj(view[lo:hi], out=view[lo:hi])
-        # Operand order fixes the rounding: numpy fuses a multiply and
-        # an add in complex products, so a * b and b * a can differ in
-        # the last bit. This order reproduces earlier results bit for
-        # bit; on stacks of 256 KiB and more numpy evaluated
-        # ``shifted * (...)`` in place in its temporary, as
-        # ``(...) * shifted``.
-        np.multiply(diff, frames[lo:hi], out=diff)
-
-    tail, sums = _summing_tail(lambda lo, hi: (view[lo:hi],))
-    _over_frames(numerator, work.edges, tail)
-    return sums[0] - probe * np.conj(cross), np.maximum(den, 0.0)
-
-
-def _window_sums(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    coverage: np.ndarray,
-    adjoint: np.ndarray,
-    work: _Workspace,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-frame sums ``alpha``, ``beta`` and ``gamma`` the per-frame
-    gate is scored from, each of length K: ``alpha_k = sum |p|^2 A|_k``,
-    ``beta_k = sum C|_k conj(p) f_k`` and ``gamma_k = sum |p|^2 C|_k``
-    (real), where ``X|_k`` is the window of an (n, n) image at frame k,
-    ``A`` the adjoint accumulation and ``C`` the object coverage.
-
-    ``alpha`` and ``gamma`` are circular correlations of the images with
-    ``|p|^2`` zero-padded to (n, n), taken by FFT and read at the
-    positions, which the geometry holds modulo n, so a window that
-    wraps is summed as it is gathered. ``beta`` is one gathered pass:
-    each chunk weighs its frames by the gathered coverage in
-    ``work.stack``, and the product with ``conj(p)`` runs over the whole
-    stack on the calling thread.
-    """
-    # Two image-sized arrays, transformed in place (``ifft2`` would
-    # allocate two more whatever its ``out``).
-    kernel = np.zeros((geom.n, geom.n), dtype=np.complex128)
-    kernel[: geom.m, : geom.m] = np.abs(probe) ** 2
-    np.conj(np.fft.fftn(kernel, out=kernel), out=kernel)
-    spectrum = np.empty_like(kernel)
-
-    def correlated(image):
-        spectrum[...] = image
-        np.fft.fftn(spectrum, out=spectrum)
-        np.multiply(spectrum, kernel, out=spectrum)
-        return np.fft.ifftn(spectrum, out=spectrum)[geom.positions[:, 0], geom.positions[:, 1]]
-
-    alpha = correlated(adjoint)
-    gamma = correlated(coverage).real
-    del kernel, spectrum
-    flat, index, view = _flat_image(coverage, geom, work.stack), geom.frame_indices, work.stack
-
-    def weighted(lo, hi):
-        flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
-        np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
-
-    _over_frames(weighted, work.edges)
-    beta = view.reshape(geom.K, -1) @ np.conj(probe).reshape(-1)
-    return alpha, beta, gamma
+    num = _summed_products(frames, work, conjugate=True)
+    return num - probe * np.conj(cross), np.maximum(den, 0.0)
 
 
 def _usable_weight(weight: float, energy: float) -> bool:
@@ -791,14 +502,7 @@ def update_probe_rank1(
         cross = np.multiply(np.conj(factors), adjoint).real
         shifted_canvas = canvas - 2.0 * cross + abs(factors) ** 2 * coverage
         total, den = _gathered_terms(None, geom, shift, shifted_canvas, work)
-        view = work.stack
-
-        def product(lo, hi):
-            np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
-
-        tail, sums = _summing_tail(lambda lo, hi: (view[lo:hi],))
-        _over_frames(product, work.edges, tail)
-        num = sums[0] - factors * probe * total
+        num = _summed_products(frames, work, conjugate=False) - factors * probe * total
     else:
         num, den = _rank1_terms(frames, probe, geom, factors, coverage, adjoint, canvas, work)
     return _divided(num, den, "shifted frame stack", "rank-1 update undefined")
@@ -832,145 +536,6 @@ def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.roll(probe, tuple(shift), axis=(0, 1)), shift
 
 
-def _impose_amplitudes(
-    spectra: np.ndarray,
-    magnitudes: np.ndarray,
-    amplitudes: Optional[np.ndarray],
-    inv: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    """Give ``spectra`` the magnitudes ``amplitudes`` in place and keep
-    their phases: multiply them by the reciprocal of their
-    ``magnitudes``, formed in ``inv``, and then by the amplitudes, each
-    filled into the complex stack ``scratch`` first. A bin of magnitude
-    exactly zero takes phase 1, so it becomes its amplitude, and no bin
-    is divided by zero. Without ``amplitudes`` the spectra are left at
-    unit modulus, their phases."""
-    if magnitudes.min() > 0.0:
-        np.divide(1.0, magnitudes, out=inv)
-    else:
-        # Zero bins (or NaN): both factors are 1 at the zero bins.
-        zero = magnitudes == 0.0
-        np.divide(1.0, np.add(magnitudes, zero, out=inv), out=inv)
-        np.copyto(spectra, 1.0, where=zero)
-    np.multiply(spectra, _fill(scratch, inv), out=spectra)
-    if amplitudes is not None:
-        np.multiply(spectra, _fill(scratch, amplitudes), out=spectra)
-
-
-def _magnitude_pass(
-    obj: np.ndarray,
-    probe: np.ndarray,
-    amplitudes: np.ndarray,
-    geom: ScanGeometry,
-    work: _Workspace,
-    frames: Optional[np.ndarray],
-    images: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> float:
-    """Per-frame part of the frame update, fused over the run's frame
-    chunks.
-
-    Each chunk illuminates its windows of ``obj`` and transforms them
-    in ``work.stack``, puts the spectrum magnitudes in ``work.real`` and
-    turns those into the misfit to ``amplitudes``. Given ``frames``, it
-    imposes the amplitudes on the spectra (:func:`_impose_amplitudes`,
-    with the reciprocal magnitudes in the chunk's slot), transforms back
-    into ``frames`` and weights the frames by the conjugate probe in
-    ``work.stack``, the stack whose scatter-add is their adjoint
-    accumulation. Until the inverse transform writes them, a chunk's
-    ``frames`` hold in turn the replicated probe, the reciprocal
-    magnitudes and the amplitudes, as complex numbers, so no ufunc
-    broadcasts or casts a frame-sized operand. Without ``frames`` (row
-    0, which writes no frames) the windows take the broadcast probe, the
-    product the filled stack gives bit for bit, and the pass stops at the
-    misfit. Returns the misfit norm; it is taken over the whole stack, so
-    no bit depends on the chunking.
-
-    Given ``images`` as well (frames of at least ``fourier._WINDOW_PX``),
-    each chunk leaves its new frames' intensity in its slot, free once
-    the amplitudes are imposed, and the calling thread adds each
-    finished chunk into the adjoint accumulation and intensity canvas
-    ``images`` (:func:`_window_tail`) while the pool works on later
-    chunks.
-
-    The reciprocal gives the bits the division by the magnitudes gave:
-    numpy divides by a complex ``mag + 0j`` by Smith's formula, which
-    multiplies ``re + im * 0`` and ``im - re * 0``, the numerator's
-    parts but for the sign of a zero part, by ``1 / mag``; the product
-    with ``1 / mag + 0j`` rounds each part once, the same way.
-    """
-    flat = obj.reshape(-1)
-    index = geom.frame_indices
-    conj_probe = np.conj(probe)
-    weighted, misfit = work.stack, work.real
-
-    def chunk(lo, hi):
-        spectra, magnitudes = weighted[lo:hi], misfit[lo:hi]
-        flat.take(index[lo:hi], out=spectra, mode="clip")
-        probes = probe if frames is None else _fill(frames[lo:hi], probe)
-        np.multiply(probes, spectra, out=spectra)
-        np.fft.fftn(spectra, axes=(-2, -1), norm="ortho", out=spectra)
-        np.abs(spectra, out=magnitudes)
-        if frames is not None:
-            scratch, inv = frames[lo:hi], work.slot(lo)
-            _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], inv, scratch)
-            np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
-            np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
-            if images is not None:
-                _intensity(scratch, inv)
-        np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
-
-    _over_frames(chunk, work.edges, _window_tail(images, geom, work))
-    return np.linalg.norm(misfit)
-
-
-def _start_frames(
-    probe: np.ndarray,
-    amplitudes: np.ndarray,
-    geom: ScanGeometry,
-    work: _Workspace,
-    images: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
-    """The frames of a unit object under ``probe`` with the measured
-    ``amplitudes`` imposed, the start of a run without ``frames_init``;
-    their conjugate-probe weighting is left in ``work.stack``, the stack
-    whose scatter-add is their adjoint accumulation.
-
-    Every window of a unit object is the probe, so every frame has the
-    probe's spectrum and so its phases. These are taken once, in the
-    first frame of the scratch stacks, by the calls the frame pass
-    (:func:`_magnitude_pass`) makes on a chunk: the product of the probe
-    with a window of ones, a ``(1, m, m)`` transform and the phase rule
-    of :func:`_impose_amplitudes`. One pass over the chunks then fills
-    each frame with the phases, multiplies them by its amplitudes,
-    transforms back into the frames and weights those by the conjugate
-    probe: the bits of the frame pass on a unit object, without its K
-    forward transforms and magnitudes and its misfit. Given ``images``,
-    the pass adds its frames into them as :func:`_magnitude_pass` does.
-    """
-    frames = np.empty(amplitudes.shape, dtype=np.complex128)
-    spectrum, magnitudes, inv = work.stack[:1], work.real[:1], work.slot(0)[:1]
-    spectrum.fill(1.0)
-    np.multiply(_fill(frames[:1], probe), spectrum, out=spectrum)
-    np.fft.fftn(spectrum, axes=(-2, -1), norm="ortho", out=spectrum)
-    np.abs(spectrum, out=magnitudes)
-    _impose_amplitudes(spectrum, magnitudes, None, inv, frames[:1])
-    # Copied out of the stack the pass overwrites.
-    phases = spectrum[0].copy()
-    conj_probe = np.conj(probe)
-
-    def chunk(lo, hi):
-        spectra, scratch = work.stack[lo:hi], frames[lo:hi]
-        np.multiply(_fill(spectra, phases), _fill(scratch, amplitudes[lo:hi]), out=spectra)
-        np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
-        np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
-        if images is not None:
-            _intensity(scratch, work.slot(lo))
-
-    _over_frames(chunk, work.edges, _window_tail(images, geom, work))
-    return frames
-
-
 def _check_finite(value, name: str) -> None:
     finite = np.isfinite(value).all() if isinstance(value, np.ndarray) else cmath.isfinite(value)
     if not finite:
@@ -995,14 +560,13 @@ class _Iterate:
 
     ``coverage`` is the (n, n) object coverage of ``probe``,
     ``adjoint`` is ``illuminate_adjoint(frames, probe)`` and ``canvas``
-    the scatter-add of the intensity ``|frames|**2``, which the metrics
-    row computes for the frames it records, or for frames of at least
-    ``fourier._WINDOW_PX`` the pass that makes them. Each is computed
-    once per iteration and read by the metrics row and the probe step: the
-    coverage and ``adjoint`` also by the next object update, ``adjoint``
-    and ``canvas`` by the power step, and all three by both rank-1
-    gates and the shifted step. ``work`` holds every other frame-sized stack the steps
-    use. ``since_shift`` counts the iterations since the last
+    the scatter-add of the intensity ``|frames|**2``, both made by the
+    pass that makes the frames. Each is computed once per iteration and
+    read by the metrics row and the probe step: the coverage and
+    ``adjoint`` also by the next object update, ``adjoint`` and
+    ``canvas`` by the power step, and all three by both rank-1 gates
+    and the shifted step. ``work`` holds every other frame-sized stack
+    the steps use. ``since_shift`` counts the iterations since the last
     transparency-shifted step.
     """
 
@@ -1010,10 +574,10 @@ class _Iterate:
     probe: np.ndarray
     coverage: np.ndarray
     adjoint: np.ndarray
+    canvas: np.ndarray
     work: _Workspace
     since_shift: int
     shift_seen: bool = False
-    canvas: Optional[np.ndarray] = None
 
 
 def _probe_step(
@@ -1107,8 +671,6 @@ def run_reconstruction(
         raise ValueError("stop_nrmse requires the true probe")
 
     work = _Workspace(geom)
-    windowed = _by_windows(geom)
-    canvas = None
     overlap = None
     if cfg.probe_mode == "rank1_framewise":
         # Built once per run, before the frames like the workspace, in
@@ -1121,12 +683,7 @@ def run_reconstruction(
         # solves of perfbench's noisy_wrap64 ran 2-3% slower, from the
         # placement alone; nothing reads the block.
         gap = np.empty((geom.n, geom.n), dtype=np.complex128)
-        if windowed:
-            adjoint, canvas = _zero_images(geom)
-            frames = _start_frames(probe, amplitudes, geom, work, (adjoint, canvas))
-        else:
-            frames = _start_frames(probe, amplitudes, geom, work)
-            adjoint = embed_add_frames(work.stack, geom)
+        frames, adjoint, canvas = _start_frames(probe, amplitudes, geom, work)
         del gap
     else:
         # A C-ordered copy: the loop overwrites these frames in place,
@@ -1136,15 +693,12 @@ def run_reconstruction(
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
         adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
-        if windowed:
-            canvas = _intensity_canvas(frames, geom, work)
+        canvas = _intensity_canvas(frames, geom, work)
 
     history = History()
     t_start = time.perf_counter()
     coverage = _object_coverage(probe, geom, work.real)
-    state = _Iterate(
-        frames, probe, coverage, adjoint, work, since_shift=RANK1_CADENCE, canvas=canvas
-    )
+    state = _Iterate(frames, probe, coverage, adjoint, canvas, work, since_shift=RANK1_CADENCE)
     # From here the state holds these; the old names would keep the
     # first probe, coverage, adjoint and canvas alive for the whole run.
     del frames, probe, coverage, adjoint, canvas
@@ -1152,9 +706,6 @@ def run_reconstruction(
     def record(iteration: int, resid: float, t0: float) -> bool:
         """Append a metrics row; returns whether the stop rule fires."""
         err = nrmse_probe(state.probe, probe_true) if probe_true is not None else None
-        if not windowed:
-            # Below the window size the frame passes make no canvas.
-            state.canvas = _intensity_canvas(state.frames, geom, work)
         pairwise = pairwise_discrepancy(state.coverage, state.adjoint, state.canvas)
         _check_finite(pairwise, "pairwise discrepancy")
         history.rows.append(
@@ -1210,18 +761,12 @@ def run_reconstruction(
                     probe,
                 )
             # Nothing reads the old frames any more: the new ones
-            # overwrite them.
-            if windowed:
-                # The old images go before the pass makes the new ones,
-                # out of its peak memory.
-                state.adjoint = state.canvas = None
-                state.adjoint, state.canvas = _zero_images(geom)
-                misfit_norm = _magnitude_pass(
-                    obj, probe, amplitudes, geom, work, state.frames, (state.adjoint, state.canvas)
-                )
-            else:
-                misfit_norm = _magnitude_pass(obj, probe, amplitudes, geom, work, state.frames)
-                state.adjoint = embed_add_frames(work.stack, geom)
+            # overwrite them. The old images go before the pass makes
+            # the new ones, out of its peak memory.
+            state.adjoint = state.canvas = None
+            misfit_norm, state.adjoint, state.canvas = _frame_update(
+                obj, probe, amplitudes, geom, work, state.frames
+            )
             stop = record(iteration, model_gap(misfit_norm), t0)
     except ValueError as exc:
         raise type(exc)(f"iteration {iteration}: {exc}") from exc

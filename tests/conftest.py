@@ -25,11 +25,11 @@ from ptyblind import (
     illuminate_adjoint,
 )
 from ptyblind.metrics import _relative_gap
-from ptyblind.operators import replicate_probe, sum_frames
+from ptyblind._passes import _Workspace
+from ptyblind.operators import replicate_probe
 from ptyblind.solver import (
     EPSILON_REL,
     _WEIGHT_FLOOR,
-    _Workspace,
     update_object,
 )
 
@@ -281,11 +281,11 @@ def update_probe_rank1_expanded(frames, probe, geom, transparency):
         c = factors[0]
         shifted = frames - c * probe[None, :, :]
         adjoint_view = extract_frames(illuminate_adjoint(frames, probe, geom), geom)
-        num = sum_frames(shifted * (np.conj(adjoint_view) - np.conj(c) * frame_cov))
+        num = (shifted * (np.conj(adjoint_view) - np.conj(c) * frame_cov)).sum(axis=0)
         stack_cov = extract_frames(embed_add_frames(np.abs(frames) ** 2, geom), geom)
-        den = sum_frames(
+        den = (
             stack_cov - 2.0 * np.real(np.conj(c) * adjoint_view) + abs(c) ** 2 * frame_cov
-        )
+        ).sum(axis=0)
     else:
         num, den = uniform_shift_terms(frames, probe, geom, factors)
     energy = np.vdot(frames, frame_cov * frames).real

@@ -21,14 +21,14 @@ def run_tool(a, b, summary=None):
     return done.returncode, json.loads(lines[-1])
 
 
-def copy_tree(tmp_path, old, new):
-    """A copy of this tree's ``src`` whose solver has ``old`` replaced by
-    ``new``, once."""
+def copy_tree(tmp_path, module, old, new):
+    """A copy of this tree's ``src`` whose ``module`` has ``old`` replaced
+    by ``new``, once."""
     shutil.copytree(ROOT / "src", tmp_path / "src")
-    solver = tmp_path / "src" / "ptyblind" / "solver.py"
-    source = solver.read_text()
+    path = tmp_path / "src" / "ptyblind" / module
+    source = path.read_text()
     assert source.count(old) == 1
-    solver.write_text(source.replace(old, new))
+    path.write_text(source.replace(old, new))
     return tmp_path
 
 
@@ -53,7 +53,7 @@ def test_an_a_a_run_reports_paired_ratios_and_identical_probes():
 
 def test_each_tree_runs_its_own_code(tmp_path):
     # A copy whose floor differs gives another probe, so exit code 1.
-    copy = copy_tree(tmp_path, "EPSILON_REL = 1e-8\n", "EPSILON_REL = 1e-2\n")
+    copy = copy_tree(tmp_path, "solver.py", "EPSILON_REL = 1e-8\n", "EPSILON_REL = 1e-2\n")
     code, report = run_tool(ROOT, copy)
     assert code == 1 and not report["identical_probe"]
 
@@ -61,7 +61,7 @@ def test_each_tree_runs_its_own_code(tmp_path):
 def test_each_side_reports_its_own_traced_peak(tmp_path):
     # A copy whose workspace holds one MiB more peaks one MiB higher.
     line = "        self.edges = _frame_edges("
-    copy = copy_tree(tmp_path, line, "        self.spare = np.ones(2**17)\n" + line)
+    copy = copy_tree(tmp_path, "_passes.py", line, "        self.spare = np.ones(2**17)\n" + line)
     code, report = run_tool(ROOT, copy)
     assert code == 0 and report["identical_probe"]
     assert abs(report["b_peak_mb"] - report["a_peak_mb"] - 1.0) < 2**-10

@@ -16,7 +16,7 @@ import test_loop_oracle
 from test_loop_oracle import MODES, wrapping_instance
 
 import ptyblind
-from ptyblind import SolverConfig, run_reconstruction, solver
+from ptyblind import SolverConfig, _passes, run_reconstruction, solver
 from ptyblind.cli import RunConfig, parse_run_config
 
 PUBLIC = {
@@ -102,11 +102,13 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     # The reference loop reaches the gate where the loop does.
     reference = count_calls(monkeypatch, test_loop_oracle, RANK1[1:])
     test_loop_oracle.reference_run(amps, geom, init, cfg, probe_true=probe)
-    calls = count_calls(monkeypatch, solver, STEPS + ["_intensity_canvas"])
+    calls = count_calls(monkeypatch, solver, STEPS)
+    canvases = count_calls(monkeypatch, _passes, ["_intensity_canvas"])
     history = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
-    # Every metrics row scatters the stack intensity once; the power
-    # steps, the gates and the shifted steps read those canvases.
-    assert calls.pop("_intensity_canvas") == len(history.rows)
+    # The pass that writes each row's frames scatters their intensity
+    # once (below the window size, a whole stack); the power steps, the
+    # gates and the shifted steps read those canvases.
+    assert canvases["_intensity_canvas"] == len(history.rows)
     assert set(calls) == set(MODE_STEPS[mode])
     assert calls["pairwise_discrepancy"] == len(history.rows)
     if mode.startswith("rank1"):

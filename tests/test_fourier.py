@@ -4,7 +4,7 @@ transform and magnitude-projection oracles the reference loop is built on."""
 import numpy as np
 import pytest
 
-from ptyblind import fourier, frame_dft
+from ptyblind import _passes, frame_dft
 from ptyblind.fourier import check_amplitudes
 
 from conftest import frame_idft, magnitude_project, rand_complex, spectrum_phase
@@ -43,8 +43,8 @@ def test_frame_transforms_match_numpy_bytes_and_dtype(rng, monkeypatch, dtype):
     stack = rand_complex(rng, 5, 8, 8)
     stack = (stack if np.issubdtype(dtype, np.complexfloating) else stack.real).astype(dtype)
     # One chunk, then chunks of two and three frames on the thread pool.
-    for chunk_bytes in (fourier._CHUNK_BYTES, 1):
-        monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
+    for chunk_bytes in (_passes._CHUNK_BYTES, 1):
+        monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
         want = np.fft.fft2(stack, axes=(-2, -1), norm="ortho")
         got = frame_dft(stack)
         assert got.dtype == want.dtype

@@ -2,7 +2,7 @@
 each chunked step with the one-chunk call, and what worker threads may
 and may not do.
 
-Shrinking ``fourier._CHUNK_BYTES`` splits even small stacks into many
+Shrinking ``_passes._CHUNK_BYTES`` splits even small stacks into many
 chunks that run on the thread pool; every outcome must stay byte-equal
 to the run that handles the whole stack at once on the calling thread.
 """
@@ -23,6 +23,7 @@ from test_loop_oracle import MODES, wrapping_instance
 from ptyblind import (
     ScanGeometry,
     SolverConfig,
+    _passes,
     fourier,
     frame_dft,
     illuminate,
@@ -43,7 +44,7 @@ def outcome(history):
 def record_chunks(monkeypatch):
     """Record (lo, hi, on the main thread) of every chunk the solver runs."""
     chunks = []
-    real = solver._over_frames
+    real = _passes._over_frames
 
     def spy(work, edges, tail=None):
         def recorded(lo, hi):
@@ -52,7 +53,7 @@ def record_chunks(monkeypatch):
 
         real(recorded, edges, tail)
 
-    monkeypatch.setattr(solver, "_over_frames", spy)
+    monkeypatch.setattr(_passes, "_over_frames", spy)
     return chunks
 
 
@@ -61,7 +62,7 @@ def test_chunked_run_matches_one_chunk_run_byte_for_byte(monkeypatch, mode):
     geom, probe, init, amps = wrapping_instance()
     cfg = SolverConfig(probe_mode=mode, max_iters=30)
     whole = outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe))
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     chunks = record_chunks(monkeypatch)
     chunked = outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe))
     assert chunked == whole
@@ -69,13 +70,13 @@ def test_chunked_run_matches_one_chunk_run_byte_for_byte(monkeypatch, mode):
 
 
 def chunk_edges(count, frame_bytes):
-    edges = fourier._frame_edges(count, frame_bytes)
+    edges = _passes._frame_edges(count, frame_bytes)
     return list(zip(edges, edges[1:]))
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, fourier._CHUNK_BYTES])
+@pytest.mark.parametrize("chunk_bytes", [1, _passes._CHUNK_BYTES])
 def test_chunks_tile_the_stack_and_never_hold_one_frame(monkeypatch, chunk_bytes):
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
     frame_bytes = 16 * 128 * 128
     for count in range(1, 100):
         edges = chunk_edges(count, frame_bytes)
@@ -98,7 +99,7 @@ def test_chunked_run_at_frame_size_128_matches_one_chunk_run(monkeypatch):
     monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
     cfg = SolverConfig(probe_mode="rank1_global", max_iters=2)
     whole = outcome(run_reconstruction(amps, geom, probe * 0.9, cfg, probe_true=probe))
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     chunks = record_chunks(monkeypatch)
     assert outcome(run_reconstruction(amps, geom, probe * 0.9, cfg, probe_true=probe)) == whole
     assert sorted({(lo, hi) for lo, hi, _ in chunks}) == [(0, 2), (2, 5)]
@@ -118,25 +119,24 @@ def windowed_instance():
 
 def count_window_adds(monkeypatch):
     counts = []
-    real = operators._add_windows
+    real = _passes._add_windows
 
     def counted(*args):
         counts.append(None)
         real(*args)
 
-    monkeypatch.setattr(operators, "_add_windows", counted)
-    monkeypatch.setattr(solver, "_add_windows", counted)
+    monkeypatch.setattr(_passes, "_add_windows", counted)
     return counts
 
 
-@pytest.mark.parametrize("chunk_bytes", [fourier._CHUNK_BYTES, 1], ids=["one chunk", "chunked"])
+@pytest.mark.parametrize("chunk_bytes", [_passes._CHUNK_BYTES, 1], ids=["one chunk", "chunked"])
 @pytest.mark.parametrize("mode", MODES)
 def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chunk_bytes):
     """Frames of 64 px scatter onto the object by windows, as each chunk
     finishes; with the window size out of reach the same run scatters
     whole stacks by np.add.at and bincount, with the same bits."""
     geom, probe, amps = windowed_instance()
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
     # A shifted step, and so the re-fit, at every iteration.
     monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
     monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
@@ -149,7 +149,7 @@ def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chu
     passes = len({(lo, hi) for lo, hi, _ in chunks})
     assert passes == (1 if chunk_bytes > 1 else geom.K // 2)
     assert len(adds) == 2 * 5 * passes + 5
-    monkeypatch.setattr(fourier, "_WINDOW_PX", geom.m + 1)
+    monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
     del adds[:]
     assert outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe)) == windowed
     assert not adds
@@ -159,7 +159,7 @@ def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chu
 
 def test_window_scatter_run_from_given_frames_matches_the_stack_scatter_run(monkeypatch):
     geom, probe, amps = windowed_instance()
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     frames = frame_idft(amps * np.exp(1j * np.random.default_rng(4).uniform(0, 6.3, amps.shape)))
     cfg = SolverConfig(probe_mode="power", max_iters=3)
 
@@ -167,12 +167,12 @@ def test_window_scatter_run_from_given_frames_matches_the_stack_scatter_run(monk
         return outcome(run_reconstruction(amps, geom, probe, cfg, probe_true=probe, frames_init=frames))
 
     windowed = run()
-    monkeypatch.setattr(fourier, "_WINDOW_PX", geom.m + 1)
+    monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
     assert run() == windowed
 
 
 def over_frames_log(edges, fail=(), delay=lambda i: 0.0):
-    """Run ``fourier._over_frames`` with a tail over ``edges`` and return
+    """Run ``_passes._over_frames`` with a tail over ``edges`` and return
     its events, in order: ("work", lo, on the main thread) as a chunk's
     work finishes and ("tail", lo, on the main thread) as its tail runs,
     and the exception it raised. Chunk ``i`` first sleeps ``delay(i)``
@@ -191,7 +191,7 @@ def over_frames_log(edges, fail=(), delay=lambda i: 0.0):
         log("work", lo)
 
     try:
-        fourier._over_frames(work, edges, lambda lo, hi: log("tail", lo))
+        _passes._over_frames(work, edges, lambda lo, hi: log("tail", lo))
     except ValueError as exc:
         return events, exc
     return events, None
@@ -228,9 +228,9 @@ def test_tails_read_finished_chunks_under_fast_thread_switching(monkeypatch):
     # More workers than cores, and threads switched every microsecond: a
     # tail that ran before its chunk's writes had all landed would copy
     # zeros.
-    monkeypatch.setattr(fourier, "_POOL", None)
-    workers = 4 * fourier._usable_cores()
-    monkeypatch.setattr(fourier, "_usable_cores", lambda: workers)
+    monkeypatch.setattr(_passes, "_POOL", None)
+    workers = 4 * _passes._usable_cores()
+    monkeypatch.setattr(_passes, "_usable_cores", lambda: workers)
     edges = list(range(0, 65, 2))
     stack, seen = np.zeros((64, 4, 4)), np.zeros((64, 4, 4))
 
@@ -247,12 +247,12 @@ def test_tails_read_finished_chunks_under_fast_thread_switching(monkeypatch):
     try:
         for _ in range(10):
             stack[...] = seen[...] = 0.0
-            fourier._over_frames(work, edges, tail)
+            _passes._over_frames(work, edges, tail)
             assert (seen == np.arange(1.0, 65.0)[:, None, None]).all()
     finally:
         sys.setswitchinterval(interval)
-        if fourier._POOL is not None:
-            fourier._POOL.shutdown()
+        if _passes._POOL is not None:
+            _passes._POOL.shutdown()
 
 
 def step_case(m):
@@ -291,7 +291,7 @@ def call_step(step, geom, obj, probe, frames, inputs):
     if step == "update_probe_power":
         return solver.update_probe_power(frames, geom, adjoint, canvas, work)
     if step == "_intensity_canvas":
-        return solver._intensity_canvas(frames, geom, work)
+        return _passes._intensity_canvas(frames, geom, work)
     name, kind = step.split("/")
     if kind == "global":
         factor = solver.transparency_global(adjoint, probe, geom)
@@ -311,7 +311,7 @@ def test_chunked_step_matches_one_chunk_step_byte_for_byte(monkeypatch, step, m)
     inputs = step_inputs(frames, probe, geom)
     assert len(inputs.work.edges) == 2
     whole = np.asarray(call_step(step, geom, obj, probe, frames, inputs))
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     inputs = step_inputs(frames, probe, geom)
     chunks = record_chunks(monkeypatch)
     chunked = np.asarray(call_step(step, geom, obj, probe, frames, inputs))
@@ -337,7 +337,7 @@ def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
                 for attr, value in list(vars(loaded).items()):
                     if value is fn:
                         monkeypatch.setattr(loaded, attr, spy)
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     chunks = record_chunks(monkeypatch)
     geom, probe, init, amps = wrapping_instance()
     for mode in MODES:
@@ -351,12 +351,12 @@ def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
 
 def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypatch):
     geom, probe, init, amps = wrapping_instance()
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     per_pass = len(chunk_edges(geom.K, 16 * geom.m**2))
     assert per_pass > 2
     calls, finished = [], []
     lock = threading.Lock()
-    real = solver._impose_amplitudes
+    real = _passes._impose_amplitudes
 
     def faulty(*args):
         # The start takes the probe's phases once, on the calling thread;
@@ -372,20 +372,20 @@ def test_chunk_error_surfaces_with_iteration_after_every_chunk_finished(monkeypa
         with lock:
             finished.append(call)
 
-    monkeypatch.setattr(solver, "_impose_amplitudes", faulty)
+    monkeypatch.setattr(_passes, "_impose_amplitudes", faulty)
     with pytest.raises(ValueError, match="^iteration 1: chunk failed$"):
         run_reconstruction(amps, geom, init, SolverConfig(probe_mode="power", max_iters=3))
     assert len(calls) == 1 + per_pass
     assert sorted(finished) == [c for c in range(1, per_pass + 2) if c != 2]
 
 
-@pytest.mark.parametrize(("chunk_bytes", "chunks"), [(fourier._CHUNK_BYTES, 1), (1, 8)])
+@pytest.mark.parametrize(("chunk_bytes", "chunks"), [(_passes._CHUNK_BYTES, 1), (1, 8)])
 def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chunk_bytes, chunks):
     """The frame update's reciprocal magnitudes give the bytes of the
     complex division, zero bins and magnitudes from 1e-300 to 1e300
     included, and divide by no zero. Without frames (row 0) the pass
     gives the misfit of the broadcast illumination, bit for bit."""
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(7)
     m, side = 8, 4
     offsets = np.arange(side) * m
@@ -403,7 +403,7 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
         obj[r : r + m, c : c + m] = obj[r : r + m, c : c + 1]
     r, c = positions[5]
     obj[r : r + m, c : c + m] = 0.0
-    work = solver._Workspace(geom)
+    work = _passes._Workspace(geom)
     assert len(work.edges) == chunks + 1
     frames = np.empty((geom.K, m, m), dtype=np.complex128)
     with np.errstate(all="raise"):
@@ -417,8 +417,8 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
         assert 0.0 < magnitudes[magnitudes > 0].min() < 1e-299
         assert 1e299 < magnitudes.max() < 1e301
         want = frame_idft(divided_spectra(spectra, amps))
-        row0 = solver._magnitude_pass(obj, probe, amps, geom, work, None)
-        misfit = solver._magnitude_pass(obj, probe, amps, geom, work, frames)
+        row0 = _passes._magnitude_pass(obj, probe, amps, geom, work, None)
+        misfit = _passes._magnitude_pass(obj, probe, amps, geom, work, frames)
     assert row0 == np.linalg.norm(np.abs(frame_dft(illuminate(obj, probe, geom))) - amps)
     assert frames.tobytes() == want.tobytes()
     assert work.stack.tobytes() == (np.conj(probe) * want).tobytes()
@@ -426,22 +426,22 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
 
 
 def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             fourier.frame_dft(np.full((6, 8, 8), 1e308))
 
 
 def test_concurrent_callers_start_one_pool(monkeypatch):
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
-    monkeypatch.setattr(fourier, "_POOL", None)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_POOL", None)
     pools = []
 
     def start(*args, **kwargs):
         pools.append(ThreadPoolExecutor(*args, **kwargs))
         return pools[-1]
 
-    monkeypatch.setattr(fourier, "ThreadPoolExecutor", start)
+    monkeypatch.setattr(_passes, "ThreadPoolExecutor", start)
     stacks = [np.random.default_rng(seed).normal(size=(7, 8, 8)) for seed in range(8)]
     want = [np.fft.fft2(stack, norm="ortho").tobytes() for stack in stacks]
     got = [None] * len(stacks)
@@ -468,7 +468,7 @@ def test_concurrent_callers_start_one_pool(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_gets_a_working_pool(monkeypatch):
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 1)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     stack = np.ones((6, 8, 8))
     want = fourier.frame_dft(stack).tobytes()  # the pool's threads now run
     pid = os.fork()

@@ -23,6 +23,7 @@ from conftest import (
 
 from ptyblind import (
     DegenerateInputError,
+    _passes,
     ScanGeometry,
     SolverConfig,
     embed_add_frames,
@@ -35,7 +36,7 @@ from ptyblind import (
     solver,
 )
 from ptyblind.metrics import nrmse_probe
-from ptyblind.operators import replicate_probe, sum_frames
+from ptyblind.operators import replicate_probe
 from ptyblind.solver import (
     build_overlap_matrix,
     pairwise_discrepancy,
@@ -140,6 +141,20 @@ class TestPowerStep:
         scaled = c * update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
         assert np.linalg.norm(direct - scaled) <= 1e-12 * np.linalg.norm(scaled)
 
+    def test_spectrum_on_the_acceptance_instance_keeps_its_gap(self):
+        # Criterion 6's instance at consistent frames: the step ``A / D``
+        # keeps one unit eigenvalue per gauge class of the 4 px raster
+        # (the probe times any function periodic on the scan lattice
+        # gives the same frames) and contracts the rest by 0.0688 or
+        # less, so weak contrast leaves the step a wide gap.
+        geom = make_raster_geometry(n=64, m=16, step=4, grid=(13, 13))
+        obj = make_test_object(PhantomSpec(n=64, dc_fraction=0.99, texture_seed=0))
+        probe = make_probe(ProbeSpec(m=16, aperture_radius_px=7.5, defocus_phase_strength=0.5))
+        D, A = dense_power_matrices(illuminate(obj, probe, geom), geom)
+        eigenvalues = np.linalg.eigvals(A / D[:, None])
+        assert int((np.abs(eigenvalues - 1.0) <= 1e-8).sum()) == 16
+        assert np.sort(np.abs(eigenvalues))[::-1][16] < 0.1
+
     def test_iteration_recovers_probe_from_consistent_frames(self, rng):
         # the pencil of a consistent stack should pin the probe up to
         # scale; verify the kernel really is one-dimensional before
@@ -168,7 +183,8 @@ class TestPowerStep:
 
 def record_scatters(monkeypatch):
     """The dtypes of the stacks scattered by ``embed_add_frames``, through
-    ``solver``'s binding or ``operators``' own, while the test runs."""
+    the frame-pass engine's binding or ``operators``' own, while the test
+    runs."""
     scattered = []
     scatter = operators.embed_add_frames
 
@@ -176,7 +192,7 @@ def record_scatters(monkeypatch):
         scattered.append(np.asarray(frames).dtype)
         return scatter(frames, geom)
 
-    monkeypatch.setattr(solver, "embed_add_frames", recorded)
+    monkeypatch.setattr(_passes, "embed_add_frames", recorded)
     monkeypatch.setattr(operators, "embed_add_frames", recorded)
     return scattered
 
@@ -430,9 +446,9 @@ def pencil_global_consistency(frames, probe, geom, c):
     numerator and denominator assembled in full, then <p, num> over
     sum(den |p|^2); with that weight."""
     shifted = frames - c * probe[None, :, :]
-    den = sum_frames(extract_frames(embed_add_frames(np.abs(shifted) ** 2, geom), geom))
+    den = extract_frames(embed_add_frames(np.abs(shifted) ** 2, geom), geom).sum(axis=0)
     acc = illuminate_adjoint(shifted, probe, geom)
-    num = sum_frames(shifted * extract_frames(np.conj(acc), geom))
+    num = (shifted * extract_frames(np.conj(acc), geom)).sum(axis=0)
     weight = float((den * np.abs(probe) ** 2).sum())
     return (float(np.vdot(probe, num).real / weight) if weight > 0.0 else 0.0), weight
 
@@ -530,9 +546,7 @@ def probe_step(frames, probe, geom, mode):
     iteration the cadence allows: the new probe, whether it was shifted,
     and the events it logged."""
     coverage, adjoint, canvas, work = step_inputs(frames, probe, geom)
-    state = solver._Iterate(
-        frames, probe, coverage, adjoint, work, solver.RANK1_CADENCE, canvas=canvas
-    )
+    state = solver._Iterate(frames, probe, coverage, adjoint, canvas, work, solver.RANK1_CADENCE)
     overlap = build_overlap_matrix(geom).astype(np.complex128)
     events = []
     cfg = SolverConfig(probe_mode=mode)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 from test_loop_oracle import MODES, wrapping_instance
 
-from ptyblind import ScanGeometry, SolverConfig, fourier, run_reconstruction, solver
+from ptyblind import ScanGeometry, SolverConfig, _passes, run_reconstruction, solver
 from ptyblind.synth import (
     PhantomSpec,
     ProbeSpec,
@@ -99,8 +99,8 @@ def pool_instance():
 
 def more_chunks_than_slots(monkeypatch):
     """Chunks of four frames, and three of them in flight."""
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", FOUR_FRAMES)
-    monkeypatch.setattr(fourier, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", FOUR_FRAMES)
+    monkeypatch.setattr(_passes, "_usable_cores", lambda: 2)
 
 
 def assert_one_stack_and_one_block(work, geom):
@@ -129,8 +129,8 @@ def assert_one_stack_and_one_block(work, geom):
     slots = [work.slot(lo) for lo, _ in chunks]
     for slot, (lo, hi) in zip(slots, chunks):
         assert slot.base is block and slot.shape == (hi - lo, m, m) and slot.flags.c_contiguous
-    ahead = fourier._in_flight(len(chunks))
-    assert ahead == min(len(chunks), fourier._usable_cores() + 1)
+    ahead = _passes._in_flight(len(chunks))
+    assert ahead == min(len(chunks), _passes._usable_cores() + 1)
     if ahead == len(chunks):
         assert block.nbytes == 2 * frame_stack_bytes(geom)
         assert [first(slot) for slot in slots] == [geom.K + lo for lo, _ in chunks]
@@ -171,7 +171,7 @@ def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode, layout):
     (work,) = workspaces
     assert_one_stack_and_one_block(work, geom)
     chunks = len(work.edges) - 1
-    assert (chunks, fourier._in_flight(chunks)) == ((2, 2) if layout == "a slot per chunk" else (36, 3))
+    assert (chunks, _passes._in_flight(chunks)) == ((2, 2) if layout == "a slot per chunk" else (36, 3))
     # The frames and the complex stack are four float64 stacks, and the
     # block holds the rest; the images, the overlap matrix and the small
     # arrays fit in half of one more stack.
@@ -216,7 +216,7 @@ def test_a_run_of_more_chunks_than_slots_matches_the_one_chunk_run_byte_for_byte
     monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
     monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
     cfg = SolverConfig(probe_mode=mode, max_iters=4)
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", 2 * frame_stack_bytes(geom))
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 2 * frame_stack_bytes(geom))
     whole = outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe))
     more_chunks_than_slots(monkeypatch)
     workspaces = recorded_workspaces(monkeypatch)
@@ -225,16 +225,16 @@ def test_a_run_of_more_chunks_than_slots_matches_the_one_chunk_run_byte_for_byte
     monkeypatch.setattr(solver, "update_probe_rank1", lambda *a: shifted.append(None) or rank1(*a))
     assert outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe)) == whole
     (work,) = workspaces
-    assert fourier._in_flight(len(work.edges) - 1) < len(work.edges) - 1
+    assert _passes._in_flight(len(work.edges) - 1) < len(work.edges) - 1
     assert len(shifted) == (2 if mode == "rank1_framewise" else 0)
 
 
 def over_frames_events(monkeypatch, edges, ahead, tail=True):
-    """Run ``fourier._over_frames`` over ``edges`` with at most ``ahead``
+    """Run ``_passes._over_frames`` over ``edges`` with at most ``ahead``
     chunks in flight, later chunks finishing first, and return its events
     in order: ("start", i) as chunk i's work starts, ("done", i) as it
     ends and ("tail", i) as its tail runs."""
-    monkeypatch.setattr(fourier, "_in_flight", lambda chunks: min(chunks, ahead))
+    monkeypatch.setattr(_passes, "_in_flight", lambda chunks: min(chunks, ahead))
     events, lock = [], threading.Lock()
 
     def log(kind, lo):
@@ -246,7 +246,7 @@ def over_frames_events(monkeypatch, edges, ahead, tail=True):
         time.sleep(0.001 * (len(edges) - edges.index(lo)))
         log("done", lo)
 
-    fourier._over_frames(work, edges, (lambda lo, hi: log("tail", lo)) if tail else None)
+    _passes._over_frames(work, edges, (lambda lo, hi: log("tail", lo)) if tail else None)
     return events
 
 
@@ -292,7 +292,7 @@ def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_t
             return super().slot(lo)
 
     monkeypatch.setattr(solver, "_Workspace", Logged)
-    real = solver._over_frames
+    real = _passes._over_frames
 
     def spy(work, edges, tail=None):
         events = current[0] = []
@@ -314,9 +314,9 @@ def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_t
             real(logged_work, edges, None if tail is None else logged_tail)
         finally:
             current[0] = None
-        passes.append((edges, tail is not None, fourier._in_flight(len(edges) - 1), events))
+        passes.append((edges, tail is not None, _passes._in_flight(len(edges) - 1), events))
 
-    monkeypatch.setattr(solver, "_over_frames", spy)
+    monkeypatch.setattr(_passes, "_over_frames", spy)
     run_reconstruction(amps, geom, init, SolverConfig(probe_mode=mode, max_iters=3), probe_true=probe)
     slotted = [p for p in passes if any(kind == "slot" for kind, _ in p[3])]
     # The start, three frame updates and, framewise, two shifted steps.

@@ -3,10 +3,10 @@ pass on a unit object, the route they are defined by.
 
 Every window of a unit object is the probe, so the start takes the
 probe's spectrum once instead of K times. The oracle here runs the full
-frame pass (``solver._magnitude_pass``) on an (n, n) object of ones; the
-start must give its frames, its conjugate-probe weighting and so the
-adjoint accumulation, and a run with no iterations its row 0 and
-object, byte for byte.
+frame update (``_passes._frame_update``) on an (n, n) object of ones;
+the start must give its frames, its conjugate-probe weighting, its
+adjoint accumulation and intensity canvas, and a run with no iterations
+its row 0 and object, byte for byte.
 """
 
 import numpy as np
@@ -14,18 +14,18 @@ import pytest
 from conftest import rand_complex
 from test_loop_oracle import wrapping_instance
 
-from ptyblind import ScanGeometry, SolverConfig, fourier, run_reconstruction, solver
-from ptyblind.operators import embed_add_frames
+from ptyblind import ScanGeometry, SolverConfig, _passes, run_reconstruction, solver
 from ptyblind.synth import PhantomSpec, ProbeSpec, make_probe, make_test_object, simulate_data
 
 
 def unit_object_start(probe, amplitudes, geom, work):
-    """The frame pass on a unit object: the frames it writes, with their
+    """The frame update on a unit object: the frames it writes, their
+    adjoint accumulation and their intensity canvas, with their
     conjugate-probe weighting left in ``work.stack``."""
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
     ones = np.ones((geom.n, geom.n), dtype=np.complex128)
-    solver._magnitude_pass(ones, probe, amplitudes, geom, work, frames)
-    return frames
+    _, adjoint, canvas = _passes._frame_update(ones, probe, amplitudes, geom, work, frames)
+    return frames, adjoint, canvas
 
 
 def random_case(m, K, probe, seed):
@@ -64,9 +64,9 @@ def case(name):
 CASES = ["wrapping raster", "m = 7", "K = 1", "zero bin", "negative zero"]
 
 
-@pytest.fixture(params=[fourier._CHUNK_BYTES, 1], ids=["one chunk", "chunked"])
+@pytest.fixture(params=[_passes._CHUNK_BYTES, 1], ids=["one chunk", "chunked"])
 def chunk_bytes(request, monkeypatch):
-    monkeypatch.setattr(fourier, "_CHUNK_BYTES", request.param)
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", request.param)
     return request.param
 
 
@@ -77,17 +77,17 @@ def test_start_frames_match_the_unit_object_pass_byte_for_byte(chunk_bytes, name
     if name == "negative zero":
         zeros = np.concatenate([probe.real[probe.real == 0], probe.imag[probe.imag == 0]])
         assert np.signbit(zeros).any()
-    want_work = solver._Workspace(geom)
+    want_work = _passes._Workspace(geom)
     if chunk_bytes == 1 and geom.K > 3:
         assert len(want_work.edges) > 2
-    want = unit_object_start(probe, amps, geom, want_work)
-    work = solver._Workspace(geom)
-    got = solver._start_frames(probe, amps, geom, work)
+    want, want_adjoint, want_canvas = unit_object_start(probe, amps, geom, want_work)
+    work = _passes._Workspace(geom)
+    got, adjoint, canvas = _passes._start_frames(probe, amps, geom, work)
     assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
     assert got.tobytes() == want.tobytes()
     assert work.stack.tobytes() == want_work.stack.tobytes()
-    adjoint = embed_add_frames(work.stack, geom)
-    assert adjoint.tobytes() == embed_add_frames(want_work.stack, geom).tobytes()
+    assert adjoint.tobytes() == want_adjoint.tobytes()
+    assert canvas.tobytes() == want_canvas.tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)

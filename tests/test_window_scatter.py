@@ -1,8 +1,8 @@
 """The window route of the scatter-adds onto the object, byte for byte
-against ``embed_add_frames`` and the replicate-and-``bincount`` object
-coverage.
+against ``embed_add_frames``, and the frame-pass engine's object
+coverage against ``coverage_maps`` on either route.
 
-Frames of at least ``fourier._WINDOW_PX`` a side are added onto an
+Frames of at least ``_passes._WINDOW_PX`` a side are added onto an
 (n, n) image window by window, one to four rectangles a frame, in frame
 order. Each pixel must receive its frames in the order of ``np.add.at``
 and ``bincount``, starting from 0.0, so every sum keeps their bits.
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from conftest import rand_complex
 
-from ptyblind import ScanGeometry, embed_add_frames, fourier, operators
-from ptyblind.operators import _add_windows, _object_coverage, replicate_probe
+from ptyblind import ScanGeometry, _passes, coverage_maps, embed_add_frames, make_raster_geometry
+from ptyblind._passes import _add_windows, _object_coverage
 
 
 def raster(n, m, offsets, shift=(0, 0)):
@@ -74,18 +74,26 @@ def test_window_adds_match_embed_add_frames_byte_for_byte(rng, name, dtype):
     assert runs.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("name", GEOMETRIES)
-def test_object_coverage_by_windows_matches_replicate_and_bincount(rng, name):
-    geom, _ = GEOMETRIES[name]
+# Both routes of the engine's coverage: criterion 6's 16 px raster
+# scatters a replicated stack, and 64 px frames add windows.
+COVERAGE_GEOMETRIES = {
+    "m = 16": make_raster_geometry(n=64, m=16, step=4, grid=(13, 13)),
+    **{name: geom for name, (geom, _) in GEOMETRIES.items()},
+}
+
+
+@pytest.mark.parametrize("name", COVERAGE_GEOMETRIES)
+def test_engine_object_coverage_matches_coverage_maps(rng, name):
+    geom = COVERAGE_GEOMETRIES[name]
     probe = rand_complex(rng, geom.m, geom.m) * np.logspace(-4, 4, geom.m)[:, None]
-    assert operators._by_windows(geom)
-    got = _object_coverage(probe, geom, None)
-    want = embed_add_frames(replicate_probe(np.abs(probe) ** 2, geom), geom)
+    assert _passes._by_windows(geom) == (geom.m == 64)
+    got = _object_coverage(probe, geom, np.empty((geom.K, geom.m, geom.m)))
+    want = coverage_maps(probe, geom).object_coverage
     assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 
 
 def test_only_frames_of_the_window_size_and_up_add_by_windows(monkeypatch):
-    assert not operators._by_windows(ScanGeometry(n=64, m=fourier._WINDOW_PX - 1, positions=[(0, 0)]))
-    assert operators._by_windows(ScanGeometry(n=64, m=fourier._WINDOW_PX, positions=[(0, 0)]))
-    monkeypatch.setattr(fourier, "_WINDOW_PX", 65)
-    assert not operators._by_windows(ScanGeometry(n=64, m=64, positions=[(0, 0)]))
+    assert not _passes._by_windows(ScanGeometry(n=64, m=_passes._WINDOW_PX - 1, positions=[(0, 0)]))
+    assert _passes._by_windows(ScanGeometry(n=64, m=_passes._WINDOW_PX, positions=[(0, 0)]))
+    monkeypatch.setattr(_passes, "_WINDOW_PX", 65)
+    assert not _passes._by_windows(ScanGeometry(n=64, m=64, positions=[(0, 0)]))
