@@ -24,13 +24,17 @@ at the misfit; the start frames of a run without ``frames_init``
 windows are all the probe, so the phases come from one transform of the
 probe and the pass fills them and runs the scaling onwards; the
 standard and power steps, which share one gathered kernel; the
-per-frame gate's weighted stack; and the intensity of the canvas. A shifted step takes
-two passes: the first gathers the shifted accumulation, whose sums over
-the frames are taken before the second multiplies it by the frames.
-The sums over the frames of a step's products and weights are taken in
-the pass's tail: the first chunk is summed and each later frame added
-in turn, which is the order numpy's sum over the whole stack takes, so
-the bits are its bits. Only the inner products and the misfit norm read
+per-frame gate's weighted stack; the intensity of the canvas; and the
+conjugate-probe weighting of given frames (:func:`_adjoint`). Each
+shifted step is one call (:func:`_shifted_sums`,
+:func:`_framewise_shifted_sums`) of two or three passes: the first
+forms the shifted accumulation in the complex stack, whose sums over
+the frames (and, per frame, its cross term with the factors) are taken
+before the last multiplies it by the frames. The sums over the frames
+of a step's products and weights are taken in the pass's tail: the
+first chunk is summed and each later frame added in turn, which is the
+order numpy's sum over the whole stack takes, so the bits are its
+bits. Only the inner products and the misfit norm read
 the whole stack once every chunk has finished.
 
 This module alone decides how frames are scattered onto the object.
@@ -40,25 +44,31 @@ over the whole stack. Larger frames are scattered chunk by chunk in the
 tail: as each chunk of the frame update or of the start frames
 finishes, its weighted frames and their intensities are added window by
 window into the new adjoint accumulation and canvas
-(:func:`_add_windows`); the object coverage adds ``|p|**2`` windows.
-Either way the start and the frame update return the new frames'
-adjoint accumulation and intensity canvas. Each pixel receives its
-frames in ascending order from 0.0 on either route, so every result is
-bit-identical to the unchunked pass.
+(:func:`_add_windows`); the object coverage adds ``|p|**2`` windows,
+and :func:`_adjoint`, the accumulation of frames no pass has just
+written (a start from ``frames_init``, the object re-fit after a
+shifted step), adds each finished chunk of conjugate-probe weighted
+frames. Either way the start and the frame update return the new
+frames' adjoint accumulation and intensity canvas. Each pixel receives
+its frames in ascending order from 0.0 on either route, so every result
+is bit-identical to the unchunked pass.
 
 The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized array of a run is its scratch
-(:class:`_Workspace`): a complex stack, for the spectra and the
-weighted stack, and one float64 block. The block holds a float64 stack
-for what reductions over the whole stack read (the magnitudes and
-misfit, the gathered weights) and the chunk slots, for what a chunk
-needs only until its tail has run (the reciprocal magnitudes, the new
-frames' intensities, the shifted step's per-frame denominator). A pass
-keeps at most one chunk per usable core and one more in flight, each in
-a slot of its own, so a stack of more chunks than that (400 frames of
-128 px make 25) holds a few chunks of slots instead of a second float64
-stack. Both are allocated when the run starts. The passes write into
-them with ``out=`` ufuncs and ``take`` gathers. A probe, a per-frame
+(:class:`_Workspace`), which only this module reads: the solver makes
+it and hands it to one function here per scratch handoff, and no
+function reads what an earlier call left in it. It holds a complex
+stack, for the spectra and the weighted stack, and one float64 block.
+The block holds a float64 stack for what reductions over the whole
+stack read (the magnitudes and misfit, the gathered weights) and the
+chunk slots, for what a chunk needs only until its tail has run (the
+reciprocal magnitudes, the new frames' intensities, the shifted step's
+per-frame denominator). A pass keeps at most one chunk per usable core
+and one more in flight, each in a slot of its own, so a stack of more
+chunks than that (400 frames of 128 px make 25) holds a few chunks of
+slots instead of a second float64 stack. Both are allocated when the
+run starts. The passes write into them with ``out=`` ufuncs and
+``take`` gathers. A probe, a per-frame
 factor or a real operand that a ufunc would broadcast or cast over a
 stack is first copied into a whole stack or slot, since numpy buffers
 such operands on every call; only row 0, once per run, multiplies its
@@ -198,15 +208,17 @@ def _over_frames(work, edges: list[int], tail=None) -> None:
 
 
 class _Workspace:
-    """Frame-sized scratch of one run.
+    """Frame-sized scratch of one run. To the solver it is an opaque
+    handle, passed to this module's functions and read only by them.
 
     ``stack`` is a complex (K, m, m) stack and ``real`` a float64 one,
     which holds what a reduction over the whole stack reads: the misfit
     and the gathered weights of the probe steps. No stack holds the
     coverage: a step gathers the (n, n) object coverage where it reads
-    it. No state survives a step: a step reads nothing a previous step
-    left in the scratch stacks, and a stack passed into a step must not
-    be one it writes.
+    it. No state survives a call of this module: none reads what an
+    earlier call left in the scratch, so each function that takes the
+    workspace owns it while it runs, and a stack passed into one must
+    not be one it writes.
 
     ``edges`` are the frame chunks every per-frame pass runs over.
     Float64 values a chunk needs only until its tail has run (the
@@ -273,16 +285,16 @@ def _add_windows(image: np.ndarray, frames: np.ndarray, geom: ScanGeometry, lo: 
             np.add(window, frame[source], out=window)
 
 
-def _object_coverage(probe: np.ndarray, geom: ScanGeometry, scratch: np.ndarray) -> np.ndarray:
+def _object_coverage(probe: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
     """The (n, n) object coverage of a probe: ``|probe|**2`` added window
     by window, or for frames below ``_WINDOW_PX`` replicated into
-    ``scratch``, a float64 (K, m, m) stack, and scattered."""
+    ``work.real`` and scattered."""
     intensity = np.abs(probe) ** 2
     if _by_windows(geom):
         coverage = np.zeros((geom.n, geom.n))
         _add_windows(coverage, np.broadcast_to(intensity, (geom.K, geom.m, geom.m)), geom, 0)
         return coverage
-    return embed_add_frames(replicate_probe(intensity, geom, out=scratch), geom)
+    return embed_add_frames(replicate_probe(intensity, geom, out=work.real), geom)
 
 
 def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
@@ -292,13 +304,13 @@ def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.nd
     return np.asarray(_check_object(image, geom), dtype=out.dtype).reshape(-1)
 
 
-def _summing_tail(chunk_of):
-    """A pass tail that adds each finished chunk of some stacks into
-    their sums over the frames, and the list that holds those sums once
-    the pass has run. ``chunk_of(lo, hi)`` gives the chunk's frames of
-    each stack. The first chunk is summed and later ones added frame by
-    frame: numpy sums a stack over its frames in frame order, so each
-    sum has the bits of ``stack.sum(axis=0)`` on its whole stack."""
+def _summed_pass(chunk, chunk_of, work: _Workspace) -> list[np.ndarray]:
+    """Run ``chunk(lo, hi)`` over the run's frame chunks and return the
+    sums over the frames of the stacks ``chunk_of(lo, hi)`` gives each
+    chunk's frames of, as the chunk leaves them. The pass's tail sums the
+    first chunk and adds each later frame in turn: numpy sums a stack
+    over its frames in frame order, so each sum has the bits of
+    ``stack.sum(axis=0)`` on its whole stack."""
     sums = []
 
     def tail(lo, hi):
@@ -309,71 +321,97 @@ def _summing_tail(chunk_of):
             for frame in frames:
                 np.add(sums[i], frame, out=sums[i])
 
-    return tail, sums
+    _over_frames(chunk, work.edges, tail)
+    return sums
 
 
-def _gathered_terms(
-    frames, geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The least-squares terms ``sum_k conj(image|_k) f_k`` and
-    ``sum_k weights|_k`` of the standard and power steps, where ``X|_k``
-    is the window of an (n, n) image at frame k: the products run in
-    ``work.stack`` and the gathered real ``weights`` in ``work.real``,
-    and the pass's tail sums each finished chunk of both. ``frames`` is
-    a frame stack or None; without frames the first term is ``sum_k
-    conj(image|_k)``, and the windows ``conj(image|_k)`` are left in
-    ``work.stack``."""
-    products, gathered, index = work.stack, work.real, geom.frame_indices
+def _gather(geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace):
+    """A chunk function that gathers the windows ``conj(image|_k)`` of
+    its frames into ``work.stack`` and those of the real ``weights`` into
+    ``work.real``, where ``X|_k`` is the window of an (n, n) image at
+    frame k."""
+    windows, gathered, index = work.stack, work.real, geom.frame_indices
     flat = _flat_image(weights, geom, gathered)
-    conj_image = np.conj(_flat_image(image, geom, products))
+    conj_image = np.conj(_flat_image(image, geom, windows))
 
     # ``clip`` spares every take() below a buffer; the indices are in
     # range.
     def chunk(lo, hi):
         flat.take(index[lo:hi], out=gathered[lo:hi], mode="clip")
-        conj_image.take(index[lo:hi], out=products[lo:hi], mode="clip")
-        if frames is not None:
-            # conj(image) * frames, not the reverse: see the note in
-            # _summed_products.
-            np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
+        conj_image.take(index[lo:hi], out=windows[lo:hi], mode="clip")
 
-    tail, sums = _summing_tail(lambda lo, hi: (products[lo:hi], gathered[lo:hi]))
-    _over_frames(chunk, work.edges, tail)
-    return sums[0], sums[1]
+    return chunk
 
 
-def _summed_products(frames: np.ndarray, work: _Workspace, conjugate: bool) -> np.ndarray:
+def _gathered_terms(
+    frames: np.ndarray, geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The least-squares terms ``sum_k conj(image|_k) f_k`` and
+    ``sum_k weights|_k`` of the standard and power steps: each chunk
+    gathers its windows (:func:`_gather`) and multiplies the conjugate
+    ones by its frames in ``work.stack``, and the pass's tail sums each
+    finished chunk of both."""
+    gather, products = _gather(geom, image, weights, work), work.stack
+
+    def chunk(lo, hi):
+        gather(lo, hi)
+        # conj(image) * frames, not the reverse: see the note in
+        # _summed_products.
+        np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
+
+    products_sum, weights_sum = _summed_pass(
+        chunk, lambda lo, hi: (products[lo:hi], work.real[lo:hi]), work
+    )
+    return products_sum, weights_sum
+
+
+def _summed_products(frames: np.ndarray, work: _Workspace) -> np.ndarray:
     """``sum_k w_k f_k`` over the windows ``w_k`` that ``work.stack``
-    holds, or over their conjugates given ``conjugate``: each chunk
-    multiplies its windows by its frames in place, and the pass's tail
-    sums them."""
+    holds: each chunk multiplies its windows by its frames in place, and
+    the pass's tail sums them."""
     view = work.stack
 
+    # Operand order fixes the rounding: numpy fuses a multiply and an add
+    # in complex products, so a * b and b * a can differ in the last bit.
+    # This order reproduces earlier results bit for bit; on stacks of
+    # 256 KiB and more numpy evaluated ``shifted * (...)`` in place in
+    # its temporary, as ``(...) * shifted``.
     def product(lo, hi):
-        windows = view[lo:hi]
-        if conjugate:
-            np.conj(windows, out=windows)
-        # Operand order fixes the rounding: numpy fuses a multiply and
-        # an add in complex products, so a * b and b * a can differ in
-        # the last bit. This order reproduces earlier results bit for
-        # bit; on stacks of 256 KiB and more numpy evaluated
-        # ``shifted * (...)`` in place in its temporary, as
-        # ``(...) * shifted``.
-        np.multiply(windows, frames[lo:hi], out=windows)
+        np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
 
-    tail, sums = _summing_tail(lambda lo, hi: (view[lo:hi],))
-    _over_frames(product, work.edges, tail)
-    return sums[0]
+    return _summed_pass(product, lambda lo, hi: (view[lo:hi],), work)[0]
 
 
-def _shifted_windows(geom: ScanGeometry, factors, coverage, adjoint, canvas, work: _Workspace):
-    """The first pass of the per-frame shifted step, at one factor
-    ``t_k`` per frame (``factors``, complex128 of length K): each frame's
-    shifted accumulation ``A|_k - t_k C|_k`` of the adjoint accumulation
-    ``A`` and the object coverage ``C``, left in ``work.stack``, and the
-    sum over the frames of ``canvas|_k - |t_k|^2 C|_k``, each frame's in
-    its chunk's slot until the pass's tail has summed it. Returns the
-    sum and ``work.stack``."""
+def _shifted_sums(
+    frames: np.ndarray, geom: ScanGeometry, shift: np.ndarray, canvas: np.ndarray, work: _Workspace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sums of the global shifted step over the windows of its
+    shifted accumulation ``A'`` (``shift``) and shifted intensity
+    ``canvas``: ``sum_k conj(A'|_k) f_k``, ``sum_k conj(A'|_k)`` and
+    ``sum_k canvas|_k``. Two passes over ``work.stack``: the first
+    gathers ``conj(A'|_k)`` there and the canvas into ``work.real`` and
+    sums both, the second multiplies the windows by the frames
+    (:func:`_summed_products`)."""
+    windows, gathered = work.stack, work.real
+    windows_sum, canvas_sum = _summed_pass(
+        _gather(geom, shift, canvas, work), lambda lo, hi: (windows[lo:hi], gathered[lo:hi]), work
+    )
+    return _summed_products(frames, work), windows_sum, canvas_sum
+
+
+def _framewise_shifted_sums(frames, geom: ScanGeometry, factors, coverage, adjoint, canvas, work):
+    """The sums of the per-frame shifted step at one factor ``t_k`` per
+    frame (``factors``, complex128 of length K), over each frame's
+    shifted accumulation ``A'_k = A|_k - t_k C|_k`` of the adjoint
+    accumulation ``A`` and the object coverage ``C``: ``sum_k conj(A'_k)
+    f_k``, the cross term ``sum_k conj(t_k) A'_k`` and ``sum_k
+    (canvas|_k - |t_k|^2 C|_k)``.
+
+    The first pass forms the ``A'_k`` in ``work.stack`` and each frame's
+    canvas term in its chunk's slot, until the pass's tail has summed it.
+    The cross term is one product over the whole stack. Then the windows
+    are conjugated, and :func:`_summed_products` multiplies them by the
+    frames."""
     fcol = factors[:, None, None]
     index, view, real = geom.frame_indices, work.stack, work.real
     flat, flat_coverage = _flat_image(adjoint, geom, view), _flat_image(coverage, geom, real)
@@ -395,9 +433,10 @@ def _shifted_windows(geom: ScanGeometry, factors, coverage, adjoint, canvas, wor
         den = flat_canvas.take(index[lo:hi], out=slot, mode="clip")
         np.subtract(den, weights, out=den)
 
-    tail, sums = _summing_tail(lambda lo, hi: (work.slot(lo),))
-    _over_frames(chunk, work.edges, tail)
-    return sums[0], view
+    canvas_sum = _summed_pass(chunk, lambda lo, hi: (work.slot(lo),), work)[0]
+    cross = (np.conj(factors) @ view.reshape(geom.K, -1)).reshape(geom.m, geom.m)
+    _over_frames(lambda lo, hi: np.conj(view[lo:hi], out=view[lo:hi]), work.edges)
+    return _summed_products(frames, work), cross, canvas_sum
 
 
 def _window_sums(
@@ -462,6 +501,28 @@ def _intensity_canvas(frames: np.ndarray, geom: ScanGeometry, work: _Workspace) 
     intensity = work.real
     _over_frames(lambda lo, hi: _intensity(frames[lo:hi], intensity[lo:hi]), work.edges)
     return embed_add_frames(intensity, geom)
+
+
+def _adjoint(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
+    """``illuminate_adjoint(frames, probe, geom)`` of frames no pass has
+    just written (the re-fit after a shifted step, ``frames_init``) on
+    the scatter route of the frame size: each chunk weights its frames by
+    the conjugate probe in ``work.stack``, and the pass's tail adds them
+    window by window, or for frames below ``_WINDOW_PX`` the stack is
+    scattered whole."""
+    weighted, conj_probe = work.stack, np.conj(probe)
+    adjoint = np.zeros((geom.n, geom.n), dtype=np.complex128) if _by_windows(geom) else None
+
+    def chunk(lo, hi):
+        np.multiply(_fill(weighted[lo:hi], conj_probe), frames[lo:hi], out=weighted[lo:hi])
+
+    def tail(lo, hi):
+        _add_windows(adjoint, weighted[lo:hi], geom, lo)
+
+    _over_frames(chunk, work.edges, None if adjoint is None else tail)
+    # Out of the scatter's peak memory.
+    del conj_probe
+    return embed_add_frames(weighted, geom) if adjoint is None else adjoint
 
 
 def _window_tail(geom: ScanGeometry, work: _Workspace):

@@ -23,8 +23,8 @@ Conventions
   bits.
 
 All functions are pure and safe to call concurrently, except that a
-call given a buffer (``out`` or ``scratch``) writes it; calls sharing
-one must not overlap.
+call given an ``out`` buffer writes it; calls sharing one must not
+overlap.
 """
 
 from __future__ import annotations
@@ -212,24 +212,12 @@ def illuminate(obj: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> np.nda
     return probe[None, :, :] * extract_frames(obj, geom)
 
 
-def illuminate_adjoint(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    *,
-    scratch: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Adjoint illumination: conjugate-probe weighting then scatter-add.
-
-    The weighted stack is formed in ``scratch``, a complex128 (K, m, m)
-    stack, when given.
-    """
+def illuminate_adjoint(frames: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:
+    """Adjoint illumination: conjugate-probe weighting then scatter-add."""
     frames = _check_stack(frames, geom)
     probe = _check_probe(probe, geom)
-    if scratch is None:
-        scratch = np.empty(frames.shape, dtype=np.complex128)
-    weighted = np.multiply(_fill(scratch, np.conj(probe)), frames, out=scratch)
-    return embed_add_frames(weighted, geom)
+    weighted = _fill(np.empty(frames.shape, dtype=np.complex128), np.conj(probe))
+    return embed_add_frames(np.multiply(weighted, frames, out=weighted), geom)
 
 
 def coverage_maps(probe: np.ndarray, geom: ScanGeometry) -> CoverageMaps:

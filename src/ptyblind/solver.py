@@ -48,7 +48,7 @@ which the metrics row's pairwise discrepancy ``E - ||A||^2`` and the
 global gate read; the canvas gathered to the frames is the power step's
 denominator. All three are (n, n) images, gathered to the frames where
 a step reads them. Every step takes the ones it reads as required
-arguments, with the run's scratch stacks, and none recomputes them; a
+arguments, with the run's scratch, and none recomputes them; a
 step that needs the accumulation of another stack (the frames under a
 new probe) is handed it by its caller. The steps keep public names
 in this module because the benchmark in ``perfbench/`` traces them by
@@ -77,8 +77,11 @@ data residual and then phase the spectra in place for the frame
 update.
 
 The per-frame work runs in the frame-pass engine, ``_passes``: its
-chunked passes, the run's scratch stacks and the route by which frames
-are scattered onto the object are described there.
+chunked passes, the run's scratch and the route by which frames are
+scattered onto the object are described there. This module keeps the
+formulas, the weight floor and the errors. To it the run's scratch is
+an opaque handle, made once per run and handed to the engine's calls,
+each of which owns it while it runs; it scatters no frames itself.
 
 Denominators are floored at ``EPSILON_REL`` times their maximum, so
 division is scale-free and uncovered pixels map to zero.
@@ -95,8 +98,9 @@ from typing import Optional
 import numpy as np
 
 from ._passes import (
-    _Workspace, _frame_update, _gathered_terms, _intensity_canvas, _magnitude_pass,
-    _object_coverage, _shifted_windows, _start_frames, _summed_products, _window_sums,
+    _Workspace, _adjoint, _frame_update, _framewise_shifted_sums, _gathered_terms,
+    _intensity_canvas, _magnitude_pass, _object_coverage, _shifted_sums, _start_frames,
+    _window_sums,
 )
 from .fourier import check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
@@ -107,7 +111,6 @@ from .operators import (
     _check_probe as _check_probe_shape,
     _check_stack,
     extract_frames,  # noqa: F401  (unused here; perfbench's tracer test wraps this binding)
-    illuminate_adjoint,
 )
 
 PROBE_MODES = ("standard", "power", "rank1_global", "rank1_framewise")
@@ -322,48 +325,6 @@ def _global_shift(
     return weight, _usable_weight(weight, energy), accumulation
 
 
-def _rank1_terms(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    geom: ScanGeometry,
-    factors: np.ndarray,
-    coverage: np.ndarray,
-    adjoint: np.ndarray,
-    canvas: np.ndarray,
-    work: _Workspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of the transparency-shifted power
-    step with one factor per frame (``factors``, complex128 of length
-    K): each frame is handled by the uniform-shift formula at its own
-    factor, assembled from the probe's object coverage ``C``, the
-    unshifted stack's adjoint accumulation ``A`` and its intensity
-    ``canvas``, so no stack is formed or scattered. With the window
-    ``X|_k`` of an (n, n) image at frame k and ``A'_k = A|_k - t_k
-    C|_k``, the numerator is ``sum_k conj(A'_k) f_k - p sum_k t_k
-    conj(A'_k)`` and the denominator ``sum_k (canvas|_k - |t_k|^2 C|_k
-    - 2 Re(conj(t_k) A'_k))``, a nonnegative coverage of shifted
-    stacks; tiny negative rounding is clamped.
-
-    Two passes. The first forms the ``A'_k`` and the sum of ``canvas|_k
-    - |t_k|^2 C|_k``; that sum, less the real part of twice ``sum_k
-    conj(t_k) A'_k``, is the denominator. Its weight ``sum(den |p|^2)``
-    is the shifted stack's coverage-weighted energy; where that is not
-    usable (below ``_WEIGHT_FLOOR`` of the stack energy) it raises
-    :class:`DegenerateInputError` before the second pass, which
-    multiplies ``conj(A'_k)`` by the frames.
-    """
-    canvas_sum, shifted = _shifted_windows(geom, factors, coverage, adjoint, canvas, work)
-    # sum_k conj(t_k) A'_k, and the denominator
-    cross = (np.conj(factors) @ shifted.reshape(geom.K, -1)).reshape(probe.shape)
-    den = canvas_sum - 2.0 * cross.real
-    if not _usable_weight(float((den * np.abs(probe) ** 2).sum()), np.vdot(coverage, canvas).real):
-        raise DegenerateInputError(
-            "transparency shift left no usable stack energy: nearly constant object region"
-        )
-    num = _summed_products(frames, work, conjugate=True)
-    return num - probe * np.conj(cross), np.maximum(den, 0.0)
-
-
 def _usable_weight(weight: float, energy: float) -> bool:
     """Whether a closed-form weight, the shifted stack's coverage-weighted
     energy, keeps enough digits to score or step by: finite and at least
@@ -475,36 +436,49 @@ def update_probe_rank1(
     scored, and its intensity canvas ``canvas - 2 Re(conj(t) A) + |t|^2
     C``, gathered and summed for the denominator; the numerator is
     ``sum_k conj(A'|_k) f_k - t p sum_k conj(A'|_k)``, where ``X|_k`` is
-    the window of an (n, n) image at frame k. Two passes over
-    ``work.stack``: one gathers ``conj(A'|_k)`` (and the canvas, into
-    ``work.real``), the other multiplies it by the frames once its sum is
-    taken. Per-frame factors take the uniform-shift formula at each
-    frame's own factor, from the terms of :func:`_rank1_terms`.
+    the window of an (n, n) image at frame k. Per-frame factors ``t_k``
+    take the uniform-shift formula at each frame's own factor: with
+    ``A'_k = A|_k - t_k C|_k`` the numerator is ``sum_k conj(A'_k) f_k -
+    p sum_k t_k conj(A'_k)`` and the denominator ``sum_k (canvas|_k -
+    |t_k|^2 C|_k - 2 Re(conj(t_k) A'_k))``, a nonnegative coverage of
+    shifted stacks whose tiny negative rounding is clamped. Either
+    form's sums over the frames come from one call of the frame-pass
+    engine.
 
     Where the shifted stack's coverage-weighted energy is not usable
     (below ``_WEIGHT_FLOOR`` of the stack energy, as
     :func:`shift_consistency` tests it), the step raises
-    :class:`DegenerateInputError` before it multiplies anything by the
-    frames: a nearly constant object region carries no probe information
-    the closed forms can resolve, and callers may then fall back to the
-    plain power update. With per-frame factors the step sums that energy
-    over its own denominator, so it can fall on the other side of the
-    floor from the gate's.
+    :class:`DegenerateInputError`: a nearly constant object region
+    carries no probe information the closed forms can resolve, and
+    callers may then fall back to the plain power update. With one
+    factor it raises before any pass over the frames. With per-frame
+    factors the step sums that energy over its own denominator, ``sum(den
+    |p|^2)``, so it can fall on the other side of the floor from the
+    gate's, and it raises once the engine call that gives the
+    denominator, and with it the products, has run.
     """
     factors = _shift_factors(transparency, geom)
     frames, probe = np.asarray(frames), np.asarray(probe)
     if np.ndim(factors) == 0:
         _, usable, shift = _global_shift(factors, coverage, adjoint, canvas)
-        if not usable:
-            raise DegenerateInputError(
-                "transparency shift left no usable stack energy: nearly constant object region"
-            )
-        cross = np.multiply(np.conj(factors), adjoint).real
-        shifted_canvas = canvas - 2.0 * cross + abs(factors) ** 2 * coverage
-        total, den = _gathered_terms(None, geom, shift, shifted_canvas, work)
-        num = _summed_products(frames, work, conjugate=False) - factors * probe * total
+        if usable:
+            cross = np.multiply(np.conj(factors), adjoint).real
+            shifted_canvas = canvas - 2.0 * cross + abs(factors) ** 2 * coverage
+            num, total, den = _shifted_sums(frames, geom, shift, shifted_canvas, work)
+            num -= factors * probe * total
     else:
-        num, den = _rank1_terms(frames, probe, geom, factors, coverage, adjoint, canvas, work)
+        num, cross, canvas_sum = _framewise_shifted_sums(
+            frames, geom, factors, coverage, adjoint, canvas, work
+        )
+        den = canvas_sum - 2.0 * cross.real
+        energy = np.vdot(coverage, canvas).real
+        usable = _usable_weight(float((den * np.abs(probe) ** 2).sum()), energy)
+        num -= probe * np.conj(cross)
+        den = np.maximum(den, 0.0)
+    if not usable:
+        raise DegenerateInputError(
+            "transparency shift left no usable stack energy: nearly constant object region"
+        )
     return _divided(num, den, "shifted frame stack", "rank-1 update undefined")
 
 
@@ -692,12 +666,12 @@ def run_reconstruction(
         _check_stack(frames, geom, "frames_init")
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
-        adjoint = illuminate_adjoint(frames, probe, geom, scratch=work.stack)
+        adjoint = _adjoint(frames, probe, geom, work)
         canvas = _intensity_canvas(frames, geom, work)
 
     history = History()
     t_start = time.perf_counter()
-    coverage = _object_coverage(probe, geom, work.real)
+    coverage = _object_coverage(probe, geom, work)
     state = _Iterate(frames, probe, coverage, adjoint, canvas, work, since_shift=RANK1_CADENCE)
     # From here the state holds these; the old names would keep the
     # first probe, coverage, adjoint and canvas alive for the whole run.
@@ -748,7 +722,7 @@ def run_reconstruction(
                 raise ValueError("probe update collapsed to zero")
             probe *= norm_lock_target / norm
             state.probe = probe
-            state.coverage = _object_coverage(probe, geom, work.real)
+            state.coverage = _object_coverage(probe, geom, work)
             if engaged:
                 # A shifted step can move the probe far; re-fit the
                 # object before rebuilding the frames so the jump is
@@ -756,9 +730,7 @@ def run_reconstruction(
                 # is dropped first, out of the re-fit's peak memory.
                 del obj
                 obj = update_object(
-                    state.coverage,
-                    illuminate_adjoint(state.frames, probe, geom, scratch=work.stack),
-                    probe,
+                    state.coverage, _adjoint(state.frames, probe, geom, work), probe
                 )
             # Nothing reads the old frames any more: the new ones
             # overwrite them. The old images go before the pass makes

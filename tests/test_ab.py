@@ -11,9 +11,9 @@ ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab.py"
 
 
-def run_tool(a, b, summary=None):
+def run_tool(a, b, summary=None, iters=1, rounds=3):
     args = [sys.executable, str(TOOL), str(a), str(b), "--workload", "weak64"]
-    args += ["--iters", "1", "--rounds", "3"]
+    args += ["--iters", str(iters), "--rounds", str(rounds)]
     done = subprocess.run(args, capture_output=True, text=True, timeout=120)
     lines = done.stdout.splitlines()
     if summary is not None:
@@ -45,10 +45,19 @@ def test_an_a_a_run_reports_paired_ratios_and_identical_probes():
     assert (report["workload"], report["mode"], report["iters"], report["rounds"]) == (
         "weak64", "standard", 1, 3
     )
+    assert (report["a_iterations"], report["b_iterations"]) == (1, 1)
     assert len(report["ratios"]) == 3 and 0 <= report["b_wins"] <= 3
     for name in ("ratio", "aa_spread"):
         low, high = report[name]["interval"]
         assert 0 < low <= report[name]["median"] <= high
+
+
+def test_solves_stop_at_the_workloads_probe_error_as_perfbench_solves_them():
+    # weak64 solves to probe NRMSE 0.1; instance 0 in standard mode gets
+    # there in well under the 500 iterations the workload allows.
+    code, report = run_tool(ROOT, ROOT, iters=500, rounds=1)
+    assert code == 0 and report["stop_nrmse"] == 0.1
+    assert report["a_iterations"] == report["b_iterations"] < 100
 
 
 def test_each_tree_runs_its_own_code(tmp_path):

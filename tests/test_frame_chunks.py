@@ -32,7 +32,14 @@ from ptyblind import (
     run_reconstruction,
     solver,
 )
-from ptyblind.synth import PhantomSpec, ProbeSpec, make_probe, make_test_object, simulate_data
+from ptyblind.synth import (
+    PhantomSpec,
+    ProbeSpec,
+    make_probe,
+    make_raster_geometry,
+    make_test_object,
+    simulate_data,
+)
 
 
 def outcome(history):
@@ -137,24 +144,34 @@ def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chu
     whole stacks by np.add.at and bincount, with the same bits."""
     geom, probe, amps = windowed_instance()
     monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
-    # A shifted step, and so the re-fit, at every iteration.
+    # A shifted step, and so the re-fit, wherever the gate scores 0 or
+    # more and the step is not degenerate.
     monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
     monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
     cfg = SolverConfig(probe_mode=mode, max_iters=4)
     adds = count_window_adds(monkeypatch)
     chunks = record_chunks(monkeypatch)
+    shifted = []
+    step = solver.update_probe_rank1
+
+    def counted_step(*args):
+        result = step(*args)
+        shifted.append(None)
+        return result
+
+    monkeypatch.setattr(solver, "update_probe_rank1", counted_step)
     windowed = outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe))
     # Per chunk, two adds for each frame pass (the start and four
-    # iterations); one coverage per probe.
+    # iterations) and one for each re-fit; one coverage per probe.
     passes = len({(lo, hi) for lo, hi, _ in chunks})
     assert passes == (1 if chunk_bytes > 1 else geom.K // 2)
-    assert len(adds) == 2 * 5 * passes + 5
+    assert len(adds) == (2 * 5 + len(shifted)) * passes + 5
     monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
     del adds[:]
     assert outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe)) == windowed
     assert not adds
     if mode.startswith("rank1"):
-        assert windowed[1]
+        assert windowed[1] and shifted
 
 
 def test_window_scatter_run_from_given_frames_matches_the_stack_scatter_run(monkeypatch):
@@ -169,6 +186,45 @@ def test_window_scatter_run_from_given_frames_matches_the_stack_scatter_run(monk
     windowed = run()
     monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
     assert run() == windowed
+
+
+@pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
+def test_a_shifted_step_and_its_refit_on_the_window_route_match_the_stack_scatter(
+    monkeypatch, mode
+):
+    """Started from the true frames, as criterion 4 is, a run of 64 px
+    frames on a wrapping 16 px raster takes a shifted step at iteration 1
+    under the default gate and cadence, and re-fits the object by window
+    adds; the same run with the window size out of reach scatters whole
+    stacks, with the same bits."""
+    geom = make_raster_geometry(n=128, m=64, step=16, grid=(8, 8))
+    assert {len(rects) for rects in geom.window_slices} == {1, 2, 4}
+    obj = make_test_object(PhantomSpec(n=128, dc_fraction=0.5, texture_seed=4))
+    probe = make_probe(ProbeSpec(m=64, aperture_radius_px=24.0, defocus_phase_strength=0.5))
+    amps = simulate_data(obj, probe, geom)
+    cfg = SolverConfig(probe_mode=mode, max_iters=2)
+    adjoints = []
+    adjoint = _passes._adjoint
+
+    def recorded(*args):
+        adjoints.append(_passes._by_windows(geom))
+        return adjoint(*args)
+
+    monkeypatch.setattr(solver, "_adjoint", recorded)
+
+    def run():
+        frames = illuminate(obj, probe, geom)
+        history = run_reconstruction(amps, geom, probe, cfg, probe_true=probe, frames_init=frames)
+        return outcome(history)
+
+    windowed = run()
+    assert windowed[1][0].startswith("iteration 1: transparency shift engaged")
+    # The start from the given frames, then the re-fit, by windows.
+    assert adjoints == [True, True]
+    monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
+    del adjoints[:]
+    assert run() == windowed
+    assert adjoints == [False, False]
 
 
 def over_frames_log(edges, fail=(), delay=lambda i: 0.0):

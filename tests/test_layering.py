@@ -10,6 +10,11 @@ reads, defines or calls these names or a ``.slot(`` method, except that
 ``_frame_edges``. The engine imports ``operators`` only, and
 ``operators`` no package module, so ``fourier`` imports ``_passes``
 without a cycle.
+
+The run's scratch is an opaque handle to ``solver``: it makes a
+``_Workspace`` and hands it to engine calls, but reads none of its
+attributes, and it neither scatters frames nor multiplies a stack the
+engine left in the scratch; each scratch handoff is one engine call.
 """
 
 import ast
@@ -94,3 +99,38 @@ def test_the_engine_sits_between_fourier_and_operators():
     assert package_imports(trees["_passes.py"]) == {"operators"}
     assert package_imports(trees["operators.py"]) == set()
     assert "_passes" in package_imports(trees["fourier.py"])
+
+
+# What the solver leaves to the engine besides the workspace's fields
+# (``stack``, ``real``, ``edges``, ``slot``): the scatters, and the passes
+# that read a stack an earlier pass left in the scratch.
+ENGINE_ONLY = {"illuminate_adjoint", "embed_add_frames", "_summed_products", "_shifted_windows"}
+
+
+def is_workspace(node):
+    """Whether an expression is the run's workspace as the solver names
+    it: ``work`` or ``<something>.work``."""
+    return (isinstance(node, ast.Name) and node.id == "work") or (
+        isinstance(node, ast.Attribute) and node.attr == "work"
+    )
+
+
+def test_the_solver_reads_no_workspace_field_and_scatters_no_frames():
+    tree = parse_package()["solver.py"]
+    reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and is_workspace(node.value)
+    }
+    assert reads == set()
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named |= {node.name, node.asname}
+    assert named & ENGINE_ONLY == set()
+    # The solver still makes the workspace and hands it on.
+    assert "_Workspace" in named and "work" in named

@@ -208,7 +208,7 @@ class TestIntensityCanvas:
         factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
         scattered = record_scatters(monkeypatch)
         update_probe_power(frames, geom, *inputs[1:])
-        # The per-frame step forms its terms with _rank1_terms.
+        # The per-frame step forms its sums with _framewise_shifted_sums.
         update_probe_rank1(frames, probe, geom, factors, *inputs)
         assert not [dtype for dtype in scattered if dtype.kind == "f"]
 
@@ -394,7 +394,7 @@ class TestTransparencyForms:
         def framewise_route(*args):
             raise AssertionError("a single factor took the per-frame route")
 
-        monkeypatch.setattr(solver, "_rank1_terms", framewise_route)
+        monkeypatch.setattr(solver, "_framewise_shifted_sums", framewise_route)
         inputs = step_inputs(frames, probe, geom)
         steps, scores = set(), set()
         for transparency in (c, np.complex128(c), np.array(c)):
@@ -433,7 +433,7 @@ class TestTransparencyForms:
         def any_work(*args):
             raise AssertionError("a non-finite transparency reached the closed forms")
 
-        for kernel in ("_global_shift", "_window_sums", "_rank1_terms"):
+        for kernel in ("_global_shift", "_window_sums", "_framewise_shifted_sums"):
             monkeypatch.setattr(solver, kernel, any_work)
         for step in (shift_consistency, update_probe_rank1):
             with pytest.raises(ValueError, match="^transparency is not finite$") as caught:

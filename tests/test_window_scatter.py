@@ -15,7 +15,7 @@ import pytest
 from conftest import rand_complex
 
 from ptyblind import ScanGeometry, _passes, coverage_maps, embed_add_frames, make_raster_geometry
-from ptyblind._passes import _add_windows, _object_coverage
+from ptyblind._passes import _Workspace, _add_windows, _object_coverage
 
 
 def raster(n, m, offsets, shift=(0, 0)):
@@ -87,7 +87,7 @@ def test_engine_object_coverage_matches_coverage_maps(rng, name):
     geom = COVERAGE_GEOMETRIES[name]
     probe = rand_complex(rng, geom.m, geom.m) * np.logspace(-4, 4, geom.m)[:, None]
     assert _passes._by_windows(geom) == (geom.m == 64)
-    got = _object_coverage(probe, geom, np.empty((geom.K, geom.m, geom.m)))
+    got = _object_coverage(probe, geom, _Workspace(geom))
     want = coverage_maps(probe, geom).object_coverage
     assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
 

@@ -5,8 +5,10 @@ so both can be timed side by side on the same inputs: instance 0 of a
 workload of ``perfbench/workloads.py`` at seed 0, generated once by this
 checkout.
 A round runs the solve four times, each a ``run_reconstruction`` call
-of ``--iters`` iterations (the workload's count by default; 0 times the
-set-up alone), in ABBA order and BAAB in the next, so each side takes
+of at most ``--iters`` iterations (the workload's count by default; 0
+times the set-up alone) that stops at the workload's probe NRMSE
+``stop_nrmse`` where it sets one, as ``perfbench/run.py`` solves it,
+in ABBA order and BAAB in the next, so each side takes
 each place equally often. It gives the paired ratio ``(b1 + b2) / (a1 +
 a2)`` of raw wall seconds. The report gives the median ratio over the
 rounds with a 95% bootstrap interval, the rounds B wins, and the A/A
@@ -21,7 +23,9 @@ a full A/A run::
     python3 tools/ab.py ../parent . --workload large223 --iters 0
     python3 tools/ab.py . . --workload large223 --rounds 30
 
-The last line of output is the report as one JSON object. The exit code
+The last line of output is the report as one JSON object; it gives the
+``stop_nrmse`` the solves ran to and the iterations each side's first
+solve ran (``a_iterations``, ``b_iterations``). The exit code
 is 1 when the two trees' final probes differ in any byte, which a change
 meant to keep every bit must not do.
 """
@@ -74,11 +78,11 @@ def instance(workload: str):
     return w, (geom.n, geom.m, np.array(geom.positions)), inst
 
 
-def solver_call(tree, layout, inst, mode: str, iters: int):
+def solver_call(tree, layout, inst, mode: str, iters: int, stop_nrmse):
     """A no-argument call of one solve with the tree's own types."""
     n, m, positions = layout
     geom = tree.ScanGeometry(n=n, m=m, positions=positions)
-    cfg = tree.SolverConfig(probe_mode=mode, max_iters=iters)
+    cfg = tree.SolverConfig(probe_mode=mode, max_iters=iters, stop_nrmse=stop_nrmse)
 
     def call():
         return tree.run_reconstruction(
@@ -86,6 +90,13 @@ def solver_call(tree, layout, inst, mode: str, iters: int):
         )
 
     return call
+
+
+def first_outcome(call) -> tuple[bytes, int]:
+    """The final probe's bytes and the iteration count of one solve,
+    whose ``History`` is dropped before the next solve starts."""
+    history = call()
+    return history.probe.tobytes(), history.rows[-1].iter
 
 
 def traced_peak_mb(call) -> float:
@@ -154,10 +165,11 @@ def main(argv=None) -> int:
     w, layout, inst = instance(args.workload)
     iters = w.max_iters if args.iters is None else args.iters
     calls = [
-        solver_call(load_tree(root, name), layout, inst, args.mode, iters)
+        solver_call(load_tree(root, name), layout, inst, args.mode, iters, w.stop_nrmse)
         for root, name in ((args.a, "ab_a"), (args.b, "ab_b"))
     ]
-    same = calls[0]().probe.tobytes() == calls[1]().probe.tobytes()
+    (probe_a, ran_a), (probe_b, ran_b) = [first_outcome(call) for call in calls]
+    same = probe_a == probe_b
     peaks = [traced_peak_mb(call) for call in calls]
     report = {
         "a": str(args.a),
@@ -165,6 +177,9 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "mode": args.mode,
         "iters": iters,
+        "stop_nrmse": w.stop_nrmse,
+        "a_iterations": ran_a,
+        "b_iterations": ran_b,
         "identical_probe": same,
         "a_peak_mb": peaks[0],
         "b_peak_mb": peaks[1],
