@@ -27,15 +27,16 @@ standard and power steps, which share one gathered kernel; the
 per-frame gate's weighted stack; the intensity of the canvas; and the
 conjugate-probe weighting of given frames (:func:`_adjoint`). Each
 shifted step is one call (:func:`_shifted_sums`,
-:func:`_framewise_shifted_sums`) of two or three passes: the first
-forms the shifted accumulation in the complex stack, whose sums over
-the frames (and, per frame, its cross term with the factors) are taken
-before the last multiplies it by the frames. The sums over the frames
-of a step's products and weights are taken in the pass's tail: the
-first chunk is summed and each later frame added in turn, which is the
-order numpy's sum over the whole stack takes, so the bits are its
-bits. Only the inner products and the misfit norm read
-the whole stack once every chunk has finished.
+:func:`_framewise_shifted_sums`) of two passes, each of which gathers
+or forms the shifted accumulation anew: the first sums it over the
+frames (per frame, weighted by the conjugate factors), the second its
+products with the frames. The sums over the frames of a step's
+products and weights are taken in the pass's tail: the first chunk is
+summed and each later frame added in turn, which is the order numpy's
+sum over the whole stack takes, so the bits are its bits. Per-frame
+sums are reduced frame by frame in the chunk (``vecdot``), so no bit
+depends on which frames a chunk holds. Only the inner products and the
+misfit norm read a whole stack once every chunk has finished.
 
 This module alone decides how frames are scattered onto the object.
 Frames below ``_WINDOW_PX`` (16 px in every 64 px instance) are
@@ -57,21 +58,23 @@ The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized array of a run is its scratch
 (:class:`_Workspace`), which only this module reads: the solver makes
 it and hands it to one function here per scratch handoff, and no
-function reads what an earlier call left in it. It holds a complex
-stack, for the spectra and the weighted stack, and one float64 block.
-The block holds a float64 stack for what reductions over the whole
-stack read (the magnitudes and misfit, the gathered weights) and the
-chunk slots, for what a chunk needs only until its tail has run (the
+function reads what an earlier call left in it. It holds a float64
+stack for what reductions over the whole stack read (the magnitudes and
+misfit, the gathered weights) and chunk slots, for what a chunk needs
+only until its tail has run: complex ones (the spectra, the weighted
+frames, the gathered windows and their products) and float64 ones (the
 reciprocal magnitudes, the new frames' intensities, the shifted step's
 per-frame denominator). A pass keeps at most one chunk per usable core
-and one more in flight, each in a slot of its own, so a stack of more
+and one more in flight, each in slots of its own, so a stack of more
 chunks than that (400 frames of 128 px make 25) holds a few chunks of
-slots instead of a second float64 stack. Both are allocated when the
-run starts. The passes write into them with ``out=`` ufuncs and
-``take`` gathers. A probe, a per-frame
-factor or a real operand that a ufunc would broadcast or cast over a
-stack is first copied into a whole stack or slot, since numpy buffers
-such operands on every call; only row 0, once per run, multiplies its
+slots instead of a complex stack and a second float64 stack. Frames
+below ``_WINDOW_PX`` are scattered from the whole complex stack, so
+there the complex slots are that stack. Everything is allocated when
+the run starts. The passes write into it with ``out=`` ufuncs and
+``take`` gathers. A probe, a per-frame factor or a real operand that a
+ufunc would broadcast or cast over a stack is first copied into a whole
+stack or slot, or taken frame by frame, since numpy buffers such
+operands on every call; only row 0, once per run, multiplies its
 windows by the broadcast probe, which gives the same bits. Past the
 first iteration no pass allocates a frame-sized array, and none frees
 one. With fresh stacks and temporaries, glibc grew and trimmed its heap
@@ -211,27 +214,31 @@ class _Workspace:
     """Frame-sized scratch of one run. To the solver it is an opaque
     handle, passed to this module's functions and read only by them.
 
-    ``stack`` is a complex (K, m, m) stack and ``real`` a float64 one,
-    which holds what a reduction over the whole stack reads: the misfit
-    and the gathered weights of the probe steps. No stack holds the
-    coverage: a step gathers the (n, n) object coverage where it reads
-    it. No state survives a call of this module: none reads what an
-    earlier call left in the scratch, so each function that takes the
-    workspace owns it while it runs, and a stack passed into one must
-    not be one it writes.
+    ``real`` is a float64 (K, m, m) stack, which holds what a reduction
+    over the whole stack reads: the misfit and the gathered weights of
+    the probe steps. No stack holds the coverage: a step gathers the
+    (n, n) object coverage where it reads it. No state survives a call
+    of this module: none reads what an earlier call left in the scratch,
+    so each function that takes the workspace owns it while it runs, and
+    a stack passed into one must not be one it writes.
 
-    ``edges`` are the frame chunks every per-frame pass runs over.
-    Float64 values a chunk needs only until its tail has run (the
-    reciprocal magnitudes, the intensities the tail adds into the
-    canvas, the shifted step's per-frame denominator) go in the chunk's
-    slot, :meth:`slot`: chunk ``i`` takes slot ``i mod S``, where ``S =
+    ``edges`` are the frame chunks every per-frame pass runs over. What
+    a chunk needs only until its tail has run goes in the chunk's slots:
+    complex values (the spectra, the conjugate-probe weighted frames,
+    the gathered windows and their products) in :meth:`scratch`, and
+    float64 ones (the reciprocal magnitudes, the intensities the tail
+    adds into the canvas, the shifted step's per-frame denominator) in
+    :meth:`slot`. Chunk ``i`` takes the slots ``i mod S``, where ``S =
     _in_flight(chunks)`` is one more than the usable cores, or the
-    number of chunks where that is fewer. A pass keeps at most ``S``
-    chunks in flight (:func:`_over_frames`), so a chunk starts only once
-    the chunk before it in its slot has been through its tail. ``real``
-    and the slots are one float64 block, ``real`` first; where every
-    chunk has a slot of its own, the block is two stacks and the second
-    holds each chunk's slot at its own frames.
+    number of chunks where that is fewer; each slot is as tall as the
+    tallest chunk it takes. A pass keeps at most ``S`` chunks in flight
+    (:func:`_over_frames`), so a chunk starts only once the chunk before
+    it in its slot has been through its tail. Frames below
+    ``_WINDOW_PX`` are scattered from the whole complex stack, so there
+    every chunk has a complex slot of its own, at its own frames of
+    ``stack``. ``stack`` holds the complex slots, the whole (K, m, m)
+    stack wherever every chunk has one; ``real`` and the float64 slots
+    are one block, ``real`` first.
 
     Each array is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
@@ -244,26 +251,38 @@ class _Workspace:
 
     def __init__(self, geom: ScanGeometry) -> None:
         m = geom.m
-        self.stack = np.empty((geom.K, m, m), dtype=np.complex128)
         # Chunked by the frames' complex128 bytes.
-        self.edges = _frame_edges(geom.K, self.stack.itemsize * m**2)
+        self.edges = _frame_edges(geom.K, np.dtype(np.complex128).itemsize * m**2)
         chunks = list(zip(self.edges, self.edges[1:]))
         ahead = _in_flight(len(chunks))
-        # ``real``, then the slots, each as tall as the tallest chunk it
-        # takes: with a slot per chunk, a second stack holding each
-        # chunk's slot at its own frames.
-        heights = [max(hi - lo for lo, hi in chunks[j::ahead]) for j in range(ahead)]
-        block = np.empty((geom.K + sum(heights), m, m))
-        self.real = block[: geom.K]
-        self._slots = {}
-        for i, (lo, hi) in enumerate(chunks):
-            first = geom.K + sum(heights[: i % ahead])
-            self._slots[lo] = block[first : first + hi - lo]
+        complex_starts, height = _slot_starts(chunks, ahead if _by_windows(geom) else len(chunks))
+        self.stack = np.empty((height, m, m), dtype=np.complex128)
+        float_starts, height = _slot_starts(chunks, ahead)
+        block = np.empty((geom.K + height, m, m))
+        self.real, floats = block[: geom.K], block[geom.K :]
+        self._slots = {
+            lo: (self.stack[c : c + hi - lo], floats[f : f + hi - lo])
+            for (lo, hi), c, f in zip(chunks, complex_starts, float_starts)
+        }
+
+    def scratch(self, lo: int) -> np.ndarray:
+        """The complex scratch of the chunk starting at frame ``lo``, one
+        (m, m) frame for each of its frames."""
+        return self._slots[lo][0]
 
     def slot(self, lo: int) -> np.ndarray:
         """The float64 scratch of the chunk starting at frame ``lo``, one
         (m, m) frame for each of its frames."""
-        return self._slots[lo]
+        return self._slots[lo][1]
+
+
+def _slot_starts(chunks: list[tuple[int, int]], ahead: int) -> tuple[list[int], int]:
+    """The first frame of each chunk's slot in a block of ``ahead``
+    slots, where chunks ``ahead`` apart share one and each is as tall as
+    the tallest chunk it takes, and the height of the block. With a slot
+    per chunk, each starts at its chunk's first frame."""
+    heights = [max(hi - lo for lo, hi in chunks[j::ahead]) for j in range(ahead)]
+    return [sum(heights[: i % ahead]) for i in range(len(chunks))], sum(heights)
 
 
 def _by_windows(geom: ScanGeometry) -> bool:
@@ -325,61 +344,32 @@ def _summed_pass(chunk, chunk_of, work: _Workspace) -> list[np.ndarray]:
     return sums
 
 
-def _gather(geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace):
-    """A chunk function that gathers the windows ``conj(image|_k)`` of
-    its frames into ``work.stack`` and those of the real ``weights`` into
-    ``work.real``, where ``X|_k`` is the window of an (n, n) image at
-    frame k."""
-    windows, gathered, index = work.stack, work.real, geom.frame_indices
-    flat = _flat_image(weights, geom, gathered)
-    conj_image = np.conj(_flat_image(image, geom, windows))
-
-    # ``clip`` spares every take() below a buffer; the indices are in
-    # range.
-    def chunk(lo, hi):
-        flat.take(index[lo:hi], out=gathered[lo:hi], mode="clip")
-        conj_image.take(index[lo:hi], out=windows[lo:hi], mode="clip")
-
-    return chunk
-
-
 def _gathered_terms(
     frames: np.ndarray, geom: ScanGeometry, image: np.ndarray, weights: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """The least-squares terms ``sum_k conj(image|_k) f_k`` and
-    ``sum_k weights|_k`` of the standard and power steps: each chunk
-    gathers its windows (:func:`_gather`) and multiplies the conjugate
-    ones by its frames in ``work.stack``, and the pass's tail sums each
-    finished chunk of both."""
-    gather, products = _gather(geom, image, weights, work), work.stack
+    ``sum_k weights|_k`` of the standard and power steps, where ``X|_k``
+    is the window of an (n, n) image at frame k: each chunk gathers the
+    windows of the real ``weights`` into ``work.real`` and those of
+    ``conj(image)`` into its scratch, where it multiplies them by its
+    frames, and the pass's tail sums each finished chunk of both."""
+    gathered, index = work.real, geom.frame_indices
+    flat = _flat_image(weights, geom, gathered)
+    conj_image = np.conj(_flat_image(image, geom, work.stack))
 
+    # ``clip`` spares every take() below a buffer; the indices are in
+    # range. Operand order fixes the rounding: numpy fuses a multiply and
+    # an add in complex products, so a * b and b * a can differ in the
+    # last bit, and ``conj(image) * frames`` keeps earlier results' bits.
     def chunk(lo, hi):
-        gather(lo, hi)
-        # conj(image) * frames, not the reverse: see the note in
-        # _summed_products.
-        np.multiply(products[lo:hi], frames[lo:hi], out=products[lo:hi])
+        flat.take(index[lo:hi], out=gathered[lo:hi], mode="clip")
+        products = conj_image.take(index[lo:hi], out=work.scratch(lo), mode="clip")
+        np.multiply(products, frames[lo:hi], out=products)
 
     products_sum, weights_sum = _summed_pass(
-        chunk, lambda lo, hi: (products[lo:hi], work.real[lo:hi]), work
+        chunk, lambda lo, hi: (work.scratch(lo), gathered[lo:hi]), work
     )
     return products_sum, weights_sum
-
-
-def _summed_products(frames: np.ndarray, work: _Workspace) -> np.ndarray:
-    """``sum_k w_k f_k`` over the windows ``w_k`` that ``work.stack``
-    holds: each chunk multiplies its windows by its frames in place, and
-    the pass's tail sums them."""
-    view = work.stack
-
-    # Operand order fixes the rounding: numpy fuses a multiply and an add
-    # in complex products, so a * b and b * a can differ in the last bit.
-    # This order reproduces earlier results bit for bit; on stacks of
-    # 256 KiB and more numpy evaluated ``shifted * (...)`` in place in
-    # its temporary, as ``(...) * shifted``.
-    def product(lo, hi):
-        np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
-
-    return _summed_pass(product, lambda lo, hi: (view[lo:hi],), work)[0]
 
 
 def _shifted_sums(
@@ -388,15 +378,21 @@ def _shifted_sums(
     """The sums of the global shifted step over the windows of its
     shifted accumulation ``A'`` (``shift``) and shifted intensity
     ``canvas``: ``sum_k conj(A'|_k) f_k``, ``sum_k conj(A'|_k)`` and
-    ``sum_k canvas|_k``. Two passes over ``work.stack``: the first
-    gathers ``conj(A'|_k)`` there and the canvas into ``work.real`` and
-    sums both, the second multiplies the windows by the frames
-    (:func:`_summed_products`)."""
-    windows, gathered = work.stack, work.real
-    windows_sum, canvas_sum = _summed_pass(
-        _gather(geom, shift, canvas, work), lambda lo, hi: (windows[lo:hi], gathered[lo:hi]), work
-    )
-    return _summed_products(frames, work), windows_sum, canvas_sum
+    ``sum_k canvas|_k``. Two passes: the first gathers ``conj(A'|_k)``
+    into each chunk's scratch and sums it, the second gathers it again
+    for the products (:func:`_gathered_terms`), since a chunk's scratch
+    outlives no pass."""
+    index = geom.frame_indices
+    conj_shift = np.conj(_flat_image(shift, geom, work.stack))
+
+    def windows(lo, hi):
+        conj_shift.take(index[lo:hi], out=work.scratch(lo), mode="clip")
+
+    windows_sum = _summed_pass(windows, lambda lo, hi: (work.scratch(lo),), work)[0]
+    # Out of the next pass's peak memory, which conjugates its own.
+    del conj_shift
+    products_sum, canvas_sum = _gathered_terms(frames, geom, shift, canvas, work)
+    return products_sum, windows_sum, canvas_sum
 
 
 def _framewise_shifted_sums(frames, geom: ScanGeometry, factors, coverage, adjoint, canvas, work):
@@ -407,36 +403,45 @@ def _framewise_shifted_sums(frames, geom: ScanGeometry, factors, coverage, adjoi
     f_k``, the cross term ``sum_k conj(t_k) A'_k`` and ``sum_k
     (canvas|_k - |t_k|^2 C|_k)``.
 
-    The first pass forms the ``A'_k`` in ``work.stack`` and each frame's
-    canvas term in its chunk's slot, until the pass's tail has summed it.
-    The cross term is one product over the whole stack. Then the windows
-    are conjugated, and :func:`_summed_products` multiplies them by the
-    frames."""
-    fcol = factors[:, None, None]
-    index, view, real = geom.frame_indices, work.stack, work.real
-    flat, flat_coverage = _flat_image(adjoint, geom, view), _flat_image(coverage, geom, real)
+    Two passes each form the ``A'_k`` in their chunk's scratch. The
+    first multiplies each by its ``conj(t_k)`` and forms each frame's
+    canvas term in the chunk's slot, the second conjugates them and
+    multiplies them by the frames; each pass's tail sums what its chunks
+    leave, in frame order."""
+    fcol, conj_factors = factors[:, None, None], np.conj(factors)
+    index, real = geom.frame_indices, work.real
+    flat, flat_coverage = _flat_image(adjoint, geom, work.stack), _flat_image(coverage, geom, real)
     flat_canvas = _flat_image(canvas, geom, real)
 
     # The float scratch is real, so ``t_k C|_k`` is taken part by part:
     # C is real, and each part has the bits of the complex product.
-    # ``C|_k`` is then scaled by ``|t_k|^2`` in place and subtracted from
-    # the canvas frame by frame, before any sum over the frames, which
-    # keeps the denominator to the digits its terms keep.
-    def chunk(lo, hi):
-        shift = flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
+    def shifted(lo, hi):
+        shift = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
         weights = flat_coverage.take(index[lo:hi], out=real[lo:hi], mode="clip")
         slot = work.slot(lo)
         for part, factor in ((shift.real, fcol.real), (shift.imag, fcol.imag)):
             product = np.multiply(_fill(slot, factor[lo:hi]), weights, out=slot)
             np.subtract(part, product, out=part)
+        return shift, weights, slot
+
+    # ``C|_k`` is then scaled by ``|t_k|^2`` in place and subtracted from
+    # the canvas frame by frame, before any sum over the frames, which
+    # keeps the denominator to the digits its terms keep.
+    def crossed(lo, hi):
+        shift, weights, slot = shifted(lo, hi)
         np.multiply(weights, _fill(slot, np.abs(fcol[lo:hi]) ** 2), out=weights)
         den = flat_canvas.take(index[lo:hi], out=slot, mode="clip")
         np.subtract(den, weights, out=den)
+        for frame, factor in zip(shift, conj_factors[lo:hi]):
+            np.multiply(frame, factor, out=frame)
 
-    canvas_sum = _summed_pass(chunk, lambda lo, hi: (work.slot(lo),), work)[0]
-    cross = (np.conj(factors) @ view.reshape(geom.K, -1)).reshape(geom.m, geom.m)
-    _over_frames(lambda lo, hi: np.conj(view[lo:hi], out=view[lo:hi]), work.edges)
-    return _summed_products(frames, work), cross, canvas_sum
+    def products(lo, hi):
+        shift = np.conj(shifted(lo, hi)[0], out=work.scratch(lo))
+        np.multiply(shift, frames[lo:hi], out=shift)
+
+    cross, canvas_sum = _summed_pass(crossed, lambda lo, hi: (work.scratch(lo), work.slot(lo)), work)
+    products_sum = _summed_pass(products, lambda lo, hi: (work.scratch(lo),), work)[0]
+    return products_sum, cross, canvas_sum
 
 
 def _window_sums(
@@ -457,9 +462,9 @@ def _window_sums(
     ``|p|^2`` zero-padded to (n, n), taken by FFT and read at the
     positions, which the geometry holds modulo n, so a window that
     wraps is summed as it is gathered. ``beta`` is one gathered pass:
-    each chunk weighs its frames by the gathered coverage in
-    ``work.stack``, and the product with ``conj(p)`` runs over the whole
-    stack on the calling thread.
+    each chunk weighs its frames by the gathered coverage in its scratch
+    and reduces each frame against ``conj(p)`` with ``vecdot``, one row
+    at a time, so no bit depends on the chunking.
     """
     # Two image-sized arrays, transformed in place (``ifft2`` would
     # allocate two more whatever its ``out``).
@@ -477,14 +482,16 @@ def _window_sums(
     alpha = correlated(adjoint)
     gamma = correlated(coverage).real
     del kernel, spectrum
-    flat, index, view = _flat_image(coverage, geom, work.stack), geom.frame_indices, work.stack
+    flat, index = _flat_image(coverage, geom, work.stack), geom.frame_indices
+    # ``vecdot`` conjugates its first operand.
+    row, beta = np.ravel(probe), np.empty(geom.K, dtype=np.complex128)
 
     def weighted(lo, hi):
-        flat.take(index[lo:hi], out=view[lo:hi], mode="clip")
-        np.multiply(view[lo:hi], frames[lo:hi], out=view[lo:hi])
+        view = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
+        np.multiply(view, frames[lo:hi], out=view)
+        np.vecdot(row, view.reshape(hi - lo, -1), out=beta[lo:hi])
 
     _over_frames(weighted, work.edges)
-    beta = view.reshape(geom.K, -1) @ np.conj(probe).reshape(-1)
     return alpha, beta, gamma
 
 
@@ -507,29 +514,30 @@ def _adjoint(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace) ->
     """``illuminate_adjoint(frames, probe, geom)`` of frames no pass has
     just written (the re-fit after a shifted step, ``frames_init``) on
     the scatter route of the frame size: each chunk weights its frames by
-    the conjugate probe in ``work.stack``, and the pass's tail adds them
-    window by window, or for frames below ``_WINDOW_PX`` the stack is
-    scattered whole."""
-    weighted, conj_probe = work.stack, np.conj(probe)
+    the conjugate probe in its scratch, and the pass's tail adds them
+    window by window, or for frames below ``_WINDOW_PX`` the complex
+    stack is scattered whole."""
+    conj_probe = np.conj(probe)
     adjoint = np.zeros((geom.n, geom.n), dtype=np.complex128) if _by_windows(geom) else None
 
     def chunk(lo, hi):
-        np.multiply(_fill(weighted[lo:hi], conj_probe), frames[lo:hi], out=weighted[lo:hi])
+        weighted = work.scratch(lo)
+        np.multiply(_fill(weighted, conj_probe), frames[lo:hi], out=weighted)
 
     def tail(lo, hi):
-        _add_windows(adjoint, weighted[lo:hi], geom, lo)
+        _add_windows(adjoint, work.scratch(lo), geom, lo)
 
     _over_frames(chunk, work.edges, None if adjoint is None else tail)
     # Out of the scatter's peak memory.
     del conj_probe
-    return embed_add_frames(weighted, geom) if adjoint is None else adjoint
+    return embed_add_frames(work.stack, geom) if adjoint is None else adjoint
 
 
 def _window_tail(geom: ScanGeometry, work: _Workspace):
     """For frames of at least ``_WINDOW_PX``, the tail of a pass that
     writes frames, and the zero (adjoint, canvas) images it fills: it
     adds each finished chunk's conjugate-probe weighted frames
-    (``work.stack``) into the adjoint and their intensities (the
+    (its scratch) into the adjoint and their intensities (the
     chunk's slot) into the canvas, window by window, so the images end
     with the bits of ``embed_add_frames`` on the whole stacks. For
     smaller frames, ``(None, None)``."""
@@ -538,7 +546,7 @@ def _window_tail(geom: ScanGeometry, work: _Workspace):
     adjoint, canvas = np.zeros((geom.n, geom.n), dtype=np.complex128), np.zeros((geom.n, geom.n))
 
     def tail(lo, hi):
-        _add_windows(adjoint, work.stack[lo:hi], geom, lo)
+        _add_windows(adjoint, work.scratch(lo), geom, lo)
         _add_windows(canvas, work.slot(lo), geom, lo)
 
     return tail, (adjoint, canvas)
@@ -546,8 +554,8 @@ def _window_tail(geom: ScanGeometry, work: _Workspace):
 
 def _scattered(frames: np.ndarray, images, geom: ScanGeometry, work: _Workspace):
     """The adjoint accumulation and intensity canvas of the ``frames`` a
-    pass has just written, their conjugate-probe weighting left in
-    ``work.stack``: ``images`` as the pass's window tail filled them,
+    pass has just written, their conjugate-probe weighting left in the
+    complex scratch: ``images`` as the pass's window tail filled them,
     or, given None, both stacks scattered whole."""
     if images is not None:
         return images
@@ -593,16 +601,16 @@ def _magnitude_pass(
     chunks.
 
     Each chunk illuminates its windows of ``obj`` and transforms them
-    in ``work.stack``, puts the spectrum magnitudes in ``work.real`` and
+    in its scratch, puts the spectrum magnitudes in ``work.real`` and
     turns those into the misfit to ``amplitudes``. Given ``frames``, it
     imposes the amplitudes on the spectra (:func:`_impose_amplitudes`,
     with the reciprocal magnitudes in the chunk's slot), transforms back
-    into ``frames`` and weights the frames by the conjugate probe in
-    ``work.stack``, the stack whose scatter-add is their adjoint
-    accumulation. Until the inverse transform writes them, a chunk's
-    ``frames`` hold in turn the replicated probe, the reciprocal
-    magnitudes and the amplitudes, as complex numbers, so no ufunc
-    broadcasts or casts a frame-sized operand. Without ``frames`` (row
+    into ``frames`` and weights the frames by the conjugate probe in its
+    scratch, whose scatter-add is their adjoint accumulation. Until the
+    inverse transform writes them, a chunk's ``frames`` hold in turn the
+    replicated probe, the reciprocal magnitudes and the amplitudes, as
+    complex numbers, so no ufunc broadcasts or casts a frame-sized
+    operand. Without ``frames`` (row
     0, which writes no frames) the windows take the broadcast probe, the
     product the filled stack gives bit for bit, and the pass stops at the
     misfit. Returns the misfit norm; it is taken over the whole stack, so
@@ -623,10 +631,10 @@ def _magnitude_pass(
     flat = obj.reshape(-1)
     index = geom.frame_indices
     conj_probe = np.conj(probe)
-    weighted, misfit = work.stack, work.real
+    misfit = work.real
 
     def chunk(lo, hi):
-        spectra, magnitudes = weighted[lo:hi], misfit[lo:hi]
+        spectra, magnitudes = work.scratch(lo), misfit[lo:hi]
         flat.take(index[lo:hi], out=spectra, mode="clip")
         probes = probe if frames is None else _fill(frames[lo:hi], probe)
         np.multiply(probes, spectra, out=spectra)
@@ -662,7 +670,7 @@ def _start_frames(
     ``amplitudes`` imposed, the start of a run without ``frames_init``,
     with their adjoint accumulation and intensity canvas on the scatter
     route of the frame size; their conjugate-probe weighting is left in
-    ``work.stack``.
+    the complex scratch.
 
     Every window of a unit object is the probe, so every frame has the
     probe's spectrum and so its phases. These are taken once, in the
@@ -678,7 +686,7 @@ def _start_frames(
     """
     tail, images = _window_tail(geom, work)
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
-    spectrum, magnitudes, inv = work.stack[:1], work.real[:1], work.slot(0)[:1]
+    spectrum, magnitudes, inv = work.scratch(0)[:1], work.real[:1], work.slot(0)[:1]
     spectrum.fill(1.0)
     np.multiply(_fill(frames[:1], probe), spectrum, out=spectrum)
     np.fft.fftn(spectrum, axes=(-2, -1), norm="ortho", out=spectrum)
@@ -689,7 +697,7 @@ def _start_frames(
     conj_probe = np.conj(probe)
 
     def chunk(lo, hi):
-        spectra, scratch = work.stack[lo:hi], frames[lo:hi]
+        spectra, scratch = work.scratch(lo), frames[lo:hi]
         np.multiply(_fill(spectra, phases), _fill(scratch, amplitudes[lo:hi]), out=spectra)
         np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
         np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)

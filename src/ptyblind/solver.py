@@ -462,8 +462,10 @@ def update_probe_rank1(
     if np.ndim(factors) == 0:
         _, usable, shift = _global_shift(factors, coverage, adjoint, canvas)
         if usable:
+            # The product's complex base is freed before the passes.
             cross = np.multiply(np.conj(factors), adjoint).real
             shifted_canvas = canvas - 2.0 * cross + abs(factors) ** 2 * coverage
+            del cross
             num, total, den = _shifted_sums(frames, geom, shift, shifted_canvas, work)
             num -= factors * probe * total
     else:

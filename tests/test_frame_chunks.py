@@ -376,6 +376,78 @@ def test_chunked_step_matches_one_chunk_step_byte_for_byte(monkeypatch, step, m)
     assert not any(on_main for _, _, on_main in chunks)
 
 
+def slot_case():
+    """169 random frames of 64 px on a wrapping 128 px raster, with a
+    random complex and a random positive image and per-frame factors
+    for the engine's sums."""
+    rng = np.random.default_rng(11)
+    raster = make_raster_geometry(n=128, m=64, step=6, grid=(13, 13))
+    geom = ScanGeometry(n=128, m=64, positions=raster.positions + 30)
+    frames, probe = rand_complex(rng, geom.K, 64, 64), rand_complex(rng, 64, 64)
+    image, weights = rand_complex(rng, 128, 128), rng.uniform(0.5, 2.0, (128, 128))
+    return geom, frames, probe, image, weights, rand_complex(rng, geom.K)
+
+
+# Chunk bytes of each layout of the 169 frames, at two usable cores: one
+# chunk; three chunks of 56 and 57 frames, each in a slot of its own; and
+# 42 chunks of four and five frames, three of them in flight.
+SLOT_LAYOUTS = {
+    "one chunk": (2**40, 1, 1),
+    "a slot per chunk": (56 * 64**2 * 16, 3, 3),
+    "more chunks than slots": (4 * 64**2 * 16, 42, 3),
+}
+
+
+def engine_sums(monkeypatch, name, layout):
+    geom, frames, probe, image, weights, factors = slot_case()
+    chunk_bytes, chunks, ahead = SLOT_LAYOUTS[layout]
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(_passes, "_usable_cores", lambda: 2)
+    work = _passes._Workspace(geom)
+    assert (len(work.edges) - 1, _passes._in_flight(chunks)) == (chunks, ahead)
+    if name == "_window_sums":
+        return _passes._window_sums(frames, probe, geom, weights, image, work)
+    if name == "_shifted_sums":
+        return _passes._shifted_sums(frames, geom, image, weights, work)
+    canvas = 4.0 * weights
+    return _passes._framewise_shifted_sums(frames, geom, factors, weights, image, canvas, work)
+
+
+def frame_order_sums(name):
+    """What the engine's passes sum, from whole stacks: each sum over the
+    frames in frame order (``sum(axis=0)``), and ``beta`` reduced frame
+    by frame with ``vecdot``; None for ``_window_sums``' ``alpha`` and
+    ``gamma``, which no pass forms."""
+    geom, frames, probe, image, weights, factors = slot_case()
+    windows = operators.extract_frames(image, geom)
+    coverage = operators.extract_frames(weights, geom)
+    if name == "_window_sums":
+        weighted = operators.extract_frames(weights.astype(np.complex128), geom) * frames
+        return None, np.vecdot(probe.reshape(-1), weighted.reshape(geom.K, -1)), None
+    if name == "_shifted_sums":
+        conj_windows = operators.extract_frames(np.conj(image), geom)
+        return (conj_windows * frames).sum(axis=0), conj_windows.sum(axis=0), coverage.sum(axis=0)
+    fcol = factors[:, None, None]
+    windows.real -= fcol.real * coverage
+    windows.imag -= fcol.imag * coverage
+    crossed = np.array([np.multiply(w, np.conj(t)) for w, t in zip(windows, factors)])
+    canvas_terms = 4.0 * coverage - coverage * np.abs(fcol) ** 2
+    return (np.conj(windows) * frames).sum(axis=0), crossed.sum(axis=0), canvas_terms.sum(axis=0)
+
+
+@pytest.mark.parametrize("layout", SLOT_LAYOUTS)
+@pytest.mark.parametrize("name", ["_window_sums", "_framewise_shifted_sums", "_shifted_sums"])
+def test_the_steps_sums_over_chunk_slots_are_frame_order_sums(monkeypatch, name, layout):
+    # A BLAS product over a stack's rows rounds other than the frame by
+    # frame reduction and the frame-order sum, which no chunking changes.
+    got = engine_sums(monkeypatch, name, layout)
+    whole = engine_sums(monkeypatch, name, "one chunk")
+    want = [w if w is not None else v for w, v in zip(frame_order_sums(name), whole)]
+    assert len(got) == len(want) == 3
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
     threads = []
     for module in (operators, fourier, solver, metrics):

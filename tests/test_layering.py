@@ -5,9 +5,9 @@
 and chooses how frames are scattered onto the object (``_WINDOW_PX``,
 ``_by_windows``, ``_add_windows``). The check parses the package source,
 as ``tests/test_config_fields.py`` does: no other module imports,
-reads, defines or calls these names or a ``.slot(`` method, except that
-``fourier.frame_dft`` chunks its transforms with ``_over_frames`` over
-``_frame_edges``. The engine imports ``operators`` only, and
+reads, defines or calls these names or a ``.slot(`` or ``.scratch(``
+method, except that ``fourier.frame_dft`` chunks its transforms with
+``_over_frames`` over ``_frame_edges``. The engine imports ``operators`` only, and
 ``operators`` no package module, so ``fourier`` imports ``_passes``
 without a cycle.
 
@@ -25,6 +25,8 @@ ENGINE = {
     "_WINDOW_PX", "_by_windows", "_add_windows", "_over_frames", "_frame_edges",
     "_in_flight", "_CHUNK_BYTES",
 }
+# The workspace's methods that give a chunk its slots.
+SLOTS = {"slot", "scratch"}
 # Where a module other than the engine may name engine parts: the top-level
 # definition (or "import" for a module-level import) and the names.
 FRAME_DFT_USES = {"_over_frames", "_frame_edges"}
@@ -37,9 +39,10 @@ def parse_package():
 
 def engine_uses(tree):
     """The set of (scope, name) pairs of a module's uses of engine names,
-    with ``.slot(`` for a call of a ``slot`` method. The scope is the
-    top-level definition the use is in, "import" for a module-level
-    import and "<module>" for any other module-level statement."""
+    with ``.slot(`` or ``.scratch(`` for a call of a method of that
+    name. The scope is the top-level definition the use is in, "import"
+    for a module-level import and "<module>" for any other module-level
+    statement."""
     uses = set()
     for top in tree.body:
         if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -61,9 +64,9 @@ def engine_uses(tree):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "slot"
+                and node.func.attr in SLOTS
             ):
-                uses.add((scope, ".slot("))
+                uses.add((scope, f".{node.func.attr}("))
     return uses
 
 
@@ -80,7 +83,7 @@ def package_imports(tree):
 def test_only_the_engine_chunks_passes_and_chooses_the_scatter_route():
     trees = parse_package()
     names = {name for _, name in engine_uses(trees["_passes.py"])}
-    assert names == ENGINE | {".slot("}
+    assert names == ENGINE | {".slot(", ".scratch("}
     outside = {
         (module, scope, name)
         for module, tree in trees.items()
@@ -102,7 +105,7 @@ def test_the_engine_sits_between_fourier_and_operators():
 
 
 # What the solver leaves to the engine besides the workspace's fields
-# (``stack``, ``real``, ``edges``, ``slot``): the scatters, and the passes
+# (``stack``, ``real``, ``edges``, ``slot``, ``scratch``): the scatters, and the passes
 # that read a stack an earlier pass left in the scratch.
 ENGINE_ONLY = {"illuminate_adjoint", "embed_add_frames", "_summed_products", "_shifted_windows"}
 
