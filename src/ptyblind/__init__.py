@@ -5,9 +5,10 @@ Submodules: ``operators`` (matrix-free structured operators),
 ``fourier`` (batched unitary frame DFT), ``solver`` (reconstruction
 updates and the outer loop), the private ``_passes`` (the frame-pass
 engine the solver's per-frame work runs in: chunks, thread pool,
-scratch and the scatter route), ``metrics`` (probe NRMSE, metrics rows),
-``synth`` (phantoms, probes, scan geometries, forward simulation),
-``npyio`` (bit-exact file IO), and ``cli`` (the ``ptyblind`` command).
+scratch and the scatters onto the object), ``metrics`` (probe NRMSE,
+metrics rows), ``synth`` (phantoms, probes, scan geometries, forward
+simulation), ``npyio`` (bit-exact file IO), and ``cli`` (the
+``ptyblind`` command).
 """
 
 from .fourier import frame_dft

@@ -1,5 +1,5 @@
 """The frame-pass engine: chunked passes over a frame stack, the scratch
-of a run, and the route by which frames are scattered onto the object.
+of a run, and how frames are scattered onto the object.
 
 Frames are independent until something sums over them, so per-frame
 work on a stack larger than one chunk of ``_CHUNK_BYTES`` runs in frame
@@ -24,7 +24,8 @@ at the misfit; the start frames of a run without ``frames_init``
 windows are all the probe, so the phases come from one transform of the
 probe and the pass fills them and runs the scaling onwards; the
 standard and power steps, which share one gathered kernel; the
-per-frame gate's weighted stack; the intensity of the canvas; and the
+per-frame gate's weighted stack; the intensity of the canvas; below
+``_WINDOW_PX``, the object coverage's ``|p|**2``; and the
 conjugate-probe weighting of given frames (:func:`_adjoint`). Each
 shifted step is one call (:func:`_shifted_sums`,
 :func:`_framewise_shifted_sums`) of two passes, each of which gathers
@@ -38,21 +39,24 @@ sums are reduced frame by frame in the chunk (``vecdot``), so no bit
 depends on which frames a chunk holds. Only the inner products and the
 misfit norm read a whole stack once every chunk has finished.
 
-This module alone decides how frames are scattered onto the object.
-Frames below ``_WINDOW_PX`` (16 px in every 64 px instance) are
-scattered by ``embed_add_frames``, one ``np.add.at`` or ``bincount``
-over the whole stack. Larger frames are scattered chunk by chunk in the
-tail: as each chunk of the frame update or of the start frames
-finishes, its weighted frames and their intensities are added window by
-window into the new adjoint accumulation and canvas
-(:func:`_add_windows`); the object coverage adds ``|p|**2`` windows,
-and :func:`_adjoint`, the accumulation of frames no pass has just
-written (a start from ``frames_init``, the object re-fit after a
-shifted step), adds each finished chunk of conjugate-probe weighted
-frames. Either way the start and the frame update return the new
-frames' adjoint accumulation and intensity canvas. Each pixel receives
-its frames in ascending order from 0.0 on either route, so every result
-is bit-identical to the unchunked pass.
+Every scatter of a frame stack onto the object runs in a pass's tail:
+as each chunk finishes, the calling thread adds its frames into the
+(n, n) image (:func:`_add_frames`). The frame update and the start
+frames add their conjugate-probe weighted frames into the new adjoint
+accumulation and their intensities into the canvas
+(:func:`_scatter_tail`); :func:`_adjoint`, the accumulation of frames
+no pass has just written (a start from ``frames_init``, the object
+re-fit after a shifted step), adds conjugate-probe weighted frames; and
+:func:`_intensity_canvas` their intensities. The frame size decides how
+one chunk is added, in :func:`_add_frames`: frames of at least
+``_WINDOW_PX`` window by window, smaller ones (16 px in every 64 px
+instance) by one ``np.add.at`` over the chunk's object indices. The one
+other reader of that decision is the object coverage, which is no
+stack: window adds take its ``|p|**2`` broadcast over the frames, and
+only ``np.add.at`` needs it filled into the chunk slots by a pass. Each
+pixel receives its frames in ascending order from 0.0 either way, so
+every result is bit-identical to ``embed_add_frames`` on the whole
+stack.
 
 The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized array of a run is its scratch
@@ -67,14 +71,12 @@ reciprocal magnitudes, the new frames' intensities, the shifted step's
 per-frame denominator). A pass keeps at most one chunk per usable core
 and one more in flight, each in slots of its own, so a stack of more
 chunks than that (400 frames of 128 px make 25) holds a few chunks of
-slots instead of a complex stack and a second float64 stack. Frames
-below ``_WINDOW_PX`` are scattered from the whole complex stack, so
-there the complex slots are that stack. Everything is allocated when
-the run starts. The passes write into it with ``out=`` ufuncs and
-``take`` gathers. A probe, a per-frame factor or a real operand that a
-ufunc would broadcast or cast over a stack is first copied into a whole
-stack or slot, or taken frame by frame, since numpy buffers such
-operands on every call; only row 0, once per run, multiplies its
+slots instead of a complex stack and a second float64 stack, at every
+frame size. Everything is allocated when the run starts. The passes
+write into it with ``out=`` ufuncs and ``take`` gathers. A probe, a
+per-frame factor or a real operand that a ufunc would broadcast or cast
+over a stack is first copied into a whole stack or slot, or taken frame
+by frame, since numpy buffers such operands on every call; only row 0, once per run, multiplies its
 windows by the broadcast probe, which gives the same bits. Past the
 first iteration no pass allocates a frame-sized array, and none frees
 one. With fresh stacks and temporaries, glibc grew and trimmed its heap
@@ -92,7 +94,7 @@ from typing import Optional
 
 import numpy as np
 
-from .operators import ScanGeometry, _check_object, _fill, embed_add_frames, replicate_probe
+from .operators import ScanGeometry, _check_object, _fill, _scatter_add
 
 # Frames per chunk: as many as fit in this many bytes of the stack, and
 # never one alone, because numpy's broadcast product of a single
@@ -100,15 +102,16 @@ from .operators import ScanGeometry, _check_object, _fill, embed_add_frames, rep
 # taller stack.
 _CHUNK_BYTES = 4 * 2**20
 
-# Frames of at least this many pixels a side are scattered onto the
-# object window by window, chunk by chunk as the tail of a pass (see
-# ``_add_windows``); smaller ones by one ``np.add.at`` or ``bincount``
-# over the stack. On a 2-core Xeon, over 169-frame rasters at a
-# quarter-frame step, a real stack took 0.42 ms by ``bincount`` against
-# 0.52 by window adds at 48 px, 0.75 against 0.84 at 64 and 3.2 against
-# 2.6 at 128; a 4-iteration solve took the same time either way at 64 px
-# and about 5% less by windows at 128 px, where the adds run while the
-# pool transforms later chunks. With window adds at 16 px, 60-iteration
+# A pass's tail adds the frames of at least this many pixels a side
+# onto the object window by window (see ``_add_windows``), and smaller
+# ones by one ``np.add.at`` per chunk (``_add_frames``). On a 2-core
+# Xeon, over 169-frame rasters at a quarter-frame step, a real stack
+# took 0.42 ms by ``bincount`` against 0.52 by window adds at 48 px,
+# 0.75 against 0.84 at 64 and 3.2 against 2.6 at 128 (``np.add.at``,
+# which adds in the same order, took 1.35 times ``bincount``'s time at
+# 16 px and 1.1 times at 128); a 4-iteration solve took the same time
+# either way at 64 px and about 5% less by windows at 128 px, where the
+# adds run while the pool transforms later chunks. With window adds at 16 px, 60-iteration
 # ``weak64`` solves ran 1.48 times slower in ``standard`` and 1.43 times
 # slower in ``rank1_global`` (``tools/ab.py``, 15 rounds).
 _WINDOW_PX = 64
@@ -233,12 +236,10 @@ class _Workspace:
     number of chunks where that is fewer; each slot is as tall as the
     tallest chunk it takes. A pass keeps at most ``S`` chunks in flight
     (:func:`_over_frames`), so a chunk starts only once the chunk before
-    it in its slot has been through its tail. Frames below
-    ``_WINDOW_PX`` are scattered from the whole complex stack, so there
-    every chunk has a complex slot of its own, at its own frames of
-    ``stack``. ``stack`` holds the complex slots, the whole (K, m, m)
-    stack wherever every chunk has one; ``real`` and the float64 slots
-    are one block, ``real`` first.
+    it in its slot has been through its tail. The complex and the
+    float64 slots have one layout: ``stack`` holds the complex slots,
+    the whole (K, m, m) stack wherever every chunk has one; ``real`` and
+    the float64 slots are one block, ``real`` first.
 
     Each array is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
@@ -254,15 +255,13 @@ class _Workspace:
         # Chunked by the frames' complex128 bytes.
         self.edges = _frame_edges(geom.K, np.dtype(np.complex128).itemsize * m**2)
         chunks = list(zip(self.edges, self.edges[1:]))
-        ahead = _in_flight(len(chunks))
-        complex_starts, height = _slot_starts(chunks, ahead if _by_windows(geom) else len(chunks))
+        starts, height = _slot_starts(chunks, _in_flight(len(chunks)))
         self.stack = np.empty((height, m, m), dtype=np.complex128)
-        float_starts, height = _slot_starts(chunks, ahead)
         block = np.empty((geom.K + height, m, m))
         self.real, floats = block[: geom.K], block[geom.K :]
         self._slots = {
-            lo: (self.stack[c : c + hi - lo], floats[f : f + hi - lo])
-            for (lo, hi), c, f in zip(chunks, complex_starts, float_starts)
+            lo: (self.stack[s : s + hi - lo], floats[s : s + hi - lo])
+            for (lo, hi), s in zip(chunks, starts)
         }
 
     def scratch(self, lo: int) -> np.ndarray:
@@ -286,9 +285,23 @@ def _slot_starts(chunks: list[tuple[int, int]], ahead: int) -> tuple[list[int], 
 
 
 def _by_windows(geom: ScanGeometry) -> bool:
-    """Whether scatters onto the object of ``geom`` add its frames window
-    by window: frames of at least ``_WINDOW_PX`` a side."""
+    """Whether frames of ``geom`` are added onto the object window by
+    window: frames of at least ``_WINDOW_PX`` a side."""
     return geom.m >= _WINDOW_PX
+
+
+def _add_frames(image: np.ndarray, frames: np.ndarray, geom: ScanGeometry, lo: int) -> None:
+    """Add ``frames``, the frames from ``lo`` on of a stack, onto the
+    (n, n) ``image`` in place: window by window (:func:`_add_windows`)
+    where :func:`_by_windows`, or else by one ``np.add.at`` over their
+    object indices, the faster of the two below ``_WINDOW_PX``. Either
+    way every pixel takes its frames in the order ``embed_add_frames``
+    adds them, so frames added in ascending runs onto zeros give its
+    bits."""
+    if _by_windows(geom):
+        _add_windows(image, frames, geom, lo)
+    else:
+        _scatter_add(image, frames, geom.frame_indices[lo : lo + len(frames)])
 
 
 def _add_windows(image: np.ndarray, frames: np.ndarray, geom: ScanGeometry, lo: int) -> None:
@@ -305,15 +318,24 @@ def _add_windows(image: np.ndarray, frames: np.ndarray, geom: ScanGeometry, lo: 
 
 
 def _object_coverage(probe: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
-    """The (n, n) object coverage of a probe: ``|probe|**2`` added window
-    by window, or for frames below ``_WINDOW_PX`` replicated into
-    ``work.real`` and scattered."""
+    """The (n, n) object coverage of a probe: ``|probe|**2`` broadcast
+    over the frames and added window by window where :func:`_by_windows`;
+    otherwise each chunk fills its slot with it, and the pass's tail adds
+    it onto the object."""
     intensity = np.abs(probe) ** 2
+    coverage = np.zeros((geom.n, geom.n))
     if _by_windows(geom):
-        coverage = np.zeros((geom.n, geom.n))
+        # Window adds read the broadcast frame where ``np.add.at`` needs
+        # a filled stack. Filling the slots in a pass made 2-iteration
+        # ``large223`` solves 2-5% slower (``tools/ab.py``, 10 rounds).
         _add_windows(coverage, np.broadcast_to(intensity, (geom.K, geom.m, geom.m)), geom, 0)
         return coverage
-    return embed_add_frames(replicate_probe(intensity, geom, out=work.real), geom)
+    _over_frames(
+        lambda lo, hi: _fill(work.slot(lo), intensity),
+        work.edges,
+        lambda lo, hi: _add_frames(coverage, work.slot(lo), geom, lo),
+    )
+    return coverage
 
 
 def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.ndarray:
@@ -501,65 +523,49 @@ def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
 
 
 def _intensity_canvas(frames: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
-    """The (n, n) scatter-add of the stack intensity ``|frames|**2``,
-    formed in ``work.real``. Gathered back to each frame it is the
+    """The (n, n) scatter-add of the stack intensity ``|frames|**2``:
+    each chunk forms its intensities in its slot, and the pass's tail
+    adds them onto the canvas. Gathered back to each frame it is the
     frame-overlap coverage the power step divides by; its inner product
     with the object coverage is the stack's coverage-weighted energy."""
-    intensity = work.real
-    _over_frames(lambda lo, hi: _intensity(frames[lo:hi], intensity[lo:hi]), work.edges)
-    return embed_add_frames(intensity, geom)
+    canvas = np.zeros((geom.n, geom.n))
+    _over_frames(
+        lambda lo, hi: _intensity(frames[lo:hi], work.slot(lo)),
+        work.edges,
+        lambda lo, hi: _add_frames(canvas, work.slot(lo), geom, lo),
+    )
+    return canvas
 
 
 def _adjoint(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
     """``illuminate_adjoint(frames, probe, geom)`` of frames no pass has
-    just written (the re-fit after a shifted step, ``frames_init``) on
-    the scatter route of the frame size: each chunk weights its frames by
-    the conjugate probe in its scratch, and the pass's tail adds them
-    window by window, or for frames below ``_WINDOW_PX`` the complex
-    stack is scattered whole."""
+    just written (the re-fit after a shifted step, ``frames_init``):
+    each chunk weights its frames by the conjugate probe in its scratch,
+    and the pass's tail adds them onto the adjoint."""
     conj_probe = np.conj(probe)
-    adjoint = np.zeros((geom.n, geom.n), dtype=np.complex128) if _by_windows(geom) else None
+    adjoint = np.zeros((geom.n, geom.n), dtype=np.complex128)
 
     def chunk(lo, hi):
         weighted = work.scratch(lo)
         np.multiply(_fill(weighted, conj_probe), frames[lo:hi], out=weighted)
 
-    def tail(lo, hi):
-        _add_windows(adjoint, work.scratch(lo), geom, lo)
-
-    _over_frames(chunk, work.edges, None if adjoint is None else tail)
-    # Out of the scatter's peak memory.
-    del conj_probe
-    return embed_add_frames(work.stack, geom) if adjoint is None else adjoint
+    _over_frames(chunk, work.edges, lambda lo, hi: _add_frames(adjoint, work.scratch(lo), geom, lo))
+    return adjoint
 
 
-def _window_tail(geom: ScanGeometry, work: _Workspace):
-    """For frames of at least ``_WINDOW_PX``, the tail of a pass that
-    writes frames, and the zero (adjoint, canvas) images it fills: it
-    adds each finished chunk's conjugate-probe weighted frames
-    (its scratch) into the adjoint and their intensities (the
-    chunk's slot) into the canvas, window by window, so the images end
-    with the bits of ``embed_add_frames`` on the whole stacks. For
-    smaller frames, ``(None, None)``."""
-    if not _by_windows(geom):
-        return None, None
+def _scatter_tail(geom: ScanGeometry, work: _Workspace):
+    """The tail of a pass that writes frames, and the zero (adjoint,
+    canvas) images it fills: it adds each finished chunk's
+    conjugate-probe weighted frames (its scratch) onto the adjoint and
+    their intensities (the chunk's slot) onto the canvas, so the images
+    end with the bits of ``embed_add_frames`` on the whole stacks."""
     adjoint, canvas = np.zeros((geom.n, geom.n), dtype=np.complex128), np.zeros((geom.n, geom.n))
 
     def tail(lo, hi):
-        _add_windows(adjoint, work.scratch(lo), geom, lo)
-        _add_windows(canvas, work.slot(lo), geom, lo)
+        _add_frames(adjoint, work.scratch(lo), geom, lo)
+        _add_frames(canvas, work.slot(lo), geom, lo)
 
     return tail, (adjoint, canvas)
-
-
-def _scattered(frames: np.ndarray, images, geom: ScanGeometry, work: _Workspace):
-    """The adjoint accumulation and intensity canvas of the ``frames`` a
-    pass has just written, their conjugate-probe weighting left in the
-    complex scratch: ``images`` as the pass's window tail filled them,
-    or, given None, both stacks scattered whole."""
-    if images is not None:
-        return images
-    return embed_add_frames(work.stack, geom), _intensity_canvas(frames, geom, work)
 
 
 def _impose_amplitudes(
@@ -616,7 +622,7 @@ def _magnitude_pass(
     misfit. Returns the misfit norm; it is taken over the whole stack, so
     no bit depends on the chunking.
 
-    Given the ``tail`` of :func:`_window_tail` as well, each chunk
+    Given the ``tail`` of :func:`_scatter_tail` as well, each chunk
     leaves its new frames' intensity in its slot, free once the
     amplitudes are imposed, and the calling thread adds each finished
     chunk into the tail's adjoint accumulation and intensity canvas
@@ -657,10 +663,10 @@ def _frame_update(obj, probe, amplitudes, geom: ScanGeometry, work: _Workspace, 
     """The frame update of (``obj``, ``probe``), written over ``frames``
     by :func:`_magnitude_pass`: the misfit norm, and the new frames'
     adjoint accumulation ``illuminate_adjoint(frames, probe, geom)`` and
-    intensity canvas, on the scatter route of the frame size."""
-    tail, images = _window_tail(geom, work)
+    intensity canvas, added in the pass's tail."""
+    tail, images = _scatter_tail(geom, work)
     misfit = _magnitude_pass(obj, probe, amplitudes, geom, work, frames, tail)
-    return (misfit, *_scattered(frames, images, geom, work))
+    return (misfit, *images)
 
 
 def _start_frames(
@@ -668,9 +674,7 @@ def _start_frames(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The frames of a unit object under ``probe`` with the measured
     ``amplitudes`` imposed, the start of a run without ``frames_init``,
-    with their adjoint accumulation and intensity canvas on the scatter
-    route of the frame size; their conjugate-probe weighting is left in
-    the complex scratch.
+    with their adjoint accumulation and intensity canvas.
 
     Every window of a unit object is the probe, so every frame has the
     probe's spectrum and so its phases. These are taken once, in the
@@ -684,7 +688,7 @@ def _start_frames(
     forward transforms and magnitudes and its misfit. Its tail scatters
     the frames as the frame update's does (:func:`_frame_update`).
     """
-    tail, images = _window_tail(geom, work)
+    tail, images = _scatter_tail(geom, work)
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
     spectrum, magnitudes, inv = work.scratch(0)[:1], work.real[:1], work.slot(0)[:1]
     spectrum.fill(1.0)
@@ -701,9 +705,8 @@ def _start_frames(
         np.multiply(_fill(spectra, phases), _fill(scratch, amplitudes[lo:hi]), out=spectra)
         np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
         np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
-        if tail is not None:
-            _intensity(scratch, work.slot(lo))
+        _intensity(scratch, work.slot(lo))
 
     _over_frames(chunk, work.edges, tail)
-    return (frames, *_scattered(frames, images, geom, work))
+    return (frames, *images)
 

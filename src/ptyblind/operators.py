@@ -16,11 +16,10 @@ Conventions
   0 <= r, c < m; scan offsets are reduced mod n at construction.
 * Scatter-add accumulation runs in a fixed order (frame index
   ascending, row-major within each frame) so overlapping sums are
-  bit-reproducible: complex stacks by one ``np.add.at``, real ones by
-  one ``np.bincount``, each adding every pixel in that frame order.
-  The solver's frame passes scatter large frames window by window in
-  the same order instead (``_passes._add_windows``), with the same
-  bits.
+  bit-reproducible: one ``np.add.at`` (:func:`_scatter_add`) adds
+  every pixel in that frame order. The solver's frame passes add each
+  chunk of frames as it finishes, large frames window by window
+  (``_passes._add_frames``), in the same order and with the same bits.
 
 All functions are pure and safe to call concurrently, except that a
 call given an ``out`` buffer writes it; calls sharing one must not
@@ -183,17 +182,25 @@ def embed_add_frames(frames: np.ndarray, geom: ScanGeometry) -> np.ndarray:
     Adjoint of :func:`extract_frames`; overlapping frame pixels sum.
     """
     frames = _check_stack(frames, geom)
-    size = geom.n * geom.n
-    idx = geom.frame_indices.reshape(-1)
-    if np.iscomplexobj(frames):
-        # Adds each pixel in frame order, both parts at once: the sums
-        # one bincount per part would give, bit for bit, and faster. On
-        # real stacks bincount is the faster of the two.
-        acc = np.zeros(size, dtype=np.complex128)
-        np.add.at(acc, idx, np.asarray(frames, dtype=np.complex128).reshape(-1))
-    else:
-        acc = np.bincount(idx, weights=frames.reshape(-1), minlength=size)
-    return acc.reshape(geom.n, geom.n)
+    dtype = np.complex128 if np.iscomplexobj(frames) else np.float64
+    image = np.zeros((geom.n, geom.n), dtype=dtype)
+    _scatter_add(image, frames, geom.frame_indices)
+    return image
+
+
+def _scatter_add(image: np.ndarray, frames: np.ndarray, index: np.ndarray) -> None:
+    """Add ``frames`` onto the C-ordered (n, n) ``image`` in place at
+    ``index``, their flat object indices (``frame_indices`` of those
+    frames): each pixel adds its values in frame order, row-major
+    within a frame, to what it holds. A complex image adds both parts
+    at once, the sums one bincount per part would give."""
+    values = np.ascontiguousarray(frames, dtype=image.dtype).reshape(-1)
+    # The only ``np.add.at`` of the package. Its index and values are
+    # both flat and the values contiguous: numpy 2.4 misreads a values
+    # operand of fewer dimensions than the index, and
+    # ``np.add.at(np.zeros(4), [[0, 1, 2], [1, 2, 3]], [1., 2., 3.])``
+    # leaves 7e-310 in its last element.
+    np.add.at(image.reshape(-1), index.reshape(-1), values)
 
 
 def replicate_probe(

@@ -77,8 +77,8 @@ data residual and then phase the spectra in place for the frame
 update.
 
 The per-frame work runs in the frame-pass engine, ``_passes``: its
-chunked passes, the run's scratch and the route by which frames are
-scattered onto the object are described there. This module keeps the
+chunked passes, the run's scratch and how frames are scattered onto
+the object are described there. This module keeps the
 formulas, the weight floor and the errors. To it the run's scratch is
 an opaque handle, made once per run and handed to the engine's calls,
 each of which owns it while it runs; it scatters no frames itself.
@@ -653,14 +653,7 @@ def run_reconstruction(
         # the dtype its product is taken in.
         overlap = build_overlap_matrix(geom).astype(np.complex128)
     if frames_init is None:
-        # An (n, n) block held over the start and freed after the
-        # adjoint leaves a gap in the heap that the loop's (n, n)
-        # temporaries take. Without the gap the 300-iteration 64 px
-        # solves of perfbench's noisy_wrap64 ran 2-3% slower, from the
-        # placement alone; nothing reads the block.
-        gap = np.empty((geom.n, geom.n), dtype=np.complex128)
         frames, adjoint, canvas = _start_frames(probe, amplitudes, geom, work)
-        del gap
     else:
         # A C-ordered copy: the loop overwrites these frames in place,
         # and the frames' memory order decides how reductions round.

@@ -140,8 +140,8 @@ def count_window_adds(monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chunk_bytes):
     """Frames of 64 px scatter onto the object by windows, as each chunk
-    finishes; with the window size out of reach the same run scatters
-    whole stacks by np.add.at and bincount, with the same bits."""
+    finishes; with the window size out of reach the same run adds each
+    chunk by np.add.at, with the same bits."""
     geom, probe, amps = windowed_instance()
     monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
     # A shifted step, and so the re-fit, wherever the gate scores 0 or
@@ -195,8 +195,8 @@ def test_a_shifted_step_and_its_refit_on_the_window_route_match_the_stack_scatte
     """Started from the true frames, as criterion 4 is, a run of 64 px
     frames on a wrapping 16 px raster takes a shifted step at iteration 1
     under the default gate and cadence, and re-fits the object by window
-    adds; the same run with the window size out of reach scatters whole
-    stacks, with the same bits."""
+    adds; the same run with the window size out of reach adds each chunk
+    by np.add.at, with the same bits."""
     geom = make_raster_geometry(n=128, m=64, step=16, grid=(8, 8))
     assert {len(rects) for rects in geom.window_slices} == {1, 2, 4}
     obj = make_test_object(PhantomSpec(n=128, dc_fraction=0.5, texture_seed=4))
@@ -465,6 +465,14 @@ def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
                 for attr, value in list(vars(loaded).items()):
                     if value is fn:
                         monkeypatch.setattr(loaded, attr, spy)
+    # And the engine's scatter of each chunk, which runs in a pass's tail.
+    add = _passes._add_frames
+
+    def add_spy(*args):
+        threads.append(("_add_frames", threading.current_thread()))
+        add(*args)
+
+    monkeypatch.setattr(_passes, "_add_frames", add_spy)
     monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     chunks = record_chunks(monkeypatch)
     geom, probe, init, amps = wrapping_instance()
@@ -473,7 +481,7 @@ def test_public_functions_run_on_the_calling_thread_only(monkeypatch):
     fourier.frame_dft(amps)
     assert chunks and not any(on_main for _, _, on_main in chunks)
     names = {name for name, _ in threads}
-    assert {"run_reconstruction", "update_object", "embed_add_frames", "frame_dft"} <= names
+    assert {"run_reconstruction", "update_object", "_add_frames", "frame_dft"} <= names
     assert {thread for _, thread in threads} == {threading.main_thread()}
 
 
@@ -512,7 +520,10 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
     """The frame update's reciprocal magnitudes give the bytes of the
     complex division, zero bins and magnitudes from 1e-300 to 1e300
     included, and divide by no zero. Without frames (row 0) the pass
-    gives the misfit of the broadcast illumination, bit for bit."""
+    gives the misfit of the broadcast illumination, bit for bit. The
+    frame update with its tail gives the same frames and their adjoint
+    accumulation and intensity canvas; the intensities of the largest
+    frames overflow there, as they do in ``embed_add_frames``."""
     monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(7)
     m, side = 8, 4
@@ -549,8 +560,15 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
         misfit = _passes._magnitude_pass(obj, probe, amps, geom, work, frames)
     assert row0 == np.linalg.norm(np.abs(frame_dft(illuminate(obj, probe, geom))) - amps)
     assert frames.tobytes() == want.tobytes()
-    assert work.stack.tobytes() == (np.conj(probe) * want).tobytes()
     assert misfit == np.linalg.norm(magnitudes - amps)
+    updated = np.empty_like(frames)
+    with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
+        got = _passes._frame_update(obj, probe, amps, geom, work, updated)
+        canvas = operators.embed_add_frames(np.abs(want) ** 2, geom)
+    assert updated.tobytes() == want.tobytes()
+    assert got[0] == misfit
+    assert got[1].tobytes() == operators.illuminate_adjoint(want, probe, geom).tobytes()
+    assert got[2].tobytes() == canvas.tobytes()
 
 
 def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):

@@ -2,8 +2,13 @@
 
 ``_passes`` alone runs the chunked passes (``_over_frames`` over
 ``_frame_edges``, with ``_in_flight`` chunks and their slots in flight)
-and chooses how frames are scattered onto the object (``_WINDOW_PX``,
-``_by_windows``, ``_add_windows``). The check parses the package source,
+and adds frames onto the object (``_add_frames``, by ``_add_windows``
+or ``operators._scatter_add``). The frame size decides how in one
+predicate: only ``_by_windows`` reads ``_WINDOW_PX``, and only
+``_add_frames`` asks it, besides ``_object_coverage``, whose window
+adds read a broadcast ``|p|**2`` that ``np.add.at`` needs filled. The
+package's one ``np.add.at`` is ``operators._scatter_add``'s, and no
+module calls ``bincount``. The check parses the package source,
 as ``tests/test_config_fields.py`` does: no other module imports,
 reads, defines or calls these names or a ``.slot(`` or ``.scratch(``
 method, except that ``fourier.frame_dft`` chunks its transforms with
@@ -22,7 +27,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ptyblind"
 ENGINE = {
-    "_WINDOW_PX", "_by_windows", "_add_windows", "_over_frames", "_frame_edges",
+    "_WINDOW_PX", "_by_windows", "_add_frames", "_add_windows", "_over_frames", "_frame_edges",
     "_in_flight", "_CHUNK_BYTES",
 }
 # The workspace's methods that give a chunk its slots.
@@ -97,6 +102,45 @@ def test_only_the_engine_chunks_passes_and_chooses_the_scatter_route():
     }
 
 
+def test_only_add_frames_and_the_coverage_ask_how_frames_are_added():
+    uses = engine_uses(parse_package()["_passes.py"])
+
+    def readers(name):
+        # The scopes that name it, less the one that defines it.
+        return {scope for scope, used in uses if used == name} - {name, "<module>"}
+
+    assert readers("_by_windows") == {"_add_frames", "_object_coverage"}
+    assert readers("_WINDOW_PX") == {"_by_windows"}
+
+
+def scatter_calls(tree):
+    """The (scope, call) pair of each of a module's uses of ``np.add.at``
+    and ``bincount``, by top-level definition."""
+    found = []
+    for top in tree.body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if "bincount" in (getattr(node, "attr", None), getattr(node, "id", None)):
+                found.append((scope, "bincount"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "at"
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "add"
+            ):
+                found.append((scope, "add.at"))
+    return found
+
+
+def test_one_np_add_at_in_the_package_and_no_bincount():
+    found = [
+        (module, scope, call)
+        for module, tree in parse_package().items()
+        for scope, call in scatter_calls(tree)
+    ]
+    assert found == [("operators.py", "_scatter_add", "add.at")]
+
+
 def test_the_engine_sits_between_fourier_and_operators():
     trees = parse_package()
     assert package_imports(trees["_passes.py"]) == {"operators"}
@@ -107,7 +151,9 @@ def test_the_engine_sits_between_fourier_and_operators():
 # What the solver leaves to the engine besides the workspace's fields
 # (``stack``, ``real``, ``edges``, ``slot``, ``scratch``): the scatters, and the passes
 # that read a stack an earlier pass left in the scratch.
-ENGINE_ONLY = {"illuminate_adjoint", "embed_add_frames", "_summed_products", "_shifted_windows"}
+ENGINE_ONLY = {
+    "illuminate_adjoint", "embed_add_frames", "_scatter_add", "_summed_products", "_shifted_windows",
+}
 
 
 def is_workspace(node):

@@ -87,6 +87,30 @@ def test_complex_embed_sums_each_part_in_frame_order(rng):
             assert got.imag.tobytes() == parts[1].reshape(n, n).tobytes()
 
 
+def test_real_embed_sums_in_frame_order(rng):
+    # Reference: bincount, which sums in frame order.
+    for n, m, K in [(7, 3, 9), (16, 16, 3), (12, 5, 40)]:
+        geom = random_geometry(rng, n, m, K)
+        idx = geom.frame_indices.reshape(-1)
+        for dtype in (np.float64, np.float32):
+            frames = rng.normal(size=(K, m, m)).astype(dtype)
+            want = np.bincount(idx, weights=frames.reshape(-1), minlength=n * n)
+            got = embed_add_frames(frames, geom)
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.reshape(n, n).tobytes())
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_broadcast_probe_stack_embeds_as_its_replicated_stack(rng, dtype):
+    # ``np.add.at`` misreads a values operand of fewer dimensions than its
+    # index on numpy 2.4; a broadcast stack must reach it as the flat
+    # stack it stands for.
+    geom = random_geometry(rng, n=12, m=5, K=40)
+    probe = rng.normal(size=(5, 5)) if dtype is float else rand_complex(rng, 5, 5)
+    got = embed_add_frames(np.broadcast_to(probe, (geom.K, 5, 5)), geom)
+    want = embed_add_frames(replicate_probe(probe, geom), geom)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
 def part_sums_in_frame_order(frames, geom):
     """The complex scatter-add as one bincount per part."""
     idx = geom.frame_indices.reshape(-1)

@@ -182,18 +182,22 @@ class TestPowerStep:
 
 
 def record_scatters(monkeypatch):
-    """The dtypes of the stacks scattered by ``embed_add_frames``, through
-    the frame-pass engine's binding or ``operators``' own, while the test
-    runs."""
+    """The dtypes of the frames scattered while the test runs, by
+    ``embed_add_frames`` or chunk by chunk by the frame-pass engine's
+    ``_add_frames``."""
     scattered = []
-    scatter = operators.embed_add_frames
+    scatter, add = operators.embed_add_frames, _passes._add_frames
 
     def recorded(frames, geom):
         scattered.append(np.asarray(frames).dtype)
         return scatter(frames, geom)
 
-    monkeypatch.setattr(_passes, "embed_add_frames", recorded)
+    def added(image, frames, geom, lo):
+        scattered.append(np.asarray(frames).dtype)
+        add(image, frames, geom, lo)
+
     monkeypatch.setattr(operators, "embed_add_frames", recorded)
+    monkeypatch.setattr(_passes, "_add_frames", added)
     return scattered
 
 

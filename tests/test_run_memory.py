@@ -13,11 +13,9 @@ and one float64 block, a float64 stack followed by the float64 chunk
 slots. Where every chunk has slots of its own, the complex slots are a
 complex stack and the float64 slots a second float64 stack; a stack of
 more chunks than a pass keeps in flight has slots for each of those
-only, and then holds no frame-sized complex array, except that frames
-below ``_WINDOW_PX`` are scattered from the whole complex stack, which
-is then their complex slots. No gate or shifted
-step forms a shifted stack, so a rank-1 run holds no more frame-sized
-stacks than a ``power`` run.
+only, and then holds no frame-sized complex array, whatever the frame
+size. No gate or shifted step forms a shifted stack, so a rank-1 run
+holds no more frame-sized stacks than a ``power`` run.
 """
 
 import threading
@@ -138,17 +136,15 @@ def assert_slots(slots, block, offset, chunks, ahead):
 def assert_scratch_layout(work, geom):
     """The workspace holds a complex block of chunk slots, ``stack``, and
     one float64 block, ``real`` followed by the float64 chunk slots, and
-    no other frame-sized array. The float64 slots take ``ahead`` chunks
-    in flight; so do the complex ones where frames are scattered window
-    by window, and there, with more chunks than ``ahead``, no complex
-    array is frame-sized. Where frames are scattered from the whole
-    stack, or every chunk has a slot, ``stack`` is the whole complex
-    stack and the float64 slots, likewise, a second stack."""
+    no other frame-sized array. Both kinds of slot take ``ahead`` chunks
+    in flight, so with more chunks than ``ahead`` no complex array is
+    frame-sized. Where every chunk has a slot, ``stack`` is the whole
+    complex stack and the float64 slots, likewise, a second stack."""
     shape = (geom.K, geom.m, geom.m)
     chunks = list(zip(work.edges, work.edges[1:]))
     ahead = _passes._in_flight(len(chunks))
     assert ahead == min(len(chunks), _passes._usable_cores() + 1)
-    sliced = geom.m >= _passes._WINDOW_PX and ahead < len(chunks)
+    sliced = ahead < len(chunks)
     frame_sized = [
         name for name, value in vars(work).items()
         if isinstance(value, np.ndarray) and value.nbytes >= frame_stack_bytes(geom)
@@ -158,8 +154,7 @@ def assert_scratch_layout(work, geom):
     assert work.stack.base is None
     if not sliced:
         assert work.stack.shape == shape
-    scratch = [work.scratch(lo) for lo, _ in chunks]
-    assert_slots(scratch, work.stack, 0, chunks, ahead if sliced else len(chunks))
+    assert_slots([work.scratch(lo) for lo, _ in chunks], work.stack, 0, chunks, ahead)
     block = work.real.base
     assert block.dtype == np.float64 and block.flags.c_contiguous
     assert work.real.shape == shape and work.real.ctypes.data == block.ctypes.data
@@ -280,6 +275,35 @@ def test_a_run_of_more_chunks_than_slots_matches_the_one_chunk_run_byte_for_byte
     assert len(shifted) == (2 if mode == "rank1_framewise" else 0)
 
 
+@pytest.mark.parametrize("mode", ["standard", "rank1_framewise"])
+def test_a_small_frame_run_of_more_chunks_than_slots_holds_slots_and_matches_one_chunk(
+    monkeypatch, mode
+):
+    # Frames of 16 px, added by np.add.at, in 20 chunks of four and five
+    # frames with three in flight: the complex scratch is three chunks
+    # of slots, as it is for frames added by windows.
+    geom, probe, init, amps = dense_instance()
+    assert geom.m < _passes._WINDOW_PX
+    monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
+    monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
+    cfg = SolverConfig(probe_mode=mode, max_iters=4)
+    whole = outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe))
+    monkeypatch.setattr(_passes, "_CHUNK_BYTES", 4 * geom.m**2 * np.dtype(np.complex128).itemsize)
+    monkeypatch.setattr(_passes, "_usable_cores", lambda: 2)
+    workspaces = recorded_workspaces(monkeypatch)
+    shifted = []
+    rank1 = solver.update_probe_rank1
+    monkeypatch.setattr(solver, "update_probe_rank1", lambda *a: shifted.append(None) or rank1(*a))
+    assert outcome(run_reconstruction(amps, geom, init, cfg, probe_true=probe)) == whole
+    (work,) = workspaces
+    chunks = len(work.edges) - 1
+    assert (chunks, _passes._in_flight(chunks)) == (20, 3)
+    assert_scratch_layout(work, geom)
+    # Slots of four, four and five frames against the 81 of a stack.
+    assert work.stack.nbytes == 2 * frame_stack_bytes(geom) * 13 // 81
+    assert len(shifted) == (2 if mode == "rank1_framewise" else 0)
+
+
 def over_frames_events(monkeypatch, edges, ahead, tail=True):
     """Run ``_passes._over_frames`` over ``edges`` with at most ``ahead``
     chunks in flight, later chunks finishing first, and return its events
@@ -379,7 +403,8 @@ def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_t
     slotted = [p for p in passes if any(kind == "slot" for kind, _ in p[3])]
     # Row 0, the start, three frame updates and three probe steps, where
     # each of the two shifted steps takes two passes and its re-fit one,
-    # and each per-frame gate one.
+    # and each per-frame gate one. The object coverage of 64 px frames
+    # adds the broadcast ``|p|**2`` and takes no slot.
     assert len(slotted) == {"rank1_global": 12, "rank1_framewise": 14}.get(mode, 8)
     for edges, has_tail, ahead, events in slotted:
         assert ahead == 3 < len(edges) - 1

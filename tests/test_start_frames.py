@@ -4,9 +4,10 @@ pass on a unit object, the route they are defined by.
 Every window of a unit object is the probe, so the start takes the
 probe's spectrum once instead of K times. The oracle here runs the full
 frame update (``_passes._frame_update``) on an (n, n) object of ones;
-the start must give its frames, its conjugate-probe weighting, its
-adjoint accumulation and intensity canvas, and a run with no iterations
-its row 0 and object, byte for byte.
+the start must give its frames, their adjoint accumulation and
+intensity canvas, and a run with no iterations its row 0 and object,
+byte for byte; the adjoint and the canvas also those of
+``illuminate_adjoint`` and ``embed_add_frames`` on the frames.
 """
 
 import numpy as np
@@ -14,14 +15,21 @@ import pytest
 from conftest import rand_complex
 from test_loop_oracle import wrapping_instance
 
-from ptyblind import ScanGeometry, SolverConfig, _passes, run_reconstruction, solver
+from ptyblind import (
+    ScanGeometry,
+    SolverConfig,
+    _passes,
+    embed_add_frames,
+    illuminate_adjoint,
+    run_reconstruction,
+    solver,
+)
 from ptyblind.synth import PhantomSpec, ProbeSpec, make_probe, make_test_object, simulate_data
 
 
 def unit_object_start(probe, amplitudes, geom, work):
     """The frame update on a unit object: the frames it writes, their
-    adjoint accumulation and their intensity canvas, with their
-    conjugate-probe weighting left in ``work.stack``."""
+    adjoint accumulation and their intensity canvas."""
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
     ones = np.ones((geom.n, geom.n), dtype=np.complex128)
     _, adjoint, canvas = _passes._frame_update(ones, probe, amplitudes, geom, work, frames)
@@ -77,17 +85,17 @@ def test_start_frames_match_the_unit_object_pass_byte_for_byte(chunk_bytes, name
     if name == "negative zero":
         zeros = np.concatenate([probe.real[probe.real == 0], probe.imag[probe.imag == 0]])
         assert np.signbit(zeros).any()
-    want_work = _passes._Workspace(geom)
-    if chunk_bytes == 1 and geom.K > 3:
-        assert len(want_work.edges) > 2
-    want, want_adjoint, want_canvas = unit_object_start(probe, amps, geom, want_work)
     work = _passes._Workspace(geom)
+    if chunk_bytes == 1 and geom.K > 3:
+        assert len(work.edges) > 2
+    want, want_adjoint, want_canvas = unit_object_start(probe, amps, geom, work)
     got, adjoint, canvas = _passes._start_frames(probe, amps, geom, work)
     assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
     assert got.tobytes() == want.tobytes()
-    assert work.stack.tobytes() == want_work.stack.tobytes()
     assert adjoint.tobytes() == want_adjoint.tobytes()
     assert canvas.tobytes() == want_canvas.tobytes()
+    assert adjoint.tobytes() == illuminate_adjoint(got, probe, geom).tobytes()
+    assert canvas.tobytes() == embed_add_frames(np.abs(got) ** 2, geom).tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)

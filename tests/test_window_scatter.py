@@ -1,13 +1,13 @@
-"""The window route of the scatter-adds onto the object, byte for byte
-against ``embed_add_frames``, and the frame-pass engine's object
-coverage against ``coverage_maps`` on either route.
+"""The frame-pass engine's adds of frames onto the object, byte for
+byte against ``embed_add_frames``, and its object coverage against
+``coverage_maps``, by window adds and by ``np.add.at``.
 
 Frames of at least ``_passes._WINDOW_PX`` a side are added onto an
 (n, n) image window by window, one to four rectangles a frame, in frame
-order. Each pixel must receive its frames in the order of ``np.add.at``
-and ``bincount``, starting from 0.0, so every sum keeps their bits.
-Frame values spread over 16 decades, so any other order of the
-additions shows in the last bits.
+order; smaller ones by one ``np.add.at`` per chunk. Each pixel must
+receive its frames in the order of ``embed_add_frames``, starting from
+0.0, so every sum keeps its bits. Frame values spread over 16 decades,
+so any other order of the additions shows in the last bits.
 """
 
 import numpy as np
@@ -57,33 +57,50 @@ def test_window_slices_cover_each_frames_indices(name):
     assert seen == counts
 
 
+# The engine's other add: the wrapping raster with the window size out
+# of reach, added by ``np.add.at`` in the run's chunks of two frames or
+# more.
+ADD_AT = "raster wraps, np.add.at by chunks"
+
+
 @pytest.mark.parametrize("dtype", [complex, float])
-@pytest.mark.parametrize("name", GEOMETRIES)
-def test_window_adds_match_embed_add_frames_byte_for_byte(rng, name, dtype):
-    geom, _ = GEOMETRIES[name]
+@pytest.mark.parametrize("name", [*GEOMETRIES, ADD_AT])
+def test_window_adds_match_embed_add_frames_byte_for_byte(rng, monkeypatch, name, dtype):
+    if name == ADD_AT:
+        geom, _ = GEOMETRIES["raster wraps"]
+        monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
+        monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
+        add, edges = _passes._add_frames, _Workspace(geom).edges
+        assert len(edges) - 1 == geom.K // 2
+    else:
+        geom, _ = GEOMETRIES[name]
+        add, edges = _add_windows, sorted({0, geom.K // 3, 2 * geom.K // 3, geom.K})
     stack = spread_stack(rng, geom, dtype)
     want = embed_add_frames(stack, geom)
     whole = np.zeros_like(want)
-    _add_windows(whole, stack, geom, 0)
+    add(whole, stack, geom, 0)
     assert (whole.dtype, whole.tobytes()) == (want.dtype, want.tobytes())
     # In ascending runs of frames, as a pass's tail adds its chunks.
     runs = np.zeros_like(want)
-    edges = sorted({0, geom.K // 3, 2 * geom.K // 3, geom.K})
     for lo, hi in zip(edges, edges[1:]):
-        _add_windows(runs, stack[lo:hi], geom, lo)
+        add(runs, stack[lo:hi], geom, lo)
     assert runs.tobytes() == want.tobytes()
 
 
-# Both routes of the engine's coverage: criterion 6's 16 px raster
-# scatters a replicated stack, and 64 px frames add windows.
+# Both adds of the engine's coverage: criterion 6's 16 px raster adds by
+# ``np.add.at``, in one chunk and in chunks of two frames or more, and
+# 64 px frames add windows.
 COVERAGE_GEOMETRIES = {
     "m = 16": make_raster_geometry(n=64, m=16, step=4, grid=(13, 13)),
+    "m = 16, chunked": make_raster_geometry(n=64, m=16, step=4, grid=(13, 13)),
     **{name: geom for name, (geom, _) in GEOMETRIES.items()},
 }
 
 
 @pytest.mark.parametrize("name", COVERAGE_GEOMETRIES)
-def test_engine_object_coverage_matches_coverage_maps(rng, name):
+def test_engine_object_coverage_matches_coverage_maps(rng, monkeypatch, name):
+    if name.endswith("chunked"):
+        monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
     geom = COVERAGE_GEOMETRIES[name]
     probe = rand_complex(rng, geom.m, geom.m) * np.logspace(-4, 4, geom.m)[:, None]
     assert _passes._by_windows(geom) == (geom.m == 64)
