@@ -35,9 +35,11 @@ products with the frames. The sums over the frames of a step's
 products and weights are taken in the pass's tail: the first chunk is
 summed and each later frame added in turn, which is the order numpy's
 sum over the whole stack takes, so the bits are its bits. Per-frame
-sums are reduced frame by frame in the chunk (``vecdot``), so no bit
-depends on which frames a chunk holds. Only the inner products and the
-misfit norm read a whole stack once every chunk has finished.
+sums, the per-frame gate's ``beta`` and each frame's squared misfit,
+are reduced frame by frame in the chunk (``vecdot``) into a length-K
+array, so no bit depends on which frames a chunk holds; the misfit norm
+is the square root of that array's sum. Only the inner products read a
+whole stack once every chunk has finished.
 
 Every scatter of a frame stack onto the object runs in a pass's tail:
 as each chunk finishes, the calling thread adds its frames into the
@@ -62,17 +64,18 @@ The new frames overwrite the old ones, which nothing reads by then.
 Every other frame-sized array of a run is its scratch
 (:class:`_Workspace`), which only this module reads: the solver makes
 it and hands it to one function here per scratch handoff, and no
-function reads what an earlier call left in it. It holds a float64
-stack for what reductions over the whole stack read (the magnitudes and
-misfit, the gathered weights) and chunk slots, for what a chunk needs
-only until its tail has run: complex ones (the spectra, the weighted
-frames, the gathered windows and their products) and float64 ones (the
-reciprocal magnitudes, the new frames' intensities, the shifted step's
-per-frame denominator). A pass keeps at most one chunk per usable core
-and one more in flight, each in slots of its own, so a stack of more
-chunks than that (400 frames of 128 px make 25) holds a few chunks of
-slots instead of a complex stack and a second float64 stack, at every
-frame size. Everything is allocated when the run starts. The passes
+function reads what an earlier call left in it. It holds the length-K
+squared misfits and chunk slots, for what a chunk needs only until its
+tail has run: a complex slot (the spectra, the weighted frames, the
+gathered windows and their products) and two float64 ones, one for
+what a tail reads (the reciprocal magnitudes and then the new frames'
+intensities, the gathered weights, the shifted step's per-frame
+denominator) and one beside it (the magnitudes and misfit, the
+per-frame shifted step's ``C|_k``). A pass keeps at most one chunk per usable core and one more in
+flight, each in slots of its own, so a stack of more chunks than that
+(400 frames of 128 px make 25) holds a few chunks of slots instead of a
+complex stack and two float64 stacks, at every frame size. Everything
+is allocated when the run starts. The passes
 write into it with ``out=`` ufuncs and ``take`` gathers. A probe, a
 per-frame factor or a real operand that a ufunc would broadcast or cast
 over a stack is first copied into a whole stack or slot, or taken frame
@@ -217,34 +220,36 @@ class _Workspace:
     """Frame-sized scratch of one run. To the solver it is an opaque
     handle, passed to this module's functions and read only by them.
 
-    ``real`` is a float64 (K, m, m) stack, which holds what a reduction
-    over the whole stack reads: the misfit and the gathered weights of
-    the probe steps. No stack holds the coverage: a step gathers the
-    (n, n) object coverage where it reads it. No state survives a call
-    of this module: none reads what an earlier call left in the scratch,
-    so each function that takes the workspace owns it while it runs, and
-    a stack passed into one must not be one it writes.
+    ``misfit`` holds each frame's squared misfit, of length K, which the
+    frame update reduces in its chunks and sums once they have finished.
+    No stack holds the coverage: a step gathers the (n, n) object
+    coverage where it reads it. No state survives a call of this
+    module: none reads what an earlier call left in the scratch, so each
+    function that takes the workspace owns it while it runs, and a stack
+    passed into one must not be one it writes.
 
     ``edges`` are the frame chunks every per-frame pass runs over. What
-    a chunk needs only until its tail has run goes in the chunk's slots:
-    complex values (the spectra, the conjugate-probe weighted frames,
-    the gathered windows and their products) in :meth:`scratch`, and
-    float64 ones (the reciprocal magnitudes, the intensities the tail
-    adds into the canvas, the shifted step's per-frame denominator) in
-    :meth:`slot`. Chunk ``i`` takes the slots ``i mod S``, where ``S =
-    _in_flight(chunks)`` is one more than the usable cores, or the
-    number of chunks where that is fewer; each slot is as tall as the
-    tallest chunk it takes. A pass keeps at most ``S`` chunks in flight
-    (:func:`_over_frames`), so a chunk starts only once the chunk before
-    it in its slot has been through its tail. The complex and the
-    float64 slots have one layout: ``stack`` holds the complex slots,
-    the whole (K, m, m) stack wherever every chunk has one; ``real`` and
-    the float64 slots are one block, ``real`` first.
+    a chunk needs goes in the chunk's slots, one complex and two
+    float64: complex values (the spectra, the conjugate-probe weighted
+    frames, the gathered windows and their products) in :meth:`scratch`,
+    and float64 ones in :meth:`slot`: the first, which alone a tail
+    reads, holds the reciprocal magnitudes, the intensities the tail
+    adds into the canvas, the gathered weights and the shifted step's
+    per-frame denominator, and the second the magnitudes and misfit and
+    the per-frame shifted step's ``C|_k``. Chunk ``i`` takes the slots
+    ``i mod S``, where ``S = _in_flight(chunks)`` is one more than the
+    usable cores, or the number of chunks where that is fewer; each
+    slot is as tall as the tallest chunk it takes. A pass keeps at most
+    ``S`` chunks in flight (:func:`_over_frames`), so a chunk starts
+    only once the chunk before it in its slot has been through its
+    tail. Every set of slots has one layout: ``stack`` holds the complex
+    slots, the whole (K, m, m) stack wherever every chunk has one, and
+    one (2, height, m, m) float64 block the two float64 sets.
 
     Each array is allocated on its own: glibc serves blocks of one
     stack's size from its heap once one has been freed, where a larger
     block would raise its thresholds for the whole process. A run makes
-    both before its frames, which outlive it in its ``History``: they
+    them before its frames, which outlive it in its ``History``: they
     then lie below memory still in use when they are freed, and glibc
     keeps them for the next run instead of returning them to the
     system, to fault them in again page by page.
@@ -257,10 +262,10 @@ class _Workspace:
         chunks = list(zip(self.edges, self.edges[1:]))
         starts, height = _slot_starts(chunks, _in_flight(len(chunks)))
         self.stack = np.empty((height, m, m), dtype=np.complex128)
-        block = np.empty((geom.K + height, m, m))
-        self.real, floats = block[: geom.K], block[geom.K :]
+        floats = np.empty((2, height, m, m))
+        self.misfit = np.empty(geom.K)
         self._slots = {
-            lo: (self.stack[s : s + hi - lo], floats[s : s + hi - lo])
+            lo: (self.stack[s : s + hi - lo], *floats[:, s : s + hi - lo])
             for (lo, hi), s in zip(chunks, starts)
         }
 
@@ -269,10 +274,10 @@ class _Workspace:
         (m, m) frame for each of its frames."""
         return self._slots[lo][0]
 
-    def slot(self, lo: int) -> np.ndarray:
-        """The float64 scratch of the chunk starting at frame ``lo``, one
-        (m, m) frame for each of its frames."""
-        return self._slots[lo][1]
+    def slot(self, lo: int, which: int = 0) -> np.ndarray:
+        """The float64 scratch ``which`` (0 or 1) of the chunk starting
+        at frame ``lo``, one (m, m) frame for each of its frames."""
+        return self._slots[lo][1 + which]
 
 
 def _slot_starts(chunks: list[tuple[int, int]], ahead: int) -> tuple[list[int], int]:
@@ -372,11 +377,11 @@ def _gathered_terms(
     """The least-squares terms ``sum_k conj(image|_k) f_k`` and
     ``sum_k weights|_k`` of the standard and power steps, where ``X|_k``
     is the window of an (n, n) image at frame k: each chunk gathers the
-    windows of the real ``weights`` into ``work.real`` and those of
+    windows of the real ``weights`` into its float64 slot and those of
     ``conj(image)`` into its scratch, where it multiplies them by its
     frames, and the pass's tail sums each finished chunk of both."""
-    gathered, index = work.real, geom.frame_indices
-    flat = _flat_image(weights, geom, gathered)
+    index = geom.frame_indices
+    flat = _flat_image(weights, geom, work.slot(0))
     conj_image = np.conj(_flat_image(image, geom, work.stack))
 
     # ``clip`` spares every take() below a buffer; the indices are in
@@ -384,12 +389,12 @@ def _gathered_terms(
     # an add in complex products, so a * b and b * a can differ in the
     # last bit, and ``conj(image) * frames`` keeps earlier results' bits.
     def chunk(lo, hi):
-        flat.take(index[lo:hi], out=gathered[lo:hi], mode="clip")
+        flat.take(index[lo:hi], out=work.slot(lo), mode="clip")
         products = conj_image.take(index[lo:hi], out=work.scratch(lo), mode="clip")
         np.multiply(products, frames[lo:hi], out=products)
 
     products_sum, weights_sum = _summed_pass(
-        chunk, lambda lo, hi: (work.scratch(lo), gathered[lo:hi]), work
+        chunk, lambda lo, hi: (work.scratch(lo), work.slot(lo)), work
     )
     return products_sum, weights_sum
 
@@ -425,21 +430,21 @@ def _framewise_shifted_sums(frames, geom: ScanGeometry, factors, coverage, adjoi
     f_k``, the cross term ``sum_k conj(t_k) A'_k`` and ``sum_k
     (canvas|_k - |t_k|^2 C|_k)``.
 
-    Two passes each form the ``A'_k`` in their chunk's scratch. The
-    first multiplies each by its ``conj(t_k)`` and forms each frame's
-    canvas term in the chunk's slot, the second conjugates them and
+    Two passes each form the ``A'_k`` in their chunk's scratch, with
+    ``C|_k`` in its second float64 slot. The first multiplies each by
+    its ``conj(t_k)`` and forms each frame's canvas term in the chunk's
+    first float64 slot, the second conjugates them and
     multiplies them by the frames; each pass's tail sums what its chunks
     leave, in frame order."""
     fcol, conj_factors = factors[:, None, None], np.conj(factors)
-    index, real = geom.frame_indices, work.real
-    flat, flat_coverage = _flat_image(adjoint, geom, work.stack), _flat_image(coverage, geom, real)
-    flat_canvas = _flat_image(canvas, geom, real)
+    index, flat = geom.frame_indices, _flat_image(adjoint, geom, work.stack)
+    flat_coverage, flat_canvas = (_flat_image(im, geom, work.slot(0)) for im in (coverage, canvas))
 
     # The float scratch is real, so ``t_k C|_k`` is taken part by part:
     # C is real, and each part has the bits of the complex product.
     def shifted(lo, hi):
         shift = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
-        weights = flat_coverage.take(index[lo:hi], out=real[lo:hi], mode="clip")
+        weights = flat_coverage.take(index[lo:hi], out=work.slot(lo, 1), mode="clip")
         slot = work.slot(lo)
         for part, factor in ((shift.real, fcol.real), (shift.imag, fcol.imag)):
             product = np.multiply(_fill(slot, factor[lo:hi]), weights, out=slot)
@@ -607,26 +612,28 @@ def _magnitude_pass(
     chunks.
 
     Each chunk illuminates its windows of ``obj`` and transforms them
-    in its scratch, puts the spectrum magnitudes in ``work.real`` and
-    turns those into the misfit to ``amplitudes``. Given ``frames``, it
-    imposes the amplitudes on the spectra (:func:`_impose_amplitudes`,
-    with the reciprocal magnitudes in the chunk's slot), transforms back
-    into ``frames`` and weights the frames by the conjugate probe in its
-    scratch, whose scatter-add is their adjoint accumulation. Until the
-    inverse transform writes them, a chunk's ``frames`` hold in turn the
+    in its scratch, puts the spectrum magnitudes in its second float64
+    slot and turns those into the misfit to ``amplitudes``, whose squares
+    it reduces frame by frame (``vecdot``) into ``work.misfit``. Given
+    ``frames``, it imposes the amplitudes on the spectra
+    (:func:`_impose_amplitudes`, with the reciprocal magnitudes in the
+    chunk's first float64 slot), transforms back into ``frames`` and
+    weights the frames by the conjugate probe in its scratch, whose
+    scatter-add is their adjoint accumulation. Until the inverse
+    transform writes them, a chunk's ``frames`` hold in turn the
     replicated probe, the reciprocal magnitudes and the amplitudes, as
     complex numbers, so no ufunc broadcasts or casts a frame-sized
-    operand. Without ``frames`` (row
-    0, which writes no frames) the windows take the broadcast probe, the
-    product the filled stack gives bit for bit, and the pass stops at the
-    misfit. Returns the misfit norm; it is taken over the whole stack, so
-    no bit depends on the chunking.
+    operand. Without ``frames`` (row 0, which writes no frames) the
+    windows take the broadcast probe, the product the filled stack gives
+    bit for bit, and the pass stops at the misfit. Returns the misfit
+    norm, the square root of the sum of the frames' squared misfits,
+    which are each frame's bits whatever chunk holds it.
 
     Given the ``tail`` of :func:`_scatter_tail` as well, each chunk
-    leaves its new frames' intensity in its slot, free once the
-    amplitudes are imposed, and the calling thread adds each finished
-    chunk into the tail's adjoint accumulation and intensity canvas
-    while the pool works on later chunks.
+    leaves its new frames' intensity in its first float64 slot, free
+    once the amplitudes are imposed, and the calling thread adds each
+    finished chunk into the tail's adjoint accumulation and intensity
+    canvas while the pool works on later chunks.
 
     The reciprocal gives the bits the division by the magnitudes gave:
     numpy divides by a complex ``mag + 0j`` by Smith's formula, which
@@ -637,10 +644,9 @@ def _magnitude_pass(
     flat = obj.reshape(-1)
     index = geom.frame_indices
     conj_probe = np.conj(probe)
-    misfit = work.real
 
     def chunk(lo, hi):
-        spectra, magnitudes = work.scratch(lo), misfit[lo:hi]
+        spectra, magnitudes = work.scratch(lo), work.slot(lo, 1)
         flat.take(index[lo:hi], out=spectra, mode="clip")
         probes = probe if frames is None else _fill(frames[lo:hi], probe)
         np.multiply(probes, spectra, out=spectra)
@@ -654,9 +660,11 @@ def _magnitude_pass(
             if tail is not None:
                 _intensity(scratch, inv)
         np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
+        rows = magnitudes.reshape(hi - lo, -1)
+        np.vecdot(rows, rows, out=work.misfit[lo:hi])
 
     _over_frames(chunk, work.edges, tail)
-    return np.linalg.norm(misfit)
+    return np.sqrt(work.misfit.sum())
 
 
 def _frame_update(obj, probe, amplitudes, geom: ScanGeometry, work: _Workspace, frames):
@@ -690,7 +698,7 @@ def _start_frames(
     """
     tail, images = _scatter_tail(geom, work)
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
-    spectrum, magnitudes, inv = work.scratch(0)[:1], work.real[:1], work.slot(0)[:1]
+    spectrum, magnitudes, inv = work.scratch(0)[:1], work.slot(0, 1)[:1], work.slot(0)[:1]
     spectrum.fill(1.0)
     np.multiply(_fill(frames[:1], probe), spectrum, out=spectrum)
     np.fft.fftn(spectrum, axes=(-2, -1), norm="ortho", out=spectrum)

@@ -624,7 +624,10 @@ def run_reconstruction(
     data residual is the model feasibility gap: the relative distance
     between the measured amplitudes and the magnitudes the current
     (object, probe) pair predicts (at row 0, the object implied by the
-    initial frames). The frames themselves always satisfy the
+    initial frames). Its norm is taken from each frame's squared misfit,
+    summed over the frames, so its bits do not depend on how the frames
+    are chunked; it is within about 1e-15 relative of the norm of the
+    whole misfit stack. The frames themselves always satisfy the
     magnitude constraint after the frame update, so their own gap
     would be vacuous.
 

@@ -318,14 +318,20 @@ def test_criterion_7_large_instance_smoke_run():
 
     errors = np.array([row.nrmse_probe for row in hist.rows])
     best = np.minimum.accumulate(errors)
+    # The gate first accepts a shifted step at the last iteration, which
+    # takes the probe error below 0.1 (from 0.119 to 0.0912).
+    shifted = any(e.startswith("iteration 50: transparency shift engaged") for e in hist.events)
     ok = (
         len(hist.rows) == 51
         and bool(np.isfinite(errors).all())
         and bool((np.diff(best) <= 0).all())
         and best[-1] <= errors[0]
+        and shifted
+        and errors[-1] <= 0.1
     )
     _report(7, ok, f"400 frames of 128x128 over a 223x223 object: 50 iterations, "
-                   f"NRMSE {errors[0]:.3f} -> best {best[-1]:.3f}, {elapsed:.0f} s")
+                   f"NRMSE {errors[0]:.3f} -> best {best[-1]:.3f}, final {errors[-1]:.4f} "
+                   f"after the iteration-50 shift: {shifted}, {elapsed:.0f} s")
     assert ok
 
 

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from conftest import divided_spectra, frame_idft, rand_complex, step_inputs
+from conftest import divided_spectra, frame_idft, misfit_norm, rand_complex, step_inputs
 from test_loop_oracle import MODES, wrapping_instance
 
 from ptyblind import (
@@ -405,6 +405,13 @@ def engine_sums(monkeypatch, name, layout):
     monkeypatch.setattr(_passes, "_usable_cores", lambda: 2)
     work = _passes._Workspace(geom)
     assert (len(work.edges) - 1, _passes._in_flight(chunks)) == (chunks, ahead)
+    if name == "_magnitude_pass":
+        # Row 0's misfit norm and the frame update's, against the
+        # frames' magnitudes as amplitudes.
+        amplitudes = np.abs(frames)
+        row0 = _passes._magnitude_pass(image, probe, amplitudes, geom, work, None)
+        updated = np.empty_like(frames)
+        return row0, _passes._magnitude_pass(image, probe, amplitudes, geom, work, updated)
     if name == "_window_sums":
         return _passes._window_sums(frames, probe, geom, weights, image, work)
     if name == "_shifted_sums":
@@ -415,10 +422,14 @@ def engine_sums(monkeypatch, name, layout):
 
 def frame_order_sums(name):
     """What the engine's passes sum, from whole stacks: each sum over the
-    frames in frame order (``sum(axis=0)``), and ``beta`` reduced frame
-    by frame with ``vecdot``; None for ``_window_sums``' ``alpha`` and
+    frames in frame order (``sum(axis=0)``), ``beta`` reduced frame by
+    frame with ``vecdot``, and the misfit norm from each frame's squared
+    misfit so reduced; None for ``_window_sums``' ``alpha`` and
     ``gamma``, which no pass forms."""
     geom, frames, probe, image, weights, factors = slot_case()
+    if name == "_magnitude_pass":
+        magnitudes = np.abs(frame_dft(illuminate(image, probe, geom)))
+        return (misfit_norm(magnitudes, np.abs(frames)),) * 2
     windows = operators.extract_frames(image, geom)
     coverage = operators.extract_frames(weights, geom)
     if name == "_window_sums":
@@ -436,14 +447,17 @@ def frame_order_sums(name):
 
 
 @pytest.mark.parametrize("layout", SLOT_LAYOUTS)
-@pytest.mark.parametrize("name", ["_window_sums", "_framewise_shifted_sums", "_shifted_sums"])
+@pytest.mark.parametrize(
+    "name", ["_window_sums", "_framewise_shifted_sums", "_shifted_sums", "_magnitude_pass"]
+)
 def test_the_steps_sums_over_chunk_slots_are_frame_order_sums(monkeypatch, name, layout):
-    # A BLAS product over a stack's rows rounds other than the frame by
-    # frame reduction and the frame-order sum, which no chunking changes.
+    # A BLAS product over a stack's rows, or a sum over a chunk at once,
+    # rounds other than the frame by frame reduction and the frame-order
+    # sum, which no chunking changes.
     got = engine_sums(monkeypatch, name, layout)
     whole = engine_sums(monkeypatch, name, "one chunk")
     want = [w if w is not None else v for w, v in zip(frame_order_sums(name), whole)]
-    assert len(got) == len(want) == 3
+    assert len(got) == len(want) == (2 if name == "_magnitude_pass" else 3)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
@@ -558,9 +572,9 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
         want = frame_idft(divided_spectra(spectra, amps))
         row0 = _passes._magnitude_pass(obj, probe, amps, geom, work, None)
         misfit = _passes._magnitude_pass(obj, probe, amps, geom, work, frames)
-    assert row0 == np.linalg.norm(np.abs(frame_dft(illuminate(obj, probe, geom))) - amps)
+    assert row0 == misfit_norm(np.abs(frame_dft(illuminate(obj, probe, geom))), amps)
     assert frames.tobytes() == want.tobytes()
-    assert misfit == np.linalg.norm(magnitudes - amps)
+    assert misfit == misfit_norm(magnitudes, amps)
     updated = np.empty_like(frames)
     with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
         got = _passes._frame_update(obj, probe, amps, geom, work, updated)

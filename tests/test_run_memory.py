@@ -9,13 +9,13 @@ the larger of the memory in use at either row, must stay below one
 float64 frame stack, on an instance where that stack is about four
 (n, n) complex images and on one where it is ten. The memory in use
 holds the frames and the run's scratch: a block of complex chunk slots
-and one float64 block, a float64 stack followed by the float64 chunk
-slots. Where every chunk has slots of its own, the complex slots are a
-complex stack and the float64 slots a second float64 stack; a stack of
-more chunks than a pass keeps in flight has slots for each of those
-only, and then holds no frame-sized complex array, whatever the frame
-size. No gate or shifted step forms a shifted stack, so a rank-1 run
-holds no more frame-sized stacks than a ``power`` run.
+and one float64 block of two sets of float64 chunk slots. Where every
+chunk has slots of its own, the complex slots are a complex stack and
+the float64 block two float64 stacks; a stack of more chunks than a pass
+keeps in flight has slots for each of those only, and then holds no
+frame-sized array, complex or float64, whatever the frame size. No gate
+or shifted step forms a shifted stack, so a rank-1 run holds no more
+frame-sized stacks than a ``power`` run.
 """
 
 import threading
@@ -106,59 +106,71 @@ def more_chunks_than_slots(monkeypatch):
     monkeypatch.setattr(_passes, "_usable_cores", lambda: 2)
 
 
-def assert_slots(slots, block, offset, chunks, ahead):
-    """``slots``, one per chunk, are views of ``block`` past its frame
-    ``offset``, each its chunk's height: chunks ``ahead`` apart share a
-    slot as tall as the tallest chunk it takes, the slots of ``ahead``
-    chunks in a row do not overlap, and the block has no frame past
-    ``offset`` that no slot uses. With a slot per chunk, each starts at
-    its chunk's first frame past ``offset``."""
-    frame = block[0].nbytes
+def assert_slots(sets, block, chunks, ahead):
+    """``sets`` of slots, one slot per chunk in each, are views of
+    ``block``, a stack of frames or, for several sets, one stack per
+    set: set j lies in the j-th, and each slot is its chunk's height.
+    Chunks ``ahead`` apart share a slot as tall as the tallest chunk it
+    takes, the slots of ``ahead`` chunks in a row do not overlap, and
+    the block has no frame that no slot uses. With a slot per chunk,
+    each starts at its chunk's first frame in its set's stack."""
+    frame = block[(0,) * (block.ndim - 2)].nbytes
+    height = block.shape[-3]
+    assert block.shape[:-3] == (() if len(sets) == 1 else (len(sets),))
 
     def first(array):
         # The frame of the block an array starts at.
         return (array.ctypes.data - block.ctypes.data) // frame
 
-    for slot, (lo, hi) in zip(slots, chunks):
-        assert slot.base is block and slot.shape == (hi - lo, *block.shape[1:])
-        assert slot.flags.c_contiguous
-    if ahead == len(chunks):
-        assert [first(slot) for slot in slots] == [offset + lo for lo, _ in chunks]
-    for i in range(ahead, len(chunks)):
-        assert first(slots[i]) == first(slots[i - ahead])
-    used = np.zeros(block.shape[0], dtype=int)
-    for i in range(ahead):
-        tallest = max(len(slot) for slot in slots[i::ahead])
-        used[first(slots[i]) : first(slots[i]) + tallest] += 1
-    assert (used[offset:] == 1).all() and not used[:offset].any()
+    used = np.zeros(len(sets) * height, dtype=int)
+    for j, slots in enumerate(sets):
+        for slot, (lo, hi) in zip(slots, chunks, strict=True):
+            assert slot.base is block and slot.shape == (hi - lo, *block.shape[-2:])
+            assert slot.flags.c_contiguous
+        if ahead == len(chunks):
+            assert [first(slot) for slot in slots] == [j * height + lo for lo, _ in chunks]
+        for i in range(ahead, len(chunks)):
+            assert first(slots[i]) == first(slots[i - ahead])
+        for i in range(ahead):
+            tallest = max(len(slot) for slot in slots[i::ahead])
+            assert j * height <= first(slots[i]) <= (j + 1) * height - tallest
+            used[first(slots[i]) : first(slots[i]) + tallest] += 1
+    assert (used == 1).all()
+
+
+def float_block(work):
+    """The float64 block of a workspace's float64 chunk slots."""
+    return work.slot(0).base
 
 
 def assert_scratch_layout(work, geom):
-    """The workspace holds a complex block of chunk slots, ``stack``, and
-    one float64 block, ``real`` followed by the float64 chunk slots, and
-    no other frame-sized array. Both kinds of slot take ``ahead`` chunks
-    in flight, so with more chunks than ``ahead`` no complex array is
-    frame-sized. Where every chunk has a slot, ``stack`` is the whole
-    complex stack and the float64 slots, likewise, a second stack."""
+    """The workspace holds a complex block of chunk slots, ``stack``, one
+    float64 block of two sets of float64 chunk slots and the length-K
+    squared misfits, and no other frame-sized array. Every kind of slot
+    takes ``ahead`` chunks in flight, so with more chunks than ``ahead``
+    no array is frame-sized, complex or float64. Where every chunk has a
+    slot, ``stack`` is the whole complex stack and the float64 block,
+    likewise, two float64 stacks."""
     shape = (geom.K, geom.m, geom.m)
     chunks = list(zip(work.edges, work.edges[1:]))
     ahead = _passes._in_flight(len(chunks))
     assert ahead == min(len(chunks), _passes._usable_cores() + 1)
     sliced = ahead < len(chunks)
-    frame_sized = [
-        name for name, value in vars(work).items()
-        if isinstance(value, np.ndarray) and value.nbytes >= frame_stack_bytes(geom)
-    ]
-    assert sorted(frame_sized) == (["real"] if sliced else ["real", "stack"])
+    arrays = {name: value for name, value in vars(work).items() if isinstance(value, np.ndarray)}
+    arrays["float64 slots"] = float_block(work)
+    frame_sized = [name for name, value in arrays.items() if value.nbytes >= frame_stack_bytes(geom)]
+    assert sorted(frame_sized) == ([] if sliced else ["float64 slots", "stack"])
     assert work.stack.dtype == np.complex128 and work.stack.flags.c_contiguous
     assert work.stack.base is None
     if not sliced:
         assert work.stack.shape == shape
-    assert_slots([work.scratch(lo) for lo, _ in chunks], work.stack, 0, chunks, ahead)
-    block = work.real.base
-    assert block.dtype == np.float64 and block.flags.c_contiguous
-    assert work.real.shape == shape and work.real.ctypes.data == block.ctypes.data
-    assert_slots([work.slot(lo) for lo, _ in chunks], block, geom.K, chunks, ahead)
+    assert_slots([[work.scratch(lo) for lo, _ in chunks]], work.stack, chunks, ahead)
+    block = float_block(work)
+    assert block.dtype == np.float64 and block.flags.c_contiguous and block.base is None
+    assert block.shape == (2, *work.stack.shape)
+    sets = [[work.slot(lo, which) for lo, _ in chunks] for which in (0, 1)]
+    assert_slots(sets, block, chunks, ahead)
+    assert work.misfit.dtype == np.float64 and work.misfit.shape == (geom.K,)
     if ahead == len(chunks):
         assert block.nbytes == 2 * frame_stack_bytes(geom)
 
@@ -218,15 +230,14 @@ def test_no_frame_sized_transient_on_the_pool(monkeypatch, mode, layout):
     # The frames are two float64 stacks, and the two blocks hold the
     # rest; the images, the overlap matrix and the small arrays fit in
     # half of one more stack.
-    held = 2 * frame_stack_bytes(geom) + work.stack.nbytes + work.real.base.nbytes
+    held = 2 * frame_stack_bytes(geom) + work.stack.nbytes + float_block(work).nbytes
     assert max(in_use) < held + frame_stack_bytes(geom) // 2, (in_use, held)
     if layout == "more chunks than slots":
-        # Twelve frames of slots in each block against the 144 of a
-        # stack: the frames, one float64 stack and the slots make 3.25
-        # stacks.
+        # Twelve frames of slots in each of the three sets against the
+        # 144 of a stack: the frames and the slots make 2.33 stacks.
         assert work.stack.nbytes == 2 * frame_stack_bytes(geom) * 12 // 144
-        assert work.real.base.nbytes == frame_stack_bytes(geom) * (144 + 12) // 144
-        assert max(in_use) < 3.75 * frame_stack_bytes(geom), in_use
+        assert float_block(work).nbytes == frame_stack_bytes(geom) * 2 * 12 // 144
+        assert max(in_use) < 2.75 * frame_stack_bytes(geom), in_use
 
 
 @pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
@@ -365,9 +376,9 @@ def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_t
                 with lock:
                     current[0].append(("slot", lo))
 
-        def slot(self, lo):
+        def slot(self, lo, which=0):
             self.logged(lo)
-            return super().slot(lo)
+            return super().slot(lo, which)
 
         def scratch(self, lo):
             self.logged(lo)
