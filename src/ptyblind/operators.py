@@ -5,7 +5,8 @@ windows (circular boundary), each multiplied by a common m x m probe.
 This module implements the window extraction / scatter-add pair, probe
 replication (whose adjoint is the sum over the frames,
 ``stack.sum(axis=0)``), the combined illumination operator and its
-adjoint, and the illumination coverage diagonals.
+adjoint, the illumination coverage diagonals, and the frame-overlap
+relation of a scan, kept per axis (``ScanGeometry._neighbourhoods``).
 
 Conventions
 -----------
@@ -34,7 +35,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-
 
 
 def _check_integer(value, name: str) -> None:
@@ -120,6 +120,51 @@ class ScanGeometry:
             for r, c in self.positions.tolist()
         )
 
+    @cached_property
+    def _neighbourhoods(self) -> _Neighbourhoods:
+        """Which frames share a pixel, kept per axis, and how many share
+        one with each frame; made when first asked."""
+        return _Neighbourhoods(self)
+
+
+class _Neighbourhoods:
+    """The frame-overlap relation of a scan without its K x K matrix.
+
+    On the torus two windows share a pixel exactly when their row
+    offsets and their column offsets are each less than ``m`` apart
+    around the circle. ``row_overlap`` and ``col_overlap`` are those
+    relations, 0 or 1 in float64, between the distinct row and column
+    offsets, each at most (n, n); ``cells`` holds each frame's flat
+    index on the (distinct row, distinct column) grid, and ``counts``
+    each frame's number of neighbours, itself included.
+    """
+
+    def __init__(self, geom: ScanGeometry) -> None:
+        def axis(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # Each frame's index among the distinct offsets, and which of
+            # those are less than m apart around the circle.
+            distinct, index = np.unique(offsets, return_inverse=True)
+            gap = np.mod(distinct[:, None] - distinct[None, :], geom.n)
+            return index, ((gap < geom.m) | (gap > geom.n - geom.m)).astype(np.float64)
+
+        rows, self.row_overlap = axis(geom.positions[:, 0])
+        cols, self.col_overlap = axis(geom.positions[:, 1])
+        self.cells = rows * len(self.col_overlap) + cols
+        # Sums of ones up to K are exact in float64.
+        self.counts = self.sums(np.ones(geom.K)).astype(np.int64)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Each frame's sum of the per-frame ``values`` over the frames
+        that share a pixel with it: the values added onto the offset
+        grid in frame order, multiplied by the overlap of each axis
+        (``row_overlap @ grid @ col_overlap.T``) and read back at each
+        frame's cell."""
+        grid = np.zeros(
+            (len(self.row_overlap), len(self.col_overlap)), dtype=np.result_type(values, 1.0)
+        )
+        _scatter_add(grid, values, self.cells)
+        return (self.row_overlap @ grid @ self.col_overlap.T).reshape(-1)[self.cells]
+
 
 def _fill(out: np.ndarray, value) -> np.ndarray:
     """``out`` with ``value`` broadcast (and cast) into it.
@@ -193,7 +238,9 @@ def _scatter_add(image: np.ndarray, frames: np.ndarray, index: np.ndarray) -> No
     ``index``, their flat object indices (``frame_indices`` of those
     frames): each pixel adds its values in frame order, row-major
     within a frame, to what it holds. A complex image adds both parts
-    at once, the sums one bincount per part would give."""
+    at once, the sums one bincount per part would give. The per-frame
+    values of :meth:`_Neighbourhoods.sums` are added onto their offset
+    grid the same way, one value per frame."""
     values = np.ascontiguousarray(frames, dtype=image.dtype).reshape(-1)
     # The only ``np.add.at`` of the package. Its index and values are
     # both flat and the values contiguous: numpy 2.4 misreads a values

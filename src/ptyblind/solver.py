@@ -274,37 +274,28 @@ def transparency_global(adjoint: np.ndarray, probe: np.ndarray, geom: ScanGeomet
 
 
 def transparency_framewise(
-    frames: np.ndarray,
-    probe: np.ndarray,
-    overlap: np.ndarray,
+    frames: np.ndarray, probe: np.ndarray, geom: ScanGeometry
 ) -> np.ndarray:
-    """Per-frame transparency averaged over each overlap neighborhood.
+    """Per-frame transparency averaged over each overlap neighbourhood:
+    for frame k, the mean of ``<p, f_j> / ||p||^2`` over the frames j
+    whose windows share a pixel with its own, itself included.
 
-    ``overlap`` is the K x K binary symmetric matrix marking frame
-    pairs that share object pixels (diagonal included). Its product
-    with the complex per-frame sums is taken in complex128, so a
-    complex128 matrix is used as it is and any other is converted on
-    every call.
+    Two windows share a pixel exactly when their row offsets and their
+    column offsets are each less than ``m`` apart around the circle, so
+    the neighbourhood sums are separable: the inner products are added
+    onto the grid of distinct (row, column) offsets, multiplied by the
+    overlap of each axis and read back at each frame's offsets, then
+    divided by the exact neighbour counts. Nothing of K x K size is
+    formed.
     """
-    frames = np.asarray(frames)
+    frames = _check_stack(frames, geom)
     probe = np.asarray(probe)
     probe_sq = np.vdot(probe, probe).real
     if probe_sq == 0.0:
         raise ValueError("probe is identically zero")
-    overlap = np.asarray(overlap, dtype=np.complex128)
     per_frame = np.tensordot(np.conj(probe), frames, axes=([0, 1], [1, 2]))
-    return (overlap @ per_frame) / (probe_sq * overlap.real.sum(axis=1))
-
-
-def build_overlap_matrix(geom: ScanGeometry) -> np.ndarray:
-    """K x K binary matrix of frame pairs sharing at least one pixel."""
-    def axis_overlap(offsets: np.ndarray) -> np.ndarray:
-        d = np.mod(offsets[:, None] - offsets[None, :], geom.n)
-        return (d <= geom.m - 1) | (d >= geom.n - geom.m + 1)
-
-    rows = axis_overlap(geom.positions[:, 0])
-    cols = axis_overlap(geom.positions[:, 1])
-    return (rows & cols).astype(np.uint8)
+    hood = geom._neighbourhoods
+    return hood.sums(per_frame) / (probe_sq * hood.counts)
 
 
 def _global_shift(
@@ -561,7 +552,6 @@ def _probe_step(
     obj: np.ndarray,
     geom: ScanGeometry,
     cfg: SolverConfig,
-    overlap: Optional[np.ndarray],
     iteration: int,
     events: list[str],
 ) -> tuple[np.ndarray, bool]:
@@ -576,7 +566,7 @@ def _probe_step(
         return update_probe_standard(frames, obj, geom, work), False
     if cfg.probe_mode != "power" and state.since_shift >= RANK1_CADENCE:
         if cfg.probe_mode == "rank1_framewise":
-            factor = transparency_framewise(frames, probe, overlap)
+            factor = transparency_framewise(frames, probe, geom)
         else:
             factor = transparency_global(adjoint, probe, geom)
         args = (frames, probe, geom, factor, coverage, adjoint, canvas, work)
@@ -650,11 +640,6 @@ def run_reconstruction(
         raise ValueError("stop_nrmse requires the true probe")
 
     work = _Workspace(geom)
-    overlap = None
-    if cfg.probe_mode == "rank1_framewise":
-        # Built once per run, before the frames like the workspace, in
-        # the dtype its product is taken in.
-        overlap = build_overlap_matrix(geom).astype(np.complex128)
     if frames_init is None:
         frames, adjoint, canvas = _start_frames(probe, amplitudes, geom, work)
     else:
@@ -710,7 +695,7 @@ def run_reconstruction(
                 break
             t0 = time.perf_counter()
             obj = update_object(state.coverage, state.adjoint, state.probe)
-            probe, engaged = _probe_step(state, obj, geom, cfg, overlap, iteration, history.events)
+            probe, engaged = _probe_step(state, obj, geom, cfg, iteration, history.events)
             _check_finite(probe, f"{cfg.probe_mode} probe update")
             probe, shift = center_probe(probe)
             if shift.any():

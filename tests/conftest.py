@@ -117,6 +117,19 @@ def dense_power_matrices(frames, geom):
     return D, A
 
 
+def build_overlap_matrix(geom):
+    """Dense K x K binary matrix of frame pairs sharing at least one
+    pixel, from each pair's circular offset distance per axis."""
+
+    def axis_overlap(offsets):
+        d = np.mod(offsets[:, None] - offsets[None, :], geom.n)
+        return (d <= geom.m - 1) | (d >= geom.n - geom.m + 1)
+
+    rows = axis_overlap(geom.positions[:, 0])
+    cols = axis_overlap(geom.positions[:, 1])
+    return (rows & cols).astype(np.uint8)
+
+
 class StepInputs(NamedTuple):
     coverage: np.ndarray
     adjoint: np.ndarray

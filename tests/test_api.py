@@ -49,7 +49,7 @@ MODE_STEPS = {
     "standard": COMMON + ("update_probe_standard",),
     "power": COMMON + ("update_probe_power",),
     "rank1_global": COMMON + RANK1 + ("transparency_global",),
-    "rank1_framewise": COMMON + RANK1 + ("transparency_framewise", "build_overlap_matrix"),
+    "rank1_framewise": COMMON + RANK1 + ("transparency_framewise",),
 }
 STEPS = sorted(set().union(*MODE_STEPS.values()))
 

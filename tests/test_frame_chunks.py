@@ -352,7 +352,7 @@ def call_step(step, geom, obj, probe, frames, inputs):
     if kind == "global":
         factor = solver.transparency_global(adjoint, probe, geom)
     else:
-        factor = solver.transparency_framewise(frames, probe, solver.build_overlap_matrix(geom))
+        factor = solver.transparency_framewise(frames, probe, geom)
     if name == "update_probe_rank1":
         return solver.update_probe_rank1(frames, probe, geom, factor, *inputs)
     # The per-frame gate's own pass, for its sums over the

@@ -28,7 +28,6 @@ from ptyblind import (
     solver,
 )
 from ptyblind.solver import (
-    build_overlap_matrix,
     pairwise_discrepancy,
     shift_consistency,
     transparency_framewise,
@@ -62,7 +61,6 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
         frames = magnitude_project(illuminate(ones, probe, geom), amplitudes)
     else:
         frames = np.array(frames_init, dtype=np.complex128)
-    overlap = build_overlap_matrix(geom)
     rows, events = [], []
 
     def record(iteration, model):
@@ -84,7 +82,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
             new = update_probe_standard(frames, obj, geom, step_inputs(frames, probe, geom).work)
         elif cfg.probe_mode != "power" and since_shift >= solver.RANK1_CADENCE:
             if cfg.probe_mode == "rank1_framewise":
-                transparency = transparency_framewise(frames, probe, overlap)
+                transparency = transparency_framewise(frames, probe, geom)
             else:
                 adjoint = step_inputs(frames, probe, geom).adjoint
                 transparency = transparency_global(adjoint, probe, geom)

@@ -4,12 +4,18 @@ The power step is checked against explicitly assembled probe-space
 matrices (conftest.dense_power_matrices), the pairwise discrepancy
 against a literal double sum over co-located frame pixels, and the
 transparency-shifted update against its complementary arithmetic
-route plus hand-computed averages.
+route plus hand-computed averages. The per-frame transparency's
+separable neighbour sums are checked against the dense K x K overlap
+oracle (conftest.build_overlap_matrix) and, on a 10^4-frame scan, where
+that matrix would not fit, against brute-force neighbourhoods.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 from conftest import (
+    build_overlap_matrix,
     dense_power_matrices,
     step_inputs,
     rand_complex,
@@ -38,7 +44,6 @@ from ptyblind import (
 from ptyblind.metrics import nrmse_probe
 from ptyblind.operators import replicate_probe
 from ptyblind.solver import (
-    build_overlap_matrix,
     pairwise_discrepancy,
     shift_consistency,
     transparency_framewise,
@@ -209,7 +214,7 @@ class TestIntensityCanvas:
         frames = rand_complex(rng, geom.K, 4, 4)
         probe = rand_complex(rng, 4, 4)
         inputs = step_inputs(frames, probe, geom)
-        factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
+        factors = transparency_framewise(frames, probe, geom)
         scattered = record_scatters(monkeypatch)
         update_probe_power(frames, geom, *inputs[1:])
         # The per-frame step forms its sums with _framewise_shifted_sums.
@@ -266,40 +271,95 @@ class TestTransparencyGlobal:
             transparency_global(rand_complex(rng, 8, 8), np.zeros((4, 4), dtype=complex), geom)
 
 
+def pixel_sets(geom):
+    """Each frame's set of wrapped object pixels."""
+    n, m = geom.n, geom.m
+    return [
+        {((int(r0) + r) % n, (int(c0) + c) % n) for r in range(m) for c in range(m)}
+        for r0, c0 in geom.positions
+    ]
+
+
+def neighbourhood_average(frames, probe, geom):
+    """Each frame's mean of ``<p, f_j> / ||p||^2`` over the frames whose
+    pixel sets meet its own, frame by frame."""
+    sets = pixel_sets(geom)
+    inner = [np.vdot(probe, f) / np.vdot(probe, probe).real for f in frames]
+    return np.array(
+        [np.mean([inner[j] for j in range(geom.K) if sets[i] & sets[j]]) for i in range(geom.K)]
+    )
+
+
 class TestTransparencyFramewise:
-    def test_identity_overlap_gives_self_average(self, rng):
+    def test_disjoint_frames_give_self_average(self, rng):
+        geom = raster(16, 4, 4, (4, 3))
         probe = rand_complex(rng, 4, 4)
-        frames = rand_complex(rng, 5, 4, 4)
-        got = transparency_framewise(frames, probe, np.eye(5))
+        frames = rand_complex(rng, geom.K, 4, 4)
+        got = transparency_framewise(frames, probe, geom)
         expected = np.array([np.vdot(probe, f) for f in frames]) / np.vdot(probe, probe).real
         assert np.allclose(got, expected, rtol=1e-13, atol=0)
 
-    def test_full_overlap_reduces_to_global(self, rng):
-        probe = rand_complex(rng, 4, 4)
-        frames = rand_complex(rng, 5, 4, 4)
-        got = transparency_framewise(frames, probe, np.ones((5, 5)))
-        geom = random_geometry(rng, 8, 4, 5)
+    def test_frames_that_all_overlap_reduce_to_global(self, rng):
+        # 2m - 1 >= n: every pair of windows shares a pixel.
+        geom = random_geometry(rng, 8, 5, 5)
+        assert build_overlap_matrix(geom).all()
+        probe = rand_complex(rng, 5, 5)
+        frames = rand_complex(rng, geom.K, 5, 5)
+        got = transparency_framewise(frames, probe, geom)
         want = transparency_global(illuminate_adjoint(frames, probe, geom), probe, geom)
-        assert np.allclose(got, np.full(5, want), rtol=1e-13, atol=0)
+        assert np.allclose(got, np.full(geom.K, want), rtol=1e-13, atol=0)
 
-    def test_matches_neighborhood_average_oracle(self, rng):
-        probe = rand_complex(rng, 4, 4)
-        frames = rand_complex(rng, 7, 4, 4)
-        overlap = np.eye(7, dtype=np.uint8)
-        upper = np.triu(rng.integers(0, 2, size=(7, 7)), k=1)
-        overlap = overlap | upper.astype(np.uint8) | upper.T.astype(np.uint8)
-        probe_sq = np.vdot(probe, probe).real
-        expected = np.empty(7, dtype=complex)
-        for i in range(7):
-            members = [j for j in range(7) if overlap[i, j]]
-            expected[i] = sum(np.vdot(probe, frames[j]) for j in members) / (
-                probe_sq * len(members)
-            )
-        got = transparency_framewise(frames, probe, overlap)
-        assert np.allclose(got, expected, rtol=1e-12, atol=0)
+    def test_matches_neighbourhood_average_on_random_positions(self, rng):
+        for _ in range(5):
+            geom = random_geometry(rng, 12, 4, 9)
+            probe = rand_complex(rng, 4, 4)
+            frames = rand_complex(rng, geom.K, 4, 4)
+            got = transparency_framewise(frames, probe, geom)
+            want = neighbourhood_average(frames, probe, geom)
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_zero_probe_raises(self, rng):
+        geom = random_geometry(rng, 8, 4, 6)
+        frames = rand_complex(rng, geom.K, 4, 4)
+        with pytest.raises(ValueError, match="^probe is identically zero$"):
+            transparency_framewise(frames, np.zeros((4, 4), dtype=complex), geom)
+
+    @pytest.mark.parametrize("offset", [0, 3], ids=["raster", "shifted raster"])
+    def test_a_ten_thousand_frame_scan_needs_no_k_by_k_matrix(self, offset):
+        # K = 10**4: the dense complex overlap matrix would be 1.6 GB. The
+        # last row and column of windows wrap in both rasters.
+        geom = raster(400, 8, 4, (100, 100), offset=offset)
+        rng = np.random.default_rng(7)
+        probe = rand_complex(rng, 8, 8)
+        frames = rand_complex(rng, geom.K, 8, 8)
+        tracemalloc.start()
+        try:
+            got = transparency_framewise(frames, probe, geom)
+            transient = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert transient < 2 * 2**20, transient
+        # Brute force on sampled frames, the corners and the last row
+        # and column among them, whose windows wrap: a frame's
+        # neighbours are the windows that meet its pixels.
+        n, m = geom.n, geom.m
+        span = np.arange(m)
+        rows = (geom.positions[:, :1] + span) % n
+        cols = (geom.positions[:, 1:] + span) % n
+        inner = frames.reshape(geom.K, -1) @ np.conj(probe).reshape(-1)
+        inner /= np.vdot(probe, probe).real
+        sampled = np.concatenate([[0, 99, 9900, 9999, 5050], rng.choice(geom.K, 15, replace=False)])
+        for k in sampled:
+            mask = np.zeros((n, n), dtype=bool)
+            mask[np.ix_(rows[k], cols[k])] = True
+            near = mask[rows[:, :, None], cols[:, None, :]].any(axis=(1, 2))
+            want = inner[near].mean()
+            assert abs(got[k] - want) <= 1e-12 * abs(want), k
 
 
 class TestOverlapMatrix:
+    """The dense oracle ``conftest.build_overlap_matrix``."""
+
     def test_single_frame(self):
         geom = ScanGeometry(n=8, m=3, positions=np.array([[2, 5]]))
         assert build_overlap_matrix(geom).tolist() == [[1]]
@@ -311,18 +371,56 @@ class TestOverlapMatrix:
     def test_matches_pixel_set_intersection(self, rng):
         # oracle: materialize each frame's wrapped pixel set and
         # intersect them pair by pair
-        raster = [(r, c) for r in range(0, 10, 2) for c in range(0, 10, 2)]
-        for positions in (np.array(raster), rng.integers(0, 10, size=(9, 2))):
+        raster_positions = [(r, c) for r in range(0, 10, 2) for c in range(0, 10, 2)]
+        for positions in (np.array(raster_positions), rng.integers(0, 10, size=(9, 2))):
             geom = ScanGeometry(n=10, m=3, positions=positions)
-            sets = []
-            for r0, c0 in geom.positions:
-                sets.append(
-                    {((int(r0) + r) % 10, (int(c0) + c) % 10) for r in range(3) for c in range(3)}
-                )
+            sets = pixel_sets(geom)
             expected = [
                 [1 if sets[i] & sets[j] else 0 for j in range(geom.K)] for i in range(geom.K)
             ]
             assert build_overlap_matrix(geom).tolist() == expected
+
+
+NEIGHBOURHOOD_GEOMETRIES = {
+    "weak64": lambda rng: raster(64, 16, 4, (13, 13)),
+    "noisy_wrap64": lambda rng: raster(64, 16, 4, (13, 13), offset=6),
+    # 2m - 1 >= n on both axes: every frame is every frame's neighbour.
+    "large223": lambda rng: raster(223, 128, 5, (20, 20)),
+    "coincident": lambda rng: ScanGeometry(n=16, m=4, positions=np.array([[3, 5]] * 4 + [[9, 1]] * 3)),
+    "random": lambda rng: random_geometry(rng, 20, 5, 40),
+    "one frame": lambda rng: ScanGeometry(n=8, m=3, positions=np.array([[2, 5]])),
+}
+
+
+class TestNeighbourhoods:
+    """The separable neighbour sums and counts against the dense oracle."""
+
+    @pytest.mark.parametrize("name", NEIGHBOURHOOD_GEOMETRIES)
+    def test_counts_are_the_oracle_row_sums(self, rng, name):
+        geom = NEIGHBOURHOOD_GEOMETRIES[name](rng)
+        counts = geom._neighbourhoods.counts
+        assert counts.dtype == np.int64
+        assert counts.tolist() == build_overlap_matrix(geom).sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("name", NEIGHBOURHOOD_GEOMETRIES)
+    def test_sums_match_the_oracle_product(self, rng, name):
+        geom = NEIGHBOURHOOD_GEOMETRIES[name](rng)
+        oracle = build_overlap_matrix(geom).astype(np.complex128)
+        for values in (rand_complex(rng, geom.K), rng.normal(size=geom.K)):
+            got = geom._neighbourhoods.sums(values)
+            want = oracle @ values
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), name
+
+    def test_axis_relations_are_as_small_as_the_distinct_offsets(self, rng):
+        hood = raster(64, 16, 4, (13, 13))._neighbourhoods
+        assert hood.row_overlap.shape == hood.col_overlap.shape == (13, 13)
+        # 400 frames on a 20 px object: no relation outgrows (n, n).
+        geom = random_geometry(rng, 20, 5, 400)
+        hood = geom._neighbourhoods
+        for relation, axis in ((hood.row_overlap, 0), (hood.col_overlap, 1)):
+            distinct = len(np.unique(geom.positions[:, axis]))
+            assert relation.shape == (distinct, distinct) and distinct <= geom.n
+        assert hood.cells.shape == hood.counts.shape == (geom.K,)
 
 
 class TestRank1Update:
@@ -485,7 +583,7 @@ class TestShiftConsistency:
         inputs = step_inputs(frames, probe, geom)
         score = shift_consistency(frames, probe, geom, 0.7 - 0.2j, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
-        factors = transparency_framewise(frames, probe, build_overlap_matrix(geom))
+        factors = transparency_framewise(frames, probe, geom)
         score = shift_consistency(frames, probe, geom, factors, *inputs)
         assert score == pytest.approx(1.0, abs=1e-12)
 
@@ -529,7 +627,7 @@ def gate(frames, probe, geom, per_frame=False):
     transparency."""
     inputs = step_inputs(frames, probe, geom)
     if per_frame:
-        transparency = transparency_framewise(frames, probe, build_overlap_matrix(geom))
+        transparency = transparency_framewise(frames, probe, geom)
         oracle = stack_scored_framewise_gate
     else:
         transparency = transparency_global(inputs.adjoint, probe, geom)
@@ -551,10 +649,9 @@ def probe_step(frames, probe, geom, mode):
     and the events it logged."""
     coverage, adjoint, canvas, work = step_inputs(frames, probe, geom)
     state = solver._Iterate(frames, probe, coverage, adjoint, canvas, work, solver.RANK1_CADENCE)
-    overlap = build_overlap_matrix(geom).astype(np.complex128)
     events = []
     cfg = SolverConfig(probe_mode=mode)
-    stepped, engaged = solver._probe_step(state, None, geom, cfg, overlap, 1, events)
+    stepped, engaged = solver._probe_step(state, None, geom, cfg, 1, events)
     return stepped, engaged, events
 
 
@@ -773,7 +870,7 @@ def rank1_step(frames, probe, geom, transparency):
 def estimated_transparency(frames, probe, geom, form):
     if form == "global":
         return transparency_global(illuminate_adjoint(frames, probe, geom), probe, geom)
-    return transparency_framewise(frames, probe, build_overlap_matrix(geom))
+    return transparency_framewise(frames, probe, geom)
 
 
 class TestClosedFormStep:

@@ -23,7 +23,6 @@ from ptyblind import (
     illuminate_adjoint,
 )
 from ptyblind.solver import (
-    build_overlap_matrix,
     transparency_framewise,
     transparency_global,
     update_probe_power,
@@ -140,7 +139,7 @@ def test_true_probe_is_a_fixed_point_of_the_shifted_step(geom, seed, per_frame, 
     assume(geom.m >= 2 or not estimated)
     probe, frames, rng = consistent_pair(geom, seed)
     if estimated and per_frame:
-        transparency = transparency_framewise(frames, probe, build_overlap_matrix(geom))
+        transparency = transparency_framewise(frames, probe, geom)
     elif estimated:
         transparency = transparency_global(illuminate_adjoint(frames, probe, geom), probe, geom)
     elif per_frame:
