@@ -23,18 +23,16 @@ at the misfit; the start frames of a run without ``frames_init``
 (:func:`_start_frames`), the frame update on a unit object: its
 windows are all the probe, so the phases come from one transform of the
 probe and the pass fills them and runs the scaling onwards; the
-standard and power steps, which share one gathered kernel; the
-per-frame gate's weighted stack; the intensity of the canvas; below
-``_WINDOW_PX``, the object coverage's ``|p|**2``; and the
-conjugate-probe weighting of given frames (:func:`_adjoint`). Each
-shifted step is one call (:func:`_shifted_sums`,
-:func:`_framewise_shifted_sums`) of two passes, each of which gathers
-or forms the shifted accumulation anew: the first sums it over the
-frames (per frame, weighted by the conjugate factors), the second its
-products with the frames. The sums over the frames of a step's
-products and weights are taken in the pass's tail: the first chunk is
-summed and each later frame added in turn, which is the order numpy's
-sum over the whole stack takes, so the bits are its bits. Per-frame
+standard and power steps, which share one gathered kernel; each
+shifted step (:func:`_shifted_sums`, :func:`_framewise_shifted_sums`),
+which gathers or forms each frame's shifted accumulation once; the
+per-frame gate's weighted stack; below ``_WINDOW_PX``, the object
+coverage's ``|p|**2``; and the conjugate-probe weighting of given
+frames, with their intensities (:func:`_stack_images`) or without
+(:func:`_adjoint`). The sums over the frames of a step's products and
+weights are taken in the pass's tail: the first chunk is summed and
+each later frame added in turn, which is the order numpy's sum over
+the whole stack takes, so the bits are its bits. Per-frame
 sums, the per-frame gate's ``beta`` and each frame's squared misfit,
 are reduced frame by frame in the chunk (``vecdot``) into a length-K
 array, so no bit depends on which frames a chunk holds; the misfit norm
@@ -44,15 +42,14 @@ whole stack once every chunk has finished.
 Every scatter of a frame stack onto the object runs in a pass's tail:
 as each chunk finishes, the calling thread adds its frames into the
 (n, n) image (:func:`_add_frames`). The frame update and the start
-frames add their conjugate-probe weighted frames into the new adjoint
-accumulation and their intensities into the canvas
-(:func:`_scatter_tail`); :func:`_adjoint`, the accumulation of frames
-no pass has just written (a start from ``frames_init``, the object
-re-fit after a shifted step), adds conjugate-probe weighted frames; and
-:func:`_intensity_canvas` their intensities. The frame size decides how
-one chunk is added, in :func:`_add_frames`: frames of at least
-``_WINDOW_PX`` window by window, smaller ones (16 px in every 64 px
-instance) by one ``np.add.at`` over the chunk's object indices. The one
+frames, and the given frames of a start from ``frames_init``
+(:func:`_stack_images`), add their conjugate-probe weighted frames into
+the new adjoint accumulation and their intensities into the canvas
+(:func:`_scatter_tail`); the object re-fit after a shifted step
+(:func:`_adjoint`) adds the weighted frames alone. The frame size
+decides how one chunk is added, in :func:`_add_frames`: frames of at
+least ``_WINDOW_PX`` window by window, smaller ones (16 px in every 64
+px instance) by one ``np.add.at`` over the chunk's object indices. The one
 other reader of that decision is the object coverage, which is no
 stack: window adds take its ``|p|**2`` broadcast over the frames, and
 only ``np.add.at`` needs it filled into the chunk slots by a pass. Each
@@ -230,13 +227,16 @@ class _Workspace:
 
     ``edges`` are the frame chunks every per-frame pass runs over. What
     a chunk needs goes in the chunk's slots, one complex and two
-    float64: complex values (the spectra, the conjugate-probe weighted
-    frames, the gathered windows and their products) in :meth:`scratch`,
-    and float64 ones in :meth:`slot`: the first, which alone a tail
-    reads, holds the reciprocal magnitudes, the intensities the tail
-    adds into the canvas, the gathered weights and the shifted step's
-    per-frame denominator, and the second the magnitudes and misfit and
-    the per-frame shifted step's ``C|_k``. Chunk ``i`` takes the slots
+    float64. The complex :meth:`scratch` holds the spectra, the
+    conjugate-probe weighted frames that a tail adds onto the adjoint,
+    and a step's gathered windows with their products by the frames;
+    a shifted step's tail sums its windows and then multiplies them by
+    the frames in place. Of the float64 ones (:meth:`slot`), the first,
+    the one a tail reads, holds the reciprocal magnitudes, the intensities
+    the tail adds into the canvas, the gathered weights (the global
+    shifted step's gathered canvas) and the per-frame shifted step's
+    canvas terms, and the second the magnitudes and misfit and the
+    per-frame shifted step's ``C|_k``. Chunk ``i`` takes the slots
     ``i mod S``, where ``S = _in_flight(chunks)`` is one more than the
     usable cores, or the number of chunks where that is fewer; each
     slot is as tall as the tallest chunk it takes. A pass keeps at most
@@ -353,10 +353,12 @@ def _flat_image(image: np.ndarray, geom: ScanGeometry, out: np.ndarray) -> np.nd
 def _summed_pass(chunk, chunk_of, work: _Workspace) -> list[np.ndarray]:
     """Run ``chunk(lo, hi)`` over the run's frame chunks and return the
     sums over the frames of the stacks ``chunk_of(lo, hi)`` gives each
-    chunk's frames of, as the chunk leaves them. The pass's tail sums the
-    first chunk and adds each later frame in turn: numpy sums a stack
-    over its frames in frame order, so each sum has the bits of
-    ``stack.sum(axis=0)`` on its whole stack."""
+    chunk's frames of. The pass's tail sums the first chunk and adds
+    each later frame in turn: numpy sums a stack over its frames in
+    frame order, so each sum has the bits of ``stack.sum(axis=0)`` on its
+    whole stack. The tail sums each stack before it asks ``chunk_of``
+    for the next, so a generator may work on the chunk in place between
+    its stacks, on the calling thread."""
     sums = []
 
     def tail(lo, hi):
@@ -405,20 +407,26 @@ def _shifted_sums(
     """The sums of the global shifted step over the windows of its
     shifted accumulation ``A'`` (``shift``) and shifted intensity
     ``canvas``: ``sum_k conj(A'|_k) f_k``, ``sum_k conj(A'|_k)`` and
-    ``sum_k canvas|_k``. Two passes: the first gathers ``conj(A'|_k)``
-    into each chunk's scratch and sums it, the second gathers it again
-    for the products (:func:`_gathered_terms`), since a chunk's scratch
-    outlives no pass."""
+    ``sum_k canvas|_k``. One pass: each chunk gathers ``canvas|_k`` into
+    its float64 slot and ``conj(A'|_k)`` into its scratch; the tail sums
+    both, then multiplies the windows by the frames in place and sums
+    the products (``terms``, a generator: see :func:`_summed_pass`)."""
     index = geom.frame_indices
+    flat = _flat_image(canvas, geom, work.slot(0))
     conj_shift = np.conj(_flat_image(shift, geom, work.stack))
 
-    def windows(lo, hi):
+    def chunk(lo, hi):
+        flat.take(index[lo:hi], out=work.slot(lo), mode="clip")
         conj_shift.take(index[lo:hi], out=work.scratch(lo), mode="clip")
 
-    windows_sum = _summed_pass(windows, lambda lo, hi: (work.scratch(lo),), work)[0]
-    # Out of the next pass's peak memory, which conjugates its own.
-    del conj_shift
-    products_sum, canvas_sum = _gathered_terms(frames, geom, shift, canvas, work)
+    # ``conj(A'|_k) * f_k``, in the operand order of :func:`_gathered_terms`.
+    def terms(lo, hi):
+        windows = work.scratch(lo)
+        yield windows
+        yield work.slot(lo)
+        yield np.multiply(windows, frames[lo:hi], out=windows)
+
+    windows_sum, canvas_sum, products_sum = _summed_pass(chunk, terms, work)
     return products_sum, windows_sum, canvas_sum
 
 
@@ -430,44 +438,44 @@ def _framewise_shifted_sums(frames, geom: ScanGeometry, factors, coverage, adjoi
     f_k``, the cross term ``sum_k conj(t_k) A'_k`` and ``sum_k
     (canvas|_k - |t_k|^2 C|_k)``.
 
-    Two passes each form the ``A'_k`` in their chunk's scratch, with
-    ``C|_k`` in its second float64 slot. The first multiplies each by
-    its ``conj(t_k)`` and forms each frame's canvas term in the chunk's
-    first float64 slot, the second conjugates them and
-    multiplies them by the frames; each pass's tail sums what its chunks
-    leave, in frame order."""
+    One pass: each chunk forms the ``A'_k`` in its scratch, with ``C|_k``
+    in its second float64 slot, and each frame's canvas term in its
+    first. The tail sums the canvas terms, adds each ``conj(t_k) A'_k``
+    onto the cross term, which starts at zeros as numpy's sum over the
+    frames does, then conjugates the ``A'_k`` in place, multiplies them
+    by the frames and sums the products, each sum in frame order."""
     fcol, conj_factors = factors[:, None, None], np.conj(factors)
     index, flat = geom.frame_indices, _flat_image(adjoint, geom, work.stack)
     flat_coverage, flat_canvas = (_flat_image(im, geom, work.slot(0)) for im in (coverage, canvas))
+    cross = np.zeros((geom.m, geom.m), dtype=np.complex128)
+    term = np.empty_like(cross)
 
     # The float scratch is real, so ``t_k C|_k`` is taken part by part:
     # C is real, and each part has the bits of the complex product.
-    def shifted(lo, hi):
+    # ``C|_k`` is then scaled by ``|t_k|^2`` in place and subtracted from
+    # the canvas frame by frame, before any sum over the frames, which
+    # keeps the denominator to the digits its terms keep.
+    def chunk(lo, hi):
         shift = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
         weights = flat_coverage.take(index[lo:hi], out=work.slot(lo, 1), mode="clip")
         slot = work.slot(lo)
         for part, factor in ((shift.real, fcol.real), (shift.imag, fcol.imag)):
             product = np.multiply(_fill(slot, factor[lo:hi]), weights, out=slot)
             np.subtract(part, product, out=part)
-        return shift, weights, slot
-
-    # ``C|_k`` is then scaled by ``|t_k|^2`` in place and subtracted from
-    # the canvas frame by frame, before any sum over the frames, which
-    # keeps the denominator to the digits its terms keep.
-    def crossed(lo, hi):
-        shift, weights, slot = shifted(lo, hi)
         np.multiply(weights, _fill(slot, np.abs(fcol[lo:hi]) ** 2), out=weights)
         den = flat_canvas.take(index[lo:hi], out=slot, mode="clip")
         np.subtract(den, weights, out=den)
+
+    # A generator, as in :func:`_shifted_sums`.
+    def terms(lo, hi):
+        shift = work.scratch(lo)
+        yield work.slot(lo)
         for frame, factor in zip(shift, conj_factors[lo:hi]):
-            np.multiply(frame, factor, out=frame)
+            np.add(cross, np.multiply(frame, factor, out=term), out=cross)
+        np.conj(shift, out=shift)
+        yield np.multiply(shift, frames[lo:hi], out=shift)
 
-    def products(lo, hi):
-        shift = np.conj(shifted(lo, hi)[0], out=work.scratch(lo))
-        np.multiply(shift, frames[lo:hi], out=shift)
-
-    cross, canvas_sum = _summed_pass(crossed, lambda lo, hi: (work.scratch(lo), work.slot(lo)), work)
-    products_sum = _summed_pass(products, lambda lo, hi: (work.scratch(lo),), work)[0]
+    canvas_sum, products_sum = _summed_pass(chunk, terms, work)
     return products_sum, cross, canvas_sum
 
 
@@ -527,26 +535,11 @@ def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
     np.square(np.abs(frames, out=out), out=out)
 
 
-def _intensity_canvas(frames: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
-    """The (n, n) scatter-add of the stack intensity ``|frames|**2``:
-    each chunk forms its intensities in its slot, and the pass's tail
-    adds them onto the canvas. Gathered back to each frame it is the
-    frame-overlap coverage the power step divides by; its inner product
-    with the object coverage is the stack's coverage-weighted energy."""
-    canvas = np.zeros((geom.n, geom.n))
-    _over_frames(
-        lambda lo, hi: _intensity(frames[lo:hi], work.slot(lo)),
-        work.edges,
-        lambda lo, hi: _add_frames(canvas, work.slot(lo), geom, lo),
-    )
-    return canvas
-
-
 def _adjoint(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
     """``illuminate_adjoint(frames, probe, geom)`` of frames no pass has
-    just written (the re-fit after a shifted step, ``frames_init``):
-    each chunk weights its frames by the conjugate probe in its scratch,
-    and the pass's tail adds them onto the adjoint."""
+    just written (the object re-fit after a shifted step): each chunk
+    weights its frames by the conjugate probe in its scratch, and the
+    pass's tail adds them onto the adjoint."""
     conj_probe = np.conj(probe)
     adjoint = np.zeros((geom.n, geom.n), dtype=np.complex128)
 
@@ -556,6 +549,24 @@ def _adjoint(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace) ->
 
     _over_frames(chunk, work.edges, lambda lo, hi: _add_frames(adjoint, work.scratch(lo), geom, lo))
     return adjoint
+
+
+def _stack_images(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace):
+    """The adjoint accumulation ``illuminate_adjoint(frames, probe,
+    geom)`` and intensity canvas of given frames (a start from
+    ``frames_init``), from one pass: each chunk weights its frames as
+    :func:`_adjoint` does and puts their intensities in its slot, and
+    :func:`_scatter_tail` is the pass's tail."""
+    tail, images = _scatter_tail(geom, work)
+    conj_probe = np.conj(probe)
+
+    def chunk(lo, hi):
+        weighted = work.scratch(lo)
+        np.multiply(_fill(weighted, conj_probe), frames[lo:hi], out=weighted)
+        _intensity(frames[lo:hi], work.slot(lo))
+
+    _over_frames(chunk, work.edges, tail)
+    return images
 
 
 def _scatter_tail(geom: ScanGeometry, work: _Workspace):

@@ -32,7 +32,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -250,14 +249,10 @@ def _scatter_add(image: np.ndarray, frames: np.ndarray, index: np.ndarray) -> No
     np.add.at(image.reshape(-1), index.reshape(-1), values)
 
 
-def replicate_probe(
-    probe: np.ndarray, geom: ScanGeometry, *, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """Stack K copies of the probe, written into ``out`` when given."""
+def replicate_probe(probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:
+    """Stack K copies of the probe."""
     probe = _check_probe(probe, geom)
-    if out is None:
-        out = np.empty((geom.K, geom.m, geom.m), dtype=probe.dtype)
-    return _fill(out, probe)
+    return _fill(np.empty((geom.K, geom.m, geom.m), dtype=probe.dtype), probe)
 
 
 def illuminate(obj: np.ndarray, probe: np.ndarray, geom: ScanGeometry) -> np.ndarray:

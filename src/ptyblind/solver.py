@@ -99,8 +99,7 @@ import numpy as np
 
 from ._passes import (
     _Workspace, _adjoint, _frame_update, _framewise_shifted_sums, _gathered_terms,
-    _intensity_canvas, _magnitude_pass, _object_coverage, _shifted_sums, _start_frames,
-    _window_sums,
+    _magnitude_pass, _object_coverage, _shifted_sums, _stack_images, _start_frames, _window_sums,
 )
 from .fourier import check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
@@ -649,8 +648,7 @@ def run_reconstruction(
         _check_stack(frames, geom, "frames_init")
         if not np.all(np.isfinite(frames)):
             raise ValueError("frames_init contains non-finite entries")
-        adjoint = _adjoint(frames, probe, geom, work)
-        canvas = _intensity_canvas(frames, geom, work)
+        adjoint, canvas = _stack_images(frames, probe, geom, work)
 
     history = History()
     t_start = time.perf_counter()

@@ -204,13 +204,18 @@ def test_a_shifted_step_and_its_refit_on_the_window_route_match_the_stack_scatte
     amps = simulate_data(obj, probe, geom)
     cfg = SolverConfig(probe_mode=mode, max_iters=2)
     adjoints = []
-    adjoint = _passes._adjoint
 
-    def recorded(*args):
-        adjoints.append(_passes._by_windows(geom))
-        return adjoint(*args)
+    def recorded(name):
+        call = getattr(_passes, name)
 
-    monkeypatch.setattr(solver, "_adjoint", recorded)
+        def recording(*args):
+            adjoints.append((name, _passes._by_windows(geom)))
+            return call(*args)
+
+        return recording
+
+    for name in ("_stack_images", "_adjoint"):
+        monkeypatch.setattr(solver, name, recorded(name))
 
     def run():
         frames = illuminate(obj, probe, geom)
@@ -220,11 +225,11 @@ def test_a_shifted_step_and_its_refit_on_the_window_route_match_the_stack_scatte
     windowed = run()
     assert windowed[1][0].startswith("iteration 1: transparency shift engaged")
     # The start from the given frames, then the re-fit, by windows.
-    assert adjoints == [True, True]
+    assert adjoints == [("_stack_images", True), ("_adjoint", True)]
     monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
     del adjoints[:]
     assert run() == windowed
-    assert adjoints == [False, False]
+    assert adjoints == [("_stack_images", False), ("_adjoint", False)]
 
 
 def over_frames_log(edges, fail=(), delay=lambda i: 0.0):
@@ -330,7 +335,7 @@ def step_case(m):
 STEPS = [
     "update_probe_standard",
     "update_probe_power",
-    "_intensity_canvas",
+    "_stack_images",
     "shift_consistency/framewise",
     "update_probe_rank1/global",
     "update_probe_rank1/framewise",
@@ -346,8 +351,10 @@ def call_step(step, geom, obj, probe, frames, inputs):
         return solver.update_probe_standard(frames, obj, geom, work)
     if step == "update_probe_power":
         return solver.update_probe_power(frames, geom, adjoint, canvas, work)
-    if step == "_intensity_canvas":
-        return _passes._intensity_canvas(frames, geom, work)
+    if step == "_stack_images":
+        # Both images, the complex adjoint and the float64 canvas, which
+        # a complex array holds exactly.
+        return _passes._stack_images(frames, probe, geom, work)
     name, kind = step.split("/")
     if kind == "global":
         factor = solver.transparency_global(adjoint, probe, geom)
@@ -398,26 +405,47 @@ SLOT_LAYOUTS = {
 }
 
 
-def engine_sums(monkeypatch, name, layout):
-    geom, frames, probe, image, weights, factors = slot_case()
+def slot_work(monkeypatch, geom, layout):
+    """A workspace for ``geom`` chunked as ``layout`` at two usable cores."""
     chunk_bytes, chunks, ahead = SLOT_LAYOUTS[layout]
     monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
     monkeypatch.setattr(_passes, "_usable_cores", lambda: 2)
     work = _passes._Workspace(geom)
     assert (len(work.edges) - 1, _passes._in_flight(chunks)) == (chunks, ahead)
-    if name == "_magnitude_pass":
-        # Row 0's misfit norm and the frame update's, against the
-        # frames' magnitudes as amplitudes.
-        amplitudes = np.abs(frames)
-        row0 = _passes._magnitude_pass(image, probe, amplitudes, geom, work, None)
-        updated = np.empty_like(frames)
-        return row0, _passes._magnitude_pass(image, probe, amplitudes, geom, work, updated)
-    if name == "_window_sums":
-        return _passes._window_sums(frames, probe, geom, weights, image, work)
+    return work
+
+
+def engine_call(name, work):
+    """Call the engine function ``name`` on :func:`slot_case`'s inputs."""
+    geom, frames, probe, image, weights, factors = slot_case()
+    amplitudes = np.abs(frames)
     if name == "_shifted_sums":
         return _passes._shifted_sums(frames, geom, image, weights, work)
-    canvas = 4.0 * weights
-    return _passes._framewise_shifted_sums(frames, geom, factors, weights, image, canvas, work)
+    if name == "_framewise_shifted_sums":
+        canvas = 4.0 * weights
+        return _passes._framewise_shifted_sums(frames, geom, factors, weights, image, canvas, work)
+    if name in ("_stack_images", "_adjoint"):
+        return getattr(_passes, name)(frames, probe, geom, work)
+    if name == "_gathered_terms":
+        return _passes._gathered_terms(frames, geom, image, weights, work)
+    if name == "_window_sums":
+        return _passes._window_sums(frames, probe, geom, weights, image, work)
+    if name == "_start_frames":
+        return _passes._start_frames(probe, amplitudes, geom, work)
+    return _passes._frame_update(image, probe, amplitudes, geom, work, frames)
+
+
+def engine_sums(monkeypatch, name, layout):
+    work = slot_work(monkeypatch, slot_case()[0], layout)
+    if name != "_magnitude_pass":
+        return engine_call(name, work)
+    # Row 0's misfit norm and the frame update's, against the frames'
+    # magnitudes as amplitudes.
+    geom, frames, probe, image, weights, factors = slot_case()
+    amplitudes = np.abs(frames)
+    row0 = _passes._magnitude_pass(image, probe, amplitudes, geom, work, None)
+    updated = np.empty_like(frames)
+    return row0, _passes._magnitude_pass(image, probe, amplitudes, geom, work, updated)
 
 
 def frame_order_sums(name):
@@ -460,6 +488,61 @@ def test_the_steps_sums_over_chunk_slots_are_frame_order_sums(monkeypatch, name,
     assert len(got) == len(want) == (2 if name == "_magnitude_pass" else 3)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("shape", [(169, 16, 16), (16, 128, 128), (3, 8, 8)])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_a_stacks_sum_over_its_frames_adds_them_in_order_onto_zeros(shape, dtype):
+    """The engine's tails rely on numpy summing a stack over its frames
+    as frame-by-frame adds onto zeros: they sum a chunk with
+    ``sum(axis=0)`` and add later frames, or add every frame onto an
+    accumulator of zeros, and both must give the whole stack's bits."""
+    rng = np.random.default_rng(21)
+
+    def spread():
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-12.0, 12.0, shape)
+
+    stack = spread() if dtype is np.float64 else spread() + 1j * spread()
+
+    def added(frames):
+        total = np.zeros(shape[1:], dtype=dtype)
+        for frame in frames:
+            np.add(total, frame, out=total)
+        return total.tobytes()
+
+    assert stack.sum(axis=0).tobytes() == added(stack)
+    # The values round differently in another order.
+    assert added(stack[::-1]) != added(stack)
+    # A stack of -0.0 sums to +0.0: the sum starts at zeros, not at a
+    # copy of the first frame.
+    negative = np.full(shape, complex(-0.0, -0.0) if dtype is np.complex128 else -0.0)
+    assert np.signbit(negative.view(np.float64)).all()
+    assert not np.signbit(negative.sum(axis=0).view(np.float64)).any()
+
+
+@pytest.mark.parametrize("layout", ["one chunk", "more chunks than slots"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "_shifted_sums", "_framewise_shifted_sums", "_stack_images", "_adjoint",
+        "_gathered_terms", "_window_sums", "_frame_update", "_start_frames",
+    ],
+)
+def test_each_engine_call_is_one_pass_over_the_frames(monkeypatch, name, layout):
+    # Each stage reads the frames once: a shifted step gathers or forms
+    # its shifted windows once, and a given stack's adjoint and canvas
+    # come from one pass.
+    work = slot_work(monkeypatch, slot_case()[0], layout)
+    passes = []
+    over_frames = _passes._over_frames
+
+    def counted(chunk, edges, tail=None):
+        passes.append(edges)
+        over_frames(chunk, edges, tail)
+
+    monkeypatch.setattr(_passes, "_over_frames", counted)
+    engine_call(name, work)
+    assert passes == [work.edges]
 
 
 def test_public_functions_run_on_the_calling_thread_only(monkeypatch):

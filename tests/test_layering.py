@@ -149,10 +149,11 @@ def test_the_engine_sits_between_fourier_and_operators():
 
 
 # What the solver leaves to the engine besides the workspace's fields
-# (``stack``, ``real``, ``edges``, ``slot``, ``scratch``): the scatters, and the passes
-# that read a stack an earlier pass left in the scratch.
+# (``stack``, ``misfit``, ``edges``, ``slot``, ``scratch``): the
+# scatters, the tail that scatters a pass's frames, and the pass that
+# sums what each chunk leaves in the scratch.
 ENGINE_ONLY = {
-    "illuminate_adjoint", "embed_add_frames", "_scatter_add", "_summed_products", "_shifted_windows",
+    "illuminate_adjoint", "embed_add_frames", "_scatter_add", "_scatter_tail", "_summed_pass",
 }
 
 
