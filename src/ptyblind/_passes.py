@@ -26,18 +26,22 @@ probe and the pass fills them and runs the scaling onwards; the
 standard and power steps, which share one gathered kernel; each
 shifted step (:func:`_shifted_sums`, :func:`_framewise_shifted_sums`),
 which gathers or forms each frame's shifted accumulation once; the
-per-frame gate's weighted stack; below ``_WINDOW_PX``, the object
+per-frame gate's window sums (:func:`_window_sums`), from gathered
+windows and weighted frames; below ``_WINDOW_PX``, the object
 coverage's ``|p|**2``; and the conjugate-probe weighting of given
 frames, with their intensities (:func:`_stack_images`) or without
 (:func:`_adjoint`). The sums over the frames of a step's products and
 weights are taken in the pass's tail: the first chunk is summed and
 each later frame added in turn, which is the order numpy's sum over
-the whole stack takes, so the bits are its bits. Per-frame
-sums, the per-frame gate's ``beta`` and each frame's squared misfit,
-are reduced frame by frame in the chunk (``vecdot``) into a length-K
-array, so no bit depends on which frames a chunk holds; the misfit norm
-is the square root of that array's sum. Only the inner products read a
-whole stack once every chunk has finished.
+the whole stack takes, so the bits are its bits. Per-frame sums, the
+per-frame gate's window sums and each frame's squared misfit, are
+reduced frame by frame in the chunk (``vecdot``) into a length-K array,
+so no bit depends on which frames a chunk holds. The per-frame shifted
+step reduces the gate's ``alpha`` and ``gamma`` from its own gathered
+windows by the same function (:func:`_probe_sums`), so its sums have
+the gate's bits. The misfit norm is the square root of the sum of the
+squared misfits. Only the inner products read a whole stack once every
+chunk has finished.
 
 Every scatter of a frame stack onto the object runs in a pass's tail:
 as each chunk finishes, the calling thread adds its frames into the
@@ -68,20 +72,21 @@ gathered windows and their products) and two float64 ones, one for
 what a tail reads (the reciprocal magnitudes and then the new frames'
 intensities, the gathered weights, the shifted step's per-frame
 denominator) and one beside it (the magnitudes and misfit, the
-per-frame shifted step's ``C|_k``). A pass keeps at most one chunk per usable core and one more in
-flight, each in slots of its own, so a stack of more chunks than that
-(400 frames of 128 px make 25) holds a few chunks of slots instead of a
-complex stack and two float64 stacks, at every frame size. Everything
-is allocated when the run starts. The passes
-write into it with ``out=`` ufuncs and ``take`` gathers. A probe, a
-per-frame factor or a real operand that a ufunc would broadcast or cast
-over a stack is first copied into a whole stack or slot, or taken frame
-by frame, since numpy buffers such operands on every call; only row 0, once per run, multiplies its
-windows by the broadcast probe, which gives the same bits. Past the
-first iteration no pass allocates a frame-sized array, and none frees
-one. With fresh stacks and temporaries, glibc grew and trimmed its heap
-on every gate or shifted iteration of the 64 px instances (up to 650
-page faults and 30% more time per framewise iteration).
+per-frame gate's and shifted step's ``C|_k``). A pass keeps at most
+one chunk per usable core and one more in flight, each in slots of its
+own, so a stack of more chunks than that (400 frames of 128 px make 25)
+holds a few chunks of slots instead of a complex stack and two float64
+stacks, at every frame size. Everything is allocated when the run
+starts. The passes write into it with ``out=`` ufuncs and ``take``
+gathers. A probe, a per-frame factor or a real operand that a ufunc
+would broadcast or cast over a stack is first copied into a whole stack
+or slot, or taken frame by frame, since numpy buffers such operands on
+every call; only row 0, once per run, multiplies its windows by the
+broadcast probe, which gives the same bits. Past the first iteration
+no pass allocates a frame-sized array, and none frees one. With fresh
+stacks and temporaries, glibc grew and trimmed its heap on every gate
+or shifted iteration of the 64 px instances (up to 650 page faults and
+30% more time per framewise iteration).
 """
 
 from __future__ import annotations
@@ -236,7 +241,7 @@ class _Workspace:
     the tail adds into the canvas, the gathered weights (the global
     shifted step's gathered canvas) and the per-frame shifted step's
     canvas terms, and the second the magnitudes and misfit and the
-    per-frame shifted step's ``C|_k``. Chunk ``i`` takes the slots
+    per-frame gate's and shifted step's ``C|_k``. Chunk ``i`` takes the slots
     ``i mod S``, where ``S = _in_flight(chunks)`` is one more than the
     usable cores, or the number of chunks where that is fewer; each
     slot is as tall as the tallest chunk it takes. A pass keeps at most
@@ -430,23 +435,49 @@ def _shifted_sums(
     return products_sum, windows_sum, canvas_sum
 
 
-def _framewise_shifted_sums(frames, geom: ScanGeometry, factors, coverage, adjoint, canvas, work):
+def _probe_sums(probe: np.ndarray, geom: ScanGeometry):
+    """Empty per-frame sums ``alpha`` (complex128) and ``gamma`` (float64)
+    of length K, and ``reduce(lo, hi, windows, weights)``, which fills
+    them at the frames ``[lo, hi)`` with ``alpha_k = sum |p|^2 A|_k``
+    and ``gamma_k = sum |p|^2 C|_k`` from the gathered windows of the
+    adjoint accumulation ``A`` (``windows``) and of the object coverage
+    ``C`` (``weights``), frame by frame (``vecdot``). The per-frame gate
+    and step reduce by this one function, so their sums share their
+    bits, and no bit depends on the chunking."""
+    intensity = np.abs(probe).reshape(-1) ** 2
+    # A float64 row against complex windows would be cast on every call.
+    complex_intensity = intensity.astype(np.complex128)
+    alpha, gamma = np.empty(geom.K, dtype=np.complex128), np.empty(geom.K)
+
+    def reduce(lo, hi, windows, weights):
+        np.vecdot(complex_intensity, windows.reshape(hi - lo, -1), out=alpha[lo:hi])
+        np.vecdot(intensity, weights.reshape(hi - lo, -1), out=gamma[lo:hi])
+
+    return alpha, gamma, reduce
+
+
+def _framewise_shifted_sums(frames, probe, geom, factors, coverage, adjoint, canvas, work):
     """The sums of the per-frame shifted step at one factor ``t_k`` per
     frame (``factors``, complex128 of length K), over each frame's
     shifted accumulation ``A'_k = A|_k - t_k C|_k`` of the adjoint
     accumulation ``A`` and the object coverage ``C``: ``sum_k conj(A'_k)
     f_k``, the cross term ``sum_k conj(t_k) A'_k`` and ``sum_k
-    (canvas|_k - |t_k|^2 C|_k)``.
+    (canvas|_k - |t_k|^2 C|_k)``; and the gate's ``alpha`` and
+    ``gamma`` (:func:`_window_sums`) with their bits, from which the
+    step weighs the shifted stack.
 
-    One pass: each chunk forms the ``A'_k`` in its scratch, with ``C|_k``
-    in its second float64 slot, and each frame's canvas term in its
-    first. The tail sums the canvas terms, adds each ``conj(t_k) A'_k``
-    onto the cross term, which starts at zeros as numpy's sum over the
-    frames does, then conjugates the ``A'_k`` in place, multiplies them
-    by the frames and sums the products, each sum in frame order."""
+    One pass: each chunk gathers ``A|_k`` into its scratch and ``C|_k``
+    into its second float64 slot, reduces ``alpha`` and ``gamma`` from
+    them (:func:`_probe_sums`), then forms the ``A'_k`` in place and
+    each frame's canvas term in its first float64 slot. The tail sums
+    the canvas terms, adds each ``conj(t_k) A'_k`` onto the cross term,
+    which starts at zeros as numpy's sum over the frames does, then
+    conjugates the ``A'_k`` in place, multiplies them by the frames and
+    sums the products, each sum in frame order."""
     fcol, conj_factors = factors[:, None, None], np.conj(factors)
     index, flat = geom.frame_indices, _flat_image(adjoint, geom, work.stack)
     flat_coverage, flat_canvas = (_flat_image(im, geom, work.slot(0)) for im in (coverage, canvas))
+    alpha, gamma, reduce = _probe_sums(probe, geom)
     cross = np.zeros((geom.m, geom.m), dtype=np.complex128)
     term = np.empty_like(cross)
 
@@ -458,6 +489,7 @@ def _framewise_shifted_sums(frames, geom: ScanGeometry, factors, coverage, adjoi
     def chunk(lo, hi):
         shift = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
         weights = flat_coverage.take(index[lo:hi], out=work.slot(lo, 1), mode="clip")
+        reduce(lo, hi, shift, weights)
         slot = work.slot(lo)
         for part, factor in ((shift.real, fcol.real), (shift.imag, fcol.imag)):
             product = np.multiply(_fill(slot, factor[lo:hi]), weights, out=slot)
@@ -476,7 +508,7 @@ def _framewise_shifted_sums(frames, geom: ScanGeometry, factors, coverage, adjoi
         yield np.multiply(shift, frames[lo:hi], out=shift)
 
     canvas_sum, products_sum = _summed_pass(chunk, terms, work)
-    return products_sum, cross, canvas_sum
+    return products_sum, cross, canvas_sum, alpha, gamma
 
 
 def _window_sums(
@@ -493,40 +525,27 @@ def _window_sums(
     (real), where ``X|_k`` is the window of an (n, n) image at frame k,
     ``A`` the adjoint accumulation and ``C`` the object coverage.
 
-    ``alpha`` and ``gamma`` are circular correlations of the images with
-    ``|p|^2`` zero-padded to (n, n), taken by FFT and read at the
-    positions, which the geometry holds modulo n, so a window that
-    wraps is summed as it is gathered. ``beta`` is one gathered pass:
-    each chunk weighs its frames by the gathered coverage in its scratch
-    and reduces each frame against ``conj(p)`` with ``vecdot``, one row
-    at a time, so no bit depends on the chunking.
+    One gathered pass: each chunk gathers ``A|_k`` into its scratch and
+    ``C|_k`` into its second float64 slot, reduces ``alpha`` and
+    ``gamma`` from them by the calls of the per-frame step
+    (:func:`_probe_sums`), then weighs its frames by ``C|_k`` in its
+    scratch and reduces each against ``conj(p)``. Every sum is reduced
+    frame by frame with ``vecdot``, so no bit depends on the chunking.
     """
-    # Two image-sized arrays, transformed in place (``ifft2`` would
-    # allocate two more whatever its ``out``).
-    kernel = np.zeros((geom.n, geom.n), dtype=np.complex128)
-    kernel[: geom.m, : geom.m] = np.abs(probe) ** 2
-    np.conj(np.fft.fftn(kernel, out=kernel), out=kernel)
-    spectrum = np.empty_like(kernel)
-
-    def correlated(image):
-        spectrum[...] = image
-        np.fft.fftn(spectrum, out=spectrum)
-        np.multiply(spectrum, kernel, out=spectrum)
-        return np.fft.ifftn(spectrum, out=spectrum)[geom.positions[:, 0], geom.positions[:, 1]]
-
-    alpha = correlated(adjoint)
-    gamma = correlated(coverage).real
-    del kernel, spectrum
-    flat, index = _flat_image(coverage, geom, work.stack), geom.frame_indices
+    index, flat = geom.frame_indices, _flat_image(adjoint, geom, work.stack)
+    flat_coverage = _flat_image(coverage, geom, work.slot(0))
+    alpha, gamma, reduce = _probe_sums(probe, geom)
     # ``vecdot`` conjugates its first operand.
     row, beta = np.ravel(probe), np.empty(geom.K, dtype=np.complex128)
 
-    def weighted(lo, hi):
-        view = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
-        np.multiply(view, frames[lo:hi], out=view)
-        np.vecdot(row, view.reshape(hi - lo, -1), out=beta[lo:hi])
+    def chunk(lo, hi):
+        windows = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
+        weights = flat_coverage.take(index[lo:hi], out=work.slot(lo, 1), mode="clip")
+        reduce(lo, hi, windows, weights)
+        weighted = np.multiply(_fill(windows, weights), frames[lo:hi], out=windows)
+        np.vecdot(row, weighted.reshape(hi - lo, -1), out=beta[lo:hi])
 
-    _over_frames(weighted, work.edges)
+    _over_frames(chunk, work.edges)
     return alpha, beta, gamma
 
 

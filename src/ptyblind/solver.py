@@ -63,15 +63,21 @@ coverage-weighted energy, all come from (n, n) images, and so does the
 global shifted step, the power step on ``A_s`` and the shifted canvas.
 The per-frame gate's score is the same form with one factor per frame;
 it comes from those images and three length-K sums over the frame
-windows, two by FFT correlation with ``|p|**2`` and one by a gathered
-pass over the frames. The per-frame step takes each frame's shifted
-accumulation ``A|_k - t_k C|_k`` from the gathered images. No gate or
-step forms a shifted stack. These closed forms lose about
-``log10(E / weight)`` digits as the shifted stack's coverage-weighted
-energy, the gate's weight, falls below the stack's ``E``: below
-``_WEIGHT_FLOOR`` of it, on a nearly transparent stack, a gate scores 0
-and a step raises :class:`DegenerateInputError`, and the loop takes the
-plain power step. A gate returns its score and keeps nothing.
+windows, ``alpha`` and ``gamma`` (``|p|**2`` against the gathered
+windows of ``A`` and ``C``) and ``beta``, from one gathered pass. The
+per-frame step takes each frame's shifted accumulation ``A|_k - t_k
+C|_k`` from the gathered images, and reduces ``alpha`` and ``gamma``
+from the same windows by the same calls. No gate or step forms a
+shifted stack. These closed forms lose about ``log10(E / weight)``
+digits as the shifted stack's coverage-weighted energy, the weight,
+falls below the stack's ``E``. Each gate and its step take the weight
+from one helper (:func:`_global_shift`, :func:`_framewise_shift`) and
+the same bits: below ``_WEIGHT_FLOOR`` of ``E``, on a nearly
+transparent stack, the gate scores 0 and the loop takes the plain power
+step, and the step, called alone, raises :class:`DegenerateInputError`.
+So a step the gate accepted does not raise for its weight, and a step
+that raises all the same ends the run. A gate returns its score and
+keeps nothing.
 The model spectra are transformed once: their magnitudes give the
 data residual and then phase the spectra in place for the frame
 update.
@@ -189,10 +195,16 @@ def _divided(
     ``source``."""
     peak = denominator.max()
     if not peak > 0:
-        if source is not None and np.any(source):
-            raise DegenerateInputError(f"{subject} intensity underflowed to zero: {undefined}")
-        raise DegenerateInputError(f"{subject} is identically zero: {undefined}")
+        raise DegenerateInputError(f"{_zero(subject, source)}: {undefined}")
     return numerator / np.maximum(denominator, EPSILON_REL * peak)
+
+
+def _zero(subject: str, source) -> str:
+    """What ``subject``, whose intensity is zero, is: "``subject``
+    intensity underflowed to zero" where ``source`` has a nonzero entry,
+    else "``subject`` is identically zero"."""
+    state = "intensity underflowed to zero" if np.any(source) else "is identically zero"
+    return f"{subject} {state}"
 
 
 def update_object(coverage: np.ndarray, adjoint: np.ndarray, probe: np.ndarray) -> np.ndarray:
@@ -268,7 +280,7 @@ def transparency_global(adjoint: np.ndarray, probe: np.ndarray, geom: ScanGeomet
     probe = np.asarray(probe)
     probe_sq = np.vdot(probe, probe).real
     if probe_sq == 0.0:
-        raise ValueError("probe is identically zero")
+        raise ValueError(_zero("probe", probe))
     return complex(_check_object(adjoint, geom).sum() / (geom.K * probe_sq))
 
 
@@ -291,7 +303,7 @@ def transparency_framewise(
     probe = np.asarray(probe)
     probe_sq = np.vdot(probe, probe).real
     if probe_sq == 0.0:
-        raise ValueError("probe is identically zero")
+        raise ValueError(_zero("probe", probe))
     per_frame = np.tensordot(np.conj(probe), frames, axes=([0, 1], [1, 2]))
     hood = geom._neighbourhoods
     return hood.sums(per_frame) / (probe_sq * hood.counts)
@@ -320,6 +332,22 @@ def _usable_weight(weight: float, energy: float) -> bool:
     energy, keeps enough digits to score or step by: finite and at least
     ``_WEIGHT_FLOOR`` of the stack energy."""
     return math.isfinite(weight) and weight >= _WEIGHT_FLOOR * energy > 0.0
+
+
+def _framewise_shift(factors, alpha, gamma, coverage, canvas) -> tuple[float, bool, float, float]:
+    """The stack shifted by one factor ``t_k`` per frame in closed form:
+    its coverage-weighted energy ``E - 2 Re sum_k conj(t_k) alpha_k +
+    sum_k |t_k|^2 gamma_k`` for the stack's own weighted energy ``E =
+    <C, canvas>`` and the per-frame sums ``alpha`` and ``gamma`` of
+    :func:`_window_sums`; whether that weight is usable; and its two
+    shift terms, ``Re sum_k conj(t_k) alpha_k`` and ``sum_k |t_k|^2
+    gamma_k``. The per-frame gate and step both weigh the shifted stack
+    here, from sums with the same bits, so they test the same weight."""
+    energy = np.vdot(coverage, canvas).real
+    cross = np.vdot(factors, alpha).real
+    scaled = np.abs(factors) ** 2 @ gamma
+    weight = energy - 2.0 * cross + scaled
+    return weight, _usable_weight(weight, energy), cross, scaled
 
 
 def _shift_factors(transparency: complex | np.ndarray, geom: ScanGeometry) -> complex | np.ndarray:
@@ -384,7 +412,7 @@ def shift_consistency(
     beta_k) + sum_k |t_k|^2 gamma_k`` and their norm ``E - 2 Re sum_k
     conj(t_k) alpha_k + sum_k |t_k|^2 gamma_k``, from the window sums
     of :func:`_window_sums`; with every ``t_k = t`` these are the global
-    terms.
+    terms. The norm is the step's weight too (:func:`_framewise_shift`).
 
     Both terms cancel as the shift residue falls many orders below the
     stack. Where the norm is not finite or below ``_WEIGHT_FLOOR`` of
@@ -397,13 +425,9 @@ def shift_consistency(
         weight, usable, accumulation = _global_shift(factors, coverage, adjoint, canvas)
         form = np.vdot(accumulation, accumulation).real
     else:
-        energy = np.vdot(coverage, canvas).real
         alpha, beta, gamma = _window_sums(frames, probe, geom, coverage, adjoint, work)
-        cross = np.vdot(factors, alpha).real
-        scaled = np.abs(factors) ** 2 @ gamma
+        weight, usable, cross, scaled = _framewise_shift(factors, alpha, gamma, coverage, canvas)
         form = np.vdot(adjoint, adjoint).real - cross - np.vdot(factors, beta).real + scaled
-        weight = energy - 2.0 * cross + scaled
-        usable = _usable_weight(weight, energy)
     return float(form / weight) if usable else 0.0
 
 
@@ -436,16 +460,14 @@ def update_probe_rank1(
     engine.
 
     Where the shifted stack's coverage-weighted energy is not usable
-    (below ``_WEIGHT_FLOOR`` of the stack energy, as
-    :func:`shift_consistency` tests it), the step raises
+    (below ``_WEIGHT_FLOOR`` of the stack energy), the step raises
     :class:`DegenerateInputError`: a nearly constant object region
-    carries no probe information the closed forms can resolve, and
-    callers may then fall back to the plain power update. With one
-    factor it raises before any pass over the frames. With per-frame
-    factors the step sums that energy over its own denominator, ``sum(den
-    |p|^2)``, so it can fall on the other side of the floor from the
-    gate's, and it raises once the engine call that gives the
-    denominator, and with it the products, has run.
+    carries no probe information the closed forms can resolve. It tests
+    the weight :func:`shift_consistency` tests, from the same bits, so
+    it raises on exactly the stacks whose weight the gate rejects. With
+    one factor it raises before any pass over the frames; with per-frame
+    factors, once the engine call that gives the window sums, and with
+    them the products, has run.
     """
     factors = _shift_factors(transparency, geom)
     frames, probe = np.asarray(frames), np.asarray(probe)
@@ -459,14 +481,12 @@ def update_probe_rank1(
             num, total, den = _shifted_sums(frames, geom, shift, shifted_canvas, work)
             num -= factors * probe * total
     else:
-        num, cross, canvas_sum = _framewise_shifted_sums(
-            frames, geom, factors, coverage, adjoint, canvas, work
+        num, cross, canvas_sum, alpha, gamma = _framewise_shifted_sums(
+            frames, probe, geom, factors, coverage, adjoint, canvas, work
         )
-        den = canvas_sum - 2.0 * cross.real
-        energy = np.vdot(coverage, canvas).real
-        usable = _usable_weight(float((den * np.abs(probe) ** 2).sum()), energy)
+        usable = _framewise_shift(factors, alpha, gamma, coverage, canvas)[1]
         num -= probe * np.conj(cross)
-        den = np.maximum(den, 0.0)
+        den = np.maximum(canvas_sum - 2.0 * cross.real, 0.0)
     if not usable:
         raise DegenerateInputError(
             "transparency shift left no usable stack energy: nearly constant object region"
@@ -487,7 +507,7 @@ def center_probe(probe: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     intensity = np.abs(probe) ** 2
     total = intensity.sum()
     if total == 0.0:
-        raise ValueError("cannot center an identically zero probe")
+        raise ValueError(f"cannot center the probe: {_zero('probe', probe)}")
     m = probe.shape[0]
     target = (m - 1) / 2.0
     shift = np.zeros(2, dtype=np.int64)
@@ -515,9 +535,7 @@ def _check_probe(probe: np.ndarray, name: str, geom: ScanGeometry) -> None:
     if not np.all(np.isfinite(probe)):
         raise ValueError(f"{name} contains non-finite entries")
     if np.linalg.norm(probe) == 0.0:
-        if np.any(probe):
-            raise ValueError(f"{name} intensity underflowed to zero")
-        raise ValueError(f"{name} is identically zero")
+        raise ValueError(_zero(name, probe))
 
 
 @dataclass
@@ -571,22 +589,14 @@ def _probe_step(
         args = (frames, probe, geom, factor, coverage, adjoint, canvas, work)
         score = shift_consistency(*args)
         if score >= RANK1_GATE:
-            try:
-                stepped = update_probe_rank1(*args)
-            except DegenerateInputError:
+            stepped = update_probe_rank1(*args)
+            if not state.shift_seen:
                 events.append(
-                    f"iteration {iteration}: degenerate transparency shift, "
-                    "fell back to power update"
+                    f"iteration {iteration}: transparency shift engaged (consistency {score:.3f})"
                 )
-            else:
-                if not state.shift_seen:
-                    events.append(
-                        f"iteration {iteration}: transparency shift engaged "
-                        f"(consistency {score:.3f})"
-                    )
-                state.since_shift = 0
-                state.shift_seen = True
-                return stepped, True
+            state.since_shift = 0
+            state.shift_seen = True
+            return stepped, True
     state.since_shift += 1
     return update_probe_power(frames, geom, adjoint, canvas, work), False
 

@@ -423,7 +423,9 @@ def engine_call(name, work):
         return _passes._shifted_sums(frames, geom, image, weights, work)
     if name == "_framewise_shifted_sums":
         canvas = 4.0 * weights
-        return _passes._framewise_shifted_sums(frames, geom, factors, weights, image, canvas, work)
+        return _passes._framewise_shifted_sums(
+            frames, probe, geom, factors, weights, image, canvas, work
+        )
     if name in ("_stack_images", "_adjoint"):
         return getattr(_passes, name)(frames, probe, geom, work)
     if name == "_gathered_terms":
@@ -450,19 +452,22 @@ def engine_sums(monkeypatch, name, layout):
 
 def frame_order_sums(name):
     """What the engine's passes sum, from whole stacks: each sum over the
-    frames in frame order (``sum(axis=0)``), ``beta`` reduced frame by
-    frame with ``vecdot``, and the misfit norm from each frame's squared
-    misfit so reduced; None for ``_window_sums``' ``alpha`` and
-    ``gamma``, which no pass forms."""
+    frames in frame order (``sum(axis=0)``); ``alpha``, ``beta`` and
+    ``gamma`` reduced frame by frame with ``vecdot``, the first and last
+    against ``|p|**2``; and the misfit norm from each frame's squared
+    misfit so reduced."""
     geom, frames, probe, image, weights, factors = slot_case()
     if name == "_magnitude_pass":
         magnitudes = np.abs(frame_dft(illuminate(image, probe, geom)))
         return (misfit_norm(magnitudes, np.abs(frames)),) * 2
     windows = operators.extract_frames(image, geom)
     coverage = operators.extract_frames(weights, geom)
+    intensity = np.abs(probe).reshape(-1) ** 2
+    alpha = np.vecdot(intensity, windows.reshape(geom.K, -1))
+    gamma = np.vecdot(intensity, coverage.reshape(geom.K, -1))
     if name == "_window_sums":
         weighted = operators.extract_frames(weights.astype(np.complex128), geom) * frames
-        return None, np.vecdot(probe.reshape(-1), weighted.reshape(geom.K, -1)), None
+        return alpha, np.vecdot(probe.reshape(-1), weighted.reshape(geom.K, -1)), gamma
     if name == "_shifted_sums":
         conj_windows = operators.extract_frames(np.conj(image), geom)
         return (conj_windows * frames).sum(axis=0), conj_windows.sum(axis=0), coverage.sum(axis=0)
@@ -471,7 +476,8 @@ def frame_order_sums(name):
     windows.imag -= fcol.imag * coverage
     crossed = np.array([np.multiply(w, np.conj(t)) for w, t in zip(windows, factors)])
     canvas_terms = 4.0 * coverage - coverage * np.abs(fcol) ** 2
-    return (np.conj(windows) * frames).sum(axis=0), crossed.sum(axis=0), canvas_terms.sum(axis=0)
+    products = (np.conj(windows) * frames).sum(axis=0)
+    return products, crossed.sum(axis=0), canvas_terms.sum(axis=0), alpha, gamma
 
 
 @pytest.mark.parametrize("layout", SLOT_LAYOUTS)
@@ -483,11 +489,15 @@ def test_the_steps_sums_over_chunk_slots_are_frame_order_sums(monkeypatch, name,
     # rounds other than the frame by frame reduction and the frame-order
     # sum, which no chunking changes.
     got = engine_sums(monkeypatch, name, layout)
-    whole = engine_sums(monkeypatch, name, "one chunk")
-    want = [w if w is not None else v for w, v in zip(frame_order_sums(name), whole)]
-    assert len(got) == len(want) == (2 if name == "_magnitude_pass" else 3)
+    want = frame_order_sums(name)
+    sums = {"_magnitude_pass": 2, "_framewise_shifted_sums": 5}.get(name, 3)
+    assert len(got) == len(want) == sums
     for a, b in zip(got, want):
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    if name == "_framewise_shifted_sums":
+        # The step weighs the shifted stack from its gate's own bits.
+        alpha, _, gamma = engine_sums(monkeypatch, "_window_sums", layout)
+        assert got[3].tobytes() == alpha.tobytes() and got[4].tobytes() == gamma.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(169, 16, 16), (16, 128, 128), (3, 8, 8)])

@@ -16,6 +16,10 @@ method, except that ``fourier.frame_dft`` chunks its transforms with
 ``operators`` no package module, so ``fourier`` imports ``_passes``
 without a cycle.
 
+The engine transforms only in the frame passes, ``_magnitude_pass`` and
+``_start_frames``: every per-frame sum is reduced from gathered windows,
+and no image-domain correlation takes its place.
+
 The run's scratch is an opaque handle to ``solver``: it makes a
 ``_Workspace`` and hands it to engine calls, but reads none of its
 attributes, and it neither scatters frames nor multiplies a stack the
@@ -139,6 +143,29 @@ def test_one_np_add_at_in_the_package_and_no_bincount():
         for scope, call in scatter_calls(tree)
     ]
     assert found == [("operators.py", "_scatter_add", "add.at")]
+
+
+def fft_scopes(tree):
+    """The top-level definitions of a module that name anything of
+    ``fft`` (``np.fft``, a transform, an import of one)."""
+    scopes = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname or ""}
+            else:
+                names = set()
+            if any("fft" in name for name in names):
+                scopes.add(getattr(top, "name", "<module>"))
+    return scopes
+
+
+def test_the_engine_transforms_only_in_the_frame_passes():
+    assert fft_scopes(parse_package()["_passes.py"]) == {"_magnitude_pass", "_start_frames"}
 
 
 def test_the_engine_sits_between_fourier_and_operators():

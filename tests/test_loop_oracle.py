@@ -9,6 +9,8 @@ runs are compared byte for byte: final probe, object and frames,
 every History value except the wall time, and the events.
 """
 
+import re
+
 import numpy as np
 import pytest
 from conftest import (
@@ -90,22 +92,15 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
                 frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
             )
             if score >= solver.RANK1_GATE:
-                try:
-                    new = update_probe_rank1(
-                        frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
-                    )
-                except DegenerateInputError:
+                new = update_probe_rank1(
+                    frames, probe, geom, transparency, *step_inputs(frames, probe, geom)
+                )
+                if shifts == 0:
                     events.append(
-                        f"iteration {iteration}: degenerate transparency shift, "
-                        "fell back to power update"
+                        f"iteration {iteration}: transparency shift engaged "
+                        f"(consistency {score:.3f})"
                     )
-                else:
-                    if shifts == 0:
-                        events.append(
-                            f"iteration {iteration}: transparency shift engaged "
-                            f"(consistency {score:.3f})"
-                        )
-                    engaged, shifts, since_shift = True, shifts + 1, 0
+                engaged, shifts, since_shift = True, shifts + 1, 0
         if new is None:
             new = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
             since_shift += 1
@@ -159,32 +154,19 @@ def test_loop_matches_reference_until_stop():
     assert_same_run(run_reconstruction(amps, geom, init, cfg, probe_true=probe), reference)
 
 
-def every_other_step_degenerate(step):
-    """``step``, raising ``DegenerateInputError`` on its first call and
-    every other one after it instead of stepping."""
-    calls = []
-
-    def flaky(*args):
-        calls.append(None)
-        if len(calls) % 2:
-            raise DegenerateInputError("no usable stack energy")
-        return step(*args)
-
-    return flaky
-
-
 @pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
-def test_loop_matches_reference_through_degenerate_fallback(monkeypatch, mode):
-    # A shifted step that raises where its gate accepted (the per-frame
-    # gate and step sum the shifted energy apart, so they can fall on
-    # opposite sides of the weight floor) leaves the loop on the power
-    # step with a logged fallback, as the reference handles it.
+def test_a_step_that_raises_after_its_gate_accepted_ends_the_run(monkeypatch, mode):
+    # The gate and the step weigh the shifted stack alike, so the loop
+    # keeps no fallback to the power step: a shifted step that raises
+    # all the same ends the run, naming the iteration.
     geom, probe, init, amps = wrapping_instance()
     cfg = SolverConfig(probe_mode=mode, max_iters=30)
-    step = update_probe_rank1
-    monkeypatch.setitem(globals(), "update_probe_rank1", every_other_step_degenerate(step))
-    reference = reference_run(amps, geom, init, cfg, probe_true=probe)
-    fell_back = [event for event in reference[1] if "degenerate transparency shift" in event]
-    assert len(fell_back) >= 2 and reference[3] >= 2
-    monkeypatch.setattr(solver, "update_probe_rank1", every_other_step_degenerate(step))
-    assert_same_run(run_reconstruction(amps, geom, init, cfg, probe_true=probe), reference)
+    engaged = run_reconstruction(amps, geom, init, cfg, probe_true=probe).events[0]
+    first = re.fullmatch(r"iteration (\d+): transparency shift engaged \(.*\)", engaged)[1]
+
+    def degenerate(*args):
+        raise DegenerateInputError("no usable stack energy")
+
+    monkeypatch.setattr(solver, "update_probe_rank1", degenerate)
+    with pytest.raises(DegenerateInputError, match=f"^iteration {first}: no usable stack energy$"):
+        run_reconstruction(amps, geom, init, cfg, probe_true=probe)

@@ -26,6 +26,7 @@ from conftest import (
     uniform_shift_terms,
     update_probe_rank1_expanded,
 )
+from test_loop_oracle import wrapping_instance
 
 from ptyblind import (
     DegenerateInputError,
@@ -270,6 +271,12 @@ class TestTransparencyGlobal:
         with pytest.raises(ValueError, match="^probe is identically zero$"):
             transparency_global(rand_complex(rng, 8, 8), np.zeros((4, 4), dtype=complex), geom)
 
+    def test_underflowed_probe_says_so(self, rng):
+        geom = random_geometry(rng, 8, 4, 6)
+        probe = np.full((4, 4), 1e-170, dtype=complex)
+        with pytest.raises(ValueError, match="^probe intensity underflowed to zero$"):
+            transparency_global(rand_complex(rng, 8, 8), probe, geom)
+
 
 def pixel_sets(geom):
     """Each frame's set of wrapped object pixels."""
@@ -323,6 +330,12 @@ class TestTransparencyFramewise:
         frames = rand_complex(rng, geom.K, 4, 4)
         with pytest.raises(ValueError, match="^probe is identically zero$"):
             transparency_framewise(frames, np.zeros((4, 4), dtype=complex), geom)
+
+    def test_underflowed_probe_says_so(self, rng):
+        geom = random_geometry(rng, 8, 4, 6)
+        frames = rand_complex(rng, geom.K, 4, 4)
+        with pytest.raises(ValueError, match="^probe intensity underflowed to zero$"):
+            transparency_framewise(frames, np.full((4, 4), 1e-170, dtype=complex), geom)
 
     @pytest.mark.parametrize("offset", [0, 3], ids=["raster", "shifted raster"])
     def test_a_ten_thousand_frame_scan_needs_no_k_by_k_matrix(self, offset):
@@ -844,22 +857,43 @@ class TestBelowTheFloor:
             assert stepped.tobytes() == want.tobytes()
             assert not engaged and events == []
 
-    @pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
-    def test_a_degenerate_step_falls_back_with_event(self, rng, monkeypatch, mode):
-        # The per-frame gate sums the shifted energy from window sums and
-        # the step from its own terms, so the two can fall on opposite
-        # sides of the floor; the loop then takes the power step.
-        geom, probe, obj, frames = consistent_instance(rng, 8, 4, 10)
 
-        def degenerate(*args):
-            raise DegenerateInputError("no usable stack energy")
+class TestOneWeight:
+    """The per-frame gate and step weigh the shifted stack by one
+    helper, ``solver._framewise_shift``, from window sums with the same
+    bits, so the step finds usable what its gate found usable."""
 
-        monkeypatch.setattr(solver, "update_probe_rank1", degenerate)
-        stepped, engaged, events = probe_step(frames, probe, geom, mode)
-        want = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
-        assert stepped.tobytes() == want.tobytes()
-        assert not engaged
-        assert events == ["iteration 1: degenerate transparency shift, fell back to power update"]
+    @pytest.mark.parametrize("layout", ["one chunk", "more chunks than slots"])
+    def test_the_step_weighs_the_shifted_stack_as_its_gate_did(self, monkeypatch, layout):
+        geom, probe, init, amps = wrapping_instance()
+        if layout != "one chunk":
+            monkeypatch.setattr(_passes, "_CHUNK_BYTES", 1)
+            monkeypatch.setattr(_passes, "_usable_cores", lambda: 2)
+            chunks = len(_passes._frame_edges(geom.K, 16 * geom.m**2)) - 1
+            assert chunks > _passes._in_flight(chunks) == 3
+        calls, callers = [], []
+        weigh = solver._framewise_shift
+
+        def recorded(*args):
+            weight, usable, cross, scaled = weigh(*args)
+            calls.append((callers[-1], np.float64(weight).tobytes(), usable))
+            return weight, usable, cross, scaled
+
+        for name in ("shift_consistency", "update_probe_rank1"):
+
+            def called(*args, _step=getattr(solver, name), _name=name):
+                callers.append(_name)
+                return _step(*args)
+
+            monkeypatch.setattr(solver, name, called)
+        monkeypatch.setattr(solver, "_framewise_shift", recorded)
+        cfg = SolverConfig(probe_mode="rank1_framewise", max_iters=30)
+        run_reconstruction(amps, geom, init, cfg, probe_true=probe)
+        steps = [i for i, (caller, _, _) in enumerate(calls) if caller == "update_probe_rank1"]
+        assert len(steps) >= 2 and len(calls) > len(steps) * 2
+        for i in steps:
+            assert calls[i - 1][0] == "shift_consistency"
+            assert calls[i][1:] == calls[i - 1][1:] and calls[i][2]
 
 
 def rank1_step(frames, probe, geom, transparency):

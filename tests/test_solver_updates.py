@@ -230,5 +230,11 @@ def test_center_probe_random_blob_lands_within_one_pixel(rng):
 
 
 def test_center_probe_zero_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^cannot center the probe: probe is identically zero$"):
         center_probe(np.zeros((4, 4), dtype=complex))
+
+
+def test_center_probe_underflowed_probe_says_so():
+    message = "^cannot center the probe: probe intensity underflowed to zero$"
+    with pytest.raises(ValueError, match=message):
+        center_probe(np.full((4, 4), 1e-170))
