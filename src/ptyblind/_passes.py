@@ -29,10 +29,10 @@ which gathers or forms each frame's shifted accumulation once; the
 per-frame gate's window sums (:func:`_window_sums`), from gathered
 windows and weighted frames; below ``_WINDOW_PX``, the object
 coverage's ``|p|**2``; and the conjugate-probe weighting of given
-frames, with their intensities (:func:`_stack_images`) or without
-(:func:`_adjoint`). The sums over the frames of a step's products and
-weights are taken in the pass's tail: the first chunk is summed and
-each later frame added in turn, which is the order numpy's sum over
+frames, with their intensities (:func:`_stack_images`). The sums over
+the frames of a step's products and weights are taken in the pass's
+tail: the first chunk is summed and each later frame added in turn,
+which is the order numpy's sum over
 the whole stack takes, so the bits are its bits. Per-frame sums, the
 per-frame gate's window sums and each frame's squared misfit, are
 reduced frame by frame in the chunk (``vecdot``) into a length-K array,
@@ -49,9 +49,8 @@ as each chunk finishes, the calling thread adds its frames into the
 frames, and the given frames of a start from ``frames_init``
 (:func:`_stack_images`), add their conjugate-probe weighted frames into
 the new adjoint accumulation and their intensities into the canvas
-(:func:`_scatter_tail`); the object re-fit after a shifted step
-(:func:`_adjoint`) adds the weighted frames alone. The frame size
-decides how one chunk is added, in :func:`_add_frames`: frames of at
+(:func:`_scatter_tail`). The frame size decides how one chunk is
+added, in :func:`_add_frames`: frames of at
 least ``_WINDOW_PX`` window by window, smaller ones (16 px in every 64
 px instance) by one ``np.add.at`` over the chunk's object indices. The one
 other reader of that decision is the object coverage, which is no
@@ -554,28 +553,12 @@ def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
     np.square(np.abs(frames, out=out), out=out)
 
 
-def _adjoint(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace) -> np.ndarray:
-    """``illuminate_adjoint(frames, probe, geom)`` of frames no pass has
-    just written (the object re-fit after a shifted step): each chunk
-    weights its frames by the conjugate probe in its scratch, and the
-    pass's tail adds them onto the adjoint."""
-    conj_probe = np.conj(probe)
-    adjoint = np.zeros((geom.n, geom.n), dtype=np.complex128)
-
-    def chunk(lo, hi):
-        weighted = work.scratch(lo)
-        np.multiply(_fill(weighted, conj_probe), frames[lo:hi], out=weighted)
-
-    _over_frames(chunk, work.edges, lambda lo, hi: _add_frames(adjoint, work.scratch(lo), geom, lo))
-    return adjoint
-
-
 def _stack_images(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace):
     """The adjoint accumulation ``illuminate_adjoint(frames, probe,
     geom)`` and intensity canvas of given frames (a start from
-    ``frames_init``), from one pass: each chunk weights its frames as
-    :func:`_adjoint` does and puts their intensities in its slot, and
-    :func:`_scatter_tail` is the pass's tail."""
+    ``frames_init``), from one pass: each chunk weights its frames by the
+    conjugate probe in its scratch and puts their intensities in its
+    slot, and :func:`_scatter_tail` is the pass's tail."""
     tail, images = _scatter_tail(geom, work)
     conj_probe = np.conj(probe)
 

@@ -384,6 +384,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_cmp.add_argument("--threshold", type=float, required=True, help="probe-NRMSE threshold")
 
     args = parser.parse_args(argv)
+    if args.command == "compare" and not args.threshold >= 0.0:
+        # No probe error reaches a NaN threshold or a negative one.
+        p_cmp.error(f"argument --threshold: expected a number >= 0, got {args.threshold}")
     try:
         if args.command == "compare":
             return cmd_compare(args.csv_a, args.csv_b, args.threshold)

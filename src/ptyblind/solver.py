@@ -32,10 +32,9 @@ run. The loop therefore schedules it: a shifted step is taken only
 when :func:`shift_consistency` certifies the shifted stack is close
 to self-consistent (a score of at least ``RANK1_GATE``) and at most
 every ``RANK1_CADENCE`` iterations, with plain power steps
-consolidating in between. After each shifted step the object is
-recomputed with the new probe before the frames are rebuilt, so the
-jump is absorbed instead of being undone by the next consolidation
-steps. Both branches leave an exact solution fixed.
+consolidating in between. A shifted step replaces the probe step and
+nothing else: every iteration updates the object once, before its probe
+step. Both branches leave an exact solution fixed.
 
 Three products of the current (frames, probe) pair are computed once
 per iteration and read by every consumer: the object coverage ``C``;
@@ -104,7 +103,7 @@ from typing import Optional
 import numpy as np
 
 from ._passes import (
-    _Workspace, _adjoint, _frame_update, _framewise_shifted_sums, _gathered_terms,
+    _Workspace, _frame_update, _framewise_shifted_sums, _gathered_terms,
     _magnitude_pass, _object_coverage, _shifted_sums, _stack_images, _start_frames, _window_sums,
 )
 from .fourier import check_amplitudes
@@ -571,16 +570,13 @@ def _probe_step(
     cfg: SolverConfig,
     iteration: int,
     events: list[str],
-) -> tuple[np.ndarray, bool]:
-    """One probe update per ``cfg.probe_mode``.
-
-    Returns the new probe and whether this step was transparency-
-    shifted, and advances the shift schedule in ``state``.
-    """
+) -> np.ndarray:
+    """One probe update per ``cfg.probe_mode``: returns the new probe and
+    advances the shift schedule in ``state``."""
     frames, probe, work = state.frames, state.probe, state.work
     coverage, adjoint, canvas = state.coverage, state.adjoint, state.canvas
     if cfg.probe_mode == "standard":
-        return update_probe_standard(frames, obj, geom, work), False
+        return update_probe_standard(frames, obj, geom, work)
     if cfg.probe_mode != "power" and state.since_shift >= RANK1_CADENCE:
         if cfg.probe_mode == "rank1_framewise":
             factor = transparency_framewise(frames, probe, geom)
@@ -589,16 +585,15 @@ def _probe_step(
         args = (frames, probe, geom, factor, coverage, adjoint, canvas, work)
         score = shift_consistency(*args)
         if score >= RANK1_GATE:
-            stepped = update_probe_rank1(*args)
             if not state.shift_seen:
                 events.append(
                     f"iteration {iteration}: transparency shift engaged (consistency {score:.3f})"
                 )
             state.since_shift = 0
             state.shift_seen = True
-            return stepped, True
+            return update_probe_rank1(*args)
     state.since_shift += 1
-    return update_probe_power(frames, geom, adjoint, canvas, work), False
+    return update_probe_power(frames, geom, adjoint, canvas, work)
 
 
 def run_reconstruction(
@@ -615,10 +610,10 @@ def run_reconstruction(
     ``cfg.probe_mode``), recenters the probe (jointly rolling the
     object, which preserves the data fit) and locks its norm to the
     initial probe's, and finally rebuilds the frames from the model
-    with measured magnitudes imposed. In the rank-1 modes the transparency-shifted
-    step runs on the gate-and-cadence schedule described in the module
-    docstring, and after a shifted step the object is recomputed with
-    the new probe before the frames are rebuilt. Metrics are recorded
+    with measured magnitudes imposed. In the rank-1 modes the
+    transparency-shifted step takes the place of the probe update on the
+    gate-and-cadence schedule described in the module docstring; the
+    object is updated once per iteration in every mode. Metrics are recorded
     every iteration; row 0 describes the initial state. The recorded
     data residual is the model feasibility gap: the relative distance
     between the measured amplitudes and the magnitudes the current
@@ -703,7 +698,7 @@ def run_reconstruction(
                 break
             t0 = time.perf_counter()
             obj = update_object(state.coverage, state.adjoint, state.probe)
-            probe, engaged = _probe_step(state, obj, geom, cfg, iteration, history.events)
+            probe = _probe_step(state, obj, geom, cfg, iteration, history.events)
             _check_finite(probe, f"{cfg.probe_mode} probe update")
             probe, shift = center_probe(probe)
             if shift.any():
@@ -714,15 +709,6 @@ def run_reconstruction(
             probe *= norm_lock_target / norm
             state.probe = probe
             state.coverage = _object_coverage(probe, geom, work)
-            if engaged:
-                # A shifted step can move the probe far; re-fit the
-                # object before rebuilding the frames so the jump is
-                # kept instead of being averaged away. The old object
-                # is dropped first, out of the re-fit's peak memory.
-                del obj
-                obj = update_object(
-                    state.coverage, _adjoint(state.frames, probe, geom, work), probe
-                )
             # Nothing reads the old frames any more: the new ones
             # overwrite them. The old images go before the pass makes
             # the new ones, out of its peak memory.

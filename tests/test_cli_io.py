@@ -485,6 +485,21 @@ class TestCommandLine:
             assert (run.returncode, run.stdout) == (status, printed)
             assert len(printed.splitlines()) == 3
 
+    @pytest.mark.parametrize("threshold", ["nan", "-0.1", "-2.5"])
+    def test_compare_rejects_a_threshold_no_run_can_reach(self, tmp_path, capsys, threshold):
+        # A NaN threshold would read "not reached" for every run, and
+        # then fail as reached by neither.
+        csv = str(tmp_path / "a.csv")
+        write_metrics_csv(csv, make_rows([0.5, 0.01]))
+        with pytest.raises(SystemExit) as caught:
+            main(["compare", csv, csv, "--threshold", threshold])
+        assert caught.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: ptyblind compare ")
+        want = f"error: argument --threshold: expected a number >= 0, got {threshold}\n"
+        assert captured.err.endswith(want)
+
     @pytest.mark.parametrize("command", ["simulate", "reconstruct"])
     def test_negative_seed_names_the_option(self, tmp_path, capsys, command):
         config = write_config(tmp_path, BASE_CONFIG)

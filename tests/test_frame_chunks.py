@@ -144,8 +144,8 @@ def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chu
     chunk by np.add.at, with the same bits."""
     geom, probe, amps = windowed_instance()
     monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
-    # A shifted step, and so the re-fit, wherever the gate scores 0 or
-    # more and the step is not degenerate.
+    # A shifted step wherever the gate scores 0 or more and the step is
+    # not degenerate.
     monkeypatch.setattr(solver, "RANK1_CADENCE", 1)
     monkeypatch.setattr(solver, "RANK1_GATE", 0.0)
     cfg = SolverConfig(probe_mode=mode, max_iters=4)
@@ -162,10 +162,10 @@ def test_window_scatter_run_matches_the_stack_scatter_run(monkeypatch, mode, chu
     monkeypatch.setattr(solver, "update_probe_rank1", counted_step)
     windowed = outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe))
     # Per chunk, two adds for each frame pass (the start and four
-    # iterations) and one for each re-fit; one coverage per probe.
+    # iterations), and none for a shifted step; one coverage per probe.
     passes = len({(lo, hi) for lo, hi, _ in chunks})
     assert passes == (1 if chunk_bytes > 1 else geom.K // 2)
-    assert len(adds) == (2 * 5 + len(shifted)) * passes + 5
+    assert len(adds) == 2 * 5 * passes + 5
     monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
     del adds[:]
     assert outcome(run_reconstruction(amps, geom, 0.9 * probe, cfg, probe_true=probe)) == windowed
@@ -189,14 +189,12 @@ def test_window_scatter_run_from_given_frames_matches_the_stack_scatter_run(monk
 
 
 @pytest.mark.parametrize("mode", ["rank1_global", "rank1_framewise"])
-def test_a_shifted_step_and_its_refit_on_the_window_route_match_the_stack_scatter(
-    monkeypatch, mode
-):
+def test_a_shifted_step_on_the_window_route_matches_the_stack_scatter(monkeypatch, mode):
     """Started from the true frames, as criterion 4 is, a run of 64 px
-    frames on a wrapping 16 px raster takes a shifted step at iteration 1
-    under the default gate and cadence, and re-fits the object by window
-    adds; the same run with the window size out of reach adds each chunk
-    by np.add.at, with the same bits."""
+    frames on a wrapping 16 px raster scatters its given frames by window
+    adds and takes a shifted step at iteration 1 under the default gate
+    and cadence; the same run with the window size out of reach adds
+    each chunk by np.add.at, with the same bits."""
     geom = make_raster_geometry(n=128, m=64, step=16, grid=(8, 8))
     assert {len(rects) for rects in geom.window_slices} == {1, 2, 4}
     obj = make_test_object(PhantomSpec(n=128, dc_fraction=0.5, texture_seed=4))
@@ -214,8 +212,7 @@ def test_a_shifted_step_and_its_refit_on_the_window_route_match_the_stack_scatte
 
         return recording
 
-    for name in ("_stack_images", "_adjoint"):
-        monkeypatch.setattr(solver, name, recorded(name))
+    monkeypatch.setattr(solver, "_stack_images", recorded("_stack_images"))
 
     def run():
         frames = illuminate(obj, probe, geom)
@@ -224,12 +221,12 @@ def test_a_shifted_step_and_its_refit_on_the_window_route_match_the_stack_scatte
 
     windowed = run()
     assert windowed[1][0].startswith("iteration 1: transparency shift engaged")
-    # The start from the given frames, then the re-fit, by windows.
-    assert adjoints == [("_stack_images", True), ("_adjoint", True)]
+    # The start from the given frames, by windows.
+    assert adjoints == [("_stack_images", True)]
     monkeypatch.setattr(_passes, "_WINDOW_PX", geom.m + 1)
     del adjoints[:]
     assert run() == windowed
-    assert adjoints == [("_stack_images", False), ("_adjoint", False)]
+    assert adjoints == [("_stack_images", False)]
 
 
 def over_frames_log(edges, fail=(), delay=lambda i: 0.0):
@@ -426,8 +423,8 @@ def engine_call(name, work):
         return _passes._framewise_shifted_sums(
             frames, probe, geom, factors, weights, image, canvas, work
         )
-    if name in ("_stack_images", "_adjoint"):
-        return getattr(_passes, name)(frames, probe, geom, work)
+    if name == "_stack_images":
+        return _passes._stack_images(frames, probe, geom, work)
     if name == "_gathered_terms":
         return _passes._gathered_terms(frames, geom, image, weights, work)
     if name == "_window_sums":
@@ -534,7 +531,7 @@ def test_a_stacks_sum_over_its_frames_adds_them_in_order_onto_zeros(shape, dtype
 @pytest.mark.parametrize(
     "name",
     [
-        "_shifted_sums", "_framewise_shifted_sums", "_stack_images", "_adjoint",
+        "_shifted_sums", "_framewise_shifted_sums", "_stack_images",
         "_gathered_terms", "_window_sums", "_frame_update", "_start_frames",
     ],
 )

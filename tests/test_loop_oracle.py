@@ -79,7 +79,7 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
         if stop:
             break
         obj = update_object(*step_inputs(frames, probe, geom)[:2], probe)
-        new, engaged = None, False
+        new = None
         if cfg.probe_mode == "standard":
             new = update_probe_standard(frames, obj, geom, step_inputs(frames, probe, geom).work)
         elif cfg.probe_mode != "power" and since_shift >= solver.RANK1_CADENCE:
@@ -100,15 +100,13 @@ def reference_run(amplitudes, geom, probe_init, cfg, probe_true=None, frames_ini
                         f"iteration {iteration}: transparency shift engaged "
                         f"(consistency {score:.3f})"
                     )
-                engaged, shifts, since_shift = True, shifts + 1, 0
+                shifts, since_shift = shifts + 1, 0
         if new is None:
             new = update_probe_power(frames, geom, *step_inputs(frames, probe, geom)[1:])
             since_shift += 1
         probe, shift = center_probe(new)
         obj = np.roll(obj, tuple(shift), axis=(0, 1))
         probe *= norm_lock_target / np.linalg.norm(probe)
-        if engaged:
-            obj = update_object(*step_inputs(frames, probe, geom)[:2], probe)
         model = illuminate(obj, probe, geom)
         frames = magnitude_project(model, amplitudes)
         stop = record(iteration, model)

@@ -412,10 +412,10 @@ def test_no_chunk_writes_its_slot_before_the_chunk_before_it_there_has_run_its_t
     run_reconstruction(amps, geom, init, SolverConfig(probe_mode=mode, max_iters=3), probe_true=probe)
     slotted = [p for p in passes if any(kind == "slot" for kind, _ in p[3])]
     # Row 0, the start, three frame updates and three probe steps, where
-    # each of the two shifted steps takes one pass and its re-fit one,
-    # and each per-frame gate one. The object coverage of 64 px frames
-    # adds the broadcast ``|p|**2`` and takes no slot.
-    assert len(slotted) == {"rank1_global": 10, "rank1_framewise": 12}.get(mode, 8)
+    # each of the two shifted steps takes one pass and each per-frame
+    # gate one. The object coverage of 64 px frames adds the broadcast
+    # ``|p|**2`` and takes no slot.
+    assert len(slotted) == {"rank1_framewise": 10}.get(mode, 8)
     for edges, has_tail, ahead, events in slotted:
         assert ahead == 3 < len(edges) - 1
         release = "tail" if has_tail else "done"

@@ -136,6 +136,23 @@ class TestEventsAndErrors:
         hist = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
         assert any("transparency shift engaged" in event for event in hist.events)
 
+    @pytest.mark.parametrize("mode", solver.PROBE_MODES)
+    def test_every_iteration_updates_the_object_once(self, monkeypatch, mode):
+        # A shifted step takes the place of the probe step and adds no
+        # object update: one per row, row 0 included, in every mode.
+        calls = dict.fromkeys(("update_object", "update_probe_rank1"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(solver, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(solver, name, counted)
+        geom, probe, init, amps = overlapping_instance()
+        cfg = SolverConfig(probe_mode=mode, max_iters=10)
+        hist = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
+        assert calls["update_object"] == len(hist.rows) == 11
+        assert (calls["update_probe_rank1"] > 0) == mode.startswith("rank1")
+
     @pytest.mark.parametrize(
         "mode, estimator",
         [("rank1_global", "transparency_global"), ("rank1_framewise", "transparency_framewise")],

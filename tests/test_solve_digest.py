@@ -1,5 +1,6 @@
 """tools/solve_digest.py records each solve's final probe, and its diff
-reports the worst probe difference over the solves whose bytes differ."""
+reports the worst probe difference over the solves whose bytes differ
+and the summed counts of each workload and mode that changed."""
 
 import importlib.util
 import json
@@ -106,6 +107,23 @@ def test_the_diff_gives_the_worst_probe_difference_of_the_changed_solves(tmp_pat
     assert "1 of 3 solves with identical arrays, events and counts" in lines
     gap = 1e-9 / (1 + 1e-9)
     assert f"final probe: worst relative difference {gap:.3g} over the 2 solves" in done.stdout
+
+
+def test_the_diff_sums_the_counts_of_each_workload_and_mode_with_a_changed_solve(tmp_path):
+    probe = np.ones((2, 2), dtype=complex)
+    keys = [f"{w}/{k}/{mode}" for w in ("a", "b") for k in (0, 1) for mode in ("power", "rank1")]
+    old = write(tmp_path / "old.json", {key: solve_entry(probe) for key in keys})
+    solves = {key: solve_entry(probe) for key in keys}
+    solves["a/1/rank1"].update(sha256="b", iterations=7, rank1_calls=2)
+    solves["b/0/rank1"].update(sha256="c", rank1_calls=1)
+    new = write(tmp_path / "new.json", solves)
+    done = run_tool(new, "--against", old)
+    assert done.returncode == 1
+    sums = [line for line in done.stdout.splitlines() if "summed" in line]
+    assert sums == [
+        "a/rank1: summed over 2 solves: iterations 8 -> 11, rank1_calls 0 -> 2",
+        "b/rank1: summed over 2 solves: iterations 8 -> 8, rank1_calls 0 -> 1",
+    ]
 
 
 def test_the_diff_reads_a_digest_without_probes(tmp_path):

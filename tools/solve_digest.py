@@ -30,7 +30,9 @@ norm, where both digests hold the probe. The exit code is 1
 when the arrays, events, iteration counts or gate or step counts of any
 compared solve differ, or a solve of a compared workload is in one
 digest only; a column that moves only in its values is reported, not
-failed.
+failed. For each workload and mode with a changed solve, one line gives
+the summed ``iterations`` and ``rank1_calls`` over the solves both
+digests hold, old -> new.
 """
 
 import os
@@ -129,6 +131,28 @@ def workload(key: str) -> str:
     return key.split("/")[0]
 
 
+def mode_sums(new: dict, old: dict, changed: list[str]) -> list[str]:
+    """One line for each (workload, mode) with a changed solve: its
+    summed ``iterations`` and ``rank1_calls`` over the solves both
+    digests hold, old -> new."""
+
+    def group(key):
+        name, _, mode = key.split("/")
+        return f"{name}/{mode}"
+
+    both = new["solves"].keys() & old["solves"].keys()
+    lines = []
+    for each in sorted({group(key) for key in changed}):
+        keys = [key for key in both if group(key) == each]
+        sums = [
+            f"{count} {sum(old['solves'][key][count] for key in keys)} -> "
+            f"{sum(new['solves'][key][count] for key in keys)}"
+            for count in ("iterations", "rank1_calls")
+        ]
+        lines.append(f"{each}: summed over {len(keys)} solves: {', '.join(sums)}")
+    return lines
+
+
 def diff(new: dict, old: dict) -> tuple[list[str], int]:
     """Report lines on how the digest ``new`` differs from ``old`` over
     the workloads ``new`` holds, and the number of those solves whose
@@ -184,6 +208,7 @@ def diff(new: dict, old: dict) -> tuple[list[str], int]:
             f"{column}: {total - moved[column]} of {total} solves identical; "
             f"worst per-row relative difference {worst[column]:.3g}"
         )
+    lines.extend(mode_sums(new, old, changed))
     return lines, len(changed)
 
 
