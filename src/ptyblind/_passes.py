@@ -18,39 +18,40 @@ function runs on the calling thread.
 
 Each per-frame stage of the solver is one fused pass per chunk: the
 frame update (gather, probe product, DFT, magnitudes, misfit, phase,
-scaling, inverse DFT, conjugate-probe product) and row 0's, which stops
-at the misfit; the start frames of a run without ``frames_init``
-(:func:`_start_frames`), the frame update on a unit object: its
-windows are all the probe, so the phases come from one transform of the
-probe and the pass fills them and runs the scaling onwards; the
-standard and power steps, which share one gathered kernel; each
-shifted step (:func:`_shifted_sums`, :func:`_framewise_shifted_sums`),
-which gathers or forms each frame's shifted accumulation once; the
-per-frame gate's window sums (:func:`_window_sums`), from gathered
-windows and weighted frames; below ``_WINDOW_PX``, the object
-coverage's ``|p|**2``; and the conjugate-probe weighting of given
-frames, with their intensities (:func:`_stack_images`). The sums over
-the frames of a step's products and weights are taken in the pass's
-tail: the first chunk is summed and each later frame added in turn,
-which is the order numpy's sum over
-the whole stack takes, so the bits are its bits. Per-frame sums, the
-per-frame gate's window sums and each frame's squared misfit, are
-reduced frame by frame in the chunk (``vecdot``) into a length-K array,
-so no bit depends on which frames a chunk holds. The per-frame shifted
-step reduces the gate's ``alpha`` and ``gamma`` from its own gathered
-windows by the same function (:func:`_probe_sums`), so its sums have
-the gate's bits. The misfit norm is the square root of the sum of the
-squared misfits. Only the inner products read a whole stack once every
-chunk has finished.
+scaling, inverse DFT) and row 0's, which stops at the misfit; the start
+frames of a run without ``frames_init`` (:func:`_start_frames`), the
+frame update on a unit object: its windows are all the probe, so the
+phases come from one transform of the probe and the pass fills them and
+runs the scaling onwards; the standard and power steps, which share one
+gathered kernel; each shifted step (:func:`_shifted_sums`,
+:func:`_framewise_shifted_sums`), which gathers or forms each frame's
+shifted accumulation once; the per-frame gate's window sums
+(:func:`_window_sums`), from gathered windows and weighted frames; below
+``_WINDOW_PX``, the object coverage's ``|p|**2``. Each pass that writes
+frames, and a start from ``frames_init``, runs as one
+:func:`_stack_images` pass, which weighs each chunk's frames by the
+conjugate probe and takes their intensities once the chunk has written
+them. The sums over the frames of a step's products and weights are
+taken in the pass's tail: the first chunk is summed and each later
+frame added in turn, which is the order numpy's sum over the whole
+stack takes, so the bits are its bits. Per-frame sums, the per-frame
+gate's window sums and each frame's squared misfit, are reduced frame
+by frame in the chunk (``vecdot``) into a length-K array, so no bit
+depends on which frames a chunk holds. The per-frame gate and shifted
+step gather their windows and reduce ``alpha`` and ``gamma`` by one
+function (:func:`_gather_windows`), so the step's sums have the gate's
+bits. The misfit norm is the square root of the sum of the squared
+misfits. Only the inner products read a whole stack once every chunk
+has finished.
 
 Every scatter of a frame stack onto the object runs in a pass's tail:
 as each chunk finishes, the calling thread adds its frames into the
-(n, n) image (:func:`_add_frames`). The frame update and the start
-frames, and the given frames of a start from ``frames_init``
-(:func:`_stack_images`), add their conjugate-probe weighted frames into
-the new adjoint accumulation and their intensities into the canvas
-(:func:`_scatter_tail`). The frame size decides how one chunk is
-added, in :func:`_add_frames`: frames of at
+(n, n) image (:func:`_add_frames`). The frame update, the start frames
+and the given frames of a start from ``frames_init`` are scattered by
+one tail, :func:`_stack_images`'s, which adds their conjugate-probe
+weighted frames into the new adjoint accumulation and their intensities
+into the canvas. The frame size decides how one chunk is added, in
+:func:`_add_frames`: frames of at
 least ``_WINDOW_PX`` window by window, smaller ones (16 px in every 64
 px instance) by one ``np.add.at`` over the chunk's object indices. The one
 other reader of that decision is the object coverage, which is no
@@ -434,25 +435,31 @@ def _shifted_sums(
     return products_sum, windows_sum, canvas_sum
 
 
-def _probe_sums(probe: np.ndarray, geom: ScanGeometry):
+def _gather_windows(probe, geom, adjoint, coverage, work):
     """Empty per-frame sums ``alpha`` (complex128) and ``gamma`` (float64)
-    of length K, and ``reduce(lo, hi, windows, weights)``, which fills
-    them at the frames ``[lo, hi)`` with ``alpha_k = sum |p|^2 A|_k``
-    and ``gamma_k = sum |p|^2 C|_k`` from the gathered windows of the
-    adjoint accumulation ``A`` (``windows``) and of the object coverage
-    ``C`` (``weights``), frame by frame (``vecdot``). The per-frame gate
-    and step reduce by this one function, so their sums share their
-    bits, and no bit depends on the chunking."""
+    of length K, and ``gather(lo, hi)``, which takes the windows ``A|_k``
+    of the adjoint accumulation ``A`` into the scratch of the chunk of
+    frames ``[lo, hi)`` and those ``C|_k`` of the object coverage ``C``
+    into its second float64 slot, fills ``alpha_k = sum |p|^2 A|_k`` and
+    ``gamma_k = sum |p|^2 C|_k`` there from them, frame by frame
+    (``vecdot``), and returns both windows. The per-frame gate and step
+    gather by this one function, so their sums share their bits, and no
+    bit depends on the chunking."""
+    index, flat = geom.frame_indices, _flat_image(adjoint, geom, work.stack)
+    flat_coverage = _flat_image(coverage, geom, work.slot(0))
     intensity = np.abs(probe).reshape(-1) ** 2
     # A float64 row against complex windows would be cast on every call.
     complex_intensity = intensity.astype(np.complex128)
     alpha, gamma = np.empty(geom.K, dtype=np.complex128), np.empty(geom.K)
 
-    def reduce(lo, hi, windows, weights):
+    def gather(lo, hi):
+        windows = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
+        weights = flat_coverage.take(index[lo:hi], out=work.slot(lo, 1), mode="clip")
         np.vecdot(complex_intensity, windows.reshape(hi - lo, -1), out=alpha[lo:hi])
         np.vecdot(intensity, weights.reshape(hi - lo, -1), out=gamma[lo:hi])
+        return windows, weights
 
-    return alpha, gamma, reduce
+    return alpha, gamma, gather
 
 
 def _framewise_shifted_sums(frames, probe, geom, factors, coverage, adjoint, canvas, work):
@@ -466,17 +473,16 @@ def _framewise_shifted_sums(frames, probe, geom, factors, coverage, adjoint, can
     step weighs the shifted stack.
 
     One pass: each chunk gathers ``A|_k`` into its scratch and ``C|_k``
-    into its second float64 slot, reduces ``alpha`` and ``gamma`` from
-    them (:func:`_probe_sums`), then forms the ``A'_k`` in place and
-    each frame's canvas term in its first float64 slot. The tail sums
+    into its second float64 slot and reduces ``alpha`` and ``gamma``
+    from them (:func:`_gather_windows`), then forms the ``A'_k`` in place
+    and each frame's canvas term in its first float64 slot. The tail sums
     the canvas terms, adds each ``conj(t_k) A'_k`` onto the cross term,
     which starts at zeros as numpy's sum over the frames does, then
     conjugates the ``A'_k`` in place, multiplies them by the frames and
     sums the products, each sum in frame order."""
     fcol, conj_factors = factors[:, None, None], np.conj(factors)
-    index, flat = geom.frame_indices, _flat_image(adjoint, geom, work.stack)
-    flat_coverage, flat_canvas = (_flat_image(im, geom, work.slot(0)) for im in (coverage, canvas))
-    alpha, gamma, reduce = _probe_sums(probe, geom)
+    alpha, gamma, gather = _gather_windows(probe, geom, adjoint, coverage, work)
+    index, flat_canvas = geom.frame_indices, _flat_image(canvas, geom, work.slot(0))
     cross = np.zeros((geom.m, geom.m), dtype=np.complex128)
     term = np.empty_like(cross)
 
@@ -486,9 +492,7 @@ def _framewise_shifted_sums(frames, probe, geom, factors, coverage, adjoint, can
     # the canvas frame by frame, before any sum over the frames, which
     # keeps the denominator to the digits its terms keep.
     def chunk(lo, hi):
-        shift = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
-        weights = flat_coverage.take(index[lo:hi], out=work.slot(lo, 1), mode="clip")
-        reduce(lo, hi, shift, weights)
+        shift, weights = gather(lo, hi)
         slot = work.slot(lo)
         for part, factor in ((shift.real, fcol.real), (shift.imag, fcol.imag)):
             product = np.multiply(_fill(slot, factor[lo:hi]), weights, out=slot)
@@ -525,22 +529,18 @@ def _window_sums(
     ``A`` the adjoint accumulation and ``C`` the object coverage.
 
     One gathered pass: each chunk gathers ``A|_k`` into its scratch and
-    ``C|_k`` into its second float64 slot, reduces ``alpha`` and
-    ``gamma`` from them by the calls of the per-frame step
-    (:func:`_probe_sums`), then weighs its frames by ``C|_k`` in its
+    ``C|_k`` into its second float64 slot and reduces ``alpha`` and
+    ``gamma`` from them as the per-frame step does
+    (:func:`_gather_windows`), then weighs its frames by ``C|_k`` in its
     scratch and reduces each against ``conj(p)``. Every sum is reduced
     frame by frame with ``vecdot``, so no bit depends on the chunking.
     """
-    index, flat = geom.frame_indices, _flat_image(adjoint, geom, work.stack)
-    flat_coverage = _flat_image(coverage, geom, work.slot(0))
-    alpha, gamma, reduce = _probe_sums(probe, geom)
+    alpha, gamma, gather = _gather_windows(probe, geom, adjoint, coverage, work)
     # ``vecdot`` conjugates its first operand.
     row, beta = np.ravel(probe), np.empty(geom.K, dtype=np.complex128)
 
     def chunk(lo, hi):
-        windows = flat.take(index[lo:hi], out=work.scratch(lo), mode="clip")
-        weights = flat_coverage.take(index[lo:hi], out=work.slot(lo, 1), mode="clip")
-        reduce(lo, hi, windows, weights)
+        windows, weights = gather(lo, hi)
         weighted = np.multiply(_fill(windows, weights), frames[lo:hi], out=windows)
         np.vecdot(row, weighted.reshape(hi - lo, -1), out=beta[lo:hi])
 
@@ -548,42 +548,31 @@ def _window_sums(
     return alpha, beta, gamma
 
 
-def _intensity(frames: np.ndarray, out: np.ndarray) -> None:
-    """``|frames|**2`` into the float64 ``out``."""
-    np.square(np.abs(frames, out=out), out=out)
-
-
-def _stack_images(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace):
+def _stack_images(frames, probe: np.ndarray, geom: ScanGeometry, work: _Workspace, write=None):
     """The adjoint accumulation ``illuminate_adjoint(frames, probe,
-    geom)`` and intensity canvas of given frames (a start from
-    ``frames_init``), from one pass: each chunk weights its frames by the
-    conjugate probe in its scratch and puts their intensities in its
-    slot, and :func:`_scatter_tail` is the pass's tail."""
-    tail, images = _scatter_tail(geom, work)
+    geom)`` and intensity canvas of a frame stack, from one pass: each
+    chunk first runs ``write(lo, hi)``, given a pass that writes its
+    frames ``[lo, hi)`` (a frame update or the start frames), then
+    weighs its frames by the conjugate probe in its scratch and puts
+    their intensities in its first float64 slot. The pass's tail adds
+    both onto the zero images as each chunk finishes, so they end with
+    the bits of ``embed_add_frames`` on the whole stacks."""
+    adjoint, canvas = np.zeros((geom.n, geom.n), dtype=np.complex128), np.zeros((geom.n, geom.n))
     conj_probe = np.conj(probe)
 
     def chunk(lo, hi):
-        weighted = work.scratch(lo)
+        if write is not None:
+            write(lo, hi)
+        weighted, intensity = work.scratch(lo), work.slot(lo)
         np.multiply(_fill(weighted, conj_probe), frames[lo:hi], out=weighted)
-        _intensity(frames[lo:hi], work.slot(lo))
-
-    _over_frames(chunk, work.edges, tail)
-    return images
-
-
-def _scatter_tail(geom: ScanGeometry, work: _Workspace):
-    """The tail of a pass that writes frames, and the zero (adjoint,
-    canvas) images it fills: it adds each finished chunk's
-    conjugate-probe weighted frames (its scratch) onto the adjoint and
-    their intensities (the chunk's slot) onto the canvas, so the images
-    end with the bits of ``embed_add_frames`` on the whole stacks."""
-    adjoint, canvas = np.zeros((geom.n, geom.n), dtype=np.complex128), np.zeros((geom.n, geom.n))
+        np.square(np.abs(frames[lo:hi], out=intensity), out=intensity)
 
     def tail(lo, hi):
         _add_frames(adjoint, work.scratch(lo), geom, lo)
         _add_frames(canvas, work.slot(lo), geom, lo)
 
-    return tail, (adjoint, canvas)
+    _over_frames(chunk, work.edges, tail)
+    return adjoint, canvas
 
 
 def _impose_amplitudes(
@@ -619,10 +608,9 @@ def _magnitude_pass(
     geom: ScanGeometry,
     work: _Workspace,
     frames: Optional[np.ndarray],
-    tail=None,
-) -> float:
-    """Per-frame part of the frame update, fused over the run's frame
-    chunks.
+) -> tuple[float, Optional[np.ndarray], Optional[np.ndarray]]:
+    """The frame update of (``obj``, ``probe``), fused over the run's
+    frame chunks.
 
     Each chunk illuminates its windows of ``obj`` and transforms them
     in its scratch, puts the spectrum magnitudes in its second float64
@@ -630,23 +618,19 @@ def _magnitude_pass(
     it reduces frame by frame (``vecdot``) into ``work.misfit``. Given
     ``frames``, it imposes the amplitudes on the spectra
     (:func:`_impose_amplitudes`, with the reciprocal magnitudes in the
-    chunk's first float64 slot), transforms back into ``frames`` and
-    weights the frames by the conjugate probe in its scratch, whose
-    scatter-add is their adjoint accumulation. Until the inverse
-    transform writes them, a chunk's ``frames`` hold in turn the
+    chunk's first float64 slot) and transforms back into ``frames``, as
+    the writer of a :func:`_stack_images` pass, which then weighs the
+    chunk's new frames and adds them onto their adjoint accumulation and
+    intensity canvas while the pool works on later chunks. Until the
+    inverse transform writes them, a chunk's ``frames`` hold in turn the
     replicated probe, the reciprocal magnitudes and the amplitudes, as
     complex numbers, so no ufunc broadcasts or casts a frame-sized
     operand. Without ``frames`` (row 0, which writes no frames) the
     windows take the broadcast probe, the product the filled stack gives
     bit for bit, and the pass stops at the misfit. Returns the misfit
     norm, the square root of the sum of the frames' squared misfits,
-    which are each frame's bits whatever chunk holds it.
-
-    Given the ``tail`` of :func:`_scatter_tail` as well, each chunk
-    leaves its new frames' intensity in its first float64 slot, free
-    once the amplitudes are imposed, and the calling thread adds each
-    finished chunk into the tail's adjoint accumulation and intensity
-    canvas while the pool works on later chunks.
+    which are each frame's bits whatever chunk holds it, and the two
+    images, ``None`` without ``frames``.
 
     The reciprocal gives the bits the division by the magnitudes gave:
     numpy divides by a complex ``mag + 0j`` by Smith's formula, which
@@ -656,7 +640,6 @@ def _magnitude_pass(
     """
     flat = obj.reshape(-1)
     index = geom.frame_indices
-    conj_probe = np.conj(probe)
 
     def chunk(lo, hi):
         spectra, magnitudes = work.scratch(lo), work.slot(lo, 1)
@@ -666,28 +649,19 @@ def _magnitude_pass(
         np.fft.fftn(spectra, axes=(-2, -1), norm="ortho", out=spectra)
         np.abs(spectra, out=magnitudes)
         if frames is not None:
-            scratch, inv = frames[lo:hi], work.slot(lo)
-            _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], inv, scratch)
+            scratch = frames[lo:hi]
+            _impose_amplitudes(spectra, magnitudes, amplitudes[lo:hi], work.slot(lo), scratch)
             np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
-            np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
-            if tail is not None:
-                _intensity(scratch, inv)
         np.subtract(magnitudes, amplitudes[lo:hi], out=magnitudes)
         rows = magnitudes.reshape(hi - lo, -1)
         np.vecdot(rows, rows, out=work.misfit[lo:hi])
 
-    _over_frames(chunk, work.edges, tail)
-    return np.sqrt(work.misfit.sum())
-
-
-def _frame_update(obj, probe, amplitudes, geom: ScanGeometry, work: _Workspace, frames):
-    """The frame update of (``obj``, ``probe``), written over ``frames``
-    by :func:`_magnitude_pass`: the misfit norm, and the new frames'
-    adjoint accumulation ``illuminate_adjoint(frames, probe, geom)`` and
-    intensity canvas, added in the pass's tail."""
-    tail, images = _scatter_tail(geom, work)
-    misfit = _magnitude_pass(obj, probe, amplitudes, geom, work, frames, tail)
-    return (misfit, *images)
+    if frames is None:
+        _over_frames(chunk, work.edges)
+        images = (None, None)
+    else:
+        images = _stack_images(frames, probe, geom, work, chunk)
+    return (np.sqrt(work.misfit.sum()), *images)
 
 
 def _start_frames(
@@ -702,14 +676,13 @@ def _start_frames(
     first frame of the scratch stacks, by the calls the frame pass
     (:func:`_magnitude_pass`) makes on a chunk: the product of the probe
     with a window of ones, a ``(1, m, m)`` transform and the phase rule
-    of :func:`_impose_amplitudes`. One pass over the chunks then fills
-    each frame with the phases, multiplies them by its amplitudes,
-    transforms back into the frames and weights those by the conjugate
-    probe: the bits of the frame pass on a unit object, without its K
-    forward transforms and magnitudes and its misfit. Its tail scatters
-    the frames as the frame update's does (:func:`_frame_update`).
+    of :func:`_impose_amplitudes`. One :func:`_stack_images` pass over
+    the chunks then fills each frame with the phases, multiplies them by
+    its amplitudes and transforms back into the frames, which it weighs
+    and scatters as the frame update's does: the bits of the frame pass
+    on a unit object, without its K forward transforms and magnitudes
+    and its misfit.
     """
-    tail, images = _scatter_tail(geom, work)
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
     spectrum, magnitudes, inv = work.scratch(0)[:1], work.slot(0, 1)[:1], work.slot(0)[:1]
     spectrum.fill(1.0)
@@ -719,15 +692,10 @@ def _start_frames(
     _impose_amplitudes(spectrum, magnitudes, None, inv, frames[:1])
     # Copied out of the stack the pass overwrites.
     phases = spectrum[0].copy()
-    conj_probe = np.conj(probe)
 
-    def chunk(lo, hi):
+    def write(lo, hi):
         spectra, scratch = work.scratch(lo), frames[lo:hi]
         np.multiply(_fill(spectra, phases), _fill(scratch, amplitudes[lo:hi]), out=spectra)
         np.fft.ifftn(spectra, axes=(-2, -1), norm="ortho", out=scratch)
-        np.multiply(_fill(spectra, conj_probe), scratch, out=spectra)
-        _intensity(scratch, work.slot(lo))
 
-    _over_frames(chunk, work.edges, tail)
-    return (frames, *images)
-
+    return (frames, *_stack_images(frames, probe, geom, work, write))

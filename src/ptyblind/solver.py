@@ -103,8 +103,8 @@ from typing import Optional
 import numpy as np
 
 from ._passes import (
-    _Workspace, _frame_update, _framewise_shifted_sums, _gathered_terms,
-    _magnitude_pass, _object_coverage, _shifted_sums, _stack_images, _start_frames, _window_sums,
+    _Workspace, _framewise_shifted_sums, _gathered_terms, _magnitude_pass, _object_coverage,
+    _shifted_sums, _stack_images, _start_frames, _window_sums,
 )
 from .fourier import check_amplitudes
 from .metrics import MetricsRow, _relative_gap, nrmse_probe
@@ -691,7 +691,7 @@ def run_reconstruction(
     try:
         obj = update_object(state.coverage, state.adjoint, state.probe)
         # Row 0 keeps the initial frames: its pass writes no frames.
-        misfit_norm = _magnitude_pass(obj, state.probe, amplitudes, geom, work, None)
+        misfit_norm = _magnitude_pass(obj, state.probe, amplitudes, geom, work, None)[0]
         stop = record(0, model_gap(misfit_norm), t_start)
         for iteration in range(1, cfg.max_iters + 1):
             if stop:
@@ -713,7 +713,7 @@ def run_reconstruction(
             # overwrite them. The old images go before the pass makes
             # the new ones, out of its peak memory.
             state.adjoint = state.canvas = None
-            misfit_norm, state.adjoint, state.canvas = _frame_update(
+            misfit_norm, state.adjoint, state.canvas = _magnitude_pass(
                 obj, probe, amplitudes, geom, work, state.frames
             )
             stop = record(iteration, model_gap(misfit_norm), t0)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "ab.py"
 
@@ -74,3 +76,22 @@ def test_each_side_reports_its_own_traced_peak(tmp_path):
     code, report = run_tool(ROOT, copy)
     assert code == 0 and report["identical_probe"]
     assert abs(report["b_peak_mb"] - report["a_peak_mb"] - 1.0) < 2**-10
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        ("--rounds", "0", "argument --rounds: must be at least 1, not 0"),
+        ("--rounds", "-2", "argument --rounds: must be at least 1, not -2"),
+        ("--iters", "-1", "argument --iters: must be at least 0, not -1"),
+        ("--iters", "x", "argument --iters: invalid int value: 'x'"),
+    ],
+)
+def test_a_count_out_of_range_is_a_usage_error(flag, value, message):
+    # Zero rounds leave no ratio (a NaN report), and a negative iteration
+    # count no solve; both are refused before any tree loads.
+    args = [sys.executable, str(TOOL), str(ROOT), str(ROOT), flag, value]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr.startswith("usage: ab.py")
+    assert done.stderr.rstrip().endswith(message)

@@ -103,14 +103,16 @@ def test_loop_calls_its_steps_through_solver_attributes(monkeypatch, mode):
     reference = count_calls(monkeypatch, test_loop_oracle, RANK1[1:])
     test_loop_oracle.reference_run(amps, geom, init, cfg, probe_true=probe)
     calls = count_calls(monkeypatch, solver, STEPS)
-    canvases = count_calls(monkeypatch, _passes, ["_scatter_tail", "_stack_images"])
+    canvases = count_calls(monkeypatch, _passes, ["_stack_images"])
+    given = count_calls(monkeypatch, solver, ["_stack_images"])
     history = run_reconstruction(amps, geom, init, cfg, probe_true=probe)
     # The pass that writes each row's frames scatters their intensity
-    # once, in its tail; the power steps, the gates and the shifted steps
-    # read those canvases, and no intensity is scattered apart. A run
-    # without ``frames_init`` scatters no given frames.
-    assert canvases["_scatter_tail"] == len(history.rows)
-    assert canvases["_stack_images"] == 0
+    # once, as a ``_stack_images`` pass; the power steps, the gates and
+    # the shifted steps read those canvases, and no intensity is
+    # scattered apart. A run without ``frames_init`` scatters no given
+    # frames.
+    assert canvases["_stack_images"] == len(history.rows)
+    assert given["_stack_images"] == 0
     assert set(calls) == set(MODE_STEPS[mode])
     assert calls["pairwise_discrepancy"] == len(history.rows)
     if mode.startswith("rank1"):

@@ -431,7 +431,7 @@ def engine_call(name, work):
         return _passes._window_sums(frames, probe, geom, weights, image, work)
     if name == "_start_frames":
         return _passes._start_frames(probe, amplitudes, geom, work)
-    return _passes._frame_update(image, probe, amplitudes, geom, work, frames)
+    return _passes._magnitude_pass(image, probe, amplitudes, geom, work, frames)
 
 
 def engine_sums(monkeypatch, name, layout):
@@ -442,9 +442,9 @@ def engine_sums(monkeypatch, name, layout):
     # magnitudes as amplitudes.
     geom, frames, probe, image, weights, factors = slot_case()
     amplitudes = np.abs(frames)
-    row0 = _passes._magnitude_pass(image, probe, amplitudes, geom, work, None)
+    row0 = _passes._magnitude_pass(image, probe, amplitudes, geom, work, None)[0]
     updated = np.empty_like(frames)
-    return row0, _passes._magnitude_pass(image, probe, amplitudes, geom, work, updated)
+    return row0, _passes._magnitude_pass(image, probe, amplitudes, geom, work, updated)[0]
 
 
 def frame_order_sums(name):
@@ -532,7 +532,7 @@ def test_a_stacks_sum_over_its_frames_adds_them_in_order_onto_zeros(shape, dtype
     "name",
     [
         "_shifted_sums", "_framewise_shifted_sums", "_stack_images",
-        "_gathered_terms", "_window_sums", "_frame_update", "_start_frames",
+        "_gathered_terms", "_window_sums", "_magnitude_pass", "_start_frames",
     ],
 )
 def test_each_engine_call_is_one_pass_over_the_frames(monkeypatch, name, layout):
@@ -624,10 +624,10 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
     """The frame update's reciprocal magnitudes give the bytes of the
     complex division, zero bins and magnitudes from 1e-300 to 1e300
     included, and divide by no zero. Without frames (row 0) the pass
-    gives the misfit of the broadcast illumination, bit for bit. The
-    frame update with its tail gives the same frames and their adjoint
-    accumulation and intensity canvas; the intensities of the largest
-    frames overflow there, as they do in ``embed_add_frames``."""
+    gives the misfit of the broadcast illumination, bit for bit, and no
+    images. With frames it gives their adjoint accumulation and
+    intensity canvas too; the intensities of the largest frames overflow
+    there, as they do in ``embed_add_frames``, and nothing else does."""
     monkeypatch.setattr(_passes, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(7)
     m, side = 8, 4
@@ -661,18 +661,15 @@ def test_projecting_pass_matches_complex_division_byte_for_byte(monkeypatch, chu
         assert 1e299 < magnitudes.max() < 1e301
         want = frame_idft(divided_spectra(spectra, amps))
         row0 = _passes._magnitude_pass(obj, probe, amps, geom, work, None)
-        misfit = _passes._magnitude_pass(obj, probe, amps, geom, work, frames)
-    assert row0 == misfit_norm(np.abs(frame_dft(illuminate(obj, probe, geom))), amps)
+    assert row0[0] == misfit_norm(np.abs(frame_dft(illuminate(obj, probe, geom))), amps)
+    assert row0[1:] == (None, None)
+    with np.errstate(all="raise", over="ignore"):
+        misfit, adjoint, canvas = _passes._magnitude_pass(obj, probe, amps, geom, work, frames)
+        want_canvas = operators.embed_add_frames(np.abs(want) ** 2, geom)
     assert frames.tobytes() == want.tobytes()
     assert misfit == misfit_norm(magnitudes, amps)
-    updated = np.empty_like(frames)
-    with np.errstate(divide="raise", invalid="raise", over="ignore", under="ignore"):
-        got = _passes._frame_update(obj, probe, amps, geom, work, updated)
-        canvas = operators.embed_add_frames(np.abs(want) ** 2, geom)
-    assert updated.tobytes() == want.tobytes()
-    assert got[0] == misfit
-    assert got[1].tobytes() == operators.illuminate_adjoint(want, probe, geom).tobytes()
-    assert got[2].tobytes() == canvas.tobytes()
+    assert adjoint.tobytes() == operators.illuminate_adjoint(want, probe, geom).tobytes()
+    assert canvas.tobytes() == want_canvas.tobytes()
 
 
 def test_chunks_run_under_the_callers_numpy_error_state(monkeypatch):

@@ -6,7 +6,9 @@ and adds frames onto the object (``_add_frames``, by ``_add_windows``
 or ``operators._scatter_add``). The frame size decides how in one
 predicate: only ``_by_windows`` reads ``_WINDOW_PX``, and only
 ``_add_frames`` asks it, besides ``_object_coverage``, whose window
-adds read a broadcast ``|p|**2`` that ``np.add.at`` needs filled. The
+adds read a broadcast ``|p|**2`` that ``np.add.at`` needs filled. Two
+functions call ``_add_frames``: ``_stack_images``, the one pass that
+scatters a frame stack, and ``_object_coverage``. The
 package's one ``np.add.at`` is ``operators._scatter_add``'s, and no
 module calls ``bincount``. The check parses the package source,
 as ``tests/test_config_fields.py`` does: no other module imports,
@@ -106,15 +108,23 @@ def test_only_the_engine_chunks_passes_and_chooses_the_scatter_route():
     }
 
 
-def test_only_add_frames_and_the_coverage_ask_how_frames_are_added():
+def engine_readers(name):
+    """The top-level scopes of ``_passes`` that name the engine name
+    ``name``, less the one that defines it."""
     uses = engine_uses(parse_package()["_passes.py"])
+    return {scope for scope, used in uses if used == name} - {name, "<module>"}
 
-    def readers(name):
-        # The scopes that name it, less the one that defines it.
-        return {scope for scope, used in uses if used == name} - {name, "<module>"}
 
-    assert readers("_by_windows") == {"_add_frames", "_object_coverage"}
-    assert readers("_WINDOW_PX") == {"_by_windows"}
+def test_only_add_frames_and_the_coverage_ask_how_frames_are_added():
+    assert engine_readers("_by_windows") == {"_add_frames", "_object_coverage"}
+    assert engine_readers("_WINDOW_PX") == {"_by_windows"}
+
+
+def test_only_the_stack_images_pass_and_the_coverage_add_frames():
+    # Every pass that writes frames, and a start from given frames,
+    # scatters them by one ``_stack_images`` pass; the coverage is no
+    # stack, and scatters its own ``|p|**2``.
+    assert engine_readers("_add_frames") == {"_stack_images", "_object_coverage"}
 
 
 def scatter_calls(tree):
@@ -177,11 +187,8 @@ def test_the_engine_sits_between_fourier_and_operators():
 
 # What the solver leaves to the engine besides the workspace's fields
 # (``stack``, ``misfit``, ``edges``, ``slot``, ``scratch``): the
-# scatters, the tail that scatters a pass's frames, and the pass that
-# sums what each chunk leaves in the scratch.
-ENGINE_ONLY = {
-    "illuminate_adjoint", "embed_add_frames", "_scatter_add", "_scatter_tail", "_summed_pass",
-}
+# scatters, and the pass that sums what each chunk leaves in the scratch.
+ENGINE_ONLY = {"illuminate_adjoint", "embed_add_frames", "_scatter_add", "_summed_pass"}
 
 
 def is_workspace(node):

@@ -3,7 +3,7 @@ pass on a unit object, the route they are defined by.
 
 Every window of a unit object is the probe, so the start takes the
 probe's spectrum once instead of K times. The oracle here runs the full
-frame update (``_passes._frame_update``) on an (n, n) object of ones;
+frame update (``_passes._magnitude_pass``) on an (n, n) object of ones;
 the start must give its frames, their adjoint accumulation and
 intensity canvas, and a run with no iterations its row 0 and object,
 byte for byte; the adjoint and the canvas also those of
@@ -32,7 +32,7 @@ def unit_object_start(probe, amplitudes, geom, work):
     adjoint accumulation and their intensity canvas."""
     frames = np.empty(amplitudes.shape, dtype=np.complex128)
     ones = np.ones((geom.n, geom.n), dtype=np.complex128)
-    _, adjoint, canvas = _passes._frame_update(ones, probe, amplitudes, geom, work, frames)
+    _, adjoint, canvas = _passes._magnitude_pass(ones, probe, amplitudes, geom, work, frames)
     return frames, adjoint, canvas
 
 

@@ -152,14 +152,31 @@ def compare(call_a, call_b, rounds: int) -> dict:
     }
 
 
+def at_least(low: int):
+    """An argparse type: an integer no less than ``low``. A round count
+    of 0 would leave no ratio to report, and a negative iteration count
+    no solve to run."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("a", help="tree A, the reference (say the parent)")
     parser.add_argument("b", help="tree B, the candidate")
     parser.add_argument("--workload", default="large223")
     parser.add_argument("--mode", default="standard")
-    parser.add_argument("--iters", type=int, help="iterations per solve (default: the workload's)")
-    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument(
+        "--iters", type=at_least(0), help="iterations per solve (default: the workload's)"
+    )
+    parser.add_argument("--rounds", type=at_least(1), default=20)
     args = parser.parse_args(argv)
 
     w, layout, inst = instance(args.workload)
